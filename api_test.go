@@ -104,7 +104,8 @@ func TestPublicAPIConfigDefaults(t *testing.T) {
 	if cfg.B != 4 || cfg.L != 32 {
 		t.Fatalf("b/l defaults drifted: b=%d l=%d", cfg.B, cfg.L)
 	}
-	if cfg.Tls != 30*time.Second || cfg.To != 3*time.Second || cfg.MaxProbeRetries != 2 {
+	// MinTrt is (probe retries + 1) timeouts: 2 retries, as in the paper.
+	if cfg.Tls != 30*time.Second || cfg.To != 3*time.Second || cfg.MinTrt() != 3*cfg.To {
 		t.Fatal("failure-detection defaults drifted")
 	}
 	if !cfg.PerHopAcks || !cfg.ActiveProbing || !cfg.SelfTune || cfg.TargetRawLoss != 0.05 {

@@ -3,18 +3,14 @@
 // plots; EXPERIMENTS.md maps every output to its figure and records the
 // paper's values next to measured ones.
 //
-// With -json it instead runs the deterministic perfbench macro-benchmark
-// suite and emits one machine-readable BENCH_<scenario>.json per canonical
-// scenario — the repo's performance-trajectory format (see DESIGN.md
-// "Performance methodology").
+// The repo's performance benchmark is a separate program: see
+// bench/README.md and `sh bench/run.sh`.
 //
 // Examples:
 //
 //	mspastry-bench -experiment all
 //	mspastry-bench -experiment fig6 -trace-div 8 -max-dur 3h
 //	mspastry-bench -experiment fig8validate -validate-dur 20s
-//	mspastry-bench -json -out . -scenario all
-//	mspastry-bench -json -scenario steady -bench-div 4
 package main
 
 import (
@@ -26,7 +22,6 @@ import (
 	"time"
 
 	"mspastry/internal/experiments"
-	"mspastry/internal/perfbench"
 )
 
 func main() {
@@ -50,19 +45,8 @@ func main() {
 		hsDur       = flag.Duration("hotspot-dur", 0, "hotspot: measurement window (0 = scale default)")
 		validateN   = flag.Int("validate-nodes", 8, "fig8validate: overlay size")
 		validateDur = flag.Duration("validate-dur", 15*time.Second, "fig8validate: wall-clock workload duration")
-		jsonMode    = flag.Bool("json", false, "run the perfbench macro suite and write BENCH_<scenario>.json reports")
-		outDir      = flag.String("out", ".", "json: output directory for BENCH_*.json")
-		scenario    = flag.String("scenario", "all", "json: scenario to run (all, steady, churn, overload5x, secure, hotspot)")
-		benchDiv    = flag.Int("bench-div", 1, "json: scenario scale divisor (1 = canonical scale)")
 	)
 	flag.Parse()
-
-	if *jsonMode {
-		if err := runJSON(*outDir, *scenario, *benchDiv); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	scale := experiments.Scale{
 		TopoDiv:         *topoDiv,
@@ -290,36 +274,6 @@ func main() {
 		log.Fatalf("unknown experiment %q", *which)
 	}
 	fmt.Fprintf(out, "\ncompleted in %v\n", time.Since(start).Round(time.Second))
-}
-
-// runJSON executes the perfbench macro suite and writes one
-// BENCH_<scenario>.json per selected scenario into dir.
-func runJSON(dir, which string, div int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var scs []perfbench.Scenario
-	if which == "all" {
-		scs = perfbench.Scenarios(div)
-	} else {
-		sc, err := perfbench.ByName(which, div)
-		if err != nil {
-			return err
-		}
-		scs = []perfbench.Scenario{sc}
-	}
-	for _, sc := range scs {
-		rep := perfbench.Run(sc)
-		path, err := rep.WriteFile(dir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12s %s\n", sc.Name, path)
-		fmt.Printf("  wall=%.2fs events/s=%.0f allocs=%d p50=%.1fms p99=%.1fms maint=%.3f msgs/n/s success=%.4f\n",
-			float64(rep.WallNs)/1e9, rep.SimEventsPerSec, rep.AllocsPerOp,
-			rep.LookupP50Ms, rep.LookupP99Ms, rep.MaintenanceMsgsPerNodeSec, rep.LookupSuccessRate)
-	}
-	return nil
 }
 
 func cdfRow(label string, r experiments.Fig5JoinCDF, session time.Duration) experiments.Row {

@@ -1,8 +1,9 @@
 package dht
 
 import (
-	"encoding/binary"
+	"math"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -10,13 +11,7 @@ import (
 // Wire formats: every message starts with a 1-byte kind. Put/Get/Delete
 // requests travel through the overlay as lookup payloads and are answered
 // with a direct ack; everything from kindReplicate down travels only on
-// direct links between replicas. All decoders are total: arbitrary bytes
-// either parse or return ok=false, never panic.
-//
-// Encoders come in two layers, mirroring pastry's AppendMessage: appendX
-// writes a message onto a caller-supplied buffer (callers with a scratch
-// buffer amortise allocation), and encodeX wraps it with a right-sized
-// fresh slice for callers that retain the payload.
+// direct links between replicas.
 const (
 	kindPut byte = iota + 1
 	kindGet
@@ -42,336 +37,148 @@ const (
 	kindHandoffHave
 )
 
-// --- Client requests (lookup payloads) ---
-
-func appendPut(dst []byte, reqID uint64, value []byte) []byte {
-	dst = append(dst, kindPut)
-	dst = binary.AppendUvarint(dst, reqID)
-	return append(dst, value...)
-}
-
-func encodePut(reqID uint64, value []byte) []byte {
-	return appendPut(make([]byte, 0, 16+len(value)), reqID, value)
-}
-
-// appendReqID covers the kind-plus-request-id family: Get and Delete
-// requests and every end-to-end ack.
-func appendReqID(dst []byte, kind byte, reqID uint64) []byte {
-	dst = append(dst, kind)
-	return binary.AppendUvarint(dst, reqID)
-}
-
-func encodeGet(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindGet, reqID)
-}
-
-func encodeDelete(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindDelete, reqID)
-}
-
-func decodeRequest(buf []byte) (kind byte, reqID uint64, value []byte, ok bool) {
-	if len(buf) < 2 || (buf[0] != kindPut && buf[0] != kindGet && buf[0] != kindDelete) {
-		return 0, 0, nil, false
+// The messages. A versioned object travels as kindReplicate, the only
+// sync or replication message that moves values, and an object's summary
+// as kindHandoffOffer, so *store.Object and *store.Summary are messages
+// too.
+type (
+	// request is a Put, Get or Delete, told apart by kind. Only puts
+	// carry a value.
+	request struct {
+		kind  byte
+		reqID uint64
+		value []byte
 	}
-	v, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
-		return 0, 0, nil, false
+	// ack is a PutAck or DeleteAck echoing a request id, or a SyncRootOK
+	// echoing a sync round whose arc digest matched. A decoder sets kind
+	// to the one it expects. Bytes after the id are ignored.
+	ack struct {
+		kind byte
+		id   uint64
 	}
-	rest := buf[1+n:]
-	if buf[0] != kindPut && len(rest) != 0 {
-		return 0, 0, nil, false // only puts carry a value
+	getResp struct {
+		reqID uint64
+		found bool
+		value []byte
 	}
-	return buf[0], v, rest, true
-}
-
-// --- End-to-end acks ---
-
-func encodePutAck(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindPutAck, reqID)
-}
-
-func decodePutAck(buf []byte) (uint64, bool) {
-	return decodeAck(kindPutAck, buf)
-}
-
-func encodeDeleteAck(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindDeleteAck, reqID)
-}
-
-func decodeDeleteAck(buf []byte) (uint64, bool) {
-	return decodeAck(kindDeleteAck, buf)
-}
-
-func decodeAck(kind byte, buf []byte) (uint64, bool) {
-	if len(buf) < 2 || buf[0] != kind {
-		return 0, false
+	// syncRoot opens a round: sid identifies it to the initiator; lo/hi
+	// carry the arc so both sides digest the same key domain regardless
+	// of their leaf-set views.
+	syncRoot struct {
+		sid    uint64
+		lo, hi id.ID
+		root   store.Digest
 	}
-	v, n := binary.Uvarint(buf[1:])
-	return v, n > 0
-}
-
-func appendGetResp(dst []byte, reqID uint64, found bool, value []byte) []byte {
-	dst = append(dst, kindGetResp)
-	if found {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+	syncBuckets struct {
+		sid     uint64
+		buckets [store.RangeBuckets]store.Digest
 	}
-	dst = binary.AppendUvarint(dst, reqID)
-	return append(dst, value...)
-}
-
-func encodeGetResp(reqID uint64, found bool, value []byte) []byte {
-	return appendGetResp(make([]byte, 0, 16+len(value)), reqID, found, value)
-}
-
-func decodeGetResp(buf []byte) (reqID uint64, found bool, value []byte, ok bool) {
-	if len(buf) < 3 || buf[0] != kindGetResp {
-		return 0, false, nil, false
+	// syncKeys carries the initiator's per-key summaries for the
+	// divergent buckets. It repeats the arc and bucket set instead of the
+	// sid so the responder needs no round state to answer.
+	syncKeys struct {
+		lo, hi id.ID
+		bitmap uint64
+		sums   []store.Summary
 	}
-	found = buf[1] != 0
-	v, n := binary.Uvarint(buf[2:])
-	if n <= 0 {
-		return 0, false, nil, false
+	// syncPull lists the keys the responder wants.
+	syncPull struct{ keys []id.ID }
+	// handoffKey is a HandoffWant or HandoffHave, as the decoder's kind
+	// expects.
+	handoffKey struct {
+		kind byte
+		key  id.ID
 	}
-	return v, found, buf[2+n:], true
-}
+)
 
-// --- Replica value transfer ---
-
-// appendReplicate carries one full versioned object; it is the only sync
-// or replication message that moves values.
-func appendReplicate(dst []byte, o store.Object) []byte {
-	return store.EncodeObject(append(dst, kindReplicate), o)
-}
-
-func encodeReplicate(o store.Object) []byte {
-	return appendReplicate(make([]byte, 0, 40+len(o.Value)), o)
-}
-
-func decodeReplicate(buf []byte) (store.Object, bool) {
-	if len(buf) < 1 || buf[0] != kindReplicate {
-		return store.Object{}, false
-	}
-	return store.DecodeObject(buf[1:])
-}
-
-// --- Anti-entropy control messages ---
-
-// kindSyncRoot: sid uvarint | lo 16 | hi 16 | root 16. sid identifies the
-// initiator's round; lo/hi carry the arc so both sides digest the same
-// key domain regardless of their leaf-set views.
-func appendSyncRoot(dst []byte, sid uint64, lo, hi id.ID, root store.Digest) []byte {
-	dst = append(dst, kindSyncRoot)
-	dst = binary.AppendUvarint(dst, sid)
-	dst = append(dst, lo.Bytes()...)
-	dst = append(dst, hi.Bytes()...)
-	return append(dst, root[:]...)
-}
-
-func encodeSyncRoot(sid uint64, lo, hi id.ID, root store.Digest) []byte {
-	return appendSyncRoot(make([]byte, 0, 64), sid, lo, hi, root)
-}
-
-func decodeSyncRoot(buf []byte) (sid uint64, lo, hi id.ID, root store.Digest, ok bool) {
-	if len(buf) < 2 || buf[0] != kindSyncRoot {
-		return 0, id.ID{}, id.ID{}, store.Digest{}, false
-	}
-	v, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || len(rest) != 32+store.DigestLen {
-		return 0, id.ID{}, id.ID{}, store.Digest{}, false
-	}
-	lo = id.FromBytes(rest[0:16])
-	hi = id.FromBytes(rest[16:32])
-	copy(root[:], rest[32:])
-	return v, lo, hi, root, true
-}
-
-// kindSyncRootOK: sid uvarint. The responder's arc digest matched.
-func encodeSyncRootOK(sid uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindSyncRootOK, sid)
-}
-
-func decodeSyncRootOK(buf []byte) (uint64, bool) {
-	return decodeAck(kindSyncRootOK, buf)
-}
-
-// kindSyncBuckets: sid uvarint | RangeBuckets × 16-byte bucket digests.
-func appendSyncBuckets(dst []byte, sid uint64, buckets *[store.RangeBuckets]store.Digest) []byte {
-	dst = append(dst, kindSyncBuckets)
-	dst = binary.AppendUvarint(dst, sid)
-	for i := range buckets {
-		dst = append(dst, buckets[i][:]...)
-	}
-	return dst
-}
-
-func encodeSyncBuckets(sid uint64, buckets *[store.RangeBuckets]store.Digest) []byte {
-	return appendSyncBuckets(make([]byte, 0, 16+store.RangeBuckets*store.DigestLen), sid, buckets)
-}
-
-func decodeSyncBuckets(buf []byte) (sid uint64, buckets [store.RangeBuckets]store.Digest, ok bool) {
-	if len(buf) < 2 || buf[0] != kindSyncBuckets {
-		return 0, buckets, false
-	}
-	v, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || len(rest) != store.RangeBuckets*store.DigestLen {
-		return 0, buckets, false
-	}
-	for i := range buckets {
-		copy(buckets[i][:], rest[i*store.DigestLen:])
-	}
-	return v, buckets, true
-}
-
-// kindSyncKeys: lo 16 | hi 16 | bucket bitmap u64 BE | count uvarint |
-// count × summary. Carries the initiator's per-key summaries for the
-// divergent buckets. It repeats the arc and bucket set instead of the sid
-// so the responder needs no round state to answer.
-func appendSyncKeys(dst []byte, lo, hi id.ID, bitmap uint64, sums []store.Summary) []byte {
-	dst = append(dst, kindSyncKeys)
-	dst = append(dst, lo.Bytes()...)
-	dst = append(dst, hi.Bytes()...)
-	dst = binary.BigEndian.AppendUint64(dst, bitmap)
-	dst = binary.AppendUvarint(dst, uint64(len(sums)))
-	for _, sum := range sums {
-		dst = appendSummary(dst, sum)
-	}
-	return dst
-}
-
-func encodeSyncKeys(lo, hi id.ID, bitmap uint64, sums []store.Summary) []byte {
-	return appendSyncKeys(make([]byte, 0, 48+len(sums)*56), lo, hi, bitmap, sums)
-}
-
-func decodeSyncKeys(buf []byte) (lo, hi id.ID, bitmap uint64, sums []store.Summary, ok bool) {
-	if len(buf) < 42 || buf[0] != kindSyncKeys {
-		return id.ID{}, id.ID{}, 0, nil, false
-	}
-	lo = id.FromBytes(buf[1:17])
-	hi = id.FromBytes(buf[17:33])
-	bitmap = binary.BigEndian.Uint64(buf[33:41])
-	rest := buf[41:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)) { // each summary is ≥ 35 bytes
-		return id.ID{}, id.ID{}, 0, nil, false
-	}
-	rest = rest[n:]
-	sums = make([]store.Summary, 0, count)
-	for i := uint64(0); i < count; i++ {
-		sum, tail, ok2 := cutSummary(rest)
-		if !ok2 {
-			return id.ID{}, id.ID{}, 0, nil, false
+// walk is the one wire description of every message: its kind, then its
+// fields in wire order; encode and decode are this walk run over a
+// codec.Coder in a different mode. It panics on unknown message types (a
+// programming error).
+func walk(c *codec.Coder, m any) {
+	switch m := m.(type) {
+	case *request:
+		c.Byte(&m.kind)
+		c.Require(m.kind == kindPut || m.kind == kindGet || m.kind == kindDelete)
+		c.Uvarint(&m.reqID)
+		c.Rest(&m.value)
+		c.Require(m.kind == kindPut || len(m.value) == 0)
+	case *ack:
+		c.Tag(m.kind)
+		c.Uvarint(&m.id)
+		var ignored []byte
+		c.Rest(&ignored)
+	case *getResp:
+		c.Tag(kindGetResp)
+		c.Bool(&m.found)
+		c.Uvarint(&m.reqID)
+		c.Rest(&m.value)
+	case *store.Object:
+		c.Tag(kindReplicate)
+		m.Walk(c)
+	case *syncRoot:
+		c.Tag(kindSyncRoot)
+		c.Uvarint(&m.sid)
+		c.ID(&m.lo)
+		c.ID(&m.hi)
+		c.Fixed(m.root[:])
+	case *syncBuckets:
+		c.Tag(kindSyncBuckets)
+		c.Uvarint(&m.sid)
+		for i := range m.buckets {
+			c.Fixed(m.buckets[i][:])
 		}
-		sums = append(sums, sum)
-		rest = tail
+	case *syncKeys:
+		c.Tag(kindSyncKeys)
+		c.ID(&m.lo)
+		c.ID(&m.hi)
+		c.Uint64(&m.bitmap)
+		sums := codec.Slice(c, &m.sums, math.MaxInt) // bounded by the bytes left alone
+		for i := range sums {
+			walkSummary(c, &sums[i])
+		}
+	case *syncPull:
+		c.Tag(kindSyncPull)
+		keys := codec.Slice(c, &m.keys, math.MaxInt)
+		for i := range keys {
+			c.ID(&keys[i])
+		}
+	case *store.Summary:
+		c.Tag(kindHandoffOffer)
+		walkSummary(c, m)
+	case *handoffKey:
+		c.Tag(m.kind)
+		c.ID(&m.key)
+	default: // not naming the type: formatting m would move every message to the heap
+		panic("dht: message type with no wire format")
 	}
-	if len(rest) != 0 {
-		return id.ID{}, id.ID{}, 0, nil, false
-	}
-	return lo, hi, bitmap, sums, true
 }
 
-// kindSyncPull: count uvarint | count × 16-byte keys the responder wants.
-func appendSyncPull(dst []byte, keys []id.ID) []byte {
-	dst = append(dst, kindSyncPull)
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = append(dst, k.Bytes()...)
-	}
-	return dst
+// walkSummary describes one key summary. Summaries describe written
+// objects, so version ≥ 1.
+func walkSummary(c *codec.Coder, sum *store.Summary) {
+	c.ID(&sum.Key)
+	c.Bits(&sum.Tombstone)
+	c.Uvarint(&sum.Version)
+	c.Require(sum.Version != 0)
+	c.Uvarint(&sum.Origin)
+	c.Fixed(sum.Dig[:])
 }
 
-func encodeSyncPull(keys []id.ID) []byte {
-	return appendSyncPull(make([]byte, 0, 16+len(keys)*16), keys)
+// encode serialises a message into a fresh, exactly sized slice.
+func encode(m any) []byte {
+	var c codec.Coder
+	walk(&c, m)
+	c = codec.Appender(make([]byte, 0, c.Size()))
+	walk(&c, m)
+	return c.Bytes()
 }
 
-func decodeSyncPull(buf []byte) ([]id.ID, bool) {
-	if len(buf) < 2 || buf[0] != kindSyncPull {
-		return nil, false
-	}
-	count, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || uint64(len(rest)) != count*16 || count > uint64(len(rest)) {
-		return nil, false
-	}
-	keys := make([]id.ID, 0, count)
-	for i := uint64(0); i < count; i++ {
-		keys = append(keys, id.FromBytes(rest[i*16:i*16+16]))
-	}
-	return keys, true
-}
-
-// --- Handoff messages ---
-
-// kindHandoffOffer: one summary — the object a foreign node wants to shed.
-func encodeHandoffOffer(sum store.Summary) []byte {
-	return appendSummary(append(make([]byte, 0, 64), kindHandoffOffer), sum)
-}
-
-func decodeHandoffOffer(buf []byte) (store.Summary, bool) {
-	if len(buf) < 2 || buf[0] != kindHandoffOffer {
-		return store.Summary{}, false
-	}
-	sum, rest, ok := cutSummary(buf[1:])
-	if !ok || len(rest) != 0 {
-		return store.Summary{}, false
-	}
-	return sum, true
-}
-
-// kindHandoffWant / kindHandoffHave: the bare 16-byte key.
-func encodeHandoffKey(kind byte, key id.ID) []byte {
-	return append(append(make([]byte, 0, 17), kind), key.Bytes()...)
-}
-
-func decodeHandoffKey(kind byte, buf []byte) (id.ID, bool) {
-	if len(buf) != 17 || buf[0] != kind {
-		return id.ID{}, false
-	}
-	return id.FromBytes(buf[1:17]), true
-}
-
-// --- Key summary entries ---
-
-// Summary wire layout: key 16 | flags 1 | version uvarint | origin uvarint
-// | digest 16.
-func appendSummary(dst []byte, sum store.Summary) []byte {
-	dst = append(dst, sum.Key.Bytes()...)
-	flags := byte(0)
-	if sum.Tombstone {
-		flags = 1
-	}
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, sum.Version)
-	dst = binary.AppendUvarint(dst, sum.Origin)
-	return append(dst, sum.Dig[:]...)
-}
-
-// cutSummary parses one summary off the front of buf and returns the tail.
-func cutSummary(buf []byte) (store.Summary, []byte, bool) {
-	if len(buf) < 17 || buf[16]&^1 != 0 {
-		return store.Summary{}, nil, false
-	}
-	sum := store.Summary{Key: id.FromBytes(buf[0:16]), Tombstone: buf[16] == 1}
-	rest := buf[17:]
-	v, n := binary.Uvarint(rest)
-	if n <= 0 || v == 0 { // summaries describe written objects; version ≥ 1
-		return store.Summary{}, nil, false
-	}
-	sum.Version = v
-	rest = rest[n:]
-	v, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return store.Summary{}, nil, false
-	}
-	sum.Origin = v
-	rest = rest[n:]
-	if len(rest) < store.DigestLen {
-		return store.Summary{}, nil, false
-	}
-	copy(sum.Dig[:], rest[:store.DigestLen])
-	return sum, rest[store.DigestLen:], true
+// decode fills m, a pointer to the message the caller expects, from buf.
+// It is total: arbitrary bytes either parse or report false, never panic.
+// Byte-slice fields alias buf.
+func decode(buf []byte, m any) bool {
+	c := codec.Reader(buf)
+	walk(&c, m)
+	return c.Finish() == nil
 }

@@ -289,19 +289,12 @@ func (s *Store) Delete(key id.ID, done func(error)) {
 
 func (s *Store) sendOp(reqID uint64, op *pendingOp) {
 	var payload []byte
-	switch op.kind {
-	case kindPut:
-		payload = encodePut(reqID, op.value)
-	case kindGet:
-		if s.hot != nil && !op.fresh {
-			// Cache-aware read: accumulate caching hops along the route so
-			// the root knows where to deposit hot replies.
-			payload = hotspot.EncodeGetVia(reqID, nil)
-		} else {
-			payload = encodeGet(reqID)
-		}
-	case kindDelete:
-		payload = encodeDelete(reqID)
+	if op.kind == kindGet && s.hot != nil && !op.fresh {
+		// Cache-aware read: accumulate caching hops along the route so
+		// the root knows where to deposit hot replies.
+		payload = hotspot.Encode(&hotspot.GetVia{ReqID: reqID})
+	} else {
+		payload = encode(&request{kind: op.kind, reqID: reqID, value: op.value})
 	}
 	send := s.node.Lookup
 	if s.cfg.SecureWrites && op.kind != kindGet {
@@ -372,21 +365,21 @@ func (s *Store) Deliver(lk *pastry.Lookup) {
 		s.deliverGetVia(lk)
 		return
 	}
-	kind, reqID, value, ok := decodeRequest(lk.Payload)
-	if !ok {
+	var req request
+	if !decode(lk.Payload, &req) {
 		return
 	}
-	switch kind {
+	switch req.kind {
 	case kindPut:
 		cur, _ := s.backend.Get(lk.Key)
 		obj := store.Object{Key: lk.Key, Version: cur.Version + 1,
-			Origin: s.origin, Value: value}
+			Origin: s.origin, Value: req.value}
 		if _, err := s.backend.Apply(obj); err != nil {
 			return // durable write failed: no ack, the client retries
 		}
 		s.replicate(obj)
 		s.invalidateCached(obj)
-		s.reply(lk.Origin, encodePutAck(reqID))
+		s.reply(lk.Origin, encode(&ack{kindPutAck, req.reqID}))
 	case kindDelete:
 		// Write the tombstone even for a key we have never seen: a replica
 		// may still hold a value the root lost, and the tombstone stops
@@ -401,11 +394,11 @@ func (s *Store) Deliver(lk *pastry.Lookup) {
 			s.replicate(tomb)
 			s.invalidateCached(tomb)
 		}
-		s.reply(lk.Origin, encodeDeleteAck(reqID))
+		s.reply(lk.Origin, encode(&ack{kindDeleteAck, req.reqID}))
 	case kindGet:
 		o, found := s.backend.Get(lk.Key)
 		found = found && !o.Tombstone
-		s.reply(lk.Origin, encodeGetResp(reqID, found, o.Value))
+		s.reply(lk.Origin, encode(&getResp{req.reqID, found, o.Value}))
 	}
 }
 
@@ -435,7 +428,8 @@ func (s *Store) Direct(from pastry.NodeRef, payload []byte) {
 	}
 	switch payload[0] {
 	case kindReplicate:
-		if o, ok := decodeReplicate(payload); ok {
+		var o store.Object
+		if decode(payload, &o) {
 			if applied, _ := s.backend.Apply(o); applied {
 				s.counters.ReplicasApplied++
 				if s.hot != nil {
@@ -474,23 +468,19 @@ func (s *Store) handleResponse(payload []byte) {
 	switch payload[0] {
 	case hotspot.KindCachedReply:
 		s.onCachedReply(payload)
-	case kindPutAck:
-		if reqID, ok := decodePutAck(payload); ok {
-			s.finish(reqID, nil, nil)
-		}
-	case kindDeleteAck:
-		if reqID, ok := decodeDeleteAck(payload); ok {
-			s.finish(reqID, nil, nil)
+	case kindPutAck, kindDeleteAck:
+		if done := (ack{kind: payload[0]}); decode(payload, &done) {
+			s.finish(done.id, nil, nil)
 		}
 	case kindGetResp:
-		reqID, found, value, ok := decodeGetResp(payload)
-		if !ok {
+		var resp getResp
+		if !decode(payload, &resp) {
 			return
 		}
-		if found {
-			s.finish(reqID, value, nil)
+		if resp.found {
+			s.finish(resp.reqID, resp.value, nil)
 		} else {
-			s.finish(reqID, nil, ErrNotFound)
+			s.finish(resp.reqID, nil, ErrNotFound)
 		}
 	}
 }
@@ -498,7 +488,7 @@ func (s *Store) handleResponse(payload []byte) {
 // replicate pushes an object to the k-1 leaf-set members closest to its
 // key (write-time replication; not charged as maintenance traffic).
 func (s *Store) replicate(o store.Object) {
-	payload := encodeReplicate(o)
+	payload := encode(&o)
 	for _, m := range s.replicaTargets(o.Key) {
 		s.counters.ReplicasPushed++
 		s.node.SendDirect(m, payload)
@@ -602,7 +592,7 @@ func (s *Store) sweep() {
 // pushFull is the FullPushSweep baseline: re-send the whole value to every
 // replica target, divergent or not.
 func (s *Store) pushFull(o store.Object) {
-	payload := encodeReplicate(o)
+	payload := encode(&o)
 	for _, m := range s.replicaTargets(o.Key) {
 		s.counters.ReplicasPushed++
 		s.counters.MaintBytes += uint64(len(payload))

@@ -248,118 +248,38 @@ func TestEndToEndRetrySurvivesLoss(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrips(t *testing.T) {
-	k, r, v, ok := decodeRequest(encodePut(42, []byte("val")))
-	if !ok || k != kindPut || r != 42 || string(v) != "val" {
-		t.Fatal("put codec")
-	}
-	k, r, v, ok = decodeRequest(encodeGet(7))
-	if !ok || k != kindGet || r != 7 || len(v) != 0 {
-		t.Fatal("get codec")
-	}
-	if r, ok := decodePutAck(encodePutAck(9)); !ok || r != 9 {
-		t.Fatal("putack codec")
-	}
-	rid, found, val, ok := decodeGetResp(encodeGetResp(5, true, []byte("x")))
-	if !ok || rid != 5 || !found || string(val) != "x" {
-		t.Fatal("getresp codec")
-	}
-	k, r, v, ok = decodeRequest(encodeDelete(11))
-	if !ok || k != kindDelete || r != 11 || len(v) != 0 {
-		t.Fatal("delete codec")
-	}
-	if r, ok := decodeDeleteAck(encodeDeleteAck(13)); !ok || r != 13 {
-		t.Fatal("deleteack codec")
-	}
-	obj := store.Object{Key: id.New(1, 2), Version: 4, Origin: 9, Value: []byte("y")}
-	got, ok := decodeReplicate(encodeReplicate(obj))
-	if !ok || got.Key != obj.Key || got.Version != 4 || got.Origin != 9 ||
-		got.Tombstone || string(got.Value) != "y" {
-		t.Fatal("replicate codec")
-	}
-	// Garbage rejection.
-	if _, _, _, ok := decodeRequest([]byte{0xff, 1}); ok {
-		t.Fatal("garbage request accepted")
-	}
-	if _, ok := decodeReplicate([]byte{kindReplicate, 1}); ok {
-		t.Fatal("short replicate accepted")
-	}
-}
-
-func TestSyncCodecRoundTrips(t *testing.T) {
-	lo, hi := id.New(1, 1), id.New(9, 9)
-	var root store.Digest
-	root[0], root[15] = 0xaa, 0xbb
-	sid, glo, ghi, groot, ok := decodeSyncRoot(encodeSyncRoot(77, lo, hi, root))
-	if !ok || sid != 77 || glo != lo || ghi != hi || groot != root {
-		t.Fatal("syncroot codec")
-	}
-	if sid, ok := decodeSyncRootOK(encodeSyncRootOK(42)); !ok || sid != 42 {
-		t.Fatal("syncrootok codec")
-	}
-	var buckets [store.RangeBuckets]store.Digest
-	buckets[3][0], buckets[63][15] = 1, 2
-	sid, gb, ok := decodeSyncBuckets(encodeSyncBuckets(5, &buckets))
-	if !ok || sid != 5 || gb != buckets {
-		t.Fatal("syncbuckets codec")
-	}
-	sums := []store.Summary{
-		store.Object{Key: id.New(2, 2), Version: 1, Origin: 3, Value: []byte("a")}.Summarize(),
-		store.Object{Key: id.New(3, 3), Version: 7, Origin: 1, Tombstone: true}.Summarize(),
-	}
-	klo, khi, bitmap, gsums, ok := decodeSyncKeys(encodeSyncKeys(lo, hi, 0xf0f0, sums))
-	if !ok || klo != lo || khi != hi || bitmap != 0xf0f0 || len(gsums) != 2 {
-		t.Fatal("synckeys codec")
-	}
-	for i := range sums {
-		if gsums[i] != sums[i] {
-			t.Fatalf("summary %d: %+v != %+v", i, gsums[i], sums[i])
+// TestCodecRejects covers what the recorded frames and the fuzz round
+// trips do not: a decoder refuses another message's kind, bytes it has no
+// field for, and any truncation.
+func TestCodecRejects(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"unknown request kind": {0xff, 1},
+		"get with a value":     append(encode(&request{kindGet, 7, nil}), 'v'),
+		"short replicate":      {kindReplicate, 1},
+		"trailing byte":        append(encode(&syncPull{[]id.ID{id.New(4, 4)}}), 0),
+	} {
+		for decoder, empty := range decoders {
+			if decode(frame, empty()) {
+				t.Errorf("%s: accepted as %s", name, decoder)
+			}
 		}
 	}
-	keys := []id.ID{id.New(4, 4), id.New(5, 5)}
-	gkeys, ok := decodeSyncPull(encodeSyncPull(keys))
-	if !ok || len(gkeys) != 2 || gkeys[0] != keys[0] || gkeys[1] != keys[1] {
-		t.Fatal("syncpull codec")
+	want := encode(&handoffKey{kindHandoffWant, id.New(6, 6)})
+	if decode(want, &handoffKey{kind: kindHandoffHave}) {
+		t.Error("want accepted as have")
 	}
-	offer := sums[1]
-	goffer, ok := decodeHandoffOffer(encodeHandoffOffer(offer))
-	if !ok || goffer != offer {
-		t.Fatal("handoffoffer codec")
+	if !decode(append(encode(&ack{kindPutAck, 9}), 0xaa), &ack{kind: kindPutAck}) {
+		t.Error("ack with bytes after its id rejected")
 	}
-	key := id.New(6, 6)
-	if gk, ok := decodeHandoffKey(kindHandoffWant, encodeHandoffKey(kindHandoffWant, key)); !ok || gk != key {
-		t.Fatal("handoffwant codec")
-	}
-	// Kind confusion and truncation are rejected.
-	if _, ok := decodeHandoffKey(kindHandoffHave, encodeHandoffKey(kindHandoffWant, key)); ok {
-		t.Fatal("want accepted as have")
-	}
-	for _, msg := range [][]byte{
-		encodeSyncRoot(1, lo, hi, root), encodeSyncBuckets(1, &buckets),
-		encodeSyncKeys(lo, hi, 1, sums), encodeSyncPull(keys),
-		encodeHandoffOffer(offer),
-	} {
-		short := msg[:len(msg)-1]
-		switch msg[0] {
-		case kindSyncRoot:
-			if _, _, _, _, ok := decodeSyncRoot(short); ok {
-				t.Fatal("truncated syncroot accepted")
-			}
-		case kindSyncBuckets:
-			if _, _, ok := decodeSyncBuckets(short); ok {
-				t.Fatal("truncated syncbuckets accepted")
-			}
-		case kindSyncKeys:
-			if _, _, _, _, ok := decodeSyncKeys(short); ok {
-				t.Fatal("truncated synckeys accepted")
-			}
-		case kindSyncPull:
-			if _, ok := decodeSyncPull(short); ok {
-				t.Fatal("truncated syncpull accepted")
-			}
-		case kindHandoffOffer:
-			if _, ok := decodeHandoffOffer(short); ok {
-				t.Fatal("truncated offer accepted")
+	sum := store.Object{Key: id.New(3, 3), Version: 7, Origin: 1, Tombstone: true}.Summarize()
+	for _, m := range []any{&syncRoot{sid: 1}, &syncBuckets{sid: 1}, &syncKeys{sums: []store.Summary{sum}},
+		&syncPull{[]id.ID{id.New(4, 4)}}, &sum, &ack{kindSyncRootOK, 300}} {
+		frame := encode(m)
+		for cut := 0; cut < len(frame); cut++ {
+			for decoder, empty := range decoders {
+				if decode(frame[:cut], empty()) {
+					t.Errorf("%d of %d bytes of a %T accepted as %s", cut, len(frame), m, decoder)
+				}
 			}
 		}
 	}

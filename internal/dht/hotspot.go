@@ -147,36 +147,37 @@ func (s *Store) hotspotForward(lk *pastry.Lookup) bool {
 	if lk.Origin.ID == self.ID {
 		return true // origin's own first routing step: nothing cached upstream
 	}
-	reqID, vias, ok := hotspot.DecodeGetVia(lk.Payload)
-	if !ok {
+	var get hotspot.GetVia
+	if !hotspot.Decode(lk.Payload, &get) {
 		return true
 	}
 	if e, hit := s.hot.cache.Get(lk.Key); hit {
 		if s.env.Now()-e.StoredAt <= s.cfg.SweepInterval {
 			s.counters.CacheServes++
-			s.node.SendDirect(lk.Origin,
-				hotspot.EncodeCachedReply(reqID, true, true, e.Version, e.Origin, e.Dig, e.Value))
+			s.node.SendDirect(lk.Origin, hotspot.Encode(&hotspot.CachedReply{
+				ReqID: get.ReqID, Found: true, FromCache: true,
+				Version: e.Version, Origin: e.Origin, Dig: e.Dig, Value: e.Value}))
 			return false
 		}
 		s.hot.cache.Delete(lk.Key) // expired: forward and refill from the root
 	}
 	me := hotspot.Via{ID: self.ID, Addr: self.Addr}
-	for _, v := range vias {
+	for _, v := range get.Vias {
 		if v.ID == me.ID {
 			return true // already recorded (held or rerouted lookup)
 		}
 	}
-	if len(vias) < hotspot.MaxVia {
+	if len(get.Vias) < hotspot.MaxVia {
 		// Slot 0 is the route's first hop...
-		vias = append(vias, me)
+		get.Vias = append(get.Vias, me)
 	} else {
 		// ...and slot 1, overwritten at every later hop, ends up the
 		// penultimate one.
-		vias[hotspot.MaxVia-1] = me
+		get.Vias[hotspot.MaxVia-1] = me
 	}
 	// Replace the payload rather than mutating it: the transport may
 	// alias the same backing array across in-flight copies.
-	lk.Payload = hotspot.EncodeGetVia(reqID, vias)
+	lk.Payload = hotspot.Encode(&get)
 	return true
 }
 
@@ -184,8 +185,8 @@ func (s *Store) hotspotForward(lk *pastry.Lookup) bool {
 // deposits hot entries on the route's caching hops. It runs even when
 // this node has caching disabled, so mixed clusters interoperate.
 func (s *Store) deliverGetVia(lk *pastry.Lookup) {
-	reqID, vias, ok := hotspot.DecodeGetVia(lk.Payload)
-	if !ok {
+	var get hotspot.GetVia
+	if !hotspot.Decode(lk.Payload, &get) {
 		return
 	}
 	o, found := s.backend.Get(lk.Key)
@@ -197,9 +198,10 @@ func (s *Store) deliverGetVia(lk *pastry.Lookup) {
 	if found {
 		dig = o.Digest()
 	}
-	s.reply(lk.Origin, hotspot.EncodeCachedReply(reqID, found, false, o.Version, o.Origin, dig, o.Value))
+	s.reply(lk.Origin, hotspot.Encode(&hotspot.CachedReply{
+		ReqID: get.ReqID, Found: found, Version: o.Version, Origin: o.Origin, Dig: dig, Value: o.Value}))
 	if found && s.hot != nil {
-		s.maybeDeposit(lk.Key, o, dig, vias, lk.Origin)
+		s.maybeDeposit(lk.Key, o, dig, get.Vias, lk.Origin)
 	}
 }
 
@@ -217,7 +219,7 @@ func (s *Store) maybeDeposit(key id.ID, o store.Object, dig store.Digest, vias [
 			continue
 		}
 		if payload == nil {
-			payload = hotspot.EncodeDeposit(hotspot.Entry{
+			payload = hotspot.Encode(&hotspot.Entry{
 				Key: key, Version: o.Version, Origin: o.Origin, Dig: dig, Value: o.Value,
 			})
 		}
@@ -233,27 +235,27 @@ func (s *Store) maybeDeposit(key id.ID, o store.Object, dig store.Digest, vias [
 // reply below a version this client already read is refused and the
 // operation retried authoritatively.
 func (s *Store) onCachedReply(payload []byte) {
-	reqID, found, fromCache, version, origin, dig, value, ok := hotspot.DecodeCachedReply(payload)
-	if !ok {
+	var reply hotspot.CachedReply
+	if !hotspot.Decode(payload, &reply) {
 		return
 	}
-	op, live := s.pending[reqID]
+	op, live := s.pending[reply.ReqID]
 	if !live || op.kind != kindGet {
 		return
 	}
 	if s.hot != nil {
-		if found {
-			if fromCache && s.hot.belowFloor(op.key, version, origin) {
+		if reply.Found {
+			if reply.FromCache && s.hot.belowFloor(op.key, reply.Version, reply.Origin) {
 				s.counters.CacheStaleRejected++
 				if op.timer != nil {
 					op.timer.Cancel()
 				}
 				op.fresh = true
-				s.sendOp(reqID, op)
+				s.sendOp(reply.ReqID, op)
 				return
 			}
-			s.hot.raiseFloor(op.key, version, origin)
-			if fromCache {
+			s.hot.raiseFloor(op.key, reply.Version, reply.Origin)
+			if reply.FromCache {
 				// Serve hearsay, never re-cache it: a value relayed by
 				// another cache left its root up to a sweep interval ago,
 				// and stamping it with a fresh StoredAt here would chain
@@ -264,19 +266,19 @@ func (s *Store) onCachedReply(payload []byte) {
 				s.counters.CacheHitsRemote++
 			} else {
 				s.hot.cache.Put(hotspot.Entry{
-					Key: op.key, Version: version, Origin: origin, Dig: dig,
-					Value: append([]byte(nil), value...), StoredAt: s.env.Now(),
+					Key: op.key, Version: reply.Version, Origin: reply.Origin, Dig: reply.Dig,
+					Value: append([]byte(nil), reply.Value...), StoredAt: s.env.Now(),
 				})
 			}
-		} else if !fromCache {
+		} else if !reply.FromCache {
 			// The root says the key is gone; drop any cached copy.
 			s.hot.cache.Delete(op.key)
 		}
 	}
-	if found {
-		s.finish(reqID, value, nil)
+	if reply.Found {
+		s.finish(reply.ReqID, reply.Value, nil)
 	} else {
-		s.finish(reqID, nil, ErrNotFound)
+		s.finish(reply.ReqID, nil, ErrNotFound)
 	}
 }
 
@@ -286,8 +288,8 @@ func (s *Store) onDeposit(payload []byte) {
 	if s.hot == nil {
 		return
 	}
-	e, ok := hotspot.DecodeDeposit(payload)
-	if !ok {
+	var e hotspot.Entry
+	if !hotspot.Decode(payload, &e) {
 		return
 	}
 	e.StoredAt = s.env.Now()
@@ -299,11 +301,11 @@ func (s *Store) onInvalidate(payload []byte) {
 	if s.hot == nil {
 		return
 	}
-	key, version, origin, ok := hotspot.DecodeInvalidate(payload)
-	if !ok {
+	var inv hotspot.Invalidate
+	if !hotspot.Decode(payload, &inv) {
 		return
 	}
-	s.hot.cache.InvalidateUnder(key, version, origin)
+	s.hot.cache.InvalidateUnder(inv.Key, inv.Version, inv.Origin)
 }
 
 // invalidateCached runs at the root after applying a write: drop any
@@ -319,7 +321,7 @@ func (s *Store) invalidateCached(o store.Object) {
 		return
 	}
 	delete(s.hot.deposits, o.Key)
-	payload := hotspot.EncodeInvalidate(o.Key, o.Version, o.Origin)
+	payload := hotspot.Encode(&hotspot.Invalidate{Key: o.Key, Version: o.Version, Origin: o.Origin})
 	for _, t := range targets {
 		s.counters.CacheInvalidations++
 		s.node.SendDirect(t, payload)

@@ -131,8 +131,8 @@ func TestHotspotStaleCachedReplyRejected(t *testing.T) {
 	if !live || op.kind != kindGet {
 		t.Fatalf("no pending get op for reqID %d", reqID)
 	}
-	reader.onCachedReply(hotspot.EncodeCachedReply(
-		reqID, true, true, floor.version-1, floor.origin, [16]byte{}, []byte("v1")))
+	reader.onCachedReply(hotspot.Encode(&hotspot.CachedReply{ReqID: reqID, Found: true, FromCache: true,
+		Version: floor.version - 1, Origin: floor.origin, Value: []byte("v1")}))
 	if called {
 		t.Fatal("stale cached reply completed the operation")
 	}

@@ -57,7 +57,7 @@ func (s *Store) startSync(target pastry.NodeRef, keys []id.ID) {
 	})
 	s.syncRounds[sid] = round
 	s.counters.SyncRounds++
-	s.sendControl(target, encodeSyncRoot(sid, lo, hi, rd.Root()))
+	s.sendControl(target, encode(&syncRoot{sid, lo, hi, rd.Root()}))
 }
 
 // sendControl sends a sync/handoff control message, charging its size to
@@ -70,7 +70,7 @@ func (s *Store) sendControl(to pastry.NodeRef, payload []byte) {
 
 // sendRepair sends one divergent object's value.
 func (s *Store) sendRepair(to pastry.NodeRef, o store.Object) {
-	payload := encodeReplicate(o)
+	payload := encode(&o)
 	s.counters.SyncKeysRepaired++
 	s.counters.MaintBytes += uint64(len(payload))
 	s.node.SendDirect(to, payload)
@@ -78,26 +78,26 @@ func (s *Store) sendRepair(to pastry.NodeRef, o store.Object) {
 
 // onSyncRoot (responder): digest the same arc and answer OK or buckets.
 func (s *Store) onSyncRoot(from pastry.NodeRef, payload []byte) {
-	sid, lo, hi, root, ok := decodeSyncRoot(payload)
-	if !ok {
+	var req syncRoot
+	if !decode(payload, &req) {
 		return
 	}
-	mine := store.SummarizeRange(s.backend, lo, hi)
-	if mine.Root() == root {
-		s.sendControl(from, encodeSyncRootOK(sid))
+	mine := store.SummarizeRange(s.backend, req.lo, req.hi)
+	if mine.Root() == req.root {
+		s.sendControl(from, encode(&ack{kindSyncRootOK, req.sid}))
 		return
 	}
-	s.sendControl(from, encodeSyncBuckets(sid, &mine.Buckets))
+	s.sendControl(from, encode(&syncBuckets{req.sid, mine.Buckets}))
 }
 
 // onSyncRootOK (initiator): the replicas agree; close the round.
 func (s *Store) onSyncRootOK(payload []byte) {
-	sid, ok := decodeSyncRootOK(payload)
-	if !ok {
+	agreed := ack{kind: kindSyncRootOK}
+	if !decode(payload, &agreed) {
 		return
 	}
-	if round, live := s.syncRounds[sid]; live {
-		delete(s.syncRounds, sid)
+	if round, live := s.syncRounds[agreed.id]; live {
+		delete(s.syncRounds, agreed.id)
 		round.timer.Cancel()
 		s.counters.SyncClean++
 	}
@@ -106,17 +106,17 @@ func (s *Store) onSyncRootOK(payload []byte) {
 // onSyncBuckets (initiator): diff the bucket layers and send per-key
 // summaries for the divergent buckets.
 func (s *Store) onSyncBuckets(payload []byte) {
-	sid, buckets, ok := decodeSyncBuckets(payload)
-	if !ok {
+	var layer syncBuckets
+	if !decode(payload, &layer) {
 		return
 	}
-	round, live := s.syncRounds[sid]
+	round, live := s.syncRounds[layer.sid]
 	if !live {
 		return
 	}
-	delete(s.syncRounds, sid)
+	delete(s.syncRounds, layer.sid)
 	round.timer.Cancel()
-	theirs := store.RangeDigest{Lo: round.digest.Lo, Hi: round.digest.Hi, Buckets: buckets}
+	theirs := store.RangeDigest{Lo: round.digest.Lo, Hi: round.digest.Hi, Buckets: layer.buckets}
 	diff := round.digest.DiffBuckets(&theirs)
 	if len(diff) == 0 {
 		// The roots differed but the buckets agree: our state moved
@@ -136,7 +136,7 @@ func (s *Store) onSyncBuckets(payload []byte) {
 		return true
 	})
 	sort.Slice(sums, func(i, j int) bool { return sums[i].Key.Less(sums[j].Key) })
-	s.sendControl(round.target, encodeSyncKeys(round.digest.Lo, round.digest.Hi, bitmap, sums))
+	s.sendControl(round.target, encode(&syncKeys{round.digest.Lo, round.digest.Hi, bitmap, sums}))
 }
 
 // onSyncKeys (responder): compare the initiator's summaries against local
@@ -145,15 +145,15 @@ func (s *Store) onSyncBuckets(payload []byte) {
 // are pulled, but only if this node still believes the key is its to hold,
 // so a sync can never widen a key's replica set.
 func (s *Store) onSyncKeys(from pastry.NodeRef, payload []byte) {
-	lo, hi, bitmap, sums, ok := decodeSyncKeys(payload)
-	if !ok {
+	var theirs syncKeys
+	if !decode(payload, &theirs) {
 		return
 	}
 	members := s.node.Leaf().Members()
 	k := s.cfg.ReplicationFactor
-	listed := make(map[id.ID]bool, len(sums))
+	listed := make(map[id.ID]bool, len(theirs.sums))
 	var pulls []id.ID
-	for _, sum := range sums {
+	for _, sum := range theirs.sums {
 		listed[sum.Key] = true
 		local, have := s.backend.Get(sum.Key)
 		switch {
@@ -169,24 +169,24 @@ func (s *Store) onSyncKeys(from pastry.NodeRef, payload []byte) {
 	// Keys we hold in the divergent buckets that the initiator did not
 	// list: it has no copy at all.
 	s.backend.Range(func(o store.Object) bool {
-		if id.InRangeCW(lo, hi, o.Key) &&
-			bitmap&(1<<uint(store.BucketOf(o.Key))) != 0 && !listed[o.Key] {
+		if id.InRangeCW(theirs.lo, theirs.hi, o.Key) &&
+			theirs.bitmap&(1<<uint(store.BucketOf(o.Key))) != 0 && !listed[o.Key] {
 			s.sendRepair(from, o)
 		}
 		return true
 	})
 	if len(pulls) > 0 {
-		s.sendControl(from, encodeSyncPull(pulls))
+		s.sendControl(from, encode(&syncPull{pulls}))
 	}
 }
 
 // onSyncPull (initiator): ship the requested values.
 func (s *Store) onSyncPull(from pastry.NodeRef, payload []byte) {
-	keys, ok := decodeSyncPull(payload)
-	if !ok {
+	var pull syncPull
+	if !decode(payload, &pull) {
 		return
 	}
-	for _, key := range keys {
+	for _, key := range pull.keys {
 		if o, have := s.backend.Get(key); have {
 			s.sendRepair(from, o)
 		}
@@ -204,49 +204,49 @@ func (s *Store) offerHandoff(o store.Object, members []pastry.NodeRef) {
 		return
 	}
 	s.counters.HandoffOffers++
-	s.sendControl(root, encodeHandoffOffer(o.Summarize()))
+	sum := o.Summarize()
+	s.sendControl(root, encode(&sum))
 }
 
 // onHandoffOffer (root side): ask for the value only if the offered copy
 // supersedes ours or we have none.
 func (s *Store) onHandoffOffer(from pastry.NodeRef, payload []byte) {
-	sum, ok := decodeHandoffOffer(payload)
-	if !ok {
+	var sum store.Summary
+	if !decode(payload, &sum) {
 		return
 	}
-	local, have := s.backend.Get(sum.Key)
-	if !have || sum.Supersedes(local) {
-		s.sendControl(from, encodeHandoffKey(kindHandoffWant, sum.Key))
-		return
+	answer := handoffKey{kindHandoffHave, sum.Key}
+	if local, have := s.backend.Get(sum.Key); !have || sum.Supersedes(local) {
+		answer.kind = kindHandoffWant
 	}
-	s.sendControl(from, encodeHandoffKey(kindHandoffHave, sum.Key))
+	s.sendControl(from, encode(&answer))
 }
 
 // onHandoffWant (offerer side): the root needs our copy; send it, then
 // drop local responsibility.
 func (s *Store) onHandoffWant(from pastry.NodeRef, payload []byte) {
-	key, ok := decodeHandoffKey(kindHandoffWant, payload)
-	if !ok {
+	want := handoffKey{kind: kindHandoffWant}
+	if !decode(payload, &want) {
 		return
 	}
-	o, have := s.backend.Get(key)
+	o, have := s.backend.Get(want.key)
 	if !have {
 		return
 	}
-	wire := encodeReplicate(o)
+	wire := encode(&o)
 	s.counters.ReplicasPushed++
 	s.counters.MaintBytes += uint64(len(wire))
 	s.node.SendDirect(from, wire)
-	s.dropIfForeign(key)
+	s.dropIfForeign(want.key)
 }
 
 // onHandoffHave (offerer side): the root is already current; just drop.
 func (s *Store) onHandoffHave(payload []byte) {
-	key, ok := decodeHandoffKey(kindHandoffHave, payload)
-	if !ok {
+	have := handoffKey{kind: kindHandoffHave}
+	if !decode(payload, &have) {
 		return
 	}
-	s.dropIfForeign(key)
+	s.dropIfForeign(have.key)
 }
 
 // dropIfForeign drops the local copy of key only if this node is still far

@@ -1,42 +1,19 @@
 package hotspot
 
 import (
-	"encoding/binary"
-
+	"mspastry/internal/codec"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
 
-// Wire kinds for the path-caching protocol. They live above 0x40 so
-// they can never collide with the dht request/response kinds (1..16);
-// the dht dispatches any payload whose first byte is >= KindBase here.
+// Wire kinds for the path-caching protocol: the first byte of a GetVia, a
+// CachedReply, a deposited Entry and an Invalidate. They live above 0x40
+// so they can never collide with the dht request/response kinds (1..16).
 const (
-	// KindBase is the dispatch floor for hotspot messages.
-	KindBase byte = 0x40
-
-	// KindGetVia is a routed Get that accumulates caching hops: the
-	// first hop and the (continually overwritten) most recent hop ride
-	// along, so the root learns which nodes to deposit hot replies on.
-	// Layout: kind | reqID uvarint | nvia 1 | nvia x (id 16 | addrLen
-	// uvarint | addr).
-	KindGetVia byte = 0x41
-
-	// KindCachedReply answers a KindGetVia lookup, either from the root
-	// (authoritative) or from a caching hop that short-circuited the
-	// route. Layout: kind | flags 1 (bit0 found, bit1 fromCache) |
-	// reqID uvarint | version uvarint | origin uvarint | digest 16 |
-	// value.
+	KindGetVia      byte = 0x41
 	KindCachedReply byte = 0x42
-
-	// KindDeposit pushes a versioned entry onto a caching hop.
-	// Layout: kind | key 16 | version uvarint | origin uvarint |
-	// digest 16 | value.
-	KindDeposit byte = 0x43
-
-	// KindInvalidate tells a caching hop that (version, origin) now
-	// supersedes whatever it holds for key. Layout: kind | key 16 |
-	// version uvarint | origin uvarint.
-	KindInvalidate byte = 0x44
+	KindDeposit     byte = 0x43
+	KindInvalidate  byte = 0x44
 )
 
 // MaxVia bounds the via list: slot 0 is the route's first hop, slot 1
@@ -53,207 +30,89 @@ type Via struct {
 	Addr string
 }
 
-const (
-	flagFound     byte = 1 << 0
-	flagFromCache byte = 1 << 1
-)
+// GetVia is a routed Get that accumulates caching hops: the first hop and
+// the (continually overwritten) most recent hop ride along, so the root
+// learns which nodes to deposit hot replies on. A decoder rejects more
+// than MaxVia hops or an address above maxViaAddr bytes.
+type GetVia struct {
+	ReqID uint64
+	Vias  []Via
+}
 
-// AppendGetVia encodes a KindGetVia request.
-func AppendGetVia(dst []byte, reqID uint64, vias []Via) []byte {
-	if len(vias) > MaxVia {
-		vias = vias[:MaxVia]
-	}
-	dst = append(dst, KindGetVia)
-	dst = binary.AppendUvarint(dst, reqID)
-	dst = append(dst, byte(len(vias)))
-	for _, v := range vias {
-		dst = append(dst, v.ID.Bytes()...)
-		addr := v.Addr
-		if len(addr) > maxViaAddr {
-			addr = addr[:maxViaAddr]
+// CachedReply answers a GetVia lookup, either from the root
+// (authoritative) or, with FromCache set, from a caching hop that
+// short-circuited the route. A not-found reply carries no value.
+type CachedReply struct {
+	ReqID            uint64
+	Found, FromCache bool
+	Version, Origin  uint64
+	Dig              store.Digest
+	Value            []byte
+}
+
+// Invalidate tells a caching hop that (Version, Origin) now supersedes
+// whatever it holds for Key.
+type Invalidate struct {
+	Key             id.ID
+	Version, Origin uint64
+}
+
+// walk is the wire description of every message: its kind, then its
+// fields in wire order. An *Entry is a deposit: a versioned entry pushed
+// onto a caching hop, always a root-assigned write, so version ≥ 1. walk
+// panics on unknown message types (a programming error).
+func walk(c *codec.Coder, m any) {
+	switch m := m.(type) {
+	case *GetVia:
+		c.Tag(KindGetVia)
+		c.Uvarint(&m.ReqID)
+		vias := codec.Slice(c, &m.Vias, MaxVia)
+		for i := range vias {
+			c.ID(&vias[i].ID)
+			c.String(&vias[i].Addr, maxViaAddr)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(addr)))
-		dst = append(dst, addr...)
+	case *CachedReply:
+		c.Tag(KindCachedReply)
+		c.Bits(&m.Found, &m.FromCache)
+		c.Uvarint(&m.ReqID)
+		c.Uvarint(&m.Version)
+		c.Uvarint(&m.Origin)
+		c.Fixed(m.Dig[:])
+		c.Rest(&m.Value)
+		c.Require(m.Found || len(m.Value) == 0)
+	case *Entry:
+		c.Tag(KindDeposit)
+		c.ID(&m.Key)
+		c.Uvarint(&m.Version)
+		c.Require(m.Version != 0)
+		c.Uvarint(&m.Origin)
+		c.Fixed(m.Dig[:])
+		c.Rest(&m.Value)
+	case *Invalidate:
+		c.Tag(KindInvalidate)
+		c.ID(&m.Key)
+		c.Uvarint(&m.Version)
+		c.Uvarint(&m.Origin)
+	default: // not naming the type: formatting m would move every message to the heap
+		panic("hotspot: message type with no wire format")
 	}
-	return dst
 }
 
-// EncodeGetVia allocates and encodes a KindGetVia request.
-func EncodeGetVia(reqID uint64, vias []Via) []byte {
-	return AppendGetVia(nil, reqID, vias)
+// Encode serialises a message — a *GetVia, *CachedReply, *Entry or
+// *Invalidate — into a fresh, exactly sized slice.
+func Encode(m any) []byte {
+	var c codec.Coder
+	walk(&c, m)
+	c = codec.Appender(make([]byte, 0, c.Size()))
+	walk(&c, m)
+	return c.Bytes()
 }
 
-// DecodeGetVia parses a KindGetVia payload.
-func DecodeGetVia(buf []byte) (reqID uint64, vias []Via, ok bool) {
-	if len(buf) < 3 || buf[0] != KindGetVia {
-		return 0, nil, false
-	}
-	rest := buf[1:]
-	reqID, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, false
-	}
-	rest = rest[n:]
-	if len(rest) < 1 {
-		return 0, nil, false
-	}
-	count := int(rest[0])
-	rest = rest[1:]
-	if count > MaxVia {
-		return 0, nil, false
-	}
-	for i := 0; i < count; i++ {
-		if len(rest) < 16 {
-			return 0, nil, false
-		}
-		var v Via
-		v.ID = id.FromBytes(rest[:16])
-		rest = rest[16:]
-		alen, n := binary.Uvarint(rest)
-		if n <= 0 || alen > maxViaAddr || uint64(len(rest[n:])) < alen {
-			return 0, nil, false
-		}
-		rest = rest[n:]
-		v.Addr = string(rest[:alen])
-		rest = rest[alen:]
-		vias = append(vias, v)
-	}
-	if len(rest) != 0 {
-		return 0, nil, false
-	}
-	return reqID, vias, true
-}
-
-// AppendCachedReply encodes a KindCachedReply.
-func AppendCachedReply(dst []byte, reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte) []byte {
-	dst = append(dst, KindCachedReply)
-	var flags byte
-	if found {
-		flags |= flagFound
-	}
-	if fromCache {
-		flags |= flagFromCache
-	}
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, reqID)
-	dst = binary.AppendUvarint(dst, version)
-	dst = binary.AppendUvarint(dst, origin)
-	dst = append(dst, dig[:]...)
-	dst = append(dst, value...)
-	return dst
-}
-
-// EncodeCachedReply allocates and encodes a KindCachedReply.
-func EncodeCachedReply(reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte) []byte {
-	return AppendCachedReply(nil, reqID, found, fromCache, version, origin, dig, value)
-}
-
-// DecodeCachedReply parses a KindCachedReply payload. A not-found reply
-// must carry an empty value.
-func DecodeCachedReply(buf []byte) (reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte, ok bool) {
-	if len(buf) < 2 || buf[0] != KindCachedReply {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	flags := buf[1]
-	if flags&^(flagFound|flagFromCache) != 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	found = flags&flagFound != 0
-	fromCache = flags&flagFromCache != 0
-	rest := buf[2:]
-	var n int
-	reqID, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	rest = rest[n:]
-	version, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	rest = rest[n:]
-	origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) < store.DigestLen {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	rest = rest[n:]
-	copy(dig[:], rest[:store.DigestLen])
-	value = rest[store.DigestLen:]
-	if !found && len(value) != 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	return reqID, found, fromCache, version, origin, dig, value, true
-}
-
-// AppendDeposit encodes a KindDeposit carrying entry e.
-func AppendDeposit(dst []byte, e Entry) []byte {
-	dst = append(dst, KindDeposit)
-	dst = append(dst, e.Key.Bytes()...)
-	dst = binary.AppendUvarint(dst, e.Version)
-	dst = binary.AppendUvarint(dst, e.Origin)
-	dst = append(dst, e.Dig[:]...)
-	dst = append(dst, e.Value...)
-	return dst
-}
-
-// EncodeDeposit allocates and encodes a KindDeposit.
-func EncodeDeposit(e Entry) []byte { return AppendDeposit(nil, e) }
-
-// DecodeDeposit parses a KindDeposit payload. Version 0 is invalid: a
-// deposit always carries a root-assigned write.
-func DecodeDeposit(buf []byte) (Entry, bool) {
-	if len(buf) < 17 || buf[0] != KindDeposit {
-		return Entry{}, false
-	}
-	var e Entry
-	e.Key = id.FromBytes(buf[1:17])
-	rest := buf[17:]
-	var n int
-	e.Version, n = binary.Uvarint(rest)
-	if n <= 0 || e.Version == 0 {
-		return Entry{}, false
-	}
-	rest = rest[n:]
-	e.Origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) < store.DigestLen {
-		return Entry{}, false
-	}
-	rest = rest[n:]
-	copy(e.Dig[:], rest[:store.DigestLen])
-	e.Value = rest[store.DigestLen:]
-	return e, true
-}
-
-// AppendInvalidate encodes a KindInvalidate.
-func AppendInvalidate(dst []byte, key id.ID, version, origin uint64) []byte {
-	dst = append(dst, KindInvalidate)
-	dst = append(dst, key.Bytes()...)
-	dst = binary.AppendUvarint(dst, version)
-	dst = binary.AppendUvarint(dst, origin)
-	return dst
-}
-
-// EncodeInvalidate allocates and encodes a KindInvalidate.
-func EncodeInvalidate(key id.ID, version, origin uint64) []byte {
-	return AppendInvalidate(nil, key, version, origin)
-}
-
-// DecodeInvalidate parses a KindInvalidate payload.
-func DecodeInvalidate(buf []byte) (key id.ID, version, origin uint64, ok bool) {
-	if len(buf) < 19 || buf[0] != KindInvalidate {
-		return id.ID{}, 0, 0, false
-	}
-	key = id.FromBytes(buf[1:17])
-	rest := buf[17:]
-	var n int
-	version, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return id.ID{}, 0, 0, false
-	}
-	rest = rest[n:]
-	origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) != 0 {
-		return id.ID{}, 0, 0, false
-	}
-	return key, version, origin, true
+// Decode fills m, a pointer to the message the caller expects, from buf.
+// It is total: arbitrary bytes either parse or report false, never panic.
+// A Value aliases buf.
+func Decode(buf []byte, m any) bool {
+	c := codec.Reader(buf)
+	walk(&c, m)
+	return c.Finish() == nil
 }

@@ -1,7 +1,7 @@
 package hotspot
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,64 +142,29 @@ func TestCachePurgeOlderThan(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrips(t *testing.T) {
-	vias := []Via{{ID: key(1), Addr: "10.0.0.1:9000"}, {ID: key(2), Addr: "10.0.0.2:9000"}}
-	buf := EncodeGetVia(42, vias)
-	reqID, got, ok := DecodeGetVia(buf)
-	if !ok || reqID != 42 || len(got) != 2 || got[0] != vias[0] || got[1] != vias[1] {
-		t.Fatalf("GetVia roundtrip: ok=%v reqID=%d vias=%v", ok, reqID, got)
-	}
-
+// TestCodecRejects covers what the recorded frames and the fuzz round
+// trip do not: the rules a decoder holds a message's values to, and
+// garbage.
+func TestCodecRejects(t *testing.T) {
 	dig := store.Object{Key: key(3), Version: 5, Value: []byte("x")}.Digest()
-	buf = EncodeCachedReply(7, true, true, 5, 11, dig, []byte("hello"))
-	reqID, found, fromCache, ver, org, gotDig, val, ok := DecodeCachedReply(buf)
-	if !ok || reqID != 7 || !found || !fromCache || ver != 5 || org != 11 ||
-		gotDig != dig || !bytes.Equal(val, []byte("hello")) {
-		t.Fatalf("CachedReply roundtrip failed: %v %v %v %v %d %d", ok, reqID, found, fromCache, ver, org)
-	}
-	// Not-found replies must carry no value.
-	if _, _, _, _, _, _, _, ok := DecodeCachedReply(EncodeCachedReply(7, false, false, 0, 0, store.Digest{}, []byte("x"))); ok {
-		t.Fatal("accepted not-found reply with a value")
-	}
-
-	e := Entry{Key: key(4), Version: 9, Origin: 3, Dig: dig, Value: []byte("payload")}
-	dec, ok := DecodeDeposit(EncodeDeposit(e))
-	if !ok || dec.Key != e.Key || dec.Version != 9 || dec.Origin != 3 || dec.Dig != dig || !bytes.Equal(dec.Value, e.Value) {
-		t.Fatalf("Deposit roundtrip failed: %+v", dec)
-	}
-	if _, ok := DecodeDeposit(EncodeDeposit(Entry{Key: key(4), Version: 0})); ok {
-		t.Fatal("accepted version-0 deposit")
-	}
-
-	k, ver, org, ok := DecodeInvalidate(EncodeInvalidate(key(5), 6, 12))
-	if !ok || k != key(5) || ver != 6 || org != 12 {
-		t.Fatalf("Invalidate roundtrip: %v %v %d %d", ok, k, ver, org)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	bad := [][]byte{
-		nil,
-		{},
-		{KindGetVia},
-		{KindCachedReply, 0xff, 1},
-		{KindDeposit, 1, 2, 3},
-		{KindInvalidate, 0},
-		append(EncodeInvalidate(key(1), 1, 1), 0xaa), // trailing byte
-		EncodeGetVia(1, nil)[:2],
-	}
-	for i, buf := range bad {
-		if _, _, ok := DecodeGetVia(buf); ok && len(buf) > 0 && buf[0] == KindGetVia {
-			t.Errorf("case %d: DecodeGetVia accepted garbage", i)
-		}
-		if _, _, _, _, _, _, _, ok := DecodeCachedReply(buf); ok && len(buf) > 0 && buf[0] == KindCachedReply {
-			t.Errorf("case %d: DecodeCachedReply accepted garbage", i)
-		}
-		if _, ok := DecodeDeposit(buf); ok && len(buf) > 0 && buf[0] == KindDeposit {
-			t.Errorf("case %d: DecodeDeposit accepted garbage", i)
-		}
-		if _, _, _, ok := DecodeInvalidate(buf); ok && len(buf) > 0 && buf[0] == KindInvalidate {
-			t.Errorf("case %d: DecodeInvalidate accepted garbage", i)
+	vias := []Via{{ID: key(1), Addr: "10.0.0.1:9000"}, {ID: key(2), Addr: "10.0.0.2:9000"}, {ID: key(3)}}
+	for name, frame := range map[string][]byte{
+		"not-found reply with a value": Encode(&CachedReply{ReqID: 7, Value: []byte("x")}),
+		"version-0 deposit":            Encode(&Entry{Key: key(4), Dig: dig}),
+		"more than MaxVia hops":        Encode(&GetVia{1, vias}),
+		"via address over the limit":   Encode(&GetVia{1, []Via{{ID: key(1), Addr: strings.Repeat("a", maxViaAddr+1)}}}),
+		"trailing byte":                append(Encode(&Invalidate{key(1), 1, 1}), 0xaa),
+		"truncated":                    Encode(&GetVia{ReqID: 1})[:2],
+		"unknown reply flag":           {KindCachedReply, 0xff, 1},
+		"bare kind":                    {KindGetVia},
+		"short deposit":                {KindDeposit, 1, 2, 3},
+		"short invalidate":             {KindInvalidate, 0},
+		"empty":                        {},
+	} {
+		for kind, empty := range decoders {
+			if Decode(frame, empty()) {
+				t.Errorf("%s: accepted as kind %#x", name, kind)
+			}
 		}
 	}
 }

@@ -1,18 +1,13 @@
 package pastry
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"time"
 
-	"mspastry/internal/id"
+	"mspastry/internal/codec"
 )
 
 // Wire format: a 1-byte message tag followed by the message fields in a
-// fixed order. Integers are unsigned varints, durations are varint
-// nanoseconds, node references are 16 raw identifier bytes plus a
-// length-prefixed address, and slices carry a varint element count. The
+// fixed order, each encoded as internal/codec encodes its type. The
 // message format itself is versionless; versioning lives one layer down,
 // in the internal/wire frame header that every transported message is
 // wrapped in (see DESIGN.md "Wire format & batching").
@@ -40,9 +35,186 @@ const (
 	tagRootReport
 )
 
-// maxWireSlice bounds decoded slice lengths to keep a malformed or
-// malicious packet from causing huge allocations.
-const maxWireSlice = 4096
+// maxWireSlice bounds decoded slice and address lengths, and maxPayload
+// decoded payloads, to keep a malformed or malicious packet from causing
+// huge allocations.
+const (
+	maxWireSlice = 4096
+	maxPayload   = 1 << 20
+)
+
+// newMessage maps a wire tag to an empty message for walk to fill.
+var newMessage = [...]func() Message{
+	tagLookupEnvelope: func() Message { return new(Envelope) },
+	tagAck:            func() Message { return new(Ack) },
+	tagLSProbe:        func() Message { return new(LSProbe) },
+	tagLSProbeReply:   func() Message { return new(LSProbeReply) },
+	tagHeartbeat:      func() Message { return new(Heartbeat) },
+	tagRTProbe:        func() Message { return new(RTProbe) },
+	tagRTProbeReply:   func() Message { return new(RTProbeReply) },
+	tagJoinReply:      func() Message { return new(JoinReply) },
+	tagDistProbe:      func() Message { return new(DistProbe) },
+	tagDistProbeReply: func() Message { return new(DistProbeReply) },
+	tagDistReport:     func() Message { return new(DistReport) },
+	tagRowRequest:     func() Message { return new(RowRequest) },
+	tagRowReply:       func() Message { return new(RowReply) },
+	tagRowAnnounce:    func() Message { return new(RowAnnounce) },
+	tagRepairRequest:  func() Message { return new(RepairRequest) },
+	tagRepairReply:    func() Message { return new(RepairReply) },
+	tagNNStateRequest: func() Message { return new(NNStateRequest) },
+	tagNNStateReply:   func() Message { return new(NNStateReply) },
+	tagAppDirect:      func() Message { return new(AppDirect) },
+	tagRootReport:     func() Message { return new(RootReport) },
+}
+
+// walk is the one wire description of every message: its tag, then its
+// fields in wire order. Encoding, sizing and decoding are this walk run
+// over a codec.Coder in a different mode. It panics on unknown message
+// types (a programming error). The type switch, not a method on Message,
+// is what keeps the calls static and the Coder on the caller's stack.
+func walk(c *codec.Coder, m Message) {
+	switch m := m.(type) {
+	case *Envelope:
+		c.Tag(tagLookupEnvelope)
+		c.Uvarint(&m.Xfer)
+		c.Bool(&m.NeedAck)
+		c.Bool(&m.Retx)
+		walkRef(c, &m.From)
+		c.Duration(&m.TrtHint)
+		if present(c, &m.Lookup) {
+			c.ID(&m.Lookup.Key)
+			c.Uvarint(&m.Lookup.Seq)
+			c.Uvarint(&m.Lookup.TraceID)
+			walkRef(c, &m.Lookup.Origin)
+			c.Duration(&m.Lookup.Issued)
+			c.Int(&m.Lookup.Hops)
+			c.Bool(&m.Lookup.NoAck)
+			c.Bool(&m.Lookup.WantReport)
+			c.Blob(&m.Lookup.Payload, maxPayload)
+		}
+		if present(c, &m.Join) {
+			walkRef(c, &m.Join.Joiner)
+			walkRefs(c, &m.Join.Rows)
+			c.Int(&m.Join.Hops)
+		}
+	case *Ack:
+		c.Tag(tagAck)
+		c.Uvarint(&m.Xfer)
+		walkRef(c, &m.From)
+		c.Duration(&m.TrtHint)
+	case *LSProbe:
+		c.Tag(tagLSProbe)
+		walkRef(c, &m.From)
+		walkRefs(c, &m.Leaves)
+		walkRefs(c, &m.Failed)
+		c.Bool(&m.NeedNear)
+		c.Duration(&m.TrtHint)
+	case *LSProbeReply:
+		c.Tag(tagLSProbeReply)
+		walkRef(c, &m.From)
+		walkRefs(c, &m.Leaves)
+		walkRefs(c, &m.Failed)
+		walkRefs(c, &m.Near)
+		c.Duration(&m.TrtHint)
+	case *Heartbeat:
+		c.Tag(tagHeartbeat)
+		walkRef(c, &m.From)
+		c.Duration(&m.TrtHint)
+	case *RTProbe:
+		c.Tag(tagRTProbe)
+		walkRef(c, &m.From)
+		c.Duration(&m.TrtHint)
+	case *RTProbeReply:
+		c.Tag(tagRTProbeReply)
+		walkRef(c, &m.From)
+		c.Duration(&m.TrtHint)
+	case *JoinReply:
+		c.Tag(tagJoinReply)
+		walkRefs(c, &m.Rows)
+		walkRefs(c, &m.Leaves)
+	case *DistProbe:
+		c.Tag(tagDistProbe)
+		walkRef(c, &m.From)
+		c.Uvarint(&m.Seq)
+	case *DistProbeReply:
+		c.Tag(tagDistProbeReply)
+		walkRef(c, &m.From)
+		c.Uvarint(&m.Seq)
+	case *DistReport:
+		c.Tag(tagDistReport)
+		walkRef(c, &m.From)
+		c.Duration(&m.RTT)
+	case *RowRequest:
+		c.Tag(tagRowRequest)
+		walkRef(c, &m.From)
+		c.Int(&m.Row)
+	case *RowReply:
+		c.Tag(tagRowReply)
+		walkRef(c, &m.From)
+		c.Int(&m.Row)
+		walkRefs(c, &m.Entries)
+	case *RowAnnounce:
+		c.Tag(tagRowAnnounce)
+		walkRef(c, &m.From)
+		c.Int(&m.Row)
+		walkRefs(c, &m.Entries)
+	case *RepairRequest:
+		c.Tag(tagRepairRequest)
+		walkRef(c, &m.From)
+		c.Int(&m.Row)
+		c.Int(&m.Col)
+	case *RepairReply:
+		c.Tag(tagRepairReply)
+		walkRef(c, &m.From)
+		c.Int(&m.Row)
+		c.Int(&m.Col)
+		walkRefs(c, &m.Entries)
+	case *NNStateRequest:
+		c.Tag(tagNNStateRequest)
+		walkRef(c, &m.From)
+	case *NNStateReply:
+		c.Tag(tagNNStateReply)
+		walkRef(c, &m.From)
+		walkRefs(c, &m.Leaves)
+		walkRefs(c, &m.Entries)
+	case *AppDirect:
+		c.Tag(tagAppDirect)
+		walkRef(c, &m.From)
+		c.Blob(&m.Payload, maxPayload)
+	case *RootReport:
+		c.Tag(tagRootReport)
+		walkRef(c, &m.From)
+		c.Uvarint(&m.Seq)
+		c.ID(&m.Key)
+		walkRefs(c, &m.Leaves)
+		c.Duration(&m.TrtHint)
+	default:
+		panic(fmt.Sprintf("pastry: no wire format for %T", m))
+	}
+}
+
+func walkRef(c *codec.Coder, r *NodeRef) {
+	c.ID(&r.ID)
+	c.String(&r.Addr, maxWireSlice)
+}
+
+func walkRefs(c *codec.Coder, refs *[]NodeRef) {
+	elems := codec.Slice(c, refs, maxWireSlice)
+	for i := range elems {
+		walkRef(c, &elems[i])
+	}
+}
+
+// present walks the presence byte of an optional part of a message, and
+// allocates the part when a reader finds it present.
+func present[T any](c *codec.Coder, part **T) bool {
+	has := *part != nil
+	c.Bool(&has)
+	if has && *part == nil {
+		*part = new(T)
+	}
+	return has
+}
 
 // EncodeMessage serialises a message into a fresh buffer. Hot paths
 // should prefer AppendMessage with a pooled or reused buffer.
@@ -51,461 +223,34 @@ func EncodeMessage(m Message) []byte {
 }
 
 // AppendMessage serialises a message onto buf and returns the extended
-// slice, allocating only when buf's capacity is exhausted. It panics on
-// unknown message types (a programming error).
+// slice, allocating only when buf's capacity is exhausted.
 func AppendMessage(buf []byte, m Message) []byte {
-	switch msg := m.(type) {
-	case *Envelope:
-		buf = append(buf, tagLookupEnvelope)
-		buf = binary.AppendUvarint(buf, msg.Xfer)
-		buf = appendBool(buf, msg.NeedAck)
-		buf = appendBool(buf, msg.Retx)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.TrtHint)
-		buf = appendBool(buf, msg.Lookup != nil)
-		if msg.Lookup != nil {
-			buf = appendLookup(buf, msg.Lookup)
-		}
-		buf = appendBool(buf, msg.Join != nil)
-		if msg.Join != nil {
-			buf = appendJoin(buf, msg.Join)
-		}
-	case *Ack:
-		buf = append(buf, tagAck)
-		buf = binary.AppendUvarint(buf, msg.Xfer)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *LSProbe:
-		buf = append(buf, tagLSProbe)
-		buf = appendRef(buf, msg.From)
-		buf = appendRefs(buf, msg.Leaves)
-		buf = appendRefs(buf, msg.Failed)
-		buf = appendBool(buf, msg.NeedNear)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *LSProbeReply:
-		buf = append(buf, tagLSProbeReply)
-		buf = appendRef(buf, msg.From)
-		buf = appendRefs(buf, msg.Leaves)
-		buf = appendRefs(buf, msg.Failed)
-		buf = appendRefs(buf, msg.Near)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *Heartbeat:
-		buf = append(buf, tagHeartbeat)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *RTProbe:
-		buf = append(buf, tagRTProbe)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *RTProbeReply:
-		buf = append(buf, tagRTProbeReply)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.TrtHint)
-	case *JoinReply:
-		buf = append(buf, tagJoinReply)
-		buf = appendRefs(buf, msg.Rows)
-		buf = appendRefs(buf, msg.Leaves)
-	case *DistProbe:
-		buf = append(buf, tagDistProbe)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, msg.Seq)
-	case *DistProbeReply:
-		buf = append(buf, tagDistProbeReply)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, msg.Seq)
-	case *DistReport:
-		buf = append(buf, tagDistReport)
-		buf = appendRef(buf, msg.From)
-		buf = appendDuration(buf, msg.RTT)
-	case *RowRequest:
-		buf = append(buf, tagRowRequest)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(msg.Row))
-	case *RowReply:
-		buf = append(buf, tagRowReply)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(msg.Row))
-		buf = appendRefs(buf, msg.Entries)
-	case *RowAnnounce:
-		buf = append(buf, tagRowAnnounce)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(msg.Row))
-		buf = appendRefs(buf, msg.Entries)
-	case *RepairRequest:
-		buf = append(buf, tagRepairRequest)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(msg.Row))
-		buf = binary.AppendUvarint(buf, uint64(msg.Col))
-	case *RepairReply:
-		buf = append(buf, tagRepairReply)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(msg.Row))
-		buf = binary.AppendUvarint(buf, uint64(msg.Col))
-		buf = appendRefs(buf, msg.Entries)
-	case *NNStateRequest:
-		buf = append(buf, tagNNStateRequest)
-		buf = appendRef(buf, msg.From)
-	case *NNStateReply:
-		buf = append(buf, tagNNStateReply)
-		buf = appendRef(buf, msg.From)
-		buf = appendRefs(buf, msg.Leaves)
-		buf = appendRefs(buf, msg.Entries)
-	case *AppDirect:
-		buf = append(buf, tagAppDirect)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, uint64(len(msg.Payload)))
-		buf = append(buf, msg.Payload...)
-	case *RootReport:
-		buf = append(buf, tagRootReport)
-		buf = appendRef(buf, msg.From)
-		buf = binary.AppendUvarint(buf, msg.Seq)
-		buf = append(buf, msg.Key.Bytes()...)
-		buf = appendRefs(buf, msg.Leaves)
-		buf = appendDuration(buf, msg.TrtHint)
-	default:
-		panic(fmt.Sprintf("pastry: cannot encode %T", m))
-	}
-	return buf
+	c := codec.Appender(buf)
+	walk(&c, m)
+	return c.Bytes()
 }
 
 // MessageWireSize returns len(AppendMessage(nil, m)) — the encoded size
 // of a message — without encoding anything. The simulator charges every
 // send its single-frame size through this function, so it sits on the
-// hottest path in the process: the size is computed arithmetically,
-// mirroring AppendMessage field for field (TestMessageWireSizeMatchesEncoding
-// pins the equivalence).
+// hottest path in the process.
 func MessageWireSize(m Message) int {
-	switch msg := m.(type) {
-	case *Envelope:
-		n := 1 + uvarintLen(msg.Xfer) + 2 + refSize(msg.From) +
-			durationLen(msg.TrtHint) + 2
-		if msg.Lookup != nil {
-			n += lookupSize(msg.Lookup)
-		}
-		if msg.Join != nil {
-			n += joinSize(msg.Join)
-		}
-		return n
-	case *Ack:
-		return 1 + uvarintLen(msg.Xfer) + refSize(msg.From) + durationLen(msg.TrtHint)
-	case *LSProbe:
-		return 1 + refSize(msg.From) + refsSize(msg.Leaves) + refsSize(msg.Failed) +
-			1 + durationLen(msg.TrtHint)
-	case *LSProbeReply:
-		return 1 + refSize(msg.From) + refsSize(msg.Leaves) + refsSize(msg.Failed) +
-			refsSize(msg.Near) + durationLen(msg.TrtHint)
-	case *Heartbeat:
-		return 1 + refSize(msg.From) + durationLen(msg.TrtHint)
-	case *RTProbe:
-		return 1 + refSize(msg.From) + durationLen(msg.TrtHint)
-	case *RTProbeReply:
-		return 1 + refSize(msg.From) + durationLen(msg.TrtHint)
-	case *JoinReply:
-		return 1 + refsSize(msg.Rows) + refsSize(msg.Leaves)
-	case *DistProbe:
-		return 1 + refSize(msg.From) + uvarintLen(msg.Seq)
-	case *DistProbeReply:
-		return 1 + refSize(msg.From) + uvarintLen(msg.Seq)
-	case *DistReport:
-		return 1 + refSize(msg.From) + durationLen(msg.RTT)
-	case *RowRequest:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(msg.Row))
-	case *RowReply:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(msg.Row)) + refsSize(msg.Entries)
-	case *RowAnnounce:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(msg.Row)) + refsSize(msg.Entries)
-	case *RepairRequest:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(msg.Row)) + uvarintLen(uint64(msg.Col))
-	case *RepairReply:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(msg.Row)) +
-			uvarintLen(uint64(msg.Col)) + refsSize(msg.Entries)
-	case *NNStateRequest:
-		return 1 + refSize(msg.From)
-	case *NNStateReply:
-		return 1 + refSize(msg.From) + refsSize(msg.Leaves) + refsSize(msg.Entries)
-	case *AppDirect:
-		return 1 + refSize(msg.From) + uvarintLen(uint64(len(msg.Payload))) + len(msg.Payload)
-	case *RootReport:
-		return 1 + refSize(msg.From) + uvarintLen(msg.Seq) + 16 +
-			refsSize(msg.Leaves) + durationLen(msg.TrtHint)
-	default:
-		panic(fmt.Sprintf("pastry: cannot size %T", m))
-	}
-}
-
-// uvarintLen is the encoded length of binary.AppendUvarint(nil, v).
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// varintLen is the encoded length of binary.AppendVarint(nil, v)
-// (zig-zag followed by uvarint).
-func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
-
-func durationLen(d time.Duration) int { return varintLen(int64(d)) }
-
-func refSize(r NodeRef) int { return 16 + uvarintLen(uint64(len(r.Addr))) + len(r.Addr) }
-
-func refsSize(refs []NodeRef) int {
-	n := uvarintLen(uint64(len(refs)))
-	for _, r := range refs {
-		n += refSize(r)
-	}
-	return n
-}
-
-func lookupSize(lk *Lookup) int {
-	return 16 + uvarintLen(lk.Seq) + uvarintLen(lk.TraceID) + refSize(lk.Origin) +
-		durationLen(lk.Issued) + uvarintLen(uint64(lk.Hops)) + 2 +
-		uvarintLen(uint64(len(lk.Payload))) + len(lk.Payload)
-}
-
-func joinSize(jr *JoinRequest) int {
-	return refSize(jr.Joiner) + refsSize(jr.Rows) + uvarintLen(uint64(jr.Hops))
+	var c codec.Coder
+	walk(&c, m)
+	return c.Size()
 }
 
 // DecodeMessage parses a wire message.
 func DecodeMessage(buf []byte) (Message, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("pastry: empty message")
+	if len(buf) == 0 || int(buf[0]) >= len(newMessage) || newMessage[buf[0]] == nil {
+		return nil, fmt.Errorf("pastry: unknown message tag %x", buf[:min(len(buf), 1)])
 	}
-	d := &decoder{buf: buf[1:]}
-	var m Message
-	switch buf[0] {
-	case tagLookupEnvelope:
-		env := &Envelope{}
-		env.Xfer = d.uvarint()
-		env.NeedAck = d.bool()
-		env.Retx = d.bool()
-		env.From = d.ref()
-		env.TrtHint = d.duration()
-		if d.bool() {
-			env.Lookup = d.lookup()
-		}
-		if d.bool() {
-			env.Join = d.join()
-		}
-		m = env
-	case tagAck:
-		m = &Ack{Xfer: d.uvarint(), From: d.ref(), TrtHint: d.duration()}
-	case tagLSProbe:
-		m = &LSProbe{From: d.ref(), Leaves: d.refs(), Failed: d.refs(), NeedNear: d.bool(), TrtHint: d.duration()}
-	case tagLSProbeReply:
-		m = &LSProbeReply{From: d.ref(), Leaves: d.refs(), Failed: d.refs(), Near: d.refs(), TrtHint: d.duration()}
-	case tagHeartbeat:
-		m = &Heartbeat{From: d.ref(), TrtHint: d.duration()}
-	case tagRTProbe:
-		m = &RTProbe{From: d.ref(), TrtHint: d.duration()}
-	case tagRTProbeReply:
-		m = &RTProbeReply{From: d.ref(), TrtHint: d.duration()}
-	case tagJoinReply:
-		m = &JoinReply{Rows: d.refs(), Leaves: d.refs()}
-	case tagDistProbe:
-		m = &DistProbe{From: d.ref(), Seq: d.uvarint()}
-	case tagDistProbeReply:
-		m = &DistProbeReply{From: d.ref(), Seq: d.uvarint()}
-	case tagDistReport:
-		m = &DistReport{From: d.ref(), RTT: d.duration()}
-	case tagRowRequest:
-		m = &RowRequest{From: d.ref(), Row: d.int()}
-	case tagRowReply:
-		m = &RowReply{From: d.ref(), Row: d.int(), Entries: d.refs()}
-	case tagRowAnnounce:
-		m = &RowAnnounce{From: d.ref(), Row: d.int(), Entries: d.refs()}
-	case tagRepairRequest:
-		m = &RepairRequest{From: d.ref(), Row: d.int(), Col: d.int()}
-	case tagRepairReply:
-		m = &RepairReply{From: d.ref(), Row: d.int(), Col: d.int(), Entries: d.refs()}
-	case tagNNStateRequest:
-		m = &NNStateRequest{From: d.ref()}
-	case tagNNStateReply:
-		m = &NNStateReply{From: d.ref(), Leaves: d.refs(), Entries: d.refs()}
-	case tagAppDirect:
-		ad := &AppDirect{From: d.ref()}
-		plen := d.uvarint()
-		if plen > 1<<20 {
-			d.fail("payload too long")
-			break
-		}
-		if plen > 0 {
-			ad.Payload = append([]byte(nil), d.take(int(plen))...)
-		}
-		m = ad
-	case tagRootReport:
-		rr := &RootReport{From: d.ref(), Seq: d.uvarint()}
-		if raw := d.take(16); raw != nil {
-			rr.Key = id.FromBytes(raw)
-		}
-		rr.Leaves = d.refs()
-		rr.TrtHint = d.duration()
-		m = rr
-	default:
-		return nil, fmt.Errorf("pastry: unknown message tag %d", buf[0])
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("pastry: decode tag %d: %w", buf[0], d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("pastry: %d trailing bytes after tag %d", len(d.buf), buf[0])
+	tag := buf[0]
+	m := newMessage[tag]()
+	c := codec.Reader(buf)
+	walk(&c, m)
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("pastry: decode tag %d: %w", tag, err)
 	}
 	return m, nil
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendRef(buf []byte, r NodeRef) []byte {
-	buf = append(buf, r.ID.Bytes()...)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Addr)))
-	return append(buf, r.Addr...)
-}
-
-func appendRefs(buf []byte, refs []NodeRef) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(refs)))
-	for _, r := range refs {
-		buf = appendRef(buf, r)
-	}
-	return buf
-}
-
-func appendDuration(buf []byte, d time.Duration) []byte {
-	return binary.AppendVarint(buf, int64(d))
-}
-
-func appendLookup(buf []byte, lk *Lookup) []byte {
-	buf = append(buf, lk.Key.Bytes()...)
-	buf = binary.AppendUvarint(buf, lk.Seq)
-	buf = binary.AppendUvarint(buf, lk.TraceID)
-	buf = appendRef(buf, lk.Origin)
-	buf = appendDuration(buf, lk.Issued)
-	buf = binary.AppendUvarint(buf, uint64(lk.Hops))
-	buf = appendBool(buf, lk.NoAck)
-	buf = appendBool(buf, lk.WantReport)
-	buf = binary.AppendUvarint(buf, uint64(len(lk.Payload)))
-	return append(buf, lk.Payload...)
-}
-
-func appendJoin(buf []byte, jr *JoinRequest) []byte {
-	buf = appendRef(buf, jr.Joiner)
-	buf = appendRefs(buf, jr.Rows)
-	return binary.AppendUvarint(buf, uint64(jr.Hops))
-}
-
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s", msg)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || len(d.buf) < n {
-		d.fail("short buffer")
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) bool() bool {
-	b := d.take(1)
-	return len(b) == 1 && b[0] != 0
-}
-
-func (d *decoder) int() int { return int(d.uvarint()) }
-
-func (d *decoder) duration() time.Duration { return time.Duration(d.varint()) }
-
-func (d *decoder) ref() NodeRef {
-	raw := d.take(16)
-	if raw == nil {
-		return NodeRef{}
-	}
-	x := id.FromBytes(raw)
-	alen := d.uvarint()
-	if alen > maxWireSlice {
-		d.fail("address too long")
-		return NodeRef{}
-	}
-	addr := d.take(int(alen))
-	return NodeRef{ID: x, Addr: string(addr)}
-}
-
-func (d *decoder) refs() []NodeRef {
-	n := d.uvarint()
-	if n > maxWireSlice {
-		d.fail("slice too long")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]NodeRef, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.ref())
-	}
-	return out
-}
-
-func (d *decoder) lookup() *Lookup {
-	raw := d.take(16)
-	if raw == nil {
-		return nil
-	}
-	lk := &Lookup{Key: id.FromBytes(raw)}
-	lk.Seq = d.uvarint()
-	lk.TraceID = d.uvarint()
-	lk.Origin = d.ref()
-	lk.Issued = d.duration()
-	lk.Hops = d.int()
-	lk.NoAck = d.bool()
-	lk.WantReport = d.bool()
-	plen := d.uvarint()
-	if plen > 1<<20 {
-		d.fail("payload too long")
-		return nil
-	}
-	if plen > 0 {
-		lk.Payload = append([]byte(nil), d.take(int(plen))...)
-	}
-	return lk
-}
-
-func (d *decoder) join() *JoinRequest {
-	jr := &JoinRequest{Joiner: d.ref(), Rows: d.refs()}
-	jr.Hops = d.int()
-	return jr
 }

@@ -7,8 +7,15 @@ import (
 	"testing/quick"
 	"time"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/id"
 )
+
+func appendRef(buf []byte, r NodeRef) []byte {
+	c := codec.Appender(buf)
+	walkRef(&c, &r)
+	return c.Bytes()
+}
 
 func randRef(rng *rand.Rand) NodeRef {
 	return NodeRef{ID: id.Random(rng), Addr: "127.0.0.1:12345"}
@@ -148,10 +155,40 @@ func TestCodecTruncationNoPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkCodecEncodeLookupEnvelope(b *testing.B) {
+// lookupEnvelope is the message the codec benchmarks and the allocation
+// pins below use: what a lookup hop puts on the wire.
+func lookupEnvelope() *Envelope {
 	rng := rand.New(rand.NewSource(1))
-	env := &Envelope{Xfer: 9, NeedAck: true, From: randRef(rng),
+	return &Envelope{Xfer: 9, NeedAck: true, From: randRef(rng),
 		Lookup: &Lookup{Key: id.Random(rng), Seq: 7, Origin: randRef(rng), Payload: make([]byte, 64)}}
+}
+
+// TestCodecAllocations pins what the one-walk codec must not cost: sizing
+// and encoding into a buffer with room allocate nothing, and decoding
+// allocates the message's own parts only (envelope, lookup, two address
+// strings, payload).
+func TestCodecAllocations(t *testing.T) {
+	env := lookupEnvelope()
+	frame := EncodeMessage(env)
+	buf := make([]byte, 0, 2*len(frame))
+	var size int
+	for name, pin := range map[string]struct {
+		max float64
+		f   func()
+	}{
+		"MessageWireSize": {0, func() { size += MessageWireSize(env) }},
+		"AppendMessage":   {0, func() { buf = AppendMessage(buf[:0], env) }},
+		"EncodeMessage":   {0, func() { size += len(EncodeMessage(env)) }}, // the buffer stays on the stack
+		"DecodeMessage":   {5, func() { DecodeMessage(frame) }},
+	} {
+		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
+			t.Errorf("%s: %v allocs per message, want at most %v", name, got, pin.max)
+		}
+	}
+}
+
+func BenchmarkCodecEncodeLookupEnvelope(b *testing.B) {
+	env := lookupEnvelope()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		EncodeMessage(env)
@@ -159,9 +196,7 @@ func BenchmarkCodecEncodeLookupEnvelope(b *testing.B) {
 }
 
 func BenchmarkCodecDecodeLookupEnvelope(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	buf := EncodeMessage(&Envelope{Xfer: 9, NeedAck: true, From: randRef(rng),
-		Lookup: &Lookup{Key: id.Random(rng), Seq: 7, Origin: randRef(rng), Payload: make([]byte, 64)}})
+	buf := EncodeMessage(lookupEnvelope())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeMessage(buf); err != nil {

@@ -5,6 +5,35 @@ import (
 	"time"
 )
 
+// Protocol parameters that no experiment, command or test varies.
+const (
+	// maxProbeRetries is the number of probe retries before a node is
+	// marked faulty (paper: 2).
+	maxProbeRetries = 2
+	// maxRouteAttempts bounds how many times one hop of a routed message
+	// is retransmitted (to alternative next hops) before being dropped.
+	maxRouteAttempts = 8
+	// failureHistoryK is the size of the failure history used to estimate
+	// the failure rate.
+	failureHistoryK = 16
+	// reconnectRetries caps the probes per peer in the reconnect cache
+	// before its record is dropped for good, bounding post-mortem traffic
+	// per failure. reconnectCacheSize bounds the cache; the most-retried
+	// record is evicted first.
+	reconnectRetries   = 20
+	reconnectCacheSize = 32
+	// secureReplyTimeout is how long the origin of a secure lookup waits
+	// for a plausible root report before (re-)issuing a redundant round.
+	secureReplyTimeout = 5 * time.Second
+	// secureDensityRatio is the failure test's suspicion threshold: a
+	// reported neighbourhood sparser than this multiple of the local
+	// density estimate is flagged (γ in internal/secure).
+	// secureDistanceRatio flags roots farther than this multiple of the
+	// local mean inter-node gap from the key (δ in internal/secure).
+	secureDensityRatio  = 4
+	secureDistanceRatio = 8
+)
+
 // Config holds the MSPastry protocol parameters. DefaultConfig returns the
 // paper's base configuration; the boolean switches exist to run the paper's
 // ablation experiments (per-hop acks, active probing, self-tuning, probe
@@ -20,16 +49,10 @@ type Config struct {
 	Tls time.Duration
 	// To is the probe timeout (paper: 3 s, the TCP SYN timeout).
 	To time.Duration
-	// MaxProbeRetries is the number of probe retries before a node is
-	// marked faulty (paper: 2).
-	MaxProbeRetries int
 
 	// PerHopAcks enables per-hop acknowledgements with aggressive
 	// retransmission for lookup traffic.
 	PerHopAcks bool
-	// MaxRouteAttempts bounds how many times one hop of a routed message
-	// is retransmitted (to alternative next hops) before being dropped.
-	MaxRouteAttempts int
 	// MinRTO and MaxRTO clamp the per-hop retransmission timeout.
 	MinRTO, MaxRTO time.Duration
 	// HoldOnSuspect prevents a node from delivering a lookup while a
@@ -49,9 +72,6 @@ type Config struct {
 	TargetRawLoss float64
 	// FixedTrt is the routing-table probing period when SelfTune is off.
 	FixedTrt time.Duration
-	// FailureHistoryK is the size of the failure history used to estimate
-	// the failure rate.
-	FailureHistoryK int
 
 	// Suppression replaces failure-detection traffic with any message
 	// traffic observed between a pair of nodes.
@@ -83,12 +103,6 @@ type Config struct {
 	// because both sides purge each other completely and no message ever
 	// crosses the cut again. 0 disables the cache.
 	ReconnectInterval time.Duration
-	// ReconnectRetries caps the probes per cached peer before its record
-	// is dropped for good, bounding post-mortem traffic per failure.
-	ReconnectRetries int
-	// ReconnectCacheSize bounds the cache; the most-retried record is
-	// evicted first.
-	ReconnectCacheSize int
 
 	// TickInterval is the internal maintenance timer granularity.
 	TickInterval time.Duration
@@ -131,16 +145,6 @@ type Config struct {
 	SecureFanout int
 	// SecureMaxRounds bounds redundant rounds per lookup.
 	SecureMaxRounds int
-	// SecureReplyTimeout is how long the origin waits for a plausible
-	// root report before (re-)issuing a redundant round.
-	SecureReplyTimeout time.Duration
-	// SecureDensityRatio is the failure test's suspicion threshold: a
-	// reported neighbourhood sparser than this multiple of the local
-	// density estimate is flagged (γ in internal/secure).
-	SecureDensityRatio float64
-	// SecureDistanceRatio flags roots farther than this multiple of the
-	// local mean inter-node gap from the key (δ in internal/secure).
-	SecureDistanceRatio float64
 
 	// PeerStrangerTTL bounds how long per-peer state survives for a peer
 	// that was never admitted into routing state (leaf set, routing table
@@ -162,9 +166,7 @@ func DefaultConfig() Config {
 		L:                    32,
 		Tls:                  30 * time.Second,
 		To:                   3 * time.Second,
-		MaxProbeRetries:      2,
 		PerHopAcks:           true,
-		MaxRouteAttempts:     8,
 		HoldOnSuspect:        true,
 		MinRTO:               10 * time.Millisecond,
 		MaxRTO:               3 * time.Second,
@@ -172,7 +174,6 @@ func DefaultConfig() Config {
 		SelfTune:             true,
 		TargetRawLoss:        0.05,
 		FixedTrt:             60 * time.Second,
-		FailureHistoryK:      16,
 		Suppression:          true,
 		StructuredHeartbeats: true,
 		PNS:                  true,
@@ -181,8 +182,6 @@ func DefaultConfig() Config {
 		SymmetricProbes:      true,
 		RTMaintenance:        20 * time.Minute,
 		ReconnectInterval:    30 * time.Second,
-		ReconnectRetries:     20,
-		ReconnectCacheSize:   32,
 		TickInterval:         15 * time.Second,
 		LookupTTL:            64,
 		RetryBudgetRate:      2,
@@ -192,9 +191,6 @@ func DefaultConfig() Config {
 		BreakerMaxCooldown:   time.Minute,
 		SecureFanout:         4,
 		SecureMaxRounds:      3,
-		SecureReplyTimeout:   5 * time.Second,
-		SecureDensityRatio:   4,
-		SecureDistanceRatio:  8,
 	}
 }
 
@@ -207,20 +203,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pastry: L=%d must be even and >= 2", c.L)
 	case c.Tls <= 0 || c.To <= 0:
 		return fmt.Errorf("pastry: Tls and To must be positive")
-	case c.MaxProbeRetries < 0:
-		return fmt.Errorf("pastry: MaxProbeRetries negative")
 	case c.SelfTune && (c.TargetRawLoss <= 0 || c.TargetRawLoss >= 1):
 		return fmt.Errorf("pastry: TargetRawLoss=%v outside (0,1)", c.TargetRawLoss)
 	case !c.SelfTune && c.ActiveProbing && c.FixedTrt <= 0:
 		return fmt.Errorf("pastry: FixedTrt must be positive without self-tuning")
 	case c.DistProbeCount < 1:
 		return fmt.Errorf("pastry: DistProbeCount must be >= 1")
-	case c.MaxRouteAttempts < 1:
-		return fmt.Errorf("pastry: MaxRouteAttempts must be >= 1")
 	case c.ReconnectInterval < 0:
 		return fmt.Errorf("pastry: ReconnectInterval negative")
-	case c.ReconnectInterval > 0 && (c.ReconnectRetries < 1 || c.ReconnectCacheSize < 1):
-		return fmt.Errorf("pastry: reconnect cache needs positive retries and size")
 	case c.TickInterval <= 0:
 		return fmt.Errorf("pastry: TickInterval must be positive")
 	case c.LookupTTL < 1:
@@ -239,10 +229,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pastry: SecureFanout=%d must be >= 2 with secure routing", c.SecureFanout)
 	case c.SecureRouting && c.SecureMaxRounds < 1:
 		return fmt.Errorf("pastry: SecureMaxRounds must be >= 1 with secure routing")
-	case c.SecureRouting && c.SecureReplyTimeout <= 0:
-		return fmt.Errorf("pastry: SecureReplyTimeout must be positive with secure routing")
-	case c.SecureRouting && (c.SecureDensityRatio <= 1 || c.SecureDistanceRatio <= 1):
-		return fmt.Errorf("pastry: secure-routing ratios must exceed 1")
 	case c.PeerStrangerTTL < 0 || c.PeerAdmittedTTL < 0:
 		return fmt.Errorf("pastry: peer lifecycle TTLs must not be negative")
 	}
@@ -252,5 +238,5 @@ func (c Config) Validate() error {
 // MinTrt is the lower bound on the routing-table probing period:
 // (retries+1) probe timeouts, as in the paper.
 func (c Config) MinTrt() time.Duration {
-	return time.Duration(c.MaxProbeRetries+1) * c.To
+	return time.Duration(maxProbeRetries+1) * c.To
 }

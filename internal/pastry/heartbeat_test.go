@@ -134,7 +134,7 @@ func TestFailureDetectionLatencyWithinBound(t *testing.T) {
 	victim.Fail()
 	failedAt := net.sim.Now()
 	// Poll until the detector drops the victim.
-	bound := cfg.Tls + time.Duration(cfg.MaxProbeRetries+1)*cfg.To + 2*cfg.TickInterval
+	bound := cfg.Tls + time.Duration(maxProbeRetries+1)*cfg.To + 2*cfg.TickInterval
 	for net.sim.Now() < failedAt+2*bound {
 		net.run(time.Second)
 		if !detector.Leaf().Contains(victim.Ref().ID) {

@@ -19,7 +19,7 @@ func TestStrangerRecordsExpire(t *testing.T) {
 	net := newTestNet(t, 11)
 	cfg := testConfig()
 	// No reconnect cache: a failed stranger is expelled immediately
-	// instead of parking in the graveyard for ReconnectRetries probes.
+	// instead of parking in the graveyard for reconnectRetries probes.
 	cfg.ReconnectInterval = 0
 	cfg.PeerStrangerTTL = 30 * time.Second
 	nodes := buildOverlay(t, net, 8, cfg)

@@ -108,11 +108,11 @@ func (n *Node) probeTimeout(ps *probeState) {
 	if !ok || cur != ps {
 		return
 	}
-	if ps.retries < n.cfg.MaxProbeRetries {
+	if ps.retries < maxProbeRetries {
 		ps.retries++
 		// Probe retries draw on the peer's retry budget: under overload a
 		// storm of simultaneous suspicions would otherwise multiply every
-		// timeout into MaxProbeRetries extra packets. A suppressed resend
+		// timeout into maxProbeRetries extra packets. A suppressed resend
 		// keeps the timer machinery running, so the verdict arrives on the
 		// same schedule either way — the peer just is not re-pinged.
 		if n.retryAllowed(ps.ref) {

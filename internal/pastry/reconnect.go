@@ -45,7 +45,7 @@ func (n *Node) rememberFailed(ref NodeRef) {
 	if rec.Get(n.slotGrave) != nil {
 		return
 	}
-	if n.peers.SlotCount(n.slotGrave) >= n.cfg.ReconnectCacheSize {
+	if n.peers.SlotCount(n.slotGrave) >= reconnectCacheSize {
 		var victim *graveRecord
 		var victimRec *peer.Record
 		n.peers.Each(func(r *peer.Record) {
@@ -99,7 +99,7 @@ func (n *Node) retryReconnect(now time.Duration) {
 	if rec == nil {
 		return
 	}
-	if rec.tries >= n.cfg.ReconnectRetries {
+	if rec.tries >= reconnectRetries {
 		n.clearSlot(rec.ref.ID, n.slotGrave)
 		n.peers.Expel(rec.ref.ID, rec.ref.Addr)
 		return

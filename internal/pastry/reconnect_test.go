@@ -108,7 +108,7 @@ func TestPartitionNoRemergeWithoutCache(t *testing.T) {
 }
 
 // TestReconnectCacheExpires checks the post-mortem traffic bound: records
-// for a genuinely crashed peer are retried at most ReconnectRetries times
+// for a genuinely crashed peer are retried at most reconnectRetries times
 // and then dropped, leaving the graveyard empty.
 func TestReconnectCacheExpires(t *testing.T) {
 	net := newTestNet(t, 3)
@@ -116,11 +116,11 @@ func TestReconnectCacheExpires(t *testing.T) {
 
 	dead := nodes[len(nodes)-1]
 	dead.Fail()
-	// Long enough for detection plus ReconnectRetries probes at
+	// Long enough for detection plus reconnectRetries probes at
 	// ReconnectInterval. Leaf repair replaces the dead node quickly; the
 	// graveyard keeps pinging it until the retry budget runs out.
 	cfg := nodes[0].cfg
-	horizon := 2*time.Minute + time.Duration(cfg.ReconnectRetries+2)*cfg.ReconnectInterval
+	horizon := 2*time.Minute + time.Duration(reconnectRetries+2)*cfg.ReconnectInterval
 	net.run(horizon)
 	for _, n := range nodes[:len(nodes)-1] {
 		if rec := n.graveFor(dead.Ref().ID); rec != nil {

@@ -9,7 +9,7 @@ import (
 const maxTrt = time.Hour
 
 // triedSet records the next hops already attempted for one routed message.
-// A message tries at most MaxRouteAttempts hops, so membership is a linear
+// A message tries at most maxRouteAttempts hops, so membership is a linear
 // scan over a few entries backed by a small inline array — no per-hop map
 // allocation, and reroutes beyond the inline capacity (rare) spill to a
 // heap slice. The zero value is empty; a nil *triedSet is a valid empty
@@ -225,7 +225,7 @@ func (n *Node) hopTimeout(xfer uint64) {
 	n.breakerFailure(ph.to)
 	n.suspect(ph.to)
 	ph.attempts++
-	if ph.attempts >= n.cfg.MaxRouteAttempts {
+	if ph.attempts >= maxRouteAttempts {
 		if ph.lookup != nil {
 			n.obs.LookupDropped(n, ph.lookup, DropRetries)
 		}

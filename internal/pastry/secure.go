@@ -22,7 +22,7 @@ import (
 //     root's neighbourhood is about as dense as the origin's own; a
 //     colluder-forged neighbourhood, drawn from only the f·N malicious
 //     nodes, is ~1/f times sparser and fails the density check.
-//  3. A failed test — or no report at all within SecureReplyTimeout —
+//  3. A failed test — or no report at all within secureReplyTimeout —
 //     re-issues the lookup over SecureFanout neighbour-diverse first
 //     hops. The reports vote: the first passing report closes the
 //     lookup, and any failed reporter whose root claim is strictly
@@ -66,7 +66,7 @@ func (n *Node) armSecureTimer(ss *secureSession) {
 		ss.timer.Cancel()
 	}
 	seq := ss.lk.Seq
-	ss.timer = n.schedule(n.cfg.SecureReplyTimeout, func() { n.secureTimeout(seq) })
+	ss.timer = n.schedule(secureReplyTimeout, func() { n.secureTimeout(seq) })
 }
 
 // handleRootReport evaluates one root completion report against the
@@ -88,8 +88,8 @@ func (n *Node) handleRootReport(rr *RootReport) {
 		Root:   rr.From.ID,
 		Leaves: refIDs(rr.Leaves),
 	}, n.localDensity(), secure.Config{
-		DensityRatio:  n.cfg.SecureDensityRatio,
-		DistanceRatio: n.cfg.SecureDistanceRatio,
+		DensityRatio:  secureDensityRatio,
+		DistanceRatio: secureDistanceRatio,
 		// A plausible root's leaf set is about as full as our own; half
 		// tolerates transient repair without admitting colluder-only sets.
 		MinLeaves: (len(n.ls.Members()) + 1) / 2,

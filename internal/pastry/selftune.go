@@ -94,8 +94,8 @@ func (n *Node) recordFailure(at time.Duration) {
 		n.failureHist = append(n.failureHist, n.joinStart)
 	}
 	n.failureHist = append(n.failureHist, at)
-	if len(n.failureHist) > n.cfg.FailureHistoryK {
-		n.failureHist = n.failureHist[len(n.failureHist)-n.cfg.FailureHistoryK:]
+	if len(n.failureHist) > failureHistoryK {
+		n.failureHist = n.failureHist[len(n.failureHist)-failureHistoryK:]
 	}
 }
 
@@ -129,7 +129,7 @@ func (n *Node) estimateMu(now time.Duration) float64 {
 	}
 	var k float64
 	var span time.Duration
-	if len(hist) >= n.cfg.FailureHistoryK {
+	if len(hist) >= failureHistoryK {
 		k = float64(len(hist) - 1)
 		span = hist[len(hist)-1] - hist[0]
 	} else {
@@ -168,7 +168,7 @@ func (n *Node) retune(now time.Duration) {
 		local = maxSec
 	} else {
 		local = solveTrt(n.cfg.TargetRawLoss, n.cfg.Tls.Seconds(), n.cfg.To.Seconds(),
-			mu, hops, n.cfg.MaxProbeRetries, minSec, maxSec)
+			mu, hops, maxProbeRetries, minSec, maxSec)
 	}
 	n.trtLocal = time.Duration(local * float64(time.Second))
 	vals := make([]time.Duration, 0, n.peers.SlotCount(n.slotHint)+1)

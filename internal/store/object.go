@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/id"
 )
 
@@ -115,54 +116,35 @@ func (s Summary) Supersedes(local Object) bool {
 	return bytes.Compare(s.Dig[:], ld[:]) > 0
 }
 
-// Object wire/WAL encoding:
+// Walk is the object's wire and WAL description:
 //
 //	flags(1) | key(16) | version uvarint | origin uvarint | value...
 //
 // The value runs to the end of the buffer, so batched streams must
 // length-prefix each object themselves (the WAL frames records, the DHT
-// wire carries one object per message).
-const objFlagTombstone = 0x01
+// wire carries one object per message). A tombstone carries no value, and
+// version 0 is reserved for "never written".
+func (o *Object) Walk(c *codec.Coder) {
+	c.Bits(&o.Tombstone)
+	c.ID(&o.Key)
+	c.Uvarint(&o.Version)
+	c.Uvarint(&o.Origin)
+	c.Rest(&o.Value)
+	c.Require(o.Version != 0 && (!o.Tombstone || len(o.Value) == 0))
+}
 
 // EncodeObject appends o's canonical encoding to dst and returns the
 // extended slice.
 func EncodeObject(dst []byte, o Object) []byte {
-	flags := byte(0)
-	if o.Tombstone {
-		flags |= objFlagTombstone
-	}
-	dst = append(dst, flags)
-	dst = append(dst, o.Key.Bytes()...)
-	dst = binary.AppendUvarint(dst, o.Version)
-	dst = binary.AppendUvarint(dst, o.Origin)
-	return append(dst, o.Value...)
+	c := codec.Appender(dst)
+	o.Walk(&c)
+	return c.Bytes()
 }
 
 // DecodeObject parses an object encoded by EncodeObject. The value
 // aliases buf.
-func DecodeObject(buf []byte) (Object, bool) {
-	if len(buf) < 19 || buf[0]&^objFlagTombstone != 0 {
-		return Object{}, false
-	}
-	o := Object{Tombstone: buf[0]&objFlagTombstone != 0, Key: id.FromBytes(buf[1:17])}
-	rest := buf[17:]
-	v, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Object{}, false
-	}
-	o.Version = v
-	rest = rest[n:]
-	v, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return Object{}, false
-	}
-	o.Origin = v
-	o.Value = rest[n:]
-	if o.Tombstone && len(o.Value) != 0 {
-		return Object{}, false
-	}
-	if o.Version == 0 {
-		return Object{}, false // version 0 is reserved for "never written"
-	}
-	return o, true
+func DecodeObject(buf []byte) (o Object, ok bool) {
+	c := codec.Reader(buf)
+	o.Walk(&c)
+	return o, c.Finish() == nil
 }

@@ -55,6 +55,11 @@ type UDP struct {
 	onDecodeError func(remote net.Addr, err error)
 	onSendError   func(to pastry.NodeRef, err error)
 	sink          MetricsSink
+	// timers (under mu) holds every armed Schedule timer until it fires
+	// or is cancelled, so that Close can stop the rest: a pending timer's
+	// closure keeps the node, and whatever an application hung off it,
+	// reachable until the timer would have fired.
+	timers map[*udpTimer]struct{}
 
 	sent, received atomic.Uint64
 	panics         atomic.Uint64
@@ -211,12 +216,13 @@ func Listen(addr string, seed int64) (*UDP, error) {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
 	t := &UDP{
-		conn:  conn,
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-		addrs: make(map[string]*net.UDPAddr),
-		loop:  make(chan func(), 1024),
-		done:  make(chan struct{}),
+		conn:   conn,
+		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(seed)),
+		addrs:  make(map[string]*net.UDPAddr),
+		timers: make(map[*udpTimer]struct{}),
+		loop:   make(chan func(), 1024),
+		done:   make(chan struct{}),
 	}
 	go t.runLoop()
 	go t.readLoop()
@@ -297,7 +303,8 @@ func (t *UDP) DoSync(fn func(n *pastry.Node)) {
 }
 
 // Close shuts the transport down: the node crashes (fail-stop), pending
-// coalesced frames flush, the socket closes and the loops exit.
+// coalesced frames flush, the socket closes, the loops exit and every
+// timer still armed is stopped.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -315,6 +322,12 @@ func (t *UDP) Close() error {
 		}
 	})
 	close(t.done)
+	t.mu.Lock()
+	for ut := range t.timers {
+		ut.timer.Stop()
+	}
+	t.timers = nil
+	t.mu.Unlock()
 	return t.conn.Close()
 }
 
@@ -567,11 +580,19 @@ func (e *udpEnv) LoadFactor() float64 {
 	return t.inQ.LoadFactor()
 }
 
-// Schedule arms a real timer whose callback runs on the event loop.
+// Schedule arms a real timer whose callback runs on the event loop. On a
+// closed transport, which runs no callbacks, it arms nothing.
 func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
 	t := (*UDP)(e)
-	ut := &udpTimer{}
+	ut := &udpTimer{owner: t}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return ut
+	}
+	t.timers[ut] = struct{}{}
 	ut.timer = time.AfterFunc(d, func() {
+		t.forget(ut)
 		t.Do(func(*pastry.Node) {
 			ut.mu.Lock()
 			canceled := ut.canceled
@@ -584,10 +605,17 @@ func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
 	return ut
 }
 
+func (t *UDP) forget(ut *udpTimer) {
+	t.mu.Lock()
+	delete(t.timers, ut)
+	t.mu.Unlock()
+}
+
 type udpTimer struct {
+	owner    *UDP
 	mu       sync.Mutex
 	canceled bool
-	timer    *time.Timer
+	timer    *time.Timer // nil when the transport was closed already
 }
 
 // Cancel implements pastry.Timer. It is safe to call from the event loop;
@@ -596,5 +624,8 @@ func (ut *udpTimer) Cancel() {
 	ut.mu.Lock()
 	ut.canceled = true
 	ut.mu.Unlock()
-	ut.timer.Stop()
+	if ut.timer != nil {
+		ut.timer.Stop()
+		ut.owner.forget(ut)
+	}
 }

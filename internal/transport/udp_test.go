@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,5 +268,52 @@ func TestUDPAddressCacheReused(t *testing.T) {
 	}
 	if sent, _ := tr.Counters(); sent != 2 {
 		t.Fatalf("sent = %d, want 2", sent)
+	}
+}
+
+// TestUDPCloseStopsTimers: a timer pending at Close used to stay armed,
+// its closure keeping the failed node (and any store hung off it)
+// reachable for up to a sweep interval. Close now stops every tracked
+// timer, and none of their callbacks run afterwards.
+func TestUDPCloseStopsTimers(t *testing.T) {
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int32
+	env := tr.Env()
+	armed := []*udpTimer{
+		env.Schedule(time.Hour, func() { ran.Add(1) }).(*udpTimer),
+		env.Schedule(time.Hour, func() { ran.Add(1) }).(*udpTimer),
+	}
+	env.Schedule(time.Hour, func() { ran.Add(1) }).Cancel()
+	fired := make(chan struct{})
+	env.Schedule(0, func() { close(fired) })
+	<-fired
+	tr.mu.Lock()
+	pending := len(tr.timers)
+	tr.mu.Unlock()
+	if pending != len(armed) {
+		t.Fatalf("%d timers tracked, want the %d neither fired nor cancelled", pending, len(armed))
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	pending = len(tr.timers)
+	tr.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("%d timers still tracked after Close", pending)
+	}
+	for _, ut := range armed {
+		if ut.timer.Stop() {
+			t.Error("a 1 h timer was still armed after Close")
+		}
+	}
+	if late := env.Schedule(0, func() { ran.Add(1) }).(*udpTimer); late.timer != nil {
+		t.Error("a closed transport armed a timer")
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d timer callbacks ran, want none", n)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"time"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/pastry"
 )
 
@@ -134,7 +135,7 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 		q.sizes = q.sizes[:0]
 		q.single = 0
 		q.oldest = c.cfg.Now()
-		q.firstPlen = uvarintLen(uint64(plen))
+		q.firstPlen = codec.UvarintLen(uint64(plen))
 	}
 	*q.buf = appendUvarint(*q.buf, uint64(plen))
 	*q.buf = append(*q.buf, payload...)

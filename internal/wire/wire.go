@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/pastry"
 )
 
@@ -69,16 +70,7 @@ func SingleSize(payloadLen int) int { return HeaderLen + payloadLen }
 
 // entrySize is the cost of one message inside a batch frame.
 func entrySize(payloadLen int) int {
-	return uvarintLen(uint64(payloadLen)) + payloadLen
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return codec.UvarintLen(uint64(payloadLen)) + payloadLen
 }
 
 // AppendSingle wraps payload in a single-message frame.
