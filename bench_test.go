@@ -1,33 +1,14 @@
 package mspastry
 
-// This file regenerates every table and figure of the paper's evaluation
-// (§5) as Go benchmarks. Each benchmark runs the corresponding experiment
-// at a reduced scale (a few hundred overlay nodes, tens of simulated
-// minutes) and reports the headline quantities as custom benchmark metrics,
-// so `go test -bench . -benchmem` doubles as a quick reproduction run.
-// Full-scale runs (the paper's 2,000-20,000 node populations and multi-day
-// traces) are driven by cmd/mspastry-bench.
-//
-// Figure map:
-//
-//	BenchmarkFig3FailureRates    — Figure 3 (trace failure-rate series)
-//	BenchmarkTopologyComparison  — §5.3 "Network topology"
-//	BenchmarkFig4Traces          — Figure 4 (per-trace RDP/control + breakdown)
-//	BenchmarkFig5SessionTimes    — Figure 5 left/centre (session-time sweep)
-//	BenchmarkFig5JoinLatency     — Figure 5 right (join-latency CDF)
-//	BenchmarkFig6NetworkLoss     — Figure 6 (network-loss sweep)
-//	BenchmarkFig7LeafSet         — Figure 7 left/centre (l sweep)
-//	BenchmarkFig7Digits          — Figure 7 right (b sweep)
-//	BenchmarkAblationProbingAcks — §5.3 "Active probing and per-hop acks"
-//	BenchmarkSelfTuning          — §5.3 self-tuning to a target raw loss
-//	BenchmarkSuppression         — §5.3 probe suppression
-//	BenchmarkHeartbeatAblation   — §4.1 structured vs all-pairs heartbeats
-//	BenchmarkConsistencyRule     — §3.2 consistency/latency trade-off under loss
-//	BenchmarkMassFailureRecovery — §3.1 generalised repair after 50% correlated failure
-//	BenchmarkPartitionHeal       — fault injection: 50/50 partition, heal, time-to-repair
-//	BenchmarkJitterFalsePositives— fault injection: delay-spike false-positive gap
-//	BenchmarkOverload            — overload sweep: graceful degradation past capacity
-//	BenchmarkFig8Squirrel        — Figure 8 (Squirrel traffic series)
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation (§5): one sub-benchmark per entry of the experiments
+// registry (internal/experiments.All, which says what each reproduces),
+// run at a reduced scale (a few hundred overlay nodes, tens of simulated
+// minutes), with the entry's headline numbers reported as custom
+// benchmark metrics. So `go test -bench Experiments -benchtime 1x .`
+// doubles as a quick reproduction run, and EXPERIMENTS.md's measured
+// columns come from it. Full-scale runs (the paper's 2,000-20,000 node
+// populations and multi-day traces) are driven by cmd/mspastry-bench.
 
 import (
 	"testing"
@@ -36,243 +17,35 @@ import (
 	"mspastry/internal/experiments"
 )
 
-// benchScale trims the Quick scale further so the whole suite completes in
-// a few minutes.
-func benchScale() experiments.Scale {
-	s := experiments.Quick()
-	s.TraceDiv = 24
-	s.MaxDuration = 45 * time.Minute
-	s.PoissonNodes = 150
-	s.PoissonDuration = 40 * time.Minute
-	s.SetupRamp = 4 * time.Minute
-	return s
+// benchScale is small enough for the whole suite to complete in a few
+// minutes: GATech/8, Gnutella/24, 150-node Poisson traces, 40-45
+// simulated minutes.
+var benchScale = experiments.Scale{
+	TopoDiv:         8,
+	TraceDiv:        24,
+	MaxDuration:     45 * time.Minute,
+	PoissonNodes:    150,
+	PoissonDuration: 40 * time.Minute,
+	SetupRamp:       4 * time.Minute,
+	Seed:            1,
 }
 
-func BenchmarkFig3FailureRates(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig3FailureRates(s)
-	}
-	b.ReportMetric(r.MeanRate("gnutella"), "gnutella-failrate")
-	b.ReportMetric(r.MeanRate("microsoft"), "microsoft-failrate")
-	b.ReportMetric(r.PeakToTrough("gnutella"), "gnutella-peak/trough")
-}
-
-func BenchmarkTopologyComparison(b *testing.B) {
-	s := benchScale()
-	var r experiments.TopoCmpResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.TopologyComparison(s)
-	}
-	b.ReportMetric(r.Results["corpnet"].Totals.RDP, "rdp-corpnet")
-	b.ReportMetric(r.Results["gatech"].Totals.RDP, "rdp-gatech")
-	b.ReportMetric(r.Results["mercator"].Totals.RDP, "rdp-mercator")
-	b.ReportMetric(r.Results["gatech"].Totals.ControlPerNodeSec, "ctrl-gatech")
-}
-
-func BenchmarkFig4Traces(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig4Traces(s)
-	}
-	b.ReportMetric(r.Totals["gnutella"].Totals.RDP, "rdp-gnutella")
-	b.ReportMetric(r.Totals["microsoft"].Totals.RDP, "rdp-microsoft")
-	b.ReportMetric(r.Totals["gnutella"].Totals.ControlPerNodeSec, "ctrl-gnutella")
-	b.ReportMetric(r.Totals["microsoft"].Totals.ControlPerNodeSec, "ctrl-microsoft")
-}
-
-func BenchmarkFig5SessionTimes(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig5SessionSweep
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig5SessionTimes(s)
-	}
-	b.ReportMetric(r.Results[15*time.Minute].Totals.ControlPerNodeSec, "ctrl-15m")
-	b.ReportMetric(r.Results[600*time.Minute].Totals.ControlPerNodeSec, "ctrl-600m")
-	b.ReportMetric(r.ControlRatio(15*time.Minute, 600*time.Minute), "ctrl-ratio-15/600")
-	b.ReportMetric(r.Results[15*time.Minute].Totals.RDP, "rdp-15m")
-}
-
-func BenchmarkFig5JoinLatency(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig5JoinCDF
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig5JoinLatency(s)
-	}
-	b.ReportMetric(r.Percentile(30*time.Minute, 0.5).Seconds(), "join-p50-sec")
-	b.ReportMetric(r.Percentile(30*time.Minute, 0.95).Seconds(), "join-p95-sec")
-}
-
-func BenchmarkFig6NetworkLoss(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig6NetworkLoss(s)
-	}
-	b.ReportMetric(r.Results[0].Totals.LossRate, "lookuploss-0%")
-	b.ReportMetric(r.Results[0.05].Totals.LossRate, "lookuploss-5%")
-	b.ReportMetric(r.Results[0.05].Totals.IncorrectRate, "incorrect-5%")
-	b.ReportMetric(r.Results[0.05].Totals.RDP, "rdp-5%")
-}
-
-func BenchmarkFig7LeafSet(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig7LeafSetResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig7LeafSet(s)
-	}
-	b.ReportMetric(r.Results[16].Totals.ControlPerNodeSec, "ctrl-l16")
-	b.ReportMetric(r.Results[32].Totals.ControlPerNodeSec, "ctrl-l32")
-	b.ReportMetric(r.Results[8].Totals.RDP, "rdp-l8")
-	b.ReportMetric(r.Results[64].Totals.RDP, "rdp-l64")
-}
-
-func BenchmarkFig7Digits(b *testing.B) {
-	s := benchScale()
-	var r experiments.Fig7DigitsResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig7Digits(s)
-	}
-	b.ReportMetric(r.Results[1].Totals.RDP, "rdp-b1")
-	b.ReportMetric(r.Results[4].Totals.RDP, "rdp-b4")
-	b.ReportMetric(r.Results[1].Totals.MeanHops, "hops-b1")
-	b.ReportMetric(r.Results[4].Totals.MeanHops, "hops-b4")
-}
-
-func BenchmarkAblationProbingAcks(b *testing.B) {
-	s := benchScale()
-	var r experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AblationProbingAcks(s)
-	}
-	b.ReportMetric(r.Results["neither"].Totals.LossRate, "loss-neither")
-	b.ReportMetric(r.Results["acks-only"].Totals.LossRate, "loss-acks")
-	b.ReportMetric(r.Results["probing-only"].Totals.LossRate, "loss-probing")
-	b.ReportMetric(r.Results["both"].Totals.LossRate, "loss-both")
-}
-
-func BenchmarkSelfTuning(b *testing.B) {
-	s := benchScale()
-	var r experiments.SelfTuningResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.SelfTuning(s)
-	}
-	b.ReportMetric(r.Results[0.05].Totals.LossRate, "rawloss-at-5%")
-	b.ReportMetric(r.Results[0.01].Totals.LossRate, "rawloss-at-1%")
-	c5 := r.Results[0.05].Totals.ControlPerNodeSec
-	c1 := r.Results[0.01].Totals.ControlPerNodeSec
-	if c5 > 0 {
-		b.ReportMetric(c1/c5, "ctrl-ratio-1%/5%")
-	}
-}
-
-func BenchmarkSuppression(b *testing.B) {
-	s := benchScale()
-	var r experiments.SuppressionResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Suppression(s)
-	}
-	b.ReportMetric(r.SuppressedFraction[0], "suppressed-idle")
-	b.ReportMetric(r.SuppressedFraction[1], "suppressed-1lookup/s")
-}
-
-func BenchmarkHeartbeatAblation(b *testing.B) {
-	s := benchScale()
-	var r experiments.StructuredHeartbeatAblation
-	for i := 0; i < b.N; i++ {
-		r = experiments.HeartbeatAblation(s)
-	}
-	b.ReportMetric(r.Structured.Totals.ControlPerNodeSec, "ctrl-structured")
-	b.ReportMetric(r.AllPairs.Totals.ControlPerNodeSec, "ctrl-allpairs")
-}
-
-func BenchmarkConsistencyRule(b *testing.B) {
-	s := benchScale()
-	var r experiments.ConsistencyRuleResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.ConsistencyRule(s)
-	}
-	b.ReportMetric(r.WithRule.Totals.IncorrectRate, "incorrect-with-rule")
-	b.ReportMetric(r.WithoutRule.Totals.IncorrectRate, "incorrect-without")
-	b.ReportMetric(r.WithRule.Totals.RDP, "rdp-with-rule")
-	b.ReportMetric(r.WithoutRule.Totals.RDP, "rdp-without")
-}
-
-func BenchmarkMassFailureRecovery(b *testing.B) {
-	cfg := experiments.DefaultMassFailureConfig()
-	cfg.Nodes = 100
-	var r experiments.MassFailureResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.MassFailure(cfg)
-	}
-	if !r.Recovered {
-		b.Fatal("overlay did not recover")
-	}
-	b.ReportMetric(r.RecoveryTime.Seconds(), "recovery-sec")
-	b.ReportMetric(float64(r.ProbeMessages)/float64(r.Nodes-r.Killed), "leafmsgs-per-survivor")
-}
-
-func BenchmarkPartitionHeal(b *testing.B) {
-	s := benchScale()
-	var r experiments.PartitionHealResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.PartitionHeal(s, 90*time.Second)
-	}
-	if !r.Recovery.Repaired {
-		b.Fatal("overlay did not repair after the partition healed")
-	}
-	b.ReportMetric(r.Recovery.TimeToRepair().Seconds(), "time-to-repair-sec")
-	b.ReportMetric(r.Result.Phases.During.IncorrectRate(), "incorrect-during")
-	b.ReportMetric(r.Result.Phases.After.IncorrectRate(), "incorrect-after")
-}
-
-func BenchmarkJitterFalsePositives(b *testing.B) {
-	s := benchScale()
-	spike := time.Second
-	var r experiments.JitterFPResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.JitterFalsePositives(s, []time.Duration{spike})
-	}
-	b.ReportMetric(r.Hold[spike].Totals.IncorrectRate, "incorrect-hold")
-	b.ReportMetric(r.Naive[spike].Totals.IncorrectRate, "incorrect-naive")
-	b.ReportMetric(r.GapOrders(spike), "gap-orders")
-}
-
-func BenchmarkOverload(b *testing.B) {
-	cfg := experiments.DefaultOverloadConfig(benchScale())
-	cfg.Nodes = 40
-	cfg.Duration = 20 * time.Minute
-	cfg.Multiples = []float64{1, 5}
-	var r experiments.OverloadResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Overload(cfg)
-	}
-	b.ReportMetric(r.DegradationRatio(1, 5), "success-5x/1x")
-	b.ReportMetric(float64(r.Points[1].Res.Counters.RetryBudgetExhausted), "budget-denials-5x")
-	b.ReportMetric(float64(r.Points[1].Res.Counters.BreakerOpens), "breaker-opens-5x")
-}
-
-func BenchmarkFig8Squirrel(b *testing.B) {
-	cfg := experiments.DefaultFig8Config()
-	cfg.Days = 2 // bench scale: one weekday + part of the pattern
-	var r experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig8Squirrel(cfg)
-	}
-	peak, trough := 0.0, 0.0
-	for _, w := range r.Windows {
-		if w.TotalPerNodeSec > peak {
-			peak = w.TotalPerNodeSec
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		if e.Live {
+			continue
 		}
-		if trough == 0 || (w.TotalPerNodeSec > 0 && w.TotalPerNodeSec < trough) {
-			trough = w.TotalPerNodeSec
-		}
-	}
-	b.ReportMetric(peak, "traffic-peak")
-	b.ReportMetric(trough, "traffic-trough")
-	if r.Requests > 0 {
-		b.ReportMetric(float64(r.OriginFetches)/float64(r.Requests), "origin-fetch-frac")
+		b.Run(e.Name, func(b *testing.B) {
+			var rep experiments.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = e.Run(benchScale); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, h := range rep.Headlines {
+				b.ReportMetric(h.Value, h.Name)
+			}
+		})
 	}
 }

@@ -23,26 +23,10 @@ func main() {
 	pcfg.L = 16
 
 	const n = 24
-	first := topo.Attach(n, sim.Rand())
 	var stores []*mspastry.DHTStore
-	var seed mspastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(first + i)
-		ref := mspastry.NodeRef{ID: mspastry.RandomID(sim.Rand()), Addr: ep.Addr()}
-		node, err := mspastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		ep.Bind(node)
+	net.NewCluster(n, pcfg, 2*time.Second, func(_ int, node *mspastry.Node, ep *mspastry.Endpoint) {
 		stores = append(stores, mspastry.NewDHT(node, ep, mspastry.DefaultDHTConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	log.Printf("DHT of %d nodes up at t=%v (replication factor 3)", n, sim.Now())
 

@@ -24,26 +24,10 @@ func main() {
 	cfg.L = 16
 
 	const n = 48
-	first := topo.Attach(n, sim.Rand())
 	var engines []*mspastry.ScribeEngine
-	var seed mspastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(first + i)
-		ref := mspastry.NodeRef{ID: mspastry.RandomID(sim.Rand()), Addr: ep.Addr()}
-		node, err := mspastry.NewNode(ref, cfg, ep, nil)
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		ep.Bind(node)
-		engines = append(engines, mspastry.NewScribe(node, ep, mspastry.DefaultScribeConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	net.NewCluster(n, cfg, 2*time.Second, func(_ int, node *mspastry.Node, ep *mspastry.Endpoint) {
+		engines = append(engines, mspastry.NewScribe(node, ep))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	log.Printf("overlay of %d nodes up at t=%v", n, sim.Now())
 

@@ -22,28 +22,12 @@ func main() {
 	cfg.L = 16
 
 	const n = 64
-	first := topo.Attach(n, sim.Rand())
-	obs := &observer{}
-
-	var nodes []*mspastry.Node
-	var seed mspastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(first + i)
-		ref := mspastry.NodeRef{ID: mspastry.RandomID(sim.Rand()), Addr: ep.Addr()}
-		node, err := mspastry.NewNode(ref, cfg, ep, obs)
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		ep.Bind(node)
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		nodes = append(nodes, node)
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	// Each node gets an application that records where lookups end up.
+	var last mspastry.NodeRef
+	cluster := net.NewCluster(n, cfg, 2*time.Second, func(_ int, node *mspastry.Node, _ *mspastry.Endpoint) {
+		node.SetApp(rootRecorder{node: node, last: &last})
+	})
+	nodes := cluster.Nodes
 	sim.RunUntil(sim.Now() + time.Minute)
 
 	active := 0
@@ -65,7 +49,7 @@ func main() {
 		}
 		sim.RunUntil(sim.Now() + 2*time.Second)
 		root := trueRoot(nodes, key)
-		if obs.last.ID == root.Ref().ID {
+		if last.ID == root.Ref().ID {
 			correct++
 		}
 		total++
@@ -77,17 +61,18 @@ func main() {
 	fmt.Println("consistent routing verified — no inconsistent deliveries")
 }
 
-type observer struct {
-	last mspastry.NodeRef
+// rootRecorder is the smallest application: it notes which node a lookup
+// was delivered at, that is, which node believed itself the key's root.
+type rootRecorder struct {
+	node *mspastry.Node
+	last *mspastry.NodeRef
 }
 
-func (o *observer) Activated(*mspastry.Node, time.Duration) {}
+func (r rootRecorder) Deliver(*mspastry.Lookup) { *r.last = r.node.Ref() }
 
-func (o *observer) Delivered(n *mspastry.Node, lk *mspastry.Lookup) {
-	o.last = n.Ref()
-}
+func (r rootRecorder) Forward(*mspastry.Lookup) bool { return true }
 
-func (o *observer) LookupDropped(*mspastry.Node, *mspastry.Lookup, mspastry.DropReason) {}
+func (r rootRecorder) Direct(mspastry.NodeRef, []byte) {}
 
 func trueRoot(nodes []*mspastry.Node, key mspastry.ID) *mspastry.Node {
 	best := nodes[0]

@@ -25,42 +25,25 @@ func main() {
 	pcfg.L = 16
 
 	const n = 40
-	first := topo.Attach(n, sim.Rand())
 	var engines []*mspastry.ScribeEngine
-	var seed mspastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(first + i)
-		ref := mspastry.NodeRef{ID: mspastry.RandomID(sim.Rand()), Addr: ep.Addr()}
-		node, err := mspastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		ep.Bind(node)
-		engines = append(engines, mspastry.NewScribe(node, ep, mspastry.DefaultScribeConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	net.NewCluster(n, pcfg, 2*time.Second, func(_ int, node *mspastry.Node, ep *mspastry.Endpoint) {
+		engines = append(engines, mspastry.NewScribe(node, ep))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	log.Printf("overlay of %d nodes up", n)
 
-	sscfg := mspastry.DefaultSplitStreamConfig()
 	const viewers = 24
 	frames := make([]int, n)
 	var channels []*mspastry.SplitStreamChannel
 	for i := 8; i < 8+viewers; i++ {
 		i := i
-		ch := mspastry.JoinSplitStream(engines[i], sscfg, "launch-keynote",
+		ch := mspastry.JoinSplitStream(engines[i], "launch-keynote",
 			func(seq uint64, payload []byte) { frames[i]++ })
 		channels = append(channels, ch)
 	}
 	sim.RunUntil(sim.Now() + 20*time.Second)
 
-	pub := mspastry.NewSplitStreamPublisher(engines[0], sscfg, "launch-keynote")
+	pub := mspastry.NewSplitStreamPublisher(engines[0], "launch-keynote")
 	const totalFrames = 40
 	for f := 0; f < totalFrames; f++ {
 		frame := make([]byte, 1200)

@@ -29,26 +29,10 @@ func main() {
 	})
 
 	const n = 40
-	first := topo.Attach(n, sim.Rand())
 	var proxies []*mspastry.SquirrelProxy
-	var seed mspastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(first + i)
-		ref := mspastry.NodeRef{ID: mspastry.RandomID(sim.Rand()), Addr: ep.Addr()}
-		node, err := mspastry.NewNode(ref, cfg, ep, nil)
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		ep.Bind(node)
-		proxies = append(proxies, mspastry.NewSquirrel(node, origin, mspastry.DefaultSquirrelConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	net.NewCluster(n, cfg, 2*time.Second, func(_ int, node *mspastry.Node, _ *mspastry.Endpoint) {
+		proxies = append(proxies, mspastry.NewSquirrel(node, origin))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	log.Printf("web cache overlay of %d machines up at t=%v", n, sim.Now())
 

@@ -1,4 +1,6 @@
-package dht
+// Package codectest holds the two checks every wire codec in the repo is
+// held to; the pastry, dht, hotspot and store test suites import it.
+package codectest
 
 import (
 	"bytes"
@@ -8,15 +10,12 @@ import (
 	"testing"
 )
 
-// The two checks every wire codec in the repo is held to. This file is
-// the same in pastry, dht, hotspot and store, bar its package clause:
-// test helpers cannot be shared across packages without a non-test one.
-
-// wantFrame checks got against the frame recorded under name in
-// testdata/frames.golden (one "name hex" pair per line) and returns the
-// recorded frame. Recorded frames are never regenerated: wire bytes do
-// not change. A new message has its line added by hand from the failure.
-func wantFrame(t testing.TB, name string, got []byte) []byte {
+// WantFrame checks got against the frame recorded under name in
+// testdata/frames.golden of the calling test's package (one "name hex"
+// pair per line) and returns the recorded frame. Recorded frames are
+// never regenerated: wire bytes do not change. A new message has its line
+// added by hand from the failure.
+func WantFrame(t testing.TB, name string, got []byte) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/frames.golden")
 	if err != nil {
@@ -38,14 +37,14 @@ func wantFrame(t testing.TB, name string, got []byte) []byte {
 	return got
 }
 
-// roundTrip holds one decoder to its encoder on arbitrary input. reencode
+// RoundTrip holds one decoder to its encoder on arbitrary input. reencode
 // decodes data and encodes what it decoded, reporting whether the decoder
 // accepted. Accepted input must re-encode to bytes that are accepted in
 // turn and re-encode to themselves: uvarints and flag bytes admit
 // non-canonical input, so the first image may differ from data, but
 // since encoders are injective the second differs from the first only if
 // decoding lost or changed a value.
-func roundTrip(t testing.TB, data []byte, reencode func([]byte) ([]byte, bool)) {
+func RoundTrip(t testing.TB, data []byte, reencode func([]byte) ([]byte, bool)) {
 	t.Helper()
 	first, ok := reencode(data)
 	if !ok {

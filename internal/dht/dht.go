@@ -40,21 +40,9 @@ type Config struct {
 	SweepInterval time.Duration
 	// RequestTimeout is the end-to-end ack timeout for Put/Get/Delete.
 	RequestTimeout time.Duration
-	// MaxRetries bounds end-to-end retransmissions.
-	MaxRetries int
 	// Backend supplies object storage. nil means a fresh in-memory
 	// backend; live nodes pass a disk-backed store to survive restarts.
 	Backend store.Backend
-	// FullPushSweep reverts sweeps to unconditional full-value replica
-	// pushes instead of Merkle anti-entropy. Kept as the bandwidth
-	// baseline for experiments; production should leave it off.
-	FullPushSweep bool
-	// SyncLoadThreshold defers a sweep when the transport's inbound load
-	// factor (pastry.LoadSampler) is at or above this value: anti-entropy
-	// is deferrable soft-state maintenance, and running it while the node
-	// is already saturated only deepens the overload. Zero disables the
-	// gate; the deferred sweep re-arms at the usual interval.
-	SyncLoadThreshold float64
 	// SecureWrites routes Put and Delete with always-on redundant
 	// diverse-path lookups (pastry.Node.LookupSecure): writes land on
 	// whatever node answers as root, so a misrouted write silently
@@ -79,9 +67,11 @@ func DefaultConfig() Config {
 		ReplicationFactor: 3,
 		SweepInterval:     30 * time.Second,
 		RequestTimeout:    10 * time.Second,
-		MaxRetries:        4,
 	}
 }
+
+// maxRetries bounds end-to-end retransmissions of one operation.
+const maxRetries = 4
 
 // ErrTimeout reports an operation whose retries were exhausted.
 var ErrTimeout = errors.New("dht: request timed out")
@@ -121,15 +111,12 @@ type Counters struct {
 	DeleteOK, DeleteFail        uint64
 	Retries                     uint64
 	// ReplicasPushed counts full-value pushes (write-time replication,
-	// full-push sweeps, accepted handoffs); ReplicasApplied counts
-	// incoming values that actually changed local state.
+	// accepted handoffs); ReplicasApplied counts incoming values that
+	// actually changed local state.
 	ReplicasPushed, ReplicasApplied uint64
 	// Sweeps counts replica responsibility sweeps; SweepHandoffs counts
 	// objects dropped after handing responsibility to the current root.
 	Sweeps, SweepHandoffs uint64
-	// SweepsDeferred counts sweeps skipped because the transport's inbound
-	// load was at or above Config.SyncLoadThreshold.
-	SweepsDeferred uint64
 	// HandoffOffers counts digest-first handoff offers sent.
 	HandoffOffers uint64
 	// SyncRounds counts anti-entropy exchanges started; SyncClean counts
@@ -139,7 +126,8 @@ type Counters struct {
 	// DigestBytes is the wire volume of sync/handoff control traffic
 	// (digests, summaries, pulls); MaintBytes is all maintenance bytes
 	// sent by sweeps — control plus repair values — and is the number the
-	// anti-entropy experiment compares across modes.
+	// anti-entropy experiment holds against the cost of re-pushing every
+	// value every sweep.
 	DigestBytes, MaintBytes uint64
 	// Hotspot path caching. CacheHitsLocal counts Gets answered from
 	// this node's own cache without entering the overlay; CacheHitsRemote
@@ -152,6 +140,39 @@ type Counters struct {
 	CacheHitsLocal, CacheHitsRemote, CacheServes   uint64
 	CacheDeposits, CacheInvalidations, CachePurged uint64
 	CacheStaleRejected                             uint64
+}
+
+// Add accumulates o into c, field by field: how an experiment totals the
+// counters of a cluster's stores.
+func (c *Counters) Add(o Counters) {
+	c.Puts += o.Puts
+	c.Gets += o.Gets
+	c.Deletes += o.Deletes
+	c.PutOK += o.PutOK
+	c.PutFail += o.PutFail
+	c.GetOK += o.GetOK
+	c.GetNotFound += o.GetNotFound
+	c.GetFail += o.GetFail
+	c.DeleteOK += o.DeleteOK
+	c.DeleteFail += o.DeleteFail
+	c.Retries += o.Retries
+	c.ReplicasPushed += o.ReplicasPushed
+	c.ReplicasApplied += o.ReplicasApplied
+	c.Sweeps += o.Sweeps
+	c.SweepHandoffs += o.SweepHandoffs
+	c.HandoffOffers += o.HandoffOffers
+	c.SyncRounds += o.SyncRounds
+	c.SyncClean += o.SyncClean
+	c.SyncKeysRepaired += o.SyncKeysRepaired
+	c.DigestBytes += o.DigestBytes
+	c.MaintBytes += o.MaintBytes
+	c.CacheHitsLocal += o.CacheHitsLocal
+	c.CacheHitsRemote += o.CacheHitsRemote
+	c.CacheServes += o.CacheServes
+	c.CacheDeposits += o.CacheDeposits
+	c.CacheInvalidations += o.CacheInvalidations
+	c.CachePurged += o.CachePurged
+	c.CacheStaleRejected += o.CacheStaleRejected
 }
 
 // Counters returns a snapshot of the store's tallies.
@@ -312,7 +333,7 @@ func (s *Store) opTimeout(reqID uint64) {
 	if !ok {
 		return
 	}
-	if op.retries >= s.cfg.MaxRetries {
+	if op.retries >= maxRetries {
 		s.finish(reqID, nil, ErrTimeout)
 		return
 	}
@@ -531,17 +552,11 @@ func (s *Store) armSweep() {
 
 // sweep re-establishes the replication invariant after churn. For every
 // stored key the node ranks itself against its leaf set: within the
-// replica set (rank < k) it reconciles with the other replicas — by
-// Merkle anti-entropy normally, or by unconditional re-push in
-// FullPushSweep mode (roots only, the pre-anti-entropy behaviour); far
-// outside it (rank ≥ 2k, with hysteresis) it offers the object to the
-// current root and drops its copy once answered.
+// replica set (rank < k) it reconciles with the other replicas by Merkle
+// anti-entropy; far outside it (rank ≥ 2k, with hysteresis) it offers
+// the object to the current root and drops its copy once answered.
 func (s *Store) sweep() {
 	if !s.node.Active() {
-		return
-	}
-	if s.cfg.SyncLoadThreshold > 0 && s.node.LoadFactor() >= s.cfg.SyncLoadThreshold {
-		s.counters.SweepsDeferred++
 		return
 	}
 	s.counters.Sweeps++
@@ -568,10 +583,6 @@ func (s *Store) sweep() {
 		switch {
 		case ro.rank >= 2*k:
 			s.offerHandoff(ro.obj, members)
-		case s.cfg.FullPushSweep:
-			if ro.rank == 0 {
-				s.pushFull(ro.obj)
-			}
 		case ro.rank < k:
 			for _, m := range s.replicaTargets(ro.obj.Key) {
 				groups[m.Addr] = append(groups[m.Addr], ro.obj.Key)
@@ -586,17 +597,6 @@ func (s *Store) sweep() {
 	sort.Strings(addrs)
 	for _, addr := range addrs {
 		s.startSync(targets[addr], groups[addr])
-	}
-}
-
-// pushFull is the FullPushSweep baseline: re-send the whole value to every
-// replica target, divergent or not.
-func (s *Store) pushFull(o store.Object) {
-	payload := encode(&o)
-	for _, m := range s.replicaTargets(o.Key) {
-		s.counters.ReplicasPushed++
-		s.counters.MaintBytes += uint64(len(payload))
-		s.node.SendDirect(m, payload)
 	}
 }
 

@@ -3,6 +3,7 @@ package dht
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,35 +21,25 @@ type simCluster struct {
 	stores []*Store
 }
 
-func newCluster(t *testing.T, n int, seed int64, cfg Config) *simCluster {
-	t.Helper()
+// newNetCluster starts n stores on a fresh seeded network with the given
+// link loss, 5 s apart; the caller settles it.
+func newNetCluster(n int, seed int64, loss float64, cfg Config) *simCluster {
 	sim := eventsim.New(seed)
 	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30}, rand.New(rand.NewSource(seed)))
-	nw := netmodel.New(sim, topo, 0)
-	c := &simCluster{sim: sim, nw: nw}
+	c := &simCluster{sim: sim, nw: netmodel.New(sim, topo, loss)}
 	pcfg := pastry.DefaultConfig()
 	pcfg.L = 8
 	pcfg.PNS = false
-	first := topo.Attach(n, sim.Rand())
-	var seedRef pastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.Bind(node)
+	c.nw.NewCluster(n, pcfg, 5*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
 		c.stores = append(c.stores, New(node, ep, cfg))
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 5*time.Second)
-	}
-	sim.RunUntil(sim.Now() + time.Minute)
+	})
+	return c
+}
+
+func newCluster(t *testing.T, n int, seed int64, cfg Config) *simCluster {
+	t.Helper()
+	c := newNetCluster(n, seed, 0, cfg)
+	c.settle(time.Minute)
 	for i, s := range c.stores {
 		if !s.Node().Active() {
 			t.Fatalf("node %d not active", i)
@@ -202,35 +193,11 @@ func TestSweepRestoresReplicasAfterFailure(t *testing.T) {
 func TestEndToEndRetrySurvivesLoss(t *testing.T) {
 	// 10% link loss: per-hop acks handle most of it, and the end-to-end
 	// retry absorbs lost responses.
-	sim := eventsim.New(7)
-	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30}, rand.New(rand.NewSource(7)))
-	nw := netmodel.New(sim, topo, 0.10)
-	pcfg := pastry.DefaultConfig()
-	pcfg.L = 8
-	pcfg.PNS = false
 	cfg := DefaultConfig()
 	cfg.RequestTimeout = 5 * time.Second
-	var stores []*Store
-	first := topo.Attach(10, sim.Rand())
-	var seedRef pastry.NodeRef
-	for i := 0; i < 10; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.Bind(node)
-		stores = append(stores, New(node, ep, cfg))
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 5*time.Second)
-	}
-	sim.RunUntil(sim.Now() + 2*time.Minute)
+	c := newNetCluster(10, 7, 0.10, cfg)
+	c.settle(2 * time.Minute)
+	sim, stores := c.sim, c.stores
 
 	okPuts := 0
 	for i := 0; i < 30; i++ {
@@ -281,6 +248,22 @@ func TestCodecRejects(t *testing.T) {
 					t.Errorf("%d of %d bytes of a %T accepted as %s", cut, len(frame), m, decoder)
 				}
 			}
+		}
+	}
+}
+
+// TestCountersAddCoversEveryField catches a counter added to the struct
+// but not to Add: every field must double when a value is added to itself.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	c.Add(c)
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Uint(); got != 2*uint64(i+1) {
+			t.Errorf("Add skips %s: %d, want %d", v.Type().Field(i).Name, got, 2*(i+1))
 		}
 	}
 }

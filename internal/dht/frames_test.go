@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -48,7 +49,7 @@ func TestRecordedFrames(t *testing.T) {
 	}
 	kinds := map[byte]bool{}
 	for _, s := range samples {
-		frame := wantFrame(t, s.name, encode(s.msg))
+		frame := codectest.WantFrame(t, s.name, encode(s.msg))
 		kinds[frame[0]] = true
 		// Encoders are injective, so a recorded frame that re-encodes to
 		// itself decoded to the values the sample was built from.

@@ -3,6 +3,7 @@ package dht
 import (
 	"testing"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -44,7 +45,7 @@ func fuzzDecoders(f *testing.F, seeds ...[]byte) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name := range decoders {
-			roundTrip(t, data, reencoder(name))
+			codectest.RoundTrip(t, data, reencoder(name))
 		}
 	})
 }

@@ -10,80 +10,56 @@ import (
 	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
+	"mspastry/internal/store"
 	"mspastry/internal/topology"
 )
 
 // The anti-entropy experiment quantifies the tentpole claim of the
-// storage subsystem: replacing the unconditional full-value sweep push
+// storage subsystem: replacing an unconditional full-value sweep push
 // with Merkle digest reconciliation cuts steady-state maintenance
 // bandwidth by an order of magnitude, because in the common case (the
 // replicas agree) a sweep costs one root-digest exchange per replica
-// pair instead of one value push per object. The experiment runs the
-// same seeded cluster twice — FullPushSweep on and off — with an
-// identical put workload and an identical crash schedule, and compares
-// the maintenance bytes each mode sends over the measurement window.
+// pair instead of one value push per object. The experiment builds a
+// seeded cluster, stores a corpus, crashes a tenth of the nodes and
+// measures the maintenance bytes the sweeps send over that window. The
+// full-push side is not run — the store no longer has that mode — but
+// computed: every sweep, every object's root would send the encoded
+// object to its k-1 replicas, whatever their state.
 //
 // The crash schedule matters: anti-entropy must still move the values a
-// new replica is missing, so churn is where the two modes are closest.
-// The reduction ratio reported is therefore a lower bound on the
+// new replica is missing, so churn is where the two are closest. The
+// reduction ratio reported is therefore a lower bound on the
 // steady-state saving.
 
-// antiEntropySweep is the sweep interval used by both modes. Shorter
-// than the production default so a few minutes of simulated time cover
-// several reconciliation cycles.
+// antiEntropySweep is the sweep interval. Shorter than the production
+// default so a few minutes of simulated time cover several
+// reconciliation cycles.
 const antiEntropySweep = 20 * time.Second
 
-// AntiEntropyRun is the counter delta one mode accumulated across all
-// live nodes during the measurement window.
-type AntiEntropyRun struct {
-	MaintBytes   uint64 // all sweep maintenance traffic (control + values)
-	DigestBytes  uint64 // digest/summary/pull control portion
-	SyncRounds   uint64 // anti-entropy exchanges started
-	SyncClean    uint64 // exchanges where root digests matched
-	KeysRepaired uint64 // divergent objects shipped as repairs
-	FullPushes   uint64 // unconditional full-value pushes
+// antiEntropyResult is what the sweeps of all nodes sent during the
+// measurement window, next to what full pushes would have.
+type antiEntropyResult struct {
+	window time.Duration
+	// sent is the counter delta over the window: MaintBytes is all sweep
+	// maintenance traffic (control + values), DigestBytes its
+	// digest/summary/pull control portion.
+	sent dht.Counters
+	// fullPushBytes and fullPushes are the closed-form baseline: corpus
+	// wire bytes × (k−1) × sweeps in the window.
+	fullPushBytes, fullPushes uint64
 }
 
-// AntiEntropyResult holds both modes plus the workload shape.
-type AntiEntropyResult struct {
-	Nodes, Objects int
-	Window         time.Duration
-	Baseline       AntiEntropyRun // FullPushSweep = true
-	AntiEntropy    AntiEntropyRun // Merkle reconciliation
-}
-
-// Reduction is baseline maintenance bytes over anti-entropy maintenance
+// reduction is baseline maintenance bytes over anti-entropy maintenance
 // bytes — the headline ratio (higher is better; the acceptance bar for
-// this subsystem is >= 5x under churn).
-func (r AntiEntropyResult) Reduction() float64 {
-	if r.AntiEntropy.MaintBytes == 0 {
-		return 0
-	}
-	return float64(r.Baseline.MaintBytes) / float64(r.AntiEntropy.MaintBytes)
-}
-
-// AntiEntropy runs the comparison. nodes/objects default to the bench
-// shape (100 nodes, 1,000 objects) when zero; the test suite passes a
-// reduced shape. Only s.Seed is taken from the scale: the experiment
-// drives its own cluster because the harness has no application layer.
-func AntiEntropy(s Scale, nodes, objects int) AntiEntropyResult {
-	if nodes == 0 {
-		nodes = 100
-	}
-	if objects == 0 {
-		objects = 1000
-	}
-	res := AntiEntropyResult{Nodes: nodes, Objects: objects}
-	res.Baseline, res.Window = antiEntropyRun(s.Seed, nodes, objects, true)
-	res.AntiEntropy, _ = antiEntropyRun(s.Seed, nodes, objects, false)
-	return res
+// the subsystem is >= 5x under churn).
+func (r antiEntropyResult) reduction() float64 {
+	return ratio(float64(r.fullPushBytes), float64(r.sent.MaintBytes))
 }
 
 // antiEntropyRun builds a seeded cluster, stores the objects, then
-// measures the maintenance-byte delta over a churn window in the given
-// sweep mode. Both modes see byte-identical workloads and crash the
-// same nodes at the same times.
-func antiEntropyRun(seed int64, nodes, objects int, fullPush bool) (AntiEntropyRun, time.Duration) {
+// measures the maintenance-byte delta over a churn window. It drives its
+// own cluster because the harness has no application layer.
+func antiEntropyRun(seed int64, nodes, objects int) antiEntropyResult {
 	sim := eventsim.New(seed)
 	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30}, rand.New(rand.NewSource(seed)))
 	nw := netmodel.New(sim, topo, 0)
@@ -93,36 +69,17 @@ func antiEntropyRun(seed int64, nodes, objects int, fullPush bool) (AntiEntropyR
 	pcfg.PNS = false
 	dcfg := dht.DefaultConfig()
 	dcfg.SweepInterval = antiEntropySweep
-	dcfg.FullPushSweep = fullPush
 
-	first := topo.Attach(nodes, sim.Rand())
 	stores := make([]*dht.Store, 0, nodes)
-	eps := make([]*netmodel.Endpoint, 0, nodes)
-	var seedRef pastry.NodeRef
-	for i := 0; i < nodes; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			panic(err)
-		}
-		ep.Bind(node)
+	eps := nw.NewCluster(nodes, pcfg, 2*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
 		stores = append(stores, dht.New(node, ep, dcfg))
-		eps = append(eps, ep)
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	}).Eps
 	sim.RunUntil(sim.Now() + time.Minute)
 
 	// Store the corpus from rotating writers; the 64-byte payload is the
-	// PAST-style document body whose repeated re-push the baseline pays
-	// for. Batched puts with short settles keep simulated time (and
-	// therefore sweep count) identical across modes.
+	// PAST-style document body whose repeated re-push a full-push sweep
+	// pays for. Batched puts with short settles keep simulated time (and
+	// therefore sweep count) independent of the store's internals.
 	payload := make([]byte, 64)
 	for i := 0; i < objects; i++ {
 		key := id.FromKey(fmt.Sprintf("ae-object-%d", i))
@@ -137,12 +94,13 @@ func antiEntropyRun(seed int64, nodes, objects int, fullPush bool) (AntiEntropyR
 	sim.RunUntil(sim.Now() + time.Minute + 2*antiEntropySweep)
 
 	before := sumCounters(stores)
+	corpusBytes := replicateBytes(stores)
 	start := sim.Now()
 
 	// Churn: crash 10% of the population (at least one node), spread one
 	// sweep interval apart, then leave three quiet sweeps at the end so
 	// repair traffic lands inside the window.
-	crashes := maxInt(1, nodes/10)
+	crashes := max(1, nodes/10)
 	victim := 1 // never the seed node; deterministic stride across the ring
 	for i := 0; i < crashes; i++ {
 		victim = (victim + 7) % nodes
@@ -154,57 +112,73 @@ func antiEntropyRun(seed int64, nodes, objects int, fullPush bool) (AntiEntropyR
 	}
 	sim.RunUntil(sim.Now() + 3*antiEntropySweep)
 
-	delta := sumCounters(stores)
-	window := sim.Now() - start
-	return AntiEntropyRun{
-		MaintBytes:   delta.MaintBytes - before.MaintBytes,
-		DigestBytes:  delta.DigestBytes - before.DigestBytes,
-		SyncRounds:   delta.SyncRounds - before.SyncRounds,
-		SyncClean:    delta.SyncClean - before.SyncClean,
-		KeysRepaired: delta.SyncKeysRepaired - before.SyncKeysRepaired,
-		FullPushes:   delta.ReplicasPushed - before.ReplicasPushed,
-	}, window
+	after := sumCounters(stores)
+	res := antiEntropyResult{window: sim.Now() - start}
+	res.sent.MaintBytes = after.MaintBytes - before.MaintBytes
+	res.sent.DigestBytes = after.DigestBytes - before.DigestBytes
+	res.sent.SyncRounds = after.SyncRounds - before.SyncRounds
+	res.sent.SyncClean = after.SyncClean - before.SyncClean
+	res.sent.SyncKeysRepaired = after.SyncKeysRepaired - before.SyncKeysRepaired
+	res.sent.ReplicasPushed = after.ReplicasPushed - before.ReplicasPushed
+	pushesPerObject := uint64(dcfg.ReplicationFactor-1) * uint64(res.window/antiEntropySweep)
+	res.fullPushes = uint64(objects) * pushesPerObject
+	res.fullPushBytes = corpusBytes * pushesPerObject
+	return res
 }
 
-// sumCounters totals the sweep-relevant counters across all stores.
-// Crashed nodes are included: their counters freeze at the crash (the
-// sweep checks Alive and the network stops delivery), so the frozen
-// value cancels out of any before/after delta. Skipping them would make
-// the delta underflow instead.
+// sumCounters totals the counters of all stores. Crashed nodes are
+// included: their counters freeze at the crash (the sweep checks Alive
+// and the network stops delivery), so the frozen value cancels out of any
+// before/after delta. Skipping them would make the delta underflow
+// instead.
 func sumCounters(stores []*dht.Store) dht.Counters {
 	var sum dht.Counters
 	for _, s := range stores {
-		c := s.Counters()
-		sum.MaintBytes += c.MaintBytes
-		sum.DigestBytes += c.DigestBytes
-		sum.SyncRounds += c.SyncRounds
-		sum.SyncClean += c.SyncClean
-		sum.SyncKeysRepaired += c.SyncKeysRepaired
-		sum.ReplicasPushed += c.ReplicasPushed
+		sum.Add(s.Counters())
 	}
 	return sum
 }
 
-// AntiEntropyCols returns the column set for Rows.
-func AntiEntropyCols() []string {
-	return []string{"maintKB", "digestKB", "rounds", "clean", "repaired", "pushes", "reduction"}
+// replicateBytes is the wire size of one replica push of every distinct
+// stored object: a kind byte plus the object's encoding.
+func replicateBytes(stores []*dht.Store) uint64 {
+	seen := make(map[id.ID]bool)
+	var total uint64
+	for _, s := range stores {
+		s.Backend().Range(func(o store.Object) bool {
+			if !seen[o.Key] {
+				seen[o.Key] = true
+				total += 1 + uint64(len(store.EncodeObject(nil, o)))
+			}
+			return true
+		})
+	}
+	return total
 }
 
-// Rows renders one row per mode; the reduction ratio rides on the
-// anti-entropy row.
-func (r AntiEntropyResult) Rows() []Row {
-	row := func(label string, run AntiEntropyRun) Row {
-		return Row{Label: label, Values: map[string]float64{
-			"maintKB":  float64(run.MaintBytes) / 1024,
-			"digestKB": float64(run.DigestBytes) / 1024,
-			"rounds":   float64(run.SyncRounds),
-			"clean":    float64(run.SyncClean),
-			"repaired": float64(run.KeysRepaired),
-			"pushes":   float64(run.FullPushes),
-		}}
+// antiEntropy takes only the seed from the scale: 100 nodes and 1,000
+// objects run in under a second.
+func antiEntropy(s Scale) (Report, error) {
+	const nodes, objects = 100, 1000
+	r := antiEntropyRun(s.Seed, nodes, objects)
+	t := Table{
+		Title: fmt.Sprintf("Anti-entropy vs full-push sweep maintenance (%d nodes, %d objects, %v window)",
+			nodes, objects, r.window.Round(time.Second)),
+		Cols: []string{"maintKB", "digestKB", "rounds", "clean", "repaired", "pushes"},
+		Rows: []Row{
+			{Label: "full-push (closed form)", Values: map[string]float64{
+				"maintKB": float64(r.fullPushBytes) / 1024,
+				"pushes":  float64(r.fullPushes),
+			}},
+			{Label: "anti-entropy", Values: map[string]float64{
+				"maintKB":  float64(r.sent.MaintBytes) / 1024,
+				"digestKB": float64(r.sent.DigestBytes) / 1024,
+				"rounds":   float64(r.sent.SyncRounds),
+				"clean":    float64(r.sent.SyncClean),
+				"repaired": float64(r.sent.SyncKeysRepaired),
+				"pushes":   float64(r.sent.ReplicasPushed),
+			}},
+		},
 	}
-	base := row("full-push", r.Baseline)
-	sync := row("anti-entropy", r.AntiEntropy)
-	sync.Values["reduction"] = r.Reduction()
-	return []Row{base, sync}
+	return Report{Tables: []Table{t}, Headlines: []Headline{{"reduction", r.reduction()}}}, nil
 }

@@ -20,16 +20,16 @@ func TestBatchingReducesControlDatagrams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated A/B run")
 	}
-	s := Quick()
+	s := quick()
 	s.PoissonNodes = 60
 	s.PoissonDuration = 30 * time.Minute
 	s.MaxDuration = 30 * time.Minute
 	s.SetupRamp = 2 * time.Minute
 
-	r := Batching(s, 30*time.Millisecond, 2500*time.Millisecond)
-	off, on := r.Off.Totals, r.On.Totals
+	res := batchingRuns(s)
+	off, on := res[0].Totals, res[1].Totals
 
-	if got := r.ControlDatagramReduction(); got < 0.25 {
+	if got := controlDatagramReduction(off, on); got < 0.25 {
 		t.Errorf("coalescing removed only %.1f%% of control datagrams, want >= 25%%\noff=%.3f/n/s on=%.3f/n/s",
 			got*100, off.ControlDatagramsPerNodeSec, on.ControlDatagramsPerNodeSec)
 	}

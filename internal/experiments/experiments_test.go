@@ -21,24 +21,77 @@ func tiny() Scale {
 	}
 }
 
+// run executes the named registry entry.
+func run(t *testing.T, name string, s Scale) Report {
+	t.Helper()
+	for _, e := range All {
+		if e.Name == name {
+			rep, err := e.Run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return rep
+		}
+	}
+	t.Fatalf("no experiment %q in the registry", name)
+	return Report{}
+}
+
+// headline returns the named headline number of a report.
+func headline(t *testing.T, rep Report, name string) float64 {
+	t.Helper()
+	for _, h := range rep.Headlines {
+		if h.Name == name {
+			return h.Value
+		}
+	}
+	t.Fatalf("report has no headline %q", name)
+	return 0
+}
+
+// cell returns one value of a report's first table.
+func cell(t *testing.T, rep Report, label, col string) float64 {
+	t.Helper()
+	for _, r := range rep.Tables[0].Rows {
+		if v, ok := r.Values[col]; ok && r.Label == label {
+			return v
+		}
+	}
+	t.Fatalf("first table has no %q in row %q", col, label)
+	return 0
+}
+
+// quick is the scale the longer acceptance tests start from: a couple of
+// hundred nodes, about an hour of simulated time per run.
+func quick() Scale {
+	return Scale{
+		TopoDiv:         8,
+		TraceDiv:        16,
+		MaxDuration:     90 * time.Minute,
+		PoissonNodes:    200,
+		PoissonDuration: time.Hour,
+		SetupRamp:       5 * time.Minute,
+		Seed:            1,
+	}
+}
+
 func TestFig3Shapes(t *testing.T) {
-	r := Fig3FailureRates(tiny())
+	r := run(t, "fig3", tiny())
 	// Microsoft's failure rate is an order of magnitude below Gnutella's.
-	gn, ms := r.MeanRate("gnutella"), r.MeanRate("microsoft")
+	gn, ms := headline(t, r, "gnutella-failrate"), headline(t, r, "microsoft-failrate")
 	if gn < 5*ms {
 		t.Fatalf("gnutella %.3g not well above microsoft %.3g", gn, ms)
 	}
-	if len(r.Rows()) != 3 {
+	if len(r.Tables[0].Rows) != 3 {
 		t.Fatal("missing trace rows")
 	}
 }
 
 func TestAblationShape(t *testing.T) {
-	s := tiny()
-	r := AblationProbingAcks(s)
-	neither := r.Results["neither"].Totals.LossRate
-	both := r.Results["both"].Totals.LossRate
-	acks := r.Results["acks-only"].Totals.LossRate
+	r := run(t, "ablation", tiny())
+	neither := headline(t, r, "loss-neither")
+	both := headline(t, r, "loss-both")
+	acks := headline(t, r, "loss-acks")
 	t.Logf("loss: neither=%.3g acks=%.3g both=%.3g", neither, acks, both)
 	// The paper's headline: without both mechanisms a large fraction of
 	// lookups is lost; with per-hop acks loss collapses.
@@ -54,11 +107,9 @@ func TestAblationShape(t *testing.T) {
 }
 
 func TestSelfTuningTracksTarget(t *testing.T) {
-	s := tiny()
-	// Faster churn makes the raw loss measurable in a short run.
-	r := SelfTuning(s)
-	l5 := r.Results[0.05].Totals.LossRate
-	l1 := r.Results[0.01].Totals.LossRate
+	r := run(t, "selftune", tiny())
+	l5 := headline(t, r, "rawloss-at-5%")
+	l1 := headline(t, r, "rawloss-at-1%")
 	t.Logf("raw loss at 5%% target: %.3g; at 1%% target: %.3g", l5, l1)
 	// Tighter target must yield lower raw loss; the 5% target should land
 	// within a small factor of 5% (paper measured 5.3%).
@@ -68,16 +119,16 @@ func TestSelfTuningTracksTarget(t *testing.T) {
 	if l5 > 0.15 {
 		t.Fatalf("raw loss %.3g far above the 5%% target", l5)
 	}
-	c5 := r.Results[0.05].Totals.ControlPerNodeSec
-	c1 := r.Results[0.01].Totals.ControlPerNodeSec
+	c5 := cell(t, r, "targetLr=5%", "ctrl")
+	c1 := cell(t, r, "targetLr=1%", "ctrl")
 	if c1 <= c5 {
 		t.Fatalf("tighter target should cost more control traffic: %.3g vs %.3g", c1, c5)
 	}
 }
 
 func TestSuppressionGrowsWithTraffic(t *testing.T) {
-	r := Suppression(tiny())
-	idle, busy := r.SuppressedFraction[0], r.SuppressedFraction[1]
+	r := run(t, "suppression", tiny())
+	idle, busy := headline(t, r, "suppressed-idle"), headline(t, r, "suppressed-1lookup/s")
 	t.Logf("suppressed fraction: idle=%.2f busy=%.2f", idle, busy)
 	if busy <= idle {
 		t.Fatalf("suppression did not grow with lookup traffic: %.2f vs %.2f", busy, idle)
@@ -89,9 +140,9 @@ func TestSuppressionGrowsWithTraffic(t *testing.T) {
 }
 
 func TestStructuredHeartbeatsCheaper(t *testing.T) {
-	r := HeartbeatAblation(tiny())
-	st := r.Structured.Totals.ControlPerNodeSec
-	ap := r.AllPairs.Totals.ControlPerNodeSec
+	r := run(t, "heartbeat", tiny())
+	st := headline(t, r, "ctrl-structured")
+	ap := headline(t, r, "ctrl-allpairs")
 	t.Logf("control: structured=%.3f all-pairs=%.3f", st, ap)
 	if st >= ap {
 		t.Fatalf("structured heartbeats (%.3f) not cheaper than all-pairs (%.3f)", st, ap)
@@ -99,6 +150,9 @@ func TestStructuredHeartbeatsCheaper(t *testing.T) {
 }
 
 func TestSessionTimeControlShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 40-minute Poisson churn runs")
+	}
 	// Shorter sessions (more churn) must cost more control traffic
 	// (Figure 5 centre). Compare two points to keep the test fast.
 	s := tiny()
@@ -138,24 +192,24 @@ func TestNetworkLossShape(t *testing.T) {
 }
 
 func TestFig8WeekPattern(t *testing.T) {
-	cfg := DefaultFig8Config()
-	cfg.Days = 2
-	cfg.Machines = 30
-	r := Fig8Squirrel(cfg)
-	if r.Requests == 0 {
+	if testing.Short() {
+		t.Skip("two simulated days of Squirrel replay")
+	}
+	r := squirrelReplay(1, 30, 2)
+	if r.requests == 0 {
 		t.Fatal("no web requests replayed")
 	}
 	// Daytime windows must carry clearly more traffic than night windows.
 	var day, night float64
 	var dayN, nightN int
-	for _, w := range r.Windows {
-		hour := w.Start.Hours() - float64(int(w.Start.Hours())/24*24)
+	for _, w := range r.windows {
+		hour := w.start.Hours() - float64(int(w.start.Hours())/24*24)
 		switch {
 		case hour >= 10 && hour < 16:
-			day += w.TotalPerNodeSec
+			day += w.totalPerNodeSec
 			dayN++
 		case hour >= 0 && hour < 6:
-			night += w.TotalPerNodeSec
+			night += w.totalPerNodeSec
 			nightN++
 		}
 	}
@@ -169,16 +223,18 @@ func TestFig8WeekPattern(t *testing.T) {
 		t.Fatal("no daily traffic pattern in the Squirrel replay")
 	}
 	// The cache must dedupe: origin fetches well below requests.
-	if r.OriginFetches*2 > r.Requests {
-		t.Fatalf("cache ineffective: %d fetches for %d requests", r.OriginFetches, r.Requests)
+	if r.originFetches*2 > r.requests {
+		t.Fatalf("cache ineffective: %d fetches for %d requests", r.originFetches, r.requests)
 	}
 }
 
 func TestFig5JoinLatencyRegime(t *testing.T) {
-	s := tiny()
-	r := Fig5JoinLatency(s)
-	p50 := r.Percentile(30*time.Minute, 0.5)
-	p99 := r.Percentile(30*time.Minute, 0.99)
+	if testing.Short() {
+		t.Skip("two 40-minute Poisson churn runs")
+	}
+	r := run(t, "fig5join", tiny())
+	p50 := time.Duration(cell(t, r, "session=30m", "p50sec") * float64(time.Second))
+	p99 := time.Duration(cell(t, r, "session=30m", "p99sec") * float64(time.Second))
 	t.Logf("join latency: p50=%v p99=%v", p50, p99)
 	// Paper Figure 5 right: joins complete within tens of seconds.
 	if p50 <= 0 || p50 > 40*time.Second {
@@ -193,12 +249,13 @@ func TestFig8ValidationAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live UDP validation")
 	}
-	r, err := Fig8Validation(6, 8*time.Second, 3)
+	sim, live, err := squirrelValidation(6, 8*time.Second, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sim=%d live=%d ratio=%.2f", r.SimMessages, r.LiveMessages, r.Ratio())
-	if r.Ratio() < 0.6 || r.Ratio() > 1.6 {
-		t.Fatalf("simulator and deployment disagree: ratio %.2f", r.Ratio())
+	agreement := ratio(float64(live), float64(sim))
+	t.Logf("sim=%d live=%d ratio=%.2f", sim, live, agreement)
+	if agreement < 0.6 || agreement > 1.6 {
+		t.Fatalf("simulator and deployment disagree: ratio %.2f", agreement)
 	}
 }

@@ -1,39 +1,21 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"mspastry/internal/harness"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/stats"
-	"mspastry/internal/trace"
 )
 
-// stableTrace returns a churn-free trace — n nodes active for the whole
-// run — so fault-injection effects are not confounded with churn.
-func stableTrace(n int, d time.Duration) *trace.Trace {
-	tr := &trace.Trace{Name: "stable", Duration: d, Nodes: n}
-	for i := 0; i < n; i++ {
-		tr.Initial = append(tr.Initial, i)
-	}
-	return tr
-}
-
-// PartitionHealResult measures dependability across a network partition:
-// the overlay is split 50/50 for PartitionFor, then the partition heals
-// and the harness tracks how long the ring takes to repair. Lookups are
-// bucketed into before/during/after phases so consistency can be judged
-// per phase — the paper's dependability claim translates to zero
-// incorrect deliveries once the overlay has repaired.
-type PartitionHealResult struct {
-	PartitionFor time.Duration
-	Result       harness.Result
-	// Recovery is the heal-to-repair record for the partition.
-	Recovery stats.RecoveryStat
-}
-
+// The partition experiment measures dependability across a network
+// partition: a stable overlay is split 50/50 for partitionFor, then the
+// partition heals and the harness tracks how long the ring takes to
+// repair. Lookups are bucketed into before/during/after phases so
+// consistency can be judged per phase — the paper's dependability claim
+// translates to zero incorrect deliveries once the overlay has repaired.
+//
 // partitionWarm is how long the overlay runs undisturbed before the
 // split; partitionTail leaves room for repair and post-heal measurement.
 // Re-merge rides on the few cross-partition links that survive the
@@ -43,75 +25,56 @@ type PartitionHealResult struct {
 // completely and the split is permanent, which the harness reports as
 // repaired=false with the "during" phase extending to the end of the run.
 const (
+	partitionFor  = 90 * time.Second
 	partitionWarm = 5 * time.Minute
 	partitionTail = 15 * time.Minute
 )
 
-// PartitionHeal splits a stable overlay 50/50 for partitionFor, heals it,
-// and measures per-phase lookup consistency plus time-to-repair.
-func PartitionHeal(s Scale, partitionFor time.Duration) PartitionHealResult {
-	tr := stableTrace(s.PoissonNodes, partitionWarm+partitionFor+partitionTail)
-	cfg := s.baseConfig("corpnet", tr)
+// partitionRun splits a stable overlay 50/50 for d and heals it.
+func partitionRun(s Scale, d time.Duration) harness.Result {
+	cfg := s.baseConfig("corpnet", stableTrace("stable", s.PoissonNodes, partitionWarm+d+partitionTail))
 	cfg.LookupRate = 0.05
-	cfg.Faults = new(harness.FaultScript).Partition(partitionWarm, partitionFor, 0.5)
-	res := harness.Run(cfg)
-	out := PartitionHealResult{PartitionFor: partitionFor, Result: res}
+	cfg.Faults = new(harness.FaultScript).Partition(partitionWarm, d, 0.5)
+	return harness.Run(cfg)
+}
+
+func partitionHeal(s Scale) (Report, error) {
+	res := partitionRun(s, partitionFor)
+	var rec stats.RecoveryStat // the heal-to-repair record of the one partition
 	if len(res.Recovery) > 0 {
-		out.Recovery = res.Recovery[0]
+		rec = res.Recovery[0]
 	}
-	return out
-}
-
-// PhaseCols returns the column set for per-phase rows.
-func PhaseCols() []string {
-	return []string{"issued", "delivered", "incorrect", "lost", "incRate", "lossRate"}
-}
-
-func phaseRow(label string, p stats.PhaseCount) Row {
-	return Row{Label: label, Values: map[string]float64{
-		"issued":    float64(p.Issued),
-		"delivered": float64(p.Delivered),
-		"incorrect": float64(p.Incorrect),
-		"lost":      float64(p.Lost),
-		"incRate":   p.IncorrectRate(),
-		"lossRate":  p.LossRate(),
-	}}
-}
-
-// Rows renders the three phases plus a recovery summary row.
-func (r PartitionHealResult) Rows() []Row {
-	ph := r.Result.Phases
-	repaired := 0.0
-	if r.Recovery.Repaired {
-		repaired = 1
+	t := Table{Cols: []string{"issued", "delivered", "incorrect", "lost", "incRate", "lossRate"}}
+	phases := []stats.PhaseCount{res.Phases.Before, res.Phases.During, res.Phases.After}
+	for i, label := range []string{"before", "during-partition", "after-heal"} {
+		p := phases[i]
+		t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{
+			"issued":    float64(p.Issued),
+			"delivered": float64(p.Delivered),
+			"incorrect": float64(p.Incorrect),
+			"lost":      float64(p.Lost),
+			"incRate":   p.IncorrectRate(),
+			"lossRate":  p.LossRate(),
+		}})
 	}
-	return []Row{
-		phaseRow("before", ph.Before),
-		phaseRow("during-partition", ph.During),
-		phaseRow("after-heal", ph.After),
-		{Label: "recovery", Values: map[string]float64{
-			"issued":    repaired,
-			"delivered": r.Recovery.TimeToRepair().Seconds(),
-			"incorrect": float64(r.Result.DropsByCause[netmodel.DropPartition]),
-		}},
-	}
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		{"repaired", flag01(rec.Repaired)},
+		{"time-to-repair-sec", rec.TimeToRepair().Seconds()},
+		{"partition-drops", float64(res.DropsByCause[netmodel.DropPartition])},
+		{"incorrect-during", res.Phases.During.IncorrectRate()},
+		{"incorrect-after", res.Phases.After.IncorrectRate()},
+	}}, nil
 }
 
-// JitterFPResult reproduces the delay-spike false-positive sweep: delay
-// spikes larger than the per-hop retransmission timeout make live nodes
-// look dead, and without the §3.2 hold-on-suspect rule the lookup is
-// delivered at the next-best node — incorrectly. With the rule, delivery
-// is held until the suspicion resolves, keeping incorrect deliveries
-// orders of magnitude below the naive variant at the cost of latency.
-type JitterFPResult struct {
-	Spikes []time.Duration
-	// Hold and Naive map spike magnitude to the run with and without the
-	// hold-on-suspect rule.
-	Hold, Naive map[time.Duration]harness.Result
-}
-
-// jitterFPScript covers the measurement period with periodic spike
-// windows: spikeOn out of every spikePeriod, starting after a warm-up.
+// The delay-spike sweep: spikes larger than the per-hop retransmission
+// timeout make live nodes look dead, and without the §3.2 hold-on-suspect
+// rule the lookup is delivered at the next-best node — incorrectly. With
+// the rule, delivery is held until the suspicion resolves, keeping
+// incorrect deliveries orders of magnitude below the naive variant at the
+// cost of latency.
+//
+// The script covers the measurement period with periodic spike windows:
+// jitterSpikeOn out of every jitterPeriod, starting after a warm-up.
 const (
 	jitterFPWarm  = 2 * time.Minute
 	jitterFPRun   = 28 * time.Minute
@@ -119,60 +82,40 @@ const (
 	jitterPeriod  = 90 * time.Second
 )
 
-func jitterFPScript(spike time.Duration) *harness.FaultScript {
-	s := new(harness.FaultScript)
-	for at := jitterFPWarm; at+jitterSpikeOn <= jitterFPRun-time.Minute; at += jitterPeriod {
-		s.DelaySpike(at, jitterSpikeOn, spike)
-	}
-	return s
-}
+var jitterSpikes = []time.Duration{100 * time.Millisecond, 300 * time.Millisecond, time.Second}
 
-// jitterFPNodes caps the sweep's population: the hold-on-suspect
-// retransmission storm during a spike grows superlinearly with the
-// population, and the false-positive mechanism under test is per-hop, not
-// population-dependent, so a few dozen nodes reproduce the shape at a
-// tiny fraction of the cost.
-func jitterFPNodes(s Scale) int {
-	n := s.PoissonNodes / 2
-	if n > 48 {
-		n = 48
+// jitterRuns runs one spike magnitude twice: with the hold-on-suspect
+// rule (the paper's consistency mechanism) and with naive immediate
+// delivery.
+func jitterRuns(s Scale, spike time.Duration) (hold, naive harness.Result) {
+	// The population is capped: the hold-on-suspect retransmission storm
+	// during a spike grows superlinearly with the population, and the
+	// false-positive mechanism under test is per-hop, not
+	// population-dependent, so a few dozen nodes reproduce the shape at a
+	// tiny fraction of the cost.
+	nodes := s.PoissonNodes / 2
+	if nodes > 48 {
+		nodes = 48
 	}
-	return maxInt(16, n)
-}
-
-// JitterFalsePositives sweeps delay-spike magnitudes, running each twice:
-// with the hold-on-suspect rule (the paper's consistency mechanism) and
-// with naive immediate delivery.
-func JitterFalsePositives(s Scale, spikes []time.Duration) JitterFPResult {
-	if len(spikes) == 0 {
-		spikes = []time.Duration{100 * time.Millisecond, 300 * time.Millisecond, time.Second}
-	}
-	out := JitterFPResult{
-		Spikes: spikes,
-		Hold:   make(map[time.Duration]harness.Result),
-		Naive:  make(map[time.Duration]harness.Result),
-	}
-	for _, spike := range spikes {
-		run := func(hold bool) harness.Result {
-			tr := stableTrace(jitterFPNodes(s), jitterFPRun)
-			cfg := s.baseConfig("corpnet", tr)
+	nodes = max(16, nodes)
+	res := sweep(2, s.base("corpnet", stableTrace("stable", nodes, jitterFPRun)),
+		func(i int, cfg *harness.Config) {
 			cfg.LookupRate = 0.2
-			cfg.Pastry.HoldOnSuspect = hold
-			cfg.Faults = jitterFPScript(spike)
-			return harness.Run(cfg)
-		}
-		out.Hold[spike] = run(true)
-		out.Naive[spike] = run(false)
-	}
-	return out
+			cfg.Pastry.HoldOnSuspect = i == 0
+			script := new(harness.FaultScript)
+			for at := jitterFPWarm; at+jitterSpikeOn <= jitterFPRun-time.Minute; at += jitterPeriod {
+				script.DelaySpike(at, jitterSpikeOn, spike)
+			}
+			cfg.Faults = script
+		})
+	return res[0], res[1]
 }
 
-// GapOrders returns log10 of the naive incorrect-delivery rate over the
-// hold-on-suspect rate at the given spike. When the hold variant observed
-// no incorrect delivery at all, its rate is floored at the measurement
-// resolution (one incorrect lookup), so the gap is a lower bound.
-func (r JitterFPResult) GapOrders(spike time.Duration) float64 {
-	hold, naive := r.Hold[spike], r.Naive[spike]
+// gapOrders returns log10 of the naive incorrect-delivery rate over the
+// hold-on-suspect rate. When the hold variant observed no incorrect
+// delivery at all, its rate is floored at the measurement resolution (one
+// incorrect lookup), so the gap is a lower bound.
+func gapOrders(hold, naive harness.Result) float64 {
 	nRate := naive.Totals.IncorrectRate
 	hRate := hold.Totals.IncorrectRate
 	if hRate == 0 && hold.Totals.Issued > 0 {
@@ -184,17 +127,28 @@ func (r JitterFPResult) GapOrders(spike time.Duration) float64 {
 	return math.Log10(nRate / hRate)
 }
 
-// Rows renders the sweep: one row per spike and variant, with the gap (in
-// orders of magnitude) attached to the naive row.
-func (r JitterFPResult) Rows() []Row {
-	var rows []Row
-	for _, spike := range r.Spikes {
-		hold := totalsRow(fmt.Sprintf("spike=%v/hold", spike), r.Hold[spike])
-		naive := totalsRow(fmt.Sprintf("spike=%v/naive", spike), r.Naive[spike])
-		naive.Values["gapOrders"] = r.GapOrders(spike)
-		hold.Values["retxPeak"] = r.Hold[spike].Totals.PeakRetxPerNodeSec
-		naive.Values["retxPeak"] = r.Naive[spike].Totals.PeakRetxPerNodeSec
-		rows = append(rows, hold, naive)
+// jitterFalsePositives sweeps the spike magnitudes: one row per spike and
+// variant, with the gap (in orders of magnitude) on the naive row. The
+// headlines are those of the largest spike.
+func jitterFalsePositives(s Scale) (Report, error) {
+	var labels []string
+	var res []harness.Result
+	var gaps []float64
+	for _, spike := range jitterSpikes {
+		hold, naive := jitterRuns(s, spike)
+		labels = append(labels, "spike="+spike.String()+"/hold", "spike="+spike.String()+"/naive")
+		res = append(res, hold, naive)
+		gaps = append(gaps, 0, gapOrders(hold, naive))
 	}
-	return rows
+	t := totalsTable(labels, res, "retxPeak", "gapOrders")
+	for i, r := range res {
+		t.Rows[i].Values["retxPeak"] = r.Totals.PeakRetxPerNodeSec
+		t.Rows[i].Values["gapOrders"] = gaps[i]
+	}
+	last := len(res) - 2
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		{"incorrect-hold", res[last].Totals.IncorrectRate},
+		{"incorrect-naive", res[last+1].Totals.IncorrectRate},
+		{"gap-orders", gaps[last+1]},
+	}}, nil
 }

@@ -7,17 +7,16 @@ import (
 )
 
 func TestPartitionHealShape(t *testing.T) {
-	s := tiny()
-	r := PartitionHeal(s, 90*time.Second)
-	if !r.Recovery.Repaired {
+	r := partitionRun(tiny(), partitionFor)
+	if len(r.Recovery) != 1 || !r.Recovery[0].Repaired {
 		t.Fatal("overlay did not repair after the partition healed")
 	}
-	if ttr := r.Recovery.TimeToRepair(); ttr <= 0 || ttr > partitionTail {
+	ttr := r.Recovery[0].TimeToRepair()
+	if ttr <= 0 || ttr > partitionTail {
 		t.Fatalf("time-to-repair = %v, want finite and within the tail", ttr)
 	}
-	ph := r.Result.Phases
-	t.Logf("phases: before=%+v during=%+v after=%+v ttr=%v",
-		ph.Before, ph.During, ph.After, r.Recovery.TimeToRepair())
+	ph := r.Phases
+	t.Logf("phases: before=%+v during=%+v after=%+v ttr=%v", ph.Before, ph.During, ph.After, ttr)
 	if ph.During.Issued == 0 || ph.After.Issued == 0 {
 		t.Fatalf("phase accounting incomplete: %+v", ph)
 	}
@@ -35,14 +34,10 @@ func TestPartitionHealShape(t *testing.T) {
 }
 
 func TestPartitionHealDeterministic(t *testing.T) {
-	s := tiny()
-	a := PartitionHeal(s, time.Minute)
-	b := PartitionHeal(s, time.Minute)
-	if !reflect.DeepEqual(a.Rows(), b.Rows()) {
-		t.Fatalf("same seed produced different rows:\n%v\nvs\n%v", a.Rows(), b.Rows())
-	}
-	if a.Recovery != b.Recovery {
-		t.Fatalf("recovery diverged: %+v vs %+v", a.Recovery, b.Recovery)
+	a := run(t, "partitionheal", tiny())
+	b := run(t, "partitionheal", tiny())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different reports:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -50,12 +45,9 @@ func TestJitterFalsePositivesGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("half-hour spike sweep soak")
 	}
-	s := tiny()
-	spike := time.Second
-	r := JitterFalsePositives(s, []time.Duration{spike})
-	hold := r.Hold[spike].Totals
-	naive := r.Naive[spike].Totals
-	gap := r.GapOrders(spike)
+	holdRun, naiveRun := jitterRuns(tiny(), time.Second)
+	hold, naive := holdRun.Totals, naiveRun.Totals
+	gap := gapOrders(holdRun, naiveRun)
 	t.Logf("hold: issued=%d incorrect=%d (%.3g); naive: issued=%d incorrect=%d (%.3g); gap=%.2f orders",
 		hold.Issued, hold.Incorrect, hold.IncorrectRate,
 		naive.Issued, naive.Incorrect, naive.IncorrectRate, gap)

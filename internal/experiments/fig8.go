@@ -16,78 +16,93 @@ import (
 	"mspastry/internal/transport"
 )
 
-// Fig8Window is one point of the Figure 8 series: total traffic (control,
+// fig8Window is one point of the Figure 8 series: total traffic (control,
 // lookup and application messages) per second per node.
-type Fig8Window struct {
-	Start           time.Duration
-	TotalPerNodeSec float64
-	Active          float64
-	Requests        int
+type fig8Window struct {
+	start           time.Duration
+	totalPerNodeSec float64
+	active          float64
+	requests        int
 }
 
-// Fig8Result is the Squirrel traffic series of Figure 8: total traffic per
-// node over a six-day deployment with 52 machines, with the weekday/
-// weekend pattern visible.
-type Fig8Result struct {
-	Windows []Fig8Window
-	// OriginFetches and Requests summarise cache effectiveness.
-	OriginFetches int
-	Requests      int
+// fig8Result is the Squirrel traffic series of Figure 8, with the
+// weekday/weekend pattern visible.
+type fig8Result struct {
+	windows []fig8Window
+	// originFetches and requests summarise cache effectiveness.
+	originFetches int
+	requests      int
 }
 
-// Fig8Config parameterises the Squirrel workload replay.
-type Fig8Config struct {
-	Machines int
-	Days     int
-	// PeakRequestRate is web requests per second per active machine at
-	// the workday peak.
-	PeakRequestRate float64
-	// Catalog is the number of distinct URLs browsed.
-	Catalog int
-	Window  time.Duration
-	Seed    int64
-}
+// The paper's deployment: 52 machines for 6 days (4 weekdays and a
+// weekend), reported in 2-hour windows.
+const (
+	fig8Machines  = 52
+	fig8Days      = 6
+	fig8WindowLen = 2 * time.Hour
+	// fig8PeakRate is web requests per second per active machine at the
+	// workday peak; fig8Catalog the number of distinct URLs browsed.
+	fig8PeakRate = 0.02
+	fig8Catalog  = 400
+)
 
-// DefaultFig8Config matches the paper's deployment: 52 machines, 6 days
-// (4 weekdays and a weekend).
-func DefaultFig8Config() Fig8Config {
-	return Fig8Config{
-		Machines:        52,
-		Days:            6,
-		PeakRequestRate: 0.02,
-		Catalog:         400,
-		Window:          2 * time.Hour,
-		Seed:            1,
+// fig8 replays the deployment's six days, or as many whole days as
+// MaxDuration allows — it caps this trace like every other, and the
+// diurnal pattern needs whole days to show.
+func fig8(s Scale) (Report, error) {
+	days := fig8Days
+	if s.MaxDuration > 0 && s.MaxDuration < fig8Days*24*time.Hour {
+		days = int((s.MaxDuration + 24*time.Hour - 1) / (24 * time.Hour))
 	}
+	r := squirrelReplay(s.Seed, fig8Machines, days)
+	t := Table{
+		Title: fmt.Sprintf("Figure 8: Squirrel total traffic per node (%d machines, %d days)", fig8Machines, days),
+		Cols:  []string{"msgsPerNodeSec", "active", "requests"},
+	}
+	var traffic []float64
+	for _, w := range r.windows {
+		t.Rows = append(t.Rows, Row{Label: w.start.Round(time.Minute).String(), Values: map[string]float64{
+			"msgsPerNodeSec": w.totalPerNodeSec, "active": w.active, "requests": float64(w.requests),
+		}})
+		traffic = append(traffic, w.totalPerNodeSec)
+	}
+	trough, peak := extremes(traffic)
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		{"traffic-peak", peak},
+		{"traffic-trough", trough},
+		{"origin-fetch-frac", ratio(float64(r.originFetches), float64(r.requests))},
+	}}, nil
 }
 
-// Fig8Squirrel replays a synthetic Squirrel workload — web requests with a
-// strong daily pattern and quieter weekends, machines leaving at night —
+// squirrelReplay replays a synthetic Squirrel workload — web requests with
+// a strong daily pattern and quieter weekends, machines leaving at night —
 // through the simulator and reports total traffic per node per window.
-func Fig8Squirrel(cfg Fig8Config) Fig8Result {
-	sim := eventsim.New(cfg.Seed)
-	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(cfg.Seed)))
+// The overlay churns, so it starts and stops nodes itself rather than
+// through NewCluster.
+func squirrelReplay(seed int64, machines, days int) fig8Result {
+	sim := eventsim.New(seed)
+	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
 	nw := netmodel.New(sim, topo, 0)
 
-	duration := time.Duration(cfg.Days) * 24 * time.Hour
+	duration := time.Duration(days) * 24 * time.Hour
 	// Machine availability: office machines stay up ~20h at a time and
 	// are mostly on (the Squirrel deployment machines were desktops).
 	churn := trace.Generate(trace.Config{
 		Name: "squirrel", Duration: duration,
-		Population: cfg.Machines, OnlineFraction: 0.85,
+		Population: machines, OnlineFraction: 0.85,
 		MeanSession: 20 * time.Hour, Diurnal: 0.3, Weekly: 0.3,
-		Seed: cfg.Seed,
+		Seed: seed,
 	})
 
 	pcfg := pastry.DefaultConfig()
 	pcfg.L = 16
 
-	nwin := int(duration/cfg.Window) + 1
+	nwin := int(duration/fig8WindowLen) + 1
 	msgs := make([]int, nwin)
 	reqs := make([]int, nwin)
 	nodeSec := make([]float64, nwin)
 	win := func() int {
-		i := int(sim.Now() / cfg.Window)
+		i := int(sim.Now() / fig8WindowLen)
 		if i >= nwin {
 			i = nwin - 1
 		}
@@ -97,20 +112,29 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 		msgs[win()]++
 	})
 
-	res := Fig8Result{}
+	res := fig8Result{}
 	origin := squirrel.OriginFunc(func(url string) ([]byte, error) {
-		res.OriginFetches++
+		res.originFetches++
 		return []byte("obj:" + url), nil
 	})
 
-	eps := make([]*netmodel.Endpoint, cfg.Machines)
-	proxies := make([]*squirrel.Proxy, cfg.Machines)
-	first := topo.Attach(cfg.Machines, sim.Rand())
+	eps := make([]*netmodel.Endpoint, machines)
+	proxies := make([]*squirrel.Proxy, machines)
+	first := topo.Attach(machines, sim.Rand())
 	for i := range eps {
 		eps[i] = nw.NewEndpoint(first + i)
 	}
-	var bootstrapped bool
-	alive := make([]int, 0, cfg.Machines)
+	alive := make([]int, 0, machines)
+	// seedFor finds a running, active machine other than slot to join
+	// through.
+	seedFor := func(slot int) (pastry.NodeRef, bool) {
+		for _, s := range alive {
+			if s != slot && proxies[s].Node().Active() {
+				return proxies[s].Node().Ref(), true
+			}
+		}
+		return pastry.NodeRef{}, false
+	}
 	start := func(slot int) {
 		ep := eps[slot]
 		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
@@ -119,30 +143,14 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 			panic(err)
 		}
 		ep.Bind(node)
-		proxies[slot] = squirrel.New(node, origin, squirrel.DefaultConfig())
-		node.SetSeedSource(func() (pastry.NodeRef, bool) {
-			for _, s := range alive {
-				if s != slot && proxies[s] != nil && proxies[s].Node().Active() {
-					return proxies[s].Node().Ref(), true
-				}
-			}
-			return pastry.NodeRef{}, false
-		})
-		if !bootstrapped {
-			bootstrapped = true
-			node.Bootstrap()
+		proxies[slot] = squirrel.New(node, origin)
+		node.SetSeedSource(func() (pastry.NodeRef, bool) { return seedFor(slot) })
+		// The first machine up, or one that finds everybody else down,
+		// starts an overlay of its own.
+		if seed, ok := seedFor(slot); ok {
+			node.Join(seed)
 		} else {
-			seeded := false
-			for _, s := range alive {
-				if proxies[s] != nil && proxies[s].Node().Active() {
-					node.Join(proxies[s].Node().Ref())
-					seeded = true
-					break
-				}
-			}
-			if !seeded {
-				node.Bootstrap()
-			}
+			node.Bootstrap()
 		}
 		alive = append(alive, slot)
 	}
@@ -182,11 +190,11 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 	}
 
 	// Web workload: per-tick Poisson thinned by the diurnal/weekly curve.
-	catalog := make([]string, cfg.Catalog)
+	catalog := make([]string, fig8Catalog)
 	for i := range catalog {
 		catalog[i] = fmt.Sprintf("http://corp.example/doc-%04d", i)
 	}
-	zipf := rand.NewZipf(sim.Rand(), 1.1, 2.0, uint64(cfg.Catalog-1))
+	zipf := rand.NewZipf(sim.Rand(), 1.1, 2.0, uint64(fig8Catalog-1))
 	var tick func()
 	const step = 30 * time.Second
 	tick = func() {
@@ -195,7 +203,7 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 			return
 		}
 		intensity := workdayIntensity(now)
-		mean := cfg.PeakRequestRate * intensity * step.Seconds()
+		mean := fig8PeakRate * intensity * step.Seconds()
 		for _, slot := range alive {
 			p := proxies[slot]
 			if p == nil || !p.Node().Alive() || !p.Node().Active() {
@@ -205,7 +213,7 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 			for k := 0; k < n; k++ {
 				w := win()
 				reqs[w]++
-				res.Requests++
+				res.requests++
 				p.Get(catalog[int(zipf.Uint64())], func([]byte, squirrel.Outcome) {})
 			}
 		}
@@ -218,12 +226,12 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 	sim.RunUntil(duration)
 
 	for i := 0; i < nwin; i++ {
-		w := Fig8Window{Start: time.Duration(i) * cfg.Window, Requests: reqs[i]}
+		w := fig8Window{start: time.Duration(i) * fig8WindowLen, requests: reqs[i]}
 		if nodeSec[i] > 0 {
-			w.TotalPerNodeSec = float64(msgs[i]) / nodeSec[i]
-			w.Active = nodeSec[i] / cfg.Window.Seconds()
+			w.totalPerNodeSec = float64(msgs[i]) / nodeSec[i]
+			w.active = nodeSec[i] / fig8WindowLen.Seconds()
 		}
-		res.Windows = append(res.Windows, w)
+		res.windows = append(res.windows, w)
 	}
 	return res
 }
@@ -263,29 +271,34 @@ func poissonDraw(rng *rand.Rand, mean float64) int {
 	return 1000
 }
 
-// Fig8Validation runs the same compressed Squirrel workload twice — once
+// The validation runs the same compressed Squirrel workload twice — once
 // in the discrete-event simulator and once over real UDP sockets on the
-// loopback interface — and returns total messages per node from each, the
-// paper's simulator-validation claim ("the simulation results are very
-// similar to the statistics obtained from the real deployment").
-type Fig8ValidationResult struct {
-	SimMessages  uint64
-	LiveMessages uint64
-	Nodes        int
-	Duration     time.Duration
-}
-
-// Ratio returns live/sim message counts (1.0 = perfect agreement).
-func (r Fig8ValidationResult) Ratio() float64 {
-	if r.SimMessages == 0 {
-		return 0
+// loopback interface — and compares total messages sent, the paper's
+// simulator-validation claim.
+func fig8Validate(s Scale) (Report, error) {
+	const nodes = 8
+	dur := s.ValidateDuration
+	if dur == 0 {
+		dur = 15 * time.Second
 	}
-	return float64(r.LiveMessages) / float64(r.SimMessages)
+	simMsgs, liveMsgs, err := squirrelValidation(nodes, dur, s.Seed)
+	if err != nil {
+		return Report{}, err
+	}
+	t := Table{Cols: []string{"nodes", "durationSec", "simMsgs", "liveMsgs"}, Rows: []Row{{
+		Label: "squirrel", Values: map[string]float64{
+			"nodes": nodes, "durationSec": dur.Seconds(),
+			"simMsgs": float64(simMsgs), "liveMsgs": float64(liveMsgs),
+		}}}}
+	// 1.0 is perfect agreement.
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		{"live/sim", ratio(float64(liveMsgs), float64(simMsgs))},
+	}}, nil
 }
 
-// Fig8Validation executes the validation with n nodes for the given wall
-// duration.
-func Fig8Validation(n int, duration time.Duration, seed int64) (Fig8ValidationResult, error) {
+// squirrelValidation runs the workload on n nodes for the given duration
+// (virtual, then wall-clock) and returns the messages each world sent.
+func squirrelValidation(n int, duration time.Duration, seed int64) (simMsgs, liveMsgs uint64, err error) {
 	cfg := pastry.DefaultConfig()
 	cfg.L = 8
 	cfg.Tls = 2 * time.Second
@@ -295,35 +308,18 @@ func Fig8Validation(n int, duration time.Duration, seed int64) (Fig8ValidationRe
 	cfg.RTMaintenance = 20 * time.Second
 
 	requestEvery := 500 * time.Millisecond
+	origin := squirrel.OriginFunc(func(url string) ([]byte, error) { return []byte(url), nil })
 
 	// --- simulator run ---
-	var simMsgs uint64
 	{
 		sim := eventsim.New(seed)
 		topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 4, EdgeRouters: 12}, rand.New(rand.NewSource(seed)))
 		nw := netmodel.New(sim, topo, 0)
 		nw.OnSend(func(*netmodel.Endpoint, pastry.NodeRef, pastry.Message, int) { simMsgs++ })
-		origin := squirrel.OriginFunc(func(url string) ([]byte, error) { return []byte(url), nil })
-		first := topo.Attach(n, sim.Rand())
 		proxies := make([]*squirrel.Proxy, n)
-		var seedRef pastry.NodeRef
-		for i := 0; i < n; i++ {
-			ep := nw.NewEndpoint(first + i)
-			ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-			node, err := pastry.NewNode(ref, cfg, ep, nil)
-			if err != nil {
-				return Fig8ValidationResult{}, err
-			}
-			ep.Bind(node)
-			proxies[i] = squirrel.New(node, origin, squirrel.DefaultConfig())
-			if i == 0 {
-				node.Bootstrap()
-				seedRef = ref
-			} else {
-				node.Join(seedRef)
-			}
-			sim.RunUntil(sim.Now() + time.Second)
-		}
+		nw.NewCluster(n, cfg, time.Second, func(i int, node *pastry.Node, _ *netmodel.Endpoint) {
+			proxies[i] = squirrel.New(node, origin)
+		})
 		reqRng := rand.New(rand.NewSource(seed + 7))
 		end := sim.Now() + duration
 		for sim.Now() < end {
@@ -336,58 +332,49 @@ func Fig8Validation(n int, duration time.Duration, seed int64) (Fig8ValidationRe
 	}
 
 	// --- live UDP run with the same shape ---
-	var liveMsgs uint64
-	{
-		origin := squirrel.OriginFunc(func(url string) ([]byte, error) { return []byte(url), nil })
-		transports := make([]*transport.UDP, 0, n)
-		defer func() {
-			for _, tr := range transports {
-				_ = tr.Close()
-			}
-		}()
-		proxies := make([]*squirrel.Proxy, n)
-		var seedRef pastry.NodeRef
-		for i := 0; i < n; i++ {
-			tr, err := transport.Listen("127.0.0.1:0", seed+int64(i))
-			if err != nil {
-				return Fig8ValidationResult{}, err
-			}
-			transports = append(transports, tr)
-			if _, err := tr.CreateNode(id.ID{}, cfg, nil); err != nil {
-				return Fig8ValidationResult{}, err
-			}
-			i := i
-			tr.DoSync(func(nd *pastry.Node) {
-				proxies[i] = squirrel.New(nd, origin, squirrel.DefaultConfig())
-			})
-			if i == 0 {
-				tr.DoSync(func(nd *pastry.Node) { nd.Bootstrap(); seedRef = nd.Ref() })
-			} else {
-				tr.DoSync(func(nd *pastry.Node) { nd.Join(seedRef) })
-			}
-			time.Sleep(time.Second)
-		}
-		reqRng := rand.New(rand.NewSource(seed + 7))
-		deadline := time.Now().Add(duration)
-		for time.Now().Before(deadline) {
-			i := reqRng.Intn(n)
-			url := fmt.Sprintf("http://val.example/%d", reqRng.Intn(50))
-			transports[i].Do(func(nd *pastry.Node) {
-				if nd.Alive() && nd.Active() {
-					proxies[i].Get(url, func([]byte, squirrel.Outcome) {})
-				}
-			})
-			time.Sleep(requestEvery)
-		}
+	transports := make([]*transport.UDP, 0, n)
+	defer func() {
 		for _, tr := range transports {
-			sent, _ := tr.Counters()
-			liveMsgs += sent
+			_ = tr.Close()
 		}
+	}()
+	proxies := make([]*squirrel.Proxy, n)
+	var seedRef pastry.NodeRef
+	for i := 0; i < n; i++ {
+		tr, err := transport.Listen("127.0.0.1:0", seed+int64(i))
+		if err != nil {
+			return 0, 0, err
+		}
+		transports = append(transports, tr)
+		if _, err := tr.CreateNode(id.ID{}, cfg, nil); err != nil {
+			return 0, 0, err
+		}
+		i := i
+		tr.DoSync(func(nd *pastry.Node) {
+			proxies[i] = squirrel.New(nd, origin)
+		})
+		if i == 0 {
+			tr.DoSync(func(nd *pastry.Node) { nd.Bootstrap(); seedRef = nd.Ref() })
+		} else {
+			tr.DoSync(func(nd *pastry.Node) { nd.Join(seedRef) })
+		}
+		time.Sleep(time.Second)
 	}
-	return Fig8ValidationResult{
-		SimMessages:  simMsgs,
-		LiveMessages: liveMsgs,
-		Nodes:        n,
-		Duration:     duration,
-	}, nil
+	reqRng := rand.New(rand.NewSource(seed + 7))
+	deadline := time.Now().Add(duration)
+	for time.Now().Before(deadline) {
+		i := reqRng.Intn(n)
+		url := fmt.Sprintf("http://val.example/%d", reqRng.Intn(50))
+		transports[i].Do(func(nd *pastry.Node) {
+			if nd.Alive() && nd.Active() {
+				proxies[i].Get(url, func([]byte, squirrel.Outcome) {})
+			}
+		})
+		time.Sleep(requestEvery)
+	}
+	for _, tr := range transports {
+		sent, _ := tr.Counters()
+		liveMsgs += sent
+	}
+	return simMsgs, liveMsgs, nil
 }

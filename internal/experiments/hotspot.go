@@ -3,13 +3,13 @@ package experiments
 import (
 	"encoding/binary"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"time"
 
 	"mspastry/internal/dht"
 	"mspastry/internal/eventsim"
-	"mspastry/internal/id"
+	"mspastry/internal/harness"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
 	"mspastry/internal/topology"
@@ -39,128 +39,112 @@ const hotspotSweep = 15 * time.Second
 // more than sweep+grace before a read was issued must be visible.
 const hotspotGrace = 2 * time.Second
 
-// HotspotConfig shapes the experiment.
-type HotspotConfig struct {
-	Nodes       int           // cluster size
-	Keys        int           // popular key set size
-	ZipfS       float64       // zipf exponent over the key set
-	GetRate     float64       // reads per second per node
-	PutInterval time.Duration // per-key rewrite period (staggered)
-	Duration    time.Duration // measurement window
-	CacheSize   int           // per-node cache entries in the "on" runs
-	Seed        int64
+// hotspotConfig shapes the experiment.
+type hotspotConfig struct {
+	nodes       int           // cluster size
+	keys        int           // popular key set size
+	zipfS       float64       // zipf exponent over the key set
+	getRate     float64       // reads per second per node
+	putInterval time.Duration // per-key rewrite period (staggered)
+	duration    time.Duration // measurement window
+	cacheSize   int           // per-node cache entries in the "on" runs
+	seed        int64
 }
 
-// DefaultHotspotConfig derives the bench shape (about 100 nodes at the
-// default scale) from s.
-func DefaultHotspotConfig(s Scale) HotspotConfig {
-	return HotspotConfig{
-		Nodes:       maxInt(40, s.PoissonNodes*2/5),
-		Keys:        64,
-		ZipfS:       1.0,
-		GetRate:     2,
-		PutInterval: 30 * time.Second,
-		Duration:    6 * time.Minute,
-		CacheSize:   256,
-		Seed:        s.Seed,
-	}
+// hotspotRun is one mode's outcome.
+type hotspotRun struct {
+	gets, getOK, getNotFound, getFail uint64
+
+	// cache is the stores' counter delta over the window (Retries and
+	// the Cache* fields).
+	cache               dht.Counters
+	shed                uint64
+	staleBeyondBound    uint64 // reads older than sweep+grace: must be 0
+	monotonicViolations uint64 // reads below the reader's floor: must be 0
+	// loads and peaks are each endpoint's mean and peak load factor.
+	loads, peaks []float64
 }
 
-// HotspotRun is one mode's outcome.
-type HotspotRun struct {
-	Gets, GetOK, GetNotFound, GetFail uint64
-	Retries                           uint64
+// success is completed-OK reads over issued reads.
+func (r hotspotRun) success() float64 { return ratio(float64(r.getOK), float64(r.gets)) }
 
-	HitsLocal, HitsRemote, Serves uint64
-	Deposits, Invalidations       uint64
-	Purged, StaleRejected         uint64
-	Shed                          uint64
-	StaleBeyondBound              uint64 // reads older than sweep+grace: must be 0
-	MonotonicViolations           uint64 // reads below the reader's floor: must be 0
-	Loads                         []float64
-	Peaks                         []float64
-}
-
-// Success is completed-OK reads over issued reads.
-func (r HotspotRun) Success() float64 {
-	if r.Gets == 0 {
-		return 0
-	}
-	return float64(r.GetOK) / float64(r.Gets)
-}
-
-// HotspotResult holds all four runs.
-type HotspotResult struct {
-	Nodes, Keys int
-	ZipfS       float64
-	Window      time.Duration
-	// HotIndex is the endpoint with the highest mean load factor in the
+// hotspotResult holds the four runs: caching off/on, stable/churn.
+type hotspotResult struct {
+	// hot is the endpoint with the highest mean load factor in the
 	// caching-off stable run: the hot key's root.
-	HotIndex int
+	hot int
 
-	OffStable, OnStable HotspotRun
-	OffChurn, OnChurn   HotspotRun
+	offStable, onStable hotspotRun
+	offChurn, onChurn   hotspotRun
 }
 
-// HotLoad returns run's mean load factor at the hot endpoint.
-func (r HotspotResult) HotLoad(run HotspotRun) float64 {
-	if r.HotIndex >= len(run.Loads) {
-		return 0
-	}
-	return run.Loads[r.HotIndex]
-}
-
-// Relief is the headline ratio: the hot root's mean load factor with
+// relief is the headline ratio: the hot root's mean load factor with
 // caching off over caching on, in the stable runs (the acceptance bar
 // is >= 2x).
-func (r HotspotResult) Relief() float64 {
-	on := r.HotLoad(r.OnStable)
-	if on == 0 {
-		return 0
-	}
-	return r.HotLoad(r.OffStable) / on
+func (r hotspotResult) relief() float64 {
+	return ratio(r.offStable.loads[r.hot], r.onStable.loads[r.hot])
 }
 
-// Hotspot runs the four-way comparison. A zero cfg field takes the
-// DefaultHotspotConfig value.
-func Hotspot(s Scale, cfg HotspotConfig) HotspotResult {
-	def := DefaultHotspotConfig(s)
-	if cfg.Nodes == 0 {
-		cfg.Nodes = def.Nodes
+// hotspotRuns runs the four-way comparison over identical seeded
+// workloads.
+func hotspotRuns(cfg hotspotConfig) hotspotResult {
+	res := hotspotResult{
+		offStable: hotspotOne(cfg, false, false),
+		onStable:  hotspotOne(cfg, true, false),
+		offChurn:  hotspotOne(cfg, false, true),
+		onChurn:   hotspotOne(cfg, true, true),
 	}
-	if cfg.Keys == 0 {
-		cfg.Keys = def.Keys
-	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = def.ZipfS
-	}
-	if cfg.GetRate == 0 {
-		cfg.GetRate = def.GetRate
-	}
-	if cfg.PutInterval == 0 {
-		cfg.PutInterval = def.PutInterval
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = def.Duration
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = def.CacheSize
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = s.Seed
-	}
-	res := HotspotResult{Nodes: cfg.Nodes, Keys: cfg.Keys, ZipfS: cfg.ZipfS, Window: cfg.Duration}
-	res.OffStable = hotspotRun(cfg, false, false)
-	res.OnStable = hotspotRun(cfg, true, false)
-	res.OffChurn = hotspotRun(cfg, false, true)
-	res.OnChurn = hotspotRun(cfg, true, true)
 	// The hot endpoint is wherever the uncached stable run piled up.
-	for i, l := range res.OffStable.Loads {
-		if l > res.OffStable.Loads[res.HotIndex] {
-			res.HotIndex = i
+	for i, l := range res.offStable.loads {
+		if l > res.offStable.loads[res.hot] {
+			res.hot = i
 		}
 	}
 	return res
+}
+
+// hotspotRelief derives the bench shape (about 100 nodes at the default
+// scale) from s.
+func hotspotRelief(s Scale) (Report, error) {
+	cfg := hotspotConfig{
+		nodes:       max(40, s.PoissonNodes*2/5),
+		keys:        64,
+		zipfS:       1.0,
+		getRate:     2,
+		putInterval: 30 * time.Second,
+		duration:    6 * time.Minute,
+		cacheSize:   256,
+		seed:        s.Seed,
+	}
+	if s.HotspotNodes > 0 {
+		cfg.nodes = s.HotspotNodes
+	}
+	if s.HotspotDuration > 0 {
+		cfg.duration = s.HotspotDuration
+	}
+	r := hotspotRuns(cfg)
+	t := Table{
+		Title: fmt.Sprintf("Hotspot mitigation: path caching under zipf(%.1f) (%d nodes, %d keys, %v window)",
+			cfg.zipfS, cfg.nodes, cfg.keys, cfg.duration.Round(time.Second)),
+		Cols: []string{"ok%", "hotLoad", "hotPeak", "shed", "hitsL", "hitsR", "served", "depos", "inval", "stale>b"},
+	}
+	runs := []hotspotRun{r.offStable, r.onStable, r.offChurn, r.onChurn}
+	for i, label := range []string{"off/stable", "on/stable", "off/churn", "on/churn"} {
+		run := runs[i]
+		t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{
+			"ok%":     run.success() * 100,
+			"hotLoad": run.loads[r.hot],
+			"hotPeak": run.peaks[r.hot],
+			"shed":    float64(run.shed),
+			"hitsL":   float64(run.cache.CacheHitsLocal),
+			"hitsR":   float64(run.cache.CacheHitsRemote),
+			"served":  float64(run.cache.CacheServes),
+			"depos":   float64(run.cache.CacheDeposits),
+			"inval":   float64(run.cache.CacheInvalidations),
+			"stale>b": float64(run.staleBeyondBound),
+		}})
+	}
+	return Report{Tables: []Table{t}, Headlines: []Headline{{"relief", r.relief()}}}, nil
 }
 
 // hotspotValue encodes a key's write counter into a 64-byte PAST-style
@@ -179,15 +163,15 @@ func hotspotCounter(v []byte) (uint32, bool) {
 	return binary.BigEndian.Uint32(v[4:8]), true
 }
 
-// hotspotRun builds a seeded cluster under the bounded service-capacity
+// hotspotOne builds a seeded cluster under the bounded service-capacity
 // model and drives the zipf read workload plus a staggered rewrite
 // schedule over it. All randomness (zipf ranks, requester selection)
 // comes from dedicated streams scheduled at deterministic times, so
 // every mode sees the identical workload.
-func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
-	sim := eventsim.New(cfg.Seed)
+func hotspotOne(cfg hotspotConfig, caching, churn bool) hotspotRun {
+	sim := eventsim.New(cfg.seed)
 	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30},
-		rand.New(rand.NewSource(cfg.Seed)))
+		rand.New(rand.NewSource(cfg.seed)))
 	nw := netmodel.New(sim, topo, 0)
 	// The same bounded capacity the overload experiment saturates: the
 	// hot root's relief must show up as a load-factor drop, not vanish
@@ -207,59 +191,27 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 	dcfg := dht.DefaultConfig()
 	dcfg.SweepInterval = hotspotSweep
 	if caching {
-		dcfg.CacheEntries = cfg.CacheSize
+		dcfg.CacheEntries = cfg.cacheSize
 	}
 
-	first := topo.Attach(cfg.Nodes, sim.Rand())
-	stores := make([]*dht.Store, 0, cfg.Nodes)
-	eps := make([]*netmodel.Endpoint, 0, cfg.Nodes)
-	var seedRef pastry.NodeRef
-	for i := 0; i < cfg.Nodes; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			panic(err)
-		}
-		ep.Bind(node)
+	stores := make([]*dht.Store, 0, cfg.nodes)
+	eps := nw.NewCluster(cfg.nodes, pcfg, 2*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
 		stores = append(stores, dht.New(node, ep, dcfg))
-		eps = append(eps, ep)
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	}).Eps
 	sim.RunUntil(sim.Now() + time.Minute)
 
-	// The popular key set, from its own stream so it matches across
-	// modes and mirrors the harness zipf discipline.
-	keyRand := rand.New(rand.NewSource(cfg.Seed ^ 0x5a1bfc0de))
-	keys := make([]id.ID, cfg.Keys)
-	for i := range keys {
-		keys[i] = id.Random(keyRand)
-	}
-	// Zipf(s) cumulative weights over ranks 0..Keys-1.
-	cum := make([]float64, cfg.Keys)
-	total := 0.0
-	for i := range cum {
-		total += 1 / math.Pow(float64(i+1), cfg.ZipfS)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
+	// The popular key set and its zipf(s) ranks come from the harness's
+	// sampler: its own key stream, so the set matches across modes.
+	zipf := harness.NewZipf(cfg.seed, cfg.keys, cfg.zipfS)
 
 	// Prefill every key (counter 1) and let replication settle.
-	counters := make([]uint32, cfg.Keys)
+	counters := make([]uint32, cfg.keys)
 	type ackRec struct {
 		counter uint32
 		at      time.Duration
 	}
-	ackLog := make([][]ackRec, cfg.Keys)
-	writer := func(k int) int { return (k*7 + 3) % cfg.Nodes }
+	ackLog := make([][]ackRec, cfg.keys)
+	writer := func(k int) int { return (k*7 + 3) % cfg.nodes }
 	putKey := func(k int) {
 		if !stores[writer(k)].Node().Alive() {
 			return
@@ -267,13 +219,13 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 		counters[k]++
 		c := counters[k]
 		kk := k
-		stores[writer(k)].Put(keys[k], hotspotValue(uint32(k), c), func(err error) {
+		stores[writer(k)].Put(zipf.Key(k), hotspotValue(uint32(k), c), func(err error) {
 			if err == nil {
 				ackLog[kk] = append(ackLog[kk], ackRec{counter: c, at: sim.Now()})
 			}
 		})
 	}
-	for k := range keys {
+	for k := 0; k < cfg.keys; k++ {
 		putKey(k)
 		if k%8 == 7 {
 			sim.RunUntil(sim.Now() + time.Second)
@@ -281,9 +233,9 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 	}
 	sim.RunUntil(sim.Now() + 30*time.Second + 2*hotspotSweep)
 
-	var run HotspotRun
+	var run hotspotRun
 	start := sim.Now()
-	end := start + cfg.Duration
+	end := start + cfg.duration
 
 	// Staggered rewrites: each key every PutInterval, spread evenly.
 	var rewrite func(k int)
@@ -292,11 +244,11 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 			return
 		}
 		putKey(k)
-		sim.After(cfg.PutInterval, func() { rewrite(k) })
+		sim.After(cfg.putInterval, func() { rewrite(k) })
 	}
-	for k := range keys {
+	for k := 0; k < cfg.keys; k++ {
 		kk := k
-		sim.After(time.Duration(k+1)*cfg.PutInterval/time.Duration(cfg.Keys),
+		sim.After(time.Duration(k+1)*cfg.putInterval/time.Duration(cfg.keys),
 			func() { rewrite(kk) })
 	}
 
@@ -304,19 +256,7 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 	// aggregate rate, requester and rank drawn from a dedicated stream.
 	// lastRead tracks each reader's floor per key for the monotonic
 	// audit; ackLog gives the staleness bound.
-	wl := rand.New(rand.NewSource(cfg.Seed ^ 0x40753a9))
-	rankOf := func(u float64) int {
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
+	wl := rand.New(rand.NewSource(cfg.seed ^ 0x40753a9))
 	// Monotonic reads are a session guarantee over *sequential* reads:
 	// two overlapping in-flight reads may legitimately complete out of
 	// order. A completed read only raises the reader's floor, and only a
@@ -325,7 +265,7 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 		counter     uint32
 		completedAt time.Duration
 	}
-	lastRead := make([]map[int]readFloor, cfg.Nodes)
+	lastRead := make([]map[int]readFloor, cfg.nodes)
 	for i := range lastRead {
 		lastRead[i] = make(map[int]readFloor)
 	}
@@ -340,39 +280,39 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 		}
 		return bound
 	}
-	gap := time.Duration(float64(time.Second) / (cfg.GetRate * float64(cfg.Nodes)))
+	gap := time.Duration(float64(time.Second) / (cfg.getRate * float64(cfg.nodes)))
 	var readLoop func()
 	readLoop = func() {
 		if sim.Now() >= end {
 			return
 		}
-		n := wl.Intn(cfg.Nodes)
-		k := rankOf(wl.Float64())
+		n := wl.Intn(cfg.nodes)
+		k := zipf.Rank(wl)
 		if stores[n].Node().Alive() {
-			run.Gets++
+			run.gets++
 			issued := sim.Now()
-			stores[n].Get(keys[k], func(v []byte, err error) {
+			stores[n].Get(zipf.Key(k), func(v []byte, err error) {
 				switch {
 				case err == nil:
-					run.GetOK++
+					run.getOK++
 					c, ok := hotspotCounter(v)
 					if !ok {
 						return
 					}
 					if c < boundAt(k, issued) {
-						run.StaleBeyondBound++
+						run.staleBeyondBound++
 					}
 					fl := lastRead[n][k]
 					if c < fl.counter && issued > fl.completedAt {
-						run.MonotonicViolations++
+						run.monotonicViolations++
 					}
 					if c >= fl.counter {
 						lastRead[n][k] = readFloor{counter: c, completedAt: sim.Now()}
 					}
 				case errors.Is(err, dht.ErrNotFound):
-					run.GetNotFound++
+					run.getNotFound++
 				default:
-					run.GetFail++
+					run.getFail++
 				}
 			})
 		}
@@ -382,8 +322,8 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 
 	// Load sampling at a fixed cadence (no randomness: identical event
 	// schedule in every mode).
-	run.Loads = make([]float64, cfg.Nodes)
-	run.Peaks = make([]float64, cfg.Nodes)
+	run.loads = make([]float64, cfg.nodes)
+	run.peaks = make([]float64, cfg.nodes)
 	samples := 0
 	var sample func()
 	sample = func() {
@@ -393,9 +333,9 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 		samples++
 		for i, ep := range eps {
 			lf := ep.LoadFactor()
-			run.Loads[i] += lf
-			if lf > run.Peaks[i] {
-				run.Peaks[i] = lf
+			run.loads[i] += lf
+			if lf > run.peaks[i] {
+				run.peaks[i] = lf
 			}
 		}
 		sim.After(500*time.Millisecond, sample)
@@ -405,11 +345,11 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 	// Churn: crash 10% of the population mid-run, one sweep apart,
 	// never the seed node and with the same victims in every mode.
 	if churn {
-		crashes := maxInt(1, cfg.Nodes/10)
+		crashes := max(1, cfg.nodes/10)
 		victim := 1
-		at := start + cfg.Duration/3
+		at := start + cfg.duration/3
 		for i := 0; i < crashes; i++ {
-			victim = (victim + 7) % cfg.Nodes
+			victim = (victim + 7) % cfg.nodes
 			if victim == 0 {
 				victim = 1
 			}
@@ -418,45 +358,31 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 		}
 	}
 
-	before := sumHotspotCounters(stores)
+	before := sumCounters(stores)
 	shedBefore := sumShed(nw)
 	sim.RunUntil(end)
 	// Let in-flight reads finish so success accounting is not truncated
 	// at the window edge (no new reads are issued past end).
 	sim.RunUntil(end + 30*time.Second)
 
-	delta := sumHotspotCounters(stores)
-	run.Retries = delta.Retries - before.Retries
-	run.HitsLocal = delta.CacheHitsLocal - before.CacheHitsLocal
-	run.HitsRemote = delta.CacheHitsRemote - before.CacheHitsRemote
-	run.Serves = delta.CacheServes - before.CacheServes
-	run.Deposits = delta.CacheDeposits - before.CacheDeposits
-	run.Invalidations = delta.CacheInvalidations - before.CacheInvalidations
-	run.Purged = delta.CachePurged - before.CachePurged
-	run.StaleRejected = delta.CacheStaleRejected - before.CacheStaleRejected
-	run.Shed = sumShed(nw) - shedBefore
-	for i := range run.Loads {
+	after := sumCounters(stores)
+	run.cache = dht.Counters{
+		Retries:            after.Retries - before.Retries,
+		CacheHitsLocal:     after.CacheHitsLocal - before.CacheHitsLocal,
+		CacheHitsRemote:    after.CacheHitsRemote - before.CacheHitsRemote,
+		CacheServes:        after.CacheServes - before.CacheServes,
+		CacheDeposits:      after.CacheDeposits - before.CacheDeposits,
+		CacheInvalidations: after.CacheInvalidations - before.CacheInvalidations,
+		CachePurged:        after.CachePurged - before.CachePurged,
+		CacheStaleRejected: after.CacheStaleRejected - before.CacheStaleRejected,
+	}
+	run.shed = sumShed(nw) - shedBefore
+	for i := range run.loads {
 		if samples > 0 {
-			run.Loads[i] /= float64(samples)
+			run.loads[i] /= float64(samples)
 		}
 	}
 	return run
-}
-
-func sumHotspotCounters(stores []*dht.Store) dht.Counters {
-	var sum dht.Counters
-	for _, s := range stores {
-		c := s.Counters()
-		sum.Retries += c.Retries
-		sum.CacheHitsLocal += c.CacheHitsLocal
-		sum.CacheHitsRemote += c.CacheHitsRemote
-		sum.CacheServes += c.CacheServes
-		sum.CacheDeposits += c.CacheDeposits
-		sum.CacheInvalidations += c.CacheInvalidations
-		sum.CachePurged += c.CachePurged
-		sum.CacheStaleRejected += c.CacheStaleRejected
-	}
-	return sum
 }
 
 func sumShed(nw *netmodel.Network) uint64 {
@@ -465,41 +391,4 @@ func sumShed(nw *netmodel.Network) uint64 {
 		total += n
 	}
 	return total
-}
-
-// HotspotCols returns the column set for Rows.
-func HotspotCols() []string {
-	return []string{"ok%", "hotLoad", "hotPeak", "shed", "hitsL", "hitsR", "served", "depos", "inval", "stale>b", "relief"}
-}
-
-// Rows renders one row per mode; the relief ratio rides on the
-// stable caching-on row.
-func (r HotspotResult) Rows() []Row {
-	row := func(label string, run HotspotRun) Row {
-		return Row{Label: label, Values: map[string]float64{
-			"ok%":     run.Success() * 100,
-			"hotLoad": r.HotLoad(run),
-			"hotPeak": r.hotPeak(run),
-			"shed":    float64(run.Shed),
-			"hitsL":   float64(run.HitsLocal),
-			"hitsR":   float64(run.HitsRemote),
-			"served":  float64(run.Serves),
-			"depos":   float64(run.Deposits),
-			"inval":   float64(run.Invalidations),
-			"stale>b": float64(run.StaleBeyondBound),
-		}}
-	}
-	off := row("off/stable", r.OffStable)
-	on := row("on/stable", r.OnStable)
-	on.Values["relief"] = r.Relief()
-	offC := row("off/churn", r.OffChurn)
-	onC := row("on/churn", r.OnChurn)
-	return []Row{off, on, offC, onC}
-}
-
-func (r HotspotResult) hotPeak(run HotspotRun) float64 {
-	if r.HotIndex >= len(run.Peaks) {
-		return 0
-	}
-	return run.Peaks[r.HotIndex]
 }

@@ -12,32 +12,34 @@ import (
 // without losing lookups — while every completed read stays inside the
 // one-sweep staleness bound and per-reader monotonicity holds exactly.
 func TestHotspotCachingRelievesRoot(t *testing.T) {
-	cfg := HotspotConfig{
-		Nodes:       32,
-		Keys:        32,
-		ZipfS:       1.0,
-		GetRate:     4,
-		PutInterval: 20 * time.Second,
-		Duration:    150 * time.Second,
-		CacheSize:   128,
-		Seed:        1,
+	if testing.Short() {
+		t.Skip("four 150-second saturated zipf runs")
 	}
-	res := Hotspot(Scale{Seed: 1}, cfg)
+	res := hotspotRuns(hotspotConfig{
+		nodes:       32,
+		keys:        32,
+		zipfS:       1.0,
+		getRate:     4,
+		putInterval: 20 * time.Second,
+		duration:    150 * time.Second,
+		cacheSize:   128,
+		seed:        1,
+	})
 
-	if r := res.Relief(); r < 2 {
+	if r := res.relief(); r < 2 {
 		t.Errorf("hot root relief %.2fx, want >= 2x (off %.3f on %.3f at endpoint %d)",
-			r, res.HotLoad(res.OffStable), res.HotLoad(res.OnStable), res.HotIndex)
+			r, res.offStable.loads[res.hot], res.onStable.loads[res.hot], res.hot)
 	}
-	if on, off := res.OnStable.Success(), res.OffStable.Success(); on < off-0.02 {
+	if on, off := res.onStable.success(), res.offStable.success(); on < off-0.02 {
 		t.Errorf("stable lookup success regressed with caching: off %.3f on %.3f", off, on)
 	}
-	if on, off := res.OnChurn.Success(), res.OffChurn.Success(); on < off-0.02 {
+	if on, off := res.onChurn.success(), res.offChurn.success(); on < off-0.02 {
 		t.Errorf("churn lookup success regressed with caching: off %.3f on %.3f", off, on)
 	}
-	if res.OnStable.HitsLocal+res.OnStable.HitsRemote+res.OnStable.Serves == 0 {
+	if res.onStable.cache.CacheHitsLocal+res.onStable.cache.CacheHitsRemote+res.onStable.cache.CacheServes == 0 {
 		t.Error("caching-on run produced no cache activity")
 	}
-	if res.OnStable.Deposits == 0 {
+	if res.onStable.cache.CacheDeposits == 0 {
 		t.Error("caching-on run deposited no entries on route hops")
 	}
 	// In a stable network the subsystem's staleness claim is exact: no
@@ -45,13 +47,13 @@ func TestHotspotCachingRelievesRoot(t *testing.T) {
 	// (plus delivery grace) before it was issued, cached or not.
 	for _, mode := range []struct {
 		name string
-		run  HotspotRun
+		run  hotspotRun
 	}{
-		{"off/stable", res.OffStable}, {"on/stable", res.OnStable},
+		{"off/stable", res.offStable}, {"on/stable", res.onStable},
 	} {
-		if mode.run.StaleBeyondBound != 0 {
+		if mode.run.staleBeyondBound != 0 {
 			t.Errorf("%s: %d reads returned values staler than the sweep bound",
-				mode.name, mode.run.StaleBeyondBound)
+				mode.name, mode.run.staleBeyondBound)
 		}
 	}
 	// Monotonicity: the caching-on stable run must be exactly clean —
@@ -60,12 +62,12 @@ func TestHotspotCachingRelievesRoot(t *testing.T) {
 	// loosely: under saturation a false suspicion can reroute a lookup
 	// to a replication-lagged replica, and that weak consistency
 	// predates this subsystem.
-	if n := res.OnStable.MonotonicViolations; n != 0 {
+	if n := res.onStable.monotonicViolations; n != 0 {
 		t.Errorf("on/stable: %d sequential reads went backwards for a reader", n)
 	}
-	if n, lim := res.OffStable.MonotonicViolations, res.OffStable.Gets/200; n > lim {
+	if n, lim := res.offStable.monotonicViolations, res.offStable.gets/200; n > lim {
 		t.Errorf("off/stable: %d of %d sequential reads went backwards, want <= %d",
-			n, res.OffStable.Gets, lim)
+			n, res.offStable.gets, lim)
 	}
 	// Under churn the base DHT can lose an acked write outright (root
 	// crashes before replicating it), which the audit counts as stale
@@ -75,34 +77,34 @@ func TestHotspotCachingRelievesRoot(t *testing.T) {
 	// originally caught turned ~10% of reads stale.
 	for _, mode := range []struct {
 		name string
-		run  HotspotRun
+		run  hotspotRun
 	}{
-		{"off/churn", res.OffChurn}, {"on/churn", res.OnChurn},
+		{"off/churn", res.offChurn}, {"on/churn", res.onChurn},
 	} {
-		if lim := mode.run.Gets / 100; mode.run.StaleBeyondBound > lim {
+		if lim := mode.run.gets / 100; mode.run.staleBeyondBound > lim {
 			t.Errorf("%s: %d of %d reads staler than the sweep bound, want <= %d",
-				mode.name, mode.run.StaleBeyondBound, mode.run.Gets, lim)
+				mode.name, mode.run.staleBeyondBound, mode.run.gets, lim)
 		}
-		if lim := mode.run.Gets / 200; mode.run.MonotonicViolations > lim {
+		if lim := mode.run.gets / 200; mode.run.monotonicViolations > lim {
 			t.Errorf("%s: %d of %d sequential reads went backwards, want <= %d",
-				mode.name, mode.run.MonotonicViolations, mode.run.Gets, lim)
+				mode.name, mode.run.monotonicViolations, mode.run.gets, lim)
 		}
 	}
 	for _, mode := range []struct {
 		name string
-		run  HotspotRun
+		run  hotspotRun
 	}{
-		{"off/stable", res.OffStable}, {"on/stable", res.OnStable},
-		{"off/churn", res.OffChurn}, {"on/churn", res.OnChurn},
+		{"off/stable", res.offStable}, {"on/stable", res.onStable},
+		{"off/churn", res.offChurn}, {"on/churn", res.onChurn},
 	} {
-		if mode.run.Gets == 0 {
+		if mode.run.gets == 0 {
 			t.Errorf("%s: no reads issued", mode.name)
 		}
 	}
 	// The caching-off runs must not touch any cache machinery: off is
 	// the bit-identical baseline.
-	if n := res.OffStable.HitsLocal + res.OffStable.HitsRemote + res.OffStable.Serves +
-		res.OffStable.Deposits + res.OffStable.Invalidations; n != 0 {
+	if n := res.offStable.cache.CacheHitsLocal + res.offStable.cache.CacheHitsRemote + res.offStable.cache.CacheServes +
+		res.offStable.cache.CacheDeposits + res.offStable.cache.CacheInvalidations; n != 0 {
 		t.Errorf("caching-off run recorded %d cache events", n)
 	}
 }

@@ -2,57 +2,57 @@ package experiments
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"mspastry/internal/eventsim"
-	"mspastry/internal/id"
+	"mspastry/internal/harness"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
 	"mspastry/internal/topology"
 )
 
-// MassFailureResult measures recovery from a massive correlated failure —
-// the scenario behind the paper's generalised leaf-set repair: "it
-// converges in O(log N) iterations even when a large fraction of overlay
-// nodes fails simultaneously" (§3.1).
-type MassFailureResult struct {
-	Nodes  int
-	Killed int
-	// RecoveryTime is the virtual time from the failure instant until
+// The mass-failure experiment measures recovery from a massive correlated
+// failure — the scenario behind the paper's generalised leaf-set repair:
+// "it converges in O(log N) iterations even when a large fraction of
+// overlay nodes fails simultaneously" (§3.1).
+
+// massFailureResult is the outcome of one kill-and-recover run.
+type massFailureResult struct {
+	nodes, killed int
+	// recoveryTime is the virtual time from the failure instant until
 	// every survivor's leaf set is complete and every survivor's ring
 	// neighbours match the ground truth.
-	RecoveryTime time.Duration
-	// Recovered reports whether the overlay healed within the deadline.
-	Recovered bool
-	// ProbeMessages counts leaf-set messages sent during recovery.
-	ProbeMessages int
+	recoveryTime time.Duration
+	// recovered reports whether the overlay healed within the deadline.
+	recovered bool
+	// leafMsgs counts leaf-set messages sent during recovery.
+	leafMsgs int
 }
 
-// MassFailureConfig parameterises the experiment.
-type MassFailureConfig struct {
-	Nodes        int
-	KillFraction float64
-	Deadline     time.Duration
-	Seed         int64
+// massFailure kills half of a 120-node overlay; only the seed comes from
+// the scale.
+func massFailure(s Scale) (Report, error) {
+	r := massFailureRun(s.Seed, 120, 0.5, 15*time.Minute)
+	t := Table{Cols: []string{"nodes", "killed", "recovered", "recoverySec", "leafMsgs"}, Rows: []Row{{
+		Label: "kill 50%", Values: map[string]float64{
+			"nodes":       float64(r.nodes),
+			"killed":      float64(r.killed),
+			"recovered":   flag01(r.recovered),
+			"recoverySec": r.recoveryTime.Seconds(),
+			"leafMsgs":    float64(r.leafMsgs),
+		}}}}
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		{"recovery-sec", r.recoveryTime.Seconds()},
+		{"leafmsgs-per-survivor", float64(r.leafMsgs) / float64(r.nodes-r.killed)},
+	}}, nil
 }
 
-// DefaultMassFailureConfig kills half of a 120-node overlay.
-func DefaultMassFailureConfig() MassFailureConfig {
-	return MassFailureConfig{Nodes: 120, KillFraction: 0.5, Deadline: 15 * time.Minute, Seed: 1}
-}
-
-// MassFailure builds a stable overlay, kills a fraction of it in one
-// instant, and measures how long the survivors take to restore a globally
-// consistent ring.
-func MassFailure(cfg MassFailureConfig) MassFailureResult {
-	res, _, _ := massFailureCore(cfg)
-	return res
-}
-
-func massFailureCore(cfg MassFailureConfig) (MassFailureResult, []*pastry.Node, *eventsim.Simulator) {
-	sim := eventsim.New(cfg.Seed)
-	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(cfg.Seed)))
+// massFailureRun builds a stable overlay of n nodes, kills a fraction of
+// it in one instant, and measures how long the survivors take to restore
+// a globally consistent ring.
+func massFailureRun(seed int64, n int, killFraction float64, deadline time.Duration) massFailureResult {
+	sim := eventsim.New(seed)
+	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
 	nw := netmodel.New(sim, topo, 0)
 
 	pcfg := pastry.DefaultConfig()
@@ -67,39 +67,18 @@ func massFailureCore(cfg MassFailureConfig) (MassFailureResult, []*pastry.Node, 
 		}
 	})
 
-	first := topo.Attach(cfg.Nodes, sim.Rand())
-	var nodes []*pastry.Node
-	var eps []*netmodel.Endpoint
-	var seed pastry.NodeRef
-	for i := 0; i < cfg.Nodes; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			panic(err)
-		}
-		ep.Bind(node)
-		if i == 0 {
-			node.Bootstrap()
-			seed = ref
-		} else {
-			node.Join(seed)
-		}
-		nodes = append(nodes, node)
-		eps = append(eps, ep)
-		sim.RunUntil(sim.Now() + 2*time.Second)
-	}
+	c := nw.NewCluster(n, pcfg, 2*time.Second, nil)
 	sim.RunUntil(sim.Now() + 5*time.Minute) // settle
 
 	// Kill a random fraction in one instant.
-	perm := rand.New(rand.NewSource(cfg.Seed + 1)).Perm(cfg.Nodes)
-	kill := int(float64(cfg.Nodes) * cfg.KillFraction)
+	perm := rand.New(rand.NewSource(seed + 1)).Perm(n)
+	kill := int(float64(n) * killFraction)
 	dead := make(map[int]bool, kill)
 	for _, idx := range perm[:kill] {
-		if idx == 0 && kill < cfg.Nodes {
+		if idx == 0 && kill < n {
 			continue // keep at least the bootstrap node deterministic
 		}
-		eps[idx].Fail()
+		c.Eps[idx].Fail()
 		dead[idx] = true
 		if len(dead) >= kill {
 			break
@@ -108,55 +87,23 @@ func massFailureCore(cfg MassFailureConfig) (MassFailureResult, []*pastry.Node, 
 	counting = true
 	failAt := sim.Now()
 
-	res := MassFailureResult{Nodes: cfg.Nodes, Killed: len(dead)}
+	res := massFailureResult{nodes: n, killed: len(dead)}
 	var survivors []*pastry.Node
-	for i, n := range nodes {
+	for i, node := range c.Nodes {
 		if !dead[i] {
-			survivors = append(survivors, n)
+			survivors = append(survivors, node)
 		}
 	}
 
 	// Step the simulation and poll for global ring consistency.
-	deadline := failAt + cfg.Deadline
-	for sim.Now() < deadline {
+	for end := failAt + deadline; sim.Now() < end; {
 		sim.RunUntil(sim.Now() + 10*time.Second)
-		if ringConsistent(survivors) {
-			res.Recovered = true
-			res.RecoveryTime = sim.Now() - failAt
+		if harness.RingConsistent(survivors) {
+			res.recovered = true
+			res.recoveryTime = sim.Now() - failAt
 			break
 		}
 	}
-	res.ProbeMessages = leafMsgs
-	return res, survivors, sim
-}
-
-// ringConsistent checks that every survivor's leaf set is complete and its
-// ring neighbours match the ground truth among survivors.
-func ringConsistent(nodes []*pastry.Node) bool {
-	ids := make([]id.ID, 0, len(nodes))
-	for _, n := range nodes {
-		if !n.Active() {
-			return false
-		}
-		ids = append(ids, n.Ref().ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Cmp(ids[j]) < 0 })
-	pos := make(map[id.ID]int, len(ids))
-	for i, x := range ids {
-		pos[x] = i
-	}
-	for _, n := range nodes {
-		if !n.Leaf().Complete() {
-			return false
-		}
-		i := pos[n.Ref().ID]
-		wantRight := ids[(i+1)%len(ids)]
-		wantLeft := ids[(i-1+len(ids))%len(ids)]
-		right, okR := n.Leaf().RightNeighbour()
-		left, okL := n.Leaf().LeftNeighbour()
-		if !okR || !okL || right.ID != wantRight || left.ID != wantLeft {
-			return false
-		}
-	}
-	return true
+	res.leafMsgs = leafMsgs
+	return res
 }

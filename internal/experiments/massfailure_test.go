@@ -6,17 +6,14 @@ import (
 )
 
 func TestMassFailureRecovery(t *testing.T) {
-	cfg := DefaultMassFailureConfig()
-	cfg.Nodes = 60
-	cfg.Deadline = 20 * time.Minute
-	r := MassFailure(cfg)
+	r := massFailureRun(1, 60, 0.5, 20*time.Minute)
 	t.Logf("killed %d/%d; recovered=%v in %v with %d leaf msgs",
-		r.Killed, r.Nodes, r.Recovered, r.RecoveryTime, r.ProbeMessages)
-	if !r.Recovered {
+		r.killed, r.nodes, r.recovered, r.recoveryTime, r.leafMsgs)
+	if !r.recovered {
 		t.Fatal("overlay did not heal from a 50% correlated failure")
 	}
-	if r.RecoveryTime > 10*time.Minute {
-		t.Fatalf("recovery took %v", r.RecoveryTime)
+	if r.recoveryTime > 10*time.Minute {
+		t.Fatalf("recovery took %v", r.recoveryTime)
 	}
 }
 
@@ -24,11 +21,9 @@ func TestMassFailureRecoveryLarger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger soak")
 	}
-	cfg := DefaultMassFailureConfig() // 120 nodes, 50% killed
-	cfg.Deadline = 20 * time.Minute
-	r := MassFailure(cfg)
-	t.Logf("killed %d/%d; recovered=%v in %v", r.Killed, r.Nodes, r.Recovered, r.RecoveryTime)
-	if !r.Recovered {
+	r := massFailureRun(1, 120, 0.5, 20*time.Minute)
+	t.Logf("killed %d/%d; recovered=%v in %v", r.killed, r.nodes, r.recovered, r.recoveryTime)
+	if !r.recovered {
 		t.Fatal("120-node overlay did not heal from a 50% correlated failure")
 	}
 }

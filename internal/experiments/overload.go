@@ -10,86 +10,44 @@ import (
 	"mspastry/internal/trace"
 )
 
-// OverloadConfig parameterises the overload / graceful-degradation
-// experiment: a fixed overlay with bounded per-node service capacity is
-// driven at growing multiples of a base lookup rate, with a correlated
-// churn burst mid-run (the worst case: repair traffic competing with
-// application load on saturated queues).
-type OverloadConfig struct {
-	// Nodes is the overlay population (all active at time zero).
-	Nodes int
-	// Duration is the measured run length.
-	Duration time.Duration
-	// BaseLookupRate is the 1× application load in lookups per second
+// The overload / graceful-degradation experiment: a fixed overlay with
+// bounded per-node service capacity is driven at growing multiples of a
+// base lookup rate, with a correlated churn burst mid-run (the worst
+// case: repair traffic competing with application load on saturated
+// queues).
+const (
+	// overloadBaseRate is the 1× application load in lookups per second
 	// per node. It is deliberately far above the paper's 0.01/s so the
 	// load multiples actually stress the service model.
-	BaseLookupRate float64
-	// Multiples are the load factors to sweep (e.g. 1, 2, 5, 10).
-	Multiples []float64
-	// Service is the per-node capacity model applied to every endpoint.
-	Service netmodel.ServiceModel
-	// BurstFraction of the population crashes halfway through the run
-	// and rejoins two minutes later.
-	BurstFraction float64
-	// TopoDiv divides the topology size, as in Scale.
-	TopoDiv int
-	// SetupRamp and Seed mirror the harness fields.
-	SetupRamp time.Duration
-	Seed      int64
-}
+	overloadBaseRate = 1.0
+	// overloadBurst of the population crashes halfway through the run and
+	// rejoins two minutes later.
+	overloadBurst = 0.2
+)
 
-// DefaultOverloadConfig returns a configuration scaled from s: capacity
-// is set so the 1× load runs comfortably, ~5× approaches saturation and
-// ~10× is firmly past it.
-func DefaultOverloadConfig(s Scale) OverloadConfig {
-	nodes := maxInt(30, s.PoissonNodes/5)
-	dur := s.PoissonDuration / 2
-	if dur < 20*time.Minute {
-		dur = 20 * time.Minute
-	}
-	if s.MaxDuration > 0 && dur > s.MaxDuration {
-		dur = s.MaxDuration
-	}
-	return OverloadConfig{
-		Nodes:          nodes,
-		Duration:       dur,
-		BaseLookupRate: 1.0,
-		Multiples:      []float64{1, 2, 5, 10},
-		Service:        netmodel.ServiceModel{QueueLimit: 32, Rate: 50},
-		BurstFraction:  0.2,
-		TopoDiv:        s.TopoDiv,
-		SetupRamp:      s.SetupRamp,
-		Seed:           s.Seed,
-	}
-}
+// overloadService is the per-node capacity applied to every endpoint: the
+// 1× load runs comfortably, ~5× approaches saturation and ~10× is firmly
+// past it.
+var overloadService = netmodel.ServiceModel{QueueLimit: 32, Rate: 50}
 
-// OverloadPoint is the outcome at one load multiple.
-type OverloadPoint struct {
-	Multiple float64
-	// SuccessRate is the fraction of issued lookups delivered (1 − loss).
-	SuccessRate float64
-	Res         harness.Result
-}
-
-// OverloadResult is the sweep across load multiples.
-type OverloadResult struct {
-	Config OverloadConfig
-	Points []OverloadPoint
-}
-
-// Overload runs the sweep: one harness run per load multiple over the
-// same trace, topology shape and seed, with the service-capacity model
+// overloadRuns runs one harness run per load multiple over the same
+// burst trace, topology shape and seed, with the service-capacity model
 // bounding every node's receive path.
-func Overload(cfg OverloadConfig) OverloadResult {
-	res := OverloadResult{Config: cfg}
-	tr := overloadTrace(cfg)
-	for _, mult := range cfg.Multiples {
-		topo, err := harness.BuildTopology("gatech", maxInt(1, cfg.TopoDiv), cfg.Seed)
-		if err != nil {
-			panic(err)
+func overloadRuns(s Scale, nodes int, dur time.Duration, multiples []float64) []harness.Result {
+	// Everyone starts active, overloadBurst of them crash at the midpoint
+	// and rejoin two minutes later.
+	tr := stableTrace("overload-burst", nodes, dur)
+	burstAt, k := dur/2, int(float64(nodes)*overloadBurst)
+	for i := 0; i < k; i++ {
+		tr.Events = append(tr.Events, trace.Event{At: burstAt, Node: i, Kind: trace.Leave})
+	}
+	if rejoin := burstAt + 2*time.Minute; rejoin < dur {
+		for i := 0; i < k; i++ {
+			tr.Events = append(tr.Events, trace.Event{At: rejoin, Node: i, Kind: trace.Join})
 		}
-		hc := harness.DefaultConfig(topo, tr)
-		hc.Pastry.L = 16
+	}
+	return sweep(len(multiples), s.base("gatech", tr), func(i int, cfg *harness.Config) {
+		cfg.Pastry.L = 16
 		// The default 10ms RTO floor is tuned for an unloaded network
 		// where delay is pure propagation. With bounded service capacity
 		// the RTO floor must exceed the worst-case *round-trip* queueing
@@ -103,97 +61,46 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		// that would teach it better). With a queue-tolerant floor a
 		// timeout again means what the protocol assumes: the message
 		// was shed or the peer is dead. Here 2 × 32/50 = 1.28s.
-		hc.Pastry.MinRTO = 1500 * time.Millisecond
+		cfg.Pastry.MinRTO = 1500 * time.Millisecond
 		// The default retry budget (2/s per peer) is sized for one sender.
 		// Here every node in the overlay can converge on the same hot
 		// peer, so the per-sender rate must keep the aggregate
 		// (Nodes × rate) below the peer's service capacity, or the
 		// retransmissions alone re-saturate it.
-		hc.Pastry.RetryBudgetRate = 0.2
-		hc.Pastry.RetryBudgetBurst = 2
-		hc.LookupRate = cfg.BaseLookupRate * mult
-		hc.Service = cfg.Service
-		hc.SetupRamp = cfg.SetupRamp
-		hc.Seed = cfg.Seed
-		r := harness.Run(hc)
-		res.Points = append(res.Points, OverloadPoint{
-			Multiple:    mult,
-			SuccessRate: 1 - r.Totals.LossRate,
-			Res:         r,
-		})
-	}
-	return res
+		cfg.Pastry.RetryBudgetRate = 0.2
+		cfg.Pastry.RetryBudgetBurst = 2
+		cfg.LookupRate = overloadBaseRate * multiples[i]
+		cfg.Service = overloadService
+	})
 }
 
-// overloadTrace builds the burst trace: everyone starts active, a
-// BurstFraction crashes at the midpoint and rejoins two minutes later.
-func overloadTrace(cfg OverloadConfig) *trace.Trace {
-	tr := &trace.Trace{
-		Name:     "overload-burst",
-		Duration: cfg.Duration,
-		Nodes:    cfg.Nodes,
+func overloadSweep(s Scale) (Report, error) {
+	multiples := []float64{1, 2, 5, 10}
+	nodes, dur := max(30, s.PoissonNodes/5), s.staticDuration()
+	res := overloadRuns(s, nodes, dur, multiples)
+	t := Table{
+		Title: fmt.Sprintf("Overload & graceful degradation (%d nodes, capacity %d msgs @ %.0f/s, %.0f%% churn burst)",
+			nodes, overloadService.QueueLimit, overloadService.Rate, overloadBurst*100),
+		Cols: []string{"success", "loss", "shedLive", "shedCtrl", "shedLkup", "shedBulk", "retx", "budgetHit", "brkOpen"},
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		tr.Initial = append(tr.Initial, i)
+	for i, r := range res {
+		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("load x%g", multiples[i]), Values: map[string]float64{
+			"success":   1 - r.Totals.LossRate,
+			"loss":      r.Totals.LossRate,
+			"shedLive":  float64(r.ShedByLane[overload.LaneLiveness]),
+			"shedCtrl":  float64(r.ShedByLane[overload.LaneControl]),
+			"shedLkup":  float64(r.ShedByLane[overload.LaneLookup]),
+			"shedBulk":  float64(r.ShedByLane[overload.LaneBulk]),
+			"retx":      float64(r.Counters.Retransmits),
+			"budgetHit": float64(r.Counters.RetryBudgetExhausted),
+			"brkOpen":   float64(r.Counters.BreakerOpens),
+		}})
 	}
-	burstAt := cfg.Duration / 2
-	k := int(float64(cfg.Nodes) * cfg.BurstFraction)
-	for i := 0; i < k; i++ {
-		tr.Events = append(tr.Events, trace.Event{At: burstAt, Node: i, Kind: trace.Leave})
-	}
-	rejoin := burstAt + 2*time.Minute
-	if rejoin < cfg.Duration {
-		for i := 0; i < k; i++ {
-			tr.Events = append(tr.Events, trace.Event{At: rejoin, Node: i, Kind: trace.Join})
-		}
-	}
-	return tr
+	at1, at5 := res[0], res[2]
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		// The graceful-degradation number: 1.0 is no degradation.
+		{"success-5x/1x", ratio(1-at5.Totals.LossRate, 1-at1.Totals.LossRate)},
+		{"budget-denials-5x", float64(at5.Counters.RetryBudgetExhausted)},
+		{"breaker-opens-5x", float64(at5.Counters.BreakerOpens)},
+	}}, nil
 }
-
-// DegradationRatio returns success(at)/success(baseline), the headline
-// graceful-degradation number (1.0 = no degradation). Zero if either
-// point is missing.
-func (r OverloadResult) DegradationRatio(baseline, at float64) float64 {
-	var base, loaded *OverloadPoint
-	for i := range r.Points {
-		switch r.Points[i].Multiple {
-		case baseline:
-			base = &r.Points[i]
-		case at:
-			loaded = &r.Points[i]
-		}
-	}
-	if base == nil || loaded == nil || base.SuccessRate == 0 {
-		return 0
-	}
-	return loaded.SuccessRate / base.SuccessRate
-}
-
-// OverloadCols returns the column set for Rows.
-func OverloadCols() []string {
-	return []string{"success", "loss", "shedLive", "shedCtrl", "shedLkup", "shedBulk", "retx", "budgetHit", "brkOpen"}
-}
-
-// Rows renders one row per load multiple.
-func (r OverloadResult) Rows() []Row {
-	var rows []Row
-	for _, p := range r.Points {
-		rows = append(rows, Row{
-			Label: fmtMultiple(p.Multiple),
-			Values: map[string]float64{
-				"success":   p.SuccessRate,
-				"loss":      p.Res.Totals.LossRate,
-				"shedLive":  float64(p.Res.ShedByLane[overload.LaneLiveness]),
-				"shedCtrl":  float64(p.Res.ShedByLane[overload.LaneControl]),
-				"shedLkup":  float64(p.Res.ShedByLane[overload.LaneLookup]),
-				"shedBulk":  float64(p.Res.ShedByLane[overload.LaneBulk]),
-				"retx":      float64(p.Res.Counters.Retransmits),
-				"budgetHit": float64(p.Res.Counters.RetryBudgetExhausted),
-				"brkOpen":   float64(p.Res.Counters.BreakerOpens),
-			},
-		})
-	}
-	return rows
-}
-
-func fmtMultiple(m float64) string { return fmt.Sprintf("load x%g", m) }

@@ -16,23 +16,17 @@ func TestOverloadDegradesGracefully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 24-minute simulated overload runs")
 	}
-	s := Quick()
-	cfg := DefaultOverloadConfig(s)
-	cfg.Nodes = 40
-	cfg.Duration = 24 * time.Minute
-	cfg.Multiples = []float64{1, 5}
-	r := Overload(cfg)
-
-	base, loaded := r.Points[0], r.Points[1]
+	res := overloadRuns(quick(), 40, 24*time.Minute, []float64{1, 5})
+	base, loaded := res[0], res[1]
+	baseOK, loadedOK := 1-base.Totals.LossRate, 1-loaded.Totals.LossRate
 	t.Logf("1x: success=%.4f sheds=%v | 5x: success=%.4f sheds=%v budgetHit=%d brkOpens=%d",
-		base.SuccessRate, base.Res.ShedByLane,
-		loaded.SuccessRate, loaded.Res.ShedByLane,
-		loaded.Res.Counters.RetryBudgetExhausted, loaded.Res.Counters.BreakerOpens)
+		baseOK, base.ShedByLane, loadedOK, loaded.ShedByLane,
+		loaded.Counters.RetryBudgetExhausted, loaded.Counters.BreakerOpens)
 
-	if ratio := r.DegradationRatio(1, 5); ratio < 0.8 {
-		t.Fatalf("success at 5x degraded to %.2f of baseline (want >= 0.80)", ratio)
+	if degraded := ratio(loadedOK, baseOK); degraded < 0.8 {
+		t.Fatalf("success at 5x degraded to %.2f of baseline (want >= 0.80)", degraded)
 	}
-	if got := loaded.Res.ShedByLane[overload.LaneLiveness]; got != 0 {
+	if got := loaded.ShedByLane[overload.LaneLiveness]; got != 0 {
 		t.Fatalf("liveness lane shed %d messages under overload; must be 0", got)
 	}
 }

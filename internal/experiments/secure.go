@@ -6,191 +6,66 @@ import (
 
 	"mspastry/internal/harness"
 	"mspastry/internal/netmodel"
-	"mspastry/internal/trace"
 )
 
-// SecureConfig parameterises the Byzantine-routing experiment: a static
-// overlay (no churn, no network loss — the adversary is the only fault)
-// is swept over growing malicious fractions, with secure routing off and
-// on at each point, so the two curves separate the attack's damage from
-// the defense's recovery.
-type SecureConfig struct {
-	// Nodes is the overlay population (all active at time zero).
-	Nodes int
-	// Duration is the measured run length.
-	Duration time.Duration
-	// LookupRate is application lookups per second per node. Above the
-	// paper's 0.01/s so each point accumulates enough lookups to resolve
-	// success-rate differences of a percent.
-	LookupRate float64
-	// Fracs are the malicious fractions to sweep (e.g. 0, 0.05, 0.1,
-	// 0.2, 0.3).
-	Fracs []float64
-	// Behaviors selects the attacks; zero means netmodel.AdvAll.
-	Behaviors netmodel.Behavior
-	// TopoDiv divides the topology size, as in Scale.
-	TopoDiv int
-	// SetupRamp and Seed mirror the harness fields.
-	SetupRamp time.Duration
-	Seed      int64
+// The Byzantine-routing experiment: a static overlay (no churn, no
+// network loss — the adversary is the only fault; churn under attack is
+// a separate question) is swept over growing malicious fractions, with
+// secure routing off and on at each point, so the two curves separate the
+// attack's damage from the defense's recovery.
+
+// secureLookupRate is application lookups per second per node. Above the
+// paper's 0.01/s so each point accumulates enough lookups to resolve
+// success-rate differences of a percent.
+const secureLookupRate = 0.05
+
+// secureRuns runs defenses off then on for each malicious fraction, over
+// the same trace, topology shape and seed: results 2i and 2i+1 belong to
+// fracs[i].
+func secureRuns(s Scale, nodes int, dur time.Duration, fracs []float64) []harness.Result {
+	tr := stableTrace("secure-static", nodes, dur)
+	return sweep(2*len(fracs), s.base("gatech", tr), func(i int, cfg *harness.Config) {
+		cfg.Pastry.L = 16
+		cfg.Pastry.SecureRouting = i%2 == 1
+		cfg.LookupRate = secureLookupRate
+		cfg.MaliciousFraction = fracs[i/2]
+	})
 }
 
-// DefaultSecureConfig returns a configuration scaled from s.
-func DefaultSecureConfig(s Scale) SecureConfig {
-	nodes := maxInt(30, s.PoissonNodes/5)
-	dur := s.PoissonDuration / 2
-	if dur < 20*time.Minute {
-		dur = 20 * time.Minute
-	}
-	if s.MaxDuration > 0 && dur > s.MaxDuration {
-		dur = s.MaxDuration
-	}
-	return SecureConfig{
-		Nodes:      nodes,
-		Duration:   dur,
-		LookupRate: 0.05,
-		Fracs:      []float64{0, 0.05, 0.1, 0.2, 0.3},
-		TopoDiv:    s.TopoDiv,
-		SetupRamp:  s.SetupRamp,
-		Seed:       s.Seed,
-	}
+// falsePositiveRate is the routing failure test's failed share of
+// evaluated reports; on a defended run without adversary the paper's
+// dependability argument rests on this being ~0.
+func falsePositiveRate(r harness.Result) float64 {
+	c := r.Counters
+	return ratio(float64(c.SecureTestFail), float64(c.SecureTestPass+c.SecureTestFail))
 }
 
-// SecurePoint is the outcome at one (malicious fraction, defense) point.
-type SecurePoint struct {
-	Frac float64
-	// Defended reports whether secure routing was on.
-	Defended bool
-	// SuccessRate is the fraction of issued lookups delivered (1 − loss).
-	SuccessRate float64
-	Res         harness.Result
-}
-
-// SecureResult is the sweep across malicious fractions.
-type SecureResult struct {
-	Config SecureConfig
-	Points []SecurePoint
-}
-
-// Secure runs the sweep: two harness runs (defenses off, defenses on)
-// per malicious fraction over the same trace, topology shape and seed.
-func Secure(cfg SecureConfig) SecureResult {
-	res := SecureResult{Config: cfg}
-	tr := secureTrace(cfg)
-	for _, frac := range cfg.Fracs {
-		for _, defended := range []bool{false, true} {
-			topo, err := harness.BuildTopology("gatech", maxInt(1, cfg.TopoDiv), cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
-			hc := harness.DefaultConfig(topo, tr)
-			hc.Pastry.L = 16
-			hc.Pastry.SecureRouting = defended
-			hc.LookupRate = cfg.LookupRate
-			hc.MaliciousFraction = frac
-			hc.MaliciousBehaviors = cfg.Behaviors
-			hc.SetupRamp = cfg.SetupRamp
-			hc.Seed = cfg.Seed
-			r := harness.Run(hc)
-			res.Points = append(res.Points, SecurePoint{
-				Frac:        frac,
-				Defended:    defended,
-				SuccessRate: 1 - r.Totals.LossRate,
-				Res:         r,
-			})
-		}
+func secureSweep(s Scale) (Report, error) {
+	fracs := []float64{0, 0.05, 0.1, 0.2, 0.3}
+	nodes, dur := max(30, s.PoissonNodes/5), s.staticDuration()
+	res := secureRuns(s, nodes, dur, fracs)
+	t := Table{
+		Title: fmt.Sprintf("Secure routing under Byzantine peers (%d nodes, %v, lookups %g/s)", nodes, dur, secureLookupRate),
+		Cols:  []string{"success", "reports", "testFail", "rounds", "sends", "distrust", "claims", "forged", "advDrops"},
 	}
-	return res
-}
-
-// secureTrace builds the static trace: everyone active, no churn. Churn
-// under attack is a separate question; this experiment isolates the
-// adversary.
-func secureTrace(cfg SecureConfig) *trace.Trace {
-	tr := &trace.Trace{
-		Name:     "secure-static",
-		Duration: cfg.Duration,
-		Nodes:    cfg.Nodes,
+	for i, r := range res {
+		mode := []string{"off", "on"}[i%2]
+		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("f=%.2f %s", fracs[i/2], mode), Values: map[string]float64{
+			"success":  1 - r.Totals.LossRate,
+			"reports":  float64(r.Counters.SecureReports),
+			"testFail": float64(r.Counters.SecureTestFail),
+			"rounds":   float64(r.Counters.SecureRedundantRounds),
+			"sends":    float64(r.Counters.SecureRedundantSends),
+			"distrust": float64(r.Counters.SecureDistrusted),
+			"claims":   float64(r.Adversary.RootClaims),
+			"forged":   float64(r.Adversary.ReportsForged),
+			"advDrops": float64(r.DropsByCause[netmodel.DropAdversary]),
+		}})
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		tr.Initial = append(tr.Initial, i)
-	}
-	return tr
-}
-
-// point finds the sweep point at (frac, defended), nil if absent.
-func (r SecureResult) point(frac float64, defended bool) *SecurePoint {
-	for i := range r.Points {
-		if r.Points[i].Frac == frac && r.Points[i].Defended == defended {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
-// SuccessAt returns the success rate at (frac, defended), 0 if the point
-// was not swept.
-func (r SecureResult) SuccessAt(frac float64, defended bool) float64 {
-	if p := r.point(frac, defended); p != nil {
-		return p.SuccessRate
-	}
-	return 0
-}
-
-// RestorationRatio is the headline defense number: defended success at
-// frac over defended success with no adversary (1.0 = full recovery).
-// Zero if either point is missing.
-func (r SecureResult) RestorationRatio(frac float64) float64 {
-	base := r.point(0, true)
-	at := r.point(frac, true)
-	if base == nil || at == nil || base.SuccessRate == 0 {
-		return 0
-	}
-	return at.SuccessRate / base.SuccessRate
-}
-
-// FalsePositiveRate is the routing failure test's false-positive rate
-// with no adversary: failed tests over evaluated reports at the defended
-// f=0 point. The paper's dependability argument rests on this being ~0.
-func (r SecureResult) FalsePositiveRate() float64 {
-	p := r.point(0, true)
-	if p == nil {
-		return 0
-	}
-	total := p.Res.Counters.SecureTestPass + p.Res.Counters.SecureTestFail
-	if total == 0 {
-		return 0
-	}
-	return float64(p.Res.Counters.SecureTestFail) / float64(total)
-}
-
-// SecureCols returns the column set for Rows.
-func SecureCols() []string {
-	return []string{"success", "reports", "testFail", "rounds", "sends", "distrust", "claims", "forged", "advDrops"}
-}
-
-// Rows renders one row per sweep point.
-func (r SecureResult) Rows() []Row {
-	var rows []Row
-	for _, p := range r.Points {
-		mode := "off"
-		if p.Defended {
-			mode = "on"
-		}
-		rows = append(rows, Row{
-			Label: fmt.Sprintf("f=%.2f %s", p.Frac, mode),
-			Values: map[string]float64{
-				"success":  p.SuccessRate,
-				"reports":  float64(p.Res.Counters.SecureReports),
-				"testFail": float64(p.Res.Counters.SecureTestFail),
-				"rounds":   float64(p.Res.Counters.SecureRedundantRounds),
-				"sends":    float64(p.Res.Counters.SecureRedundantSends),
-				"distrust": float64(p.Res.Counters.SecureDistrusted),
-				"claims":   float64(p.Res.Adversary.RootClaims),
-				"forged":   float64(p.Res.Adversary.ReportsForged),
-				"advDrops": float64(p.Res.DropsByCause[netmodel.DropAdversary]),
-			},
-		})
-	}
-	return rows
+	honest, attacked := res[1], res[5] // defended, at f=0 and f=0.1
+	return Report{Tables: []Table{t}, Headlines: []Headline{
+		// The defense number: 1.0 is full recovery.
+		{"restoration-f0.1", ratio(1-attacked.Totals.LossRate, 1-honest.Totals.LossRate)},
+		{"false-positive-rate", falsePositiveRate(honest)},
+	}}, nil
 }

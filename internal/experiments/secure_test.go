@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"mspastry/internal/harness"
 )
 
 // TestSecureRoutingRestoresSuccess pins the headline secure-routing
@@ -16,32 +18,25 @@ func TestSecureRoutingRestoresSuccess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 20-minute simulated adversary runs")
 	}
-	s := Quick()
-	cfg := DefaultSecureConfig(s)
-	cfg.Nodes = 40
-	cfg.Duration = 20 * time.Minute
-	cfg.Fracs = []float64{0, 0.1}
-	r := Secure(cfg)
-
-	offBase := r.SuccessAt(0, false)
-	offAdv := r.SuccessAt(0.1, false)
-	onBase := r.SuccessAt(0, true)
-	onAdv := r.SuccessAt(0.1, true)
-	adv := r.point(0.1, true)
+	res := secureRuns(quick(), 40, 20*time.Minute, []float64{0, 0.1})
+	success := func(r harness.Result) float64 { return 1 - r.Totals.LossRate }
+	offBase, onBase := success(res[0]), success(res[1])
+	offAdv, onAdv := success(res[2]), success(res[3])
+	adv := res[3]
 	t.Logf("off: f=0 %.4f f=0.1 %.4f | on: f=0 %.4f f=0.1 %.4f", offBase, offAdv, onBase, onAdv)
 	t.Logf("defended f=0.1: reports=%d fail=%d rounds=%d sends=%d distrust=%d giveups=%d claims=%d forged=%d",
-		adv.Res.Counters.SecureReports, adv.Res.Counters.SecureTestFail,
-		adv.Res.Counters.SecureRedundantRounds, adv.Res.Counters.SecureRedundantSends,
-		adv.Res.Counters.SecureDistrusted, adv.Res.Counters.SecureGiveUps,
-		adv.Res.Adversary.RootClaims, adv.Res.Adversary.ReportsForged)
+		adv.Counters.SecureReports, adv.Counters.SecureTestFail,
+		adv.Counters.SecureRedundantRounds, adv.Counters.SecureRedundantSends,
+		adv.Counters.SecureDistrusted, adv.Counters.SecureGiveUps,
+		adv.Adversary.RootClaims, adv.Adversary.ReportsForged)
 
 	if offAdv > offBase-0.03 {
 		t.Fatalf("undefended success under f=0.1 is %.4f, expected a visible drop from %.4f", offAdv, offBase)
 	}
-	if ratio := r.RestorationRatio(0.1); ratio < 0.99 {
-		t.Fatalf("defended success at f=0.1 is %.4f of baseline (want >= 0.99)", ratio)
+	if restored := ratio(onAdv, onBase); restored < 0.99 {
+		t.Fatalf("defended success at f=0.1 is %.4f of baseline (want >= 0.99)", restored)
 	}
-	if fp := r.FalsePositiveRate(); fp > 0.001 {
+	if fp := falsePositiveRate(res[1]); fp > 0.001 {
 		t.Fatalf("routing failure test false-positive rate %.5f on honest overlay (want ~0)", fp)
 	}
 }

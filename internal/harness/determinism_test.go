@@ -30,7 +30,7 @@ func goldenChurnConfig(t testing.TB) Config {
 	cfg.NetworkLoss = 0.02
 	cfg.Window = 50 * time.Second
 	cfg.SetupRamp = time.Minute
-	cfg.LossTimeout = 30 * time.Second
+	cfg.lossTimeout = 30 * time.Second
 	cfg.Seed = 7
 	return cfg
 }

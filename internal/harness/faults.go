@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mspastry/internal/netmodel"
+	"mspastry/internal/pastry"
 	"mspastry/internal/stats"
 )
 
@@ -157,33 +158,41 @@ func (r *run) trackRecovery(healAt time.Duration) {
 	r.sim.At(healAt, poll)
 }
 
-// ringConsistent reports whether every ground-truth active node's leaf
-// set is complete and its ring neighbours match the oracle. It mirrors
-// the §3.1 mass-failure convergence criterion, applied to the harness's
-// live overlay.
+// ringConsistent applies RingConsistent to the ground-truth active set.
 func (r *run) ringConsistent() bool {
-	n := r.active.len()
+	nodes := make([]*pastry.Node, 0, r.active.len())
+	for _, e := range r.active.entries {
+		node := r.slots[e.slot].node
+		if node == nil {
+			return false
+		}
+		nodes = append(nodes, node)
+	}
+	return RingConsistent(nodes)
+}
+
+// RingConsistent is the §3.1 convergence criterion: every node is active,
+// its leaf set is complete, and its ring neighbours are the ones the
+// sorted identifiers dictate. The harness polls it after a partition
+// heals; the mass-failure experiment polls it over the survivors.
+func RingConsistent(nodes []*pastry.Node) bool {
+	n := len(nodes)
 	if n == 0 {
 		return false
 	}
-	entries := append([]ringEntry(nil), r.active.entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id.Cmp(entries[j].id) < 0 })
-	for i, e := range entries {
-		node := r.slots[e.slot].node
-		if node == nil || !node.Active() {
+	sorted := append([]*pastry.Node(nil), nodes...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Ref().ID.Cmp(sorted[j].Ref().ID) < 0 })
+	for i, node := range sorted {
+		if !node.Active() {
 			return false
 		}
-		if n > 1 && !node.Leaf().Complete() {
-			return false
+		if n == 1 {
+			continue // a singleton has no neighbours to agree with
 		}
-		wantRight := entries[(i+1)%n].id
-		wantLeft := entries[(i-1+n)%n].id
 		right, okR := node.Leaf().RightNeighbour()
 		left, okL := node.Leaf().LeftNeighbour()
-		if n == 1 {
-			continue
-		}
-		if !okR || !okL || right.ID != wantRight || left.ID != wantLeft {
+		if !node.Leaf().Complete() || !okR || !okL ||
+			right.ID != sorted[(i+1)%n].Ref().ID || left.ID != sorted[(i-1+n)%n].Ref().ID {
 			return false
 		}
 	}

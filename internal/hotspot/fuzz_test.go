@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -52,7 +53,7 @@ func frameSamples() map[string]any {
 func TestRecordedFrames(t *testing.T) {
 	kinds := map[byte]bool{}
 	for name, m := range frameSamples() {
-		frame := wantFrame(t, name, Encode(m))
+		frame := codectest.WantFrame(t, name, Encode(m))
 		kinds[frame[0]] = true
 		// Encoders are injective, so a recorded frame that re-encodes to
 		// itself decoded to the values the sample was built from.
@@ -76,7 +77,7 @@ func FuzzDecodeHotspotMessage(f *testing.F) {
 	f.Add([]byte{KindCachedReply, 0x04, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for kind := range decoders {
-			roundTrip(t, data, reencoder(kind))
+			codectest.RoundTrip(t, data, reencoder(kind))
 		}
 	})
 }

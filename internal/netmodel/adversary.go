@@ -140,9 +140,6 @@ func (nw *Network) Adversary() *Adversary {
 // SetBehaviors selects which attacks marked nodes mount.
 func (a *Adversary) SetBehaviors(b Behavior) { a.behaviors = b }
 
-// Behaviors returns the active behaviour set.
-func (a *Adversary) Behaviors() Behavior { return a.behaviors }
-
 // Mark turns the endpoint with the given address malicious (across
 // reincarnations: the address stays marked).
 func (a *Adversary) Mark(addr string) { a.malicious[addr] = true }

@@ -142,9 +142,6 @@ func (f *FaultSet) SetPartition(sideA func(addr string) bool) {
 	f.partition = sideA
 }
 
-// Partitioned reports whether a partition is currently active.
-func (f *FaultSet) Partitioned() bool { return f.partition != nil }
-
 // SetLinkLoss injects loss probability rate on the directed link from →
 // to (endpoint addresses). Rate 0 removes the rule. Asymmetric loss is
 // expressed by setting only one direction.

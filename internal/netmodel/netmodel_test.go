@@ -226,3 +226,44 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 		t.Fatalf("network charged %d total bytes, wire output is %d", got, want)
 	}
 }
+
+// TestNewClusterActiveAndDeterministic builds the same seeded overlay
+// twice: every node must come up active with its application hook run
+// before it joined, and both builds must draw the same ids and send the
+// same number of frames by the same virtual time.
+func TestNewClusterActiveAndDeterministic(t *testing.T) {
+	const n = 12
+	cfg := pastry.DefaultConfig()
+	cfg.L = 8
+	build := func() (ids []id.ID, frames uint64, now time.Duration) {
+		sim, nw := testNet(t, 0)
+		hooked := 0
+		c := nw.NewCluster(n, cfg, 2*time.Second, func(i int, node *pastry.Node, ep *Endpoint) {
+			if node.Active() || ep.Node() != node || i != hooked {
+				t.Fatalf("each(%d): active=%v bound=%v after %d calls", i, node.Active(), ep.Node() == node, hooked)
+			}
+			hooked++
+		})
+		sim.RunUntil(sim.Now() + time.Minute)
+		if len(c.Nodes) != n || len(c.Eps) != n || hooked != n {
+			t.Fatalf("cluster of %d nodes, %d endpoints, %d hook calls; want %d each", len(c.Nodes), len(c.Eps), hooked, n)
+		}
+		for i, node := range c.Nodes {
+			if !node.Active() {
+				t.Fatalf("node %d not active", i)
+			}
+			ids = append(ids, node.Ref().ID)
+		}
+		return ids, nw.Frames, sim.Now()
+	}
+	ids1, frames1, now1 := build()
+	ids2, frames2, now2 := build()
+	if frames1 != frames2 || now1 != now2 {
+		t.Fatalf("same seed diverged: %d frames at %v vs %d frames at %v", frames1, now1, frames2, now2)
+	}
+	for i := range ids1 {
+		if ids1[i] != ids2[i] {
+			t.Fatalf("node %d drew id %v then %v", i, ids1[i], ids2[i])
+		}
+	}
+}

@@ -75,9 +75,6 @@ func NewQueue(limit int) *Queue {
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return q.size }
 
-// Limit reports the queue's capacity.
-func (q *Queue) Limit() int { return q.limit }
-
 // LoadFactor reports occupancy in [0,1].
 func (q *Queue) LoadFactor() float64 {
 	return float64(q.size) / float64(q.limit)

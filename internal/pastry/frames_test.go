@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 )
 
@@ -71,7 +72,7 @@ var frameSamples = []struct {
 func TestRecordedFrames(t *testing.T) {
 	tags := map[byte]bool{}
 	for _, s := range frameSamples {
-		frame := wantFrame(t, s.name, EncodeMessage(s.msg))
+		frame := codectest.WantFrame(t, s.name, EncodeMessage(s.msg))
 		tags[frame[0]] = true
 		if got := MessageWireSize(s.msg); got != len(frame) {
 			t.Errorf("%s: MessageWireSize = %d, recorded frame has %d bytes", s.name, got, len(frame))

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 )
 
@@ -24,7 +25,7 @@ func fuzzDecodeMessage(f *testing.F, seeds ...Message) {
 		f.Add(EncodeMessage(m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		roundTrip(t, data, reencodeMessage)
+		codectest.RoundTrip(t, data, reencodeMessage)
 		m, err := DecodeMessage(data)
 		if err != nil {
 			return

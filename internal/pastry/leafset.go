@@ -107,13 +107,6 @@ func removeID(side *[]NodeRef, x id.ID) bool {
 	return false
 }
 
-// RemoveAll removes every node in refs.
-func (ls *LeafSet) RemoveAll(refs []NodeRef) {
-	for _, r := range refs {
-		ls.Remove(r.ID)
-	}
-}
-
 // Contains reports whether x is in the leaf set.
 func (ls *LeafSet) Contains(x id.ID) bool {
 	for _, e := range ls.left {

@@ -139,6 +139,29 @@ type Counters struct {
 	SecureGiveUps uint64
 }
 
+// Add accumulates o into c, field by field: how a run totals the
+// counters of every node instance it hosted.
+func (c *Counters) Add(o Counters) {
+	c.SuppressedProbes += o.SuppressedProbes
+	c.SentRTProbes += o.SentRTProbes
+	c.SentReconnectProbes += o.SentReconnectProbes
+	c.SentHeartbeats += o.SentHeartbeats
+	c.Retransmits += o.Retransmits
+	c.FalsePositives += o.FalsePositives
+	c.DeliveredLookups += o.DeliveredLookups
+	c.RetryBudgetExhausted += o.RetryBudgetExhausted
+	c.BreakerOpens += o.BreakerOpens
+	c.BreakerReopens += o.BreakerReopens
+	c.BreakerCloses += o.BreakerCloses
+	c.SecureReports += o.SecureReports
+	c.SecureTestPass += o.SecureTestPass
+	c.SecureTestFail += o.SecureTestFail
+	c.SecureRedundantRounds += o.SecureRedundantRounds
+	c.SecureRedundantSends += o.SecureRedundantSends
+	c.SecureDistrusted += o.SecureDistrusted
+	c.SecureGiveUps += o.SecureGiveUps
+}
+
 type probeState struct {
 	ref     NodeRef
 	isLeaf  bool // leaf-set probe (LSProbe) vs routing-table ping

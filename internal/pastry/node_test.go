@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -430,5 +431,21 @@ func TestSuppressionReducesProbes(t *testing.T) {
 	without := run(false)
 	if with >= without {
 		t.Fatalf("suppression did not reduce probe traffic: %d vs %d", with, without)
+	}
+}
+
+// TestCountersAddCoversEveryField catches a counter added to the struct
+// but not to Add: every field must double when a value is added to itself.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	c.Add(c)
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Uint(); got != 2*uint64(i+1) {
+			t.Errorf("Add skips %s: %d, want %d", v.Type().Field(i).Name, got, 2*(i+1))
+		}
 	}
 }

@@ -24,26 +24,19 @@ import (
 // Handler consumes multicast messages delivered to a local subscription.
 type Handler func(group id.ID, payload []byte)
 
-// Config tunes the soft-state timers.
-type Config struct {
-	// RefreshInterval is how often subscriptions are re-sent towards the
-	// group root.
-	RefreshInterval time.Duration
-	// ChildTTL is how long a child entry survives without a refresh.
-	ChildTTL time.Duration
-}
-
-// DefaultConfig returns the default soft-state timers.
-func DefaultConfig() Config {
-	return Config{RefreshInterval: 30 * time.Second, ChildTTL: 75 * time.Second}
-}
+// The soft-state timers: refreshInterval is how often subscriptions are
+// re-sent towards the group root, childTTL how long a child entry
+// survives without a refresh.
+const (
+	refreshInterval = 30 * time.Second
+	childTTL        = 75 * time.Second
+)
 
 // Scribe is the multicast engine on one overlay node. It implements
 // pastry.App. All methods must be called from the node's Env context.
 type Scribe struct {
 	node *pastry.Node
 	env  pastry.Env
-	cfg  Config
 
 	groups map[id.ID]*groupState
 
@@ -72,11 +65,10 @@ type childEntry struct {
 
 // New attaches a Scribe engine to node, registering it as the node's
 // application layer. env must be the node's environment (for timers).
-func New(node *pastry.Node, env pastry.Env, cfg Config) *Scribe {
+func New(node *pastry.Node, env pastry.Env) *Scribe {
 	s := &Scribe{
 		node:     node,
 		env:      env,
-		cfg:      cfg,
 		groups:   make(map[id.ID]*groupState),
 		seen:     make(map[uint64]bool),
 		seenRing: make([]uint64, 1024),
@@ -122,15 +114,6 @@ func (s *Scribe) Publish(group id.ID, payload []byte) {
 	s.node.Lookup(group, encodePublish(group, payload))
 }
 
-// Children reports the node's current child count for a group (testing and
-// diagnostics).
-func (s *Scribe) Children(group id.ID) int {
-	if g, ok := s.groups[group]; ok {
-		return len(g.children)
-	}
-	return 0
-}
-
 func (s *Scribe) group(group id.ID) *groupState {
 	g, ok := s.groups[group]
 	if !ok {
@@ -151,7 +134,7 @@ func (s *Scribe) armRefresh(group id.ID, g *groupState) {
 	if g.refresh != nil {
 		g.refresh.Cancel()
 	}
-	g.refresh = s.env.Schedule(s.cfg.RefreshInterval, func() {
+	g.refresh = s.env.Schedule(refreshInterval, func() {
 		cur, ok := s.groups[group]
 		if !ok {
 			return
@@ -171,7 +154,7 @@ func (s *Scribe) armRefresh(group id.ID, g *groupState) {
 func (s *Scribe) expireChildren(group id.ID, g *groupState) {
 	now := s.env.Now()
 	for x, c := range g.children {
-		if now-c.seen > s.cfg.ChildTTL {
+		if now-c.seen > childTTL {
 			delete(g.children, x)
 		}
 	}

@@ -27,25 +27,9 @@ func newCluster(t *testing.T, n int, seed int64) *simCluster {
 	cfg := pastry.DefaultConfig()
 	cfg.L = 8
 	cfg.PNS = false
-	first := topo.Attach(n, sim.Rand())
-	var seedRef pastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, cfg, ep, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.Bind(node)
-		c.engines = append(c.engines, New(node, ep, DefaultConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 5*time.Second)
-	}
+	nw.NewCluster(n, cfg, 5*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
+		c.engines = append(c.engines, New(node, ep))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	for i, e := range c.engines {
 		if !e.Node().Active() {

@@ -22,15 +22,9 @@ import (
 	"mspastry/internal/scribe"
 )
 
-// Config sets the stripe count.
-type Config struct {
-	// DataStripes is k, the number of data stripes (the parity stripe is
-	// added on top).
-	DataStripes int
-}
-
-// DefaultConfig uses 4 data stripes + 1 parity stripe.
-func DefaultConfig() Config { return Config{DataStripes: 4} }
+// DataStripes is k, the number of data stripes (the parity stripe is
+// added on top).
+const DataStripes = 4
 
 // Channel is one striped multicast channel on a node.
 type Channel struct {
@@ -76,15 +70,12 @@ func StripeGroups(name string, k int) []id.ID {
 
 // Join subscribes the node to all stripes of the named channel; handler
 // receives each reconstructed message exactly once, in arrival order.
-func Join(engine *scribe.Scribe, cfg Config, name string, handler func(seq uint64, payload []byte)) *Channel {
-	if cfg.DataStripes < 1 {
-		cfg.DataStripes = 1
-	}
+func Join(engine *scribe.Scribe, name string, handler func(seq uint64, payload []byte)) *Channel {
 	c := &Channel{
 		engine:  engine,
 		name:    name,
-		k:       cfg.DataStripes,
-		groups:  StripeGroups(name, cfg.DataStripes),
+		k:       DataStripes,
+		groups:  StripeGroups(name, DataStripes),
 		handler: handler,
 		partial: make(map[uint64]*assembly),
 	}
@@ -112,14 +103,11 @@ type Publisher struct {
 }
 
 // NewPublisher creates a publisher for the named channel.
-func NewPublisher(engine *scribe.Scribe, cfg Config, name string) *Publisher {
-	if cfg.DataStripes < 1 {
-		cfg.DataStripes = 1
-	}
+func NewPublisher(engine *scribe.Scribe, name string) *Publisher {
 	return &Publisher{
 		engine: engine,
-		k:      cfg.DataStripes,
-		groups: StripeGroups(name, cfg.DataStripes),
+		k:      DataStripes,
+		groups: StripeGroups(name, DataStripes),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mspastry/internal/eventsim"
-	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
 	"mspastry/internal/scribe"
@@ -98,25 +97,9 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 	cfg := pastry.DefaultConfig()
 	cfg.L = 8
 	cfg.PNS = false
-	first := topo.Attach(n, sim.Rand())
-	var seedRef pastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, cfg, ep, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.Bind(node)
-		c.engines = append(c.engines, scribe.New(node, ep, scribe.DefaultConfig()))
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 5*time.Second)
-	}
+	nw.NewCluster(n, cfg, 5*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
+		c.engines = append(c.engines, scribe.New(node, ep))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	return c
 }
@@ -125,7 +108,6 @@ func (c *cluster) settle(d time.Duration) { c.sim.RunUntil(c.sim.Now() + d) }
 
 func TestStreamDelivery(t *testing.T) {
 	c := newCluster(t, 16, 1)
-	cfg := DefaultConfig()
 	type rx struct {
 		seq     uint64
 		payload []byte
@@ -133,12 +115,12 @@ func TestStreamDelivery(t *testing.T) {
 	received := map[int][]rx{}
 	for i := 4; i < 12; i++ {
 		i := i
-		Join(c.engines[i], cfg, "film", func(seq uint64, payload []byte) {
+		Join(c.engines[i], "film", func(seq uint64, payload []byte) {
 			received[i] = append(received[i], rx{seq, append([]byte(nil), payload...)})
 		})
 	}
 	c.settle(15 * time.Second)
-	pub := NewPublisher(c.engines[0], cfg, "film")
+	pub := NewPublisher(c.engines[0], "film")
 	var frames [][]byte
 	for f := 0; f < 10; f++ {
 		frame := bytes.Repeat([]byte{byte('A' + f)}, 100+f*7)
@@ -163,8 +145,7 @@ func TestStreamSurvivesOneStripeLoss(t *testing.T) {
 	// Drop every multicast block of stripe 2 on the wire: the parity
 	// stripe must cover the gap for every subscriber.
 	c := newCluster(t, 14, 2)
-	cfg := DefaultConfig()
-	groups := StripeGroups("robust", cfg.DataStripes)
+	groups := StripeGroups("robust", DataStripes)
 	deadStripe := groups[2]
 	c.nw.OnSend(func(from *netmodel.Endpoint, to pastry.NodeRef, m pastry.Message, singleBytes int) {})
 	// Intercept at the scribe payload level: suppress publishes to the
@@ -175,12 +156,12 @@ func TestStreamSurvivesOneStripeLoss(t *testing.T) {
 	var chans []*Channel
 	for i := 3; i < 11; i++ {
 		i := i
-		ch := Join(c.engines[i], cfg, "robust", func(seq uint64, payload []byte) { got[i]++ })
+		ch := Join(c.engines[i], "robust", func(seq uint64, payload []byte) { got[i]++ })
 		chans = append(chans, ch)
 		_ = recovered
 	}
 	c.settle(15 * time.Second)
-	pub := NewPublisher(c.engines[0], cfg, "robust")
+	pub := NewPublisher(c.engines[0], "robust")
 	for f := 0; f < 6; f++ {
 		// Publish manually, skipping the dead stripe (as if its tree were
 		// severed at the root).
@@ -215,11 +196,10 @@ func TestStreamSurvivesOneStripeLoss(t *testing.T) {
 
 func TestLeaveStopsStream(t *testing.T) {
 	c := newCluster(t, 10, 3)
-	cfg := DefaultConfig()
 	got := 0
-	ch := Join(c.engines[2], cfg, "quit", func(uint64, []byte) { got++ })
+	ch := Join(c.engines[2], "quit", func(uint64, []byte) { got++ })
 	c.settle(10 * time.Second)
-	pub := NewPublisher(c.engines[0], cfg, "quit")
+	pub := NewPublisher(c.engines[0], "quit")
 	pub.Publish([]byte("one"))
 	c.settle(10 * time.Second)
 	ch.Leave()

@@ -89,25 +89,20 @@ type Proxy struct {
 	stats Stats
 }
 
-// Config sizes the proxy caches.
-type Config struct {
-	HomeCacheEntries  int
-	LocalCacheEntries int
-}
-
-// DefaultConfig returns a modest cache sizing.
-func DefaultConfig() Config {
-	return Config{HomeCacheEntries: 4096, LocalCacheEntries: 512}
-}
+// A modest sizing of the proxy caches, in entries.
+const (
+	homeCacheEntries  = 4096
+	localCacheEntries = 512
+)
 
 // New attaches a Squirrel proxy to node. It registers itself as the node's
 // application layer.
-func New(node *pastry.Node, origin Origin, cfg Config) *Proxy {
+func New(node *pastry.Node, origin Origin) *Proxy {
 	p := &Proxy{
 		node:    node,
 		origin:  origin,
-		home:    newBodyCache(cfg.HomeCacheEntries),
-		local:   newBodyCache(cfg.LocalCacheEntries),
+		home:    newBodyCache(homeCacheEntries),
+		local:   newBodyCache(localCacheEntries),
 		pending: make(map[uint64]pendingReq),
 	}
 	node.SetApp(p)

@@ -35,26 +35,9 @@ func newCluster(t *testing.T, n int, seed int64) *simCluster {
 	cfg := pastry.DefaultConfig()
 	cfg.L = 8
 	cfg.PNS = false
-	first := topo.Attach(n, sim.Rand())
-	var seedRef pastry.NodeRef
-	for i := 0; i < n; i++ {
-		ep := nw.NewEndpoint(first + i)
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, cfg, ep, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.Bind(node)
-		proxy := New(node, origin, DefaultConfig())
-		c.proxies = append(c.proxies, proxy)
-		if i == 0 {
-			node.Bootstrap()
-			seedRef = ref
-		} else {
-			node.Join(seedRef)
-		}
-		sim.RunUntil(sim.Now() + 5*time.Second)
-	}
+	nw.NewCluster(n, cfg, 5*time.Second, func(_ int, node *pastry.Node, _ *netmodel.Endpoint) {
+		c.proxies = append(c.proxies, New(node, origin))
+	})
 	sim.RunUntil(sim.Now() + time.Minute)
 	for i, p := range c.proxies {
 		if !p.Node().Active() {

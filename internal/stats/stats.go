@@ -135,18 +135,6 @@ type PhaseTotals struct {
 	Before, During, After PhaseCount
 }
 
-// ByPhase returns the count for the given phase.
-func (t PhaseTotals) ByPhase(p Phase) PhaseCount {
-	switch p {
-	case PhaseBefore:
-		return t.Before
-	case PhaseDuring:
-		return t.During
-	default:
-		return t.After
-	}
-}
-
 // NewCollector creates a collector for a run of the given duration with
 // the given averaging window.
 func NewCollector(duration, window time.Duration) *Collector {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 )
 
@@ -24,7 +25,7 @@ func TestRecordedFrames(t *testing.T) {
 		"object-tombstone": {Key: id.New(9, 9), Version: 5, Origin: 42, Tombstone: true},
 		"object-extremes":  obj(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), "x"),
 	} {
-		frame := wantFrame(t, name, EncodeObject(nil, o))
+		frame := codectest.WantFrame(t, name, EncodeObject(nil, o))
 		got, ok := DecodeObject(frame)
 		if !ok || got.Key != o.Key || got.Version != o.Version || got.Origin != o.Origin ||
 			got.Tombstone != o.Tombstone || !bytes.Equal(got.Value, o.Value) {
@@ -44,7 +45,7 @@ func FuzzDecodeObject(f *testing.F) {
 		if o, ok := DecodeObject(data); ok && o.Version == 0 {
 			t.Fatal("decoder accepted reserved version 0")
 		}
-		roundTrip(t, data, reencodeObject)
+		codectest.RoundTrip(t, data, reencodeObject)
 	})
 }
 

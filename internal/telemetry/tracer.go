@@ -8,9 +8,6 @@ import (
 	"mspastry/internal/pastry"
 )
 
-// HopCauseName renders a pastry hop cause for storage and JSON.
-func HopCauseName(c pastry.HopCause) string { return c.String() }
-
 // HopRecord is one forwarding event of a traced lookup: the node that
 // transmitted, the next hop it chose, when (node-local clock; in the
 // simulator all nodes share the clock, so consecutive records yield per-hop

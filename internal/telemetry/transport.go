@@ -140,7 +140,6 @@ func RecordDHTCounters(reg *Registry, c dht.Counters, localObjects int) {
 	set("mspastry_dht_replicas_pushed", "Full-value replica pushes to leaf-set neighbours.", float64(c.ReplicasPushed))
 	set("mspastry_dht_replicas_applied", "Incoming replica values that changed local state.", float64(c.ReplicasApplied))
 	set("mspastry_dht_sweeps", "Replica responsibility sweeps run.", float64(c.Sweeps))
-	set("mspastry_dht_sweeps_deferred", "Sweeps skipped because the transport was overloaded.", float64(c.SweepsDeferred))
 	set("mspastry_dht_sweep_handoffs", "Objects handed off and dropped by sweeps.", float64(c.SweepHandoffs))
 	set("mspastry_dht_sync_rounds", "Anti-entropy exchanges started.", float64(c.SyncRounds))
 	set("mspastry_dht_sync_clean", "Anti-entropy exchanges where root digests matched.", float64(c.SyncClean))

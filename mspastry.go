@@ -16,7 +16,7 @@
 //	sim := mspastry.NewSimulator(1)
 //	topo := mspastry.NewGATechTopology(mspastry.DefaultGATechConfig(), sim.Rand())
 //	net := mspastry.NewSimNetwork(sim, topo, 0)
-//	...
+//	overlay := net.NewCluster(64, mspastry.DefaultConfig(), 2*time.Second, nil)
 //
 // or run a real node over UDP:
 //
@@ -85,6 +85,10 @@ type (
 	SimNetwork = netmodel.Network
 	// Endpoint is a node's attachment point in the simulated network.
 	Endpoint = netmodel.Endpoint
+	// SimCluster is the static overlay SimNetwork.NewCluster builds: n
+	// endpoints, one node each, the first bootstrapped and the rest joined
+	// through it.
+	SimCluster = netmodel.Cluster
 	// Trace is a churn schedule.
 	Trace = trace.Trace
 	// TraceConfig parameterises the churn generator.
@@ -105,8 +109,6 @@ type (
 	UDPTransport = transport.UDP
 	// SquirrelProxy is a decentralized web-cache instance.
 	SquirrelProxy = squirrel.Proxy
-	// SquirrelConfig sizes the web-cache proxies.
-	SquirrelConfig = squirrel.Config
 	// SquirrelOrigin abstracts the origin web server.
 	SquirrelOrigin = squirrel.Origin
 	// SquirrelOriginFunc adapts a function to SquirrelOrigin.
@@ -115,8 +117,6 @@ type (
 	SquirrelOutcome = squirrel.Outcome
 	// ScribeEngine is an application-level multicast instance.
 	ScribeEngine = scribe.Scribe
-	// ScribeConfig tunes the multicast soft-state timers.
-	ScribeConfig = scribe.Config
 	// DHTStore is a replicated key-value store instance.
 	DHTStore = dht.Store
 	// DHTConfig tunes replication and end-to-end retries.
@@ -134,8 +134,6 @@ type (
 	SplitStreamChannel = splitstream.Channel
 	// SplitStreamPublisher publishes striped messages.
 	SplitStreamPublisher = splitstream.Publisher
-	// SplitStreamConfig sets the stripe count.
-	SplitStreamConfig = splitstream.Config
 	// GATechConfig parameterises the transit-stub topology.
 	GATechConfig = topology.GATechConfig
 	// MercatorConfig parameterises the AS-structured topology.
@@ -231,12 +229,9 @@ func ListenUDP(addr string, seed int64) (*UDPTransport, error) {
 }
 
 // NewSquirrel attaches a Squirrel web-cache proxy to a node.
-func NewSquirrel(node *Node, origin SquirrelOrigin, cfg SquirrelConfig) *SquirrelProxy {
-	return squirrel.New(node, origin, cfg)
+func NewSquirrel(node *Node, origin SquirrelOrigin) *SquirrelProxy {
+	return squirrel.New(node, origin)
 }
-
-// DefaultSquirrelConfig returns a modest cache sizing.
-func DefaultSquirrelConfig() SquirrelConfig { return squirrel.DefaultConfig() }
 
 // Squirrel request outcomes.
 const (
@@ -251,12 +246,9 @@ const (
 )
 
 // NewScribe attaches a Scribe multicast engine to a node.
-func NewScribe(node *Node, env Env, cfg ScribeConfig) *ScribeEngine {
-	return scribe.New(node, env, cfg)
+func NewScribe(node *Node, env Env) *ScribeEngine {
+	return scribe.New(node, env)
 }
-
-// DefaultScribeConfig returns the default multicast soft-state timers.
-func DefaultScribeConfig() ScribeConfig { return scribe.DefaultConfig() }
 
 // ErrDHTNotFound reports a Get for a key no responsible node holds (or a
 // deleted key).
@@ -287,15 +279,12 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (StoreBackend, error) {
 
 // JoinSplitStream subscribes a Scribe engine to all stripes of a striped
 // multicast channel.
-func JoinSplitStream(engine *ScribeEngine, cfg SplitStreamConfig, name string,
+func JoinSplitStream(engine *ScribeEngine, name string,
 	handler func(seq uint64, payload []byte)) *SplitStreamChannel {
-	return splitstream.Join(engine, cfg, name, handler)
+	return splitstream.Join(engine, name, handler)
 }
 
 // NewSplitStreamPublisher creates a publisher for a striped channel.
-func NewSplitStreamPublisher(engine *ScribeEngine, cfg SplitStreamConfig, name string) *SplitStreamPublisher {
-	return splitstream.NewPublisher(engine, cfg, name)
+func NewSplitStreamPublisher(engine *ScribeEngine, name string) *SplitStreamPublisher {
+	return splitstream.NewPublisher(engine, name)
 }
-
-// DefaultSplitStreamConfig uses 4 data stripes plus one parity stripe.
-func DefaultSplitStreamConfig() SplitStreamConfig { return splitstream.DefaultConfig() }
