@@ -264,9 +264,12 @@ func main() {
 			*malFrac, behaviors, *secRoute)
 	}
 
+	var memBefore, memAfter runtime.MemStats
+	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	res := harness.Run(cfg)
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&memAfter)
 
 	fmt.Printf("\n%-10s %8s %8s %8s %10s %10s %10s\n",
 		"window", "active", "rdp", "hops", "ctrl/n/s", "loss", "incorrect")
@@ -346,9 +349,11 @@ func main() {
 			ts.Delivered, ts.Dropped, ts.Outstanding, ts.Reconstructed,
 			ts.ReconstructionRate()*100)
 	}
-	fmt.Printf("simulated %v in %v (%d events, %.0f events/s)\n",
-		tr.Duration, elapsed.Round(time.Millisecond), res.SimEvents,
-		float64(res.SimEvents)/elapsed.Seconds())
+	events := float64(res.SimEvents)
+	fmt.Printf("simulated %v in %v (%d events, %.0f events/s, %.2f allocs/event, %.0f B/event)\n",
+		tr.Duration, elapsed.Round(time.Millisecond), res.SimEvents, events/elapsed.Seconds(),
+		float64(memAfter.Mallocs-memBefore.Mallocs)/events,
+		float64(memAfter.TotalAlloc-memBefore.TotalAlloc)/events)
 	if t.IncorrectRate > 0 {
 		fmt.Fprintf(os.Stderr, "note: incorrect deliveries observed (expected only with link loss)\n")
 	}

@@ -9,20 +9,29 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
-// Event is a scheduled callback. It can be cancelled before it fires.
+// Handler is what the simulator runs when a scheduled time arrives. The
+// queue stores handlers by value beside their time, so scheduling one that
+// already exists (see Schedule) allocates nothing.
+type Handler interface {
+	Fire()
+}
+
+// Event is a scheduled callback: the Handler that can be cancelled before
+// it fires. The simulator never reuses an Event, so a handle stays safe to
+// Cancel for as long as its holder keeps it.
 type Event struct {
 	when     time.Duration
-	seq      uint64
 	fn       func()
-	index    int // position in the heap, -1 once removed
 	canceled bool
 }
+
+// Fire implements Handler: it runs the callback.
+func (e *Event) Fire() { e.fn() }
 
 // When returns the virtual time at which the event is (or was) scheduled.
 func (e *Event) When() time.Duration { return e.when }
@@ -38,7 +47,7 @@ func (e *Event) Canceled() bool { return e.canceled }
 // The zero value is not usable; construct with New.
 type Simulator struct {
 	now       time.Duration
-	events    eventHeap
+	events    []entry
 	seq       uint64
 	rng       *rand.Rand
 	steps     uint64
@@ -70,15 +79,23 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // forward, with the new time. Metric collectors use it to close windows.
 func (s *Simulator) OnAdvance(fn func(time.Duration)) { s.onAdvance = fn }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (before Now) panics: that is always a logic error in a simulation.
-func (s *Simulator) At(t time.Duration, fn func()) *Event {
+// Schedule queues h to fire at absolute virtual time t, fire-and-forget:
+// there is no handle, so nothing can cancel it and h may recycle itself
+// once fired. Scheduling in the past (before Now) panics: that is always a
+// logic error in a simulation.
+func (s *Simulator) Schedule(t time.Duration, h Handler) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
 	}
-	e := &Event{when: t, seq: s.seq, fn: fn}
+	s.push(entry{when: t, seq: s.seq, h: h})
 	s.seq++
-	heap.Push(&s.events, e)
+}
+
+// At schedules fn to run at absolute virtual time t and returns the handle
+// that cancels it; like Schedule, it panics for a t before Now.
+func (s *Simulator) At(t time.Duration, fn func()) *Event {
+	e := &Event{when: t, fn: fn}
+	s.Schedule(t, e)
 	return e
 }
 
@@ -95,8 +112,8 @@ func (s *Simulator) Stop() { s.stopped = true }
 // false when no events remain.
 func (s *Simulator) Step() bool {
 	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
-		if e.canceled {
+		e := s.pop()
+		if e.canceled() {
 			continue
 		}
 		if e.when > s.now {
@@ -106,7 +123,7 @@ func (s *Simulator) Step() bool {
 			}
 		}
 		s.steps++
-		e.fn()
+		e.h.Fire()
 		return true
 	}
 	return false
@@ -124,8 +141,8 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(t time.Duration) {
 	s.stopped = false
 	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.when > t {
+		when, ok := s.peek()
+		if !ok || when > t {
 			break
 		}
 		s.Step()
@@ -138,47 +155,83 @@ func (s *Simulator) RunUntil(t time.Duration) {
 	}
 }
 
-func (s *Simulator) peek() *Event {
+// peek reaps cancelled events off the top of the queue and returns the
+// time of the next one that will fire.
+func (s *Simulator) peek() (time.Duration, bool) {
 	for len(s.events) > 0 {
-		if e := s.events[0]; !e.canceled {
-			return e
+		if e := s.events[0]; !e.canceled() {
+			return e.when, true
 		}
-		heap.Pop(&s.events)
+		s.pop()
 	}
-	return nil
+	return 0, false
 }
 
-// eventHeap orders events by (when, seq) so that events at equal times fire
-// in scheduling order, keeping runs deterministic.
-type eventHeap []*Event
+// entry is one queued event. The queue is a binary min-heap of entries
+// held by value, ordered by (when, seq): seq is unique, so the order is
+// total, events at equal times fire in scheduling order, and runs are
+// deterministic whatever the heap's internal layout.
+type entry struct {
+	when time.Duration
+	seq  uint64
+	h    Handler
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (e entry) before(o entry) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// canceled reports whether the entry is an Event whose Cancel was called;
+// Step and peek drop such entries without counting them.
+func (e entry) canceled() bool {
+	ev, ok := e.h.(*Event)
+	return ok && ev.canceled
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+func (s *Simulator) push(e entry) {
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	s.events = h
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (s *Simulator) pop() entry {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // drop the handler reference
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h[child+1].before(h[child]) {
+			child++
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }

@@ -2,7 +2,7 @@ package eventsim
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,14 +23,31 @@ func TestRunsEventsInTimeOrder(t *testing.T) {
 	}
 }
 
+// appendHandler is a Handler for Schedule: it records its value.
+type appendHandler struct {
+	order *[]int
+	v     int
+}
+
+func (h appendHandler) Fire() { *h.order = append(*h.order, h.v) }
+
+// Schedule and At feed one queue: at equal times they fire in the order
+// they were scheduled, whichever of the two scheduled them.
 func TestEqualTimesFireInScheduleOrder(t *testing.T) {
 	s := New(1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Second, func() { order = append(order, i) })
+		if i%2 == 0 {
+			s.At(time.Second, func() { order = append(order, i) })
+		} else {
+			s.Schedule(time.Second, appendHandler{&order, i})
+		}
 	}
 	s.Run()
+	if len(order) != 10 {
+		t.Fatalf("fired %d of 10 events: %v", len(order), order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("FIFO violated at %d: %v", i, order)
@@ -188,32 +205,97 @@ func TestOnAdvanceSeesMonotoneTimes(t *testing.T) {
 	}
 }
 
+// A cancelled event stays queued (Pending counts it) until it reaches the
+// top, where it is dropped without firing and without counting as a step.
 func TestStepsCountsOnlyFiredEvents(t *testing.T) {
 	s := New(1)
 	e := s.At(time.Second, func() {})
-	s.At(2*time.Second, func() {})
+	var order []int
+	s.Schedule(2*time.Second, appendHandler{&order, 2})
 	e.Cancel()
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d after Cancel, want 2", s.Pending())
+	}
 	s.Run()
-	if s.Steps() != 1 {
-		t.Fatalf("Steps = %d, want 1", s.Steps())
+	if s.Steps() != 1 || len(order) != 1 {
+		t.Fatalf("Steps = %d, fired %v; want the one live event", s.Steps(), order)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run, want 0", s.Pending())
+	}
+}
+
+type nopHandler struct{}
+
+func (*nopHandler) Fire() {}
+
+// TestSchedulingAllocations pins the engine's own cost per event: the queue
+// holds entries by value, so a handler that already exists costs nothing
+// to schedule and fire, and a cancellable callback costs its Event handle.
+func TestSchedulingAllocations(t *testing.T) {
+	s := New(1)
+	for i := 0; i < 64; i++ { // a standing queue, grown before measuring
+		s.At(time.Hour, func() {})
+	}
+	h, fn := &nopHandler{}, func() {}
+	for name, pin := range map[string]struct {
+		want float64
+		f    func()
+	}{
+		"Schedule+Step": {0, func() { s.Schedule(s.Now(), h); s.Step() }},
+		"At+Step":       {1, func() { s.At(s.Now(), fn); s.Step() }},
+	} {
+		if got := testing.AllocsPerRun(100, pin.f); got != pin.want {
+			t.Errorf("%s: %v allocs per event, want %v", name, got, pin.want)
+		}
 	}
 }
 
 func TestHeapPropertyRandomOrder(t *testing.T) {
-	// Property: for any multiset of schedule times, execution order is the
-	// sorted order (stable by insertion for duplicates).
+	// Property: whatever the interleaving of scheduling and stepping, events
+	// fire in (time, scheduling order) — checked against a reference queue
+	// that finds its minimum by linear scan. Times are drawn from a small
+	// range so that most of them collide.
+	type ref struct {
+		when time.Duration
+		idx  int
+	}
 	f := func(raw []uint16) bool {
 		s := New(1)
-		var fired []time.Duration
-		for _, v := range raw {
-			d := time.Duration(v) * time.Millisecond
-			s.At(d, func() { fired = append(fired, d) })
+		var fired, want []int
+		var queue []ref
+		refStep := func() {
+			if len(queue) == 0 {
+				return
+			}
+			min := 0
+			for i, e := range queue {
+				if e.when < queue[min].when { // ties: the earlier index stays
+					min = i
+				}
+			}
+			want = append(want, queue[min].idx)
+			queue = append(queue[:min], queue[min+1:]...)
+		}
+		for i, v := range raw {
+			i := i
+			when := s.Now() + time.Duration(v%32)*time.Millisecond
+			if v&1 == 0 {
+				s.At(when, func() { fired = append(fired, i) })
+			} else {
+				s.Schedule(when, appendHandler{&fired, i})
+			}
+			queue = append(queue, ref{when, i})
+			if v%3 == 0 {
+				s.Step()
+				refStep()
+			}
 		}
 		s.Run()
-		if len(fired) != len(raw) {
-			return false
+		for len(queue) > 0 {
+			refStep()
 		}
-		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
+		return len(fired) == len(raw) && slices.Equal(fired, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)

@@ -83,6 +83,12 @@ type Network struct {
 	// ShedByLane counts messages shed by bounded service queues, by the
 	// priority lane the shed message belonged to.
 	ShedByLane [overload.NumLanes]uint64
+
+	// free holds fired deliveries for reuse. A plain stack, not a
+	// sync.Pool: the simulator is single-threaded and must take the same
+	// path on every run. Its high-water mark is the number of frames in
+	// flight at once.
+	free []*delivery
 }
 
 // ServiceModel bounds each endpoint's message-processing capacity: at
@@ -367,35 +373,64 @@ func (nw *Network) dropN(cause DropCause, n int) {
 	}
 }
 
+// delivery is one frame in flight: the eventsim.Handler that hands it to
+// the destination at arrival time. Nothing outside the event queue holds a
+// delivery — it cannot be cancelled — so a fired one goes back to the
+// network's free list and a frame in flight costs no allocation.
+type delivery struct {
+	dst    *Endpoint
+	to     pastry.NodeRef
+	single pastry.Message
+	batch  []pastry.Message
+	nmsgs  int
+}
+
 // deliverAfter schedules one delivery attempt for a frame; destination
 // liveness and identity are re-checked at delivery time, once per frame
 // (every message in a frame was addressed to the same incarnation).
 func (nw *Network) deliverAfter(dst *Endpoint, to pastry.NodeRef, single pastry.Message, batch []pastry.Message, nmsgs int, delay time.Duration) {
-	nw.sim.After(delay, func() {
-		if !dst.up || dst.node == nil {
-			nw.dropN(DropDeadEndpoint, nmsgs)
-			return
+	var d *delivery
+	if last := len(nw.free) - 1; last >= 0 {
+		d, nw.free = nw.free[last], nw.free[:last]
+	} else {
+		d = new(delivery)
+	}
+	*d = delivery{dst: dst, to: to, single: single, batch: batch, nmsgs: nmsgs}
+	nw.sim.Schedule(nw.sim.Now()+delay, d)
+}
+
+// Fire implements eventsim.Handler. The frame is copied out and the struct
+// parked, zeroed, before any message is handed over: a receiver that sends
+// from inside Receive may take this very struct for its own frame, and a
+// parked delivery must not keep the messages it carried alive.
+func (d *delivery) Fire() {
+	f := *d
+	dst, to, nw := f.dst, f.to, f.dst.nw
+	*d = delivery{}
+	nw.free = append(nw.free, d)
+	if !dst.up || dst.node == nil {
+		nw.dropN(DropDeadEndpoint, f.nmsgs)
+		return
+	}
+	if dst.node.Ref().ID != to.ID {
+		// The endpoint was reincarnated with a new identity; the
+		// frame was addressed to the dead instance.
+		nw.dropN(DropStaleIdentity, f.nmsgs)
+		return
+	}
+	if f.batch == nil {
+		dst.accept(to, f.single)
+		return
+	}
+	for _, m := range f.batch {
+		if !dst.up || dst.node == nil || dst.node.Ref().ID != to.ID {
+			// An earlier message in the frame killed or replaced the
+			// node mid-delivery.
+			nw.dropN(DropDeadEndpoint, 1)
+			continue
 		}
-		if dst.node.Ref().ID != to.ID {
-			// The endpoint was reincarnated with a new identity; the
-			// frame was addressed to the dead instance.
-			nw.dropN(DropStaleIdentity, nmsgs)
-			return
-		}
-		if batch == nil {
-			dst.accept(to, single)
-			return
-		}
-		for _, m := range batch {
-			if !dst.up || dst.node == nil || dst.node.Ref().ID != to.ID {
-				// An earlier message in the frame killed or replaced the
-				// node mid-delivery.
-				nw.dropN(DropDeadEndpoint, 1)
-				continue
-			}
-			dst.accept(to, m)
-		}
-	})
+		dst.accept(to, m)
+	}
 }
 
 // accept hands one arrived message to the destination node: immediately

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -265,5 +266,131 @@ func TestNewClusterActiveAndDeterministic(t *testing.T) {
 		if ids1[i] != ids2[i] {
 			t.Fatalf("node %d drew id %v then %v", i, ids1[i], ids2[i])
 		}
+	}
+}
+
+// echoApp answers direct messages from inside Receive — that is, while the
+// delivery that carried the message is still on the stack.
+type echoApp struct {
+	direct func(from pastry.NodeRef, payload []byte)
+}
+
+func (echoApp) Deliver(*pastry.Lookup)                       {}
+func (echoApp) Forward(*pastry.Lookup) bool                  { return true }
+func (a echoApp) Direct(from pastry.NodeRef, payload []byte) { a.direct(from, payload) }
+
+// A fired delivery is parked before its message is handed over, so a
+// receiver that replies from inside Receive takes that very struct for its
+// reply while the predecessor's Fire is still running; duplication puts two
+// deliveries of one message object in flight. Every message must still
+// reach the endpoint it was addressed to, once per copy the network made.
+func TestRecycledDeliverySurvivesReentrantSend(t *testing.T) {
+	sim, nw := testNet(t, 0)
+	nw.Faults().SetDuplication(0.5)
+	const n = 4
+	first := nw.Topology().Attach(n, sim.Rand())
+	nodes := make([]*pastry.Node, n)
+	arrivals := map[uint64]int{}
+	var sends uint64
+	// A payload names its message and the endpoint it is meant for; ttl
+	// bounds the echo chain (each arrival of a copy answers once).
+	send := func(from int, to pastry.NodeRef, toIdx int, ttl byte) {
+		sends++
+		p := binary.BigEndian.AppendUint64(nil, sends)
+		nodes[from].SendDirect(to, append(p, byte(toIdx), byte(from), ttl))
+	}
+	for i := range nodes {
+		i := i
+		// Never bootstrapped: an inactive node answers nothing on its
+		// own, so direct messages are the only traffic.
+		nodes[i] = makeNode(t, nw, nw.NewEndpoint(first+i))
+		nodes[i].SetApp(echoApp{func(from pastry.NodeRef, p []byte) {
+			if len(p) != 11 || int(p[8]) != i || nodes[p[9]].Ref() != from {
+				t.Errorf("endpoint %d got a frame that is not its own: % x from %v", i, p, from)
+				return
+			}
+			arrivals[binary.BigEndian.Uint64(p)]++
+			if ttl := p[10]; ttl > 0 {
+				send(i, from, int(p[9]), ttl-1)
+			}
+		}})
+	}
+	for i := 0; i < 40; i++ {
+		to := (i + 1) % n
+		send(i%n, nodes[to].Ref(), to, 5)
+	}
+	sim.Run()
+
+	var copies uint64
+	for seq := uint64(1); seq <= sends; seq++ {
+		if c := arrivals[seq]; c < 1 || c > 2 {
+			t.Fatalf("message %d arrived %d times, want 1 or 2", seq, c)
+		}
+		copies += uint64(arrivals[seq])
+	}
+	if dup := nw.FaultCounts.Duplicated; dup == 0 || copies != sends+dup {
+		t.Fatalf("%d arrivals of %d messages with %d duplications: want sends+duplications", copies, sends, dup)
+	}
+	if len(nw.free) == 0 || uint64(len(nw.free)) >= copies {
+		t.Fatalf("free list holds %d deliveries after %d frames: want reuse", len(nw.free), copies)
+	}
+	for _, d := range nw.free {
+		if d.dst != nil || d.single != nil || d.batch != nil || !d.to.IsZero() {
+			t.Fatalf("parked delivery still references its frame: %+v", *d)
+		}
+	}
+}
+
+// A recycled delivery re-checks the destination's identity like a fresh
+// one: a frame addressed to an incarnation that has been replaced is
+// dropped as stale, whatever the struct carried before.
+func TestRecycledDeliveryDropsStaleIdentity(t *testing.T) {
+	sim, nw := testNet(t, 0)
+	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	b := nw.NewEndpoint(a.Index() + 1)
+	na := makeNode(t, nw, a)
+	oldRef := makeNode(t, nw, b).Ref()
+	hb := &pastry.Heartbeat{From: na.Ref()}
+	a.Send(oldRef, hb)
+	sim.Run()
+	if len(nw.free) != 1 || nw.DropsByCause != [NumDropCauses]uint64{} {
+		t.Fatalf("set-up: free=%d drops=%v, want one parked delivery and no drop", len(nw.free), nw.DropsByCause)
+	}
+	parked := nw.free[0]
+	b.Fail()
+	nb2 := makeNode(t, nw, b)
+	a.Send(oldRef, hb)
+	if len(nw.free) != 0 {
+		t.Fatal("the second frame did not take the parked delivery")
+	}
+	sim.Run()
+	if got := nw.DropsByCause[DropStaleIdentity]; got != 1 {
+		t.Fatalf("stale-identity drops = %d, want 1 (by cause: %v)", got, nw.DropsByCause)
+	}
+	if nb2.Table().Contains(na.Ref().ID) {
+		t.Fatal("the new incarnation received a frame addressed to the old one")
+	}
+	if len(nw.free) != 1 || nw.free[0] != parked {
+		t.Fatal("the delivery was not parked again after the drop")
+	}
+}
+
+// TestSendAllocations pins what carrying one message costs: with the frame
+// in flight held in a recycled delivery and queued by value, sending and
+// delivering a message that already exists allocates nothing. (Envelopes
+// are copied for the receiver; that copy is the message, not the network.)
+func TestSendAllocations(t *testing.T) {
+	sim, nw := testNet(t, 0)
+	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	b := nw.NewEndpoint(a.Index() + 1)
+	na := makeNode(t, nw, a)
+	to := makeNode(t, nw, b).Ref()
+	hb := &pastry.Heartbeat{From: na.Ref()}
+	received := nw.Frames
+	if got := testing.AllocsPerRun(100, func() { a.Send(to, hb); sim.Run() }); got != 0 {
+		t.Errorf("Send + delivery: %v allocs per message, want 0", got)
+	}
+	if nw.Frames-received != 101 || nw.DropsByCause != [NumDropCauses]uint64{} {
+		t.Fatalf("frames=%d drops=%v: the pinned path did not deliver", nw.Frames-received, nw.DropsByCause)
 	}
 }

@@ -23,8 +23,7 @@ func (n *Node) sendJoinRequest(seed NodeRef) {
 		sentAt:  n.env.Now(),
 		needAck: true,
 	}
-	n.pending[xfer] = ph
-	ph.timer = n.schedule(n.rtoFor(seed), func() { n.hopTimeout(xfer) })
+	n.armHopTimer(ph, xfer, n.rtoFor(seed))
 	n.send(seed, &Envelope{Xfer: xfer, NeedAck: true, From: n.self, Join: jr})
 	n.armJoinWatchdog()
 }

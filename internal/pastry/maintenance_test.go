@@ -1,0 +1,219 @@
+package pastry
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"mspastry/internal/id"
+)
+
+// The maintenance path walks the routing table in place and gathers into
+// node-owned scratch. These tests hold it to the implementations it
+// replaced — kept here as references — on random routing state: the same
+// members in the same order, since the order decides which probes go out
+// first and with them every seeded number downstream.
+
+// refNearestKnown is nearestKnown as it was: a seen-map over copies of the
+// table and the leaf set.
+func refNearestKnown(n *Node, target id.ID, k int) []NodeRef {
+	seen := map[id.ID]bool{n.self.ID: true, target: true}
+	var all []NodeRef
+	for _, e := range n.rt.Entries() {
+		if !seen[e.ID] {
+			seen[e.ID] = true
+			all = append(all, e)
+		}
+	}
+	for _, e := range n.ls.Members() {
+		if !seen[e.ID] {
+			seen[e.ID] = true
+			all = append(all, e)
+		}
+	}
+	if k > len(all) {
+		k = len(all)
+	}
+	for i := 0; i < k; i++ {
+		minIdx := i
+		for j := i + 1; j < len(all); j++ {
+			if id.CloserToKey(target, all[j].ID, all[minIdx].ID) {
+				minIdx = j
+			}
+		}
+		all[i], all[minIdx] = all[minIdx], all[i]
+	}
+	return all[:k]
+}
+
+// refScanTargets is the target list scanRoutingTable used to build: the
+// table, then the leaf members it lacks, each id once.
+func refScanTargets(n *Node) []NodeRef {
+	scanned := make(map[id.ID]bool)
+	targets := n.rt.Entries()
+	for _, m := range n.ls.Members() {
+		if !n.rt.Contains(m.ID) {
+			targets = append(targets, m)
+		}
+	}
+	var out []NodeRef
+	for _, e := range targets {
+		if !scanned[e.ID] {
+			scanned[e.ID] = true
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// refFailedList is failedList as it was.
+func refFailedList(n *Node) []NodeRef {
+	out := make([]NodeRef, 0, len(n.failed))
+	for _, ref := range n.failed {
+		out = append(out, ref)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID.Cmp(out[j].ID) < 0 })
+	return out
+}
+
+// randomRoutingState builds a node whose table and leaf set were both
+// offered the same pool of ids, so some ids sit in both, some in one, and —
+// for pools smaller than the leaf set — the leaf set's two sides overlap.
+// Every other pool clusters around the node's own id: its leaf members
+// then contend for the same deep table slots, and the losers are leaf
+// members the table lacks.
+func randomRoutingState(t *testing.T, rng *rand.Rand) (*testNet, *Node, []NodeRef) {
+	t.Helper()
+	net := newTestNet(t, 1)
+	n := net.addNode(id.Random(rng), testConfig(), nil)
+	size := rng.Intn(120)
+	if rng.Intn(4) == 0 {
+		size = rng.Intn(6)
+	}
+	clustered := rng.Intn(2) == 0
+	pool := make([]NodeRef, size)
+	for i := range pool {
+		x := id.Random(rng)
+		if clustered && i%2 == 0 {
+			x = id.New(n.self.ID.Hi, rng.Uint64())
+		}
+		pool[i] = NodeRef{ID: x, Addr: "p" + x.String()}
+		n.rt.Add(pool[i])
+		n.ls.Add(pool[i])
+	}
+	return net, n, pool
+}
+
+func TestNearestKnownMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var inBoth, leafOnly int
+	for trial := 0; trial < 300; trial++ {
+		_, n, pool := randomRoutingState(t, rng)
+		for _, m := range n.ls.Members() {
+			if n.rt.Contains(m.ID) {
+				inBoth++
+			} else {
+				leafOnly++
+			}
+		}
+		targets := []id.ID{id.Random(rng), n.self.ID}
+		for _, m := range n.ls.Members() { // in the leaf set, many in the table too
+			targets = append(targets, m.ID)
+		}
+		for i := 0; i < 8 && len(pool) > 0; i++ { // in the table, or known to neither
+			targets = append(targets, pool[rng.Intn(len(pool))].ID)
+		}
+		for _, target := range targets {
+			for _, k := range []int{1, n.cfg.L + 1, len(pool) + 3} {
+				want := refNearestKnown(n, target, k)
+				got := n.nearestKnown(target, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d target %v k=%d:\n got %v\nwant %v", trial, target, k, got, want)
+				}
+				// The result travels in a reply; the next call must not
+				// reach it through the scratch slice.
+				n.nearestKnown(id.Random(rng), k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: a later call rewrote an earlier result", trial)
+				}
+			}
+		}
+	}
+	if inBoth == 0 || leafOnly == 0 {
+		t.Fatalf("leaf members in the table too: %d, in the leaf set only: %d — both cases must occur", inBoth, leafOnly)
+	}
+}
+
+// The scan's target order is observable as the order its probes leave.
+func TestScanRoutingTableProbesInReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 100; trial++ {
+		net, n, _ := randomRoutingState(t, rng)
+		var probed []NodeRef
+		net.drop = func(_, to NodeRef, m Message) bool {
+			if _, ok := m.(*RTProbe); ok {
+				probed = append(probed, to)
+			}
+			return true
+		}
+		want := refScanTargets(n)
+		n.scanRoutingTable(time.Second) // first sight starts every target's clock
+		if len(probed) != 0 {
+			t.Fatalf("trial %d: %d probes on first sight", trial, len(probed))
+		}
+		n.scanRoutingTable(time.Second + 2*n.trtCurrent)
+		if !slices.Equal(probed, want) {
+			t.Fatalf("trial %d:\n got %v\nwant %v", trial, probed, want)
+		}
+	}
+}
+
+func TestFailedListMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	n := newTestNode(t, id.Random(rng))
+	if got := n.failedList(); got != nil {
+		t.Fatalf("nothing failed: got %v, want nil", got)
+	}
+	for trial := 0; trial < 200; trial++ {
+		clear(n.failed)
+		for i, size := 0, 1+rng.Intn(40); i < size; i++ {
+			// Ids that differ in the low word only, as well as spread ones.
+			x := id.New(uint64(rng.Intn(4)), rng.Uint64())
+			n.failed[x] = NodeRef{ID: x, Addr: "f" + x.String()}
+		}
+		if got, want := n.failedList(), refFailedList(n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d:\n got %v\nwant %v", trial, got, want)
+		}
+	}
+}
+
+// TestMaintenanceAllocations pins the per-probe budget: answering a repair
+// probe allocates the reply's candidate list and nothing else, and a node
+// with no failure records builds no failed list.
+func TestMaintenanceAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	net := newTestNet(t, 1)
+	n := net.addNode(id.Random(rng), testConfig(), nil)
+	for i := 0; i < 200; i++ {
+		ref := NodeRef{ID: id.Random(rng), Addr: "p"}
+		n.rt.Add(ref)
+		n.ls.Add(ref)
+	}
+	target := id.Random(rng)
+	n.nearestKnown(target, n.cfg.L+1) // grows the scratch slice once
+	for name, pin := range map[string]struct {
+		max float64
+		f   func()
+	}{
+		"nearestKnown":     {1, func() { n.nearestKnown(target, n.cfg.L+1) }},
+		"failedList/empty": {0, func() { n.failedList() }},
+		"monitoredNodes":   {0, func() { n.monitoredNodes() }},
+	} {
+		pin.f()
+		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
+			t.Errorf("%s: %v allocs per call, want at most %v", name, got, pin.max)
+		}
+	}
+}

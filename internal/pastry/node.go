@@ -94,6 +94,14 @@ type Node struct {
 	app App
 
 	counters Counters
+
+	// Scratch for the maintenance path, which runs on every tick and every
+	// repair probe: values consumed before the handler returns. Anything
+	// that goes into a message is copied out first — the simulator hands
+	// the receiver the very object that was sent.
+	refScratch  []NodeRef
+	addrScratch map[string]struct{}
+	trtScratch  []time.Duration
 }
 
 // Counters exposes protocol-internal tallies used by the evaluation.
@@ -163,6 +171,7 @@ func (c *Counters) Add(o Counters) {
 }
 
 type probeState struct {
+	n       *Node // set when the timer is armed; see timeout
 	ref     NodeRef
 	isLeaf  bool // leaf-set probe (LSProbe) vs routing-table ping
 	retries int
@@ -179,6 +188,8 @@ type probeState struct {
 }
 
 type pendingHop struct {
+	n        *Node  // set with xfer when the timer is armed; see timeout
+	xfer     uint64 // the transmission the armed timer guards
 	lookup   *Lookup
 	join     *JoinRequest
 	key      id.ID
@@ -216,6 +227,7 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 		distSessions: make(map[id.ID]*distSession),
 		distSeqs:     make(map[uint64]*distSession),
 		secureSess:   make(map[uint64]*secureSession),
+		addrScratch:  make(map[string]struct{}),
 	}
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)

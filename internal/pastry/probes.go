@@ -1,7 +1,7 @@
 package pastry
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
@@ -84,20 +84,32 @@ func (n *Node) sendProbeMsg(ps *probeState) {
 }
 
 func (n *Node) armProbeTimer(ps *probeState) {
-	ps.timer = n.schedule(n.cfg.To, func() { n.probeTimeout(ps) })
+	ps.n = n
+	ps.timer = n.env.Schedule(n.cfg.To, ps.timeout)
+}
+
+// timeout is the probe timer's callback, guarded like pendingHop.timeout.
+func (ps *probeState) timeout() {
+	if ps.n.alive {
+		ps.n.probeTimeout(ps)
+	}
 }
 
 // failedList snapshots the failure records in identifier order. The order
 // matters: receivers process the list sequentially and each confirm-probe
 // mutates their leaf set, so a map-order list would make the repair
 // cascade — and every byte count derived from it — vary between otherwise
-// identical runs.
+// identical runs. The list travels in a message, so it is a fresh slice —
+// or nil, the common case, when nothing has failed.
 func (n *Node) failedList() []NodeRef {
+	if len(n.failed) == 0 {
+		return nil
+	}
 	out := make([]NodeRef, 0, len(n.failed))
 	for _, ref := range n.failed {
 		out = append(out, ref)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Cmp(out[j].ID) < 0 })
+	slices.SortFunc(out, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
 	return out
 }
 
@@ -290,9 +302,7 @@ func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 			best = ref
 		}
 	}
-	for _, e := range n.rt.Entries() {
-		consider(e)
-	}
+	n.rt.each(consider)
 	for _, e := range n.ls.Members() {
 		consider(e)
 	}
@@ -301,7 +311,7 @@ func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 
 // handleLSProbe implements RECEIVE(LS-PROBE) from Figure 2.
 func (n *Node) handleLSProbe(p *LSProbe) {
-	n.processLeafInfo(p.From, p.Leaves, p.Failed)
+	n.processLeafInfo(p.From, p.Leaves, nil, p.Failed)
 	reply := &LSProbeReply{
 		From:    n.self,
 		Leaves:  n.ls.Members(),
@@ -324,15 +334,16 @@ func (n *Node) handleLSProbe(p *LSProbe) {
 // breaker.go).
 func (n *Node) handleLSProbeReply(p *LSProbeReply) {
 	delete(n.excluded, p.From.ID)
-	n.processLeafInfo(p.From, append(p.Leaves, p.Near...), p.Failed)
+	n.processLeafInfo(p.From, p.Leaves, p.Near, p.Failed)
 	n.doneProbing(p.From.ID)
 }
 
 // processLeafInfo is the common body of LS-PROBE and LS-PROBE-REPLY
 // handling (Figure 2): insert the direct sender; re-probe members the
 // sender claims have failed (to recover from false positives); remove them
-// meanwhile; and probe any new leaf-set candidates before inserting them.
-func (n *Node) processLeafInfo(from NodeRef, leaves, failed []NodeRef) {
+// meanwhile; and probe any new leaf-set candidates — the sender's leaves,
+// then the nearest-known list a repair reply adds — before inserting them.
+func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
 	delete(n.failed, from.ID)
 	n.ls.Add(from)
 	n.rt.Add(from)
@@ -351,19 +362,28 @@ func (n *Node) processLeafInfo(from NodeRef, leaves, failed []NodeRef) {
 	// Candidate members from the sender's leaf set: probe before insertion
 	// (a node never enters the leaf set without direct contact).
 	for _, cand := range leaves {
-		if cand.ID == n.self.ID {
-			continue
-		}
-		if _, bad := n.failed[cand.ID]; bad {
-			continue
-		}
-		if n.ls.Contains(cand.ID) {
-			continue
-		}
-		if n.wouldExtendLeafSet(cand) && n.markCandidateProbe(cand) {
-			noteProbeCause("candidate")
-			n.probeLeaf(cand)
-		}
+		n.probeCandidate(cand)
+	}
+	for _, cand := range near {
+		n.probeCandidate(cand)
+	}
+}
+
+// probeCandidate probes a node the sender vouched for if it is not known
+// dead, not yet a member, and would enter the leaf set once it answers.
+func (n *Node) probeCandidate(cand NodeRef) {
+	if cand.ID == n.self.ID {
+		return
+	}
+	if _, bad := n.failed[cand.ID]; bad {
+		return
+	}
+	if n.ls.Contains(cand.ID) {
+		return
+	}
+	if n.wouldExtendLeafSet(cand) && n.markCandidateProbe(cand) {
+		noteProbeCause("candidate")
+		n.probeLeaf(cand)
 	}
 }
 
@@ -385,22 +405,24 @@ func (n *Node) wouldExtendLeafSet(cand NodeRef) bool {
 
 // nearestKnown returns up to k known nodes closest (in ring distance) to
 // the target identifier, drawn from the routing table and leaf set. It
-// implements the reply side of generalised leaf-set repair.
+// implements the reply side of generalised leaf-set repair. Candidates are
+// gathered in the node's scratch slice — table entries in row-major order,
+// then leaf members the table lacks; neither structure holds the local
+// node or an id twice — and only the k chosen, which travel in the reply,
+// are copied out.
 func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
-	seen := map[id.ID]bool{n.self.ID: true, target: true}
-	var all []NodeRef
-	for _, e := range n.rt.Entries() {
-		if !seen[e.ID] {
-			seen[e.ID] = true
+	all := n.refScratch[:0]
+	n.rt.each(func(e NodeRef) {
+		if e.ID != target {
 			all = append(all, e)
 		}
-	}
+	})
 	for _, e := range n.ls.Members() {
-		if !seen[e.ID] {
-			seen[e.ID] = true
+		if e.ID != target && !n.rt.Contains(e.ID) {
 			all = append(all, e)
 		}
 	}
+	n.refScratch = all[:0]
 	// Selection sort of the k closest is fine at leaf-set scale.
 	if k > len(all) {
 		k = len(all)
@@ -414,7 +436,7 @@ func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
 		}
 		all[i], all[minIdx] = all[minIdx], all[i]
 	}
-	return all[:k]
+	return slices.Clone(all[:k])
 }
 
 // handleRTProbeReply completes a liveness probe. Like leaf-set probe
@@ -514,36 +536,33 @@ func (n *Node) silentFor(x id.ID, now time.Duration) time.Duration {
 // For members that do generate traffic, suppression makes this free.
 func (n *Node) scanRoutingTable(now time.Duration) {
 	trt := n.trtCurrent
-	scanned := make(map[id.ID]bool, n.rt.Count())
-	targets := n.rt.Entries()
-	for _, m := range n.ls.Members() {
-		if !n.rt.Contains(m.ID) {
-			targets = append(targets, m)
-		}
-	}
-	for _, e := range targets {
-		if scanned[e.ID] {
-			continue
-		}
-		scanned[e.ID] = true
+	scan := func(e NodeRef) {
 		rec := n.peers.Obtain(e.ID, e.Addr, now)
 		last := rec.LastLiveness
 		if last == 0 {
 			// First sight: start the probing clock now.
 			rec.LastLiveness = now
-			continue
+			return
 		}
 		if now-last < trt {
-			continue
+			return
 		}
 		if n.cfg.Suppression {
 			if lr := rec.LastRecv; lr != 0 && now-lr < trt {
 				n.counters.SuppressedProbes++
 				rec.LastLiveness = lr
-				continue
+				return
 			}
 		}
 		rec.LastLiveness = now
 		n.probeLiveness(e)
+	}
+	// Sending a probe changes neither structure, so both are walked in
+	// place: the table, then the leaf members it lacks.
+	n.rt.each(scan)
+	for _, m := range n.ls.Members() {
+		if !n.rt.Contains(m.ID) {
+			scan(m)
+		}
 	}
 }

@@ -179,10 +179,28 @@ func (n *Node) sendHop(lk *Lookup, jr *JoinRequest, key id.ID, to NodeRef, tried
 			sentAt:  n.env.Now(),
 			needAck: true,
 		}
-		n.pending[xfer] = ph
-		ph.timer = n.schedule(n.rtoFor(to), func() { n.hopTimeout(xfer) })
+		n.armHopTimer(ph, xfer, n.rtoFor(to))
 	}
 	n.finishHop(lk, to, env)
+}
+
+// armHopTimer records ph as the pending hop of transmission xfer and arms
+// its retransmission timeout. A hop has one live timer at a time — it is
+// re-armed only from its own timeout — so the callback can read the
+// current xfer from ph.
+func (n *Node) armHopTimer(ph *pendingHop, xfer uint64, rto time.Duration) {
+	n.pending[xfer] = ph
+	ph.n, ph.xfer = n, xfer
+	ph.timer = n.env.Schedule(rto, ph.timeout)
+}
+
+// timeout is the hop timer's callback, with the liveness guard
+// Node.schedule wraps around every other callback: arming the method value
+// costs one closure where a guarded func literal costs two.
+func (ph *pendingHop) timeout() {
+	if ph.n.alive {
+		ph.n.hopTimeout(ph.xfer)
+	}
 }
 
 func (n *Node) finishHop(lk *Lookup, to NodeRef, env *Envelope) {
@@ -272,8 +290,7 @@ func (n *Node) reroute(ph *pendingHop) {
 	ph.to = next
 	ph.sentAt = n.env.Now()
 	ph.retx = true
-	n.pending[xfer] = ph
-	ph.timer = n.schedule(n.rtoFor(next), func() { n.hopTimeout(xfer) })
+	n.armHopTimer(ph, xfer, n.rtoFor(next))
 	if ph.lookup != nil && n.tobs != nil {
 		n.tobs.LookupHop(n, ph.lookup, next, HopReroute)
 	}
@@ -306,10 +323,8 @@ func (n *Node) retransmitSame(ph *pendingHop) {
 	}
 	ph.sentAt = n.env.Now()
 	ph.retx = true
-	n.pending[xfer] = ph
 	rto := n.rtoFor(ph.to) << uint(ph.attempts)
-	rto = clampDuration(rto, n.cfg.MinRTO, n.cfg.MaxRTO)
-	ph.timer = n.schedule(rto, func() { n.hopTimeout(xfer) })
+	n.armHopTimer(ph, xfer, clampDuration(rto, n.cfg.MinRTO, n.cfg.MaxRTO))
 	if ph.lookup != nil && n.tobs != nil {
 		n.tobs.LookupHop(n, ph.lookup, ph.to, HopBackoff)
 	}

@@ -155,17 +155,25 @@ func (rt *RoutingTable) NumRows() int { return len(rt.rows) }
 // Count returns the number of occupied slots.
 func (rt *RoutingTable) Count() int { return rt.count }
 
-// Entries returns every node in the table.
+// Entries returns every node in the table, as a fresh slice the caller may
+// keep (messages carry it).
 func (rt *RoutingTable) Entries() []NodeRef {
 	out := make([]NodeRef, 0, rt.count)
+	rt.each(func(e NodeRef) { out = append(out, e) })
+	return out
+}
+
+// each visits every node in the table in row-major order, without the
+// copy Entries makes: the maintenance path walks the table on every tick
+// and every repair probe. fn must not modify the table.
+func (rt *RoutingTable) each(fn func(NodeRef)) {
 	for _, row := range rt.rows {
-		for _, e := range row {
-			if e.used {
-				out = append(out, e.ref)
+		for i := range row {
+			if row[i].used {
+				fn(row[i].ref)
 			}
 		}
 	}
-	return out
 }
 
 // RowsUpTo returns all entries in rows 0..maxRow inclusive, used when

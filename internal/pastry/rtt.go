@@ -1,7 +1,7 @@
 package pastry
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -55,16 +55,16 @@ func clampDuration(d, min, max time.Duration) time.Duration {
 }
 
 // medianDuration returns the median of ds (average of the two middle
-// values for even lengths). It returns 0 for an empty slice.
+// values for even lengths), sorting ds in place to find it: both callers
+// are done with the sample order. It returns 0 for an empty slice.
 func medianDuration(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
+	slices.Sort(ds)
+	mid := len(ds) / 2
+	if len(ds)%2 == 1 {
+		return ds[mid]
 	}
-	return (s[mid-1] + s[mid]) / 2
+	return (ds[mid-1] + ds[mid]) / 2
 }

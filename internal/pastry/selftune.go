@@ -142,12 +142,12 @@ func (n *Node) estimateMu(now time.Duration) float64 {
 	return k / (float64(m) * span.Seconds())
 }
 
-// monitoredNodes counts the unique nodes in the routing state.
+// monitoredNodes counts the unique nodes in the routing state — by
+// address: two incarnations of one endpoint are one monitored node.
 func (n *Node) monitoredNodes() int {
-	unique := make(map[string]struct{}, n.rt.Count()+n.ls.Size())
-	for _, e := range n.rt.Entries() {
-		unique[e.Addr] = struct{}{}
-	}
+	unique := n.addrScratch
+	clear(unique)
+	n.rt.each(func(e NodeRef) { unique[e.Addr] = struct{}{} })
 	for _, e := range n.ls.Members() {
 		unique[e.Addr] = struct{}{}
 	}
@@ -171,13 +171,13 @@ func (n *Node) retune(now time.Duration) {
 			mu, hops, maxProbeRetries, minSec, maxSec)
 	}
 	n.trtLocal = time.Duration(local * float64(time.Second))
-	vals := make([]time.Duration, 0, n.peers.SlotCount(n.slotHint)+1)
-	vals = append(vals, n.trtLocal)
+	vals := append(n.trtScratch[:0], n.trtLocal)
 	n.peers.Each(func(rec *peer.Record) {
 		if h, _ := rec.Get(n.slotHint).(*trtHint); h != nil {
 			vals = append(vals, h.d)
 		}
 	})
+	n.trtScratch = vals[:0]
 	n.trtCurrent = clampDuration(medianDuration(vals), n.cfg.MinTrt(), maxTrt)
 	if n.sobs != nil {
 		n.sobs.TrtTuned(n, n.trtCurrent)

@@ -28,7 +28,7 @@
 package peer
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
@@ -205,12 +205,14 @@ func (rec *Record) Get(s Slot) any {
 	return rec.slots[s.idx]
 }
 
-// Set stores the record's value for the slot. The registry's live-slot
-// accounting is maintained by the registry methods; use Registry.Put
-// when the count matters, or Set for values that stay non-nil.
+// Put stores the record's value for the slot (nil clears it) and keeps
+// the registry's live-slot accounting. A record's slot table is allocated
+// on its first Put, sized once for every slot registered so far.
 func (r *Registry) Put(rec *Record, s Slot, v any) {
-	for s.idx >= len(rec.slots) {
-		rec.slots = append(rec.slots, nil)
+	if s.idx >= len(rec.slots) {
+		grown := make([]any, len(r.slots))
+		copy(grown, rec.slots)
+		rec.slots = grown
 	}
 	old := rec.slots[s.idx]
 	rec.slots[s.idx] = v
@@ -316,9 +318,7 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			evict = append(evict, rec)
 		}
 	}
-	sort.Slice(evict, func(i, j int) bool {
-		return evict[i].ID.Cmp(evict[j].ID) < 0
-	})
+	slices.SortFunc(evict, func(a, b *Record) int { return a.ID.Cmp(b.ID) })
 	for _, rec := range evict {
 		delete(r.recs, rec.ID)
 		for i, v := range rec.slots {

@@ -180,6 +180,40 @@ func TestExpelWithoutRecordIsSafe(t *testing.T) {
 	}
 }
 
+// A record's slot table is sized once, on its first Put, whichever slot
+// that Put names; slots registered later still fit. A sweep with nothing
+// to evict — nearly every sweep — allocates nothing.
+func TestRegistryAllocations(t *testing.T) {
+	r := New(Config{})
+	var slots []Slot
+	for _, name := range []string{"a", "b", "c", "d"} {
+		slots = append(slots, r.NewSlot(name, func(_ id.ID, v any, _ time.Duration, _ bool) any { return v }))
+	}
+	v := &struct{ int }{1}
+	fresh := make([]Record, 101) // AllocsPerRun calls once to warm up, then 100 times
+	next := 0
+	if got := testing.AllocsPerRun(100, func() {
+		rec := &fresh[next]
+		next++
+		r.Put(rec, slots[3], v) // the last slot first
+		r.Put(rec, slots[0], v)
+	}); got > 1 {
+		t.Errorf("two Puts on a fresh record: %v allocs, want at most 1 (the slot table)", got)
+	}
+
+	rec := r.Obtain(testID(1), "a", 0)
+	r.Put(rec, slots[1], v)
+	late := r.NewRetainedSlot("late")
+	r.Put(rec, late, v)
+	if rec.Get(slots[1]) != v || rec.Get(late) != v || r.SlotCount(late) != 1 {
+		t.Fatal("a slot registered after the record's first Put lost a value")
+	}
+	isMember := member(testID(1))
+	if got := testing.AllocsPerRun(100, func() { r.Sweep(time.Second, isMember) }); got != 0 {
+		t.Errorf("sweep that evicts nothing: %v allocs, want 0", got)
+	}
+}
+
 // BenchmarkRegistryAdmitEvict is the CI lifecycle smoke: observe,
 // admit, slot-fill, expire and evict a rolling peer population.
 func BenchmarkRegistryAdmitEvict(b *testing.B) {
