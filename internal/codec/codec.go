@@ -36,6 +36,8 @@ type Coder struct {
 	n    int    // the cursor: bytes counted, written or consumed so far
 	buf  []byte // appending: the output, n bytes of it written; reading: the whole input
 	err  error  // reading: the first failure; every later read is a no-op
+
+	names *Interner // reading: shares decoded strings; nil copies each one
 }
 
 var (
@@ -49,7 +51,46 @@ var (
 func Appender(dst []byte) Coder { return Coder{mode: appending, n: len(dst), buf: dst[:cap(dst)]} }
 
 // Reader returns a Coder that fills a walk's fields from buf.
-func Reader(buf []byte) Coder { return Coder{mode: reading, buf: buf} }
+func Reader(buf []byte) Coder { return InterningReader(buf, nil) }
+
+// InterningReader is Reader with every string read through names (nil for
+// none), so a receiver that decodes the same few peer addresses in every
+// message allocates each once.
+func InterningReader(buf []byte, names *Interner) Coder {
+	return Coder{mode: reading, buf: buf, names: names}
+}
+
+// Interner keeps one copy of each distinct string its readers decode: at
+// most max, and simply emptied when full, so a peer that invents addresses
+// costs what every string costs without a table. It belongs to the one
+// goroutine that decodes; there is no lock.
+type Interner struct {
+	max   int
+	names map[string]string
+}
+
+// NewInterner returns an empty table bounded at max entries.
+func NewInterner(max int) *Interner {
+	return &Interner{max: max, names: make(map[string]string)}
+}
+
+// intern returns b as a string: the table's copy if it has one, found
+// without allocating, else a copy that it keeps — never a view of b,
+// which is the caller's read buffer.
+func (t *Interner) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	if s, ok := t.names[string(b)]; ok {
+		return s
+	}
+	if len(t.names) >= t.max {
+		clear(t.names)
+	}
+	s := string(b)
+	t.names[s] = s
+	return s
+}
 
 // Size is the byte count of a sizing walk.
 func (c *Coder) Size() int { return c.n }
@@ -282,7 +323,7 @@ func (c *Coder) str(s *string, limit int) {
 	case appending:
 		c.n += copy(c.room(n), *s)
 	case reading:
-		*s = string(c.take(n))
+		*s = c.names.intern(c.take(n))
 	}
 }
 

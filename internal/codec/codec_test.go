@@ -3,9 +3,11 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // walkAll touches every primitive once.
@@ -120,5 +122,62 @@ func TestReaderRejects(t *testing.T) {
 		if r.Finish() == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestInterner pins the table's three promises: a string it hands out is
+// a copy, never a view of the read buffer; equal strings share one copy;
+// and past its bound it is emptied, not grown, with every read still
+// returning the right string.
+func TestInterner(t *testing.T) {
+	read := func(names *Interner, buf []byte) string {
+		var s string
+		r := InterningReader(buf, names)
+		r.String(&s, 64)
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	enc := func(s string) []byte {
+		app := Appender(nil)
+		app.String(&s, 64)
+		return app.Bytes()
+	}
+
+	names := NewInterner(8)
+	buf := enc("10.0.0.1:9000")
+	first := read(names, buf)
+	again := read(names, buf)
+	if unsafe.StringData(first) != unsafe.StringData(again) {
+		t.Error("two reads of one address did not share a copy")
+	}
+	copy(buf[1:], "XXXXXXXXXXXXX") // the next datagram lands in the same buffer
+	if first != "10.0.0.1:9000" || again != first {
+		t.Errorf("a decoded string changed with the read buffer: %q", first)
+	}
+	if got := read(names, buf); got != "XXXXXXXXXXXXX" {
+		t.Errorf("read %q from the overwritten buffer", got)
+	}
+	if got := read(nil, enc("plain")); got != "plain" {
+		t.Errorf("no table: read %q", got)
+	}
+
+	for i := 0; i < 100; i++ {
+		want := fmt.Sprintf("10.0.%d.1:9000", i)
+		if got := read(names, enc(want)); got != want {
+			t.Fatalf("read %q, want %q", got, want)
+		}
+		if len(names.names) > 8 {
+			t.Fatalf("table holds %d strings past its bound of 8", len(names.names))
+		}
+	}
+	if got := read(names, enc(first)); got != first {
+		t.Errorf("after the table was emptied, read %q, want %q", got, first)
+	}
+
+	warm := enc("10.0.99.1:9000")
+	if got := testing.AllocsPerRun(100, func() { read(names, warm) }); got != 0 {
+		t.Errorf("a warm read allocates %v times, want 0", got)
 	}
 }

@@ -305,7 +305,8 @@ func (ep *Endpoint) coalescer() *wire.Coalescer {
 					To: f.To, Msgs: len(f.Msgs), Bytes: len(f.Frame),
 					SingleBytes: f.SingleBytes, Control: control, Held: f.Held,
 				})
-				ep.transmit(f.To, nil, f.Msgs, len(f.Msgs))
+				// Msgs is the queue's own slice; delivery is later, so keep a copy.
+				ep.transmit(f.To, nil, append([]pastry.Message(nil), f.Msgs...), len(f.Msgs))
 			},
 		})
 	}

@@ -241,13 +241,18 @@ func MessageWireSize(m Message) int {
 }
 
 // DecodeMessage parses a wire message.
-func DecodeMessage(buf []byte) (Message, error) {
+func DecodeMessage(buf []byte) (Message, error) { return DecodeInterned(buf, nil) }
+
+// DecodeInterned is DecodeMessage with every NodeRef.Addr read through
+// names (nil for none): a transport's read loop sees the same few dozen
+// peer addresses in every message and need not allocate them each time.
+func DecodeInterned(buf []byte, names *codec.Interner) (Message, error) {
 	if len(buf) == 0 || int(buf[0]) >= len(newMessage) || newMessage[buf[0]] == nil {
 		return nil, fmt.Errorf("pastry: unknown message tag %x", buf[:min(len(buf), 1)])
 	}
 	tag := buf[0]
 	m := newMessage[tag]()
-	c := codec.Reader(buf)
+	c := codec.InterningReader(buf, names)
 	walk(&c, m)
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("pastry: decode tag %d: %w", tag, err)

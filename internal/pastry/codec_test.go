@@ -166,20 +166,30 @@ func lookupEnvelope() *Envelope {
 // TestCodecAllocations pins what the one-walk codec must not cost: sizing
 // and encoding into a buffer with room allocate nothing, and decoding
 // allocates the message's own parts only (envelope, lookup, two address
-// strings, payload).
+// strings, payload) — and with a warm table of addresses, as in a
+// transport's read loop, no strings: the message objects alone.
 func TestCodecAllocations(t *testing.T) {
 	env := lookupEnvelope()
 	frame := EncodeMessage(env)
 	buf := make([]byte, 0, 2*len(frame))
 	var size int
+	names := codec.NewInterner(16)
+	bare := EncodeMessage(frameSamples[1].msg) // envelope-lookup-min: no payload
+	for _, f := range [][]byte{frame, bare} {
+		if _, err := DecodeInterned(f, names); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, pin := range map[string]struct {
 		max float64
 		f   func()
 	}{
-		"MessageWireSize": {0, func() { size += MessageWireSize(env) }},
-		"AppendMessage":   {0, func() { buf = AppendMessage(buf[:0], env) }},
-		"EncodeMessage":   {0, func() { size += len(EncodeMessage(env)) }}, // the buffer stays on the stack
-		"DecodeMessage":   {5, func() { DecodeMessage(frame) }},
+		"MessageWireSize":            {0, func() { size += MessageWireSize(env) }},
+		"AppendMessage":              {0, func() { buf = AppendMessage(buf[:0], env) }},
+		"EncodeMessage":              {0, func() { size += len(EncodeMessage(env)) }}, // the buffer stays on the stack
+		"DecodeMessage":              {5, func() { DecodeMessage(frame) }},
+		"DecodeInterned":             {3, func() { DecodeInterned(frame, names) }}, // envelope, lookup, payload
+		"DecodeInterned, no payload": {2, func() { DecodeInterned(bare, names) }},
 	} {
 		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
 			t.Errorf("%s: %v allocs per message, want at most %v", name, got, pin.max)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/codec/codectest"
 	"mspastry/internal/id"
 )
@@ -71,6 +72,7 @@ var frameSamples = []struct {
 // holds the sizer and the decoder to the same frames.
 func TestRecordedFrames(t *testing.T) {
 	tags := map[byte]bool{}
+	names := codec.NewInterner(8) // fewer than the samples' addresses: it empties midway
 	for _, s := range frameSamples {
 		frame := codectest.WantFrame(t, s.name, EncodeMessage(s.msg))
 		tags[frame[0]] = true
@@ -82,6 +84,11 @@ func TestRecordedFrames(t *testing.T) {
 			t.Errorf("%s: decode of recorded frame: %v", s.name, err)
 		} else if !reflect.DeepEqual(got, s.msg) {
 			t.Errorf("%s: recorded frame decodes to\n %#v\nwant\n %#v", s.name, got, s.msg)
+		}
+		// One table across all samples, as a read loop keeps it: the same
+		// messages, whether an address is new to the table or shared.
+		if interned, err := DecodeInterned(frame, names); err != nil || !reflect.DeepEqual(interned, got) {
+			t.Errorf("%s: with a table the recorded frame decodes to\n %#v (%v)\nwithout to\n %#v", s.name, interned, err, got)
 		}
 	}
 	if len(tags) != int(tagRootReport) {

@@ -1,0 +1,311 @@
+package transport
+
+import (
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"mspastry/internal/id"
+	"mspastry/internal/overload"
+	"mspastry/internal/pastry"
+	"mspastry/internal/wire"
+)
+
+// countSink is a MetricsSink that keeps what the loop-queue tests assert
+// on: the message count of every datagram received, and decode errors.
+type countSink struct {
+	mu           sync.Mutex
+	datagrams    []int
+	decodeErrors int
+}
+
+func (s *countSink) MsgSent(pastry.Category, int)                {}
+func (s *countSink) MsgReceived(pastry.Category, int)            {}
+func (s *countSink) DatagramSent(int, int, int, time.Duration)   {}
+func (s *countSink) SendError()                                  {}
+func (s *countSink) MsgShed(overload.Lane)                       {}
+func (s *countSink) HandlerPanic()                               {}
+func (s *countSink) DatagramReceived(bytes, msgs int)            { s.add(msgs, 0) }
+func (s *countSink) DecodeError()                                { s.add(0, 1) }
+func (s *countSink) snapshot() (datagrams []int, decodeErrs int) { return s.add(0, 0) }
+
+func (s *countSink) add(msgs, errs int) ([]int, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if msgs > 0 {
+		s.datagrams = append(s.datagrams, msgs)
+	}
+	s.decodeErrors += errs
+	return slices.Clone(s.datagrams), s.decodeErrors
+}
+
+// probeTarget is a bootstrapped node behind a transport, and a bare socket
+// standing in for a peer. The node answers every DistProbe, as it handles
+// it, with a DistProbeReply of the same Seq to the probe's From — the bare
+// socket — so the order in which the event loop handed a frame's messages
+// to the node can be read off the socket.
+type probeTarget struct {
+	tr   *UDP
+	sink *countSink
+	peer *net.UDPConn
+	from pastry.NodeRef // the bare socket as a node
+	to   pastry.NodeRef // the node
+}
+
+func newProbeTarget(t *testing.T) *probeTarget {
+	t.Helper()
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	pt := &probeTarget{tr: tr, sink: &countSink{}}
+	tr.SetMetricsSink(pt.sink)
+	node, err := tr.CreateNode(id.New(1, 0), liveConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.DoSync(func(n *pastry.Node) { n.Bootstrap() })
+	pt.to = node.Ref()
+	pt.peer, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pt.peer.Close() })
+	pt.from = pastry.NodeRef{ID: id.New(2, 0), Addr: pt.peer.LocalAddr().String()}
+	return pt
+}
+
+// replies reads n DistProbeReply datagrams off the bare socket and returns
+// their Seqs in arrival order (one sender, one loopback flow: the order
+// they were sent in).
+func (pt *probeTarget) replies(t *testing.T, n int) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	buf := make([]byte, maxPacket)
+	pt.peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(seqs) < n {
+		k, err := pt.peer.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d of %d replies: %v", len(seqs), n, err)
+		}
+		msgs, _, _, err := wire.DecodeAll(buf[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if r, ok := m.(*pastry.DistProbeReply); ok {
+				seqs = append(seqs, r.Seq)
+			}
+		}
+	}
+	return seqs
+}
+
+// A coalesced batch of k messages arrives as one datagram and reaches the
+// node in send order, through the per-message hand-off.
+func TestUDPBatchDeliveredInSendOrder(t *testing.T) {
+	pt := newProbeTarget(t)
+	sender, err := Listen("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	sender.SetCoalesceWindow(time.Minute)
+	const k = 12
+	sender.DoSync(func(*pastry.Node) {
+		for seq := uint64(1); seq < k; seq++ {
+			sender.Env().Send(pt.to, &pastry.DistProbe{From: pt.from, Seq: seq})
+		}
+		// Not coalescable: flushes at once, the pending probes with it.
+		sender.Env().Send(pt.to, &pastry.AppDirect{From: pt.from})
+	})
+	for i, seq := range pt.replies(t, k-1) {
+		if seq != uint64(i+1) {
+			t.Fatalf("reply %d answers probe %d: the batch was handed over out of order", i, seq)
+		}
+	}
+	// The read loop counts the datagram after handing its messages over.
+	if !waitFor(t, 5*time.Second, func() bool { d, _ := pt.sink.snapshot(); return len(d) > 0 }) {
+		t.Fatal("no datagram counted")
+	}
+	if datagrams, _ := pt.sink.snapshot(); len(datagrams) != 1 || datagrams[0] != k {
+		t.Fatalf("received datagrams of %v messages, want one of %d", datagrams, k)
+	}
+}
+
+// A batch with one malformed entry delivers the others, in order, and
+// reports one decode error that names the sender.
+func TestUDPBatchDropsOnlyMalformedEntry(t *testing.T) {
+	pt := newProbeTarget(t)
+	type report struct {
+		remote net.Addr
+		err    error
+	}
+	reports := make(chan report, 4)
+	pt.tr.OnDecodeError(func(remote net.Addr, err error) { reports <- report{remote, err} })
+
+	const k = 5
+	frame := []byte{wire.Version, 2} // a batch frame
+	for seq := uint64(1); seq <= k; seq++ {
+		p := pastry.AppendMessage(nil, &pastry.DistProbe{From: pt.from, Seq: seq})
+		if seq == 3 {
+			p = []byte{0xff, 0x00, 0x01} // no such message tag
+		}
+		frame = append(frame, byte(len(p)))
+		frame = append(frame, p...)
+	}
+	if _, err := pt.peer.WriteToUDPAddrPort(frame, pt.tr.conn.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pt.replies(t, k-1), []uint64{1, 2, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("replies to probes %v, want %v", got, want)
+	}
+	select {
+	case r := <-reports:
+		if r.err == nil || r.remote == nil || r.remote.String() != pt.from.Addr {
+			t.Fatalf("decode error %v from %v, want an error from %s", r.err, r.remote, pt.from.Addr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no decode error reported")
+	}
+	if len(reports) != 0 {
+		t.Fatal("more than one decode error reported for one bad entry")
+	}
+	if !waitFor(t, 5*time.Second, func() bool { d, _ := pt.sink.snapshot(); return len(d) > 0 }) {
+		t.Fatal("no datagram counted")
+	}
+	if datagrams, errs := pt.sink.snapshot(); errs != 1 || len(datagrams) != 1 || datagrams[0] != k-1 {
+		t.Fatalf("sink saw datagrams of %v messages and %d decode errors, want one of %d and 1", datagrams, errs, k-1)
+	}
+}
+
+// The bounded inbound queue takes the same per-message path: a batch goes
+// through it in order, with one prebuilt drain item per datagram.
+func TestUDPInboundQueueKeepsBatchOrder(t *testing.T) {
+	pt := newProbeTarget(t)
+	pt.tr.SetInboundQueue(64)
+	frame := []byte{wire.Version, 2}
+	const k = 6
+	for seq := uint64(1); seq <= k; seq++ {
+		p := pastry.AppendMessage(nil, &pastry.DistProbe{From: pt.from, Seq: seq})
+		frame = append(append(frame, byte(len(p))), p...)
+	}
+	if _, err := pt.peer.WriteToUDPAddrPort(frame, pt.tr.conn.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pt.replies(t, k), []uint64{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("replies to probes %v, want %v", got, want)
+	}
+}
+
+// echoApp answers every direct message with the same payload; the node
+// that is not echoing reports each arrival on got.
+type echoApp struct {
+	node *pastry.Node
+	echo bool
+	got  chan struct{}
+}
+
+func (a *echoApp) Deliver(*pastry.Lookup)      {}
+func (a *echoApp) Forward(*pastry.Lookup) bool { return true }
+func (a *echoApp) Direct(from pastry.NodeRef, payload []byte) {
+	if a.echo {
+		a.node.SendDirect(from, payload)
+		return
+	}
+	a.got <- struct{}{}
+}
+
+// pingPong builds two joined nodes on loopback and returns a function that
+// makes one SendDirect round trip between them: two datagrams, each
+// through Env.Send, the coalescer, the socket, the read loop, the decoder,
+// the loop queue and Node.Receive.
+func pingPong(tb testing.TB) (roundTrip func()) {
+	tb.Helper()
+	var trs [2]*UDP
+	var apps [2]*echoApp
+	for i := range trs {
+		tr, err := Listen("127.0.0.1:0", int64(100+i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { tr.Close() })
+		node, err := tr.CreateNode(id.Zero, liveConfig(), nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		apps[i] = &echoApp{node: node, echo: i == 1, got: make(chan struct{}, 1)}
+		node.SetApp(apps[i])
+		trs[i] = tr
+	}
+	trs[0].DoSync(func(n *pastry.Node) { n.Bootstrap() })
+	trs[1].DoSync(func(n *pastry.Node) { n.Join(apps[0].node.Ref()) })
+	if !waitFor(tb, 10*time.Second, func() (active bool) {
+		trs[1].DoSync(func(n *pastry.Node) { active = n.Active() })
+		return active
+	}) {
+		tb.Fatal("the second node never became active")
+	}
+	peer := apps[1].node.Ref()
+	body := make([]byte, 32)
+	send := func(n *pastry.Node) { n.SendDirect(peer, body) }
+	timeout := time.NewTimer(time.Hour)
+	tb.Cleanup(func() { timeout.Stop() })
+	return func() {
+		trs[0].Do(send)
+		timeout.Reset(5 * time.Second)
+		select {
+		case <-apps[0].got:
+		case <-timeout.C:
+			tb.Fatal("no echo within 5 s")
+		}
+	}
+}
+
+// pingPongBudget is what a SendDirect round trip may allocate: per
+// datagram the AppDirect sent, and the AppDirect and its payload copy
+// decoded — the protocol's own objects, three per datagram, six per round
+// trip. Nothing of the transport's: no address, no slice, no closure, no
+// timer, no string (the sender's address is interned).
+const pingPongBudget = 6
+
+// TestUDPPingPongAllocations is the live path's end-to-end allocation pin.
+// The loops are goroutines, so testing.AllocsPerRun cannot be used: this
+// reads the process-wide malloc count around 2,000 round trips, and allows
+// the budget half as much again for what else the runtime does meanwhile.
+func TestUDPPingPongAllocations(t *testing.T) {
+	roundTrip := pingPong(t)
+	for i := 0; i < 200; i++ {
+		roundTrip() // queues, buffers and the intern tables are warm
+	}
+	const rounds = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("%.2f allocations per round trip (budget %d, +50%% slack)", per, pingPongBudget)
+	if per > pingPongBudget*1.5 {
+		t.Errorf("a SendDirect round trip allocates %.2f times, want at most %d (+50%%)", per, pingPongBudget)
+	}
+}
+
+// BenchmarkUDPPingPong shows the live path under go test -bench: time and
+// allocations of one SendDirect round trip (two datagrams) on loopback.
+func BenchmarkUDPPingPong(b *testing.B) {
+	roundTrip := pingPong(b)
+	for i := 0; i < 200; i++ {
+		roundTrip()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}

@@ -1,0 +1,223 @@
+package transport
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mspastry/internal/pastry"
+)
+
+// refTimer is the reference model's timer: the real one's deadline and
+// scheduling order, in a list that is scanned linearly.
+type refTimer struct {
+	when time.Duration
+	live bool
+}
+
+// TestTimerHeapMatchesLinearScan drives the heap and a linear-scan model
+// through random interleavings of Schedule, Cancel (of pending, fired and
+// already cancelled timers, and from inside a callback — often of a timer
+// due at the same instant) and firing, with deadlines drawn from a handful
+// of values so that they collide. The two must fire the same timers in the
+// same order: by deadline, equal deadlines in scheduling order. The heap
+// must also hold exactly the pending timers — Cancel removes its entry at
+// once — and a handle that is not pending must keep no callback.
+func TestTimerHeapMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := &UDP{wake: make(chan struct{}, 1)} // the heap needs no socket
+		var (
+			handles   []*udpTimer
+			ref       []*refTimer
+			victim    = map[int]int{} // timer → the timer its callback cancels
+			got, want []int
+			now       time.Duration
+		)
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				id := len(handles)
+				when := now + time.Duration(rng.Intn(6))
+				if len(handles) > 0 && rng.Intn(3) == 0 {
+					victim[id] = rng.Intn(len(handles))
+				}
+				ref = append(ref, &refTimer{when: when, live: true})
+				handles = append(handles, tr.schedule(when, func() {
+					got = append(got, id)
+					if v, ok := victim[id]; ok {
+						handles[v].Cancel()
+					}
+				}))
+			case op < 7 && len(handles) > 0:
+				id := rng.Intn(len(handles))
+				handles[id].Cancel()
+				ref[id].live = false
+			default:
+				now += time.Duration(rng.Intn(4))
+				fn, next := tr.popDue(now)
+				for ; fn != nil; fn, next = tr.popDue(now) {
+					fn()
+				}
+				for id := refDue(ref, now); id >= 0; id = refDue(ref, now) {
+					want = append(want, id)
+					ref[id].live = false
+					if v, ok := victim[id]; ok {
+						ref[v].live = false
+					}
+				}
+				if wantNext := refNext(ref); next != wantNext {
+					t.Fatalf("seed %d step %d: next deadline %v, want %v", seed, step, next, wantNext)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: fired %v, want %v", seed, step, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: firing %d was timer %d, want %d", seed, step, i, got[i], want[i])
+				}
+			}
+			pending := 0
+			for id, r := range ref {
+				ut := handles[id]
+				if r.live {
+					pending++
+				}
+				if r.live != (ut.index >= 0) || r.live != (ut.fn != nil) {
+					t.Fatalf("seed %d step %d: timer %d pending=%v has index %d, callback kept=%v",
+						seed, step, id, r.live, ut.index, ut.fn != nil)
+				}
+				if r.live && tr.timers[ut.index] != ut {
+					t.Fatalf("seed %d step %d: timer %d is not at its index", seed, step, id)
+				}
+			}
+			if len(tr.timers) != pending {
+				t.Fatalf("seed %d step %d: heap holds %d entries, %d timers are pending", seed, step, len(tr.timers), pending)
+			}
+		}
+		if len(got) == 0 || len(victim) == 0 {
+			t.Fatalf("seed %d: the interleaving fired %d timers and had %d cancelling callbacks", seed, len(got), len(victim))
+		}
+	}
+}
+
+func pendingTimers(tr *UDP) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.timers)
+}
+
+// refDue is the earliest live timer due at now, ties to the one scheduled
+// first, or -1.
+func refDue(ref []*refTimer, now time.Duration) int {
+	best := -1
+	for id, r := range ref {
+		if r.live && r.when <= now && (best < 0 || r.when < ref[best].when) {
+			best = id
+		}
+	}
+	return best
+}
+
+func refNext(ref []*refTimer) time.Duration {
+	next := forever
+	for _, r := range ref {
+		if r.live && r.when < next {
+			next = r.when
+		}
+	}
+	return next
+}
+
+// TestUDPTimersOffLoop hammers Schedule and Cancel from several
+// goroutines while the event loop fires what comes due: the heap is the
+// transport's first state shared between the loop and arbitrary callers.
+// Every timer that was not cancelled fires exactly once, a cancelled one
+// at most once (an off-loop Cancel can lose the race with the fire), and
+// nothing is left in the heap. Run under -race.
+func TestUDPTimersOffLoop(t *testing.T) {
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	env := tr.Env()
+	const workers, each = 4, 500
+	fired := make([]atomic.Int32, workers*each)
+	cancelled := make([]bool, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < each; i++ {
+				id := w*each + i
+				tm := env.Schedule(time.Duration(rng.Intn(2000))*time.Microsecond, func() { fired[id].Add(1) })
+				if rng.Intn(2) == 0 {
+					if rng.Intn(2) == 0 {
+						time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+					}
+					tm.Cancel()
+					tm.Cancel()
+					cancelled[id] = true
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !waitFor(t, 5*time.Second, func() bool { return pendingTimers(tr) == 0 }) {
+		t.Fatal("timers were still pending seconds after the last deadline")
+	}
+	tr.DoSync(func(*pastry.Node) {}) // the last callback has returned
+	for id := range fired {
+		if n := fired[id].Load(); n > 1 || n == 0 && !cancelled[id] {
+			t.Errorf("timer %d (cancelled=%v) fired %d times", id, cancelled[id], n)
+		}
+	}
+}
+
+// An earlier deadline scheduled while the loop sleeps on a later one must
+// not wait for it: Schedule wakes the loop, which re-arms its timer.
+func TestUDPEarlierTimerWakesSleepingLoop(t *testing.T) {
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	env := tr.Env()
+	env.Schedule(time.Hour, func() { t.Error("the 1 h timer fired") })
+	tr.DoSync(func(*pastry.Node) {})
+	time.Sleep(20 * time.Millisecond) // the loop is asleep until the hour is up
+	const d = 30 * time.Millisecond
+	t0 := time.Now()
+	done := make(chan time.Duration, 1)
+	env.Schedule(d, func() { done <- time.Since(t0) })
+	select {
+	case took := <-done:
+		if took < d {
+			t.Errorf("a %v timer fired after %v", d, took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a %v timer had not fired after 5 s: the loop slept on", d)
+	}
+}
+
+// TestUDPScheduleAllocations pins Env.Schedule at one allocation, the
+// handle that is also the heap entry, and Cancel at none.
+func TestUDPScheduleAllocations(t *testing.T) {
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	env := tr.Env()
+	fn := func() {}
+	env.Schedule(time.Hour, fn) // the heap's slice has grown
+	if got := testing.AllocsPerRun(1000, func() { env.Schedule(time.Minute, fn).Cancel() }); got != 1 {
+		t.Errorf("Schedule+Cancel allocates %v times, want 1", got)
+	}
+}

@@ -12,14 +12,18 @@
 package transport
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/id"
 	"mspastry/internal/overload"
 	"mspastry/internal/pastry"
@@ -35,8 +39,18 @@ const maxPacket = wire.DefaultMaxPacket
 // the peer registry's eviction broadcast (entries are dropped when the
 // node evicts the peer); the cap is a backstop against pathological churn
 // with ephemeral ports, shedding an arbitrary entry (entries re-resolve
-// on demand).
+// on demand). It also bounds the read loop's table of address strings.
 const maxAddrCache = 4096
+
+// forever is the deadline of an empty timer heap.
+const forever = time.Duration(math.MaxInt64)
+
+// loopItem is one unit of event-loop work, held by value in the queue: a
+// function to run with the node, or a received message to hand to it.
+type loopItem struct {
+	fn  func(*pastry.Node)
+	msg pastry.Message
+}
 
 // UDP hosts one MSPastry node on a UDP socket.
 type UDP struct {
@@ -44,7 +58,12 @@ type UDP struct {
 	start time.Time
 	rng   *rand.Rand
 
-	loop chan func()
+	// loop is the one queue into the event loop, for Do callers and the
+	// read loop alike: 512 messages, a few milliseconds of backlog, behind
+	// which the socket buffer absorbs the rest. wake (one slot) tells a
+	// sleeping loop to look at the timers again.
+	loop chan loopItem
+	wake chan struct{}
 	done chan struct{}
 
 	mu            sync.Mutex
@@ -55,11 +74,12 @@ type UDP struct {
 	onDecodeError func(remote net.Addr, err error)
 	onSendError   func(to pastry.NodeRef, err error)
 	sink          MetricsSink
-	// timers (under mu) holds every armed Schedule timer until it fires
-	// or is cancelled, so that Close can stop the rest: a pending timer's
-	// closure keeps the node, and whatever an application hung off it,
-	// reachable until the timer would have fired.
-	timers map[*udpTimer]struct{}
+	// timers (under mu: Schedule and Cancel are legal off the loop) is the
+	// one heap of pending timers. An entry leaves when it fires, on Cancel
+	// or at Close, never later: a pending callback keeps the node, and
+	// whatever an application hung off it, reachable.
+	timers   timerHeap
+	timerSeq uint64
 
 	sent, received atomic.Uint64
 	panics         atomic.Uint64
@@ -71,9 +91,10 @@ type UDP struct {
 
 	// Event-loop-confined state (Send, flush timers and the registry's
 	// eviction broadcast all run there): the per-peer resolved-address
-	// cache and the coalescer.
-	addrs map[string]*net.UDPAddr
-	co    *wire.Coalescer
+	// cache, the coalescer, and during a Send the address it resolved.
+	addrs   map[string]netip.AddrPort
+	co      *wire.Coalescer
+	sendDst netip.AddrPort
 }
 
 // OnDecodeError registers fn to observe malformed packets (for logging).
@@ -216,13 +237,13 @@ func Listen(addr string, seed int64) (*UDP, error) {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
 	t := &UDP{
-		conn:   conn,
-		start:  time.Now(),
-		rng:    rand.New(rand.NewSource(seed)),
-		addrs:  make(map[string]*net.UDPAddr),
-		timers: make(map[*udpTimer]struct{}),
-		loop:   make(chan func(), 1024),
-		done:   make(chan struct{}),
+		conn:  conn,
+		start: time.Now(),
+		rng:   rand.New(rand.NewSource(seed)),
+		addrs: make(map[string]netip.AddrPort),
+		loop:  make(chan loopItem, 512),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	go t.runLoop()
 	go t.readLoop()
@@ -282,9 +303,11 @@ func (t *UDP) CreateNode(nodeID id.ID, cfg pastry.Config, obs pastry.Observer) (
 
 // Do runs fn on the transport's event loop, serialised with message
 // delivery and timers. Use it for every interaction with the node.
-func (t *UDP) Do(fn func(n *pastry.Node)) {
+func (t *UDP) Do(fn func(n *pastry.Node)) { t.enqueue(loopItem{fn: fn}) }
+
+func (t *UDP) enqueue(it loopItem) {
 	select {
-	case t.loop <- func() { fn(t.node) }:
+	case t.loop <- it:
 	case <-t.done:
 	}
 }
@@ -304,7 +327,7 @@ func (t *UDP) DoSync(fn func(n *pastry.Node)) {
 
 // Close shuts the transport down: the node crashes (fail-stop), pending
 // coalesced frames flush, the socket closes, the loops exit and every
-// timer still armed is stopped.
+// timer still pending is dropped.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -323,29 +346,59 @@ func (t *UDP) Close() error {
 	})
 	close(t.done)
 	t.mu.Lock()
-	for ut := range t.timers {
-		ut.timer.Stop()
+	for _, ut := range t.timers {
+		ut.index, ut.fn = -1, nil
 	}
 	t.timers = nil
 	t.mu.Unlock()
 	return t.conn.Close()
 }
 
+// runLoop is the event loop. Between queue items it fires the timers that
+// are due, and it sleeps on one runtime timer, re-armed only when the
+// earliest deadline moves earlier than what it is armed for. Any wake-up
+// means "look again", never "a deadline was reached": a Cancel leaves the
+// timer armed too early, and a tick can outlive a Reset in its channel.
 func (t *UDP) runLoop() {
+	sleep := time.NewTimer(forever)
+	defer sleep.Stop()
+	armed := forever // the deadline sleep is set for; forever once it has ticked
 	for {
-		select {
-		case fn := <-t.loop:
+		now := (*udpEnv)(t).Now()
+		fn, next := t.popDue(now)
+		if fn != nil {
 			fn()
+			continue
+		}
+		if next < armed {
+			sleep.Reset(next - now)
+			armed = next
+		}
+		select {
+		case it := <-t.loop:
+			if it.fn != nil {
+				it.fn(t.node)
+			} else if t.node != nil {
+				t.deliver(t.node, it.msg)
+			}
+		case <-t.wake:
+		case <-sleep.C:
+			armed = forever
 		case <-t.done:
 			return
 		}
 	}
 }
 
+// readLoop decodes each datagram in place (the pastry decoder copies
+// everything it retains, so buf is reused for the next one) and hands its
+// messages to the event loop one by one, in frame order.
 func (t *UDP) readLoop() {
 	buf := make([]byte, maxPacket)
+	names := codec.NewInterner(maxAddrCache)
+	drain := loopItem{fn: t.drainInbound}
 	for {
-		n, remote, err := t.conn.ReadFromUDP(buf)
+		n, remote, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-t.done:
@@ -357,68 +410,62 @@ func (t *UDP) readLoop() {
 			}
 			continue
 		}
-		// The pastry decoder copies everything it retains, so the frame
-		// can be decoded in place and buf reused for the next datagram.
-		msgs, sizes, bad, decErr := wire.DecodeAll(buf[:n])
-		if msgs == nil && decErr != nil {
-			if sink := t.metricsSink(); sink != nil {
-				sink.DecodeError()
-			}
-			if fn := t.decodeErrorHook(); fn != nil {
-				fn(remote, decErr)
-			}
-			continue
-		}
 		sink := t.metricsSink()
-		if bad > 0 {
-			// A malformed message inside a batch drops only itself.
-			if sink != nil {
-				for i := 0; i < bad; i++ {
-					sink.DecodeError()
-				}
-			}
-			if fn := t.decodeErrorHook(); fn != nil {
-				fn(remote, decErr)
-			}
-		}
-		if len(msgs) == 0 {
+		frame, err := wire.Walk(buf[:n])
+		if err != nil {
+			t.decodeError(sink, 1, remote, err)
 			continue
-		}
-		t.received.Add(uint64(len(msgs)))
-		if sink != nil {
-			sink.DatagramReceived(n, len(msgs))
-			for i, m := range msgs {
-				sink.MsgReceived(m.Category(), wire.SingleSize(sizes[i]))
-			}
 		}
 		t.inMu.Lock()
 		q := t.inQ
 		t.inMu.Unlock()
-		if q == nil {
-			t.Do(func(node *pastry.Node) {
-				if node == nil {
-					return
+		var good, bad int
+		var firstErr error
+		for p := frame.Next(); p != nil; p = frame.Next() {
+			m, err := pastry.DecodeInterned(p, names)
+			if err != nil {
+				// A malformed message inside a batch drops only itself.
+				if bad++; firstErr == nil {
+					firstErr = err
 				}
-				for _, m := range msgs {
-					t.deliver(node, m)
-				}
-			})
-			continue
-		}
-		t.inMu.Lock()
-		var sheds []overload.Lane
-		for _, m := range msgs {
-			if shed := q.Push(pastry.LaneOf(m), m); shed >= 0 {
-				sheds = append(sheds, shed)
+				continue
+			}
+			good++
+			t.received.Add(1)
+			if sink != nil {
+				sink.MsgReceived(m.Category(), wire.SingleSize(len(p)))
+			}
+			if q == nil {
+				t.enqueue(loopItem{msg: m})
+				continue
+			}
+			t.inMu.Lock()
+			shed := q.Push(pastry.LaneOf(m), m)
+			t.inMu.Unlock()
+			if shed >= 0 && sink != nil {
+				sink.MsgShed(shed)
 			}
 		}
-		t.inMu.Unlock()
-		if sink != nil {
-			for _, l := range sheds {
-				sink.MsgShed(l)
-			}
+		if bad > 0 {
+			t.decodeError(sink, bad, remote, firstErr)
 		}
-		t.Do(t.drainInbound)
+		if good > 0 && sink != nil {
+			sink.DatagramReceived(n, good)
+		}
+		if good > 0 && q != nil {
+			t.enqueue(drain)
+		}
+	}
+}
+
+// decodeError reports a malformed frame, or the n malformed messages of an
+// otherwise valid batch, with the first failure.
+func (t *UDP) decodeError(sink MetricsSink, n int, remote netip.AddrPort, err error) {
+	for ; n > 0 && sink != nil; n-- {
+		sink.DecodeError()
+	}
+	if fn := t.decodeErrorHook(); fn != nil {
+		fn(net.UDPAddrFromAddrPort(remote), err)
 	}
 }
 
@@ -478,12 +525,16 @@ func (e *udpEnv) Rand() *rand.Rand { return e.rng }
 func (e *udpEnv) Send(to pastry.NodeRef, m pastry.Message) {
 	t := (*UDP)(e)
 	// Resolve now so address errors surface synchronously, before the
-	// message can enter a batch.
-	if _, err := e.resolve(to.Addr); err != nil {
+	// message can enter a batch; what the coalescer emits before it returns
+	// is for this peer too, and goes to the same address.
+	dst, err := e.resolve(to.Addr)
+	if err != nil {
 		e.sendError(to, fmt.Errorf("transport: resolve %q: %w", to.Addr, err))
 		return
 	}
+	t.sendDst = dst
 	size, err := t.coalescer().Send(to.Addr, to, m)
+	t.sendDst = netip.AddrPort{}
 	if err != nil {
 		e.sendError(to, fmt.Errorf("transport: message of %d bytes exceeds %d: %w",
 			wire.SingleSize(size), maxPacket, err))
@@ -497,14 +548,16 @@ func (e *udpEnv) Send(to pastry.NodeRef, m pastry.Message) {
 
 // resolve returns the cached socket address for an overlay address,
 // resolving and caching on miss. Event-loop confined.
-func (e *udpEnv) resolve(addr string) (*net.UDPAddr, error) {
+func (e *udpEnv) resolve(addr string) (netip.AddrPort, error) {
 	if dst, ok := e.addrs[addr]; ok {
 		return dst, nil
 	}
-	dst, err := net.ResolveUDPAddr("udp", addr)
+	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return nil, err
+		return netip.AddrPort{}, err
 	}
+	// Unmapped, an IPv4 address suits an IPv4 and a dual-stack socket.
+	dst := netip.AddrPortFrom(ua.AddrPort().Addr().Unmap(), uint16(ua.Port))
 	if len(e.addrs) >= maxAddrCache {
 		for victim := range e.addrs {
 			delete(e.addrs, victim)
@@ -527,29 +580,29 @@ func (t *UDP) coalescer() *wire.Coalescer {
 			MaxPacket:  maxPacket,
 			MaxSingle:  maxPacket,
 			Now:        (*udpEnv)(t).Now,
-			After: func(d time.Duration, fn func()) {
-				time.AfterFunc(d, func() {
-					t.Do(func(*pastry.Node) { fn() })
-				})
-			},
-			Emit: t.emitFrame,
+			After:      func(d time.Duration, fn func()) { (*udpEnv)(t).Schedule(d, fn) },
+			Emit:       t.emitFrame,
 		})
 	}
 	return t.co
 }
 
 // emitFrame writes one assembled frame to the socket. Runs on the event
-// loop (synchronously from Send, or from a flush timer).
+// loop: synchronously from Send, which has resolved the address, or from
+// a flush timer, which resolves it again.
 func (t *UDP) emitFrame(f wire.Flush) {
 	e := (*udpEnv)(t)
-	dst, err := e.resolve(f.To.Addr)
+	dst, err := t.sendDst, error(nil)
+	if !dst.IsValid() {
+		dst, err = e.resolve(f.To.Addr)
+	}
 	if err != nil {
 		// The cache entry was shed between enqueue and flush and the
 		// re-resolve failed; the frame is lost like a dropped datagram.
 		e.sendError(f.To, fmt.Errorf("transport: resolve %q: %w", f.To.Addr, err))
 		return
 	}
-	if _, err := t.conn.WriteToUDP(f.Frame, dst); err != nil {
+	if _, err := t.conn.WriteToUDPAddrPort(f.Frame, dst); err != nil {
 		e.sendError(f.To, err)
 		return
 	}
@@ -580,52 +633,98 @@ func (e *udpEnv) LoadFactor() float64 {
 	return t.inQ.LoadFactor()
 }
 
-// Schedule arms a real timer whose callback runs on the event loop. On a
-// closed transport, which runs no callbacks, it arms nothing.
+// Schedule queues fn to run on the event loop d from now; the handle is
+// the heap entry, the call's one allocation. On a closed transport, which
+// runs no callbacks, it queues nothing.
 func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
-	t := (*UDP)(e)
-	ut := &udpTimer{owner: t}
+	return (*UDP)(e).schedule(e.Now()+d, fn)
+}
+
+func (t *UDP) schedule(when time.Duration, fn func()) *udpTimer {
+	ut := &udpTimer{owner: t, when: when, index: -1}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ut
 	}
-	t.timers[ut] = struct{}{}
-	ut.timer = time.AfterFunc(d, func() {
-		t.forget(ut)
-		t.Do(func(*pastry.Node) {
-			ut.mu.Lock()
-			canceled := ut.canceled
-			ut.mu.Unlock()
-			if !canceled {
-				fn()
-			}
-		})
-	})
+	ut.fn, ut.seq = fn, t.timerSeq
+	t.timerSeq++
+	heap.Push(&t.timers, ut)
+	if ut.index == 0 {
+		select {
+		case t.wake <- struct{}{}:
+		default: // a wake-up is pending already
+		}
+	}
 	return ut
 }
 
-func (t *UDP) forget(ut *udpTimer) {
+// popDue removes the earliest timer and returns its callback if it is due
+// at now; otherwise it returns nil and the earliest deadline left.
+func (t *UDP) popDue(now time.Duration) (fn func(), next time.Duration) {
 	t.mu.Lock()
-	delete(t.timers, ut)
-	t.mu.Unlock()
-}
-
-type udpTimer struct {
-	owner    *UDP
-	mu       sync.Mutex
-	canceled bool
-	timer    *time.Timer // nil when the transport was closed already
-}
-
-// Cancel implements pastry.Timer. It is safe to call from the event loop;
-// a callback already queued will observe the flag and do nothing.
-func (ut *udpTimer) Cancel() {
-	ut.mu.Lock()
-	ut.canceled = true
-	ut.mu.Unlock()
-	if ut.timer != nil {
-		ut.timer.Stop()
-		ut.owner.forget(ut)
+	defer t.mu.Unlock()
+	if len(t.timers) == 0 {
+		return nil, forever
 	}
+	if next = t.timers[0].when; next > now {
+		return nil, next
+	}
+	ut := heap.Pop(&t.timers).(*udpTimer)
+	fn, ut.fn = ut.fn, nil
+	return fn, next
+}
+
+// udpTimer is a Schedule handle and, until it fires or is cancelled, an
+// entry of its transport's heap.
+type udpTimer struct {
+	owner *UDP
+	when  time.Duration // deadline, on the Env clock
+	seq   uint64        // scheduling order: breaks ties between equal deadlines
+	fn    func()        // nil once fired, cancelled or dropped
+	index int           // position in owner.timers, -1 when not in it
+}
+
+// Cancel implements pastry.Timer, from any goroutine. The entry leaves the
+// heap at once: an ack cancels a hop's timer seconds before it is due, and
+// until then a marked entry would keep the hop its callback holds. On the
+// loop a cancelled timer never fires; elsewhere Cancel can lose the race
+// with the loop taking the timer off the heap, as time.Timer.Stop can.
+func (ut *udpTimer) Cancel() {
+	t := ut.owner
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ut.index >= 0 {
+		heap.Remove(&t.timers, ut.index)
+		ut.fn = nil
+	}
+}
+
+// timerHeap is a container/heap of pending timers ordered by (when, seq),
+// each entry knowing its position so that Cancel can remove it.
+type timerHeap []*udpTimer
+
+func (h timerHeap) Len() int { return len(h) }
+
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].when < h[j].when || h[i].when == h[j].when && h[i].seq < h[j].seq
+}
+
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+
+func (h *timerHeap) Push(x any) {
+	ut := x.(*udpTimer)
+	ut.index = len(*h)
+	*h = append(*h, ut)
+}
+
+func (h *timerHeap) Pop() any {
+	last := len(*h) - 1
+	ut := (*h)[last]
+	(*h)[last], *h = nil, (*h)[:last]
+	ut.index = -1
+	return ut
 }

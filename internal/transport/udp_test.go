@@ -54,7 +54,7 @@ func (o *liveObserver) deliveredCount() int {
 	return len(o.delivered)
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
+func waitFor(t testing.TB, timeout time.Duration, cond func() bool) bool {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -273,8 +273,9 @@ func TestUDPAddressCacheReused(t *testing.T) {
 
 // TestUDPCloseStopsTimers: a timer pending at Close used to stay armed,
 // its closure keeping the failed node (and any store hung off it)
-// reachable for up to a sweep interval. Close now stops every tracked
-// timer, and none of their callbacks run afterwards.
+// reachable for up to a sweep interval. Close now drops every pending
+// timer, and none of their callbacks run afterwards. Schedule and Cancel
+// are called here from the test's goroutine, off the event loop.
 func TestUDPCloseStopsTimers(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -290,29 +291,23 @@ func TestUDPCloseStopsTimers(t *testing.T) {
 	fired := make(chan struct{})
 	env.Schedule(0, func() { close(fired) })
 	<-fired
-	tr.mu.Lock()
-	pending := len(tr.timers)
-	tr.mu.Unlock()
-	if pending != len(armed) {
-		t.Fatalf("%d timers tracked, want the %d neither fired nor cancelled", pending, len(armed))
+	if n := pendingTimers(tr); n != len(armed) {
+		t.Fatalf("%d timers pending, want the %d neither fired nor cancelled", n, len(armed))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr.mu.Lock()
-	pending = len(tr.timers)
-	tr.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("%d timers still tracked after Close", pending)
+	if n := pendingTimers(tr); n != 0 {
+		t.Errorf("%d timers still pending after Close", n)
 	}
-	for _, ut := range armed {
-		if ut.timer.Stop() {
-			t.Error("a 1 h timer was still armed after Close")
+	late := env.Schedule(0, func() { ran.Add(1) }).(*udpTimer)
+	for _, ut := range append(armed, late) {
+		if ut.index >= 0 || ut.fn != nil {
+			t.Error("a timer was still pending, or kept its callback, on a closed transport")
 		}
+		ut.Cancel() // a handle outlives its transport
 	}
-	if late := env.Schedule(0, func() { ran.Add(1) }).(*udpTimer); late.timer != nil {
-		t.Error("a closed transport armed a timer")
-	}
+	time.Sleep(20 * time.Millisecond) // a late callback's chance to run
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d timer callbacks ran, want none", n)
 	}

@@ -8,15 +8,14 @@ import (
 )
 
 // Flush is one assembled frame handed to Config.Emit. Frame is pooled
-// memory valid only for the duration of the Emit call (write or measure it
-// synchronously; copy it to keep it). Msgs and Sizes are freshly allocated
-// and pass to the receiver, which the simulator relies on to deliver the
-// decoded messages later without re-parsing the frame.
+// memory and Msgs the queue's own slice: both are valid only for the
+// duration of the Emit call (write or measure them synchronously; copy
+// them to keep them, as the simulator does to deliver the messages later
+// without re-parsing the frame).
 type Flush struct {
 	To    pastry.NodeRef
 	Frame []byte           // encoded frame as it travels on the wire
 	Msgs  []pastry.Message // the messages inside, in send order
-	Sizes []int            // encoded payload bytes per message
 
 	// SingleBytes is what the same messages would have cost as individual
 	// single frames; SingleBytes - len(Frame) is the coalescing saving
@@ -81,8 +80,8 @@ type peerQueue struct {
 	// buf is the batch frame under construction: two reserved header
 	// bytes, then one uvarint-length-prefixed payload per message. For a
 	// batch of one the payload is re-framed as a single frame in place.
+	// Nil until the first message, and while a flush has it out at Emit.
 	buf       *[]byte
-	sizes     []int
 	firstPlen int // uvarint prefix length of the first entry
 	single    int // sum of SingleSize over queued messages
 	oldest    time.Duration
@@ -120,7 +119,7 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 
 	q := c.queues[key]
 	if q == nil {
-		q = &peerQueue{buf: GetBuf()}
+		q = &peerQueue{}
 		c.queues[key] = q
 	}
 	// A message that will not fit alongside the pending batch flushes the
@@ -130,9 +129,11 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 		c.flush(q)
 	}
 	if len(q.msgs) == 0 {
+		if q.buf == nil {
+			q.buf = GetBuf()
+		}
 		*q.buf = append((*q.buf)[:0], Version, frameBatch)
 		q.to = to
-		q.sizes = q.sizes[:0]
 		q.single = 0
 		q.oldest = c.cfg.Now()
 		q.firstPlen = codec.UvarintLen(uint64(plen))
@@ -140,7 +141,6 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 	*q.buf = appendUvarint(*q.buf, uint64(plen))
 	*q.buf = append(*q.buf, payload...)
 	q.msgs = append(q.msgs, m)
-	q.sizes = append(q.sizes, plen)
 	q.single += SingleSize(plen)
 
 	if c.cfg.Window <= 0 || !Coalescable(m) {
@@ -175,37 +175,40 @@ func appendUvarint(dst []byte, v uint64) []byte {
 // re-framed in place as a single frame so lone messages never pay the
 // batch length prefix.
 func (c *Coalescer) flush(q *peerQueue) {
-	n := len(q.msgs)
-	if n == 0 {
+	msgs, buf := q.msgs, q.buf
+	if len(msgs) == 0 {
 		return
 	}
-	var frame []byte
-	if n == 1 {
+	frame := *buf
+	if len(msgs) == 1 {
 		// Overwrite the last two bytes of the unused prefix region with a
 		// single-frame header: payload starts at HeaderLen+firstPlen, and
 		// firstPlen >= 1, so the header fits at firstPlen-1..firstPlen.
-		b := *q.buf
-		b[q.firstPlen] = Version
-		b[q.firstPlen+1] = frameSingle
-		frame = b[q.firstPlen:]
-	} else {
-		frame = *q.buf
+		frame[q.firstPlen] = Version
+		frame[q.firstPlen+1] = frameSingle
+		frame = frame[q.firstPlen:]
 	}
 	f := Flush{
 		To:          q.to,
 		Frame:       frame,
-		Msgs:        q.msgs,
-		Sizes:       q.sizes,
+		Msgs:        msgs,
 		SingleBytes: q.single,
 		Held:        c.cfg.Now() - q.oldest,
 	}
-	// Reset before Emit: the msgs/sizes slices pass to the receiver, and a
-	// re-entrant Send from inside Emit must see an empty queue.
-	q.msgs = nil
-	q.sizes = nil
-	q.single = 0
+	// Detach before Emit, so a re-entrant Send from inside it sees an empty
+	// queue and fills a slice and a buffer of its own; re-attach after,
+	// cleared, so the next batch reuses both and pins no sent message.
+	q.msgs, q.buf = nil, nil
 	c.cfg.Emit(f)
-	*q.buf = (*q.buf)[:0]
+	clear(msgs)
+	if q.msgs == nil {
+		q.msgs = msgs[:0]
+	}
+	if q.buf == nil {
+		q.buf = buf
+	} else {
+		PutBuf(buf)
+	}
 }
 
 // FlushAll drains every pending queue, emitting each as a frame. Call it
@@ -221,10 +224,8 @@ func (c *Coalescer) FlushAll() {
 // crashes — a dead node sends nothing, not even its pending acks.
 func (c *Coalescer) DiscardAll() {
 	for _, q := range c.queues {
+		clear(q.msgs)
 		q.msgs = q.msgs[:0]
-		q.sizes = q.sizes[:0]
-		q.single = 0
-		*q.buf = (*q.buf)[:0]
 	}
 }
 
@@ -253,9 +254,10 @@ func (c *Coalescer) Drop(key string) {
 	}
 	delete(c.queues, key)
 	q.msgs = nil
-	q.sizes = nil
-	PutBuf(q.buf)
-	q.buf = nil
+	if q.buf != nil {
+		PutBuf(q.buf)
+		q.buf = nil
+	}
 }
 
 // Pending reports how many messages are queued for the peer (tests).

@@ -85,46 +85,71 @@ func EncodeSingle(m pastry.Message) []byte {
 	return AppendSingle(make([]byte, 0, 256), pastry.AppendMessage(nil, m))
 }
 
-// Payloads splits a frame into its message payloads without copying (the
-// returned slices alias frame). Structural errors — empty or truncated
-// frames, unknown versions or kinds, bad length prefixes — fail the whole
-// frame; whether an individual payload parses as a message is the caller's
-// (or DecodeAll's) concern.
-func Payloads(frame []byte) ([][]byte, error) {
+// Walker is the one parser of the frame format: a walk over a frame's
+// message payloads that allocates nothing. Walk validates the structure;
+// Next then yields each payload, aliasing the frame.
+type Walker struct {
+	body   []byte // what Next has not yielded yet
+	n      int    // payloads left
+	single bool
+}
+
+// Walk validates a frame's structure before anything is yielded, so a
+// structural error — an empty or truncated frame, an unknown version or
+// kind, a bad length prefix — fails the whole frame. Whether an individual
+// payload parses as a message is the caller's (or DecodeAll's) concern.
+func Walk(frame []byte) (Walker, error) {
 	if len(frame) < HeaderLen {
-		return nil, fmt.Errorf("wire: frame of %d bytes is shorter than the header", len(frame))
+		return Walker{}, fmt.Errorf("wire: frame of %d bytes is shorter than the header", len(frame))
 	}
 	if frame[0] != Version {
-		return nil, fmt.Errorf("wire: unsupported frame version %d (want %d)", frame[0], Version)
+		return Walker{}, fmt.Errorf("wire: unsupported frame version %d (want %d)", frame[0], Version)
 	}
 	body := frame[HeaderLen:]
 	switch frame[1] {
 	case frameSingle:
 		if len(body) == 0 {
-			return nil, errors.New("wire: empty single frame")
+			return Walker{}, errors.New("wire: empty single frame")
 		}
-		return [][]byte{body}, nil
+		return Walker{body: body, n: 1, single: true}, nil
 	case frameBatch:
-		var out [][]byte
-		for len(body) > 0 {
-			plen, n := binary.Uvarint(body)
-			if n <= 0 {
-				return nil, errors.New("wire: bad batch entry length")
+		n := 0
+		for rest := body; len(rest) > 0; n++ {
+			plen, k := binary.Uvarint(rest)
+			if k <= 0 {
+				return Walker{}, errors.New("wire: bad batch entry length")
 			}
-			body = body[n:]
-			if plen == 0 || plen > uint64(len(body)) {
-				return nil, fmt.Errorf("wire: batch entry of %d bytes overruns frame", plen)
+			rest = rest[k:]
+			if plen == 0 || plen > uint64(len(rest)) {
+				return Walker{}, fmt.Errorf("wire: batch entry of %d bytes overruns frame", plen)
 			}
-			out = append(out, body[:plen])
-			body = body[plen:]
+			rest = rest[plen:]
 		}
-		if len(out) == 0 {
-			return nil, errors.New("wire: empty batch frame")
+		if n == 0 {
+			return Walker{}, errors.New("wire: empty batch frame")
 		}
-		return out, nil
+		return Walker{body: body, n: n}, nil
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", frame[1])
+		return Walker{}, fmt.Errorf("wire: unknown frame kind %d", frame[1])
 	}
+}
+
+// Len is the number of payloads Next has yet to yield.
+func (w *Walker) Len() int { return w.n }
+
+// Next yields the next payload, or nil after the last.
+func (w *Walker) Next() []byte {
+	if w.n == 0 {
+		return nil
+	}
+	w.n--
+	if w.single {
+		return w.body
+	}
+	plen, k := binary.Uvarint(w.body) // Walk checked every prefix
+	payload := w.body[k : k+int(plen)]
+	w.body = w.body[k+int(plen):]
+	return payload
 }
 
 // DecodeAll parses every message in a frame. A malformed inner message
@@ -133,13 +158,13 @@ func Payloads(frame []byte) ([][]byte, error) {
 // Structural frame errors return a nil message slice and the error.
 // Returned messages own their memory; frame may be reused afterwards.
 func DecodeAll(frame []byte) (msgs []pastry.Message, sizes []int, bad int, firstErr error) {
-	payloads, err := Payloads(frame)
+	w, err := Walk(frame)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	msgs = make([]pastry.Message, 0, len(payloads))
-	sizes = make([]int, 0, len(payloads))
-	for _, p := range payloads {
+	msgs = make([]pastry.Message, 0, w.Len())
+	sizes = make([]int, 0, w.Len())
+	for p := w.Next(); p != nil; p = w.Next() {
 		m, err := pastry.DecodeMessage(p)
 		if err != nil {
 			bad++

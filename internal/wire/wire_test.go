@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,11 +65,18 @@ func newTestCoalescer(window time.Duration, maxPacket, maxSingle int) (*Coalesce
 		Now:       clk.Now,
 		After:     clk.After,
 		Emit: func(f Flush) {
-			f.Frame = append([]byte(nil), f.Frame...) // Frame is pooled; keep a copy
-			*flushes = append(*flushes, f)
+			*flushes = append(*flushes, keep(f))
 		},
 	})
 	return co, clk, flushes
+}
+
+// keep copies what a Flush only lends for the duration of Emit: the
+// pooled frame and the queue's message slice.
+func keep(f Flush) Flush {
+	f.Frame = bytes.Clone(f.Frame)
+	f.Msgs = slices.Clone(f.Msgs)
+	return f
 }
 
 func TestSingleRoundTrip(t *testing.T) {
@@ -229,10 +237,7 @@ func TestLongWindowForDelayTolerant(t *testing.T) {
 			LongWindow: 100 * time.Millisecond,
 			Now:        clk.Now,
 			After:      clk.After,
-			Emit: func(f Flush) {
-				f.Frame = append([]byte(nil), f.Frame...)
-				*flushes = append(*flushes, f)
-			},
+			Emit:       func(f Flush) { *flushes = append(*flushes, keep(f)) },
 		})
 		return co, clk, flushes
 	}
@@ -311,11 +316,129 @@ func TestStructuralFrameErrors(t *testing.T) {
 		"truncated prefix": {Version, frameBatch, 0x80},
 	}
 	for name, frame := range cases {
-		if _, err := Payloads(frame); err == nil {
-			t.Errorf("%s: no error for %x", name, frame)
+		if w, err := Walk(frame); err == nil || w.Len() != 0 || w.Next() != nil {
+			t.Errorf("%s: the walk yields %d payloads of %x, err=%v", name, w.Len(), frame, err)
 		}
 		if msgs, _, _, err := DecodeAll(frame); err == nil || msgs != nil {
 			t.Errorf("%s: DecodeAll returned %d msgs, err=%v", name, len(msgs), err)
+		}
+	}
+}
+
+// A Send from inside Emit — a send-error hook that reports to a peer,
+// say — finds the queue empty and fills a slice and a buffer of its own:
+// the frame being emitted is not overwritten under its receiver, and the
+// re-entrant message is neither merged into it nor lost when the outer
+// flush puts its slice back.
+func TestReentrantSendDuringEmit(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		clk := &testClock{}
+		var flushes []Flush
+		var co *Coalescer
+		reentered := false
+		urgent := &pastry.AppDirect{From: ref(1), Payload: []byte("now")}
+		co = NewCoalescer(Config{
+			Window: window,
+			Now:    clk.Now,
+			After:  clk.After,
+			Emit: func(f Flush) {
+				before := bytes.Clone(f.Frame)
+				if !reentered {
+					reentered = true
+					co.Send("p", ref(9), hb(2)) // same peer, same queue
+				}
+				if !bytes.Equal(f.Frame, before) {
+					t.Errorf("window %v: a re-entrant Send rewrote the frame being emitted", window)
+				}
+				flushes = append(flushes, keep(f))
+			},
+		})
+		co.Send("p", ref(9), urgent)
+		clk.fire()
+		if len(flushes) != 2 || co.Pending("p") != 0 {
+			t.Fatalf("window %v: %d flushes, %d pending, want both messages out", window, len(flushes), co.Pending("p"))
+		}
+		// With no window the inner flush completes first.
+		outer, inner := flushes[0], flushes[1]
+		if window == 0 {
+			outer, inner = inner, outer
+		}
+		if len(outer.Msgs) != 1 || outer.Msgs[0] != pastry.Message(urgent) || !bytes.Equal(outer.Frame, EncodeSingle(urgent)) {
+			t.Errorf("window %v: outer flush %+v", window, outer)
+		}
+		if len(inner.Msgs) != 1 || !bytes.Equal(inner.Frame, EncodeSingle(hb(2))) {
+			t.Errorf("window %v: re-entrant flush %+v", window, inner)
+		}
+		// The queue still works, and batches, afterwards.
+		flushes = flushes[:0]
+		co.Send("p", ref(9), hb(3))
+		co.Send("p", ref(9), urgent)
+		sent := 0
+		for _, f := range flushes {
+			sent += len(f.Msgs)
+		}
+		if sent != 2 || window > 0 && len(flushes) != 1 {
+			t.Errorf("window %v: after re-entrancy, 2 sends gave %d flushes of %d messages", window, len(flushes), sent)
+		}
+	}
+}
+
+// Flush.Msgs is the queue's own slice, lent for the duration of Emit: the
+// next batch reuses it, and between batches it holds on to no message.
+func TestFlushMsgsReusedAndCleared(t *testing.T) {
+	var lent []pastry.Message
+	co := NewCoalescer(Config{
+		Now:   func() time.Duration { return 0 },
+		After: func(time.Duration, func()) {},
+		Emit:  func(f Flush) { lent = f.Msgs },
+	})
+	co.Send("p", ref(9), hb(1))
+	first := lent
+	if len(first) != 1 || first[0] != nil {
+		t.Fatalf("after Emit the lent slice is %v, want its one entry cleared", first)
+	}
+	co.Send("p", ref(9), hb(2))
+	if &lent[0] != &first[0] {
+		t.Fatal("the second flush did not reuse the queue's slice")
+	}
+}
+
+// TestWireAllocations pins the steady state of both directions: walking a
+// frame allocates nothing, and neither does sending and flushing a lone
+// message (the window-0 path every live datagram takes).
+func TestWireAllocations(t *testing.T) {
+	single := EncodeSingle(hb(1))
+	batch := []byte{Version, frameBatch}
+	for i := uint64(1); i <= 3; i++ {
+		p := pastry.AppendMessage(nil, hb(i))
+		batch = append(appendUvarint(batch, uint64(len(p))), p...)
+	}
+	var bytesSeen int
+	walk := func(frame []byte, want int) func() {
+		return func() {
+			w, err := Walk(frame)
+			if err != nil || w.Len() != want {
+				t.Fatalf("Walk: %d payloads, err=%v", w.Len(), err)
+			}
+			for p := w.Next(); p != nil; p = w.Next() {
+				bytesSeen += len(p)
+			}
+		}
+	}
+	co := NewCoalescer(Config{
+		Now:   func() time.Duration { return 0 },
+		After: func(time.Duration, func()) {},
+		Emit:  func(f Flush) { bytesSeen += len(f.Frame) },
+	})
+	m, to := hb(1), ref(9)
+	for name, f := range map[string]func(){
+		"Walk single":      walk(single, 1),
+		"Walk batch of 3":  walk(batch, 3),
+		"Send+flush, lone": func() { co.Send("p", to, m) },
+	} {
+		f() // the first send builds the peer's queue
+		if got := testing.AllocsPerRun(200, f); got != 0 {
+			t.Errorf("%s: %v allocs, want 0", name, got)
 		}
 	}
 }
