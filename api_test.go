@@ -108,10 +108,10 @@ func TestPublicAPIConfigDefaults(t *testing.T) {
 	if cfg.Tls != 30*time.Second || cfg.To != 3*time.Second || cfg.MinTrt() != 3*cfg.To {
 		t.Fatal("failure-detection defaults drifted")
 	}
-	if !cfg.PerHopAcks || !cfg.ActiveProbing || !cfg.SelfTune || cfg.TargetRawLoss != 0.05 {
+	if !cfg.PerHopAcks || !cfg.ActiveProbing || cfg.TargetRawLoss != 0.05 {
 		t.Fatal("reliability defaults drifted")
 	}
-	if !cfg.PNS || cfg.DistProbeCount != 3 || cfg.RTMaintenance != 20*time.Minute {
+	if !cfg.PNS || cfg.DistProbeSpacing != time.Second || cfg.RTMaintenance != 20*time.Minute {
 		t.Fatal("PNS defaults drifted")
 	}
 }

@@ -11,7 +11,7 @@
 //
 //	mspastry-bench -experiment all
 //	mspastry-bench -experiment fig6 -trace-div 8 -max-dur 3h
-//	mspastry-bench -experiment fig8validate -validate-dur 20s
+//	mspastry-bench -experiment hotspot -hotspot-nodes 32 -hotspot-dur 150s
 package main
 
 import (
@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	known := "all, " + strings.Join(names, ", ")
 
-	var s experiments.Scale
+	s := experiments.Scale{SetupRamp: 5 * time.Minute, Seed: 1}
 	fs := flag.NewFlagSet("mspastry-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	which := fs.String("experiment", "all", "experiment: "+known)
@@ -46,11 +46,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&s.MaxDuration, "max-dur", 90*time.Minute, "cap on trace duration (0 = full traces: Gnutella is 60h, fig8's Squirrel replay 6 days)")
 	fs.IntVar(&s.PoissonNodes, "poisson-nodes", 250, "average nodes in the artificial traces (paper: 10000)")
 	fs.DurationVar(&s.PoissonDuration, "poisson-dur", time.Hour, "artificial trace duration")
-	fs.DurationVar(&s.SetupRamp, "ramp", 5*time.Minute, "setup ramp")
-	fs.Int64Var(&s.Seed, "seed", 1, "random seed")
 	fs.IntVar(&s.HotspotNodes, "hotspot-nodes", 0, "hotspot: cluster size (0 = scale default)")
 	fs.DurationVar(&s.HotspotDuration, "hotspot-dur", 0, "hotspot: measurement window (0 = scale default)")
-	fs.DurationVar(&s.ValidateDuration, "validate-dur", 0, "fig8validate: wall-clock workload duration (0 = 15s)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -21,7 +21,7 @@
 //	get <key>              fetch a value
 //	del <key>              delete a value (tombstoned, propagates)
 //	lookup <key>           route a bare lookup (delivery logged at the root)
-//	slookup <key>          route a secure lookup (with -secure-routing: the
+//	slookup <key>          route a secure lookup (needs -secure-routing: the
 //	                       root's completion report runs the failure test)
 //	status                 print leaf set, routing table and counters
 //	quit                   leave (crash-stop) and exit
@@ -34,9 +34,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -52,92 +53,97 @@ import (
 	"mspastry/internal/transport"
 )
 
-func main() {
-	log.SetFlags(0)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code: 2 for a rejected command line (no socket has been opened
+// yet), 1 for a failure once running. The node's event loop logs protocol
+// events to stdout while the command loop prints results, so stdout must
+// be safe for concurrent writes, as an *os.File is.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mspastry-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen    = flag.String("listen", "127.0.0.1:0", "UDP listen address")
-		adminAddr = flag.String("admin", "", "HTTP admin listen address for /metrics, /status, /traces and /debug/pprof (empty = off)")
-		bootstrap = flag.Bool("bootstrap", false, "start a new overlay instead of joining")
-		seedAddr  = flag.String("seed-addr", "", "seed node address (host:port)")
-		seedID    = flag.String("seed-id", "", "seed node identifier (32 hex digits)")
-		nodeID    = flag.String("id", "", "this node's identifier (default: random)")
-		seed      = flag.Int64("seed", time.Now().UnixNano(), "random seed")
-		coalesce  = flag.Duration("coalesce", 2*time.Millisecond, "control-message coalescing window (0 = one message per datagram)")
-		coalesceL = flag.Duration("coalesce-long", 0, "extended coalescing window for delay-tolerant messages (heartbeats, gossip); keep below the probe timeout")
-		status    = flag.Duration("status", 0, "print a status line at this interval (0 = off)")
-		dataDir   = flag.String("data-dir", "", "directory for the durable object store (empty = in-memory)")
-		inQueue   = flag.Int("inbound-queue", 0, "bound inbound work at this many messages, shedding lowest-priority-first (0 = unbounded)")
-		secRoute  = flag.Bool("secure-routing", false, "run the routing failure test on lookups issued with slookup, with redundant diverse-path retries")
-		secWrites = flag.Bool("secure-writes", false, "route DHT puts and deletes as secure lookups (requires -secure-routing)")
-		cacheEnt  = flag.Int("cache-entries", 0, "hotspot read-cache capacity in entries (0 = caching off)")
-		cacheHot  = flag.Int("cache-hot-threshold", 0, "popularity estimate at which a key's root deposits cache entries on route hops (0 = default)")
+		listen    = fs.String("listen", "127.0.0.1:0", "UDP listen address")
+		adminAddr = fs.String("admin", "", "HTTP admin listen address for /metrics, /status, /traces and /debug/pprof (empty = off)")
+		bootstrap = fs.Bool("bootstrap", false, "start a new overlay instead of joining")
+		seedAddr  = fs.String("seed-addr", "", "seed node address (host:port)")
+		seedID    = fs.String("seed-id", "", "seed node identifier (32 hex digits)")
+		nodeID    = fs.String("id", "", "this node's identifier (default: random)")
+		coalesce  = fs.Duration("coalesce", 2*time.Millisecond, "control-message coalescing window (0 = one message per datagram)")
+		dataDir   = fs.String("data-dir", "", "directory for the durable object store (empty = in-memory)")
+		inQueue   = fs.Int("inbound-queue", 0, "bound inbound work at this many messages, shedding lowest-priority-first (0 = unbounded)")
+		secRoute  = fs.Bool("secure-routing", false, "run the routing failure test on lookups issued with slookup, with redundant diverse-path retries")
+		cacheEnt  = fs.Int("cache-entries", 0, "hotspot read-cache capacity in entries (0 = caching off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return code
+	}
 
 	// A typo'd flag must die here with a clear message, not surface later
 	// as a wedged coalescer or a panicking queue constructor.
+	var self, sid id.ID
+	var err error
 	switch {
 	case *coalesce < 0:
-		log.Fatalf("-coalesce must be >= 0, got %v", *coalesce)
-	case *coalesceL < 0:
-		log.Fatalf("-coalesce-long must be >= 0, got %v", *coalesceL)
-	case *coalesceL > 0 && *coalesceL < *coalesce:
-		log.Fatalf("-coalesce-long (%v) must be >= -coalesce (%v)", *coalesceL, *coalesce)
-	case *status < 0:
-		log.Fatalf("-status must be >= 0, got %v", *status)
+		return fail(2, "-coalesce must be >= 0, got %v", *coalesce)
 	case *inQueue < 0:
-		log.Fatalf("-inbound-queue must be >= 0, got %d", *inQueue)
-	case *secWrites && !*secRoute:
-		log.Fatalf("-secure-writes requires -secure-routing")
+		return fail(2, "-inbound-queue must be >= 0, got %d", *inQueue)
 	case *cacheEnt < 0:
-		log.Fatalf("-cache-entries must be >= 0, got %d", *cacheEnt)
-	case *cacheHot < 0:
-		log.Fatalf("-cache-hot-threshold must be >= 0, got %d", *cacheHot)
-	case *cacheHot > 0 && *cacheEnt == 0:
-		log.Fatalf("-cache-hot-threshold requires -cache-entries > 0")
+		return fail(2, "-cache-entries must be >= 0, got %d", *cacheEnt)
+	case !*bootstrap && (*seedAddr == "" || *seedID == ""):
+		return fail(2, "need -bootstrap, or -seed-addr and -seed-id")
+	}
+	if *nodeID != "" {
+		if self, err = id.Parse(*nodeID); err != nil {
+			return fail(2, "-id: %v", err)
+		}
+	}
+	if !*bootstrap {
+		if sid, err = id.Parse(*seedID); err != nil {
+			return fail(2, "-seed-id: %v", err)
+		}
 	}
 
-	tr, err := transport.Listen(*listen, *seed)
+	tr, err := transport.Listen(*listen, time.Now().UnixNano())
 	if err != nil {
-		log.Fatal(err)
+		return fail(1, "%v", err)
 	}
 	defer tr.Close()
 	tr.SetCoalesceWindow(*coalesce)
-	tr.SetCoalesceLongWindow(*coalesceL)
 	tr.SetInboundQueue(*inQueue)
 
 	// One registry backs every view of this node: the Prometheus endpoint,
 	// the JSON status and the stdout status command.
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(256)
-	obs := telemetry.NewOverlay(reg, tracer, telemetry.OverlayOptions{Inner: logObserver{}})
+	obs := telemetry.NewOverlay(reg, tracer, telemetry.OverlayOptions{Inner: logObserver{stdout}})
 	tr.SetMetricsSink(telemetry.NewTransportMetrics(reg))
 
-	var self id.ID
-	if *nodeID != "" {
-		if self, err = id.Parse(*nodeID); err != nil {
-			log.Fatal(err)
-		}
-	}
 	cfg := pastry.DefaultConfig()
 	cfg.SecureRouting = *secRoute
 	node, err := tr.CreateNode(self, cfg, obs)
 	if err != nil {
-		log.Fatal(err)
+		return fail(1, "%v", err)
 	}
 	dhtCfg := dht.DefaultConfig()
-	dhtCfg.SecureWrites = *secWrites
 	dhtCfg.CacheEntries = *cacheEnt
-	dhtCfg.CacheHotThreshold = *cacheHot
 	if *dataDir != "" {
 		// SyncEvery 1 fsyncs each write before the put is acknowledged:
 		// the node is a durability demo first, a throughput demo second.
 		backend, err := objstore.Open(*dataDir, objstore.DiskOptions{SyncEvery: 1})
 		if err != nil {
-			log.Fatal(err)
+			return fail(1, "%v", err)
 		}
 		if replayed := backend.Stats().Replayed; replayed > 0 {
-			fmt.Printf("recovered %d records from %s (%d live objects)\n",
+			fmt.Fprintf(stdout, "recovered %d records from %s (%d live objects)\n",
 				replayed, *dataDir, backend.Len())
 		}
 		dhtCfg.Backend = backend
@@ -169,7 +175,7 @@ func main() {
 		})
 	})
 
-	fmt.Printf("node up: addr=%s id=%s\n", tr.Addr(), node.Ref().ID)
+	fmt.Fprintf(stdout, "node up: addr=%s id=%s\n", tr.Addr(), node.Ref().ID)
 
 	var adm *admin.Server
 	if *adminAddr != "" {
@@ -178,47 +184,34 @@ func main() {
 			Tracer: tracer,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return fail(1, "%v", err)
 		}
 		defer adm.Close()
-		fmt.Printf("admin endpoint: http://%s/metrics /status /traces /debug/pprof\n", adm.Addr())
+		fmt.Fprintf(stdout, "admin endpoint: http://%s/metrics /status /traces /debug/pprof\n", adm.Addr())
 	}
 
-	switch {
-	case *bootstrap:
+	if *bootstrap {
 		tr.DoSync(func(n *pastry.Node) { n.Bootstrap() })
-		fmt.Println("bootstrapped a new overlay")
-	case *seedAddr != "" && *seedID != "":
-		sid, err := id.Parse(*seedID)
-		if err != nil {
-			log.Fatal(err)
-		}
+		fmt.Fprintln(stdout, "bootstrapped a new overlay")
+	} else {
 		ref := pastry.NodeRef{ID: sid, Addr: *seedAddr}
 		tr.DoSync(func(n *pastry.Node) { n.Join(ref) })
-		fmt.Printf("joining via %s...\n", *seedAddr)
-	default:
-		log.Fatal("need -bootstrap, or -seed-addr and -seed-id")
+		fmt.Fprintf(stdout, "joining via %s...\n", *seedAddr)
 	}
 
-	stopStatus := make(chan struct{})
-	defer close(stopStatus)
-	if *status > 0 {
-		go statusLoop(reg, tr, store, *dataDir != "", *status, stopStatus)
-	}
-
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(stdin)
+	fmt.Fprint(stdout, "> ")
 loop:
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
-			fmt.Print("> ")
+			fmt.Fprint(stdout, "> ")
 			continue
 		}
 		switch fields[0] {
 		case "put":
 			if len(fields) < 3 {
-				fmt.Println("usage: put <key> <value...>")
+				fmt.Fprintln(stdout, "usage: put <key> <value...>")
 				break
 			}
 			key := id.FromKey(fields[1])
@@ -228,13 +221,13 @@ loop:
 				store.Put(key, value, func(err error) { done <- err })
 			})
 			if err := <-done; err != nil {
-				fmt.Printf("put failed: %v\n", err)
+				fmt.Fprintf(stdout, "put failed: %v\n", err)
 			} else {
-				fmt.Printf("stored %q (key %s)\n", fields[1], key)
+				fmt.Fprintf(stdout, "stored %q (key %s)\n", fields[1], key)
 			}
 		case "get":
 			if len(fields) != 2 {
-				fmt.Println("usage: get <key>")
+				fmt.Fprintln(stdout, "usage: get <key>")
 				break
 			}
 			key := id.FromKey(fields[1])
@@ -248,13 +241,13 @@ loop:
 			})
 			res := <-done
 			if res.err != nil {
-				fmt.Printf("get failed: %v\n", res.err)
+				fmt.Fprintf(stdout, "get failed: %v\n", res.err)
 			} else {
-				fmt.Printf("%s\n", res.v)
+				fmt.Fprintf(stdout, "%s\n", res.v)
 			}
 		case "del":
 			if len(fields) != 2 {
-				fmt.Println("usage: del <key>")
+				fmt.Fprintln(stdout, "usage: del <key>")
 				break
 			}
 			key := id.FromKey(fields[1])
@@ -263,57 +256,48 @@ loop:
 				store.Delete(key, func(err error) { done <- err })
 			})
 			if err := <-done; err != nil {
-				fmt.Printf("del failed: %v\n", err)
+				fmt.Fprintf(stdout, "del failed: %v\n", err)
 			} else {
-				fmt.Printf("deleted %q (key %s)\n", fields[1], key)
+				fmt.Fprintf(stdout, "deleted %q (key %s)\n", fields[1], key)
 			}
 		case "lookup":
 			if len(fields) != 2 {
-				fmt.Println("usage: lookup <key>")
+				fmt.Fprintln(stdout, "usage: lookup <key>")
 				break
 			}
 			key := id.FromKey(fields[1])
 			tr.Do(func(n *pastry.Node) { n.Lookup(key, nil) })
-			fmt.Printf("lookup for %s routed (the root logs the delivery)\n", key)
+			fmt.Fprintf(stdout, "lookup for %s routed (the root logs the delivery)\n", key)
 		case "slookup":
 			if len(fields) != 2 {
-				fmt.Println("usage: slookup <key>")
+				fmt.Fprintln(stdout, "usage: slookup <key>")
 				break
 			}
 			if !*secRoute {
-				fmt.Println("slookup needs -secure-routing")
+				fmt.Fprintln(stdout, "slookup needs -secure-routing")
 				break
 			}
 			key := id.FromKey(fields[1])
 			tr.Do(func(n *pastry.Node) { n.LookupSecure(key, nil) })
-			fmt.Printf("secure lookup for %s routed (root report checked on arrival)\n", key)
+			fmt.Fprintf(stdout, "secure lookup for %s routed (root report checked on arrival)\n", key)
 		case "status":
-			printStatus(reg, tr, store, *dataDir != "")
+			printStatus(stdout, reg, tr, store, *dataDir != "")
 		case "quit", "exit":
-			fmt.Println("leaving the overlay")
+			fmt.Fprintln(stdout, "leaving the overlay")
 			break loop
 		default:
-			fmt.Println("commands: put, get, del, lookup, slookup, status, quit")
+			fmt.Fprintln(stdout, "commands: put, get, del, lookup, slookup, status, quit")
 		}
-		fmt.Print("> ")
+		fmt.Fprint(stdout, "> ")
 	}
 	// Flush the store from the event loop before the deferred cleanup
-	// (stop the status ticker, shut the admin listener, close the
-	// transport) runs, so a disk-backed WAL is complete on exit.
-	tr.DoSync(func(*pastry.Node) { store.Close() })
-}
-
-func statusLoop(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, durable bool, every time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			printStatus(reg, tr, store, durable)
-		case <-stop:
-			return
-		}
+	// (shut the admin listener, close the transport) runs, so a
+	// disk-backed WAL is complete on exit.
+	tr.DoSync(func(*pastry.Node) { err = store.Close() })
+	if err != nil {
+		return fail(1, "closing the store: %v", err)
 	}
+	return 0
 }
 
 // nodeStatus is the /status JSON shape (also behind the stdout command).
@@ -411,7 +395,7 @@ func statusSnapshot(tr *transport.UDP, store *dht.Store, durable bool) nodeStatu
 
 // printStatus renders the same data the admin endpoint serves: the node
 // snapshot plus counters read back from the telemetry registry.
-func printStatus(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, durable bool) {
+func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, durable bool) {
 	s := statusSnapshot(tr, store, durable)
 	snap := reg.Snapshot()
 	m := make(map[string]float64)
@@ -426,25 +410,25 @@ func printStatus(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, d
 			m[key] = mv.Value
 		}
 	}
-	fmt.Printf("status: active=%v leaf=%d rt=%d trt=%s objects=%d\n",
+	fmt.Fprintf(stdout, "status: active=%v leaf=%d rt=%d trt=%s objects=%d\n",
 		s.Active, len(s.LeafLeft)+len(s.LeafRight), s.RoutingEntries,
 		time.Duration(s.TrtSeconds*float64(time.Second)).Round(time.Second), s.LocalObjects)
 	if len(s.LeafLeft) > 0 {
-		fmt.Printf("  left  neighbour: %s\n", s.LeafLeft[0])
+		fmt.Fprintf(stdout, "  left  neighbour: %s\n", s.LeafLeft[0])
 	}
 	if len(s.LeafRight) > 0 {
-		fmt.Printf("  right neighbour: %s\n", s.LeafRight[0])
+		fmt.Fprintf(stdout, "  right neighbour: %s\n", s.LeafRight[0])
 	}
-	fmt.Printf("  lookups: issued=%.0f delivered=%.0f  acks=%.0f  retransmits=%.0f\n",
+	fmt.Fprintf(stdout, "  lookups: issued=%.0f delivered=%.0f  acks=%.0f  retransmits=%.0f\n",
 		m["mspastry_lookups_issued_total"], m["mspastry_lookups_delivered_total"],
 		m["mspastry_ack_rtt_seconds:count"], m["mspastry_node_retransmits"])
-	fmt.Printf("  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f saved=%.0f\n",
+	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f saved=%.0f\n",
 		sumByName(snap, "mspastry_transport_msgs_sent_total"),
 		sumByName(snap, "mspastry_transport_msgs_received_total"),
 		m["mspastry_transport_datagrams_sent_total"],
 		m["mspastry_transport_bytes_sent_total"], m["mspastry_transport_bytes_received_total"],
 		m["mspastry_transport_coalesced_bytes_saved_total"])
-	fmt.Printf("  dht: puts=%.0f gets=%.0f dels=%.0f retries=%.0f replicas=%.0f syncs=%.0f repaired=%.0f\n",
+	fmt.Fprintf(stdout, "  dht: puts=%.0f gets=%.0f dels=%.0f retries=%.0f replicas=%.0f syncs=%.0f repaired=%.0f\n",
 		m["mspastry_dht_puts"], m["mspastry_dht_gets"], m["mspastry_dht_deletes"],
 		m["mspastry_dht_retries"], m["mspastry_dht_replicas_pushed"],
 		m["mspastry_dht_sync_rounds"], m["mspastry_dht_sync_keys_repaired"])
@@ -452,15 +436,15 @@ func printStatus(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, d
 	for _, c := range s.Overload.ShedByLane {
 		shedTotal += c
 	}
-	fmt.Printf("  overload: load=%.2f shed=%d panics=%d breakers open=%d half-open=%d tripping=%d budget_dry=%.0f\n",
+	fmt.Fprintf(stdout, "  overload: load=%.2f shed=%d panics=%d breakers open=%d half-open=%d tripping=%d budget_dry=%.0f\n",
 		s.Overload.LoadFactor, shedTotal, s.Overload.HandlerPanics,
 		s.Overload.Breakers.Open, s.Overload.Breakers.HalfOpen, s.Overload.Breakers.Tripping,
 		m["mspastry_node_retry_budget_exhausted"])
-	fmt.Printf("  peers: live=%d (admitted=%d strangers=%d doomed=%d) sweeps=%d evicted=%d expelled=%d\n",
+	fmt.Fprintf(stdout, "  peers: live=%d (admitted=%d strangers=%d doomed=%d) sweeps=%d evicted=%d expelled=%d\n",
 		s.Peers.Live, s.Peers.Admitted, s.Peers.Strangers, s.Peers.Doomed,
 		s.Peers.Sweeps, s.Peers.EvictedStrangers+s.Peers.EvictedAdmitted, s.Peers.Expelled)
 	if s.Store.Durable {
-		fmt.Printf("  store: objects=%d tombstones=%d wal=%dB snapshot=%dB compactions=%d\n",
+		fmt.Fprintf(stdout, "  store: objects=%d tombstones=%d wal=%dB snapshot=%dB compactions=%d\n",
 			s.Store.Objects, s.Store.Tombstones, s.Store.WALBytes,
 			s.Store.SnapshotBytes, s.Store.Compactions)
 	}
@@ -478,18 +462,18 @@ func sumByName(snap []telemetry.MetricValue, name string) float64 {
 }
 
 // logObserver prints protocol events.
-type logObserver struct{}
+type logObserver struct{ stdout io.Writer }
 
-func (logObserver) Activated(n *pastry.Node, lat time.Duration) {
-	fmt.Printf("\nactive after %v (leaf set size %d)\n> ", lat.Round(time.Millisecond), n.Leaf().Size())
+func (o logObserver) Activated(n *pastry.Node, lat time.Duration) {
+	fmt.Fprintf(o.stdout, "\nactive after %v (leaf set size %d)\n> ", lat.Round(time.Millisecond), n.Leaf().Size())
 }
 
-func (logObserver) Delivered(n *pastry.Node, lk *pastry.Lookup) {
+func (o logObserver) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 	if len(lk.Payload) == 0 {
-		fmt.Printf("\ndelivered lookup for %s (from %s, %d hops)\n> ", lk.Key, lk.Origin.Addr, lk.Hops)
+		fmt.Fprintf(o.stdout, "\ndelivered lookup for %s (from %s, %d hops)\n> ", lk.Key, lk.Origin.Addr, lk.Hops)
 	}
 }
 
-func (logObserver) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
-	fmt.Printf("\ndropped lookup for %s: %s\n> ", lk.Key, reason)
+func (o logObserver) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
+	fmt.Fprintf(o.stdout, "\ndropped lookup for %s: %s\n> ", lk.Key, reason)
 }

@@ -10,31 +10,47 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
 	"mspastry/internal/harness"
 )
 
-func main() {
-	log.SetFlags(0)
-	var (
-		name    = flag.String("topo", "gatech", "topology: gatech, mercator, corpnet")
-		scale   = flag.Int("scale", 1, "scale divisor (1 = paper size)")
-		samples = flag.Int("samples", 300, "end nodes to attach for delay sampling")
-		seed    = flag.Int64("seed", 1, "random seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		name    = fs.String("topo", "gatech", "topology: gatech, mercator, corpnet")
+		scale   = fs.Int("scale", 1, "scale divisor (1 = paper size)")
+		samples = fs.Int("samples", 300, "end nodes to attach for delay sampling")
+		seed    = fs.Int64("seed", 1, "random seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *samples < 2 {
+		fmt.Fprintln(stderr, "-samples must be >= 2: delays are measured between pairs")
+		return 2
+	}
 	topo, err := harness.BuildTopology(*name, *scale, *seed)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	fmt.Printf("topology %s: %d routers, metric=%s\n", topo.Name(), topo.NumRouters(), topo.Metric())
+	fmt.Fprintf(stdout, "topology %s: %d routers, metric=%s\n", topo.Name(), topo.NumRouters(), topo.Metric())
 
 	rng := rand.New(rand.NewSource(*seed))
 	first := topo.Attach(*samples, rng)
@@ -52,10 +68,11 @@ func main() {
 	n := len(ds)
 	mean := sum / time.Duration(n)
 	pct := func(p int) time.Duration { return ds[n*p/100] }
-	fmt.Printf("pairwise one-way delays over %d samples (%d pairs, computed in %v):\n",
+	fmt.Fprintf(stdout, "pairwise one-way delays over %d samples (%d pairs, computed in %v):\n",
 		*samples, n, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  min=%v p1=%v p10=%v p50=%v p90=%v p99=%v max=%v mean=%v\n",
+	fmt.Fprintf(stdout, "  min=%v p1=%v p10=%v p50=%v p90=%v p99=%v max=%v mean=%v\n",
 		ds[0], pct(1), pct(10), pct(50), pct(90), pct(99), ds[n-1], mean)
-	fmt.Printf("  locality (p1/mean): %.3f — lower means deeper locality for PNS to exploit\n",
+	fmt.Fprintf(stdout, "  locality (p1/mean): %.3f — lower means deeper locality for PNS to exploit\n",
 		float64(pct(1))/float64(mean))
+	return 0
 }

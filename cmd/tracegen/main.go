@@ -1,101 +1,89 @@
-// Command tracegen generates and analyses churn traces. It can write a
-// trace in the text format of internal/trace, or print the Figure 3
-// failure-rate series for a generated or existing trace file.
+// Command tracegen generates a churn trace and prints its summary
+// statistics and Figure 3 failure-rate series. A trace is a pure function
+// of (family, divisor, seed), so there is no file format: the simulator
+// regenerates the same trace from the same flags.
 //
 // Examples:
 //
-//	tracegen -trace gnutella -trace-div 4 -o gnutella.trace
-//	tracegen -trace poisson -session 30m -nodes 1000 -duration 4h -o p.trace
-//	tracegen -analyze gnutella.trace -window 10m
-//	tracegen -trace microsoft -stats
+//	tracegen -trace overnet
+//	tracegen -trace gnutella -trace-div 4 -max-dur 6h
+//	tracegen -trace poisson -session 30m -nodes 1000 -duration 4h
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
 	"mspastry/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
+// window is the averaging window of the printed series (Figure 3 uses
+// ten minutes).
+const window = 10 * time.Minute
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		sel      = flag.String("trace", "gnutella", "trace family: gnutella, overnet, microsoft, poisson")
-		traceDiv = flag.Int("trace-div", 1, "population divisor (1 = paper size)")
-		maxDur   = flag.Duration("max-dur", 0, "cap on duration (0 = full)")
-		session  = flag.Duration("session", 30*time.Minute, "poisson: mean session")
-		nodes    = flag.Int("nodes", 10000, "poisson: average nodes")
-		duration = flag.Duration("duration", 4*time.Hour, "poisson: duration")
-		seed     = flag.Int64("seed", 0, "override seed (0 = family default)")
-		out      = flag.String("o", "", "write the trace to this file")
-		analyze  = flag.String("analyze", "", "analyse an existing trace file instead of generating")
-		window   = flag.Duration("window", 10*time.Minute, "analysis window")
-		stats    = flag.Bool("stats", false, "print summary statistics")
+		sel      = fs.String("trace", "gnutella", "trace family: gnutella, overnet, microsoft, poisson")
+		traceDiv = fs.Int("trace-div", 1, "population divisor (1 = paper size)")
+		maxDur   = fs.Duration("max-dur", 0, "cap on duration (0 = full)")
+		session  = fs.Duration("session", 30*time.Minute, "poisson: mean session")
+		nodes    = fs.Int("nodes", 10000, "poisson: average nodes")
+		duration = fs.Duration("duration", 4*time.Hour, "poisson: duration")
+		seed     = fs.Int64("seed", 0, "override seed (0 = family default)")
 	)
-	flag.Parse()
-
-	var tr *trace.Trace
-	if *analyze != "" {
-		f, err := os.Open(*analyze)
-		if err != nil {
-			log.Fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		defer f.Close()
-		tr, err = trace.Decode(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		var cfg trace.Config
-		switch *sel {
-		case "gnutella":
-			cfg = trace.Gnutella()
-		case "overnet":
-			cfg = trace.OverNet()
-		case "microsoft":
-			cfg = trace.Microsoft()
-		case "poisson":
-			cfg = trace.Poisson(*session, *nodes, *duration)
-		default:
-			log.Fatalf("unknown trace family %q", *sel)
-		}
-		cfg = cfg.Scaled(*traceDiv, *maxDur)
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		tr = trace.Generate(cfg)
+		return 2
 	}
 
+	if *session <= 0 || *duration <= 0 || *nodes < 1 {
+		fmt.Fprintln(stderr, "-session and -duration must be positive and -nodes >= 1")
+		return 2
+	}
+	var cfg trace.Config
+	switch *sel {
+	case "gnutella":
+		cfg = trace.Gnutella()
+	case "overnet":
+		cfg = trace.OverNet()
+	case "microsoft":
+		cfg = trace.Microsoft()
+	case "poisson":
+		cfg = trace.Poisson(*session, *nodes, *duration)
+	default:
+		fmt.Fprintf(stderr, "unknown trace family %q\n", *sel)
+		return 2
+	}
+	cfg = cfg.Scaled(*traceDiv, *maxDur)
+	if *seed != 0 {
+		cfg.Seed = *seed
+	}
+	tr := trace.Generate(cfg)
 	if err := tr.Validate(); err != nil {
-		log.Fatalf("trace invalid: %v", err)
+		fmt.Fprintf(stderr, "trace invalid: %v\n", err)
+		return 1
 	}
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.Encode(f, tr); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s: %d nodes, %d events, %v\n", *out, tr.Nodes, len(tr.Events), tr.Duration)
+	lo, hi := tr.ActiveBounds()
+	fmt.Fprintf(stdout, "trace %s: %d node slots, %d events over %v\n", tr.Name, tr.Nodes, len(tr.Events), tr.Duration)
+	fmt.Fprintf(stdout, "active nodes: %d..%d (initial %d)\n", lo, hi, len(tr.Initial))
+	fmt.Fprintf(stdout, "mean completed session: %v\n", tr.MeanSessionObserved().Round(time.Second))
+	fmt.Fprintf(stdout, "\n%-10s %10s %8s %8s %14s\n", "window", "active", "joins", "leaves", "failures/n/s")
+	for _, w := range tr.Windows(window) {
+		fmt.Fprintf(stdout, "%-10s %10.0f %8d %8d %14.3e\n",
+			w.Start.Round(time.Second), w.Active, w.Joins, w.Leaves, w.FailureRate)
 	}
-
-	if *stats || *out == "" {
-		lo, hi := tr.ActiveBounds()
-		fmt.Printf("trace %s: %d node slots, %d events over %v\n", tr.Name, tr.Nodes, len(tr.Events), tr.Duration)
-		fmt.Printf("active nodes: %d..%d (initial %d)\n", lo, hi, len(tr.Initial))
-		fmt.Printf("mean completed session: %v\n", tr.MeanSessionObserved().Round(time.Second))
-		fmt.Printf("\n%-10s %10s %8s %8s %14s\n", "window", "active", "joins", "leaves", "failures/n/s")
-		for _, w := range tr.Windows(*window) {
-			fmt.Printf("%-10s %10.0f %8d %8d %14.3e\n",
-				w.Start.Round(time.Second), w.Active, w.Joins, w.Leaves, w.FailureRate)
-		}
-	}
+	return 0
 }

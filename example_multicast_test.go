@@ -1,21 +1,18 @@
-// Multicast: Scribe-style application-level multicast over MSPastry — the
-// substrate of the paper's SplitStream video broadcast deployment. A
-// publisher streams messages to two groups while subscribers come and go
-// and an interior tree node crashes; the soft-state tree heals and
-// delivery continues.
-package main
+package mspastry_test
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 	"time"
 
 	"mspastry"
 )
 
-func main() {
-	log.SetFlags(0)
+// Scribe-style application-level multicast over MSPastry — the substrate of
+// the paper's SplitStream video broadcast deployment. A publisher streams
+// messages to two groups while an interior tree node crashes; the
+// soft-state tree heals and delivery continues.
+func Example_multicast() {
 	sim := mspastry.NewSimulator(11)
 	topo := mspastry.NewGATechTopology(mspastry.DefaultGATechConfig(), rand.New(rand.NewSource(11)))
 	net := mspastry.NewSimNetwork(sim, topo, 0)
@@ -29,7 +26,7 @@ func main() {
 		engines = append(engines, mspastry.NewScribe(node, ep))
 	})
 	sim.RunUntil(sim.Now() + time.Minute)
-	log.Printf("overlay of %d nodes up at t=%v", n, sim.Now())
+	fmt.Printf("overlay of %d nodes up at t=%v\n", n, sim.Now())
 
 	sports := mspastry.KeyFromString("group:sports")
 	news := mspastry.KeyFromString("group:news")
@@ -45,19 +42,17 @@ func main() {
 	}
 	sim.RunUntil(sim.Now() + 15*time.Second)
 
-	published := 0
 	for round := 0; round < 30; round++ {
 		engines[0].Publish(sports, []byte(fmt.Sprintf("sports-%d", round)))
 		if round%3 == 0 {
 			engines[1].Publish(news, []byte(fmt.Sprintf("news-%d", round)))
 		}
-		published++
 		sim.RunUntil(sim.Now() + 5*time.Second)
 		if round == 15 {
 			// Crash a subscriber that is likely an interior tree node.
 			if ep, ok := net.Endpoint(engines[20].Node().Ref().Addr); ok {
 				ep.Fail()
-				log.Printf("t=%v: interior node crashed; tree will heal via soft state", sim.Now())
+				fmt.Printf("t=%v: interior node crashed; tree will heal via soft state\n", sim.Now())
 			}
 		}
 	}
@@ -68,10 +63,7 @@ func main() {
 
 	healthy := 0
 	for i := 8; i < 32; i++ {
-		if i == 20 {
-			continue
-		}
-		if counts[i] > 0 {
+		if i != 20 && counts[i] > 0 {
 			healthy++
 		}
 	}
@@ -82,8 +74,9 @@ func main() {
 		forwarded += e.Forwarded
 	}
 	fmt.Printf("multicast deliveries: %d, tree forwards: %d\n", delivered, forwarded)
-	if healthy < 20 {
-		log.Fatal("multicast tree failed to heal")
-	}
-	fmt.Println("multicast trees built, survived an interior failure, and healed")
+	// Output:
+	// overlay of 48 nodes up at t=2m36s
+	// t=4m11s: interior node crashed; tree will heal via soft state
+	// sports subscribers that received traffic: 23/23
+	// multicast deliveries: 889, tree forwards: 982
 }

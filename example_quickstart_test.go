@@ -1,19 +1,17 @@
-// Quickstart: build a 64-node MSPastry overlay in the simulator, issue
-// lookups, and verify that every lookup is delivered by the node whose
-// identifier is closest to the key (consistent routing).
-package main
+package mspastry_test
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 	"time"
 
 	"mspastry"
 )
 
-func main() {
-	log.SetFlags(0)
+// Build a 64-node MSPastry overlay in the simulator, issue lookups, and
+// verify that every lookup is delivered by the node whose identifier is
+// closest to the key (consistent routing).
+func Example_quickstart() {
 	sim := mspastry.NewSimulator(42)
 	topo := mspastry.NewCorpNetTopology(mspastry.DefaultCorpNetConfig(), rand.New(rand.NewSource(42)))
 	net := mspastry.NewSimNetwork(sim, topo, 0)
@@ -36,7 +34,7 @@ func main() {
 			active++
 		}
 	}
-	log.Printf("overlay formed: %d/%d nodes active after %v of virtual time", active, n, sim.Now())
+	fmt.Printf("overlay formed: %d/%d nodes active after %v of virtual time\n", active, n, sim.Now())
 
 	// Issue lookups from random nodes to random keys and check each is
 	// delivered at the true root.
@@ -48,17 +46,15 @@ func main() {
 			continue
 		}
 		sim.RunUntil(sim.Now() + 2*time.Second)
-		root := trueRoot(nodes, key)
-		if last.ID == root.Ref().ID {
+		if last.ID == trueRoot(nodes, key).Ref().ID {
 			correct++
 		}
 		total++
 	}
 	fmt.Printf("lookups: %d/%d delivered at the true root\n", correct, total)
-	if correct != total {
-		log.Fatal("routing inconsistency detected")
-	}
-	fmt.Println("consistent routing verified — no inconsistent deliveries")
+	// Output:
+	// overlay formed: 64/64 nodes active after 3m8s of virtual time
+	// lookups: 200/200 delivered at the true root
 }
 
 // rootRecorder is the smallest application: it notes which node a lookup
@@ -77,12 +73,7 @@ func (r rootRecorder) Direct(mspastry.NodeRef, []byte) {}
 func trueRoot(nodes []*mspastry.Node, key mspastry.ID) *mspastry.Node {
 	best := nodes[0]
 	for _, n := range nodes[1:] {
-		if !n.Active() {
-			continue
-		}
-		d1 := key.Distance(n.Ref().ID)
-		d2 := key.Distance(best.Ref().ID)
-		if d1.Cmp(d2) < 0 {
+		if n.Active() && key.Distance(n.Ref().ID).Cmp(key.Distance(best.Ref().ID)) < 0 {
 			best = n
 		}
 	}

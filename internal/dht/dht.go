@@ -32,46 +32,34 @@ import (
 
 // Config tunes the store.
 type Config struct {
-	// ReplicationFactor k is the number of nodes holding each object
-	// (the root plus k-1 leaf-set neighbours).
-	ReplicationFactor int
 	// SweepInterval is how often each node re-checks responsibility for
 	// its stored objects and reconciles replicas.
 	SweepInterval time.Duration
-	// RequestTimeout is the end-to-end ack timeout for Put/Get/Delete.
-	RequestTimeout time.Duration
 	// Backend supplies object storage. nil means a fresh in-memory
 	// backend; live nodes pass a disk-backed store to survive restarts.
 	Backend store.Backend
-	// SecureWrites routes Put and Delete with always-on redundant
-	// diverse-path lookups (pastry.Node.LookupSecure): writes land on
-	// whatever node answers as root, so a misrouted write silently
-	// strands the object with a colluder, while a misrouted read just
-	// fails and retries. Requires pastry.Config.SecureRouting.
-	SecureWrites bool
 	// CacheEntries enables hotspot path caching (see hotspot.go) and
 	// bounds the cache's entry count. Zero disables the subsystem
 	// entirely: Gets use the plain wire encoding and behave exactly as
 	// before.
 	CacheEntries int
-	// CacheHotThreshold is the popularity-sketch estimate at which a
-	// root starts depositing a key's replies on its route's caching
-	// hops. Zero means the default (4).
-	CacheHotThreshold int
 }
 
 // DefaultConfig returns k=3 replication with 30-second anti-entropy
 // sweeps.
 func DefaultConfig() Config {
-	return Config{
-		ReplicationFactor: 3,
-		SweepInterval:     30 * time.Second,
-		RequestTimeout:    10 * time.Second,
-	}
+	return Config{SweepInterval: 30 * time.Second}
 }
 
-// maxRetries bounds end-to-end retransmissions of one operation.
-const maxRetries = 4
+const (
+	// ReplicationFactor k is the number of nodes holding each object (the
+	// root plus k-1 leaf-set neighbours).
+	ReplicationFactor = 3
+	// requestTimeout is the end-to-end ack timeout for Put/Get/Delete.
+	requestTimeout = 10 * time.Second
+	// maxRetries bounds end-to-end retransmissions of one operation.
+	maxRetries = 4
+)
 
 // ErrTimeout reports an operation whose retries were exhausted.
 var ErrTimeout = errors.New("dht: request timed out")
@@ -196,9 +184,6 @@ type pendingOp struct {
 // New attaches a store to node, registering it as the application layer,
 // and starts the replication sweep.
 func New(node *pastry.Node, env pastry.Env, cfg Config) *Store {
-	if cfg.ReplicationFactor < 1 {
-		cfg.ReplicationFactor = 1
-	}
 	backend := cfg.Backend
 	if backend == nil {
 		backend = store.NewMemory()
@@ -317,15 +302,11 @@ func (s *Store) sendOp(reqID uint64, op *pendingOp) {
 	} else {
 		payload = encode(&request{kind: op.kind, reqID: reqID, value: op.value})
 	}
-	send := s.node.Lookup
-	if s.cfg.SecureWrites && op.kind != kindGet {
-		send = s.node.LookupSecure
-	}
-	if _, ok := send(op.key, payload); !ok {
+	if _, ok := s.node.Lookup(op.key, payload); !ok {
 		s.finish(reqID, nil, errors.New("dht: node is down"))
 		return
 	}
-	op.timer = s.env.Schedule(s.cfg.RequestTimeout, func() { s.opTimeout(reqID) })
+	op.timer = s.env.Schedule(requestTimeout, func() { s.opTimeout(reqID) })
 }
 
 func (s *Store) opTimeout(reqID uint64) {
@@ -522,7 +503,7 @@ func (s *Store) replicaTargets(key id.ID) []pastry.NodeRef {
 	// below reorders in place.
 	members := append([]pastry.NodeRef(nil), s.node.Leaf().Members()...)
 	// Selection sort of the k-1 closest; leaf sets are small.
-	want := s.cfg.ReplicationFactor - 1
+	want := ReplicationFactor - 1
 	if want > len(members) {
 		want = len(members)
 	}
@@ -561,7 +542,7 @@ func (s *Store) sweep() {
 	}
 	s.counters.Sweeps++
 	members := s.node.Leaf().Members()
-	k := s.cfg.ReplicationFactor
+	k := ReplicationFactor
 
 	// Collect first: handoffs mutate the backend, and Range must not
 	// observe mutation.

@@ -87,7 +87,6 @@ func TestGetMissingKey(t *testing.T) {
 
 func TestReplicationFactorHolds(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ReplicationFactor = 3
 	c := newCluster(t, 14, 3, cfg)
 	key := id.New(0xabc, 0xdef)
 	c.stores[0].Put(key, []byte("replicated"), func(error) {})
@@ -98,14 +97,13 @@ func TestReplicationFactorHolds(t *testing.T) {
 			holders++
 		}
 	}
-	if holders != cfg.ReplicationFactor {
-		t.Fatalf("replica count = %d, want %d", holders, cfg.ReplicationFactor)
+	if holders != ReplicationFactor {
+		t.Fatalf("replica count = %d, want %d", holders, ReplicationFactor)
 	}
 }
 
 func TestObjectSurvivesRootFailure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ReplicationFactor = 3
 	c := newCluster(t, 14, 4, cfg)
 	key := id.New(0x1234, 0x5678)
 	c.stores[0].Put(key, []byte("durable"), func(error) {})
@@ -148,7 +146,6 @@ func TestObjectSurvivesRootFailure(t *testing.T) {
 
 func TestSweepRestoresReplicasAfterFailure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ReplicationFactor = 3
 	cfg.SweepInterval = 20 * time.Second
 	c := newCluster(t, 14, 5, cfg)
 	key := id.New(0x777, 0x888)
@@ -185,8 +182,8 @@ func TestSweepRestoresReplicasAfterFailure(t *testing.T) {
 			holders++
 		}
 	}
-	if holders < cfg.ReplicationFactor {
-		t.Fatalf("replicas not restored: %d < %d", holders, cfg.ReplicationFactor)
+	if holders < ReplicationFactor {
+		t.Fatalf("replicas not restored: %d < %d", holders, ReplicationFactor)
 	}
 }
 
@@ -194,7 +191,6 @@ func TestEndToEndRetrySurvivesLoss(t *testing.T) {
 	// 10% link loss: per-hop acks handle most of it, and the end-to-end
 	// retry absorbs lost responses.
 	cfg := DefaultConfig()
-	cfg.RequestTimeout = 5 * time.Second
 	c := newNetCluster(10, 7, 0.10, cfg)
 	c.settle(2 * time.Minute)
 	sim, stores := c.sim, c.stores

@@ -11,7 +11,7 @@ import (
 // hotspot.KindGetVia lookups that accumulate caching hops (the route's
 // first and penultimate node); the root answers with a versioned
 // KindCachedReply and, once the key's popularity-sketch estimate crosses
-// Config.CacheHotThreshold, deposits the entry on those hops. Later
+// hotThreshold, deposits the entry on those hops. Later
 // lookups for the key short-circuit from any hop holding a fresh copy,
 // so a zipf hotspot's traffic is absorbed near its origins instead of
 // all landing on the key's root.
@@ -24,9 +24,9 @@ import (
 // additionally give monotonic reads: a cached reply below a version the
 // client already observed is rejected and refetched authoritatively.
 
-// defaultHotThreshold is the sketch estimate at which the root starts
-// depositing a key's replies on its caching hops.
-const defaultHotThreshold = 4
+// hotThreshold is the sketch estimate at which the root starts depositing
+// a key's replies on its caching hops.
+const hotThreshold = 4
 
 const (
 	// maxDepositKeys bounds the root's memory of where it deposited
@@ -47,8 +47,7 @@ type versionFloor struct {
 // hotState is the per-node hotspot machinery, nil unless
 // Config.CacheEntries > 0.
 type hotState struct {
-	cache     *hotspot.Cache
-	threshold uint32
+	cache *hotspot.Cache
 
 	// deposits remembers which peers this node (as a root) deposited
 	// each key on, so writes can invalidate them; depositOrder is the
@@ -64,19 +63,14 @@ type hotState struct {
 }
 
 func newHotState(cfg Config) *hotState {
-	thr := cfg.CacheHotThreshold
-	if thr <= 0 {
-		thr = defaultHotThreshold
-	}
 	return &hotState{
 		cache: hotspot.New(hotspot.Config{
 			Capacity:  cfg.CacheEntries,
 			Shards:    4,
 			Admission: true,
 		}),
-		threshold: uint32(thr),
-		deposits:  make(map[id.ID][]pastry.NodeRef),
-		floors:    make(map[id.ID]versionFloor),
+		deposits: make(map[id.ID][]pastry.NodeRef),
+		floors:   make(map[id.ID]versionFloor),
 	}
 }
 
@@ -209,7 +203,7 @@ func (s *Store) deliverGetVia(lk *pastry.Lookup) {
 // hops once the key's popularity estimate crosses the hot threshold.
 func (s *Store) maybeDeposit(key id.ID, o store.Object, dig store.Digest, vias []hotspot.Via, origin pastry.NodeRef) {
 	s.hot.cache.Touch(key)
-	if s.hot.cache.Estimate(key) < s.hot.threshold {
+	if s.hot.cache.Estimate(key) < hotThreshold {
 		return
 	}
 	var payload []byte

@@ -52,7 +52,7 @@ func (s *Store) startSync(target pastry.NodeRef, keys []id.ID) {
 	round := &syncRound{target: target, digest: rd}
 	// Expire abandoned rounds (responder died mid-exchange) so the round
 	// map cannot grow without bound.
-	round.timer = s.env.Schedule(2*s.cfg.RequestTimeout, func() {
+	round.timer = s.env.Schedule(2*requestTimeout, func() {
 		delete(s.syncRounds, sid)
 	})
 	s.syncRounds[sid] = round
@@ -150,7 +150,7 @@ func (s *Store) onSyncKeys(from pastry.NodeRef, payload []byte) {
 		return
 	}
 	members := s.node.Leaf().Members()
-	k := s.cfg.ReplicationFactor
+	k := ReplicationFactor
 	listed := make(map[id.ID]bool, len(theirs.sums))
 	var pulls []id.ID
 	for _, sum := range theirs.sums {
@@ -254,7 +254,7 @@ func (s *Store) onHandoffHave(payload []byte) {
 // offer went out, and a node that became responsible again must keep its
 // copy.
 func (s *Store) dropIfForeign(key id.ID) {
-	if s.rankForKey(key, s.node.Leaf().Members()) >= 2*s.cfg.ReplicationFactor {
+	if s.rankForKey(key, s.node.Leaf().Members()) >= 2*ReplicationFactor {
 		s.backend.Drop(key)
 		s.counters.SweepHandoffs++
 	}

@@ -120,7 +120,7 @@ func antiEntropyRun(seed int64, nodes, objects int) antiEntropyResult {
 	res.sent.SyncClean = after.SyncClean - before.SyncClean
 	res.sent.SyncKeysRepaired = after.SyncKeysRepaired - before.SyncKeysRepaired
 	res.sent.ReplicasPushed = after.ReplicasPushed - before.ReplicasPushed
-	pushesPerObject := uint64(dcfg.ReplicationFactor-1) * uint64(res.window/antiEntropySweep)
+	pushesPerObject := uint64(dht.ReplicationFactor-1) * uint64(res.window/antiEntropySweep)
 	res.fullPushes = uint64(objects) * pushesPerObject
 	res.fullPushBytes = corpusBytes * pushesPerObject
 	return res

@@ -172,9 +172,6 @@ type Scale struct {
 	// measurement window (0 = derived from PoissonNodes, 6 minutes).
 	HotspotNodes    int
 	HotspotDuration time.Duration
-	// ValidateDuration is fig8validate's wall-clock workload length
-	// (0 = 15 s).
-	ValidateDuration time.Duration
 }
 
 func (s Scale) gnutella() *trace.Trace {

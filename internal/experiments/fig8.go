@@ -276,11 +276,7 @@ func poissonDraw(rng *rand.Rand, mean float64) int {
 // loopback interface — and compares total messages sent, the paper's
 // simulator-validation claim.
 func fig8Validate(s Scale) (Report, error) {
-	const nodes = 8
-	dur := s.ValidateDuration
-	if dur == 0 {
-		dur = 15 * time.Second
-	}
+	const nodes, dur = 8, 15 * time.Second
 	simMsgs, liveMsgs, err := squirrelValidation(nodes, dur, s.Seed)
 	if err != nil {
 		return Report{}, err

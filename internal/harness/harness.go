@@ -67,13 +67,10 @@ type Config struct {
 	// the result carries the tracer and its route-reconstruction stats.
 	TraceLookups bool
 	// MaliciousFraction marks this fraction of slots Byzantine: their
-	// nodes run the normal protocol but attack routing with
-	// MaliciousBehaviors (see netmodel.Adversary). Zero disables the
-	// adversary entirely and reproduces pre-adversary runs bit-for-bit.
+	// nodes run the normal protocol but attack routing with every
+	// behaviour of netmodel.Adversary. Zero disables the adversary
+	// entirely and reproduces pre-adversary runs bit-for-bit.
 	MaliciousFraction float64
-	// MaliciousBehaviors selects the attacks mounted by malicious nodes;
-	// zero defaults to netmodel.AdvAll when MaliciousFraction > 0.
-	MaliciousBehaviors netmodel.Behavior
 	// Workload selects the lookup key distribution: WorkloadUniform
 	// (empty means uniform, the paper's model) or WorkloadZipf. The
 	// uniform path is byte-for-byte the pre-workload behaviour.
@@ -256,11 +253,7 @@ func newRun(cfg Config) *run {
 			panic("harness: MaliciousFraction must be in [0,1)")
 		}
 		r.adv = nw.Adversary()
-		b := cfg.MaliciousBehaviors
-		if b == 0 {
-			b = netmodel.AdvAll
-		}
-		r.adv.SetBehaviors(b)
+		r.adv.SetBehaviors(netmodel.AdvAll)
 		// Which slots are malicious is drawn from a dedicated stream so
 		// the selection never perturbs the simulator's seeded randomness:
 		// an f=0 run reproduces a no-adversary run bit-for-bit.

@@ -17,9 +17,7 @@
 package netmodel
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
@@ -50,55 +48,6 @@ const (
 	// AdvAll composes every behaviour.
 	AdvAll = AdvDrop | AdvMisroute | AdvPoison | AdvForgeAck
 )
-
-// String renders the set as a comma-joined flag list.
-func (b Behavior) String() string {
-	if b == 0 {
-		return "none"
-	}
-	var parts []string
-	for _, f := range []struct {
-		bit  Behavior
-		name string
-	}{
-		{AdvDrop, "drop"},
-		{AdvMisroute, "misroute"},
-		{AdvPoison, "poison"},
-		{AdvForgeAck, "forgeack"},
-	} {
-		if b&f.bit != 0 {
-			parts = append(parts, f.name)
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseBehaviors parses a comma-separated behaviour list
-// ("drop,misroute,poison,forgeack"), or "all" / "none".
-func ParseBehaviors(s string) (Behavior, error) {
-	switch strings.TrimSpace(s) {
-	case "", "all":
-		return AdvAll, nil
-	case "none":
-		return 0, nil
-	}
-	var b Behavior
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "drop":
-			b |= AdvDrop
-		case "misroute":
-			b |= AdvMisroute
-		case "poison":
-			b |= AdvPoison
-		case "forgeack":
-			b |= AdvForgeAck
-		default:
-			return 0, fmt.Errorf("unknown adversary behaviour %q", part)
-		}
-	}
-	return b, nil
-}
 
 // AdversaryStats tallies attack activity.
 type AdversaryStats struct {

@@ -33,34 +33,6 @@ func buildTriangle(t *testing.T) (*Network, []*Endpoint, []*pastry.Node) {
 	return nw, eps, nodes
 }
 
-func TestParseBehaviors(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Behavior
-		err  bool
-	}{
-		{"all", AdvAll, false},
-		{"", AdvAll, false},
-		{"none", 0, false},
-		{"drop", AdvDrop, false},
-		{"drop,forgeack", AdvDrop | AdvForgeAck, false},
-		{" misroute , poison ", AdvMisroute | AdvPoison, false},
-		{"bogus", 0, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseBehaviors(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseBehaviors(%q) = %v, %v; want %v err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-	if s := (AdvDrop | AdvForgeAck).String(); s != "drop,forgeack" {
-		t.Fatalf("String = %q", s)
-	}
-	if s := Behavior(0).String(); s != "none" {
-		t.Fatalf("String(0) = %q", s)
-	}
-}
-
 // TestAdversaryDropsTransitLookups checks the core interception: a
 // malicious transit hop consumes lookups (counted under DropAdversary)
 // and forges the per-hop ack so the sender never reroutes, while a

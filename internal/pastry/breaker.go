@@ -26,7 +26,7 @@ import (
 // message. When the cooldown expires the breaker goes half-open (lazily,
 // at the next routing decision that considers the peer) and regular
 // traffic is admitted again as the trial: an ack closes the breaker, a
-// missed ack reopens it with a doubled cooldown, up to BreakerMaxCooldown.
+// missed ack reopens it with a doubled cooldown, up to breakerMaxCooldown.
 // The regular failure detector keeps running independently — probes
 // still flow while the breaker is open — so a genuinely dead peer is
 // still marked faulty and handed to the reconnect cache through the
@@ -65,8 +65,8 @@ func (n *Node) breakerFailure(ref NodeRef) {
 	if b == nil {
 		b = &overload.Breaker{
 			Threshold:   n.cfg.BreakerThreshold,
-			Cooldown:    n.cfg.BreakerCooldown,
-			MaxCooldown: n.cfg.BreakerMaxCooldown,
+			Cooldown:    n.cfg.breakerCooldown,
+			MaxCooldown: n.cfg.breakerMaxCooldown,
 		}
 		st.breaker = b
 	}
@@ -158,8 +158,8 @@ func (n *Node) distrust(ref NodeRef) {
 	if b == nil {
 		b = &overload.Breaker{
 			Threshold:   n.cfg.BreakerThreshold,
-			Cooldown:    n.cfg.BreakerCooldown,
-			MaxCooldown: n.cfg.BreakerMaxCooldown,
+			Cooldown:    n.cfg.breakerCooldown,
+			MaxCooldown: n.cfg.breakerMaxCooldown,
 		}
 		st.breaker = b
 	}

@@ -90,8 +90,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryBudgetRate = 0 // isolate the breaker from the budget
 	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = 500 * time.Millisecond
-	cfg.BreakerMaxCooldown = 2 * time.Second
+	cfg.breakerCooldown = 500 * time.Millisecond
+	cfg.breakerMaxCooldown = 2 * time.Second
 	src, victim, _, _ := stressedPeer(t, net, cfg, rec)
 
 	for i := 0; i < 10; i++ {

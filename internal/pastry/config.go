@@ -16,12 +16,21 @@ const (
 	// failureHistoryK is the size of the failure history used to estimate
 	// the failure rate.
 	failureHistoryK = 16
-	// reconnectRetries caps the probes per peer in the reconnect cache
-	// before its record is dropped for good, bounding post-mortem traffic
-	// per failure. reconnectCacheSize bounds the cache; the most-retried
-	// record is evicted first.
+	// reconnectInterval is how often a node re-probes one peer from its
+	// reconnect cache (see reconnect.go). reconnectRetries caps the probes
+	// per peer before its record is dropped for good, bounding post-mortem
+	// traffic per failure. reconnectCacheSize bounds the cache; the
+	// most-retried record is evicted first.
+	reconnectInterval  = 30 * time.Second
 	reconnectRetries   = 20
 	reconnectCacheSize = 32
+	// distProbeCount is the number of probes whose median is one distance
+	// measurement (paper: 3).
+	distProbeCount = 3
+	// secureFanout is how many diverse first hops a redundant round of a
+	// secure lookup uses; secureMaxRounds bounds the rounds per lookup.
+	secureFanout    = 4
+	secureMaxRounds = 3
 	// secureReplyTimeout is how long the origin of a secure lookup waits
 	// for a plausible root report before (re-)issuing a redundant round.
 	secureReplyTimeout = 5 * time.Second
@@ -36,8 +45,10 @@ const (
 
 // Config holds the MSPastry protocol parameters. DefaultConfig returns the
 // paper's base configuration; the boolean switches exist to run the paper's
-// ablation experiments (per-hop acks, active probing, self-tuning, probe
-// suppression, symmetric probing, structured heartbeats).
+// ablation experiments (per-hop acks, active probing, hold-on-suspect,
+// structured heartbeats, proximity neighbour selection). Self-tuning of the
+// probing period, probe suppression and symmetric distance probes are always
+// on. The unexported fields are magnitudes only this package's tests shrink.
 type Config struct {
 	// B is the number of bits per identifier digit (paper default 4, so
 	// identifiers are base 16).
@@ -65,17 +76,10 @@ type Config struct {
 
 	// ActiveProbing enables liveness probing of routing-table entries.
 	ActiveProbing bool
-	// SelfTune enables self-tuning of the routing-table probing period to
-	// hit TargetRawLoss; when disabled, FixedTrt is used.
-	SelfTune bool
-	// TargetRawLoss is the raw loss-rate target Lr (paper: 5%).
+	// TargetRawLoss is the raw loss-rate target Lr the routing-table
+	// probing period is self-tuned to hit (paper: 5%).
 	TargetRawLoss float64
-	// FixedTrt is the routing-table probing period when SelfTune is off.
-	FixedTrt time.Duration
 
-	// Suppression replaces failure-detection traffic with any message
-	// traffic observed between a pair of nodes.
-	Suppression bool
 	// StructuredHeartbeats sends a single heartbeat to the left ring
 	// neighbour instead of to every leaf-set member (paper §4.1). The
 	// all-pairs variant exists as an ablation baseline.
@@ -84,31 +88,18 @@ type Config struct {
 	// PNS enables proximity neighbour selection (nearest-neighbour join
 	// seeding, distance probing, constrained gossiping).
 	PNS bool
-	// DistProbeCount and DistProbeSpacing configure distance measurement
-	// (paper: median of 3 probes spaced 1 s).
-	DistProbeCount   int
+	// DistProbeSpacing is the gap between the distProbeCount probes of one
+	// distance measurement (paper: 1 s).
 	DistProbeSpacing time.Duration
-	// SymmetricProbes enables the symmetric distance-probe optimisation.
-	SymmetricProbes bool
 	// RTMaintenance is the periodic routing-table maintenance interval
 	// (paper: 20 minutes).
 	RTMaintenance time.Duration
 
-	// ReconnectInterval is how often a node re-probes one peer from its
-	// reconnect cache — peers it marked faulty and purged from routing
-	// state. Crash-failed peers cost a bounded number of extra pings;
-	// peers that were merely unreachable (a network partition) answer
-	// once the network heals, which is how the overlay re-merges: without
-	// the cache, a partition outlasting the probing period is permanent,
-	// because both sides purge each other completely and no message ever
-	// crosses the cut again. 0 disables the cache.
-	ReconnectInterval time.Duration
-
 	// TickInterval is the internal maintenance timer granularity.
 	TickInterval time.Duration
-	// LookupTTL bounds the number of overlay hops (routing loops are
+	// lookupTTL bounds the number of overlay hops (routing loops are
 	// impossible in a consistent state; the TTL guards churn races).
-	LookupTTL int
+	lookupTTL int
 
 	// RetryBudgetRate caps retransmission and probe-retry traffic per
 	// peer with a token bucket refilling at this many tokens per second.
@@ -126,13 +117,11 @@ type Config struct {
 	// and routed around until a recovery probe succeeds. 0 disables
 	// circuit breakers.
 	BreakerThreshold int
-	// BreakerCooldown is how long an opened breaker waits before probing
+	// breakerCooldown is how long an opened breaker waits before probing
 	// the peer (half-open); each failed recovery probe doubles the wait
-	// up to BreakerMaxCooldown.
-	BreakerCooldown time.Duration
-	// BreakerMaxCooldown caps the doubling backoff between recovery
-	// probes.
-	BreakerMaxCooldown time.Duration
+	// up to breakerMaxCooldown.
+	breakerCooldown    time.Duration
+	breakerMaxCooldown time.Duration
 
 	// SecureRouting enables the Byzantine-routing defenses: lookups ask
 	// the root for a completion report, the report's leaf-set density is
@@ -141,10 +130,6 @@ type Config struct {
 	// neighbour-diverse first hops whose reports vote on the true root.
 	// Off by default: the honest-world baseline pays no report traffic.
 	SecureRouting bool
-	// SecureFanout is how many diverse first hops a redundant round uses.
-	SecureFanout int
-	// SecureMaxRounds bounds redundant rounds per lookup.
-	SecureMaxRounds int
 
 	// PeerStrangerTTL bounds how long per-peer state survives for a peer
 	// that was never admitted into routing state (leaf set, routing table
@@ -159,7 +144,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's base configuration: b=4, l=32,
 // Tls=30s, per-hop acks, routing-table probing self-tuned to a 5% raw loss
-// rate, probe suppression and symmetric distance probes.
+// rate.
 func DefaultConfig() Config {
 	return Config{
 		B:                    4,
@@ -171,26 +156,18 @@ func DefaultConfig() Config {
 		MinRTO:               10 * time.Millisecond,
 		MaxRTO:               3 * time.Second,
 		ActiveProbing:        true,
-		SelfTune:             true,
 		TargetRawLoss:        0.05,
-		FixedTrt:             60 * time.Second,
-		Suppression:          true,
 		StructuredHeartbeats: true,
 		PNS:                  true,
-		DistProbeCount:       3,
 		DistProbeSpacing:     time.Second,
-		SymmetricProbes:      true,
 		RTMaintenance:        20 * time.Minute,
-		ReconnectInterval:    30 * time.Second,
 		TickInterval:         15 * time.Second,
-		LookupTTL:            64,
+		lookupTTL:            64,
 		RetryBudgetRate:      2,
 		RetryBudgetBurst:     8,
 		BreakerThreshold:     3,
-		BreakerCooldown:      3 * time.Second,
-		BreakerMaxCooldown:   time.Minute,
-		SecureFanout:         4,
-		SecureMaxRounds:      3,
+		breakerCooldown:      3 * time.Second,
+		breakerMaxCooldown:   time.Minute,
 	}
 }
 
@@ -203,32 +180,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pastry: L=%d must be even and >= 2", c.L)
 	case c.Tls <= 0 || c.To <= 0:
 		return fmt.Errorf("pastry: Tls and To must be positive")
-	case c.SelfTune && (c.TargetRawLoss <= 0 || c.TargetRawLoss >= 1):
+	case c.TargetRawLoss <= 0 || c.TargetRawLoss >= 1:
 		return fmt.Errorf("pastry: TargetRawLoss=%v outside (0,1)", c.TargetRawLoss)
-	case !c.SelfTune && c.ActiveProbing && c.FixedTrt <= 0:
-		return fmt.Errorf("pastry: FixedTrt must be positive without self-tuning")
-	case c.DistProbeCount < 1:
-		return fmt.Errorf("pastry: DistProbeCount must be >= 1")
-	case c.ReconnectInterval < 0:
-		return fmt.Errorf("pastry: ReconnectInterval negative")
 	case c.TickInterval <= 0:
 		return fmt.Errorf("pastry: TickInterval must be positive")
-	case c.LookupTTL < 1:
-		return fmt.Errorf("pastry: LookupTTL must be >= 1")
+	case c.lookupTTL < 1 || c.breakerCooldown <= 0 || c.breakerMaxCooldown < c.breakerCooldown:
+		return fmt.Errorf("pastry: Config must start from DefaultConfig")
 	case c.RetryBudgetRate < 0:
 		return fmt.Errorf("pastry: RetryBudgetRate negative")
 	case c.RetryBudgetRate > 0 && c.RetryBudgetBurst < 1:
 		return fmt.Errorf("pastry: RetryBudgetBurst must be >= 1 with a retry budget")
 	case c.BreakerThreshold < 0:
 		return fmt.Errorf("pastry: BreakerThreshold negative")
-	case c.BreakerThreshold > 0 && c.BreakerCooldown <= 0:
-		return fmt.Errorf("pastry: BreakerCooldown must be positive with breakers enabled")
-	case c.BreakerThreshold > 0 && c.BreakerMaxCooldown < c.BreakerCooldown:
-		return fmt.Errorf("pastry: BreakerMaxCooldown below BreakerCooldown")
-	case c.SecureRouting && c.SecureFanout < 2:
-		return fmt.Errorf("pastry: SecureFanout=%d must be >= 2 with secure routing", c.SecureFanout)
-	case c.SecureRouting && c.SecureMaxRounds < 1:
-		return fmt.Errorf("pastry: SecureMaxRounds must be >= 1 with secure routing")
 	case c.PeerStrangerTTL < 0 || c.PeerAdmittedTTL < 0:
 		return fmt.Errorf("pastry: peer lifecycle TTLs must not be negative")
 	}

@@ -10,7 +10,6 @@ import (
 func TestHeartbeatGoesToLeftNeighbourOnly(t *testing.T) {
 	net := newTestNet(t, 101)
 	cfg := testConfig()
-	cfg.Suppression = false // count raw heartbeats
 	nodes := buildOverlay(t, net, 6, cfg)
 	// Count heartbeats per (sender, receiver) pair.
 	type pair struct{ from, to id.ID }
@@ -46,7 +45,6 @@ func TestHeartbeatGoesToLeftNeighbourOnly(t *testing.T) {
 func TestHeartbeatRateMatchesTls(t *testing.T) {
 	net := newTestNet(t, 102)
 	cfg := testConfig()
-	cfg.Suppression = false
 	nodes := buildOverlay(t, net, 6, cfg)
 	before := net.sent[CatLeafSet]
 	hbBefore := uint64(0)
@@ -71,7 +69,6 @@ func TestHeartbeatRateMatchesTls(t *testing.T) {
 func TestSuppressionSkipsHeartbeatUnderTraffic(t *testing.T) {
 	net := newTestNet(t, 103)
 	cfg := testConfig()
-	cfg.Suppression = true
 	nodes := buildOverlay(t, net, 6, cfg)
 	// Constant lookup chatter between neighbours suppresses heartbeats.
 	var stop bool
@@ -157,7 +154,6 @@ func TestAllPairsHeartbeatsCostScalesWithL(t *testing.T) {
 		cfg := testConfig()
 		cfg.L = l
 		cfg.StructuredHeartbeats = structured
-		cfg.Suppression = false
 		nodes := buildOverlay(t, net, 20, cfg)
 		before := uint64(0)
 		for _, n := range nodes {

@@ -239,9 +239,6 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 }
 
 func (n *Node) initialTrt() time.Duration {
-	if !n.cfg.SelfTune {
-		return n.cfg.FixedTrt
-	}
 	return clampDuration(60*time.Second, n.cfg.MinTrt(), maxTrt)
 }
 
@@ -621,14 +618,12 @@ func (n *Node) onTick() {
 	if n.cfg.ActiveProbing {
 		n.scanRoutingTable(now)
 	}
-	if n.cfg.SelfTune {
-		n.retune(now)
-	}
+	n.retune(now)
 	if n.cfg.PNS && n.cfg.RTMaintenance > 0 && now-n.lastMaintenance >= n.cfg.RTMaintenance {
 		n.lastMaintenance = now
 		n.periodicMaintenance()
 	}
-	if n.cfg.ReconnectInterval > 0 && now-n.lastReconnect >= n.cfg.ReconnectInterval {
+	if now-n.lastReconnect >= reconnectInterval {
 		n.lastReconnect = now
 		n.retryReconnect(now)
 	}

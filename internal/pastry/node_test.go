@@ -344,7 +344,7 @@ func TestJoinRetryAfterSeedFailure(t *testing.T) {
 func TestLookupTTLDrop(t *testing.T) {
 	net := newTestNet(t, 15)
 	cfg := testConfig()
-	cfg.LookupTTL = 1
+	cfg.lookupTTL = 1
 	rec := newRecorder()
 	nodes := buildOverlayObs(t, net, 16, cfg, rec)
 	rng := rand.New(rand.NewSource(16))
@@ -407,30 +407,31 @@ func TestChurnManyJoinsAndFailures(t *testing.T) {
 	}
 }
 
+// TestSuppressionReducesProbes: lookup traffic stands in for
+// failure-detection traffic, so the same overlay sends fewer probes and
+// heartbeats over ten busy minutes than over ten idle ones.
 func TestSuppressionReducesProbes(t *testing.T) {
-	run := func(suppress bool) int {
+	run := func(busy bool) (sent, suppressed uint64) {
 		net := newTestNet(t, 19)
-		cfg := testConfig()
-		cfg.Suppression = suppress
-		cfg.SelfTune = false
-		cfg.FixedTrt = 60 * time.Second
-		nodes := buildOverlay(t, net, 12, cfg)
+		nodes := buildOverlay(t, net, 12, testConfig())
 		rng := rand.New(rand.NewSource(20))
-		// Heavy lookup traffic for 10 minutes.
 		for i := 0; i < 200; i++ {
-			nodes[rng.Intn(len(nodes))].Lookup(id.Random(rng), nil)
+			if busy {
+				nodes[rng.Intn(len(nodes))].Lookup(id.Random(rng), nil)
+			}
 			net.run(3 * time.Second)
 		}
-		total := 0
 		for _, n := range nodes {
-			total += int(n.Stats().SentRTProbes) + int(n.Stats().SentHeartbeats)
+			sent += n.Stats().SentRTProbes + n.Stats().SentHeartbeats
+			suppressed += n.Stats().SuppressedProbes
 		}
-		return total
+		return sent, suppressed
 	}
-	with := run(true)
-	without := run(false)
-	if with >= without {
-		t.Fatalf("suppression did not reduce probe traffic: %d vs %d", with, without)
+	busySent, busySuppressed := run(true)
+	idleSent, idleSuppressed := run(false)
+	if busySent >= idleSent || busySuppressed <= idleSuppressed {
+		t.Fatalf("traffic did not replace probes: busy sent %d suppressed %d, idle sent %d suppressed %d",
+			busySent, busySuppressed, idleSent, idleSuppressed)
 	}
 }
 

@@ -12,15 +12,12 @@ import (
 // leak: a sender that never makes it into routing state used to leave
 // immortal lastRecv/lastSent entries behind. The registry now
 // short-expires never-admitted records (StrangerTTL), and strangers the
-// failure detector gives up on are expelled outright, so a burst of
-// contact from peers that never join leaves no trace once their
-// suppression memory drains.
+// failure detector gives up on are expelled once the reconnect cache has
+// spent its retries on them, so a burst of contact from peers that never
+// join leaves no trace in the end.
 func TestStrangerRecordsExpire(t *testing.T) {
 	net := newTestNet(t, 11)
 	cfg := testConfig()
-	// No reconnect cache: a failed stranger is expelled immediately
-	// instead of parking in the graveyard for reconnectRetries probes.
-	cfg.ReconnectInterval = 0
 	cfg.PeerStrangerTTL = 30 * time.Second
 	nodes := buildOverlay(t, net, 8, cfg)
 	n := nodes[0]
@@ -38,10 +35,12 @@ func TestStrangerRecordsExpire(t *testing.T) {
 
 	// Probes to the fake addresses vanish (the test net drops sends to
 	// unknown addrs), so none of the strangers is ever admitted. The
-	// longest thing keeping a record alive is leaf-candidate suppression
-	// memory (drains at 2*Tls); after that the stranger TTL is long past
-	// and the next sweep must evict every record.
-	net.run(2*cfg.Tls + cfg.PeerStrangerTTL + 3*cfg.TickInterval)
+	// longest thing keeping a record alive is the reconnect cache, which
+	// probes one parked peer per reconnectInterval until each has had
+	// reconnectRetries; after that the stranger TTL is long past and the
+	// next sweep must evict every record.
+	net.run(2*cfg.Tls + time.Duration(len(strangers)*(reconnectRetries+1))*reconnectInterval +
+		cfg.PeerStrangerTTL + 3*cfg.TickInterval)
 	for _, ref := range strangers {
 		if rec := n.Peers().Lookup(ref.ID); rec != nil {
 			t.Errorf("stranger %v still has a record (admitted=%v)", ref.ID, rec.Admitted())

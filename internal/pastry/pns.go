@@ -77,8 +77,8 @@ func (n *Node) handleDistProbeReply(msg *DistProbeReply) {
 }
 
 // finishDistSession concludes a measurement, reporting the median of the
-// collected samples and (when enabled) sending the symmetric distance
-// report so the target can reuse the measurement.
+// collected samples and sending the symmetric distance report so the
+// target can reuse the measurement.
 func (n *Node) finishDistSession(ds *distSession) {
 	if n.distSessions[ds.target.ID] != ds {
 		return
@@ -97,9 +97,7 @@ func (n *Node) finishDistSession(ds *distSession) {
 		return
 	}
 	rtt := medianDuration(ds.samples)
-	if n.cfg.SymmetricProbes {
-		n.send(ds.target, &DistReport{From: n.self, RTT: rtt})
-	}
+	n.send(ds.target, &DistReport{From: n.self, RTT: rtt})
 	for _, f := range ds.done {
 		f(rtt, true)
 	}
@@ -142,7 +140,7 @@ func (n *Node) handleRowEntries(entries []NodeRef, fillOnly bool) {
 			continue
 		}
 		s.distProbed = now
-		n.measureDistance(e, n.cfg.DistProbeCount, func(rtt time.Duration, ok bool) {
+		n.measureDistance(e, distProbeCount, func(rtt time.Duration, ok bool) {
 			if ok {
 				n.rt.AddWithRTT(e, rtt)
 			}

@@ -140,7 +140,6 @@ func TestSymmetricProbesShareMeasurement(t *testing.T) {
 	net := newTestNet(t, 62)
 	cfg := testConfig()
 	cfg.PNS = true
-	cfg.SymmetricProbes = true
 	a := net.addNode(id.New(0x1111000000000000, 1), cfg, nil)
 	b := net.addNode(id.New(0x9999000000000000, 1), cfg, nil)
 	a.Bootstrap()
@@ -156,26 +155,10 @@ func TestSymmetricProbesShareMeasurement(t *testing.T) {
 	}
 }
 
-func TestSymmetricProbesDisabled(t *testing.T) {
-	net := newTestNet(t, 71)
-	cfg := testConfig()
-	cfg.SymmetricProbes = false
-	a := net.addNode(id.New(0x1111000000000000, 1), cfg, nil)
-	b := net.addNode(id.New(0x9999000000000000, 1), cfg, nil)
-	a.Bootstrap()
-	b.Bootstrap()
-	a.measureDistance(b.Ref(), 3, func(time.Duration, bool) {})
-	net.run(30 * time.Second)
-	if _, ok := b.Table().RTT(a.Ref().ID); ok {
-		t.Fatal("peer gained a measured entry despite symmetric probes off")
-	}
-}
-
 func TestDistanceSessionMedian(t *testing.T) {
-	// Distance sessions send DistProbeCount probes and use the median.
+	// Distance sessions send distProbeCount probes and use the median.
 	net := newTestNet(t, 63)
 	cfg := testConfig()
-	cfg.DistProbeCount = 3
 	cfg.DistProbeSpacing = 100 * time.Millisecond
 	a := net.addNode(id.New(1, 1), cfg, nil)
 	b := net.addNode(id.New(1<<60, 2), cfg, nil)
@@ -183,7 +166,7 @@ func TestDistanceSessionMedian(t *testing.T) {
 	b.Bootstrap()
 	var got time.Duration
 	ok := false
-	a.measureDistance(b.Ref(), 3, func(rtt time.Duration, success bool) {
+	a.measureDistance(b.Ref(), distProbeCount, func(rtt time.Duration, success bool) {
 		got, ok = rtt, success
 	})
 	net.run(10 * time.Second)

@@ -464,7 +464,7 @@ func (n *Node) suspect(ref NodeRef) {
 // heartbeats (the paper's optimisation) only the left ring neighbour is
 // heartbeated, making leaf-set maintenance cost independent of l; the
 // all-pairs mode is the ablation baseline. Any traffic already sent to the
-// target within Tls suppresses the heartbeat when suppression is on.
+// target within Tls suppresses the heartbeat.
 func (n *Node) sendHeartbeats(now time.Duration) {
 	targets := n.heartbeatTargets()
 	for _, t := range targets {
@@ -472,7 +472,7 @@ func (n *Node) sendHeartbeats(now time.Duration) {
 		if now-rec.LastHeartbeat < n.cfg.Tls {
 			continue
 		}
-		if n.cfg.Suppression && now-rec.LastSent < n.cfg.Tls {
+		if now-rec.LastSent < n.cfg.Tls {
 			n.counters.SuppressedProbes++
 			rec.LastHeartbeat = rec.LastSent
 			continue
@@ -527,7 +527,7 @@ func (n *Node) silentFor(x id.ID, now time.Duration) time.Duration {
 }
 
 // scanRoutingTable sends liveness probes to routing state whose last probe
-// (or, with suppression, any traffic) is older than the current probing
+// (or any traffic received from them) is older than the current probing
 // period Trt. Leaf-set members are included as a slow backstop: fast leaf
 // failure detection comes from the heartbeat chain and announcements, but
 // a dead node on a node's *left* side produces no heartbeat signal towards
@@ -547,12 +547,10 @@ func (n *Node) scanRoutingTable(now time.Duration) {
 		if now-last < trt {
 			return
 		}
-		if n.cfg.Suppression {
-			if lr := rec.LastRecv; lr != 0 && now-lr < trt {
-				n.counters.SuppressedProbes++
-				rec.LastLiveness = lr
-				return
-			}
+		if lr := rec.LastRecv; lr != 0 && now-lr < trt {
+			n.counters.SuppressedProbes++
+			rec.LastLiveness = lr
+			return
 		}
 		rec.LastLiveness = now
 		n.probeLiveness(e)

@@ -35,11 +35,6 @@ type graveRecord struct {
 // there; when the cache is full, the most-retried record (the one closest
 // to expiry) is evicted.
 func (n *Node) rememberFailed(ref NodeRef) {
-	if n.cfg.ReconnectInterval <= 0 {
-		// No reconnect cache: the purge is final right away.
-		n.peers.Expel(ref.ID, ref.Addr)
-		return
-	}
 	now := n.env.Now()
 	rec := n.peers.Obtain(ref.ID, ref.Addr, now)
 	if rec.Get(n.slotGrave) != nil {

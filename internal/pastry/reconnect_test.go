@@ -82,31 +82,6 @@ func TestPartitionRemerge(t *testing.T) {
 	}
 }
 
-// TestPartitionNoRemergeWithoutCache pins down why the reconnect cache
-// exists: with it disabled, the same partition is permanent.
-func TestPartitionNoRemergeWithoutCache(t *testing.T) {
-	net := newTestNet(t, 7)
-	cfg := testConfig()
-	cfg.ReconnectInterval = 0
-	nodes := buildOverlay(t, net, 16, cfg)
-
-	sideA := make(map[string]bool)
-	for i, n := range nodes {
-		if i < len(nodes)/2 {
-			sideA[n.Ref().Addr] = true
-		}
-	}
-	net.drop = func(from, to NodeRef, _ Message) bool {
-		return sideA[from.Addr] != sideA[to.Addr]
-	}
-	net.run(5 * time.Minute)
-	net.drop = nil
-	net.run(20 * time.Minute)
-	if ringRepaired(nodes) {
-		t.Fatalf("overlay re-merged without the reconnect cache; the cache is no longer load-bearing")
-	}
-}
-
 // TestReconnectCacheExpires checks the post-mortem traffic bound: records
 // for a genuinely crashed peer are retried at most reconnectRetries times
 // and then dropped, leaving the graveyard empty.
@@ -117,10 +92,9 @@ func TestReconnectCacheExpires(t *testing.T) {
 	dead := nodes[len(nodes)-1]
 	dead.Fail()
 	// Long enough for detection plus reconnectRetries probes at
-	// ReconnectInterval. Leaf repair replaces the dead node quickly; the
+	// reconnectInterval. Leaf repair replaces the dead node quickly; the
 	// graveyard keeps pinging it until the retry budget runs out.
-	cfg := nodes[0].cfg
-	horizon := 2*time.Minute + time.Duration(reconnectRetries+2)*cfg.ReconnectInterval
+	horizon := 2*time.Minute + time.Duration(reconnectRetries+2)*reconnectInterval
 	net.run(horizon)
 	for _, n := range nodes[:len(nodes)-1] {
 		if rec := n.graveFor(dead.Ref().ID); rec != nil {

@@ -341,7 +341,7 @@ func (n *Node) handleEnvelope(env *Envelope) {
 	case env.Lookup != nil:
 		lk := env.Lookup
 		lk.Hops++
-		if lk.Hops > n.cfg.LookupTTL {
+		if lk.Hops > n.cfg.lookupTTL {
 			n.obs.LookupDropped(n, lk, DropTTL)
 			return
 		}
@@ -349,7 +349,7 @@ func (n *Node) handleEnvelope(env *Envelope) {
 	case env.Join != nil:
 		jr := env.Join
 		jr.Hops++
-		// Joins use their own generous hop bound: LookupTTL is an
+		// Joins use their own generous hop bound: lookupTTL is an
 		// application-facing knob and must not break the join protocol.
 		const joinTTL = 128
 		if jr.Hops > joinTTL {

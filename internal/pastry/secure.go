@@ -23,7 +23,7 @@ import (
 //     colluder-forged neighbourhood, drawn from only the f·N malicious
 //     nodes, is ~1/f times sparser and fails the density check.
 //  3. A failed test — or no report at all within secureReplyTimeout —
-//     re-issues the lookup over SecureFanout neighbour-diverse first
+//     re-issues the lookup over secureFanout neighbour-diverse first
 //     hops. The reports vote: the first passing report closes the
 //     lookup, and any failed reporter whose root claim is strictly
 //     farther from the key than the accepted root is confirmed bad and
@@ -149,14 +149,14 @@ func (n *Node) closeSecureSession(ss *secureSession) {
 
 // secureTimeout fires when no acceptable report arrived within the
 // reply timeout: issue another diverse round, or give up after
-// SecureMaxRounds (the copies already in flight can still deliver — the
+// secureMaxRounds (the copies already in flight can still deliver — the
 // origin just stops spending redundancy on the lookup).
 func (n *Node) secureTimeout(seq uint64) {
 	ss, ok := n.secureSess[seq]
 	if !ok {
 		return
 	}
-	if ss.rounds < n.cfg.SecureMaxRounds {
+	if ss.rounds < secureMaxRounds {
 		n.redundantRound(ss)
 		return
 	}
@@ -164,7 +164,7 @@ func (n *Node) secureTimeout(seq uint64) {
 	n.closeSecureSession(ss)
 }
 
-// redundantRound re-issues the lookup over up to SecureFanout diverse
+// redundantRound re-issues the lookup over up to secureFanout diverse
 // first hops. Each copy restarts its hop count (it is a fresh path, not
 // a continuation) and keeps the same sequence and trace identifiers, so
 // the metrics pipeline deduplicates deliveries and the reports land in
@@ -188,7 +188,7 @@ func (n *Node) redundantRound(ss *secureSession) {
 	n.armSecureTimer(ss)
 }
 
-// diverseFirstHops selects up to SecureFanout distinct first hops for a
+// diverseFirstHops selects up to secureFanout distinct first hops for a
 // redundant round: every known peer (leaf set + routing table) not yet
 // used for this lookup and not currently excluded, ordered closest to
 // the key, with at most one pick per top-level identifier digit —
@@ -209,7 +209,7 @@ func (n *Node) diverseFirstHops(key id.ID, used map[id.ID]bool) []NodeRef {
 	sort.Slice(cands, func(i, j int) bool {
 		return id.CloserToKey(key, cands[i].ID, cands[j].ID)
 	})
-	want := n.cfg.SecureFanout
+	want := secureFanout
 	picks := make([]NodeRef, 0, want)
 	picked := make(map[id.ID]bool)
 	usedDigit := make(map[int]bool)

@@ -96,7 +96,7 @@ func TestSecureLookupForgedReport(t *testing.T) {
 
 // TestSecureLookupGivesUpAfterMaxRounds starves the origin of reports
 // entirely (every RootReport is dropped in flight): the session must
-// spend exactly SecureMaxRounds redundant rounds and then close with a
+// spend exactly secureMaxRounds redundant rounds and then close with a
 // give-up, leaving no timer or session state behind.
 func TestSecureLookupGivesUpAfterMaxRounds(t *testing.T) {
 	net := newTestNet(t, 1)
@@ -114,7 +114,7 @@ func TestSecureLookupGivesUpAfterMaxRounds(t *testing.T) {
 	net.run(2 * time.Minute)
 
 	c := origin.Stats()
-	if want := uint64(origin.cfg.SecureMaxRounds); c.SecureRedundantRounds != want {
+	if want := uint64(secureMaxRounds); c.SecureRedundantRounds != want {
 		t.Fatalf("redundant rounds = %d, want %d", c.SecureRedundantRounds, want)
 	}
 	if c.SecureGiveUps != 1 {
@@ -147,7 +147,7 @@ func TestPruneOverloadStateEvictsDeparted(t *testing.T) {
 	for _, x := range []id.ID{member.ID, stranger} {
 		st := n.overloadOf(n.peers.Obtain(x, "", now))
 		b := &overload.Breaker{Threshold: n.cfg.BreakerThreshold,
-			Cooldown: n.cfg.BreakerCooldown, MaxCooldown: n.cfg.BreakerMaxCooldown}
+			Cooldown: n.cfg.breakerCooldown, MaxCooldown: n.cfg.breakerMaxCooldown}
 		b.Trip(now)
 		st.breaker = b
 		tb := overload.NewTokenBucket(0.001, 4, now)
@@ -167,7 +167,7 @@ func TestPruneOverloadStateEvictsDeparted(t *testing.T) {
 
 // TestDiverseFirstHops checks the redundancy fan-out selection: no
 // duplicates, never self, respects the used set, and caps at
-// SecureFanout.
+// secureFanout.
 func TestDiverseFirstHops(t *testing.T) {
 	net := newTestNet(t, 1)
 	nodes := buildOverlay(t, net, 10, secureTestConfig())
@@ -176,8 +176,8 @@ func TestDiverseFirstHops(t *testing.T) {
 
 	used := make(map[id.ID]bool)
 	first := n.diverseFirstHops(key, used)
-	if len(first) == 0 || len(first) > n.cfg.SecureFanout {
-		t.Fatalf("round 1 picked %d hops, want 1..%d", len(first), n.cfg.SecureFanout)
+	if len(first) == 0 || len(first) > secureFanout {
+		t.Fatalf("round 1 picked %d hops, want 1..%d", len(first), secureFanout)
 	}
 	seen := make(map[id.ID]bool)
 	for _, h := range first {

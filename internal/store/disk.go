@@ -15,7 +15,7 @@ import (
 // Disk is the durable Backend: the full object set lives in memory (the
 // DHT working set is bounded by the node's replica responsibility), every
 // mutation is appended to a CRC-framed write-ahead log first, and when the
-// log outgrows DiskOptions.CompactBytes the state is snapshotted and the
+// log outgrows DiskOptions.compactBytes the state is snapshotted and the
 // log truncated. Open replays snapshot + log, discarding a torn tail, so
 // a crash at any byte boundary recovers every fully-written record.
 //
@@ -48,9 +48,9 @@ type Disk struct {
 
 // DiskOptions tunes the durable backend.
 type DiskOptions struct {
-	// CompactBytes triggers snapshot + WAL truncation when the log
-	// exceeds it (default 1 MiB).
-	CompactBytes int64
+	// compactBytes triggers snapshot + WAL truncation when the log
+	// exceeds it: 1 MiB, unless this package's tests shrink it.
+	compactBytes int64
 	// SyncEvery fsyncs the WAL after every N appends; 0 syncs only at
 	// snapshot and Close, trading a crash window for throughput (the DHT
 	// re-replicates lost tails via anti-entropy anyway).
@@ -72,8 +72,8 @@ const (
 
 // Open loads (or creates) a durable store in dir.
 func Open(dir string, opts DiskOptions) (*Disk, error) {
-	if opts.CompactBytes <= 0 {
-		opts.CompactBytes = 1 << 20
+	if opts.compactBytes <= 0 {
+		opts.compactBytes = 1 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -112,7 +112,7 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 	d.wal = wal
 	// A log that grew past the threshold while we were down compacts
 	// immediately, so restart loops cannot grow it without bound.
-	if d.walBytes > d.opts.CompactBytes {
+	if d.walBytes > d.opts.compactBytes {
 		if err := d.compact(); err != nil {
 			wal.Close()
 			return nil, err
@@ -244,7 +244,7 @@ func (d *Disk) append(body []byte) error {
 
 // maybeCompact compacts when the WAL has outgrown its threshold.
 func (d *Disk) maybeCompact() error {
-	if d.walBytes > d.opts.CompactBytes {
+	if d.walBytes > d.opts.compactBytes {
 		return d.compact()
 	}
 	return nil

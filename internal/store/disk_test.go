@@ -67,7 +67,7 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 func TestDiskCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny threshold: compaction must trigger during the writes.
-	d := mustOpen(t, dir, DiskOptions{CompactBytes: 512})
+	d := mustOpen(t, dir, DiskOptions{compactBytes: 512})
 	for i := 0; i < 40; i++ {
 		if _, err := d.Apply(obj(7, uint64(i), 1, 1, "padding-padding-padding")); err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestDiskCompaction(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := mustOpen(t, dir, DiskOptions{CompactBytes: 512})
+	d2 := mustOpen(t, dir, DiskOptions{compactBytes: 512})
 	defer d2.Close()
 	if d2.Len() != 40 {
 		t.Fatalf("post-compaction reopen len = %d, want 40", d2.Len())

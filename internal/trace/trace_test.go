@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -220,52 +219,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		corrupt(tr)
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: corruption not detected", name)
-		}
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	tr := Generate(OverNet().Scaled(4, 6*time.Hour))
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.Nodes != tr.Nodes || len(got.Events) != len(tr.Events) {
-		t.Fatalf("round trip lost structure: %s/%d/%d vs %s/%d/%d",
-			got.Name, got.Nodes, len(got.Events), tr.Name, tr.Nodes, len(tr.Events))
-	}
-	if d := got.Duration - tr.Duration; d < -time.Millisecond || d > time.Millisecond {
-		t.Fatalf("duration drift %v", d)
-	}
-	for i := range got.Events {
-		a, b := got.Events[i], tr.Events[i]
-		if a.Node != b.Node || a.Kind != b.Kind {
-			t.Fatalf("event %d mismatch", i)
-		}
-		if d := a.At - b.At; d < -time.Microsecond || d > time.Microsecond {
-			t.Fatalf("event %d time drift %v", i, d)
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("decoded trace invalid: %v", err)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	for _, in := range []string{
-		"",
-		"not a trace\n",
-		"trace x nan\n",
-		"trace x 10 2\nZ 1 2\n",
-		"trace x 10 2\nJ one 2\n",
-		"trace x 10 2\nI zero\n",
-	} {
-		if _, err := Decode(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("Decode(%q) accepted garbage", in)
 		}
 	}
 }

@@ -70,7 +70,6 @@ type UDP struct {
 	closed        bool
 	node          *pastry.Node
 	coWindow      time.Duration
-	coLong        time.Duration
 	onDecodeError func(remote net.Addr, err error)
 	onSendError   func(to pastry.NodeRef, err error)
 	sink          MetricsSink
@@ -182,19 +181,10 @@ func (t *UDP) SetCoalesceWindow(d time.Duration) {
 	t.coWindow = d
 }
 
-// SetCoalesceLongWindow sets the extended wait budget for delay-tolerant
-// messages (heartbeats, distance reports, row announcements); see
-// wire.Config.LongWindow. Keep it well below the probe timeout To.
-func (t *UDP) SetCoalesceLongWindow(d time.Duration) {
+func (t *UDP) coalesceWindow() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.coLong = d
-}
-
-func (t *UDP) coalesceWindows() (window, long time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.coWindow, t.coLong
+	return t.coWindow
 }
 
 // SetInboundQueue bounds inbound work between the socket read loop and
@@ -573,15 +563,13 @@ func (e *udpEnv) resolve(addr string) (netip.AddrPort, error) {
 // effect.
 func (t *UDP) coalescer() *wire.Coalescer {
 	if t.co == nil {
-		window, long := t.coalesceWindows()
 		t.co = wire.NewCoalescer(wire.Config{
-			Window:     window,
-			LongWindow: long,
-			MaxPacket:  maxPacket,
-			MaxSingle:  maxPacket,
-			Now:        (*udpEnv)(t).Now,
-			After:      func(d time.Duration, fn func()) { (*udpEnv)(t).Schedule(d, fn) },
-			Emit:       t.emitFrame,
+			Window:    t.coalesceWindow(),
+			MaxPacket: maxPacket,
+			MaxSingle: maxPacket,
+			Now:       (*udpEnv)(t).Now,
+			After:     func(d time.Duration, fn func()) { (*udpEnv)(t).Schedule(d, fn) },
+			Emit:      t.emitFrame,
 		})
 	}
 	return t.co

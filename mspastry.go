@@ -119,7 +119,7 @@ type (
 	ScribeEngine = scribe.Scribe
 	// DHTStore is a replicated key-value store instance.
 	DHTStore = dht.Store
-	// DHTConfig tunes replication and end-to-end retries.
+	// DHTConfig sets the sweep interval, the storage backend and the read cache.
 	DHTConfig = dht.Config
 	// StoreBackend is the object storage behind a DHT store: versioned
 	// objects with tombstones, in memory or on disk.
@@ -128,7 +128,7 @@ type (
 	StoreObject = store.Object
 	// StoreStats reports a backend's object counts and disk usage.
 	StoreStats = store.Stats
-	// DiskStoreOptions tunes the durable backend's WAL and compaction.
+	// DiskStoreOptions tunes how often the durable backend fsyncs its WAL.
 	DiskStoreOptions = store.DiskOptions
 	// SplitStreamChannel is a striped multicast subscription.
 	SplitStreamChannel = splitstream.Channel
