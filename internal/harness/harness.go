@@ -164,7 +164,7 @@ type run struct {
 	slots  []*slot
 	active *ring
 
-	outstanding map[lookupKey]*outstandingLookup
+	outstanding map[lookupKey]outstandingLookup
 
 	counters    pastry.Counters
 	dropReasons map[pastry.DropReason]int
@@ -221,7 +221,7 @@ func newRun(cfg Config) *run {
 		col:         stats.NewCollector(cfg.Trace.Duration, cfg.Window),
 		setup:       cfg.SetupRamp,
 		active:      &ring{},
-		outstanding: make(map[lookupKey]*outstandingLookup),
+		outstanding: make(map[lookupKey]outstandingLookup),
 		slots:       make([]*slot, cfg.Trace.Nodes),
 		dropReasons: make(map[pastry.DropReason]int),
 	}
@@ -433,7 +433,6 @@ func (r *run) randomActiveRef() (pastry.NodeRef, bool) {
 	return s.node.Ref(), true
 }
 
-// scheduleLookups runs the Poisson lookup generator for a node.
 // nextKey draws one lookup key from the configured workload. The
 // uniform branch is byte-identical to the pre-workload draw sequence.
 func (r *run) nextKey() id.ID {
@@ -443,30 +442,44 @@ func (r *run) nextKey() id.ID {
 	return id.Random(r.sim.Rand())
 }
 
+// scheduleLookups starts the Poisson lookup generator for a node.
 func (r *run) scheduleLookups(n *pastry.Node) {
 	if r.cfg.LookupRate <= 0 {
 		return
 	}
-	mean := 1 / r.cfg.LookupRate
-	var fire func()
-	fire = func() {
-		if !n.Alive() {
-			return
-		}
-		key := r.nextKey()
-		seq, ok := n.Lookup(key, nil)
-		if ok {
-			lk := lookupKey{origin: n.Ref().Addr, seq: seq}
-			r.outstanding[lk] = &outstandingLookup{
-				key:     key,
-				issued:  r.measured(),
-				originE: mustAtoi(n.Ref().Addr),
-			}
-			r.col.LookupIssued(r.measured())
-		}
-		r.sim.After(expDuration(r.sim, mean), fire)
+	g := &lookupGen{r: r, n: n, origin: mustAtoi(n.Ref().Addr)}
+	r.sim.Schedule(r.sim.Now()+g.gap(), g)
+}
+
+// lookupGen is one node's lookup generator: the eventsim.Handler that
+// issues a lookup and schedules itself for the next, so a lookup costs the
+// harness no event handle and no closure. It stops when its node dies.
+type lookupGen struct {
+	r      *run
+	n      *pastry.Node
+	origin int // the node's endpoint index
+}
+
+func (g *lookupGen) gap() time.Duration {
+	return expDuration(g.r.sim, 1/g.r.cfg.LookupRate)
+}
+
+// Fire implements eventsim.Handler.
+func (g *lookupGen) Fire() {
+	r, n := g.r, g.n
+	if !n.Alive() {
+		return
 	}
-	r.sim.After(expDuration(r.sim, mean), fire)
+	key := r.nextKey()
+	if seq, ok := n.Lookup(key, nil); ok {
+		r.outstanding[lookupKey{origin: n.Ref().Addr, seq: seq}] = outstandingLookup{
+			key:     key,
+			issued:  r.measured(),
+			originE: g.origin,
+		}
+		r.col.LookupIssued(r.measured())
+	}
+	r.sim.Schedule(r.sim.Now()+g.gap(), g)
 }
 
 func (r *run) slotBase() int { return r.slots[0].ep.Index() }

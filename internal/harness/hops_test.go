@@ -1,0 +1,198 @@
+package harness
+
+// The hop-level golden. A node's hop and probe bookkeeping lives in records
+// it takes from free lists and reuses; this run is what says that reuse
+// changed nothing a node does. Everything every node tells its observer —
+// the Observer, TraceObserver and StatsObserver calls, in order — is
+// written as one line each and compared with testdata/hops.golden, which
+// was recorded by running this very file in a clone of the parent commit of
+// the change that introduced the free lists (it uses nothing that commit
+// lacks):
+//
+//	git clone . /tmp/parent && cd /tmp/parent && git checkout <parent>
+//	cp <this file> internal/harness/ && go test ./internal/harness -run HopGolden -update
+//
+// and copying testdata/hops.golden back — the procedure of the recorded
+// wire frames (internal/pastry/frames_test.go). Regenerate it only for a
+// change that means to alter what nodes do, and say so.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"mspastry/internal/netmodel"
+	"mspastry/internal/pastry"
+	"mspastry/internal/trace"
+)
+
+const hopsGoldenPath = "testdata/hops.golden"
+
+// deafSlot is the endpoint that hears one message in ten: its hops go
+// unacked whoever they are sent to, until the last attempt.
+const deafSlot = 3
+
+// joinRetryAfter is pastry's backoff before a stalled join starts over: a
+// join that took longer sat through at least one restart.
+const joinRetryAfter = 30 * time.Second
+
+// hopsConfig is a run small enough for tier-1 in which every way a hop or
+// probe record ends occurs: ~60 nodes under heavy Poisson churn (crashes
+// with hops and probes in flight, joins that stall and retry), uniform loss
+// plus one endpoint nearly deaf (reroutes, backed-off retransmissions, a
+// small retry budget running dry, give-ups), duplication and reordering
+// throughout (duplicate and stale acks), default breakers and
+// HoldOnSuspect on.
+func hopsConfig(t testing.TB) Config {
+	topo, err := BuildTopology("corpnet", 4, 1)
+	if err != nil {
+		t.Fatalf("topology: %v", err)
+	}
+	dur := 4 * time.Minute
+	cfg := DefaultConfig(topo, trace.Generate(trace.Poisson(3*time.Minute, 60, dur)))
+	cfg.LookupRate = 0.03
+	cfg.NetworkLoss = 0.05
+	cfg.Window = time.Minute
+	cfg.SetupRamp = time.Minute
+	cfg.Seed = 24
+	cfg.Pastry.RetryBudgetRate, cfg.Pastry.RetryBudgetBurst = 0.5, 2
+	cfg.Faults = new(FaultScript).
+		Duplicate(0, dur, 0.05).
+		Reorder(0, dur, 0.1, 300*time.Millisecond)
+	for from := 0; from < cfg.Trace.Nodes; from++ {
+		cfg.Faults.LinkLoss(0, dur, from, deafSlot, 0.9)
+	}
+	return cfg
+}
+
+// hopLog is the observer of the golden run: it writes one line per call —
+// time node event lookup peer detail — and passes the three calls the
+// harness itself needs on to it. MessageSent fires for every message of
+// the run and TrtTuned on every tick of every node, thirty times the rest
+// together, so their lines go into a digest that the log's last line
+// carries, not into the file one by one.
+type hopLog struct {
+	inner  pastry.Observer
+	lines  bytes.Buffer
+	folded int
+	digest [sha256.Size]byte
+	count  map[string]int
+}
+
+func (l *hopLog) line(n *pastry.Node, event string, lk *pastry.Lookup, peer pastry.NodeRef, detail any) string {
+	lookup, to := "-", "-"
+	if lk != nil {
+		lookup = fmt.Sprintf("%s/%d", lk.Origin.Addr, lk.Seq)
+	}
+	if !peer.IsZero() {
+		to = peer.Addr
+	}
+	l.count[event]++
+	return fmt.Sprintf("%d %s %s %s %s %v\n", n.Now(), n.Ref().Addr, event, lookup, to, detail)
+}
+
+func (l *hopLog) Activated(n *pastry.Node, joinLatency time.Duration) {
+	l.lines.WriteString(l.line(n, "activated", nil, pastry.NodeRef{}, joinLatency))
+	if joinLatency >= joinRetryAfter {
+		l.count["activated after a restart"]++
+	}
+	l.inner.Activated(n, joinLatency)
+}
+
+func (l *hopLog) Delivered(n *pastry.Node, lk *pastry.Lookup) {
+	l.lines.WriteString(l.line(n, "delivered", lk, pastry.NodeRef{}, lk.Hops))
+	l.inner.Delivered(n, lk)
+}
+
+func (l *hopLog) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
+	l.lines.WriteString(l.line(n, "dropped-"+reason.String(), lk, pastry.NodeRef{}, lk.Hops))
+	l.inner.LookupDropped(n, lk, reason)
+}
+
+func (l *hopLog) LookupIssued(n *pastry.Node, lk *pastry.Lookup) {
+	l.lines.WriteString(l.line(n, "issued", lk, pastry.NodeRef{}, "-"))
+}
+
+func (l *hopLog) LookupHop(n *pastry.Node, lk *pastry.Lookup, to pastry.NodeRef, cause pastry.HopCause) {
+	l.lines.WriteString(l.line(n, "hop-"+cause.String(), lk, to, lk.Hops))
+}
+
+func (l *hopLog) MessageSent(n *pastry.Node, cat pastry.Category, retx bool) {
+	l.digested(l.line(n, "sent", nil, pastry.NodeRef{}, fmt.Sprint(cat, retx)))
+}
+
+func (l *hopLog) digested(line string) {
+	l.folded++
+	l.digest = sha256.Sum256(append(l.digest[:], line...))
+}
+
+func (l *hopLog) AckRTT(n *pastry.Node, to pastry.NodeRef, rtt time.Duration) {
+	l.lines.WriteString(l.line(n, "ackrtt", nil, to, rtt))
+}
+
+func (l *hopLog) TrtTuned(n *pastry.Node, trt time.Duration) {
+	l.digested(l.line(n, "trt", nil, pastry.NodeRef{}, trt))
+}
+
+func (l *hopLog) LeafSetRepair(n *pastry.Node, cause string) {
+	l.lines.WriteString(l.line(n, "leafset-"+cause, nil, pastry.NodeRef{}, "-"))
+}
+
+func TestHopGolden(t *testing.T) {
+	r := newRun(hopsConfig(t))
+	log := &hopLog{inner: r.obs, count: make(map[string]int)}
+	r.obs = log
+	res := r.execute()
+	got := log.lines.String() + fmt.Sprintf("and %d sent and trt lines, sha256 %x\n", log.folded, log.digest)
+
+	// The run is only worth comparing if the ways a record ends all
+	// occurred; each is a counter the run or the log keeps.
+	joins := 0
+	for _, ev := range r.cfg.Trace.Events {
+		if ev.Kind == trace.Join {
+			joins++
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"acked hops (a record freed by its ack)", log.count["ackrtt"]},
+		{"reroutes (a record re-armed for another next hop)", log.count["hop-reroute"]},
+		{"backed-off retransmissions (re-armed for the same one)", log.count["hop-backoff"]},
+		{"give-ups after the last attempt", log.count["dropped-retries"]},
+		{"retry budgets run dry (the hold branch, and probes not resent)", int(res.Counters.RetryBudgetExhausted)},
+		{"hop timeouts", int(res.Counters.Retransmits)},
+		{"breakers opened", int(res.Counters.BreakerOpens)},
+		{"leaf members marked faulty at a probe's last timeout and announced", log.count["leafset-announce"]},
+		{"messages duplicated (duplicate acks)", int(res.FaultCounts.Duplicated)},
+		{"messages reordered (stale acks)", int(res.FaultCounts.Reordered)},
+		{"messages for a crashed node (crashes with hops and probes in flight)", int(res.DropsByCause[netmodel.DropDeadEndpoint])},
+		{"joins under churn", joins},
+		{"joins that stalled and restarted", log.count["activated after a restart"]},
+	} {
+		if c.n == 0 {
+			t.Errorf("the run has no %s", c.name)
+		}
+	}
+	t.Logf("events: %v; %d lines, %d bytes", log.count, strings.Count(got, "\n"), len(got))
+
+	if *updateGolden {
+		if err := os.WriteFile(hopsGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(hopsGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (see the file header for how it is recorded): %v", err)
+	}
+	if string(want) != got {
+		t.Fatalf("what the nodes did diverged from %s, recorded before hop and probe records were reused.\n%s",
+			hopsGoldenPath, firstDiff(string(want), got))
+	}
+}

@@ -3,6 +3,7 @@ package harness
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestZipfDeterministic(t *testing.T) {
@@ -48,5 +49,30 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if total != draws {
 		t.Fatalf("samples lost: %d of %d", total, draws)
+	}
+}
+
+// TestLookupGeneratorAllocations pins the harness's own share of a lookup
+// at nothing: firing a node's generator allocates what Node.Lookup does
+// (the Lookup and the Env's handle for its zero-delay routing callback) —
+// no event handle for the generator's next firing, no boxed bookkeeping.
+func TestLookupGeneratorAllocations(t *testing.T) {
+	cfg := faultConfig(t, 1, time.Minute)
+	cfg.LookupRate = 0 // the test fires the generator itself
+	r := newRun(cfg)
+	r.startNode(0, true)
+	r.cfg.LookupRate = 1
+	g := &lookupGen{r: r, n: r.slots[0].node, origin: r.slots[0].ep.Index()}
+	fire := func() {
+		g.Fire()
+		clear(r.outstanding) // nothing is routed here, so nothing else would
+	}
+	fire()
+	const lookup, handle = 1, 1
+	if got := testing.AllocsPerRun(200, fire); got > lookup+handle {
+		t.Errorf("one firing of the generator: %v allocs, want at most %d", got, lookup+handle)
+	}
+	if r.sim.Pending() < 200 {
+		t.Fatalf("%d events pending: the generator did not reschedule itself", r.sim.Pending())
 	}
 }

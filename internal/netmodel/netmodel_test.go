@@ -394,3 +394,39 @@ func TestSendAllocations(t *testing.T) {
 		t.Fatalf("frames=%d drops=%v: the pinned path did not deliver", nw.Frames-received, nw.DropsByCause)
 	}
 }
+
+// TestCancelledTimerNeverFires holds Endpoint to pastry.Timer's contract: a
+// node reuses a hop or probe record once it has cancelled the record's
+// timer, so a cancelled timer that fired would time out a stranger's hop.
+func TestCancelledTimerNeverFires(t *testing.T) {
+	const d = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		cancel bool
+		after  time.Duration // < 0: cancelled by the arming code, twice
+		want   int
+	}{
+		{"never cancelled", false, 0, 1},
+		{"at once, twice", true, -1, 0},
+		{"from an earlier callback", true, d / 2, 0},
+		{"from a callback due at the same instant", true, d, 0},
+	} {
+		sim, nw := testNet(t, 0)
+		ep := nw.NewEndpoint(nw.Topology().Attach(1, sim.Rand()))
+		var victim pastry.Timer
+		fired := 0
+		if tc.cancel && tc.after >= 0 {
+			ep.Schedule(tc.after, func() { victim.Cancel() })
+		}
+		victim = ep.Schedule(d, func() { fired++; victim.Cancel() }) // on itself, running: nothing
+		if tc.cancel && tc.after < 0 {
+			victim.Cancel()
+			victim.Cancel()
+		}
+		sim.RunUntil(2 * d)
+		victim.Cancel() // after the deadline: nothing to undo
+		if fired != tc.want {
+			t.Errorf("%s: the callback ran %d times, want %d", tc.name, fired, tc.want)
+		}
+	}
+}

@@ -5,8 +5,16 @@ import (
 	"time"
 )
 
-// Timer is a cancellable scheduled callback.
+// Timer is the handle of a callback scheduled with Env.Schedule.
 type Timer interface {
+	// Cancel, called from the node's serialised context (inside Receive or
+	// a callback), guarantees the callback does not run afterwards — also
+	// when it was due at this very instant and merely had not run yet. On
+	// a timer that has fired, is running or was cancelled before it does
+	// nothing. A node reuses a hop or probe record as soon as it has
+	// cancelled the record's timer (parkHop, parkProbe); a cancelled timer
+	// that fired anyway would time out whatever hop holds the record by
+	// then. Every Env has a test of this.
 	Cancel()
 }
 

@@ -15,14 +15,10 @@ func (n *Node) sendJoinRequest(seed NodeRef) {
 	jr := &JoinRequest{Joiner: n.self}
 	n.nextXfer++
 	xfer := n.nextXfer
-	ph := &pendingHop{
-		join:    jr,
-		key:     n.self.ID,
-		to:      seed,
-		tried:   newTriedSet(seed.ID),
-		sentAt:  n.env.Now(),
-		needAck: true,
-	}
+	ph := n.takeHop()
+	ph.join, ph.key, ph.to = jr, n.self.ID, seed
+	ph.tried.add(seed.ID)
+	ph.sentAt = n.env.Now()
 	n.armHopTimer(ph, xfer, n.rtoFor(seed))
 	n.send(seed, &Envelope{Xfer: xfer, NeedAck: true, From: n.self, Join: jr})
 	n.armJoinWatchdog()
@@ -54,11 +50,8 @@ func (n *Node) scheduleJoinRetry() {
 	// Reset join-local state but keep measured distances.
 	n.joinStart = n.env.Now()
 	n.joinSeed = seed
-	for x, ps := range n.probing {
-		if ps.timer != nil {
-			ps.timer.Cancel()
-		}
-		delete(n.probing, x)
+	for _, ps := range n.probing {
+		n.parkProbe(ps)
 	}
 	for x := range n.failed {
 		delete(n.failed, x)

@@ -78,6 +78,33 @@ func refFailedList(n *Node) []NodeRef {
 	return out
 }
 
+// refRepairCandidates is handleRepairRequest's candidate list as it was
+// built: every match from a copy of the whole table, cut to four.
+func refRepairCandidates(n *Node, req *RepairRequest) []NodeRef {
+	matches := func(x id.ID) bool {
+		return id.CommonPrefixLen(x, req.From.ID, n.cfg.B) >= req.Row &&
+			x.Digit(req.Row, n.cfg.B) == req.Col
+	}
+	var out []NodeRef
+	if matches(n.self.ID) {
+		out = append(out, n.self)
+	}
+	for _, e := range n.rt.Entries() {
+		if matches(e.ID) {
+			out = append(out, e)
+		}
+	}
+	for _, e := range n.ls.Members() {
+		if matches(e.ID) {
+			out = append(out, e)
+		}
+	}
+	if len(out) > 4 {
+		out = out[:4]
+	}
+	return out
+}
+
 // randomRoutingState builds a node whose table and leaf set were both
 // offered the same pool of ids, so some ids sit in both, some in one, and —
 // for pools smaller than the leaf set — the leaf set's two sides overlap.
@@ -167,6 +194,59 @@ func TestScanRoutingTableProbesInReferenceOrder(t *testing.T) {
 		if !slices.Equal(probed, want) {
 			t.Fatalf("trial %d:\n got %v\nwant %v", trial, probed, want)
 		}
+	}
+}
+
+// The repair reply's bytes are what the requester's table is filled from:
+// the same candidates in the same order, or no reply where there was none.
+func TestRepairReplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var none, short, cut int
+	for trial := 0; trial < 300; trial++ {
+		net, n, pool := randomRoutingState(t, rng)
+		var replies []Message
+		net.drop = func(_, _ NodeRef, m Message) bool {
+			replies = append(replies, m)
+			return true
+		}
+		for i := 0; i < 20; i++ {
+			// Requesters near the node ask about its deep rows, where the
+			// node itself and its leaf set match; far ones about row 0.
+			from := NodeRef{ID: id.Random(rng), Addr: "requester"}
+			if len(pool) > 0 && i%2 == 0 {
+				from.ID = id.New(n.self.ID.Hi, rng.Uint64())
+			}
+			row := rng.Intn(1 + id.CommonPrefixLen(from.ID, n.self.ID, n.cfg.B))
+			if row >= n.rt.NumRows() {
+				row = n.rt.NumRows() - 1
+			}
+			req := &RepairRequest{From: from, Row: row, Col: rng.Intn(1 << n.cfg.B)}
+			want := refRepairCandidates(n, req)
+			replies = replies[:0]
+			n.handleRepairRequest(req)
+			switch {
+			case len(want) == 0:
+				none++
+				if len(replies) != 0 {
+					t.Fatalf("trial %d: a reply with no candidate: %+v", trial, replies[0])
+				}
+				continue
+			case len(want) < 4:
+				short++
+			default:
+				cut++
+			}
+			if len(replies) != 1 {
+				t.Fatalf("trial %d: %d replies, want 1", trial, len(replies))
+			}
+			wantMsg := &RepairReply{From: n.self, Row: req.Row, Col: req.Col, Entries: want}
+			if got, want := EncodeMessage(replies[0]), EncodeMessage(wantMsg); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: reply %+v, want %+v", trial, replies[0], wantMsg)
+			}
+		}
+	}
+	if none == 0 || short == 0 || cut == 0 {
+		t.Fatalf("no candidate %d times, fewer than four %d, cut to four %d — all three must occur", none, short, cut)
 	}
 }
 

@@ -68,6 +68,19 @@ type Node struct {
 	pending  map[uint64]*pendingHop
 	nextXfer uint64
 
+	// freeHops and freeProbes hold parked hop and probe records for reuse,
+	// at most maxFree each: plain stacks, as netmodel.Network.free is, so a
+	// simulated node takes the same path on every run.
+	freeHops   []*pendingHop
+	freeProbes []*probeState
+
+	// issued queues this origin's lookups between Lookup and the zero-delay
+	// callback that routes them (routeIssued, bound once as routeIssuedFn):
+	// first in, first out, issuedHead the next one out.
+	issued        []*Lookup
+	issuedHead    int
+	routeIssuedFn func()
+
 	// Self-tuning state.
 	failureHist []time.Duration
 	trtLocal    time.Duration
@@ -170,8 +183,12 @@ func (c *Counters) Add(o Counters) {
 	c.SecureGiveUps += o.SecureGiveUps
 }
 
+// probeState is one outstanding liveness probe, a node-local record taken
+// from Node.freeProbes and parked there when the probe completes (see
+// takeProbe).
 type probeState struct {
-	n       *Node // set when the timer is armed; see timeout
+	n       *Node  // owner; set with fire at first allocation, kept across reuse
+	fire    func() // the timeout method value, bound once
 	ref     NodeRef
 	isLeaf  bool // leaf-set probe (LSProbe) vs routing-table ping
 	retries int
@@ -187,8 +204,12 @@ type probeState struct {
 	reconnect bool
 }
 
+// pendingHop is the bookkeeping of one acked hop (or join request) awaiting
+// its ack, a node-local record taken from Node.freeHops and parked there
+// when the hop completes (see takeHop, parkHop).
 type pendingHop struct {
-	n        *Node  // set with xfer when the timer is armed; see timeout
+	n        *Node  // owner; set with fire at first allocation, kept across reuse
+	fire     func() // the timeout method value, bound once
 	xfer     uint64 // the transmission the armed timer guards
 	lookup   *Lookup
 	join     *JoinRequest
@@ -196,11 +217,10 @@ type pendingHop struct {
 	to       NodeRef
 	attempts int
 	// tried holds next hops already attempted for this message.
-	tried   *triedSet
-	timer   Timer
-	sentAt  time.Duration
-	retx    bool
-	needAck bool
+	tried  triedSet
+	timer  Timer
+	sentAt time.Duration
+	retx   bool
 }
 
 // NewNode creates a node with the given identity. The node is inert until
@@ -229,6 +249,7 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 		secureSess:   make(map[uint64]*secureSession),
 		addrScratch:  make(map[string]struct{}),
 	}
+	n.routeIssuedFn = n.routeIssued
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)
 	n.sobs, _ = obs.(StatsObserver)
@@ -376,8 +397,24 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 	// Route asynchronously so the caller observes the sequence number
 	// before any delivery callback can fire (the origin may itself be the
 	// key's root, in which case routing delivers immediately).
-	n.schedule(0, func() { n.routeLookup(lk, nil) })
+	n.issued = append(n.issued, lk)
+	n.env.Schedule(0, n.routeIssuedFn)
 	return lk.Seq, true
+}
+
+// routeIssued routes the oldest queued lookup. Lookup schedules one call
+// per lookup, so each call takes exactly one — also on a node that crashed
+// in between, where it is dropped as every other callback's work is.
+func (n *Node) routeIssued() {
+	lk := n.issued[n.issuedHead]
+	n.issued[n.issuedHead] = nil
+	n.issuedHead++
+	if n.issuedHead == len(n.issued) {
+		n.issued, n.issuedHead = n.issued[:0], 0
+	}
+	if n.alive {
+		n.routeLookup(lk, nil)
+	}
 }
 
 // LookupSecure issues a lookup that is redundant from the start: besides

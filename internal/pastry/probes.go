@@ -41,8 +41,8 @@ func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
 		}
 		return
 	}
-	ps := &probeState{ref: ref, isLeaf: true, announce: announce}
-	n.probing[ref.ID] = ps
+	ps := n.takeProbe(ref)
+	ps.isLeaf, ps.announce = true, announce
 	n.sendProbeMsg(ps)
 	n.armProbeTimer(ps)
 }
@@ -58,10 +58,41 @@ func (n *Node) probeLiveness(ref NodeRef) {
 	if _, ok := n.probing[ref.ID]; ok {
 		return
 	}
-	ps := &probeState{ref: ref}
-	n.probing[ref.ID] = ps
+	ps := n.takeProbe(ref)
 	n.sendProbeMsg(ps)
 	n.armProbeTimer(ps)
+}
+
+// takeProbe returns the record of a new outstanding probe of ref, entered
+// in n.probing: a parked record when the free list has any, a new one
+// otherwise. Owner and bound timeout are set once and survive every park,
+// as a hop record's do (takeHop).
+func (n *Node) takeProbe(ref NodeRef) *probeState {
+	var ps *probeState
+	if last := len(n.freeProbes) - 1; last >= 0 {
+		ps = n.freeProbes[last]
+		n.freeProbes = n.freeProbes[:last]
+	} else {
+		ps = &probeState{n: n}
+		ps.fire = ps.timeout
+	}
+	ps.ref = ref
+	n.probing[ref.ID] = ps
+	return ps
+}
+
+// parkProbe ends the probe: it takes ps out of n.probing, cancels its timer
+// (a no-op on the one that is running), empties the record and puts it on
+// the free list (up to maxFree).
+func (n *Node) parkProbe(ps *probeState) {
+	delete(n.probing, ps.ref.ID)
+	if ps.timer != nil {
+		ps.timer.Cancel()
+	}
+	*ps = probeState{n: n, fire: ps.fire}
+	if len(n.freeProbes) < n.maxFree() {
+		n.freeProbes = append(n.freeProbes, ps)
+	}
 }
 
 func (n *Node) sendProbeMsg(ps *probeState) {
@@ -84,8 +115,7 @@ func (n *Node) sendProbeMsg(ps *probeState) {
 }
 
 func (n *Node) armProbeTimer(ps *probeState) {
-	ps.n = n
-	ps.timer = n.env.Schedule(n.cfg.To, ps.timeout)
+	ps.timer = n.env.Schedule(n.cfg.To, ps.fire)
 }
 
 // timeout is the probe timer's callback, guarded like pendingHop.timeout.
@@ -185,10 +215,7 @@ func (n *Node) doneProbing(x id.ID) {
 		// waves multiply into an exponential probe storm.
 		return
 	}
-	if ps.timer != nil {
-		ps.timer.Cancel()
-	}
-	delete(n.probing, x)
+	n.parkProbe(ps)
 	if len(n.probing) > 0 {
 		return
 	}

@@ -114,8 +114,8 @@ func (n *Node) probeReconnect(ref NodeRef) {
 	}
 	delete(n.failed, ref.ID)
 	noteProbeCause("reconnect")
-	ps := &probeState{ref: ref, reconnect: true}
-	n.probing[ref.ID] = ps
+	ps := n.takeProbe(ref)
+	ps.reconnect = true
 	n.sendProbeMsg(ps)
 	n.armProbeTimer(ps)
 }

@@ -85,8 +85,9 @@ func TestNextHopExcludedEverywhereDeliversSelf(t *testing.T) {
 	self := id.New(0, 1000)
 	other := ref(1100)
 	n := routeTestNode(t, self, []NodeRef{other}, nil)
-	tried := newTriedSet(other.ID)
-	_, isSelf, _ := n.nextHop(id.New(0, 1099), tried)
+	var tried triedSet
+	tried.add(other.ID)
+	_, isSelf, _ := n.nextHop(id.New(0, 1099), &tried)
 	if !isSelf {
 		t.Fatal("with every candidate excluded the node is the terminal")
 	}

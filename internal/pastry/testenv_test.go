@@ -21,7 +21,9 @@ type testNet struct {
 	delayFn func(from, to NodeRef) time.Duration
 	// drop decides whether to lose a message (nil = deliver all).
 	drop func(from NodeRef, to NodeRef, m Message) bool
-	sent map[Category]int
+	// onDeliver, if set, sees each message just before its receiver does.
+	onDeliver func(dst *Node, m Message)
+	sent      map[Category]int
 }
 
 func newTestNet(t *testing.T, seed int64) *testNet {
@@ -61,6 +63,9 @@ func (e *testEnv) Send(to NodeRef, m Message) {
 	}
 	net.sim.After(d, func() {
 		if dst, ok := net.nodes[to.Addr]; ok && dst.Alive() && dst.Ref().ID == to.ID {
+			if net.onDeliver != nil {
+				net.onDeliver(dst, m)
+			}
 			dst.Receive(m)
 		}
 	})
@@ -161,4 +166,40 @@ func (r *deliveryRecorder) Delivered(n *Node, lk *Lookup) {
 
 func (r *deliveryRecorder) LookupDropped(n *Node, lk *Lookup, reason DropReason) {
 	r.dropped[lk.Seq] = reason
+}
+
+// TestCancelledTimerNeverFires holds the test Env to Timer's contract, the
+// property the node's record reuse rests on. A canceller is scheduled
+// before its victim, so at the victim's own instant it runs first.
+func TestCancelledTimerNeverFires(t *testing.T) {
+	const d = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		cancel bool
+		after  time.Duration // < 0: cancelled by the arming code, twice
+		want   int
+	}{
+		{"never cancelled", false, 0, 1},
+		{"at once, twice", true, -1, 0},
+		{"from an earlier callback", true, d / 2, 0},
+		{"from a callback due at the same instant", true, d, 0},
+	} {
+		net := newTestNet(t, 1)
+		env := &testEnv{net: net}
+		var victim Timer
+		fired := 0
+		if tc.cancel && tc.after >= 0 {
+			env.Schedule(tc.after, func() { victim.Cancel() })
+		}
+		victim = env.Schedule(d, func() { fired++; victim.Cancel() }) // on itself, running: nothing
+		if tc.cancel && tc.after < 0 {
+			victim.Cancel()
+			victim.Cancel()
+		}
+		net.run(2 * d)
+		victim.Cancel() // after the deadline: nothing to undo
+		if fired != tc.want {
+			t.Errorf("%s: the callback ran %d times, want %d", tc.name, fired, tc.want)
+		}
+	}
 }

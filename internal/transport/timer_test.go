@@ -221,3 +221,58 @@ func TestUDPScheduleAllocations(t *testing.T) {
 		t.Errorf("Schedule+Cancel allocates %v times, want 1", got)
 	}
 }
+
+// TestUDPCancelledTimerNeverFires holds the transport's Env to
+// pastry.Timer's contract where it is promised: on the event loop. A node
+// reuses a hop or probe record once it has cancelled the record's timer, so
+// a cancelled timer that fired would time out a stranger's hop.
+func TestUDPCancelledTimerNeverFires(t *testing.T) {
+	const d = 20 * time.Millisecond
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	env := tr.Env()
+	cases := []struct {
+		name   string
+		cancel bool
+		after  time.Duration // < 0: cancelled by the arming code, twice
+		want   int32
+	}{
+		{"never cancelled", false, 0, 1},
+		{"at once, twice", true, -1, 0},
+		{"from an earlier callback", true, d / 2, 0},
+		// Both deadlines pass while the loop is busy, so both are due when
+		// it looks: the one scheduled first runs and cancels the other.
+		{"from a callback due at the same time", true, d, 0},
+	}
+	fired := make([]atomic.Int32, len(cases))
+	victims := make([]pastry.Timer, len(cases))
+	tr.DoSync(func(*pastry.Node) {
+		for i, tc := range cases {
+			if tc.cancel && tc.after >= 0 {
+				env.Schedule(tc.after, func() { victims[i].Cancel() })
+			}
+			victims[i] = env.Schedule(d, func() { fired[i].Add(1); victims[i].Cancel() }) // on itself, running: nothing
+			if tc.cancel && tc.after < 0 {
+				victims[i].Cancel()
+				victims[i].Cancel()
+			}
+		}
+		time.Sleep(d + d/2) // every deadline passes with the loop held
+	})
+	if !waitFor(t, 5*time.Second, func() bool { return pendingTimers(tr) == 0 }) {
+		t.Fatal("timers were still pending seconds after the last deadline")
+	}
+	tr.DoSync(func(*pastry.Node) { // the last callback has returned
+		for i := range victims {
+			victims[i].Cancel() // after the deadline: nothing to undo
+		}
+	})
+	for i, tc := range cases {
+		if got := fired[i].Load(); got != tc.want {
+			t.Errorf("%s: the callback ran %d times, want %d", tc.name, got, tc.want)
+		}
+	}
+}
