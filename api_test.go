@@ -7,8 +7,8 @@ import (
 )
 
 // TestPublicAPIOverlayFlow exercises the full public surface: topology,
-// simulator, network, node lifecycle, lookups and the Squirrel/Scribe
-// application layers — everything a downstream user can reach.
+// simulator, network, node lifecycle, lookups and the Squirrel application
+// layer — everything a downstream user can reach.
 func TestPublicAPIOverlayFlow(t *testing.T) {
 	sim := NewSimulator(1)
 	topo := NewCorpNetTopology(DefaultCorpNetConfig(), rand.New(rand.NewSource(1)))

@@ -1,15 +1,18 @@
 package mspastry
 
-// The option census, as tests, so it cannot rot. The rule (ROADMAP, "Diet"):
-// an option stays only while somebody gives it a value. A flag nobody
-// passes and a Config field nobody assigns are constants that have not
-// been written down yet.
+// The census, as tests, so it cannot rot. The rule (ROADMAP, "Diet"): code
+// stays only while somebody uses it. A flag nobody passes and a Config
+// field nobody assigns are constants that have not been written down yet;
+// a package no command reaches and an exported function only tests call
+// are deletions that have not been made yet.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -151,11 +154,30 @@ func TestEveryFlagHasACaller(t *testing.T) {
 }
 
 // keptForTest are exported Config fields that no command, experiment or
-// benchmark assigns, with the reason each stays a field.
+// benchmark assigns, and exported functions that only tests call, with the
+// reason each stays. A field is keyed "pkg.Config.Field", a method
+// "pkg.Type.Method", a function "pkg.Func".
 var keptForTest = map[string]string{
 	"pastry.Config.PeerStrangerTTL": "internal/harness/leak_test.go shrinks it so a short run crosses the eviction horizon",
 	"pastry.Config.PeerAdmittedTTL": "internal/harness/leak_test.go, likewise",
 	"harness.Config.Topo":           "required input: the first argument of harness.DefaultConfig",
+	"peer.Registry.Busy":            "internal/harness/leak_test.go classifies every registry record across packages",
+	"peer.Record.Touched":           "internal/harness/leak_test.go, likewise",
+	"pastry.Node.PeerMember":        "internal/harness/leak_test.go, likewise",
+	"dht.Store.HasLocal":            "public façade API (mspastry.DHTStore) that Example_kvStore demonstrates",
+}
+
+// configTypes are the Config types whose fields the field rule checks;
+// keptForTest keys under them are fields, every other key a function.
+var configTypes = []reflect.Type{reflect.TypeOf(pastry.Config{}), reflect.TypeOf(harness.Config{})}
+
+func isConfigKey(name string) bool {
+	for _, typ := range configTypes {
+		if strings.HasPrefix(name, typ.String()+".") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestEveryConfigFieldHasACaller fails for an exported field of
@@ -176,9 +198,11 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := make(map[string]bool) // keptForTest entries naming no field
+	stale := make(map[string]bool) // keptForTest field entries naming no field
 	for name := range keptForTest {
-		stale[name] = true
+		if isConfigKey(name) {
+			stale[name] = true
+		}
 	}
 	for _, cfg := range []struct {
 		typ     reflect.Type
@@ -186,8 +210,8 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 		imports *regexp.Regexp // the type is reachable through these
 	}{
 		// harness.Config.Pastry is a pastry.Config; the façade re-exports both.
-		{reflect.TypeOf(pastry.Config{}), "internal/pastry", regexp.MustCompile(`"mspastry(/internal/(pastry|harness))?"`)},
-		{reflect.TypeOf(harness.Config{}), "internal/harness", regexp.MustCompile(`"mspastry(/internal/harness)?"`)},
+		{configTypes[0], "internal/pastry", regexp.MustCompile(`"mspastry(/internal/(pastry|harness))?"`)},
+		{configTypes[1], "internal/harness", regexp.MustCompile(`"mspastry(/internal/harness)?"`)},
 	} {
 		var importers []string
 		for dir, src := range byDir {
@@ -215,6 +239,182 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 				t.Errorf("%s: no command, experiment or benchmark assigns it; make it a constant", name)
 			case found && kept:
 				t.Errorf("%s is assigned outside its package now; drop it from keptForTest", name)
+			}
+		}
+	}
+	for name := range stale {
+		t.Errorf("keptForTest lists %s, which does not exist", name)
+	}
+}
+
+// sourceFile is one parsed non-test Go file; path is slash-separated and
+// relative to the repository root.
+type sourceFile struct {
+	path string
+	file *ast.File
+}
+
+// sourceFiles parses every non-test Go file of the repository, bench/
+// included, skipping testdata and hidden directories (.git, the
+// benchmark's build cache).
+func sourceFiles(t *testing.T) []sourceFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []sourceFile
+	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		files = append(files, sourceFile{filepath.ToSlash(p), f})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// testHelperPackage reports whether an internal package is a helper for
+// tests, named like net/http/httptest: only _test.go files import it.
+func testHelperPackage(dir string) bool { return strings.HasSuffix(dir, "test") }
+
+// TestEveryPackageIsReachable fails for an internal package that no
+// non-test file reachable by imports from a command (cmd/*) or the
+// benchmark (bench/) imports. The façade mspastry.go is not a root: it
+// re-exports, so an import there keeps nothing alive. Run with -v for the
+// census: who imports each package.
+func TestEveryPackageIsReachable(t *testing.T) {
+	imports := make(map[string]map[string]bool) // directory -> repository directories it imports
+	for _, f := range sourceFiles(t) {
+		dir := path.Dir(f.path)
+		if imports[dir] == nil {
+			imports[dir] = make(map[string]bool)
+		}
+		for _, imp := range f.file.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == "mspastry" {
+				imports[dir]["."] = true
+			} else if rel, ok := strings.CutPrefix(p, "mspastry/"); ok {
+				imports[dir][rel] = true
+			}
+		}
+	}
+	var queue []string
+	for dir := range imports {
+		if strings.HasPrefix(dir, "cmd/") || dir == "bench" {
+			queue = append(queue, dir)
+		}
+	}
+	if len(queue) < 6 {
+		t.Fatalf("found %d roots, want the five commands and bench/: %v", len(queue), queue)
+	}
+	reached := make(map[string]bool)
+	importers := make(map[string][]string) // directory -> reached directories importing it
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		if reached[dir] {
+			continue
+		}
+		reached[dir] = true
+		for imp := range imports[dir] {
+			importers[imp] = append(importers[imp], dir)
+			queue = append(queue, imp)
+		}
+	}
+	var internal []string
+	for dir := range imports {
+		if strings.HasPrefix(dir, "internal/") {
+			internal = append(internal, dir)
+		}
+	}
+	sort.Strings(internal)
+	for _, dir := range internal {
+		sort.Strings(importers[dir])
+		t.Logf("%s: %s", dir, strings.Join(importers[dir], " "))
+		if !reached[dir] && !testHelperPackage(dir) {
+			t.Errorf("%s: no command and no benchmark reaches it by imports; delete it", dir)
+		}
+	}
+}
+
+// stdInterfaceMethods are methods a standard-library interface calls
+// (fmt.Stringer, error, sort.Interface, container/heap, http.Handler), so
+// their caller is outside the repository.
+var stdInterfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
+	"Push": true, "Pop": true, "ServeHTTP": true,
+}
+
+// TestEveryExportedFuncHasACaller fails for an exported function or method
+// declared in a non-test file under internal/ whose name no non-test file
+// (bench/ included) mentions outside a declaration. It matches
+// identifiers, not types, so a name that collides with another passes: the
+// rule can miss a dead function, never flag a live one. Run with -v for
+// the census: who names each function.
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	files := sourceFiles(t)
+	namedIn := make(map[string][]string) // identifier -> files naming it
+	for _, f := range files {
+		seen := make(map[string]bool)
+		decl := make(map[*ast.Ident]bool) // the names of declared functions
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				decl[n.Name] = true
+			case *ast.Ident:
+				if !decl[n] && !seen[n.Name] {
+					seen[n.Name] = true
+					namedIn[n.Name] = append(namedIn[n.Name], f.path)
+				}
+			}
+			return true
+		})
+	}
+	stale := make(map[string]bool) // keptForTest function entries naming no function
+	for name := range keptForTest {
+		if !isConfigKey(name) {
+			stale[name] = true
+		}
+	}
+	for _, f := range files {
+		dir := path.Dir(f.path)
+		if !strings.HasPrefix(dir, "internal/") || testHelperPackage(dir) {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			name := f.file.Name.Name + "." + fn.Name.Name
+			if fn.Recv != nil {
+				if stdInterfaceMethods[fn.Name.Name] {
+					continue
+				}
+				recv := strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*")
+				name = f.file.Name.Name + "." + recv + "." + fn.Name.Name
+			}
+			delete(stale, name)
+			callers := namedIn[fn.Name.Name]
+			if len(callers) > 3 {
+				callers = append(callers[:3:3], "...")
+			}
+			t.Logf("%s: %s", name, strings.Join(callers, " "))
+			switch _, kept := keptForTest[name]; {
+			case len(callers) == 0 && !kept:
+				t.Errorf("%s: only tests call it; delete it, unexport it or list it in keptForTest", name)
+			case len(callers) > 0 && kept:
+				t.Errorf("%s is named outside tests now; drop it from keptForTest", name)
 			}
 		}
 	}

@@ -128,18 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-fault-dur must be positive")
 	}
 
-	var tcfg trace.Config
-	switch *traceSel {
-	case "gnutella":
-		tcfg = trace.Gnutella().Scaled(*traceDiv, *maxDur)
-	case "overnet":
-		tcfg = trace.OverNet().Scaled(*traceDiv, *maxDur)
-	case "microsoft":
-		tcfg = trace.Microsoft().Scaled(*traceDiv, *maxDur)
-	case "poisson":
-		tcfg = trace.Poisson(*session, *nodes, *duration)
-	default:
-		return fail(2, "unknown trace %q", *traceSel)
+	tcfg, err := trace.Family(*traceSel, *session, *nodes, *duration)
+	if err != nil {
+		return fail(2, "%v", err)
+	}
+	if tcfg.Population > 0 { // a measured family: -trace-div and -max-dur shrink it
+		tcfg = tcfg.Scaled(*traceDiv, *maxDur)
 	}
 	// An unknown -topo is refused here, before BuildTopology builds.
 	topo, err := harness.BuildTopology(*topoName, *topoDiv, *seed)

@@ -20,7 +20,7 @@ func TestRejectedFlags(t *testing.T) {
 	}{
 		{"-no-such-flag", "flag provided but not defined"},
 		{"-topo ring", `unknown topology "ring"`},
-		{"-trace kazaa", `unknown trace "kazaa"`},
+		{"-trace kazaa", `unknown trace family "kazaa": want gnutella, overnet, microsoft or poisson` + "\n"},
 		{"-topo-div 0", "-topo-div and -trace-div must be >= 1"},
 		{"-trace-div 0", "-topo-div and -trace-div must be >= 1"},
 		{"-max-dur -1s", "-max-dur must be >= 0"},

@@ -52,18 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-session and -duration must be positive and -nodes >= 1")
 		return 2
 	}
-	var cfg trace.Config
-	switch *sel {
-	case "gnutella":
-		cfg = trace.Gnutella()
-	case "overnet":
-		cfg = trace.OverNet()
-	case "microsoft":
-		cfg = trace.Microsoft()
-	case "poisson":
-		cfg = trace.Poisson(*session, *nodes, *duration)
-	default:
-		fmt.Fprintf(stderr, "unknown trace family %q\n", *sel)
+	cfg, err := trace.Family(*sel, *session, *nodes, *duration)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	cfg = cfg.Scaled(*traceDiv, *maxDur)

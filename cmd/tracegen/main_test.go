@@ -17,7 +17,7 @@ func TestRun(t *testing.T) {
 		{"-trace gnutella -trace-div 32 -max-dur 30m", 0, []string{"trace gnutella: ", "over 30m0s", "\n20m0s "}},
 		{"-trace overnet -trace-div 8 -max-dur 20m -seed 9", 0, []string{"trace overnet: "}},
 		{"-trace microsoft -trace-div 200 -max-dur 20m", 0, []string{"trace microsoft: "}},
-		{"-trace kazaa", 2, []string{`unknown trace family "kazaa"`}},
+		{"-trace kazaa", 2, []string{`unknown trace family "kazaa": want gnutella, overnet, microsoft or poisson` + "\n"}},
 		{"-trace poisson -session 0", 2, []string{"-session and -duration must be positive"}},
 		{"-trace poisson -nodes 0", 2, []string{"-nodes >= 1"}},
 		{"-o out.trace", 2, []string{"flag provided but not defined: -o"}},

@@ -173,8 +173,8 @@ type pendingOp struct {
 	key     id.ID
 	value   []byte
 	retries int
-	// fresh forces a Get to bypass all caching (client asked for it, or
-	// a cached reply violated the monotonic read floor).
+	// fresh forces a Get to bypass all caching (a cached reply violated
+	// the monotonic read floor, or a test asked for it).
 	fresh   bool
 	timer   pastry.Timer
 	doneErr func(error)
@@ -253,12 +253,8 @@ func (s *Store) Get(key id.ID, done func([]byte, error)) {
 	s.get(key, false, done)
 }
 
-// GetFresh fetches the value under key bypassing all hotspot caches:
-// the read is served by the key's root, as if caching were disabled.
-func (s *Store) GetFresh(key id.ID, done func([]byte, error)) {
-	s.get(key, true, done)
-}
-
+// get is Get, or with fresh a read that bypasses all hotspot caches and is
+// served by the key's root, as if caching were disabled.
 func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 	s.counters.Gets++
 	if !fresh && s.hot != nil {

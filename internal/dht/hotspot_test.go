@@ -75,7 +75,7 @@ func TestHotspotCachingEndToEnd(t *testing.T) {
 	}
 	var fresh []byte
 	var freshErr error
-	c.stores[9].GetFresh(key, func(v []byte, e error) { fresh, freshErr = v, e })
+	c.stores[9].get(key, true, func(v []byte, e error) { fresh, freshErr = v, e })
 	c.settle(12 * time.Second)
 	if freshErr != nil || string(fresh) != "v2" {
 		t.Fatalf("fresh read after write: got %q err %v", fresh, freshErr)
@@ -257,7 +257,7 @@ func TestHotspotCacheAcrossPartitionHeal(t *testing.T) {
 	}
 	var fresh []byte
 	var freshErr error
-	reader.GetFresh(key, func(v []byte, e error) { fresh, freshErr = v, e })
+	reader.get(key, true, func(v []byte, e error) { fresh, freshErr = v, e })
 	c.settle(12 * time.Second)
 	if freshErr != nil || string(fresh) != "v2" {
 		t.Fatalf("fresh read after heal: got %q err %v", fresh, freshErr)

@@ -25,7 +25,6 @@ type Handler interface {
 // it fires. The simulator never reuses an Event, so a handle stays safe to
 // Cancel for as long as its holder keeps it.
 type Event struct {
-	when     time.Duration
 	fn       func()
 	canceled bool
 }
@@ -33,26 +32,19 @@ type Event struct {
 // Fire implements Handler: it runs the callback.
 func (e *Event) Fire() { e.fn() }
 
-// When returns the virtual time at which the event is (or was) scheduled.
-func (e *Event) When() time.Duration { return e.when }
-
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired or was already cancelled is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; construct with New.
 type Simulator struct {
-	now       time.Duration
-	events    []entry
-	seq       uint64
-	rng       *rand.Rand
-	steps     uint64
-	stopped   bool
-	onAdvance func(time.Duration)
+	now     time.Duration
+	events  []entry
+	seq     uint64
+	rng     *rand.Rand
+	steps   uint64
+	stopped bool
 }
 
 // New creates a simulator whose clock starts at 0 and whose random source is
@@ -75,10 +67,6 @@ func (s *Simulator) Steps() uint64 { return s.steps }
 // (including cancelled events that have not been reaped yet).
 func (s *Simulator) Pending() int { return len(s.events) }
 
-// OnAdvance registers a callback invoked whenever the virtual clock moves
-// forward, with the new time. Metric collectors use it to close windows.
-func (s *Simulator) OnAdvance(fn func(time.Duration)) { s.onAdvance = fn }
-
 // Schedule queues h to fire at absolute virtual time t, fire-and-forget:
 // there is no handle, so nothing can cancel it and h may recycle itself
 // once fired. Scheduling in the past (before Now) panics: that is always a
@@ -94,7 +82,7 @@ func (s *Simulator) Schedule(t time.Duration, h Handler) {
 // At schedules fn to run at absolute virtual time t and returns the handle
 // that cancels it; like Schedule, it panics for a t before Now.
 func (s *Simulator) At(t time.Duration, fn func()) *Event {
-	e := &Event{when: t, fn: fn}
+	e := &Event{fn: fn}
 	s.Schedule(t, e)
 	return e
 }
@@ -116,12 +104,7 @@ func (s *Simulator) Step() bool {
 		if e.canceled() {
 			continue
 		}
-		if e.when > s.now {
-			s.now = e.when
-			if s.onAdvance != nil {
-				s.onAdvance(s.now)
-			}
-		}
+		s.now = e.when // never earlier: Schedule refuses the past
 		s.steps++
 		e.h.Fire()
 		return true
@@ -149,9 +132,6 @@ func (s *Simulator) RunUntil(t time.Duration) {
 	}
 	if s.now < t {
 		s.now = t
-		if s.onAdvance != nil {
-			s.onAdvance(s.now)
-		}
 	}
 }
 

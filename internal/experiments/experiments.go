@@ -174,18 +174,28 @@ type Scale struct {
 	HotspotDuration time.Duration
 }
 
-func (s Scale) gnutella() *trace.Trace {
-	return trace.Generate(trace.Gnutella().Scaled(s.TraceDiv, s.MaxDuration))
-}
+// measuredFamilies are the paper's three measured churn traces, in the
+// order of its Figures 3 and 4.
+var measuredFamilies = []string{"gnutella", "overnet", "microsoft"}
 
-func (s Scale) overnet() *trace.Trace {
-	// OverNet is already small (1,468 nodes); shrink it less.
-	return trace.Generate(trace.OverNet().Scaled(max(1, s.TraceDiv/4), s.MaxDuration))
-}
-
-func (s Scale) microsoft() *trace.Trace {
-	// Microsoft is the biggest trace (20,000 nodes); shrink it more.
-	return trace.Generate(trace.Microsoft().Scaled(s.TraceDiv*6, s.MaxDuration))
+// measured generates a measured trace family at this scale and returns the
+// window its figures average over. OverNet is already small (1,468 nodes)
+// and is shrunk less. Microsoft is the biggest (20,000 nodes) and is
+// shrunk more; its failure rate is an order of magnitude lower, so it is
+// averaged hourly.
+func (s Scale) measured(family string) (*trace.Trace, time.Duration) {
+	cfg, err := trace.Family(family, 0, 0, 0)
+	if err != nil {
+		panic(err)
+	}
+	div, window := s.TraceDiv, 10*time.Minute
+	switch family {
+	case "overnet":
+		div = max(1, div/4)
+	case "microsoft":
+		div, window = div*6, time.Hour
+	}
+	return trace.Generate(cfg.Scaled(div, s.MaxDuration)), window
 }
 
 func (s Scale) poisson(session time.Duration) *trace.Trace {
@@ -228,7 +238,10 @@ func (s Scale) base(topoName string, tr *trace.Trace) func() harness.Config {
 }
 
 // onGnutella is the base of most sweeps: the Gnutella trace over GATech.
-func (s Scale) onGnutella() func() harness.Config { return s.base("gatech", s.gnutella()) }
+func (s Scale) onGnutella() func() harness.Config {
+	tr, _ := s.measured("gnutella")
+	return s.base("gatech", tr)
+}
 
 // sweep is the move every experiment makes: n runs, each from a fresh
 // base configuration with one parameter changed by mutate.

@@ -173,8 +173,8 @@ func TestSessionTimeControlShape(t *testing.T) {
 
 func TestNetworkLossShape(t *testing.T) {
 	s := tiny()
-	clean := harness.Run(s.baseConfig("gatech", s.gnutella()))
-	cfg := s.baseConfig("gatech", s.gnutella())
+	clean := harness.Run(s.onGnutella()())
+	cfg := s.onGnutella()()
 	cfg.NetworkLoss = 0.05
 	lossy := harness.Run(cfg)
 	t.Logf("clean: %v", clean.Totals)

@@ -6,7 +6,6 @@ import (
 	"mspastry/internal/harness"
 	"mspastry/internal/pastry"
 	"mspastry/internal/stats"
-	"mspastry/internal/trace"
 )
 
 // The experiments in this file run the harness's stock workload and vary
@@ -16,17 +15,12 @@ import (
 // for the Gnutella, OverNet and Microsoft traces, averaged over 10-minute
 // windows (1 hour for Microsoft). No simulation: the traces alone.
 func fig3(s Scale) (Report, error) {
-	names := []string{"gnutella", "overnet", "microsoft"}
-	series := [][]trace.WindowStat{
-		s.gnutella().Windows(10 * time.Minute),
-		s.overnet().Windows(10 * time.Minute),
-		s.microsoft().Windows(time.Hour),
-	}
 	t := Table{Cols: []string{"meanRate", "peakToTrough"}}
-	for i, name := range names {
+	for _, name := range measuredFamilies {
 		var sum, n float64
 		var rates []float64
-		for _, w := range series[i] {
+		tr, window := s.measured(name)
+		for _, w := range tr.Windows(window) {
 			if w.Active > 0 {
 				sum += w.FailureRate
 				n++
@@ -51,7 +45,7 @@ func fig3(s Scale) (Report, error) {
 // topologies runs the Gnutella trace on CorpNet, GATech and Mercator.
 func topologies(s Scale) (Report, error) {
 	names := []string{"corpnet", "gatech", "mercator"}
-	tr := s.gnutella()
+	tr, _ := s.measured("gnutella")
 	res := make([]harness.Result, len(names))
 	for i, name := range names {
 		res[i] = harness.Run(s.baseConfig(name, tr))
@@ -70,13 +64,9 @@ func topologies(s Scale) (Report, error) {
 // real-world traces, plus the control-traffic breakdown by message type
 // for the Gnutella trace (the right-hand graph).
 func fig4(s Scale) (Report, error) {
-	names := []string{"gnutella", "overnet", "microsoft"}
-	traces := []*trace.Trace{s.gnutella(), s.overnet(), s.microsoft()}
+	names := measuredFamilies
 	res := sweep(len(names), s.base("gatech", nil), func(i int, cfg *harness.Config) {
-		cfg.Trace = traces[i]
-		if names[i] == "microsoft" {
-			cfg.Window = time.Hour
-		}
+		cfg.Trace, cfg.Window = s.measured(names[i])
 	})
 	gn, ms := res[0], res[2]
 	breakdown := Table{Title: "Figure 4 (right): Gnutella control breakdown", Cols: []string{"msgsPerNodeSec"}}

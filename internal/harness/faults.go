@@ -14,7 +14,9 @@ import (
 // reordering, per-link loss) interleaved with the trace's churn. Event
 // times are measured times — relative to the end of the setup ramp, like
 // the trace's churn events — so a scenario is independent of the ramp
-// length. Build one with the fluent methods and set it on Config.Faults.
+// length. Build one with the fluent methods and set it on Config.Faults;
+// commands and experiments script partitions and delay spikes, and the
+// other kinds are unexported helpers for this package's tests.
 type FaultScript struct {
 	events []faultEvent
 }
@@ -38,9 +40,9 @@ func (s *FaultScript) Partition(at, dur time.Duration, fracA float64) *FaultScri
 	return s
 }
 
-// Jitter adds a uniform random extra delay in [0, max] to every message
+// jitter adds a uniform random extra delay in [0, max] to every message
 // for dur starting at measured time at.
-func (s *FaultScript) Jitter(at, dur, max time.Duration) *FaultScript {
+func (s *FaultScript) jitter(at, dur, max time.Duration) *FaultScript {
 	s.events = append(s.events, faultEvent{at: at, dur: dur,
 		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
 			f.JitterAt(start, dur, max)
@@ -59,9 +61,9 @@ func (s *FaultScript) DelaySpike(at, dur, extra time.Duration) *FaultScript {
 	return s
 }
 
-// Duplicate duplicates messages with probability p for dur starting at
+// duplicate duplicates messages with probability p for dur starting at
 // measured time at.
-func (s *FaultScript) Duplicate(at, dur time.Duration, p float64) *FaultScript {
+func (s *FaultScript) duplicate(at, dur time.Duration, p float64) *FaultScript {
 	s.events = append(s.events, faultEvent{at: at, dur: dur,
 		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
 			f.DuplicationAt(start, dur, p)
@@ -69,9 +71,9 @@ func (s *FaultScript) Duplicate(at, dur time.Duration, p float64) *FaultScript {
 	return s
 }
 
-// Reorder holds messages back by up to maxExtra with probability p for
+// reorder holds messages back by up to maxExtra with probability p for
 // dur starting at measured time at.
-func (s *FaultScript) Reorder(at, dur time.Duration, p float64, maxExtra time.Duration) *FaultScript {
+func (s *FaultScript) reorder(at, dur time.Duration, p float64, maxExtra time.Duration) *FaultScript {
 	s.events = append(s.events, faultEvent{at: at, dur: dur,
 		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
 			f.ReorderingAt(start, dur, p, maxExtra)
@@ -79,9 +81,9 @@ func (s *FaultScript) Reorder(at, dur time.Duration, p float64, maxExtra time.Du
 	return s
 }
 
-// LinkLoss injects asymmetric loss on the directed link between two
+// linkLoss injects asymmetric loss on the directed link between two
 // endpoint slots for dur starting at measured time at.
-func (s *FaultScript) LinkLoss(at, dur time.Duration, fromSlot, toSlot int, rate float64) *FaultScript {
+func (s *FaultScript) linkLoss(at, dur time.Duration, fromSlot, toSlot int, rate float64) *FaultScript {
 	s.events = append(s.events, faultEvent{at: at, dur: dur,
 		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
 			f.LinkLossAt(start, dur, r.slots[fromSlot].ep.Addr(), r.slots[toSlot].ep.Addr(), rate)

@@ -67,8 +67,8 @@ func TestFaultScriptDeterministic(t *testing.T) {
 		cfg := faultConfig(t, 30, 16*time.Minute)
 		cfg.Faults = new(FaultScript).
 			Partition(5*time.Minute, time.Minute, 0.5).
-			Jitter(9*time.Minute, time.Minute, 50*time.Millisecond).
-			Duplicate(11*time.Minute, time.Minute, 0.1)
+			jitter(9*time.Minute, time.Minute, 50*time.Millisecond).
+			duplicate(11*time.Minute, time.Minute, 0.1)
 		return Run(cfg)
 	}
 	a, b := runOnce(), runOnce()

@@ -61,10 +61,10 @@ func hopsConfig(t testing.TB) Config {
 	cfg.Seed = 24
 	cfg.Pastry.RetryBudgetRate, cfg.Pastry.RetryBudgetBurst = 0.5, 2
 	cfg.Faults = new(FaultScript).
-		Duplicate(0, dur, 0.05).
-		Reorder(0, dur, 0.1, 300*time.Millisecond)
+		duplicate(0, dur, 0.05).
+		reorder(0, dur, 0.1, 300*time.Millisecond)
 	for from := 0; from < cfg.Trace.Nodes; from++ {
-		cfg.Faults.LinkLoss(0, dur, from, deafSlot, 0.9)
+		cfg.Faults.linkLoss(0, dur, from, deafSlot, 0.9)
 	}
 	return cfg
 }

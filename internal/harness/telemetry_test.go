@@ -40,10 +40,9 @@ func TestHopTraceReconstruction(t *testing.T) {
 			rate, ts.Delivered, ts.Reconstructed)
 	}
 
-	// Every reconstructed path must chain origin -> ... -> root, and its
-	// per-link latencies must be non-negative (shared simulated clock).
+	// Every reconstructed path must chain origin -> ... -> root.
 	checked := 0
-	for _, lt := range res.Tracer.Completed() {
+	for _, lt := range res.Tracer.Recent(0) {
 		if !lt.Delivered {
 			continue
 		}
@@ -53,11 +52,6 @@ func TestHopTraceReconstruction(t *testing.T) {
 		}
 		if path[0].ID != lt.Origin.ID || path[len(path)-1].ID != lt.Root.ID {
 			t.Fatalf("path endpoints wrong: %v (origin %v root %v)", path, lt.Origin, lt.Root)
-		}
-		for _, d := range lt.HopLatencies() {
-			if d < 0 {
-				t.Fatalf("negative hop latency %v in trace %d", d, lt.TraceID)
-			}
 		}
 		checked++
 	}

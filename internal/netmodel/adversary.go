@@ -93,9 +93,6 @@ func (a *Adversary) SetBehaviors(b Behavior) { a.behaviors = b }
 // reincarnations: the address stays marked).
 func (a *Adversary) Mark(addr string) { a.malicious[addr] = true }
 
-// Marked reports whether the address is malicious.
-func (a *Adversary) Marked(addr string) bool { return a.malicious[addr] }
-
 // Count returns how many addresses are marked.
 func (a *Adversary) Count() int { return len(a.malicious) }
 

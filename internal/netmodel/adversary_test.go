@@ -39,11 +39,11 @@ func buildTriangle(t *testing.T) (*Network, []*Endpoint, []*pastry.Node) {
 // malicious node that is itself the key's root delivers honestly.
 func TestAdversaryDropsTransitLookups(t *testing.T) {
 	nw, eps, nodes := buildTriangle(t)
-	sim := nw.Sim()
+	sim := nw.sim
 	adv := nw.Adversary()
 	adv.SetBehaviors(AdvDrop | AdvForgeAck)
 	adv.Mark(eps[1].Addr())
-	if !adv.Marked(eps[1].Addr()) || adv.Count() != 1 {
+	if !adv.malicious[eps[1].Addr()] || adv.Count() != 1 {
 		t.Fatal("marking not recorded")
 	}
 
@@ -80,7 +80,7 @@ func TestAdversaryDropsTransitLookups(t *testing.T) {
 // completion report to the origin.
 func TestAdversaryMisroutesToColluder(t *testing.T) {
 	nw, eps, nodes := buildTriangle(t)
-	sim := nw.Sim()
+	sim := nw.sim
 	adv := nw.Adversary()
 	adv.SetBehaviors(AdvMisroute)
 	adv.Mark(eps[1].Addr())
@@ -129,7 +129,7 @@ func TestAdversaryPoisonsAdvertisements(t *testing.T) {
 		t.Fatal("poisoned reply must be a copy, not a mutation")
 	}
 	for _, e := range rr.Entries {
-		if !adv.Marked(e.Addr) {
+		if !adv.malicious[e.Addr] {
 			t.Fatalf("poisoned entry %v is not a colluder", e)
 		}
 		if e.ID == nodes[1].Ref().ID {

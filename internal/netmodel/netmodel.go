@@ -147,9 +147,6 @@ func (nw *Network) OnFrame(fn func(from *Endpoint, f FrameInfo)) {
 	nw.onFrame = fn
 }
 
-// Sim returns the underlying simulator.
-func (nw *Network) Sim() *eventsim.Simulator { return nw.sim }
-
 // Topology returns the underlying topology.
 func (nw *Network) Topology() *topology.Network { return nw.topo }
 

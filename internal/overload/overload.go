@@ -174,13 +174,6 @@ func (b *TokenBucket) Take(now time.Duration) bool {
 	return true
 }
 
-// Tokens reports the current token count (after refill), for tests and
-// status reporting.
-func (b *TokenBucket) Tokens(now time.Duration) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
 // Full reports whether the bucket is at capacity — an idle bucket that an
 // owner may prune without losing state.
 func (b *TokenBucket) Full(now time.Duration) bool {

@@ -109,8 +109,8 @@ func TestTokenBucketCapsAndRefills(t *testing.T) {
 	}
 	// A long idle period refills to burst, never beyond.
 	now += time.Hour
-	if got := b.Tokens(now); got != 4 {
-		t.Fatalf("tokens after idle = %v, want burst 4", got)
+	if b.refill(now); b.tokens != 4 {
+		t.Fatalf("tokens after idle = %v, want burst 4", b.tokens)
 	}
 	if !b.Full(now) {
 		t.Fatal("Full = false at capacity")

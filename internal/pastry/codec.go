@@ -216,9 +216,9 @@ func present[T any](c *codec.Coder, part **T) bool {
 	return has
 }
 
-// EncodeMessage serialises a message into a fresh buffer. Hot paths
+// encodeMessage serialises a message into a fresh buffer. Hot paths
 // should prefer AppendMessage with a pooled or reused buffer.
-func EncodeMessage(m Message) []byte {
+func encodeMessage(m Message) []byte {
 	return AppendMessage(make([]byte, 0, 256), m)
 }
 

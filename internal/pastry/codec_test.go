@@ -65,7 +65,7 @@ func sampleMessages(rng *rand.Rand) []Message {
 func TestCodecRoundTripAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range sampleMessages(rng) {
-		buf := EncodeMessage(m)
+		buf := encodeMessage(m)
 		got, err := DecodeMessage(buf)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
@@ -79,8 +79,8 @@ func TestCodecRoundTripAll(t *testing.T) {
 func TestCodecDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, m := range sampleMessages(rng) {
-		a := EncodeMessage(m)
-		b := EncodeMessage(m)
+		a := encodeMessage(m)
+		b := encodeMessage(m)
 		if string(a) != string(b) {
 			t.Fatalf("%T: non-deterministic encoding", m)
 		}
@@ -105,7 +105,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	buf := EncodeMessage(&Heartbeat{From: randRef(rng)})
+	buf := encodeMessage(&Heartbeat{From: randRef(rng)})
 	buf = append(buf, 0xaa)
 	if _, err := DecodeMessage(buf); err == nil {
 		t.Fatal("trailing bytes accepted")
@@ -144,7 +144,7 @@ func TestCodecTruncationNoPanics(t *testing.T) {
 	// never panic.
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range sampleMessages(rng) {
-		buf := EncodeMessage(m)
+		buf := encodeMessage(m)
 		for cut := 0; cut < len(buf); cut++ {
 			if _, err := DecodeMessage(buf[:cut]); err == nil && cut < len(buf) {
 				// A strict prefix that decodes without error would be a
@@ -170,11 +170,11 @@ func lookupEnvelope() *Envelope {
 // transport's read loop, no strings: the message objects alone.
 func TestCodecAllocations(t *testing.T) {
 	env := lookupEnvelope()
-	frame := EncodeMessage(env)
+	frame := encodeMessage(env)
 	buf := make([]byte, 0, 2*len(frame))
 	var size int
 	names := codec.NewInterner(16)
-	bare := EncodeMessage(frameSamples[1].msg) // envelope-lookup-min: no payload
+	bare := encodeMessage(frameSamples[1].msg) // envelope-lookup-min: no payload
 	for _, f := range [][]byte{frame, bare} {
 		if _, err := DecodeInterned(f, names); err != nil {
 			t.Fatal(err)
@@ -186,7 +186,7 @@ func TestCodecAllocations(t *testing.T) {
 	}{
 		"MessageWireSize":            {0, func() { size += MessageWireSize(env) }},
 		"AppendMessage":              {0, func() { buf = AppendMessage(buf[:0], env) }},
-		"EncodeMessage":              {0, func() { size += len(EncodeMessage(env)) }}, // the buffer stays on the stack
+		"encodeMessage":              {0, func() { size += len(encodeMessage(env)) }}, // the buffer stays on the stack
 		"DecodeMessage":              {5, func() { DecodeMessage(frame) }},
 		"DecodeInterned":             {3, func() { DecodeInterned(frame, names) }}, // envelope, lookup, payload
 		"DecodeInterned, no payload": {2, func() { DecodeInterned(bare, names) }},
@@ -201,12 +201,12 @@ func BenchmarkCodecEncodeLookupEnvelope(b *testing.B) {
 	env := lookupEnvelope()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeMessage(env)
+		encodeMessage(env)
 	}
 }
 
 func BenchmarkCodecDecodeLookupEnvelope(b *testing.B) {
-	buf := EncodeMessage(lookupEnvelope())
+	buf := encodeMessage(lookupEnvelope())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeMessage(buf); err != nil {

@@ -147,14 +147,14 @@ type SecureObserver interface {
 }
 
 // App is an application running on an overlay node (for example the
-// Squirrel web cache or Scribe multicast). All callbacks run in the node's
+// Squirrel web cache or the DHT). All callbacks run in the node's
 // serialised context.
 type App interface {
 	// Deliver is invoked when a lookup reaches this node as its root.
 	Deliver(lk *Lookup)
 	// Forward is invoked before the node forwards a lookup one hop
-	// further. Returning false consumes the message (Scribe uses this to
-	// terminate subscribe messages at tree nodes).
+	// further. Returning false consumes the message (the DHT uses this to
+	// serve a cached read at an intermediate hop).
 	Forward(lk *Lookup) bool
 	// Direct is invoked for point-to-point application messages.
 	Direct(from NodeRef, payload []byte)

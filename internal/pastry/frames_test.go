@@ -74,7 +74,7 @@ func TestRecordedFrames(t *testing.T) {
 	tags := map[byte]bool{}
 	names := codec.NewInterner(8) // fewer than the samples' addresses: it empties midway
 	for _, s := range frameSamples {
-		frame := codectest.WantFrame(t, s.name, EncodeMessage(s.msg))
+		frame := codectest.WantFrame(t, s.name, encodeMessage(s.msg))
 		tags[frame[0]] = true
 		if got := MessageWireSize(s.msg); got != len(frame) {
 			t.Errorf("%s: MessageWireSize = %d, recorded frame has %d bytes", s.name, got, len(frame))

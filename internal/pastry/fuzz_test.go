@@ -22,7 +22,7 @@ func reencodeMessage(b []byte) ([]byte, bool) {
 // accepted message must survive a round trip and be sized as encoded.
 func fuzzDecodeMessage(f *testing.F, seeds ...Message) {
 	for _, m := range seeds {
-		f.Add(EncodeMessage(m))
+		f.Add(encodeMessage(m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		codectest.RoundTrip(t, data, reencodeMessage)

@@ -240,7 +240,7 @@ func TestRepairReplyMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d: %d replies, want 1", trial, len(replies))
 			}
 			wantMsg := &RepairReply{From: n.self, Row: req.Row, Col: req.Col, Entries: want}
-			if got, want := EncodeMessage(replies[0]), EncodeMessage(wantMsg); !slices.Equal(got, want) {
+			if got, want := encodeMessage(replies[0]), encodeMessage(wantMsg); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: reply %+v, want %+v", trial, replies[0], wantMsg)
 			}
 		}

@@ -111,7 +111,7 @@ type Lookup struct {
 	// WantReport asks the root to report its leaf set back to Origin on
 	// delivery, so the origin can run the secure-routing failure test.
 	WantReport bool
-	// Payload is opaque application data (used by Squirrel and Scribe).
+	// Payload is opaque application data (used by Squirrel and the DHT).
 	Payload []byte
 }
 
@@ -325,7 +325,7 @@ type NNStateRequest struct {
 func (*NNStateRequest) Category() Category { return CatJoin }
 
 // AppDirect is a point-to-point application message (not routed through
-// the overlay): Squirrel responses, Scribe multicast dissemination.
+// the overlay): Squirrel responses, DHT replies and replication.
 type AppDirect struct {
 	From    NodeRef
 	Payload []byte

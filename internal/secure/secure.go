@@ -232,9 +232,6 @@ func (e *Estimator) Observe(gap float64) {
 	e.samples++
 }
 
-// Samples reports how many observations have been absorbed.
-func (e *Estimator) Samples() int { return e.samples }
-
 // Blend combines the caller's current leaf-set gap with the lookup
 // history: the two estimates are averaged once history exists. Either
 // source alone may be unavailable (empty leaf set, no accepted lookups

@@ -193,16 +193,16 @@ func TestEstimator(t *testing.T) {
 		t.Fatalf("no-history Blend(42) = %g, want leaf gap alone", got)
 	}
 	e.Observe(100)
-	if e.Samples() != 1 || e.Blend(0) != 100 {
-		t.Fatalf("after one sample: samples=%d blend=%g", e.Samples(), e.Blend(0))
+	if e.samples != 1 || e.Blend(0) != 100 {
+		t.Fatalf("after one sample: samples=%d blend=%g", e.samples, e.Blend(0))
 	}
 	if got := e.Blend(50); got != 75 {
 		t.Fatalf("Blend(50) with history 100 = %g, want 75", got)
 	}
 	e.Observe(0)  // non-positive gaps are ignored
 	e.Observe(-1) // ditto
-	if e.Samples() != 1 {
-		t.Fatalf("non-positive observations changed sample count: %d", e.Samples())
+	if e.samples != 1 {
+		t.Fatalf("non-positive observations changed sample count: %d", e.samples)
 	}
 	for i := 0; i < 200; i++ {
 		e.Observe(10)

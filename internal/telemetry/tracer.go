@@ -85,32 +85,6 @@ func (t *LookupTrace) Path() (path []pastry.NodeRef, ok bool) {
 	return path, path[len(path)-1].ID == t.Root.ID
 }
 
-// HopLatencies returns the latency of each link of the reconstructed path
-// (difference of consecutive transmission times, with the final link
-// closed by the delivery time). Only meaningful when all records share a
-// clock, i.e. in the simulator.
-func (t *LookupTrace) HopLatencies() []time.Duration {
-	path, ok := t.Path()
-	if !ok || len(path) < 2 {
-		return nil
-	}
-	at := map[id.ID]time.Duration{t.Origin.ID: t.Issued}
-	for _, h := range t.Hops {
-		if _, seen := at[h.To.ID]; !seen {
-			at[h.To.ID] = h.At
-		}
-	}
-	out := make([]time.Duration, 0, len(path)-1)
-	for i := 1; i < len(path); i++ {
-		prev, cur := at[path[i-1].ID], at[path[i].ID]
-		if i == len(path)-1 {
-			cur = t.DoneAt
-		}
-		out = append(out, cur-prev)
-	}
-	return out
-}
-
 // Tracer records lookup traces. All methods are safe for concurrent use.
 // Completed traces are kept in a bounded ring (capacity <= 0 keeps
 // everything, which experiment harnesses use to validate reconstruction).
@@ -201,13 +175,6 @@ func (tr *Tracer) finish(traceID uint64, fn func(*LookupTrace)) {
 		return
 	}
 	tr.done = append(tr.done, t)
-}
-
-// Completed returns a snapshot of the retained completed traces.
-func (tr *Tracer) Completed() []*LookupTrace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]*LookupTrace{}, tr.done...)
 }
 
 // Recent returns up to n of the most recently completed traces.

@@ -70,9 +70,6 @@ func (n *Network) Metric() Metric { return n.metric }
 // NumRouters returns the number of routers in the topology.
 func (n *Network) NumRouters() int { return len(n.adj) }
 
-// NumEndpoints returns the number of attached end nodes.
-func (n *Network) NumEndpoints() int { return len(n.attach) }
-
 // Attach connects count end nodes to routers chosen by the topology's
 // attachment rule and returns the index of the first new endpoint. GATech
 // and CorpNet attach through a 1 ms LAN link (as in the paper); Mercator
@@ -89,17 +86,6 @@ func (n *Network) Attach(count int, rng *rand.Rand) int {
 		n.lanMS = append(n.lanMS, lan)
 	}
 	return first
-}
-
-// AttachTo connects one end node to a specific router with the given LAN
-// delay, for tests and hand-built scenarios.
-func (n *Network) AttachTo(router int, lanMS float64) int {
-	if router < 0 || router >= len(n.adj) {
-		panic(fmt.Sprintf("topology: router %d out of range", router))
-	}
-	n.attach = append(n.attach, router)
-	n.lanMS = append(n.lanMS, lanMS)
-	return len(n.attach) - 1
 }
 
 // Delay returns the one-way delay between endpoints a and b.

@@ -49,8 +49,8 @@ func TestConnectivityAllPairsFinite(t *testing.T) {
 	}
 	for _, n := range nets {
 		n.Attach(20, rng)
-		for a := 0; a < n.NumEndpoints(); a++ {
-			for b := 0; b < n.NumEndpoints(); b++ {
+		for a := 0; a < len(n.attach); a++ {
+			for b := 0; b < len(n.attach); b++ {
 				d := n.Delay(a, b)
 				if d < 0 || d > time.Minute {
 					t.Fatalf("%s: delay(%d,%d) = %v not finite/sane", n.Name(), a, b, d)
@@ -156,8 +156,8 @@ func TestMercatorPathsPreferFewASCrossings(t *testing.T) {
 	cfg := MercatorConfig{AS: 5, RoutersPerAS: 6, HopDelayMS: 5, InterASDegree: 2}
 	n := Mercator(cfg, rand.New(rand.NewSource(11)))
 	// Endpoints 0 and 1 attach to routers 0 and 1, both in AS 0.
-	a := n.AttachTo(0, 0)
-	b := n.AttachTo(1, 0)
+	a := attachTo(n, 0, 0)
+	b := attachTo(n, 1, 0)
 	d := n.Delay(a, b)
 	maxIntra := time.Duration(cfg.RoutersPerAS) * 5 * time.Millisecond
 	if d > maxIntra {
@@ -165,20 +165,18 @@ func TestMercatorPathsPreferFewASCrossings(t *testing.T) {
 	}
 }
 
-func TestAttachToValidatesRouter(t *testing.T) {
-	n := CorpNet(CorpNetConfig{Hubs: 3, EdgeRouters: 5}, rand.New(rand.NewSource(1)))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad router index")
-		}
-	}()
-	n.AttachTo(9999, 1)
+// attachTo connects one end node to a chosen router with the given LAN
+// delay and returns its endpoint index.
+func attachTo(n *Network, router int, lanMS float64) int {
+	n.attach = append(n.attach, router)
+	n.lanMS = append(n.lanMS, lanMS)
+	return len(n.attach) - 1
 }
 
 func TestLANLinkContributes(t *testing.T) {
 	n := smallGATech(t, 12)
-	a := n.AttachTo(0, 1) // 1 ms LAN
-	b := n.AttachTo(0, 1) // same router
+	a := attachTo(n, 0, 1) // 1 ms LAN
+	b := attachTo(n, 0, 1) // same router
 	if got, want := n.Delay(a, b), 2*time.Millisecond; got != want {
 		t.Fatalf("same-router endpoint delay = %v, want %v (two LAN links)", got, want)
 	}

@@ -156,6 +156,23 @@ func Poisson(session time.Duration, avgNodes int, duration time.Duration) Config
 	}
 }
 
+// Family returns the configuration of a trace family by the name the
+// commands take: gnutella, overnet, microsoft or poisson. The measured
+// families ignore the Poisson arguments.
+func Family(name string, session time.Duration, avgNodes int, duration time.Duration) (Config, error) {
+	switch name {
+	case "gnutella":
+		return Gnutella(), nil
+	case "overnet":
+		return OverNet(), nil
+	case "microsoft":
+		return Microsoft(), nil
+	case "poisson":
+		return Poisson(session, avgNodes, duration), nil
+	}
+	return Config{}, fmt.Errorf("unknown trace family %q: want gnutella, overnet, microsoft or poisson", name)
+}
+
 // Scaled shrinks the trace: population (or target active count) divided by
 // div and duration capped at maxDur, preserving session-time distribution
 // and therefore per-node churn rates. Used by tests and benchmarks.

@@ -66,13 +66,11 @@ type UDP struct {
 	wake chan struct{}
 	done chan struct{}
 
-	mu            sync.Mutex
-	closed        bool
-	node          *pastry.Node
-	coWindow      time.Duration
-	onDecodeError func(remote net.Addr, err error)
-	onSendError   func(to pastry.NodeRef, err error)
-	sink          MetricsSink
+	mu       sync.Mutex
+	closed   bool
+	node     *pastry.Node
+	coWindow time.Duration
+	sink     MetricsSink
 	// timers (under mu: Schedule and Cancel are legal off the loop) is the
 	// one heap of pending timers. An entry leaves when it fires, on Cancel
 	// or at Close, never later: a pending callback keeps the node, and
@@ -94,35 +92,6 @@ type UDP struct {
 	addrs   map[string]netip.AddrPort
 	co      *wire.Coalescer
 	sendDst netip.AddrPort
-}
-
-// OnDecodeError registers fn to observe malformed packets (for logging).
-// Safe to call at any time; fn runs on the read loop.
-func (t *UDP) OnDecodeError(fn func(remote net.Addr, err error)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onDecodeError = fn
-}
-
-// OnSendError registers fn to observe failed sends: unresolvable
-// addresses, oversized messages and socket write errors. Safe to call at
-// any time; fn runs on the event loop.
-func (t *UDP) OnSendError(fn func(to pastry.NodeRef, err error)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onSendError = fn
-}
-
-func (t *UDP) decodeErrorHook() func(net.Addr, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.onDecodeError
-}
-
-func (t *UDP) sendErrorHook() func(pastry.NodeRef, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.onSendError
 }
 
 // MetricsSink observes the transport's traffic. The telemetry package
@@ -251,9 +220,9 @@ func (t *UDP) Counters() (sent, received uint64) {
 	return t.sent.Load(), t.received.Load()
 }
 
-// Env returns the transport's pastry.Env, so applications (Squirrel,
-// Scribe, the DHT) can share the node's clock, timers and transport. Use
-// it only from the event loop (inside Do/DoSync).
+// Env returns the transport's pastry.Env, so applications (Squirrel, the
+// DHT) can share the node's clock, timers and transport. Use it only from
+// the event loop (inside Do/DoSync).
 func (t *UDP) Env() pastry.Env { return (*udpEnv)(t) }
 
 // CreateNode builds the node hosted by this transport. Call exactly once.
@@ -388,7 +357,7 @@ func (t *UDP) readLoop() {
 	names := codec.NewInterner(maxAddrCache)
 	drain := loopItem{fn: t.drainInbound}
 	for {
-		n, remote, err := t.conn.ReadFromUDPAddrPort(buf)
+		n, _, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-t.done:
@@ -403,21 +372,17 @@ func (t *UDP) readLoop() {
 		sink := t.metricsSink()
 		frame, err := wire.Walk(buf[:n])
 		if err != nil {
-			t.decodeError(sink, 1, remote, err)
+			decodeErrors(sink, 1)
 			continue
 		}
 		t.inMu.Lock()
 		q := t.inQ
 		t.inMu.Unlock()
 		var good, bad int
-		var firstErr error
 		for p := frame.Next(); p != nil; p = frame.Next() {
 			m, err := pastry.DecodeInterned(p, names)
 			if err != nil {
-				// A malformed message inside a batch drops only itself.
-				if bad++; firstErr == nil {
-					firstErr = err
-				}
+				bad++ // a malformed message inside a batch drops only itself
 				continue
 			}
 			good++
@@ -436,9 +401,7 @@ func (t *UDP) readLoop() {
 				sink.MsgShed(shed)
 			}
 		}
-		if bad > 0 {
-			t.decodeError(sink, bad, remote, firstErr)
-		}
+		decodeErrors(sink, bad)
 		if good > 0 && sink != nil {
 			sink.DatagramReceived(n, good)
 		}
@@ -448,14 +411,11 @@ func (t *UDP) readLoop() {
 	}
 }
 
-// decodeError reports a malformed frame, or the n malformed messages of an
-// otherwise valid batch, with the first failure.
-func (t *UDP) decodeError(sink MetricsSink, n int, remote netip.AddrPort, err error) {
+// decodeErrors counts a malformed frame, or the n malformed messages of an
+// otherwise valid batch.
+func decodeErrors(sink MetricsSink, n int) {
 	for ; n > 0 && sink != nil; n-- {
 		sink.DecodeError()
-	}
-	if fn := t.decodeErrorHook(); fn != nil {
-		fn(net.UDPAddrFromAddrPort(remote), err)
 	}
 }
 
@@ -510,8 +470,8 @@ func (e *udpEnv) Rand() *rand.Rand { return e.rng }
 
 // Send frames and transmits a message, batching coalescable control
 // messages within the configured window. Delivery is best-effort UDP;
-// failures are reported through OnSendError and otherwise dropped, like a
-// lost datagram.
+// failures are counted by the MetricsSink's SendError and otherwise
+// dropped, like a lost datagram.
 func (e *udpEnv) Send(to pastry.NodeRef, m pastry.Message) {
 	t := (*UDP)(e)
 	// Resolve now so address errors surface synchronously, before the
@@ -519,15 +479,14 @@ func (e *udpEnv) Send(to pastry.NodeRef, m pastry.Message) {
 	// is for this peer too, and goes to the same address.
 	dst, err := e.resolve(to.Addr)
 	if err != nil {
-		e.sendError(to, fmt.Errorf("transport: resolve %q: %w", to.Addr, err))
+		t.sendError()
 		return
 	}
 	t.sendDst = dst
 	size, err := t.coalescer().Send(to.Addr, to, m)
 	t.sendDst = netip.AddrPort{}
 	if err != nil {
-		e.sendError(to, fmt.Errorf("transport: message of %d bytes exceeds %d: %w",
-			wire.SingleSize(size), maxPacket, err))
+		t.sendError() // larger than maxPacket
 		return
 	}
 	e.sent.Add(1)
@@ -587,11 +546,11 @@ func (t *UDP) emitFrame(f wire.Flush) {
 	if err != nil {
 		// The cache entry was shed between enqueue and flush and the
 		// re-resolve failed; the frame is lost like a dropped datagram.
-		e.sendError(f.To, fmt.Errorf("transport: resolve %q: %w", f.To.Addr, err))
+		t.sendError()
 		return
 	}
 	if _, err := t.conn.WriteToUDPAddrPort(f.Frame, dst); err != nil {
-		e.sendError(f.To, err)
+		t.sendError()
 		return
 	}
 	if sink := t.metricsSink(); sink != nil {
@@ -599,12 +558,9 @@ func (t *UDP) emitFrame(f wire.Flush) {
 	}
 }
 
-func (e *udpEnv) sendError(to pastry.NodeRef, err error) {
-	if sink := (*UDP)(e).metricsSink(); sink != nil {
+func (t *UDP) sendError() {
+	if sink := t.metricsSink(); sink != nil {
 		sink.SendError()
-	}
-	if fn := (*UDP)(e).sendErrorHook(); fn != nil {
-		fn(to, err)
 	}
 }
 

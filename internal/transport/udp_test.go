@@ -178,13 +178,8 @@ func TestUDPMalformedPacketIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	sawErr := make(chan error, 4)
-	tr.OnDecodeError(func(remote net.Addr, err error) {
-		select {
-		case sawErr <- err:
-		default:
-		}
-	})
+	sink := &countSink{}
+	tr.SetMetricsSink(sink)
 	if _, err := tr.CreateNode(id.Zero, liveConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +193,8 @@ func TestUDPMalformedPacketIgnored(t *testing.T) {
 	if _, err := conn.Write([]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-sawErr:
-	case <-time.After(5 * time.Second):
-		t.Fatal("decode error hook never fired")
+	if !waitFor(t, 5*time.Second, func() bool { _, errs := sink.snapshot(); return errs == 1 }) {
+		t.Fatal("malformed packet not counted as a decode error")
 	}
 	alive := false
 	tr.DoSync(func(n *pastry.Node) { alive = n.Alive() })
@@ -216,25 +209,19 @@ func TestUDPSendErrorHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	errs := make(chan error, 4)
-	tr.OnSendError(func(to pastry.NodeRef, err error) {
-		select {
-		case errs <- err:
-		default:
-		}
-	})
+	sink := &countSink{}
+	tr.SetMetricsSink(sink)
 	if _, err := tr.CreateNode(id.Zero, liveConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.DoSync(func(n *pastry.Node) { n.Bootstrap() })
-	// An unresolvable address must surface through the hook, not vanish.
+	// An unresolvable address must be counted, not vanish. Send reports it
+	// synchronously, before DoSync returns.
 	tr.DoSync(func(n *pastry.Node) {
 		tr.Env().Send(pastry.NodeRef{Addr: "no-such-host-xyz:bogus"}, &pastry.Envelope{})
 	})
-	select {
-	case <-errs:
-	case <-time.After(5 * time.Second):
-		t.Fatal("send error hook never fired for unresolvable address")
+	if got := sink.sendErrorCount(); got != 1 {
+		t.Fatalf("sink counted %d send errors for an unresolvable address, want 1", got)
 	}
 	sent, _ := tr.Counters()
 	if sent != 0 {

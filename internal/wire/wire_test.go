@@ -325,8 +325,8 @@ func TestStructuralFrameErrors(t *testing.T) {
 	}
 }
 
-// A Send from inside Emit — a send-error hook that reports to a peer,
-// say — finds the queue empty and fills a slice and a buffer of its own:
+// A Send from inside Emit — an emitter that reports a failed write to a
+// peer, say — finds the queue empty and fills a slice and a buffer of its own:
 // the frame being emitted is not overwritten under its receiver, and the
 // re-entrant message is neither merged into it nor lost when the outer
 // flush puts its slice back.

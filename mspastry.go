@@ -6,8 +6,7 @@
 // CorpNet topology models, churn-trace generators matching the Gnutella,
 // OverNet and Microsoft measurement studies, an experiment harness with
 // ground-truth delivery checking, a real-UDP transport running the same
-// protocol code, and the Squirrel web cache and Scribe multicast
-// applications.
+// protocol code, the Squirrel web cache and a replicated key-value store.
 //
 // # Quick start
 //
@@ -37,8 +36,6 @@ import (
 	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
-	"mspastry/internal/scribe"
-	"mspastry/internal/splitstream"
 	"mspastry/internal/squirrel"
 	"mspastry/internal/stats"
 	"mspastry/internal/store"
@@ -63,7 +60,7 @@ type (
 	Observer = pastry.Observer
 	// DropReason explains why the overlay dropped a lookup.
 	DropReason = pastry.DropReason
-	// App is the application layer interface (Squirrel, Scribe, yours).
+	// App is the application layer interface (Squirrel, the DHT, yours).
 	App = pastry.App
 	// Lookup is an application lookup message.
 	Lookup = pastry.Lookup
@@ -115,8 +112,6 @@ type (
 	SquirrelOriginFunc = squirrel.OriginFunc
 	// SquirrelOutcome classifies how a request was satisfied.
 	SquirrelOutcome = squirrel.Outcome
-	// ScribeEngine is an application-level multicast instance.
-	ScribeEngine = scribe.Scribe
 	// DHTStore is a replicated key-value store instance.
 	DHTStore = dht.Store
 	// DHTConfig sets the sweep interval, the storage backend and the read cache.
@@ -130,10 +125,6 @@ type (
 	StoreStats = store.Stats
 	// DiskStoreOptions tunes how often the durable backend fsyncs its WAL.
 	DiskStoreOptions = store.DiskOptions
-	// SplitStreamChannel is a striped multicast subscription.
-	SplitStreamChannel = splitstream.Channel
-	// SplitStreamPublisher publishes striped messages.
-	SplitStreamPublisher = splitstream.Publisher
 	// GATechConfig parameterises the transit-stub topology.
 	GATechConfig = topology.GATechConfig
 	// MercatorConfig parameterises the AS-structured topology.
@@ -245,11 +236,6 @@ const (
 	SquirrelFailed = squirrel.Failed
 )
 
-// NewScribe attaches a Scribe multicast engine to a node.
-func NewScribe(node *Node, env Env) *ScribeEngine {
-	return scribe.New(node, env)
-}
-
 // ErrDHTNotFound reports a Get for a key no responsible node holds (or a
 // deleted key).
 var ErrDHTNotFound = dht.ErrNotFound
@@ -275,16 +261,4 @@ func NewMemoryBackend() StoreBackend { return store.NewMemory() }
 // its objects. Pass it via DHTConfig.Backend.
 func OpenDiskStore(dir string, opts DiskStoreOptions) (StoreBackend, error) {
 	return store.Open(dir, opts)
-}
-
-// JoinSplitStream subscribes a Scribe engine to all stripes of a striped
-// multicast channel.
-func JoinSplitStream(engine *ScribeEngine, name string,
-	handler func(seq uint64, payload []byte)) *SplitStreamChannel {
-	return splitstream.Join(engine, name, handler)
-}
-
-// NewSplitStreamPublisher creates a publisher for a striped channel.
-func NewSplitStreamPublisher(engine *ScribeEngine, name string) *SplitStreamPublisher {
-	return splitstream.NewPublisher(engine, name)
 }
