@@ -21,8 +21,12 @@ import (
 	"strings"
 	"testing"
 
+	"mspastry/internal/dht"
 	"mspastry/internal/harness"
+	"mspastry/internal/hotspot"
 	"mspastry/internal/pastry"
+	"mspastry/internal/peer"
+	"mspastry/internal/store"
 )
 
 // commandFlags returns the names a command defines on its private FlagSet
@@ -420,5 +424,41 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 	}
 	for name := range stale {
 		t.Errorf("keptForTest lists %s, which does not exist", name)
+	}
+}
+
+// tallies are the structs a live node exports field by field, as gauges,
+// through telemetry.Registry.SetGauges.
+var tallies = []reflect.Type{
+	reflect.TypeOf(pastry.Counters{}), reflect.TypeOf(peer.Stats{}), reflect.TypeOf(dht.Counters{}),
+	reflect.TypeOf(store.Stats{}), reflect.TypeOf(hotspot.Stats{}),
+}
+
+// TestEveryTallyHasAMetric fails for an exported numeric field of one of
+// the tallies without a metric tag, for a metric tag without a help tag,
+// and for a metric name that two fields share: declaring a tally is what
+// exports it, under one name. Run with -v for the census: each field's
+// metric.
+func TestEveryTallyHasAMetric(t *testing.T) {
+	owner := make(map[string]string) // metric name -> the field that has it
+	for _, typ := range tallies {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if k := f.Type.Kind(); !f.IsExported() || k < reflect.Int || k > reflect.Float64 {
+				continue
+			}
+			field := typ.String() + "." + f.Name
+			name := f.Tag.Get("metric")
+			t.Logf("%s: %s", field, name)
+			switch {
+			case name == "":
+				t.Errorf("%s has no metric tag; name the gauge it is exported as", field)
+			case f.Tag.Get("help") == "":
+				t.Errorf("%s: metric %s has no help tag", field, name)
+			case owner[name] != "":
+				t.Errorf("%s and %s are both metric %s", owner[name], field, name)
+			}
+			owner[name] = field
+		}
 	}
 }

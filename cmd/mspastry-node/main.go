@@ -45,9 +45,7 @@ import (
 	"mspastry/internal/admin"
 	"mspastry/internal/dht"
 	"mspastry/internal/id"
-	"mspastry/internal/overload"
 	"mspastry/internal/pastry"
-	"mspastry/internal/peer"
 	objstore "mspastry/internal/store"
 	"mspastry/internal/telemetry"
 	"mspastry/internal/transport"
@@ -153,34 +151,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		store = dht.New(n, tr.Env(), dhtCfg)
 	})
 
-	// Scrape-time snapshot: copy the protocol and DHT tallies into gauges
-	// on the event loop, so every Snapshot/WritePrometheus sees values that
-	// are mutually consistent. Collect hooks only run from HTTP handlers
-	// and the stdin loop, never from the event loop itself.
-	trtGauge := reg.Gauge("mspastry_trt_seconds",
-		"Most recent self-tuned routing-table probing period Trt.")
-	reg.OnCollect(func() {
-		tr.DoSync(func(n *pastry.Node) {
-			if n == nil {
-				return
-			}
-			telemetry.RecordNodeCounters(reg, n.Stats())
-			telemetry.RecordPeerStats(reg, n.PeerStats())
-			telemetry.RecordDHTCounters(reg, store.Counters(), store.LocalObjects())
-			telemetry.RecordStoreStats(reg, store.StoreStats())
-			if *cacheEnt > 0 {
-				telemetry.RecordHotspotStats(reg, store.CacheStats())
-			}
-			trtGauge.Set(n.Trt().Seconds())
-		})
-	})
+	collectGauges(reg, tr, store, *cacheEnt > 0)
 
 	fmt.Fprintf(stdout, "node up: addr=%s id=%s\n", tr.Addr(), node.Ref().ID)
 
 	var adm *admin.Server
 	if *adminAddr != "" {
 		adm, err = admin.Serve(*adminAddr, reg, admin.Options{
-			Status: func() any { return statusSnapshot(tr, store, *dataDir != "") },
+			Status: func() any { return statusSnapshot(tr, *dataDir != "") },
 			Tracer: tracer,
 		})
 		if err != nil {
@@ -281,7 +259,7 @@ loop:
 			tr.Do(func(n *pastry.Node) { n.LookupSecure(key, nil) })
 			fmt.Fprintf(stdout, "secure lookup for %s routed (root report checked on arrival)\n", key)
 		case "status":
-			printStatus(stdout, reg, tr, store, *dataDir != "")
+			printStatus(stdout, reg, tr, *dataDir != "")
 		case "quit", "exit":
 			fmt.Fprintln(stdout, "leaving the overlay")
 			break loop
@@ -300,47 +278,66 @@ loop:
 	return 0
 }
 
-// nodeStatus is the /status JSON shape (also behind the stdout command).
+// collectGauges copies the tallies the node, its DHT store, the store's
+// backend and (with cache) the hotspot cache keep into reg's gauges at
+// every scrape. It reads them in one trip onto the event loop, so every
+// Snapshot and WritePrometheus sees mutually consistent values. Collect
+// hooks run only from HTTP handlers and the stdin loop, never from the
+// event loop itself.
+func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, cache bool) {
+	reg.OnCollect(func() {
+		tr.DoSync(func(n *pastry.Node) {
+			if n == nil {
+				return
+			}
+			reg.SetGauges(n.Stats())
+			peers := n.PeerStats()
+			reg.SetGauges(peers)
+			slotLive := reg.GaugeVec("mspastry_peers_slot_live",
+				"Records holding state in the component slot.", "slot")
+			slotDropped := reg.GaugeVec("mspastry_peers_slot_dropped_total",
+				"Slot values cleared by pruning in the component slot.", "slot")
+			for _, sl := range peers.Slots {
+				slotLive.With(sl.Name).Set(float64(sl.Live))
+				slotDropped.With(sl.Name).Set(float64(sl.Dropped))
+			}
+			reg.SetGauges(store.Counters())
+			reg.Gauge("mspastry_dht_local_objects",
+				"Objects currently stored on this node.").Set(float64(store.LocalObjects()))
+			reg.SetGauges(store.StoreStats())
+			if cache {
+				reg.SetGauges(store.CacheStats())
+			}
+			reg.Gauge("mspastry_trt_seconds",
+				"Most recent self-tuned routing-table probing period Trt.").Set(n.Trt().Seconds())
+		})
+	})
+}
+
+// nodeStatus is the /status JSON shape: what a node has that no metric
+// carries. Every number with a metric is in the same response's metrics
+// array instead.
 type nodeStatus struct {
 	ID             string         `json:"id"`
 	Addr           string         `json:"addr"`
 	Active         bool           `json:"active"`
-	TrtSeconds     float64        `json:"trt_seconds"`
 	LeafLeft       []string       `json:"leaf_left"`
 	LeafRight      []string       `json:"leaf_right"`
 	RoutingEntries int            `json:"routing_entries"`
 	RoutingRows    [][]string     `json:"routing_rows"`
-	LocalObjects   int            `json:"local_objects"`
-	Store          storeStatus    `json:"store"`
+	Durable        bool           `json:"durable"`
 	Overload       overloadStatus `json:"overload"`
-	// Peers is the per-peer state registry's cardinality and prune
-	// economics: live record count by lifecycle class, sweep/eviction
-	// counters, and the per-component slot breakdown.
-	Peers peer.Stats `json:"peers"`
 }
 
 // overloadStatus reports the overload-protection layer on /status: the
-// inbound queue's per-lane shed counts, contained handler panics, and
-// the per-peer circuit breakers.
+// node's load factor and its per-peer circuit breakers.
 type overloadStatus struct {
-	ShedByLane    map[string]uint64     `json:"shed_by_lane"`
-	HandlerPanics uint64                `json:"handler_panics"`
-	LoadFactor    float64               `json:"load_factor"`
-	Breakers      pastry.BreakerSummary `json:"breakers"`
+	LoadFactor float64               `json:"load_factor"`
+	Breakers   pastry.BreakerSummary `json:"breakers"`
 }
 
-// storeStatus reports the object-store backend on /status.
-type storeStatus struct {
-	Durable       bool   `json:"durable"`
-	Objects       int    `json:"objects"`
-	Tombstones    int    `json:"tombstones"`
-	WALBytes      int64  `json:"wal_bytes"`
-	SnapshotBytes int64  `json:"snapshot_bytes"`
-	Compactions   uint64 `json:"compactions"`
-}
-
-func statusSnapshot(tr *transport.UDP, store *dht.Store, durable bool) nodeStatus {
-	var s nodeStatus
+func statusSnapshot(tr *transport.UDP, durable bool) nodeStatus {
+	s := nodeStatus{Durable: durable}
 	tr.DoSync(func(n *pastry.Node) {
 		if n == nil {
 			return
@@ -348,7 +345,6 @@ func statusSnapshot(tr *transport.UDP, store *dht.Store, durable bool) nodeStatu
 		s.ID = n.Ref().ID.String()
 		s.Addr = n.Ref().Addr
 		s.Active = n.Active()
-		s.TrtSeconds = n.Trt().Seconds()
 		for _, ref := range n.Leaf().Left() {
 			s.LeafLeft = append(s.LeafLeft, ref.ID.String())
 		}
@@ -368,35 +364,16 @@ func statusSnapshot(tr *transport.UDP, store *dht.Store, durable bool) nodeStatu
 			}
 			s.RoutingRows = append(s.RoutingRows, ids)
 		}
-		s.LocalObjects = store.LocalObjects()
-		s.Peers = n.PeerStats()
-		shed, panics := tr.OverloadStats()
-		s.Overload = overloadStatus{
-			ShedByLane:    make(map[string]uint64, len(shed)),
-			HandlerPanics: panics,
-			LoadFactor:    n.LoadFactor(),
-			Breakers:      n.Breakers(),
-		}
-		for lane, count := range shed {
-			s.Overload.ShedByLane[overload.Lane(lane).String()] = count
-		}
-		st := store.StoreStats()
-		s.Store = storeStatus{
-			Durable:       durable,
-			Objects:       st.Objects,
-			Tombstones:    st.Tombstones,
-			WALBytes:      st.WALBytes,
-			SnapshotBytes: st.SnapshotBytes,
-			Compactions:   st.Compactions,
-		}
+		s.Overload = overloadStatus{LoadFactor: n.LoadFactor(), Breakers: n.Breakers()}
 	})
 	return s
 }
 
 // printStatus renders the same data the admin endpoint serves: the node
-// snapshot plus counters read back from the telemetry registry.
-func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, durable bool) {
-	s := statusSnapshot(tr, store, durable)
+// snapshot for what has no metric, and every number that has one read
+// back from the telemetry registry.
+func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, durable bool) {
+	s := statusSnapshot(tr, durable)
 	snap := reg.Snapshot()
 	m := make(map[string]float64)
 	for _, mv := range snap {
@@ -410,9 +387,10 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, s
 			m[key] = mv.Value
 		}
 	}
-	fmt.Fprintf(stdout, "status: active=%v leaf=%d rt=%d trt=%s objects=%d\n",
+	fmt.Fprintf(stdout, "status: active=%v leaf=%d rt=%d trt=%s objects=%.0f\n",
 		s.Active, len(s.LeafLeft)+len(s.LeafRight), s.RoutingEntries,
-		time.Duration(s.TrtSeconds*float64(time.Second)).Round(time.Second), s.LocalObjects)
+		time.Duration(m["mspastry_trt_seconds"]*float64(time.Second)).Round(time.Second),
+		m["mspastry_dht_local_objects"])
 	if len(s.LeafLeft) > 0 {
 		fmt.Fprintf(stdout, "  left  neighbour: %s\n", s.LeafLeft[0])
 	}
@@ -432,21 +410,20 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, s
 		m["mspastry_dht_puts"], m["mspastry_dht_gets"], m["mspastry_dht_deletes"],
 		m["mspastry_dht_retries"], m["mspastry_dht_replicas_pushed"],
 		m["mspastry_dht_sync_rounds"], m["mspastry_dht_sync_keys_repaired"])
-	var shedTotal uint64
-	for _, c := range s.Overload.ShedByLane {
-		shedTotal += c
-	}
-	fmt.Fprintf(stdout, "  overload: load=%.2f shed=%d panics=%d breakers open=%d half-open=%d tripping=%d budget_dry=%.0f\n",
-		s.Overload.LoadFactor, shedTotal, s.Overload.HandlerPanics,
+	fmt.Fprintf(stdout, "  overload: load=%.2f shed=%.0f panics=%.0f breakers open=%d half-open=%d tripping=%d budget_dry=%.0f\n",
+		s.Overload.LoadFactor, sumByName(snap, "mspastry_transport_msgs_shed_total"),
+		m["mspastry_transport_handler_panics_total"],
 		s.Overload.Breakers.Open, s.Overload.Breakers.HalfOpen, s.Overload.Breakers.Tripping,
 		m["mspastry_node_retry_budget_exhausted"])
-	fmt.Fprintf(stdout, "  peers: live=%d (admitted=%d strangers=%d doomed=%d) sweeps=%d evicted=%d expelled=%d\n",
-		s.Peers.Live, s.Peers.Admitted, s.Peers.Strangers, s.Peers.Doomed,
-		s.Peers.Sweeps, s.Peers.EvictedStrangers+s.Peers.EvictedAdmitted, s.Peers.Expelled)
-	if s.Store.Durable {
-		fmt.Fprintf(stdout, "  store: objects=%d tombstones=%d wal=%dB snapshot=%dB compactions=%d\n",
-			s.Store.Objects, s.Store.Tombstones, s.Store.WALBytes,
-			s.Store.SnapshotBytes, s.Store.Compactions)
+	fmt.Fprintf(stdout, "  peers: live=%.0f (admitted=%.0f strangers=%.0f doomed=%.0f) sweeps=%.0f evicted=%.0f expelled=%.0f\n",
+		m["mspastry_peers_live"], m["mspastry_peers_admitted"], m["mspastry_peers_strangers"],
+		m["mspastry_peers_doomed"], m["mspastry_peers_sweeps_total"],
+		m["mspastry_peers_evicted_strangers_total"]+m["mspastry_peers_evicted_admitted_total"],
+		m["mspastry_peers_expelled_total"])
+	if s.Durable {
+		fmt.Fprintf(stdout, "  store: objects=%.0f tombstones=%.0f wal=%.0fB snapshot=%.0fB compactions=%.0f\n",
+			m["mspastry_store_objects"], m["mspastry_store_tombstones"], m["mspastry_store_wal_bytes"],
+			m["mspastry_store_snapshot_bytes"], m["mspastry_store_compactions"])
 	}
 }
 

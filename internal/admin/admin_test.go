@@ -52,9 +52,9 @@ func startLiveNode(t *testing.T, seed int64) *liveNode {
 			if n == nil {
 				return
 			}
-			telemetry.RecordNodeCounters(reg, n.Stats())
-			telemetry.RecordDHTCounters(reg, ln.store.Counters(), ln.store.LocalObjects())
-			telemetry.RecordStoreStats(reg, ln.store.StoreStats())
+			reg.SetGauges(n.Stats())
+			reg.SetGauges(ln.store.Counters())
+			reg.SetGauges(ln.store.StoreStats())
 		})
 	})
 	return ln

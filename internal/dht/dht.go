@@ -89,34 +89,47 @@ type Store struct {
 	counters Counters
 }
 
-// Counters tallies the store's activity and outcomes for telemetry.
+// Counters tallies the store's activity and outcomes for telemetry. Each
+// field's metric and help tags name and describe the gauge a live node
+// exports it as (telemetry.Registry.SetGauges).
 type Counters struct {
 	// Puts, Gets and Deletes count operations started; the outcome fields
 	// count how they finished.
-	Puts, Gets, Deletes         uint64
-	PutOK, PutFail              uint64
-	GetOK, GetNotFound, GetFail uint64
-	DeleteOK, DeleteFail        uint64
-	Retries                     uint64
+	Puts        uint64 `metric:"mspastry_dht_puts" help:"DHT put operations started."`
+	Gets        uint64 `metric:"mspastry_dht_gets" help:"DHT get operations started."`
+	Deletes     uint64 `metric:"mspastry_dht_deletes" help:"DHT delete operations started."`
+	PutOK       uint64 `metric:"mspastry_dht_put_ok" help:"DHT puts acknowledged end-to-end."`
+	PutFail     uint64 `metric:"mspastry_dht_put_failures" help:"DHT puts that exhausted retries."`
+	GetOK       uint64 `metric:"mspastry_dht_get_ok" help:"DHT gets that returned a value."`
+	GetNotFound uint64 `metric:"mspastry_dht_get_notfound" help:"DHT gets for absent keys."`
+	GetFail     uint64 `metric:"mspastry_dht_get_failures" help:"DHT gets that exhausted retries."`
+	DeleteOK    uint64 `metric:"mspastry_dht_delete_ok" help:"DHT deletes acknowledged end-to-end."`
+	DeleteFail  uint64 `metric:"mspastry_dht_delete_failures" help:"DHT deletes that exhausted retries."`
+	Retries     uint64 `metric:"mspastry_dht_retries" help:"End-to-end request retransmissions."`
 	// ReplicasPushed counts full-value pushes (write-time replication,
 	// accepted handoffs); ReplicasApplied counts incoming values that
 	// actually changed local state.
-	ReplicasPushed, ReplicasApplied uint64
+	ReplicasPushed  uint64 `metric:"mspastry_dht_replicas_pushed" help:"Full-value replica pushes to leaf-set neighbours."`
+	ReplicasApplied uint64 `metric:"mspastry_dht_replicas_applied" help:"Incoming replica values that changed local state."`
 	// Sweeps counts replica responsibility sweeps; SweepHandoffs counts
 	// objects dropped after handing responsibility to the current root.
-	Sweeps, SweepHandoffs uint64
+	Sweeps        uint64 `metric:"mspastry_dht_sweeps" help:"Replica responsibility sweeps run."`
+	SweepHandoffs uint64 `metric:"mspastry_dht_sweep_handoffs" help:"Objects handed off and dropped by sweeps."`
 	// HandoffOffers counts digest-first handoff offers sent.
-	HandoffOffers uint64
+	HandoffOffers uint64 `metric:"mspastry_dht_handoff_offers" help:"Digest-first handoff offers sent."`
 	// SyncRounds counts anti-entropy exchanges started; SyncClean counts
 	// rounds where the root digests matched (no transfer at all);
 	// SyncKeysRepaired counts divergent objects sent as repairs.
-	SyncRounds, SyncClean, SyncKeysRepaired uint64
+	SyncRounds       uint64 `metric:"mspastry_dht_sync_rounds" help:"Anti-entropy exchanges started."`
+	SyncClean        uint64 `metric:"mspastry_dht_sync_clean" help:"Anti-entropy exchanges where root digests matched."`
+	SyncKeysRepaired uint64 `metric:"mspastry_dht_sync_keys_repaired" help:"Divergent objects sent as anti-entropy repairs."`
 	// DigestBytes is the wire volume of sync/handoff control traffic
 	// (digests, summaries, pulls); MaintBytes is all maintenance bytes
 	// sent by sweeps — control plus repair values — and is the number the
 	// anti-entropy experiment holds against the cost of re-pushing every
 	// value every sweep.
-	DigestBytes, MaintBytes uint64
+	DigestBytes uint64 `metric:"mspastry_dht_sync_digest_bytes" help:"Anti-entropy and handoff control bytes sent."`
+	MaintBytes  uint64 `metric:"mspastry_dht_maintenance_bytes" help:"All sweep maintenance bytes sent (control plus repair values)."`
 	// Hotspot path caching. CacheHitsLocal counts Gets answered from
 	// this node's own cache without entering the overlay; CacheHitsRemote
 	// counts Gets answered by a caching hop short-circuiting the route;
@@ -125,9 +138,13 @@ type Counters struct {
 	// pushed to and revoked from caching hops as a root. CachePurged is
 	// the sweep backstop's evictions; CacheStaleRejected counts cached
 	// replies refused for violating a client's monotonic read floor.
-	CacheHitsLocal, CacheHitsRemote, CacheServes   uint64
-	CacheDeposits, CacheInvalidations, CachePurged uint64
-	CacheStaleRejected                             uint64
+	CacheHitsLocal     uint64 `metric:"mspastry_dht_cache_hits_local" help:"Gets answered from this node's own hotspot cache."`
+	CacheHitsRemote    uint64 `metric:"mspastry_dht_cache_hits_remote" help:"Gets answered by a caching hop short-circuiting the route."`
+	CacheServes        uint64 `metric:"mspastry_dht_cache_serves" help:"Lookups this node answered from its cache for other nodes."`
+	CacheDeposits      uint64 `metric:"mspastry_dht_cache_deposits" help:"Entries this node deposited on caching hops as a root."`
+	CacheInvalidations uint64 `metric:"mspastry_dht_cache_invalidations" help:"Invalidations sent to caching hops after writes."`
+	CachePurged        uint64 `metric:"mspastry_dht_cache_purged" help:"Cached entries evicted by the sweep staleness backstop."`
+	CacheStaleRejected uint64 `metric:"mspastry_dht_cache_stale_rejected" help:"Cached replies refused for violating the monotonic read floor."`
 }
 
 // Add accumulates o into c, field by field: how an experiment totals the

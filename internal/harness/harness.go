@@ -368,7 +368,7 @@ func (r *run) execute() Result {
 	if r.cfg.Telemetry != nil {
 		// Mirror the run-aggregated node counters into the registry so a
 		// metrics dump carries the same names a live node serves.
-		telemetry.RecordNodeCounters(r.cfg.Telemetry, r.counters)
+		r.cfg.Telemetry.SetGauges(r.counters)
 		r.cfg.Telemetry.Gauge("mspastry_trt_seconds",
 			"Most recent self-tuned routing-table probing period Trt.").
 			Set(res.TrtMedian.Seconds())

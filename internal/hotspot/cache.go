@@ -48,28 +48,24 @@ type Config struct {
 	Admission bool
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters.
+// Stats is a point-in-time snapshot of cache effectiveness counters. Each
+// field's metric and help tags name and describe the gauge a live node
+// exports it as (telemetry.Registry.SetGauges).
 type Stats struct {
-	Hits          uint64
-	Misses        uint64
-	Admitted      uint64
-	Rejected      uint64
-	Evictions     uint64
-	Invalidations uint64
-	Purged        uint64
-	Entries       int
-	Capacity      int
+	Hits          uint64 `metric:"mspastry_hotspot_cache_hits" help:"Hotspot cache lookup hits."`
+	Misses        uint64 `metric:"mspastry_hotspot_cache_misses" help:"Hotspot cache lookup misses."`
+	Admitted      uint64 `metric:"mspastry_hotspot_cache_admitted" help:"Entries admitted by the TinyLFU filter."`
+	Rejected      uint64 `metric:"mspastry_hotspot_cache_rejected" help:"Entries rejected by the TinyLFU filter."`
+	Evictions     uint64 `metric:"mspastry_hotspot_cache_evictions" help:"Entries evicted by segmented-LRU pressure."`
+	Invalidations uint64 `metric:"mspastry_hotspot_cache_invalidations" help:"Entries dropped by version supersession."`
+	Purged        uint64 `metric:"mspastry_hotspot_cache_purged_total" help:"Entries dropped by the sweep staleness backstop."`
+	Entries       int    `metric:"mspastry_hotspot_cache_entries" help:"Entries currently in the hotspot cache."`
+	Capacity      int    `metric:"mspastry_hotspot_cache_capacity" help:"Configured hotspot cache capacity."`
+	// HitRatio is Hits / (Hits + Misses), or 0 with no traffic.
+	HitRatio float64 `metric:"mspastry_hotspot_cache_hit_ratio" help:"Hotspot cache hit ratio (hits over hits plus misses)."`
 	// SketchOccupancy is the popularity sketch's non-zero fraction
 	// (zero when admission is disabled).
-	SketchOccupancy float64
-}
-
-// HitRatio returns hits / (hits + misses), or 0 with no traffic.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+	SketchOccupancy float64 `metric:"mspastry_hotspot_sketch_occupancy" help:"Fraction of non-zero popularity sketch counters."`
 }
 
 // Cache is a sharded, size-bounded cache of versioned entries with
@@ -340,6 +336,9 @@ func (c *Cache) Stats() Stats {
 		st.Purged += sh.purged
 		st.Entries += len(sh.items)
 		sh.mu.Unlock()
+	}
+	if st.Hits+st.Misses > 0 {
+		st.HitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
 	}
 	if c.sketch != nil {
 		c.mu.Lock()

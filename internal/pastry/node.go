@@ -117,47 +117,54 @@ type Node struct {
 	trtScratch  []time.Duration
 }
 
-// Counters exposes protocol-internal tallies used by the evaluation.
+// Counters exposes protocol-internal tallies used by the evaluation. Each
+// field's metric tag is the gauge a live node exports it as, and its help
+// tag the gauge's description (telemetry.Registry.SetGauges).
 type Counters struct {
 	// SuppressedProbes counts routing-table probes and heartbeats that
 	// application traffic made unnecessary.
-	SuppressedProbes uint64
+	SuppressedProbes uint64 `metric:"mspastry_node_suppressed_probes" help:"Probes and heartbeats suppressed by application traffic."`
 	// SentRTProbes counts routing-table liveness probes actually sent.
-	SentRTProbes uint64
+	SentRTProbes uint64 `metric:"mspastry_node_rt_probes_sent" help:"Routing-table liveness probes sent."`
 	// SentReconnectProbes counts reconnect-cache pings to peers
 	// previously marked faulty (tallied separately from SentRTProbes:
 	// the reconnect cache is orthogonal to the ActiveProbing ablation).
-	SentReconnectProbes uint64
+	SentReconnectProbes uint64 `metric:"mspastry_node_reconnect_probes_sent" help:"Reconnect-cache pings to peers previously marked faulty."`
 	// SentHeartbeats counts heartbeats actually sent.
-	SentHeartbeats uint64
+	SentHeartbeats uint64 `metric:"mspastry_node_heartbeats_sent" help:"Left-neighbour heartbeats sent."`
 	// Retransmits counts per-hop retransmissions.
-	Retransmits uint64
+	Retransmits uint64 `metric:"mspastry_node_retransmits" help:"Per-hop retransmissions (node counter)."`
 	// FalsePositives counts nodes marked faulty that later proved alive
 	// (they contacted us after being marked).
-	FalsePositives uint64
+	FalsePositives uint64 `metric:"mspastry_node_false_positives" help:"Nodes marked faulty that later proved alive."`
 	// DeliveredLookups counts lookups delivered by this node as root.
-	DeliveredLookups uint64
+	DeliveredLookups uint64 `metric:"mspastry_node_delivered_lookups" help:"Lookups delivered as root (node counter)."`
 	// RetryBudgetExhausted counts repeat sends suppressed because the
 	// destination peer's retry budget ran dry.
-	RetryBudgetExhausted uint64
+	RetryBudgetExhausted uint64 `metric:"mspastry_node_retry_budget_exhausted" help:"Retransmissions suppressed by the per-peer retry budget."`
 	// BreakerOpens counts circuit breakers tripped by consecutive missed
 	// acks; BreakerReopens counts failed half-open recovery trials;
 	// BreakerCloses counts recoveries (breakers closed by a success).
-	BreakerOpens, BreakerReopens, BreakerCloses uint64
+	BreakerOpens   uint64 `metric:"mspastry_node_breaker_opens" help:"Per-peer circuit breakers tripped open."`
+	BreakerReopens uint64 `metric:"mspastry_node_breaker_reopens" help:"Half-open breaker probes that failed and reopened the breaker."`
+	BreakerCloses  uint64 `metric:"mspastry_node_breaker_closes" help:"Breakers closed by a successful interaction."`
 	// SecureReports counts root completion reports received for this
 	// origin's secure lookups; SecureTestPass/SecureTestFail count the
 	// routing failure test's verdicts on them.
-	SecureReports, SecureTestPass, SecureTestFail uint64
+	SecureReports  uint64 `metric:"mspastry_node_secure_reports" help:"Root completion reports evaluated by the routing failure test."`
+	SecureTestPass uint64 `metric:"mspastry_node_secure_test_pass" help:"Root reports that passed the routing failure test."`
+	SecureTestFail uint64 `metric:"mspastry_node_secure_test_fail" help:"Root reports that failed the routing failure test."`
 	// SecureRedundantRounds counts redundant diverse-path rounds issued
 	// (on a failed test or report timeout); SecureRedundantSends counts
 	// the individual first-hop copies those rounds sent.
-	SecureRedundantRounds, SecureRedundantSends uint64
+	SecureRedundantRounds uint64 `metric:"mspastry_node_secure_redundant_rounds" help:"Redundant diverse-path rounds issued for suspect lookups."`
+	SecureRedundantSends  uint64 `metric:"mspastry_node_secure_redundant_sends" help:"Lookup copies sent by redundant diverse-path rounds."`
 	// SecureDistrusted counts peers confirmed bad by cross-path voting
 	// and fed into the exclusion/breaker machinery.
-	SecureDistrusted uint64
+	SecureDistrusted uint64 `metric:"mspastry_node_secure_distrusted" help:"Peers distrusted after a failed test lost the report vote."`
 	// SecureGiveUps counts secure lookups that exhausted every redundant
 	// round without an accepted root report.
-	SecureGiveUps uint64
+	SecureGiveUps uint64 `metric:"mspastry_node_secure_giveups" help:"Secure lookups that exhausted every redundant round without an accepted report."`
 }
 
 // Add accumulates o into c, field by field: how a run totals the

@@ -188,7 +188,8 @@ func (n *Node) clearSlot(x id.ID, s peer.Slot) {
 // cardinality.
 func (n *Node) Peers() *peer.Registry { return n.peers }
 
-// PeerStats snapshots the registry's cardinality and prune economics for
-// status reporting. Kept out of Counters on purpose: the evaluation's
-// counter set is frozen by the canonical report format.
+// PeerStats snapshots the registry's cardinality and prune economics; a
+// live node exports them as the mspastry_peers_* gauges. Kept out of
+// Counters on purpose: the fixed-seed report golden prints Counters whole,
+// so a field added there would change it.
 func (n *Node) PeerStats() peer.Stats { return n.peers.Stats() }

@@ -7,9 +7,7 @@ import (
 	"mspastry/internal/id"
 )
 
-// probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
-// probei: no-op if the node is already being probed with a leaf probe or
-// has been marked faulty.
+// probeCauseHook is set by probecause_test.go, nil otherwise.
 var probeCauseHook func(cause string)
 
 func noteProbeCause(cause string) {
@@ -18,6 +16,9 @@ func noteProbeCause(cause string) {
 	}
 }
 
+// probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
+// probei: no-op if the node is already being probed with a leaf probe or
+// has been marked faulty.
 func (n *Node) probeLeaf(ref NodeRef) { n.probeLeafAnnounce(ref, false) }
 
 // probeLeafAnnounce starts a leaf probe; announce marks it as first-hand

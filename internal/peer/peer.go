@@ -343,32 +343,36 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 
 // SlotStat is one component slot's cardinality and prune economics.
 type SlotStat struct {
-	Name string `json:"name"`
+	Name string
 	// Live is how many records currently hold state in this slot.
-	Live int `json:"live"`
+	Live int
 	// Dropped is the cumulative number of slot values cleared by
 	// pruning (not counting whole-record evictions).
-	Dropped uint64 `json:"dropped"`
+	Dropped uint64
 }
 
-// Stats is a registry snapshot for telemetry and the admin endpoint.
+// Stats is a registry snapshot for telemetry. Each numeric field's metric
+// and help tags name and describe the gauge a live node exports it as
+// (telemetry.Registry.SetGauges).
 type Stats struct {
 	// Live is the total record count; Admitted of those ever entered
 	// routing state; Strangers never did; Doomed await final deletion
 	// after an Expel.
-	Live      int `json:"live"`
-	Admitted  int `json:"admitted"`
-	Strangers int `json:"strangers"`
-	Doomed    int `json:"doomed"`
+	Live      int `metric:"mspastry_peers_live" help:"Per-peer state records currently held."`
+	Admitted  int `metric:"mspastry_peers_admitted" help:"Peer records that have entered routing state at least once."`
+	Strangers int `metric:"mspastry_peers_strangers" help:"Peer records never admitted to routing state (short TTL)."`
+	Doomed    int `metric:"mspastry_peers_doomed" help:"Expelled peer records awaiting final deletion."`
 	// Sweeps counts prune passes; EvictedStrangers/EvictedAdmitted
 	// count records evicted by class; Expelled counts immediate
 	// eviction broadcasts.
-	Sweeps           uint64 `json:"sweeps"`
-	EvictedStrangers uint64 `json:"evicted_strangers"`
-	EvictedAdmitted  uint64 `json:"evicted_admitted"`
-	Expelled         uint64 `json:"expelled"`
-	// Slots is the per-component breakdown, in registration order.
-	Slots []SlotStat `json:"slots"`
+	Sweeps           uint64 `metric:"mspastry_peers_sweeps_total" help:"Registry prune passes run."`
+	EvictedStrangers uint64 `metric:"mspastry_peers_evicted_strangers_total" help:"Never-admitted peer records evicted by TTL."`
+	EvictedAdmitted  uint64 `metric:"mspastry_peers_evicted_admitted_total" help:"Once-admitted peer records evicted by TTL."`
+	Expelled         uint64 `metric:"mspastry_peers_expelled_total" help:"Immediate eviction broadcasts (reconnect expiry, overflow)."`
+	// Slots is the per-component breakdown, in registration order,
+	// exported as the slot-labelled gauges mspastry_peers_slot_live and
+	// mspastry_peers_slot_dropped_total.
+	Slots []SlotStat
 }
 
 // Stats returns a snapshot of the registry's cardinality and prune

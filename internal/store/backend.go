@@ -3,19 +3,21 @@ package store
 import "mspastry/internal/id"
 
 // Stats is a backend's state snapshot for telemetry and status surfaces.
+// Each field's metric and help tags name and describe the gauge a live
+// node exports it as (telemetry.Registry.SetGauges).
 type Stats struct {
 	// Objects counts live (non-tombstone) objects; Tombstones counts
 	// retained deletion markers.
-	Objects    int
-	Tombstones int
+	Objects    int `metric:"mspastry_store_objects" help:"Live objects in the backend."`
+	Tombstones int `metric:"mspastry_store_tombstones" help:"Tombstones retained for delete propagation."`
 	// WALBytes and SnapshotBytes are the on-disk sizes (zero for the
 	// memory backend).
-	WALBytes      int64
-	SnapshotBytes int64
+	WALBytes      int64 `metric:"mspastry_store_wal_bytes" help:"Write-ahead log size on disk (0 for the memory backend)."`
+	SnapshotBytes int64 `metric:"mspastry_store_snapshot_bytes" help:"Last snapshot size on disk."`
 	// Compactions counts snapshot+truncate cycles; Replayed is how many
 	// WAL records the last Open recovered.
-	Compactions uint64
-	Replayed    int
+	Compactions uint64 `metric:"mspastry_store_compactions" help:"Snapshot compactions performed."`
+	Replayed    int    `metric:"mspastry_store_replayed_records" help:"Records replayed from disk at open."`
 }
 
 // Backend stores versioned objects for one DHT node. Implementations

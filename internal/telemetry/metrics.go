@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -70,9 +71,10 @@ func NewRegistry() *Registry {
 }
 
 // OnCollect registers fn to run before every exposition (WritePrometheus
-// or Snapshot). Use it to copy externally-owned tallies — protocol
-// counters, transport totals — into gauges at scrape time, so every
-// surface (stdout status, /status, /metrics) reads the same numbers.
+// or Snapshot). Use it to copy externally-owned tallies into gauges at
+// scrape time, a tagged struct at a time with SetGauges. A surface that
+// reads its numbers back from Snapshot (a live node's stdout status and
+// /status) then shows what /metrics shows.
 func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,6 +138,34 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.family(name, help, kindGauge, "", nil)
 	return f.child("", func() interface{} { return &Gauge{} }).(*Gauge)
+}
+
+// SetGauges sets one gauge per tagged field of the struct v: the field's
+// `metric` tag names the gauge, its `help` tag describes it, and its value
+// is the gauge's. Untagged fields are skipped. A tag on a field that is
+// not an integer or a float is a programming error, and panics.
+func (r *Registry) SetGauges(v any) {
+	sv := reflect.ValueOf(v)
+	st := sv.Type()
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		name, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		var x float64
+		switch fv := sv.Field(i); {
+		case fv.CanInt():
+			x = float64(fv.Int())
+		case fv.CanUint():
+			x = float64(fv.Uint())
+		case fv.CanFloat():
+			x = fv.Float()
+		default:
+			panic(fmt.Sprintf("telemetry: metric %q tags %s.%s, which is not a number", name, st, f.Name))
+		}
+		r.Gauge(name, f.Tag.Get("help")).Set(x)
+	}
 }
 
 // GaugeVec returns a gauge family partitioned by one label.

@@ -163,3 +163,31 @@ func TestSnapshotHistogramQuantiles(t *testing.T) {
 		t.Fatalf("snapshot histogram = %+v", *mv)
 	}
 }
+
+func TestSetGaugesWalksTaggedNumbers(t *testing.T) {
+	r := NewRegistry()
+	r.SetGauges(struct {
+		A     int64   `metric:"t_a" help:"A."`
+		B     uint32  `metric:"t_b" help:"B."`
+		C     float64 `metric:"t_c" help:"C."`
+		Plain int
+		Names []string
+	}{A: -3, B: 7, C: 0.5, Plain: 9})
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	want := "# HELP t_a A.\n# TYPE t_a gauge\nt_a -3\n" +
+		"# HELP t_b B.\n# TYPE t_b gauge\nt_b 7\n" +
+		"# HELP t_c C.\n# TYPE t_c gauge\nt_c 0.5\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a metric tag on a string field did not panic")
+		}
+	}()
+	r.SetGauges(struct {
+		S string `metric:"t_s" help:"S."`
+	}{})
+}

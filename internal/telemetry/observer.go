@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mspastry/internal/pastry"
-	"mspastry/internal/peer"
 )
 
 // OverlayOptions tunes an Overlay observer.
@@ -174,83 +173,4 @@ func (o *Overlay) SecureVerdict(n *pastry.Node, verdict string) {
 // SecureRedundant implements pastry.SecureObserver.
 func (o *Overlay) SecureRedundant(n *pastry.Node, fanout int) {
 	o.fanout.Observe(float64(fanout))
-}
-
-// RecordNodeCounters copies a node's internal protocol tallies into the
-// registry as gauges. On a live node this runs at scrape time (via
-// Registry.OnCollect); the simulator sets the run-aggregated counters once
-// at exit. Either way the metric names match.
-func RecordNodeCounters(reg *Registry, c pastry.Counters) {
-	set := func(name, help string, v uint64) {
-		reg.Gauge(name, help).Set(float64(v))
-	}
-	set("mspastry_node_rt_probes_sent",
-		"Routing-table liveness probes sent.", c.SentRTProbes)
-	set("mspastry_node_reconnect_probes_sent",
-		"Reconnect-cache pings to peers previously marked faulty.", c.SentReconnectProbes)
-	set("mspastry_node_heartbeats_sent",
-		"Left-neighbour heartbeats sent.", c.SentHeartbeats)
-	set("mspastry_node_suppressed_probes",
-		"Probes and heartbeats suppressed by application traffic.", c.SuppressedProbes)
-	set("mspastry_node_retransmits",
-		"Per-hop retransmissions (node counter).", c.Retransmits)
-	set("mspastry_node_false_positives",
-		"Nodes marked faulty that later proved alive.", c.FalsePositives)
-	set("mspastry_node_delivered_lookups",
-		"Lookups delivered as root (node counter).", c.DeliveredLookups)
-	set("mspastry_node_retry_budget_exhausted",
-		"Retransmissions suppressed by the per-peer retry budget.", c.RetryBudgetExhausted)
-	set("mspastry_node_breaker_opens",
-		"Per-peer circuit breakers tripped open.", c.BreakerOpens)
-	set("mspastry_node_breaker_reopens",
-		"Half-open breaker probes that failed and reopened the breaker.", c.BreakerReopens)
-	set("mspastry_node_breaker_closes",
-		"Breakers closed by a successful interaction.", c.BreakerCloses)
-	set("mspastry_node_secure_reports",
-		"Root completion reports evaluated by the routing failure test.", c.SecureReports)
-	set("mspastry_node_secure_test_pass",
-		"Root reports that passed the routing failure test.", c.SecureTestPass)
-	set("mspastry_node_secure_test_fail",
-		"Root reports that failed the routing failure test.", c.SecureTestFail)
-	set("mspastry_node_secure_redundant_rounds",
-		"Redundant diverse-path rounds issued for suspect lookups.", c.SecureRedundantRounds)
-	set("mspastry_node_secure_redundant_sends",
-		"Lookup copies sent by redundant diverse-path rounds.", c.SecureRedundantSends)
-	set("mspastry_node_secure_distrusted",
-		"Peers distrusted after a failed test lost the report vote.", c.SecureDistrusted)
-	set("mspastry_node_secure_giveups",
-		"Secure lookups that exhausted every redundant round without an accepted report.", c.SecureGiveUps)
-}
-
-// RecordPeerStats copies the node's per-peer state registry snapshot —
-// record cardinality by lifecycle class, sweep and eviction counters,
-// and the per-component slot breakdown — into the registry as gauges.
-func RecordPeerStats(reg *Registry, s peer.Stats) {
-	set := func(name, help string, v float64) {
-		reg.Gauge(name, help).Set(v)
-	}
-	set("mspastry_peers_live",
-		"Per-peer state records currently held.", float64(s.Live))
-	set("mspastry_peers_admitted",
-		"Peer records that have entered routing state at least once.", float64(s.Admitted))
-	set("mspastry_peers_strangers",
-		"Peer records never admitted to routing state (short TTL).", float64(s.Strangers))
-	set("mspastry_peers_doomed",
-		"Expelled peer records awaiting final deletion.", float64(s.Doomed))
-	set("mspastry_peers_sweeps_total",
-		"Registry prune passes run.", float64(s.Sweeps))
-	set("mspastry_peers_evicted_strangers_total",
-		"Never-admitted peer records evicted by TTL.", float64(s.EvictedStrangers))
-	set("mspastry_peers_evicted_admitted_total",
-		"Once-admitted peer records evicted by TTL.", float64(s.EvictedAdmitted))
-	set("mspastry_peers_expelled_total",
-		"Immediate eviction broadcasts (reconnect expiry, overflow).", float64(s.Expelled))
-	slotLive := reg.GaugeVec("mspastry_peers_slot_live",
-		"Records holding state in the component slot.", "slot")
-	slotDropped := reg.GaugeVec("mspastry_peers_slot_dropped_total",
-		"Slot values cleared by pruning in the component slot.", "slot")
-	for _, sl := range s.Slots {
-		slotLive.With(sl.Name).Set(float64(sl.Live))
-		slotDropped.With(sl.Name).Set(float64(sl.Dropped))
-	}
 }

@@ -15,20 +15,20 @@ import (
 )
 
 // countSink is a MetricsSink that keeps what the transport tests assert
-// on: the message count of every datagram received, decode errors and send
-// errors.
+// on: the message count of every datagram received, decode errors, send
+// errors, sheds by lane and contained handler panics.
 type countSink struct {
 	mu           sync.Mutex
 	datagrams    []int
 	decodeErrors int
 	sendErrors   int
+	shed         [overload.NumLanes]int
+	panics       int
 }
 
 func (s *countSink) MsgSent(pastry.Category, int)                {}
 func (s *countSink) MsgReceived(pastry.Category, int)            {}
 func (s *countSink) DatagramSent(int, int, int, time.Duration)   {}
-func (s *countSink) MsgShed(overload.Lane)                       {}
-func (s *countSink) HandlerPanic()                               {}
 func (s *countSink) DatagramReceived(bytes, msgs int)            { s.add(msgs, 0) }
 func (s *countSink) DecodeError()                                { s.add(0, 1) }
 func (s *countSink) snapshot() (datagrams []int, decodeErrs int) { return s.add(0, 0) }
@@ -43,6 +43,25 @@ func (s *countSink) sendErrorCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sendErrors
+}
+
+func (s *countSink) MsgShed(lane overload.Lane) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shed[lane]++
+}
+
+func (s *countSink) HandlerPanic() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.panics++
+}
+
+// overloadCounts returns the sheds by lane and the contained panics so far.
+func (s *countSink) overloadCounts() (shed [overload.NumLanes]int, panics int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shed, s.panics
 }
 
 func (s *countSink) add(msgs, errs int) ([]int, int) {

@@ -25,12 +25,14 @@ func TestUDPHandlerPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	sink := &countSink{}
+	tr.SetMetricsSink(sink)
 	if _, err := tr.CreateNode(id.Zero, liveConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.DoSync(func(n *pastry.Node) { n.Bootstrap() })
 	tr.DoSync(func(n *pastry.Node) { tr.deliver(n, bombMessage{}) })
-	if _, panics := tr.OverloadStats(); panics != 1 {
+	if _, panics := sink.overloadCounts(); panics != 1 {
 		t.Fatalf("panics = %d, want 1", panics)
 	}
 	alive := false
@@ -52,6 +54,8 @@ func TestUDPInboundQueueShedsLowestPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	sink := &countSink{}
+	tr.SetMetricsSink(sink)
 	tr.SetInboundQueue(2)
 	if _, err := tr.CreateNode(id.New(1, 0), liveConfig(), nil); err != nil {
 		t.Fatal(err)
@@ -90,7 +94,7 @@ func TestUDPInboundQueueShedsLowestPriority(t *testing.T) {
 	}
 	close(gate)
 
-	shed, _ := tr.OverloadStats()
+	shed, _ := sink.overloadCounts()
 	if shed[overload.LaneLiveness] != 0 {
 		t.Fatalf("liveness messages shed: %d", shed[overload.LaneLiveness])
 	}

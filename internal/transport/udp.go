@@ -79,7 +79,6 @@ type UDP struct {
 	timerSeq uint64
 
 	sent, received atomic.Uint64
-	panics         atomic.Uint64
 
 	// inQ, when set, bounds inbound work between the read loop and the
 	// event loop, shedding lowest-priority-first. Shared by both loops.
@@ -170,18 +169,6 @@ func (t *UDP) SetInboundQueue(limit int) {
 		return
 	}
 	t.inQ = overload.NewQueue(limit)
-}
-
-// OverloadStats reports the inbound queue's per-lane shed counts (all
-// zero without SetInboundQueue) and the number of contained handler
-// panics.
-func (t *UDP) OverloadStats() (shed [overload.NumLanes]uint64, panics uint64) {
-	t.inMu.Lock()
-	if t.inQ != nil {
-		shed = t.inQ.Shed
-	}
-	t.inMu.Unlock()
-	return shed, t.panics.Load()
 }
 
 // Listen opens a UDP socket on addr (for example "127.0.0.1:0") and starts
@@ -442,14 +429,13 @@ func (t *UDP) drainInbound(node *pastry.Node) {
 
 // deliver hands one message to the node, containing handler panics: a
 // latent protocol bug triggered by one peer's message must not take the
-// whole process down, so the panic is counted and the loop keeps
-// serving. The node's state may be mid-transition, but every handler
-// mutation is completed or abandoned wholesale (no partial locks), so
-// continuing is safe.
+// whole process down, so the panic is reported to the MetricsSink and the
+// loop keeps serving. The node's state may be mid-transition, but every
+// handler mutation is completed or abandoned wholesale (no partial locks),
+// so continuing is safe.
 func (t *UDP) deliver(node *pastry.Node, m pastry.Message) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.panics.Add(1)
 			if sink := t.metricsSink(); sink != nil {
 				sink.HandlerPanic()
 			}
