@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-loss %g outside [0,1)", *loss)
 	case *lookups < 0:
 		return fail(2, "-lookups must be >= 0, got %g", *lookups)
-	case *workload != harness.WorkloadUniform && *workload != harness.WorkloadZipf:
+	case *workload != "uniform" && *workload != "zipf":
 		return fail(2, "-workload must be uniform or zipf, got %q", *workload)
 	case *zipfS <= 0:
 		return fail(2, "-zipf-s must be > 0, got %g", *zipfS)
@@ -162,9 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Service = netmodel.ServiceModel{QueueLimit: *svcQueue, Rate: *svcRate}
 	}
 	cfg.LookupRate = *lookups
-	cfg.Workload = *workload
-	cfg.ZipfS = *zipfS
-	cfg.ZipfKeys = *zipfKeys
+	if *workload == "zipf" {
+		cfg.Zipf = harness.NewZipf(*seed, *zipfKeys, *zipfS)
+	}
 	cfg.SetupRamp = setupRamp
 	cfg.Seed = *seed
 	cfg.MaliciousFraction = *malFrac
@@ -178,14 +178,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			script.Partition(*faultAt, *faultDur, *partFrac)
 		}
 		if *spike > 0 {
-			script.DelaySpike(*faultAt, *faultDur, *spike)
+			script.Add(*faultAt, *faultDur, netmodel.Fault{Spike: *spike})
 		}
 		cfg.Faults = script
 	}
 
 	fmt.Fprintf(stdout, "# topology=%s (routers=%d) trace=%s (nodes=%d, %v) loss=%.1f%% lookups=%g/s\n",
 		topo.Name(), topo.NumRouters(), tr.Name, tr.Nodes, tr.Duration, *loss*100, *lookups)
-	if *workload == harness.WorkloadZipf {
+	if cfg.Zipf != nil {
 		fmt.Fprintf(stdout, "# workload=zipf s=%g keys=%d\n", *zipfS, *zipfKeys)
 	}
 	if *malFrac > 0 {

@@ -230,7 +230,7 @@ func TestHotspotCacheAcrossPartitionHeal(t *testing.T) {
 			sideA[s.Node().Ref().Addr] = true
 		}
 	}
-	c.nw.Faults().PartitionAt(c.sim.Now(), 30*time.Second, func(addr string) bool { return sideA[addr] })
+	c.nw.Faults().At(c.sim.Now(), 30*time.Second, netmodel.Fault{Partition: func(addr string) bool { return sideA[addr] }})
 	c.settle(5 * time.Second)
 
 	// The reader's local copy is inside the TTL: the read is served from

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/netmodel"
 	"mspastry/internal/store"
 )
 
@@ -154,7 +155,8 @@ func TestPartitionHealConvergence(t *testing.T) {
 	for _, s := range c.stores[:5] {
 		sideA[s.Node().Ref().Addr] = true
 	}
-	c.nw.Faults().SetPartition(func(addr string) bool { return sideA[addr] })
+	c.nw.Faults().At(c.sim.Now(), 90*time.Second, netmodel.Fault{Partition: func(addr string) bool { return sideA[addr] }})
+	c.settle(0) // armed before the puts below are sent
 
 	// Update every key from inside side A; only keys whose root is
 	// reachable there will ack.
@@ -171,8 +173,8 @@ func TestPartitionHealConvergence(t *testing.T) {
 	if len(updated) == 0 {
 		t.Fatal("no update succeeded inside the partition")
 	}
-	c.nw.Faults().SetPartition(nil)
-	// Overlay re-merge plus several anti-entropy sweeps.
+	// The window has closed: overlay re-merge plus several anti-entropy
+	// sweeps.
 	c.settle(5 * time.Minute)
 
 	// Every successfully updated key must read "new" from the side that

@@ -104,7 +104,7 @@ func jitterRuns(s Scale, spike time.Duration) (hold, naive harness.Result) {
 			cfg.Pastry.HoldOnSuspect = i == 0
 			script := new(harness.FaultScript)
 			for at := jitterFPWarm; at+jitterSpikeOn <= jitterFPRun-time.Minute; at += jitterPeriod {
-				script.DelaySpike(at, jitterSpikeOn, spike)
+				script.Add(at, jitterSpikeOn, netmodel.Fault{Spike: spike})
 			}
 			cfg.Faults = script
 		})

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -9,24 +10,40 @@ import (
 	"mspastry/internal/stats"
 )
 
-// FaultScript is a scriptable fault scenario: a list of timed fault
-// events (partitions, jitter windows, delay spikes, duplication,
-// reordering, per-link loss) interleaved with the trace's churn. Event
-// times are measured times — relative to the end of the setup ramp, like
-// the trace's churn events — so a scenario is independent of the ramp
-// length. Build one with the fluent methods and set it on Config.Faults;
-// commands and experiments script partitions and delay spikes, and the
-// other kinds are unexported helpers for this package's tests.
+// FaultScript is a scriptable fault scenario: a list of timed
+// netmodel.Fault windows interleaved with the trace's churn. Event times
+// are measured times — relative to the end of the setup ramp, like the
+// trace's churn events — so a scenario is independent of the ramp length.
+// Build one with Add and Partition and set it on Config.Faults.
 type FaultScript struct {
 	events []faultEvent
 }
 
 type faultEvent struct {
 	at, dur time.Duration
-	// partitionFrac > 0 marks a partition event (the recovery tracker
-	// watches its heal); the other fault kinds are applied by apply.
+	fault   netmodel.Fault
+	// partitionFrac > 0 marks a slot-relative partition: its side A is the
+	// first partitionFrac of the endpoint slots, and the recovery tracker
+	// watches its heal.
 	partitionFrac float64
-	apply         func(r *run, f *netmodel.FaultSet, start time.Duration)
+	// linkSlots, when non-nil, names the From and To endpoint slots of a
+	// slot-relative link loss.
+	linkSlots []int
+}
+
+// add appends one window, rejecting a dur that would never close it.
+func (s *FaultScript) add(ev faultEvent) *FaultScript {
+	if ev.dur <= 0 {
+		panic(fmt.Sprintf("harness: fault window dur %v, want > 0", ev.dur))
+	}
+	s.events = append(s.events, ev)
+	return s
+}
+
+// Add arms f for dur starting at measured time at. netmodel.FaultSet.At
+// validates f when the run is built.
+func (s *FaultScript) Add(at, dur time.Duration, f netmodel.Fault) *FaultScript {
+	return s.add(faultEvent{at: at, dur: dur, fault: f})
 }
 
 // Partition splits the overlay for dur starting at measured time at: the
@@ -36,59 +53,14 @@ func (s *FaultScript) Partition(at, dur time.Duration, fracA float64) *FaultScri
 	if fracA <= 0 || fracA >= 1 {
 		panic("harness: partition fraction must be in (0,1)")
 	}
-	s.events = append(s.events, faultEvent{at: at, dur: dur, partitionFrac: fracA})
-	return s
-}
-
-// jitter adds a uniform random extra delay in [0, max] to every message
-// for dur starting at measured time at.
-func (s *FaultScript) jitter(at, dur, max time.Duration) *FaultScript {
-	s.events = append(s.events, faultEvent{at: at, dur: dur,
-		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
-			f.JitterAt(start, dur, max)
-		}})
-	return s
-}
-
-// DelaySpike adds a fixed extra delay to every message for dur starting
-// at measured time at (the false-positive inducer for per-hop
-// retransmission timers).
-func (s *FaultScript) DelaySpike(at, dur, extra time.Duration) *FaultScript {
-	s.events = append(s.events, faultEvent{at: at, dur: dur,
-		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
-			f.DelaySpikeAt(start, dur, extra)
-		}})
-	return s
-}
-
-// duplicate duplicates messages with probability p for dur starting at
-// measured time at.
-func (s *FaultScript) duplicate(at, dur time.Duration, p float64) *FaultScript {
-	s.events = append(s.events, faultEvent{at: at, dur: dur,
-		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
-			f.DuplicationAt(start, dur, p)
-		}})
-	return s
-}
-
-// reorder holds messages back by up to maxExtra with probability p for
-// dur starting at measured time at.
-func (s *FaultScript) reorder(at, dur time.Duration, p float64, maxExtra time.Duration) *FaultScript {
-	s.events = append(s.events, faultEvent{at: at, dur: dur,
-		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
-			f.ReorderingAt(start, dur, p, maxExtra)
-		}})
-	return s
+	return s.add(faultEvent{at: at, dur: dur, partitionFrac: fracA})
 }
 
 // linkLoss injects asymmetric loss on the directed link between two
 // endpoint slots for dur starting at measured time at.
 func (s *FaultScript) linkLoss(at, dur time.Duration, fromSlot, toSlot int, rate float64) *FaultScript {
-	s.events = append(s.events, faultEvent{at: at, dur: dur,
-		apply: func(r *run, f *netmodel.FaultSet, start time.Duration) {
-			f.LinkLossAt(start, dur, r.slots[fromSlot].ep.Addr(), r.slots[toSlot].ep.Addr(), rate)
-		}})
-	return s
+	return s.add(faultEvent{at: at, dur: dur, fault: netmodel.Fault{LinkLoss: rate},
+		linkSlots: []int{fromSlot, toSlot}})
 }
 
 // window returns the measured interval spanned by the script's events.
@@ -122,20 +94,21 @@ func (r *run) applyFaults() {
 	}
 	start, end := script.window()
 	r.col.SetFaultWindow(start, end)
-	f := r.nw.Faults()
+	faults := r.nw.Faults()
 	for _, ev := range script.events {
-		at := r.setup + ev.at
+		at, f := r.setup+ev.at, ev.fault
+		if ev.linkSlots != nil {
+			f.From, f.To = r.slots[ev.linkSlots[0]].ep.Addr(), r.slots[ev.linkSlots[1]].ep.Addr()
+		}
 		if ev.partitionFrac > 0 {
 			cut := int(float64(len(r.slots)) * ev.partitionFrac)
 			base := r.slotBase()
-			sideA := func(addr string) bool { return mustAtoi(addr)-base < cut }
-			f.PartitionAt(at, ev.dur, sideA)
-			if ev.dur > 0 {
-				r.trackRecovery(at + ev.dur)
-			}
-			continue
+			f.Partition = func(addr string) bool { return mustAtoi(addr)-base < cut }
 		}
-		ev.apply(r, f, at)
+		faults.At(at, ev.dur, f)
+		if f.Partition != nil {
+			r.trackRecovery(at + ev.dur)
+		}
 	}
 }
 

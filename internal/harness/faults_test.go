@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,8 +69,8 @@ func TestFaultScriptDeterministic(t *testing.T) {
 		cfg := faultConfig(t, 30, 16*time.Minute)
 		cfg.Faults = new(FaultScript).
 			Partition(5*time.Minute, time.Minute, 0.5).
-			jitter(9*time.Minute, time.Minute, 50*time.Millisecond).
-			duplicate(11*time.Minute, time.Minute, 0.1)
+			Add(9*time.Minute, time.Minute, netmodel.Fault{Jitter: 50 * time.Millisecond}).
+			Add(11*time.Minute, time.Minute, netmodel.Fault{Duplicate: 0.1})
 		return Run(cfg)
 	}
 	a, b := runOnce(), runOnce()
@@ -94,7 +96,7 @@ func TestDelaySpikeCausesRetransmissionStorm(t *testing.T) {
 	calm := Run(base)
 
 	spiky := faultConfig(t, 30, 16*time.Minute)
-	spiky.Faults = new(FaultScript).DelaySpike(6*time.Minute, 30*time.Second, time.Second)
+	spiky.Faults = new(FaultScript).Add(6*time.Minute, 30*time.Second, netmodel.Fault{Spike: time.Second})
 	res := Run(spiky)
 
 	if res.Totals.Retransmits <= calm.Totals.Retransmits {
@@ -104,5 +106,29 @@ func TestDelaySpikeCausesRetransmissionStorm(t *testing.T) {
 	if res.Totals.PeakRetxPerNodeSec <= calm.Totals.PeakRetxPerNodeSec {
 		t.Fatalf("spike peak retx rate %.4f not above calm %.4f",
 			res.Totals.PeakRetxPerNodeSec, calm.Totals.PeakRetxPerNodeSec)
+	}
+}
+
+// TestFaultScriptRejectsOpenWindows: a window must close, so Add and
+// Partition refuse a dur that is not positive, as netmodel's At does.
+func TestFaultScriptRejectsOpenWindows(t *testing.T) {
+	for _, add := range []func(s *FaultScript){
+		func(s *FaultScript) { s.Add(time.Minute, 0, netmodel.Fault{Spike: time.Second}) },
+		func(s *FaultScript) { s.Add(time.Minute, -time.Second, netmodel.Fault{Spike: time.Second}) },
+		func(s *FaultScript) { s.Partition(time.Minute, 0, 0.5) },
+		func(s *FaultScript) { s.Partition(time.Minute, -time.Second, 0.5) },
+	} {
+		s := new(FaultScript)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "dur") {
+					t.Errorf("panicked with %v, want one naming dur", r)
+				}
+			}()
+			add(s)
+		}()
+		if len(s.events) != 0 {
+			t.Errorf("a rejected window was scripted: %+v", s.events)
+		}
 	}
 }

@@ -55,9 +55,10 @@ type Config struct {
 	// processing rate); see netmodel.ServiceModel. The zero value keeps
 	// the classic infinite-capacity model.
 	Service netmodel.ServiceModel
-	// Faults is an optional scripted fault scenario (partitions, jitter,
-	// delay spikes, duplication, reordering, per-link loss) applied on
-	// top of the uniform loss model. Event times are measured times.
+	// Faults is an optional scripted fault scenario: timed
+	// netmodel.Fault windows (partitions, per-link loss, delay spikes,
+	// jitter, duplication, reordering) applied on top of the uniform loss
+	// model. Event times are measured times.
 	Faults *FaultScript
 	// Telemetry, when non-nil, receives the run's metrics under the same
 	// metric names a live mspastry-node exports on /metrics, so sim
@@ -71,18 +72,12 @@ type Config struct {
 	// behaviour of netmodel.Adversary. Zero disables the adversary
 	// entirely and reproduces pre-adversary runs bit-for-bit.
 	MaliciousFraction float64
-	// Workload selects the lookup key distribution: WorkloadUniform
-	// (empty means uniform, the paper's model) or WorkloadZipf. The
-	// uniform path is byte-for-byte the pre-workload behaviour.
-	Workload string
-	// ZipfS is the zipf exponent for WorkloadZipf; zero means 1.0
-	// (classic web popularity).
-	ZipfS float64
-	// ZipfKeys is the popular key set size for WorkloadZipf; zero means
-	// 1024.
-	ZipfKeys int
+	// Zipf, when non-nil, draws lookup keys from its popular key set (see
+	// NewZipf); nil draws them uniformly from the id space, the paper's
+	// model.
+	Zipf *Zipf
 	// Seed seeds all randomness (ids, lookup keys, loss, faults,
-	// adversary selection).
+	// adversary selection) but a Zipf's key set, which NewZipf seeds.
 	Seed int64
 
 	// lossTimeout is how long a lookup may remain undelivered before it
@@ -180,10 +175,6 @@ type run struct {
 	// adv is the configured Byzantine adversary (nil when
 	// cfg.MaliciousFraction is zero).
 	adv *netmodel.Adversary
-
-	// zipf samples lookup keys when cfg.Workload is WorkloadZipf (nil
-	// for the uniform workload).
-	zipf *Zipf
 }
 
 type slot struct {
@@ -228,25 +219,6 @@ func newRun(cfg Config) *run {
 	first := cfg.Topo.Attach(cfg.Trace.Nodes, sim.Rand())
 	for i := range r.slots {
 		r.slots[i] = &slot{ep: nw.NewEndpoint(first + i)}
-	}
-	switch cfg.Workload {
-	case "", WorkloadUniform:
-		// Uniform keys: the pre-workload behaviour, untouched.
-	case WorkloadZipf:
-		s := cfg.ZipfS
-		if s == 0 {
-			s = 1.0
-		}
-		n := cfg.ZipfKeys
-		if n == 0 {
-			n = 1024
-		}
-		// The popular key set comes from a dedicated stream keyed off
-		// cfg.Seed, so zipf runs stay reproducible without perturbing
-		// the simulator's other draws.
-		r.zipf = NewZipf(cfg.Seed, n, s)
-	default:
-		panic("harness: unknown workload " + cfg.Workload)
 	}
 	if cfg.MaliciousFraction > 0 {
 		if cfg.MaliciousFraction >= 1 {
@@ -433,11 +405,10 @@ func (r *run) randomActiveRef() (pastry.NodeRef, bool) {
 	return s.node.Ref(), true
 }
 
-// nextKey draws one lookup key from the configured workload. The
-// uniform branch is byte-identical to the pre-workload draw sequence.
+// nextKey draws one lookup key from the configured workload.
 func (r *run) nextKey() id.ID {
-	if r.zipf != nil {
-		return r.zipf.Next(r.sim.Rand())
+	if r.cfg.Zipf != nil {
+		return r.cfg.Zipf.Next(r.sim.Rand())
 	}
 	return id.Random(r.sim.Rand())
 }

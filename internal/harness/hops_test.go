@@ -61,8 +61,8 @@ func hopsConfig(t testing.TB) Config {
 	cfg.Seed = 24
 	cfg.Pastry.RetryBudgetRate, cfg.Pastry.RetryBudgetBurst = 0.5, 2
 	cfg.Faults = new(FaultScript).
-		duplicate(0, dur, 0.05).
-		reorder(0, dur, 0.1, 300*time.Millisecond)
+		Add(0, dur, netmodel.Fault{Duplicate: 0.05}).
+		Add(0, dur, netmodel.Fault{Reorder: 0.1, ReorderMax: 300 * time.Millisecond})
 	for from := 0; from < cfg.Trace.Nodes; from++ {
 		cfg.Faults.linkLoss(0, dur, from, deafSlot, 0.9)
 	}

@@ -7,24 +7,16 @@ import (
 	"mspastry/internal/id"
 )
 
-// Workload names for Config.Workload.
-const (
-	// WorkloadUniform draws lookup keys uniformly from the id space
-	// (the paper's model, and the default).
-	WorkloadUniform = "uniform"
-	// WorkloadZipf draws lookup keys zipf-distributed over a fixed
-	// popular key set, concentrating traffic on a few hot roots.
-	WorkloadZipf = "zipf"
-)
-
 // Zipf is a seeded zipf(s) sampler over a fixed set of n keys: key rank
 // i (1-based) is drawn with probability proportional to 1/i^s. Unlike
 // math/rand's Zipf it accepts any s > 0 (the classic web measurements
 // cluster around s ≈ 1, which rand.NewZipf excludes), using inverse-CDF
-// sampling over the precomputed cumulative weights.
+// sampling over the precomputed cumulative weights. Set on Config.Zipf,
+// it concentrates lookup traffic on a few hot roots.
 //
 // The key set derives from its own seeded stream, so enabling the zipf
-// workload never perturbs the simulator's other random draws.
+// workload never perturbs the simulator's other random draws, and a Zipf
+// is read-only once built, so runs may share one.
 type Zipf struct {
 	keys []id.ID
 	cum  []float64

@@ -25,7 +25,7 @@ func TestZipfDeterministic(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
+func TestZipfIsSkewed(t *testing.T) {
 	// s = 1.0 is the interesting exponent: math/rand's Zipf requires
 	// s > 1, which is exactly why the harness rolls its own sampler.
 	z := NewZipf(1, 100, 1.0)

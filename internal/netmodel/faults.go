@@ -85,169 +85,127 @@ type FaultCounters struct {
 	Reordered uint64
 }
 
-// linkKey identifies a directed endpoint pair for per-link loss.
-type linkKey struct{ from, to string }
-
-// FaultSet is the mutable fault state of a Network plus schedulers that
-// arm and disarm faults at virtual times. The zero state injects nothing;
-// obtain one with Network.Faults. All mutation must happen inside
-// simulator events (the simulator is single-threaded).
-type FaultSet struct {
-	nw *Network
-
-	// partition, when non-nil, splits endpoints into two sides; messages
+// Fault is one set of adversarial network conditions, armed for a window
+// by FaultSet.At. Every zero field injects nothing, and only the effects a
+// Fault sets are armed and later disarmed, so windows of different kinds
+// compose freely. Within one kind the last window armed wins, and the end
+// of any window of that kind disarms it: a spike of 1 s over [0, 60 s) and
+// one of 2 s over [30 s, 90 s) read 1 s, then 2 s, then nothing from 60 s
+// on. Link loss is one kind per directed link.
+type Fault struct {
+	// Partition, when non-nil, splits endpoints into two sides: messages
 	// whose endpoints map to different sides are dropped. The predicate is
 	// evaluated per message, so endpoints created mid-partition are
 	// covered.
-	partition func(addr string) bool
+	Partition func(addr string) bool
+
+	// LinkLoss drops messages on the directed link From → To (endpoint
+	// addresses) with this probability. Asymmetric loss sets only one
+	// direction.
+	From, To string
+	LinkLoss float64
+
+	// Spike adds a fixed extra delay to every message (the false-positive
+	// inducer for aggressive retransmission timers).
+	Spike time.Duration
+
+	// Jitter adds a uniform random extra delay in [0, Jitter] to every
+	// message.
+	Jitter time.Duration
+
+	// Duplicate duplicates a delivered message with this probability; the
+	// copy takes an independently perturbed delay.
+	Duplicate float64
+
+	// Reorder holds a delivered message back by a uniform random extra
+	// delay in (0, ReorderMax] with this probability, letting later-sent
+	// messages overtake it (bounded reordering).
+	Reorder    float64
+	ReorderMax time.Duration
+}
+
+// check panics, naming the field, on a window At cannot arm.
+func (ft Fault) check(dur time.Duration) {
+	outside := func(p float64) bool { return p < 0 || p >= 1 }
+	switch {
+	case outside(ft.LinkLoss):
+		panic(fmt.Sprintf("netmodel: Fault.LinkLoss %v outside [0,1)", ft.LinkLoss))
+	case outside(ft.Duplicate):
+		panic(fmt.Sprintf("netmodel: Fault.Duplicate %v outside [0,1)", ft.Duplicate))
+	case outside(ft.Reorder):
+		panic(fmt.Sprintf("netmodel: Fault.Reorder %v outside [0,1)", ft.Reorder))
+	case ft.Spike < 0:
+		panic(fmt.Sprintf("netmodel: negative Fault.Spike %v", ft.Spike))
+	case ft.Jitter < 0:
+		panic(fmt.Sprintf("netmodel: negative Fault.Jitter %v", ft.Jitter))
+	case ft.Reorder > 0 && ft.ReorderMax <= 0:
+		panic(fmt.Sprintf("netmodel: Fault.Reorder needs a positive Fault.ReorderMax, got %v", ft.ReorderMax))
+	case dur <= 0:
+		panic(fmt.Sprintf("netmodel: fault window dur %v, want > 0", dur))
+	}
+}
+
+// linkKey identifies a directed endpoint pair for per-link loss.
+type linkKey struct{ from, to string }
+
+// FaultSet is the fault state of a Network. The zero state injects
+// nothing; obtain one with Network.Faults and arm faults with At.
+type FaultSet struct {
+	nw *Network
+
+	// armed holds the effects in force, link loss aside.
+	armed Fault
 
 	// linkLoss holds per-directed-link injected loss probabilities.
 	linkLoss map[linkKey]float64
-
-	// jitterMax adds a uniform random extra delay in [0, jitterMax] to
-	// every delivered message.
-	jitterMax time.Duration
-
-	// spikeExtra adds a fixed extra delay to every delivered message (a
-	// delay spike: the false-positive inducer for aggressive
-	// retransmission timers).
-	spikeExtra time.Duration
-
-	// dupProb duplicates a delivered message with this probability; the
-	// copy takes an independently perturbed delay.
-	dupProb float64
-
-	// reorderProb holds a delivered message back by a uniform random extra
-	// delay in (0, reorderMax] with this probability, letting
-	// later-sent messages overtake it (bounded reordering).
-	reorderProb float64
-	reorderMax  time.Duration
 }
 
 // Faults returns the network's fault set, creating it on first use.
 func (nw *Network) Faults() *FaultSet {
 	if nw.faults == nil {
-		nw.faults = &FaultSet{nw: nw}
+		nw.faults = &FaultSet{nw: nw, linkLoss: make(map[linkKey]float64)}
 	}
 	return nw.faults
 }
 
-// ---- immediate setters ----
-
-// SetPartition splits the network: endpoints for which sideA returns true
-// cannot exchange messages with the rest. Passing nil heals the partition.
-// Only one partition is active at a time; setting a new one replaces the
-// old.
-func (f *FaultSet) SetPartition(sideA func(addr string) bool) {
-	f.partition = sideA
+// At arms every effect ft sets at virtual time start, even when start is
+// now, and disarms those effects at start+dur. It panics, naming the
+// field, on a probability outside [0,1), a negative Spike or Jitter, a
+// Reorder without a positive ReorderMax, or a dur that is not positive.
+func (f *FaultSet) At(start, dur time.Duration, ft Fault) {
+	ft.check(dur)
+	f.nw.sim.At(start, func() { f.toggle(ft, true) })
+	f.nw.sim.At(start+dur, func() { f.toggle(ft, false) })
 }
 
-// SetLinkLoss injects loss probability rate on the directed link from →
-// to (endpoint addresses). Rate 0 removes the rule. Asymmetric loss is
-// expressed by setting only one direction.
-func (f *FaultSet) SetLinkLoss(from, to string, rate float64) {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("netmodel: link loss rate %v outside [0,1)", rate))
+// toggle arms (on) or disarms every effect ft sets.
+func (f *FaultSet) toggle(ft Fault, on bool) {
+	src := ft
+	if !on {
+		src = Fault{}
 	}
-	if rate == 0 {
-		delete(f.linkLoss, linkKey{from, to})
-		return
+	a := &f.armed
+	if ft.Partition != nil {
+		a.Partition = src.Partition
 	}
-	if f.linkLoss == nil {
-		f.linkLoss = make(map[linkKey]float64)
+	if ft.LinkLoss > 0 {
+		if k := (linkKey{ft.From, ft.To}); on {
+			f.linkLoss[k] = ft.LinkLoss
+		} else {
+			delete(f.linkLoss, k) // not zeroed: a zero-probability entry still draws
+		}
 	}
-	f.linkLoss[linkKey{from, to}] = rate
-}
-
-// SetJitter adds a uniform random extra delay in [0, max] to every
-// message. Zero disables jitter.
-func (f *FaultSet) SetJitter(max time.Duration) {
-	if max < 0 {
-		panic("netmodel: negative jitter")
+	if ft.Spike > 0 {
+		a.Spike = src.Spike
 	}
-	f.jitterMax = max
-}
-
-// SetDelaySpike adds a fixed extra delay to every message. Zero ends the
-// spike.
-func (f *FaultSet) SetDelaySpike(extra time.Duration) {
-	if extra < 0 {
-		panic("netmodel: negative delay spike")
+	if ft.Jitter > 0 {
+		a.Jitter = src.Jitter
 	}
-	f.spikeExtra = extra
-}
-
-// SetDuplication duplicates each delivered message with probability p.
-func (f *FaultSet) SetDuplication(p float64) {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("netmodel: duplication probability %v outside [0,1)", p))
+	if ft.Duplicate > 0 {
+		a.Duplicate = src.Duplicate
 	}
-	f.dupProb = p
-}
-
-// SetReordering holds each delivered message back by a random extra delay
-// in (0, maxExtra] with probability p, so later messages can overtake it.
-func (f *FaultSet) SetReordering(p float64, maxExtra time.Duration) {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("netmodel: reordering probability %v outside [0,1)", p))
-	}
-	if p > 0 && maxExtra <= 0 {
-		panic("netmodel: reordering needs a positive maxExtra")
-	}
-	f.reorderProb = p
-	f.reorderMax = maxExtra
-}
-
-// ---- timed schedulers ----
-// Each arms the fault at virtual time start and disarms it duration
-// later (duration <= 0 leaves the fault active until cleared manually).
-
-// PartitionAt schedules a partition with a timed heal.
-func (f *FaultSet) PartitionAt(start, duration time.Duration, sideA func(addr string) bool) {
-	f.at(start, duration,
-		func() { f.SetPartition(sideA) },
-		func() { f.SetPartition(nil) })
-}
-
-// LinkLossAt schedules per-link loss on from → to.
-func (f *FaultSet) LinkLossAt(start, duration time.Duration, from, to string, rate float64) {
-	f.at(start, duration,
-		func() { f.SetLinkLoss(from, to, rate) },
-		func() { f.SetLinkLoss(from, to, 0) })
-}
-
-// JitterAt schedules a jitter window.
-func (f *FaultSet) JitterAt(start, duration, max time.Duration) {
-	f.at(start, duration,
-		func() { f.SetJitter(max) },
-		func() { f.SetJitter(0) })
-}
-
-// DelaySpikeAt schedules a delay-spike window.
-func (f *FaultSet) DelaySpikeAt(start, duration, extra time.Duration) {
-	f.at(start, duration,
-		func() { f.SetDelaySpike(extra) },
-		func() { f.SetDelaySpike(0) })
-}
-
-// DuplicationAt schedules a duplication window.
-func (f *FaultSet) DuplicationAt(start, duration time.Duration, p float64) {
-	f.at(start, duration,
-		func() { f.SetDuplication(p) },
-		func() { f.SetDuplication(0) })
-}
-
-// ReorderingAt schedules a reordering window.
-func (f *FaultSet) ReorderingAt(start, duration time.Duration, p float64, maxExtra time.Duration) {
-	f.at(start, duration,
-		func() { f.SetReordering(p, maxExtra) },
-		func() { f.SetReordering(0, 0) })
-}
-
-func (f *FaultSet) at(start, duration time.Duration, arm, disarm func()) {
-	f.nw.sim.At(start, arm)
-	if duration > 0 {
-		f.nw.sim.At(start+duration, disarm)
+	if ft.Reorder > 0 {
+		a.Reorder, a.ReorderMax = src.Reorder, src.ReorderMax
 	}
 }
 
@@ -256,7 +214,7 @@ func (f *FaultSet) at(start, duration time.Duration, arm, disarm func()) {
 // dropsMessage rolls the loss-like faults for one message and returns the
 // cause if it must be dropped.
 func (f *FaultSet) dropsMessage(rng *rand.Rand, from, to string) (DropCause, bool) {
-	if f.partition != nil && f.partition(from) != f.partition(to) {
+	if side := f.armed.Partition; side != nil && side(from) != side(to) {
 		return DropPartition, true
 	}
 	if p, ok := f.linkLoss[linkKey{from, to}]; ok && rng.Float64() < p {
@@ -268,20 +226,21 @@ func (f *FaultSet) dropsMessage(rng *rand.Rand, from, to string) (DropCause, boo
 // perturbDelay applies the delay-shaped faults (spike, jitter, reordering)
 // to a message's one-way delay.
 func (f *FaultSet) perturbDelay(rng *rand.Rand, delay time.Duration) time.Duration {
-	delay += f.spikeExtra
-	if f.jitterMax > 0 {
-		delay += time.Duration(rng.Int63n(int64(f.jitterMax) + 1))
+	a := &f.armed
+	delay += a.Spike
+	if a.Jitter > 0 {
+		delay += time.Duration(rng.Int63n(int64(a.Jitter) + 1))
 	}
-	if f.reorderProb > 0 && rng.Float64() < f.reorderProb {
+	if a.Reorder > 0 && rng.Float64() < a.Reorder {
 		f.nw.FaultCounts.Reordered++
-		delay += 1 + time.Duration(rng.Int63n(int64(f.reorderMax)))
+		delay += 1 + time.Duration(rng.Int63n(int64(a.ReorderMax)))
 	}
 	return delay
 }
 
 // duplicates rolls the duplication fault.
 func (f *FaultSet) duplicates(rng *rand.Rand) bool {
-	if f.dupProb > 0 && rng.Float64() < f.dupProb {
+	if p := f.armed.Duplicate; p > 0 && rng.Float64() < p {
 		f.nw.FaultCounts.Duplicated++
 		return true
 	}

@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +45,10 @@ func rootWithLog(t *testing.T) (*eventsim.Simulator, *Network, *Endpoint, *Endpo
 	return sim, nw, a, b, nb, log
 }
 
+// armNow arms ft at once and for good, for tests that send before the
+// simulator first runs (At arms in an event).
+func armNow(nw *Network, ft Fault) { nw.Faults().toggle(ft, true) }
+
 func lookupEnvelope(from *pastry.Node, seq uint64) *pastry.Envelope {
 	return &pastry.Envelope{
 		Xfer: seq,
@@ -63,7 +69,7 @@ func TestPartitionDropsCrossSideAndHeals(t *testing.T) {
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
 	sideA := func(addr string) bool { return addr == a.Addr() }
-	nw.Faults().PartitionAt(0, time.Minute, sideA)
+	nw.Faults().At(0, time.Minute, Fault{Partition: sideA})
 
 	// During the partition the probe (and any reply) is dropped.
 	sim.RunUntil(time.Second)
@@ -91,7 +97,7 @@ func TestPartitionSameSideDelivers(t *testing.T) {
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
 	// Both endpoints on side A: traffic between them is unaffected.
-	nw.Faults().SetPartition(func(string) bool { return true })
+	armNow(nw, Fault{Partition: func(string) bool { return true }})
 	a.Send(nb.Ref(), &pastry.DistProbe{From: na.Ref(), Seq: 1})
 	sim.RunUntil(10 * time.Second)
 	if !na.Table().Contains(nb.Ref().ID) {
@@ -106,7 +112,7 @@ func TestAsymmetricLinkLoss(t *testing.T) {
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
 	// Lose everything a→b; leave b→a untouched.
-	nw.Faults().SetLinkLoss(a.Addr(), b.Addr(), 0.999999)
+	armNow(nw, Fault{From: a.Addr(), To: b.Addr(), LinkLoss: 0.999999})
 	for i := 0; i < 50; i++ {
 		a.Send(nb.Ref(), &pastry.Heartbeat{From: na.Ref()})
 	}
@@ -130,7 +136,7 @@ func TestDelaySpikeShiftsDelivery(t *testing.T) {
 	sim, nw, a, b, _, log := rootWithLog(t)
 	na := a.nw.eps[a.Addr()].node
 	const extra = 5 * time.Second
-	nw.Faults().SetDelaySpike(extra)
+	armNow(nw, Fault{Spike: extra})
 	a.Send(b.node.Ref(), lookupEnvelope(na, 1))
 	base := nw.Topology().Delay(a.Index(), b.Index())
 	sim.RunUntil(base + extra - time.Millisecond)
@@ -143,11 +149,75 @@ func TestDelaySpikeShiftsDelivery(t *testing.T) {
 	}
 }
 
+// TestOverlappingSpikeWindows pins what two windows of one kind do: the
+// later arm wins, and the earlier window's end disarms the kind although
+// the later window is still open.
+func TestOverlappingSpikeWindows(t *testing.T) {
+	sim, nw, a, b, _, log := rootWithLog(t)
+	na := a.nw.eps[a.Addr()].node
+	nw.Faults().At(0, time.Minute, Fault{Spike: time.Second})
+	nw.Faults().At(30*time.Second, time.Minute, Fault{Spike: 2 * time.Second})
+	base := nw.Topology().Delay(a.Index(), b.Index())
+	sends := []struct{ at, spike time.Duration }{
+		{15 * time.Second, time.Second},
+		{45 * time.Second, 2 * time.Second},
+		{75 * time.Second, 0},
+	}
+	for i, s := range sends {
+		sim.RunUntil(s.at)
+		a.Send(b.node.Ref(), lookupEnvelope(na, uint64(i+1)))
+	}
+	sim.RunUntil(2 * time.Minute)
+	if len(log.times) != len(sends) {
+		t.Fatalf("delivered %d of %d", len(log.times), len(sends))
+	}
+	for i, s := range sends {
+		if got := log.times[i] - s.at - base; got != s.spike {
+			t.Errorf("sent at %v: spike %v, want %v", s.at, got, s.spike)
+		}
+	}
+}
+
+// TestFaultAtRejects covers every window At refuses to arm; each panic
+// names the offending field.
+func TestFaultAtRejects(t *testing.T) {
+	_, nw := testNet(t, 0)
+	for _, c := range []struct {
+		name string
+		dur  time.Duration
+		ft   Fault
+	}{
+		{"Fault.LinkLoss", time.Second, Fault{LinkLoss: -0.1}},
+		{"Fault.LinkLoss", time.Second, Fault{LinkLoss: 1}},
+		{"Fault.Duplicate", time.Second, Fault{Duplicate: -0.1}},
+		{"Fault.Duplicate", time.Second, Fault{Duplicate: 1}},
+		{"Fault.Reorder", time.Second, Fault{Reorder: -0.1, ReorderMax: time.Second}},
+		{"Fault.Reorder", time.Second, Fault{Reorder: 1, ReorderMax: time.Second}},
+		{"Fault.Spike", time.Second, Fault{Spike: -time.Second}},
+		{"Fault.Jitter", time.Second, Fault{Jitter: -time.Second}},
+		{"Fault.ReorderMax", time.Second, Fault{Reorder: 0.5}},
+		{"Fault.ReorderMax", time.Second, Fault{Reorder: 0.5, ReorderMax: -time.Second}},
+		{"dur", 0, Fault{Spike: time.Second}},
+		{"dur", -time.Second, Fault{Spike: time.Second}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.name) {
+					t.Errorf("At(0, %v, %+v) panicked with %v, want one naming %s", c.dur, c.ft, r, c.name)
+				}
+			}()
+			nw.Faults().At(0, c.dur, c.ft)
+		}()
+	}
+	// The boundaries themselves arm.
+	nw.Faults().At(0, time.Nanosecond, Fault{LinkLoss: 0.999, Duplicate: 0.999, Reorder: 0.999, ReorderMax: time.Nanosecond})
+}
+
 func TestJitterBounded(t *testing.T) {
 	sim, nw, a, b, nb, log := rootWithLog(t)
 	na := a.nw.eps[a.Addr()].node
 	const maxJitter = 2 * time.Second
-	nw.Faults().SetJitter(maxJitter)
+	armNow(nw, Fault{Jitter: maxJitter})
 	const n = 200
 	for i := uint64(1); i <= n; i++ {
 		a.Send(nb.Ref(), lookupEnvelope(na, i))
@@ -174,7 +244,7 @@ func TestJitterBounded(t *testing.T) {
 func TestDuplicationDeliversCopies(t *testing.T) {
 	sim, nw, a, _, nb, log := rootWithLog(t)
 	na := a.nw.eps[a.Addr()].node
-	nw.Faults().SetDuplication(0.5)
+	armNow(nw, Fault{Duplicate: 0.5})
 	const n = 200
 	for i := uint64(1); i <= n; i++ {
 		a.Send(nb.Ref(), lookupEnvelope(na, i))
@@ -201,7 +271,7 @@ func TestReorderingOvertakes(t *testing.T) {
 	na := a.nw.eps[a.Addr()].node
 	// Near-certain holdback with a large bound: earlier messages routinely
 	// land after later ones.
-	nw.Faults().SetReordering(0.5, 3*time.Second)
+	armNow(nw, Fault{Reorder: 0.5, ReorderMax: 3 * time.Second})
 	const n = 100
 	for i := uint64(1); i <= n; i++ {
 		a.Send(nb.Ref(), lookupEnvelope(na, i))
@@ -281,11 +351,9 @@ func TestFaultDeterminism(t *testing.T) {
 	runOnce := func() ([NumDropCauses]uint64, FaultCounters, []uint64) {
 		sim, nw, a, _, nb, log := rootWithLog(t)
 		na := a.nw.eps[a.Addr()].node
-		f := nw.Faults()
-		f.JitterAt(0, 30*time.Second, time.Second)
-		f.DuplicationAt(0, 30*time.Second, 0.3)
-		f.ReorderingAt(0, 30*time.Second, 0.3, 2*time.Second)
-		f.LinkLossAt(0, 30*time.Second, a.Addr(), nb.Ref().Addr, 0.2)
+		nw.Faults().At(0, 30*time.Second, Fault{Jitter: time.Second, Duplicate: 0.3,
+			Reorder: 0.3, ReorderMax: 2 * time.Second, From: a.Addr(), To: nb.Ref().Addr, LinkLoss: 0.2})
+		sim.RunUntil(0) // arm before the sends below
 		for i := uint64(1); i <= 300; i++ {
 			a.Send(nb.Ref(), lookupEnvelope(na, i))
 		}

@@ -286,7 +286,7 @@ func (a echoApp) Direct(from pastry.NodeRef, payload []byte) { a.direct(from, pa
 // reach the endpoint it was addressed to, once per copy the network made.
 func TestRecycledDeliverySurvivesReentrantSend(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	nw.Faults().SetDuplication(0.5)
+	armNow(nw, Fault{Duplicate: 0.5})
 	const n = 4
 	first := nw.Topology().Attach(n, sim.Rand())
 	nodes := make([]*pastry.Node, n)

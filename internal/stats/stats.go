@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mspastry/internal/pastry"
+	"mspastry/internal/wire"
 )
 
 // numCategories is the number of pastry message categories (1-based enums).
@@ -379,7 +380,7 @@ func (c *Collector) Finalize() []WindowStat {
 		if w.nodeSeconds > 0 {
 			var control, controlBytes int
 			for cat := 1; cat < numCategories; cat++ {
-				if !isControl(pastry.Category(cat)) {
+				if !wire.Control(pastry.Category(cat)) {
 					continue
 				}
 				control += w.ControlSent[cat]
@@ -453,7 +454,7 @@ func (c *Collector) Totals() Totals {
 		controlDatagrams += w.ControlDatagrams
 		t.CoalescedSavedBytes += w.CoalescedSaved
 		for cat := 1; cat < numCategories; cat++ {
-			if isControl(pastry.Category(cat)) {
+			if wire.Control(pastry.Category(cat)) {
 				controlBytes += w.SentBytes[cat]
 			}
 		}
@@ -493,7 +494,7 @@ func (c *Collector) Totals() Totals {
 		for cat, cnt := range control {
 			totalAll += cnt
 			t.ByCategory[cat] = float64(cnt) / nodeSec
-			if isControl(cat) {
+			if wire.Control(cat) {
 				totalControl += cnt
 			}
 		}
@@ -526,13 +527,6 @@ func (c *Collector) JoinLatencyCDF() []CDFPoint {
 		out[i] = CDFPoint{Latency: v, Fraction: float64(i+1) / float64(len(s))}
 	}
 	return out
-}
-
-// isControl reports whether a category counts as control traffic (the
-// paper: "all traffic except lookup messages"; direct application traffic
-// is likewise not control).
-func isControl(c pastry.Category) bool {
-	return c != pastry.CatLookup && c != pastry.CatApp
 }
 
 // CDFPoint is one point of a cumulative distribution.
