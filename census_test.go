@@ -462,3 +462,41 @@ func TestEveryTallyHasAMetric(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryTallyAddsEveryField fails for a field that a tally's hand-kept
+// Add leaves out, which would never total into harness.Result or an
+// experiment's sum: with every exported numeric field of the argument at
+// 1, two Adds into a zero tally must leave each of them at 2.
+func TestEveryTallyAddsEveryField(t *testing.T) {
+	for _, typ := range tallies {
+		add, ok := reflect.PointerTo(typ).MethodByName("Add")
+		if !ok {
+			continue
+		}
+		one, sum := reflect.New(typ).Elem(), reflect.New(typ)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := one.Field(i); f.CanSet() {
+				switch {
+				case f.CanInt():
+					f.SetInt(1)
+				case f.CanUint():
+					f.SetUint(1)
+				case f.CanFloat():
+					f.SetFloat(1)
+				}
+			}
+		}
+		add.Func.Call([]reflect.Value{sum, one})
+		add.Func.Call([]reflect.Value{sum, one})
+		t.Logf("%s has an Add", typ)
+		for i := 0; i < typ.NumField(); i++ {
+			f := sum.Elem().Field(i)
+			if !typ.Field(i).IsExported() {
+				continue
+			}
+			if (f.CanInt() && f.Int() != 2) || (f.CanUint() && f.Uint() != 2) || (f.CanFloat() && f.Float() != 2) {
+				t.Errorf("%s.Add does not total %s", typ, typ.Field(i).Name)
+			}
+		}
+	}
+}

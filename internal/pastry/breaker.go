@@ -60,16 +60,7 @@ func (n *Node) breakerFailure(ref NodeRef) {
 	if n.cfg.BreakerThreshold <= 0 {
 		return
 	}
-	st := n.overloadOf(n.peers.Obtain(ref.ID, ref.Addr, n.env.Now()))
-	b := st.breaker
-	if b == nil {
-		b = &overload.Breaker{
-			Threshold:   n.cfg.BreakerThreshold,
-			Cooldown:    n.cfg.breakerCooldown,
-			MaxCooldown: n.cfg.breakerMaxCooldown,
-		}
-		st.breaker = b
-	}
+	b := n.breakerOf(ref)
 	wasHalfOpen := b.State() == overload.BreakerHalfOpen
 	if b.Failure(n.env.Now()) {
 		if wasHalfOpen {
@@ -78,6 +69,20 @@ func (n *Node) breakerFailure(ref NodeRef) {
 			n.counters.BreakerOpens++
 		}
 	}
+}
+
+// breakerOf returns the peer's circuit breaker, creating it closed on
+// first use.
+func (n *Node) breakerOf(ref NodeRef) *overload.Breaker {
+	st := n.overloadOf(n.peers.Obtain(ref.ID, ref.Addr, n.env.Now()))
+	if st.breaker == nil {
+		st.breaker = &overload.Breaker{
+			Threshold:   n.cfg.BreakerThreshold,
+			Cooldown:    n.cfg.breakerCooldown,
+			MaxCooldown: n.cfg.breakerMaxCooldown,
+		}
+	}
+	return st.breaker
 }
 
 // breakerSuccess records direct evidence the peer is servicing routed
@@ -153,16 +158,7 @@ func (n *Node) distrust(ref NodeRef) {
 	if n.cfg.BreakerThreshold <= 0 {
 		return
 	}
-	st := n.overloadOf(n.peers.Obtain(ref.ID, ref.Addr, n.env.Now()))
-	b := st.breaker
-	if b == nil {
-		b = &overload.Breaker{
-			Threshold:   n.cfg.BreakerThreshold,
-			Cooldown:    n.cfg.breakerCooldown,
-			MaxCooldown: n.cfg.breakerMaxCooldown,
-		}
-		st.breaker = b
-	}
+	b := n.breakerOf(ref)
 	wasOpen := b.Denies()
 	b.Trip(n.env.Now())
 	if !wasOpen {

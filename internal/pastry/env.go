@@ -132,20 +132,6 @@ type StatsObserver interface {
 	LeafSetRepair(n *Node, cause string)
 }
 
-// SecureObserver is an optional Observer extension receiving
-// secure-routing events: routing-failure-test verdicts and the fan-out
-// of redundant diverse-path rounds. The node detects the extension once,
-// at construction.
-type SecureObserver interface {
-	// SecureVerdict fires with the failure test's verdict ("pass",
-	// "sparse", "far-root", "closer-member") for each root report
-	// evaluated at this origin.
-	SecureVerdict(n *Node, verdict string)
-	// SecureRedundant fires when a redundant diverse-path round is
-	// issued, with the number of first-hop copies it sent.
-	SecureRedundant(n *Node, fanout int)
-}
-
 // App is an application running on an overlay node (for example the
 // Squirrel web cache or the DHT). All callbacks run in the node's
 // serialised context.

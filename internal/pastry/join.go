@@ -12,15 +12,9 @@ const joinRetryAfter = 30 * time.Second
 // sendJoinRequest routes a join request to this node's own identifier via
 // the seed. Join requests always use per-hop acks: a lost join is costly.
 func (n *Node) sendJoinRequest(seed NodeRef) {
-	jr := &JoinRequest{Joiner: n.self}
-	n.nextXfer++
-	xfer := n.nextXfer
 	ph := n.takeHop()
-	ph.join, ph.key, ph.to = jr, n.self.ID, seed
-	ph.tried.add(seed.ID)
-	ph.sentAt = n.env.Now()
-	n.armHopTimer(ph, xfer, n.rtoFor(seed))
-	n.send(seed, &Envelope{Xfer: xfer, NeedAck: true, From: n.self, Join: jr})
+	ph.join, ph.key = &JoinRequest{Joiner: n.self}, n.self.ID
+	n.transmit(ph, seed, HopForward, n.rtoFor(seed))
 	n.armJoinWatchdog()
 }
 
@@ -88,7 +82,6 @@ func (n *Node) handleJoinReply(jr *JoinReply) {
 		return
 	}
 	for _, m := range members {
-		noteProbeCause("join-init")
 		n.probeLeaf(m)
 	}
 }

@@ -17,12 +17,11 @@ type Node struct {
 	cfg Config
 	env Env
 	obs Observer
-	// tobs, sobs and secObs cache the observer's optional telemetry
-	// extensions (detected once at construction; nil when not implemented).
-	tobs   TraceObserver
-	sobs   StatsObserver
-	secObs SecureObserver
-	self   NodeRef
+	// tobs and sobs cache the observer's optional telemetry extensions
+	// (detected once at construction; nil when not implemented).
+	tobs TraceObserver
+	sobs StatsObserver
+	self NodeRef
 
 	ls *LeafSet
 	rt *RoutingTable
@@ -192,7 +191,7 @@ func (c *Counters) Add(o Counters) {
 
 // probeState is one outstanding liveness probe, a node-local record taken
 // from Node.freeProbes and parked there when the probe completes (see
-// takeProbe).
+// startProbe, parkProbe).
 type probeState struct {
 	n       *Node  // owner; set with fire at first allocation, kept across reuse
 	fire    func() // the timeout method value, bound once
@@ -260,7 +259,6 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)
 	n.sobs, _ = obs.(StatsObserver)
-	n.secObs, _ = obs.(SecureObserver)
 	n.trtCurrent = n.initialTrt()
 	n.trtLocal = n.trtCurrent
 	return n, nil
@@ -545,7 +543,6 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 	// outright, also exchanges leaf-set state.
 	if n.active && !n.ls.Contains(from.ID) && n.wouldExtendLeafSet(from) &&
 		n.markCandidateProbe(from) {
-		noteProbeCause("direct-contact")
 		n.probeLeaf(from)
 	}
 	if hint > 0 {

@@ -7,15 +7,6 @@ import (
 	"mspastry/internal/id"
 )
 
-// probeCauseHook is set by probecause_test.go, nil otherwise.
-var probeCauseHook func(cause string)
-
-func noteProbeCause(cause string) {
-	if probeCauseHook != nil {
-		probeCauseHook(cause)
-	}
-}
-
 // probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
 // probei: no-op if the node is already being probed with a leaf probe or
 // has been marked faulty.
@@ -42,10 +33,7 @@ func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
 		}
 		return
 	}
-	ps := n.takeProbe(ref)
-	ps.isLeaf, ps.announce = true, announce
-	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.startProbe(probeState{ref: ref, isLeaf: true, announce: announce})
 }
 
 // probeLiveness starts a routing-table liveness probe of ref.
@@ -59,16 +47,15 @@ func (n *Node) probeLiveness(ref NodeRef) {
 	if _, ok := n.probing[ref.ID]; ok {
 		return
 	}
-	ps := n.takeProbe(ref)
-	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.startProbe(probeState{ref: ref})
 }
 
-// takeProbe returns the record of a new outstanding probe of ref, entered
-// in n.probing: a parked record when the free list has any, a new one
-// otherwise. Owner and bound timeout are set once and survive every park,
-// as a hop record's do (takeHop).
-func (n *Node) takeProbe(ref NodeRef) *probeState {
+// startProbe starts the probe p describes (its ref and kind): it fills a
+// record with p — a parked record when the free list has any, a new one
+// otherwise; owner and bound timeout are set once and survive every park,
+// as a hop record's do (takeHop) — enters it in n.probing, sends the probe
+// and arms its timeout.
+func (n *Node) startProbe(p probeState) {
 	var ps *probeState
 	if last := len(n.freeProbes) - 1; last >= 0 {
 		ps = n.freeProbes[last]
@@ -77,9 +64,11 @@ func (n *Node) takeProbe(ref NodeRef) *probeState {
 		ps = &probeState{n: n}
 		ps.fire = ps.timeout
 	}
-	ps.ref = ref
-	n.probing[ref.ID] = ps
-	return ps
+	p.n, p.fire = ps.n, ps.fire
+	*ps = p
+	n.probing[p.ref.ID] = ps
+	n.sendProbeMsg(ps)
+	n.armProbeTimer(ps)
 }
 
 // parkProbe ends the probe: it takes ps out of n.probing, cancels its timer
@@ -197,7 +186,6 @@ func (n *Node) markFaulty(ref NodeRef, announce bool) {
 			n.sobs.LeafSetRepair(n, "announce")
 		}
 		for _, m := range n.ls.Members() {
-			noteProbeCause("announce")
 			n.probeLeaf(m)
 		}
 	}
@@ -281,7 +269,6 @@ func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 		return false
 	}
 	s.lastRepair = now
-	noteProbeCause(cause)
 	if n.sobs != nil {
 		n.sobs.LeafSetRepair(n, cause)
 	}
@@ -383,7 +370,6 @@ func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
 		}
 		if n.ls.Contains(f.ID) {
 			n.ls.Remove(f.ID)
-			noteProbeCause("confirm-failed")
 			n.probeLeaf(f)
 		}
 	}
@@ -410,7 +396,6 @@ func (n *Node) probeCandidate(cand NodeRef) {
 		return
 	}
 	if n.wouldExtendLeafSet(cand) && n.markCandidateProbe(cand) {
-		noteProbeCause("candidate")
 		n.probeLeaf(cand)
 	}
 }
@@ -481,7 +466,6 @@ func (n *Node) handleRTProbeReply(p *RTProbeReply) {
 // paper): leaf-set members get a leaf probe; routing-table entries a ping.
 func (n *Node) suspect(ref NodeRef) {
 	if n.ls.Contains(ref.ID) {
-		noteProbeCause("suspect")
 		n.probeLeafAnnounce(ref, true)
 		return
 	}

@@ -113,9 +113,5 @@ func (n *Node) probeReconnect(ref NodeRef) {
 		return
 	}
 	delete(n.failed, ref.ID)
-	noteProbeCause("reconnect")
-	ps := n.takeProbe(ref)
-	ps.reconnect = true
-	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.startProbe(probeState{ref: ref, reconnect: true})
 }

@@ -8,7 +8,7 @@ import (
 	"mspastry/internal/id"
 )
 
-// Hop and probe records are reused (takeHop, takeProbe). These tests hold
+// Hop and probe records are reused (takeHop, startProbe). These tests hold
 // the reuse to what makes it safe: a record is parked once, empty, with its
 // timer dead and before control is handed on; whoever takes it next sees
 // none of its past, and nothing from its past — a late ack, a cancelled
@@ -428,18 +428,30 @@ func TestRecordsUnderChurnAndLoss(t *testing.T) {
 // TestRecordAllocations pins, with the free lists warm, what the node's
 // own bookkeeping may allocate beside the messages it sends and the one
 // handle the Env returns per timer (the test Env's is an *eventsim.Event).
-// Exact maxima: the next closure someone adds to sendHop fails here.
+// Exact maxima: the next closure someone adds to transmit fails here.
 func TestRecordAllocations(t *testing.T) {
 	const handle = 1
 	net, n, _ := hopNode(t, testConfig(), nil)
 	for _, l := range fullLeafSet(n.self.ID, n.cfg.L) {
 		n.ls.Add(l)
 	}
-	net.drop = func(_, _ NodeRef, _ Message) bool { return true } // and record nothing
+	retxTo := make(map[id.ID]int) // and record only retransmissions, by destination
+	net.drop = func(_, to NodeRef, m Message) bool {
+		if env, ok := m.(*Envelope); ok && env.Retx {
+			retxTo[to.ID]++
+		}
+		return true
+	}
 	prev, next := refID(n.self.ID.Sub(id.New(0, 1))), refID(n.self.ID.Add(id.New(0, 1)))
+	alt := refID(next.ID.Add(id.New(0, 1))) // next's key's root once next is excluded
 	arriving := &Envelope{Xfer: 9, NeedAck: true, From: prev,
 		Lookup: &Lookup{Key: next.ID, Seq: 1, Origin: prev}}
 	ack := &Ack{From: next}
+	// With prev suspected, this node is the closest left to prev's key, so
+	// the hop is retransmitted to prev, backed off, not delivered here.
+	toPrev := &Envelope{Xfer: 9, NeedAck: true, From: next,
+		Lookup: &Lookup{Key: prev.ID, Seq: 2, Origin: next}}
+	altAck, prevAck := &Ack{From: alt}, &Ack{From: prev}
 	local := n.self.ID
 	for name, pin := range map[string]struct {
 		max float64
@@ -463,6 +475,29 @@ func TestRecordAllocations(t *testing.T) {
 			n.probeLeaf(next)
 			n.Receive(&LSProbeReply{From: next})
 		}},
+		// The first pin's ack and envelope, then at the timeout next's probe
+		// and the envelope to alt; the probe's reply. A timer each for the
+		// hop, the probe and the retransmission.
+		"hop timeout, reroute to an alternative": {5 + 3*handle, func() {
+			arriving.Lookup.Hops = 0
+			n.Receive(arriving)
+			net.run(rto) // next stays silent
+			altAck.Xfer = n.nextXfer
+			n.Receive(altAck)
+			n.Receive(&LSProbeReply{From: next})
+			n.breakerSuccess(next.ID, n.Now()) // as next's ack of a later hop would
+		}},
+		// As the reroute, with the retransmission going to prev; prev's ack
+		// closes its breaker, and idling earns back the retry budget's token.
+		"hop timeout, backed-off retransmission to the same peer": {5 + 3*handle, func() {
+			toPrev.Lookup.Hops = 0
+			n.Receive(toPrev)
+			net.run(rto) // prev stays silent
+			prevAck.Xfer = n.nextXfer
+			n.Receive(prevAck)
+			n.Receive(&LSProbeReply{From: prev})
+			net.run(time.Second)
+		}},
 	} {
 		pin.f()
 		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
@@ -473,4 +508,9 @@ func TestRecordAllocations(t *testing.T) {
 		}
 	}
 	checkRecords(t, n)
+	// Every run of a timeout pin retransmitted where the pin's name says: a
+	// warm-up, AllocsPerRun's own warm-up and its 100 runs.
+	if runs := 102; len(retxTo) != 2 || retxTo[alt.ID] != runs || retxTo[prev.ID] != runs {
+		t.Fatalf("retransmissions by destination %v, want %d each to %v and %v", retxTo, runs, alt.ID, prev.ID)
+	}
 }

@@ -148,32 +148,58 @@ func (n *Node) routeJoin(jr *JoinRequest) {
 }
 
 // sendHop transmits one overlay hop inside an Envelope. With acks in use the
-// hop's bookkeeping — what was sent, to whom, which hops the message has
-// tried (the caller's set, copied, plus this one) — goes into a pendingHop
-// from the node's free list and its retransmission timer is armed. Unacked
-// hops never reroute, so they keep no record.
+// hop's bookkeeping — the message, its key and the hops it has tried (the
+// caller's set, copied) — goes into a pendingHop from the node's free list,
+// and transmit sends it. Unacked hops never reroute, so they keep no record.
 func (n *Node) sendHop(lk *Lookup, jr *JoinRequest, key id.ID, to NodeRef, tried *triedSet, needAck bool) {
+	if !needAck {
+		n.nextXfer++
+		n.send(to, n.hopEnvelope(n.nextXfer, false, lk, jr, to, HopForward))
+		return
+	}
+	ph := n.takeHop()
+	ph.lookup, ph.join, ph.key = lk, jr, key
+	if tried != nil {
+		ph.tried = *tried
+	}
+	n.transmit(ph, to, HopForward, n.rtoFor(to))
+}
+
+// transmit is the one way an acked hop leaves the node — first send,
+// reroute, backed-off retransmission and join request alike. It records the
+// destination, the send time and whether this is a retransmission (Karn's
+// rule reads it), adds to to the tried set, and arms the retransmission
+// timeout before the envelope goes out.
+func (n *Node) transmit(ph *pendingHop, to NodeRef, cause HopCause, rto time.Duration) {
 	n.nextXfer++
-	xfer := n.nextXfer
+	ph.to, ph.sentAt, ph.retx = to, n.env.Now(), cause != HopForward
+	ph.tried.add(to.ID)
+	n.armHopTimer(ph, n.nextXfer, rto)
+	n.send(to, n.hopEnvelope(n.nextXfer, true, ph.lookup, ph.join, to, cause))
+}
+
+// hopEnvelope builds transmission xfer's Envelope, the node's only one, and
+// reports a lookup's hop to the trace observer; the caller sends it. Sending
+// here would put one more frame on the path of every forwarded hop, which on
+// a live node runs on the transport's loop goroutines: their stacks sit just
+// under a growth step, and a frame more doubles many of them.
+func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinRequest, to NodeRef, cause HopCause) *Envelope {
 	env := &Envelope{
 		Xfer:    xfer,
 		NeedAck: needAck,
+		Retx:    cause != HopForward,
 		From:    n.self,
 		Lookup:  lk,
 		Join:    jr,
 		TrtHint: n.trtLocal,
 	}
-	if needAck {
-		ph := n.takeHop()
-		ph.lookup, ph.join, ph.key, ph.to = lk, jr, key, to
-		if tried != nil {
-			ph.tried = *tried
-		}
-		ph.tried.add(to.ID)
-		ph.sentAt = n.env.Now()
-		n.armHopTimer(ph, xfer, n.rtoFor(to))
+	if jr != nil && jr.Joiner.ID == n.self.ID && cause == HopForward {
+		env.TrtHint = 0 // a joiner's own first request has never carried a hint
 	}
-	n.finishHop(lk, to, env)
+	if lk != nil && n.tobs != nil {
+		n.tobs.LookupHop(n, lk, to, cause)
+	}
+	return env
 }
 
 // takeHop returns an empty hop record: a parked one when the free list has
@@ -236,13 +262,6 @@ func (ph *pendingHop) timeout() {
 	if ph.n.alive {
 		ph.n.hopTimeout(ph.xfer)
 	}
-}
-
-func (n *Node) finishHop(lk *Lookup, to NodeRef, env *Envelope) {
-	if lk != nil && n.tobs != nil {
-		n.tobs.LookupHop(n, lk, to, HopForward)
-	}
-	n.send(to, env)
 }
 
 // rtoFor computes the per-hop retransmission timeout for a destination,
@@ -314,26 +333,7 @@ func (n *Node) reroute(ph *pendingHop) {
 	if emptySlot {
 		n.requestPassiveRepair(ph.key, next)
 	}
-	n.nextXfer++
-	xfer := n.nextXfer
-	env := &Envelope{
-		Xfer:    xfer,
-		NeedAck: true,
-		Retx:    true,
-		From:    n.self,
-		Lookup:  ph.lookup,
-		Join:    ph.join,
-		TrtHint: n.trtLocal,
-	}
-	ph.tried.add(next.ID)
-	ph.to = next
-	ph.sentAt = n.env.Now()
-	ph.retx = true
-	n.armHopTimer(ph, xfer, n.rtoFor(next))
-	if ph.lookup != nil && n.tobs != nil {
-		n.tobs.LookupHop(n, ph.lookup, next, HopReroute)
-	}
-	n.send(next, env)
+	n.transmit(ph, next, HopReroute, n.rtoFor(next))
 }
 
 // retransmitSame re-sends the hop to its previous destination with an
@@ -351,25 +351,8 @@ func (n *Node) retransmitSame(ph *pendingHop) {
 		}
 		return
 	}
-	n.nextXfer++
-	xfer := n.nextXfer
-	env := &Envelope{
-		Xfer:    xfer,
-		NeedAck: true,
-		Retx:    true,
-		From:    n.self,
-		Lookup:  ph.lookup,
-		Join:    ph.join,
-		TrtHint: n.trtLocal,
-	}
-	ph.sentAt = n.env.Now()
-	ph.retx = true
 	rto := n.rtoFor(ph.to) << uint(ph.attempts)
-	n.armHopTimer(ph, xfer, clampDuration(rto, n.cfg.MinRTO, n.cfg.MaxRTO))
-	if ph.lookup != nil && n.tobs != nil {
-		n.tobs.LookupHop(n, ph.lookup, ph.to, HopBackoff)
-	}
-	n.send(ph.to, env)
+	n.transmit(ph, ph.to, HopBackoff, clampDuration(rto, n.cfg.MinRTO, n.cfg.MaxRTO))
 }
 
 // handleEnvelope processes one received overlay hop: acknowledge, then

@@ -94,9 +94,6 @@ func (n *Node) handleRootReport(rr *RootReport) {
 		// tolerates transient repair without admitting colluder-only sets.
 		MinLeaves: (len(n.ls.Members()) + 1) / 2,
 	})
-	if n.secObs != nil {
-		n.secObs.SecureVerdict(n, v.String())
-	}
 	if !v.Suspicious() {
 		n.counters.SecureTestPass++
 		ids := append(refIDs(rr.Leaves), rr.From.ID)
@@ -172,16 +169,12 @@ func (n *Node) secureTimeout(seq uint64) {
 func (n *Node) redundantRound(ss *secureSession) {
 	ss.rounds++
 	n.counters.SecureRedundantRounds++
-	hops := n.diverseFirstHops(ss.lk.Key, ss.firstHops)
-	for _, h := range hops {
+	for _, h := range n.diverseFirstHops(ss.lk.Key, ss.firstHops) {
 		ss.firstHops[h.ID] = true
 		cp := *ss.lk
 		cp.Hops = 0
 		n.counters.SecureRedundantSends++
 		n.sendHop(&cp, nil, cp.Key, h, nil, !cp.NoAck)
-	}
-	if n.secObs != nil {
-		n.secObs.SecureRedundant(n, len(hops))
 	}
 	// Re-arm even when no fresh hop was available: copies already in
 	// flight may still produce a report, and the timer owns give-up.

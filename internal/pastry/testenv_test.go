@@ -23,7 +23,9 @@ type testNet struct {
 	drop func(from NodeRef, to NodeRef, m Message) bool
 	// onDeliver, if set, sees each message just before its receiver does.
 	onDeliver func(dst *Node, m Message)
-	sent      map[Category]int
+	// obs, if set, observes every node added without an observer of its own.
+	obs  Observer
+	sent map[Category]int
 }
 
 func newTestNet(t *testing.T, seed int64) *testNet {
@@ -76,6 +78,9 @@ func (net *testNet) addNode(x id.ID, cfg Config, obs Observer) *Node {
 	addr := fmt.Sprintf("t%d", len(net.nodes))
 	self := NodeRef{ID: x, Addr: addr}
 	env := &testEnv{net: net, addr: addr, self: self}
+	if obs == nil {
+		obs = net.obs
+	}
 	n, err := NewNode(self, cfg, env, obs)
 	if err != nil {
 		net.t.Fatalf("NewNode: %v", err)

@@ -41,8 +41,6 @@ type Overlay struct {
 	repairs     *CounterVec
 	joins       *Counter
 	joinLatency *Histogram
-	verdicts    *CounterVec
-	fanout      *Histogram
 }
 
 // NewOverlay creates an overlay observer recording into reg and, when
@@ -79,10 +77,6 @@ func NewOverlay(reg *Registry, tracer *Tracer, opts OverlayOptions) *Overlay {
 			"Nodes that completed the join protocol and became active."),
 		joinLatency: reg.Histogram("mspastry_join_latency_seconds",
 			"Join latency from first request to activation.", DefBuckets),
-		verdicts: reg.CounterVec("mspastry_secure_verdicts_total",
-			"Routing failure test verdicts on root completion reports.", "verdict"),
-		fanout: reg.Histogram("mspastry_secure_redundant_fanout",
-			"First-hop copies sent per redundant diverse-path round.", HopBuckets),
 	}
 }
 
@@ -163,14 +157,4 @@ func (o *Overlay) TrtTuned(n *pastry.Node, trt time.Duration) {
 // LeafSetRepair implements pastry.StatsObserver.
 func (o *Overlay) LeafSetRepair(n *pastry.Node, cause string) {
 	o.repairs.With(cause).Inc()
-}
-
-// SecureVerdict implements pastry.SecureObserver.
-func (o *Overlay) SecureVerdict(n *pastry.Node, verdict string) {
-	o.verdicts.With(verdict).Inc()
-}
-
-// SecureRedundant implements pastry.SecureObserver.
-func (o *Overlay) SecureRedundant(n *pastry.Node, fanout int) {
-	o.fanout.Observe(float64(fanout))
 }
