@@ -277,6 +277,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ts.Delivered, ts.Dropped, ts.Outstanding, ts.Reconstructed,
 			ts.ReconstructionRate()*100)
 	}
+	dropped := 0
+	for _, c := range res.DropsByReason {
+		dropped += c
+	}
+	fmt.Fprintf(stdout, "lookups: issued=%d delivered=%d incorrect=%d dropped=%d timeout_lost=%d\n",
+		t.Issued, t.Delivered, t.Incorrect, dropped, res.TimeoutLost)
 	events := float64(res.SimEvents)
 	fmt.Fprintf(stdout, "simulated %v in %v (%d events, %.0f events/s, %.2f allocs/event, %.0f B/event)\n",
 		tr.Duration, elapsed.Round(time.Millisecond), res.SimEvents, events/elapsed.Seconds(),

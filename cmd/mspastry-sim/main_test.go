@@ -53,10 +53,12 @@ func TestRejectedFlags(t *testing.T) {
 	}
 }
 
-var closingLine = regexp.MustCompile(`(?m)^simulated \S+ in \S+ \(\d+ events, \d+ events/s, [0-9.]+ allocs/event, \d+ B/event\)$`)
+var closingLines = regexp.MustCompile(`(?m)^lookups: issued=\d+ delivered=\d+ incorrect=\d+ dropped=\d+ timeout_lost=\d+\n` +
+	`simulated \S+ in \S+ \(\d+ events, \d+ events/s, [0-9.]+ allocs/event, \d+ B/event\)$`)
 
 // Small runs end to end: every section of the report that a flag turns on
-// is printed, and the closing line carries the cost columns.
+// is printed, and the closing line carries the cost columns after the
+// line that accounts for every lookup.
 func TestRunPrintsTheReport(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -87,8 +89,8 @@ func TestRunPrintsTheReport(t *testing.T) {
 				t.Errorf("%s: output lacks %q:\n%s", tc.name, want, out)
 			}
 		}
-		if !closingLine.MatchString(out) {
-			t.Errorf("%s: no closing cost line:\n%s", tc.name, out)
+		if !closingLines.MatchString(out) {
+			t.Errorf("%s: no lookup accounting and closing cost lines:\n%s", tc.name, out)
 		}
 	}
 }

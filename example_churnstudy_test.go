@@ -37,7 +37,7 @@ func Example_churnStudy() {
 	}
 	// Output:
 	// trace       nodes       loss  incorrect    RDP  ctrl/n/s  medianTrt
-	// gnutella       52   0.00e+00   0.00e+00   1.44     0.346     22m58s
+	// gnutella       52   0.00e+00   0.00e+00   1.44     0.345     24m59s
 	// overnet        49   0.00e+00   0.00e+00   2.09     0.381      9m35s
 	// microsoft      60   0.00e+00   0.00e+00   1.22     0.087     1h0m0s
 }

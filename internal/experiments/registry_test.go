@@ -90,7 +90,10 @@ func declaredDifferent(section, line string) bool {
 // experiment) at goldenScale and compares every table and headline with
 // testdata/tables.golden, which was recorded by this same driver from the
 // result types of the commit before the registry existed. A seeded
-// number that moves here moved in mspastry-bench too.
+// number that moves here moved in mspastry-bench too. The lines outside
+// declaredDifferent were since re-recorded once, with writeGolden, for a
+// change to what nodes do: a joiner's join request carries its Trt hint,
+// and held lookups are re-routed at every tick and dropped after a bound.
 func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment: ~25 s")

@@ -14,7 +14,12 @@ package harness
 //
 // and copying testdata/hops.golden back — the procedure of the recorded
 // wire frames (internal/pastry/frames_test.go). Regenerate it only for a
-// change that means to alter what nodes do, and say so.
+// change that means to alter what nodes do, and say so. One has since:
+// held lookups re-routed at every tick and reported dropped when their
+// node crashes. It was re-recorded with -update on that change; against
+// the earlier recording, 19 held lookups are delivered at an earlier tick
+// by the same node and 3 crashes report a held lookup, and nothing else
+// moved.
 
 import (
 	"bytes"

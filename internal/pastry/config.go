@@ -66,11 +66,13 @@ type Config struct {
 	PerHopAcks bool
 	// MinRTO and MaxRTO clamp the per-hop retransmission timeout.
 	MinRTO, MaxRTO time.Duration
-	// HoldOnSuspect prevents a node from delivering a lookup while a
-	// closer node is suspected-but-unconfirmed (excluded after a missed
-	// ack): the message is held or retransmitted with backoff until the
-	// suspect's probe resolves. This is the consistency/latency trade-off
-	// the paper discusses for the last hop; disabling it lowers delay
+	// HoldOnSuspect keeps a node from delivering a lookup while a node
+	// closer to the key is excluded from routing (suspected after a missed
+	// ack, already tried, or behind an open breaker) but not marked failed:
+	// nextHop's verdict is hold, and the lookup is retransmitted with
+	// backoff or held until the suspect's probe resolves. This is the
+	// consistency/latency trade-off the paper discusses for the last hop;
+	// turning it off (an ablation) delivers instead, which lowers delay
 	// slightly but admits incorrect deliveries under link loss.
 	HoldOnSuspect bool
 

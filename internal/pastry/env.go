@@ -18,6 +18,13 @@ type Timer interface {
 	Cancel()
 }
 
+// stop cancels t, a timer that may never have been armed.
+func stop(t Timer) {
+	if t != nil {
+		t.Cancel()
+	}
+}
+
 // Env supplies a node with everything that differs between the simulator
 // and a real deployment: a clock, timers, randomness and a transport. All
 // Env callbacks into a node must be serialised (the simulator is
@@ -45,6 +52,9 @@ const (
 	// DropBuffer means a node failed or overflowed while holding the
 	// message (for example, it was buffered during a join).
 	DropBuffer
+	// DropHeld means a node held the message, with a closer node suspected
+	// or itself unable to deliver, for longer than the hold bound.
+	DropHeld
 )
 
 func (d DropReason) String() string {
@@ -55,6 +65,8 @@ func (d DropReason) String() string {
 		return "retries"
 	case DropBuffer:
 		return "buffer"
+	case DropHeld:
+		return "held"
 	default:
 		return "unknown"
 	}

@@ -47,9 +47,7 @@ func (n *Node) scheduleJoinRetry() {
 	for _, ps := range n.probing {
 		n.parkProbe(ps)
 	}
-	for x := range n.failed {
-		delete(n.failed, x)
-	}
+	clear(n.failed)
 	n.sendJoinRequest(seed)
 }
 
@@ -138,9 +136,7 @@ func (n *Node) nnGiveUp(state *nnState) {
 
 func (n *Node) nnFinish(state *nnState) {
 	state.completed = true
-	if state.timer != nil {
-		state.timer.Cancel()
-	}
+	stop(state.timer)
 	n.nn = nil
 	n.sendJoinRequest(state.current)
 }
@@ -215,8 +211,6 @@ func (n *Node) nnSample(state *nnState, target NodeRef, rtt time.Duration, ok bo
 	state.measured = true
 	state.haveCand = false
 	n.send(state.current, &NNStateRequest{From: n.self})
-	if state.timer != nil {
-		state.timer.Cancel()
-	}
+	stop(state.timer)
 	state.timer = n.schedule(4*n.cfg.To, func() { n.nnGiveUp(state) })
 }

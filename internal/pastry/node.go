@@ -95,9 +95,8 @@ type Node struct {
 	// nn tracks the nearest-neighbour search during a join.
 	nn *nnState
 
-	// Messages held while the node cannot deliver (joining, or a leaf-set
-	// side is empty).
-	holdBuffer []*Lookup
+	// Lookups held while nextHop's verdict is hold (see holdLookup).
+	holdBuffer []heldLookup
 
 	nextLookupSeq uint64
 
@@ -341,37 +340,37 @@ func (n *Node) Join(seed NodeRef) {
 }
 
 // Fail crashes the node: it stops responding to messages and timers. This
-// models the fail-stop departures injected by the churn traces.
+// models the fail-stop departures injected by the churn traces. Lookups
+// only this node had — held, or issued and not yet routed — are reported
+// dropped (DropBuffer); one on a pending hop is not, as a copy may be in
+// flight and still arrive.
 func (n *Node) Fail() {
+	if !n.alive {
+		return
+	}
 	n.alive = false
 	n.active = false
-	if n.tickTimer != nil {
-		n.tickTimer.Cancel()
-		n.tickTimer = nil
+	for _, h := range n.holdBuffer {
+		n.obs.LookupDropped(n, h.lk, DropBuffer)
 	}
-	if n.repairTimer != nil {
-		n.repairTimer.Cancel()
-		n.repairTimer = nil
+	n.holdBuffer = nil
+	for _, lk := range n.issued[n.issuedHead:] {
+		n.obs.LookupDropped(n, lk, DropBuffer)
 	}
+	stop(n.tickTimer)
+	stop(n.repairTimer)
+	n.tickTimer, n.repairTimer = nil, nil
 	for _, ps := range n.probing {
-		if ps.timer != nil {
-			ps.timer.Cancel()
-		}
+		stop(ps.timer)
 	}
 	for _, ph := range n.pending {
-		if ph.timer != nil {
-			ph.timer.Cancel()
-		}
+		stop(ph.timer)
 	}
 	for _, ds := range n.distSessions {
-		if ds.timer != nil {
-			ds.timer.Cancel()
-		}
+		stop(ds.timer)
 	}
 	for _, ss := range n.secureSess {
-		if ss.timer != nil {
-			ss.timer.Cancel()
-		}
+		stop(ss.timer)
 	}
 }
 
@@ -409,7 +408,7 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 
 // routeIssued routes the oldest queued lookup. Lookup schedules one call
 // per lookup, so each call takes exactly one — also on a node that crashed
-// in between, where it is dropped as every other callback's work is.
+// in between, which reported it dropped (Fail).
 func (n *Node) routeIssued() {
 	lk := n.issued[n.issuedHead]
 	n.issued[n.issuedHead] = nil
@@ -418,7 +417,7 @@ func (n *Node) routeIssued() {
 		n.issued, n.issuedHead = n.issued[:0], 0
 	}
 	if n.alive {
-		n.routeLookup(lk, nil)
+		n.routeLookup(lk, n.env.Now())
 	}
 }
 
@@ -622,9 +621,7 @@ func (n *Node) schedule(d time.Duration, fn func()) Timer {
 // periodic maintenance tick.
 func (n *Node) activate() {
 	n.active = true
-	for idx := range n.failed {
-		delete(n.failed, idx)
-	}
+	clear(n.failed)
 	n.obs.Activated(n, n.env.Now()-n.joinStart)
 	n.lastMaintenance = n.env.Now()
 	n.startTick()
@@ -669,28 +666,44 @@ func (n *Node) onTick() {
 		n.retryReconnect(now)
 	}
 	n.sweepPeers()
+	n.releaseHeld()
 }
 
-// holdLookup buffers a lookup the node cannot deliver or route yet.
-func (n *Node) holdLookup(lk *Lookup) {
+// heldLookup is a held lookup and when this node first held it.
+type heldLookup struct {
+	lk    *Lookup
+	since time.Duration
+}
+
+// holdLookup buffers a lookup nextHop neither forwards nor delivers; since
+// is when this node first held it. A lookup held for MinTrt — by then the
+// probe of any suspect has resolved — is dropped (DropHeld) instead of
+// held again. Holds are re-routed at every tick (releaseHeld), so one is
+// dropped within MinTrt + TickInterval (24 s by default) of its first.
+func (n *Node) holdLookup(lk *Lookup, since time.Duration) {
 	const maxHeld = 256
-	if len(n.holdBuffer) >= maxHeld {
+	switch {
+	case n.env.Now()-since >= n.cfg.MinTrt():
+		n.obs.LookupDropped(n, lk, DropHeld)
+	case len(n.holdBuffer) >= maxHeld:
 		n.obs.LookupDropped(n, lk, DropBuffer)
-		return
+	default:
+		n.holdBuffer = append(n.holdBuffer, heldLookup{lk, since})
 	}
-	n.holdBuffer = append(n.holdBuffer, lk)
 }
 
-// releaseHeld re-routes messages buffered while the node was unable to
-// deliver. Routing state may have changed, so they go through the full
-// route function again.
+// releaseHeld re-routes the hold buffer: on activation, when the last
+// outstanding probe completes, and at every tick, since what lifts a hold
+// — a probe reply, a breaker's cooldown running out — need not be either
+// of the first two. Routing state may have changed, so each lookup goes
+// through the full route function again.
 func (n *Node) releaseHeld() {
 	if len(n.holdBuffer) == 0 {
 		return
 	}
 	held := n.holdBuffer
 	n.holdBuffer = nil
-	for _, lk := range held {
-		n.routeLookup(lk, nil)
+	for _, h := range held {
+		n.routeLookup(h.lk, h.since)
 	}
 }

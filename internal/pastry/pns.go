@@ -84,9 +84,7 @@ func (n *Node) finishDistSession(ds *distSession) {
 		return
 	}
 	delete(n.distSessions, ds.target.ID)
-	if ds.timer != nil {
-		ds.timer.Cancel()
-	}
+	stop(ds.timer)
 	for seq := range ds.sentAt {
 		delete(n.distSeqs, seq)
 	}

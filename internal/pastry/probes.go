@@ -76,9 +76,7 @@ func (n *Node) startProbe(p probeState) {
 // the free list (up to maxFree).
 func (n *Node) parkProbe(ps *probeState) {
 	delete(n.probing, ps.ref.ID)
-	if ps.timer != nil {
-		ps.timer.Cancel()
-	}
+	stop(ps.timer)
 	*ps = probeState{n: n, fire: ps.fire}
 	if len(n.freeProbes) < n.maxFree() {
 		n.freeProbes = append(n.freeProbes, ps)
@@ -212,9 +210,7 @@ func (n *Node) doneProbing(x id.ID) {
 		if !n.active {
 			n.activate()
 		} else {
-			for idx := range n.failed {
-				delete(n.failed, idx)
-			}
+			clear(n.failed)
 			n.releaseHeld()
 		}
 		return

@@ -229,7 +229,7 @@ func TestTimeoutParksTheRecordBeforeHoldAndGiveUp(t *testing.T) {
 			t.Fatalf("%s: %d pending, free list %v, want the record parked", tc.name, len(n.pending), n.freeHops)
 		}
 		checkRecords(t, n)
-		if len(n.holdBuffer) != tc.held || tc.held == 1 && n.holdBuffer[0] != env.Lookup {
+		if len(n.holdBuffer) != tc.held || tc.held == 1 && n.holdBuffer[0].lk != env.Lookup {
 			t.Fatalf("%s: hold buffer %v", tc.name, n.holdBuffer)
 		}
 		if reason, dropped := rec.dropped[seq]; dropped != tc.dropped || dropped && reason != DropRetries {

@@ -58,66 +58,97 @@ func (t *triedSet) has(x id.ID) bool {
 // tried for this particular message.
 func (n *Node) isExcluded(tried *triedSet) func(id.ID) bool {
 	return func(x id.ID) bool {
-		if n.excluded[x] {
-			return true
-		}
-		if _, bad := n.failed[x]; bad {
-			return true
-		}
-		if n.breakerDenies(x) {
-			return true
-		}
-		return tried.has(x)
+		return n.excluded[x] || n.isFailed(x) || n.breakerDenies(x) || tried.has(x)
 	}
 }
+
+// verdict is what nextHop decides about a message for a key.
+type verdict int
+
+const (
+	// forward sends the message on to the next hop nextHop returns.
+	forward verdict = iota
+	// deliver hands the message to this node, the key's root.
+	deliver
+	// hold keeps the message here: a node closer to the key exists but is
+	// excluded from routing, or this node may not deliver yet.
+	hold
+)
 
 // nextHop implements the route function of Figure 2: leaf set first, then
 // the routing-table slot for the key's prefix, then any known node closer
-// to the key that keeps the prefix invariant (routing around failures).
-// It returns the local node with self=true when the message has arrived.
-func (n *Node) nextHop(k id.ID, tried *triedSet) (ref NodeRef, self bool, emptySlot bool) {
+// to the key that keeps the prefix invariant (routing around failures;
+// emptySlot asks for passive repair of the slot).
+//
+// It is the one place that decides whether this node is the key's root.
+// It delivers only from the leaf-set branch, only when no leaf-set member
+// but those marked failed is closer to the key — excluded, tried and
+// breaker-denied members count — and only while the node is active with
+// neither leaf-set side empty (the paper's guard; a believed singleton has
+// both empty). Every other case holds: the closer node is probably alive
+// (aggressive retransmission timeouts are prone to false positives), and
+// it, not this node, is the root. Outside the leaf-set range some leaf
+// member is always closer. HoldOnSuspect off (an ablation) delivers where
+// an excluded node would hold.
+func (n *Node) nextHop(k id.ID, tried *triedSet) (next NodeRef, v verdict, emptySlot bool) {
 	excl := n.isExcluded(tried)
+	v = hold
 	if n.ls.InRange(k) {
-		best, other := n.ls.Closest(k, excl)
-		if !other {
-			return n.self, true, false
+		if best, other := n.ls.Closest(k, excl); other {
+			return best, forward, false
 		}
-		return best, false, false
-	}
-	r := id.CommonPrefixLen(k, n.self.ID, n.cfg.B)
-	if ref, ok := n.rt.BestForKey(k, excl); ok {
-		return ref, false, false
-	}
-	// The slot is empty (or excluded): fall back to any strictly closer
-	// node with a prefix match of at least r, in the routing table or the
-	// leaf set, and remember to trigger passive repair for the slot.
-	if ref, ok := n.rt.AnyCloser(k, r, excl); ok {
-		return ref, false, true
-	}
-	var best NodeRef
-	found := false
-	for _, m := range n.ls.Members() {
-		if excl(m.ID) {
-			continue
+		if _, other := n.ls.Closest(k, n.isFailed); !other {
+			v = deliver
 		}
-		if id.CommonPrefixLen(k, m.ID, n.cfg.B) >= r && id.CloserToKey(k, m.ID, n.self.ID) {
-			if !found || id.CloserToKey(k, m.ID, best.ID) {
-				best, found = m, true
+	} else {
+		if ref, ok := n.rt.BestForKey(k, excl); ok {
+			return ref, forward, false
+		}
+		r := id.CommonPrefixLen(k, n.self.ID, n.cfg.B)
+		if ref, ok := n.rt.AnyCloser(k, r, excl); ok {
+			return ref, forward, true
+		}
+		found := false
+		for _, m := range n.ls.Members() {
+			if excl(m.ID) {
+				continue
+			}
+			if id.CommonPrefixLen(k, m.ID, n.cfg.B) >= r && id.CloserToKey(k, m.ID, n.self.ID) {
+				if !found || id.CloserToKey(k, m.ID, next.ID) {
+					next, found = m, true
+				}
 			}
 		}
+		if found {
+			return next, forward, true
+		}
 	}
-	if found {
-		return best, false, true
+	if v == hold && !n.cfg.HoldOnSuspect {
+		v = deliver
 	}
-	return n.self, true, false
+	if v == deliver && (!n.active || (len(n.ls.Left()) == 0) != (len(n.ls.Right()) == 0)) {
+		v = hold
+	}
+	return n.self, v, false
 }
 
-// routeLookup advances a lookup one overlay hop (or delivers it). The
-// application's Forward hook can consume the message instead.
-func (n *Node) routeLookup(lk *Lookup, tried *triedSet) {
-	next, self, emptySlot := n.nextHop(lk.Key, tried)
-	if self {
+// isFailed reports whether x is marked faulty.
+func (n *Node) isFailed(x id.ID) bool {
+	_, bad := n.failed[x]
+	return bad
+}
+
+// routeLookup forwards, delivers or holds a lookup as nextHop decides;
+// heldSince is when this node first held it (now, unless it comes out of
+// the hold buffer). The application's Forward hook can consume a hop.
+func (n *Node) routeLookup(lk *Lookup, heldSince time.Duration) {
+	next, v, emptySlot := n.nextHop(lk.Key, nil)
+	switch v {
+	case deliver:
 		n.receiveRootLookup(lk)
+		return
+	case hold:
+		n.holdLookup(lk, heldSince)
 		return
 	}
 	if n.app != nil && !n.app.Forward(lk) {
@@ -126,18 +157,20 @@ func (n *Node) routeLookup(lk *Lookup, tried *triedSet) {
 	if emptySlot {
 		n.requestPassiveRepair(lk.Key, next)
 	}
-	n.sendHop(lk, nil, lk.Key, next, tried, !lk.NoAck)
+	n.sendHop(lk, nil, lk.Key, next, nil, !lk.NoAck)
 }
 
 // routeJoin advances a join request one hop towards the joiner's id. The
 // joiner itself is excluded from next-hop selection: it may already appear
 // in routing state (opportunistic insertion on direct contact), but the
 // join must terminate at the existing node closest to the joiner's id.
+// That node is where no other hop is left, so a join has no hold: where a
+// lookup would be held, the join is answered here too.
 func (n *Node) routeJoin(jr *JoinRequest) {
 	var tried triedSet
 	tried.add(jr.Joiner.ID)
-	next, self, emptySlot := n.nextHop(jr.Joiner.ID, &tried)
-	if self {
+	next, v, emptySlot := n.nextHop(jr.Joiner.ID, &tried)
+	if v != forward {
 		n.receiveRootJoin(jr)
 		return
 	}
@@ -193,9 +226,6 @@ func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinReques
 		Join:    jr,
 		TrtHint: n.trtLocal,
 	}
-	if jr != nil && jr.Joiner.ID == n.self.ID && cause == HopForward {
-		env.TrtHint = 0 // a joiner's own first request has never carried a hint
-	}
 	if lk != nil && n.tobs != nil {
 		n.tobs.LookupHop(n, lk, to, cause)
 	}
@@ -226,9 +256,7 @@ func (n *Node) takeHop() *pendingHop {
 // and a parked record must pin nothing (delivery.Fire's discipline in
 // netmodel).
 func (n *Node) parkHop(ph *pendingHop) {
-	if ph.timer != nil {
-		ph.timer.Cancel()
-	}
+	stop(ph.timer)
 	*ph = pendingHop{n: n, fire: ph.fire}
 	if len(n.freeHops) < n.maxFree() {
 		n.freeHops = append(n.freeHops, ph)
@@ -276,9 +304,6 @@ func (n *Node) rtoFor(to NodeRef) time.Duration {
 	if rtt, ok := n.rt.RTT(to.ID); ok {
 		fallback = 2 * rtt
 	}
-	if est == nil {
-		return clampDuration(fallback, n.cfg.MinRTO, n.cfg.MaxRTO)
-	}
 	return est.rto(fallback, n.cfg.MinRTO, n.cfg.MaxRTO)
 }
 
@@ -309,45 +334,48 @@ func (n *Node) hopTimeout(xfer uint64) {
 }
 
 // reroute re-sends a timed-out hop to an alternative next hop, marking the
-// retransmission for traffic accounting. When no alternative exists but a
-// closer excluded node remains (typically the key's root whose ack was
-// lost), the hop is retransmitted to it with exponential backoff rather
-// than mis-delivered locally — the suspect's probe resolves the situation
-// either way (reply clears the exclusion; timeout removes the node).
+// retransmission for traffic accounting. Where the verdict is hold
+// (typically the key's root is the suspect whose ack was lost), the hop is
+// retransmitted to the same node with exponential backoff rather than
+// mis-delivered locally — the suspect's probe resolves the situation
+// either way (reply clears the exclusion; timeout removes the node). A
+// joiner's own join request, which no node is closer to than the joiner,
+// goes to receiveRootJoin instead: on a joining node it is dropped there,
+// and the join watchdog restarts the join.
 func (n *Node) reroute(ph *pendingHop) {
-	next, self, emptySlot := n.nextHop(ph.key, &ph.tried)
-	if self && n.closerExcludedExists(ph.key, &ph.tried) {
+	next, v, emptySlot := n.nextHop(ph.key, &ph.tried)
+	switch {
+	case v == forward:
+		if emptySlot {
+			n.requestPassiveRepair(ph.key, next)
+		}
+		n.transmit(ph, next, HopReroute, n.rtoFor(next))
+	case v == hold && (ph.lookup != nil || ph.key != n.self.ID):
 		n.retransmitSame(ph)
-		return
-	}
-	if self {
+	default:
 		lk, jr := ph.lookup, ph.join
 		n.parkHop(ph)
 		if lk != nil {
 			n.receiveRootLookup(lk)
-		} else if jr != nil {
+		} else {
 			n.receiveRootJoin(jr)
 		}
-		return
 	}
-	if emptySlot {
-		n.requestPassiveRepair(ph.key, next)
-	}
-	n.transmit(ph, next, HopReroute, n.rtoFor(next))
 }
 
 // retransmitSame re-sends the hop to its previous destination with an
 // exponentially backed-off timeout, charged against the destination's
 // retry budget: once the budget runs dry the lookup is parked in the
-// hold buffer instead (released when the suspect's probe resolves), so
-// a struggling peer sees a bounded retransmission rate rather than an
-// exponential storm of backoff copies from every held message.
+// hold buffer instead (re-routed each tick and when the suspect's probe
+// resolves), so a struggling peer sees a bounded retransmission rate
+// rather than an exponential storm of backoff copies from every held
+// message.
 func (n *Node) retransmitSame(ph *pendingHop) {
 	if !n.retryAllowed(ph.to) {
 		lk := ph.lookup
 		n.parkHop(ph)
 		if lk != nil {
-			n.holdLookup(lk)
+			n.holdLookup(lk, n.env.Now())
 		}
 		return
 	}
@@ -369,7 +397,7 @@ func (n *Node) handleEnvelope(env *Envelope) {
 			n.obs.LookupDropped(n, lk, DropTTL)
 			return
 		}
-		n.routeLookup(lk, nil)
+		n.routeLookup(lk, n.env.Now())
 	case env.Join != nil:
 		jr := env.Join
 		jr.Hops++
@@ -414,39 +442,9 @@ func (n *Node) handleAck(ack *Ack) {
 	}
 }
 
-// closerExcludedExists reports whether some node currently excluded from
-// routing (suspected after a missed ack, or already tried for this
-// message) is closer to the key than the local node. Delivering while such
-// a node exists would violate consistency: the suspect is probably alive
-// (aggressive retransmission timeouts are prone to false positives), and
-// it — not us — is the key's root.
-func (n *Node) closerExcludedExists(k id.ID, tried *triedSet) bool {
-	if !n.cfg.HoldOnSuspect {
-		return false
-	}
-	for _, m := range n.ls.Members() {
-		if !n.excluded[m.ID] && !tried.has(m.ID) && !n.breakerDenies(m.ID) {
-			continue
-		}
-		if _, bad := n.failed[m.ID]; bad {
-			continue
-		}
-		if id.CloserToKey(k, m.ID, n.self.ID) {
-			return true
-		}
-	}
-	return false
-}
-
-// receiveRootLookup is Figure 2's receive-root for lookups: deliver only
-// when active, never while a leaf-set side is empty (unless the ring is a
-// believed singleton), and never while a closer suspected-but-unconfirmed
-// node exists — the message is held until the suspect's probe resolves.
+// receiveRootLookup is Figure 2's receive-root for lookups: it delivers a
+// lookup nextHop found this node the root of.
 func (n *Node) receiveRootLookup(lk *Lookup) {
-	if !n.active || !n.canDeliver() || n.closerExcludedExists(lk.Key, nil) {
-		n.holdLookup(lk)
-		return
-	}
 	n.counters.DeliveredLookups++
 	n.obs.Delivered(n, lk)
 	if n.app != nil {
@@ -470,29 +468,13 @@ func (n *Node) receiveRootLookup(lk *Lookup) {
 	}
 }
 
-// IsRootFor reports whether this node would deliver a lookup for key
-// right now (it considers itself the key's root). Exported for the
-// simulator's adversary model: a malicious node that actually owns the
-// key delivers honestly — dropping root-owned traffic is a replication
-// problem, not a routing problem, and no routing defense can recover a
-// lookup whose true destination is the attacker.
+// IsRootFor reports whether nextHop's verdict for key is deliver right
+// now. Exported for the simulator's adversary model: a malicious node
+// that actually owns the key delivers honestly — dropping root-owned
+// traffic is a replication problem, not a routing problem.
 func (n *Node) IsRootFor(key id.ID) bool {
-	if !n.active {
-		return false
-	}
-	_, self, _ := n.nextHop(key, nil)
-	return self
-}
-
-// canDeliver implements the paper's guard: no delivery while Li.left or
-// Li.right is empty — except in a singleton overlay where both are empty.
-func (n *Node) canDeliver() bool {
-	lEmpty := len(n.ls.Left()) == 0
-	rEmpty := len(n.ls.Right()) == 0
-	if lEmpty && rEmpty {
-		return true
-	}
-	return !lEmpty && !rEmpty
+	_, v, _ := n.nextHop(key, nil)
+	return v == deliver
 }
 
 // receiveRootJoin answers a join request that reached the joiner's root.

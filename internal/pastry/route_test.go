@@ -13,6 +13,7 @@ func routeTestNode(t *testing.T, self id.ID, leaves, table []NodeRef) *Node {
 	t.Helper()
 	net := newTestNet(t, 1)
 	n := net.addNode(self, testConfig(), nil)
+	n.active = true
 	for _, l := range leaves {
 		n.ls.Add(l)
 	}
@@ -27,14 +28,13 @@ func TestNextHopDeliversInLeafRange(t *testing.T) {
 	n := routeTestNode(t, self,
 		[]NodeRef{ref(900), ref(950), ref(1050), ref(1100)}, nil)
 	// Key closest to self within leaf range: delivered here.
-	_, isSelf, _ := n.nextHop(id.New(0, 1010), nil)
-	if !isSelf {
-		t.Fatal("key closest to self not delivered locally")
+	if _, v, _ := n.nextHop(id.New(0, 1010), nil); v != deliver {
+		t.Fatalf("key closest to self: verdict %v, want deliver", v)
 	}
 	// Key closest to 1050: forwarded there.
-	next, isSelf, _ := n.nextHop(id.New(0, 1049), nil)
-	if isSelf || next.ID.Lo != 1050 {
-		t.Fatalf("next = %v (self=%v), want 1050", next.ID, isSelf)
+	next, v, _ := n.nextHop(id.New(0, 1049), nil)
+	if v != forward || next.ID.Lo != 1050 {
+		t.Fatalf("next = %v (verdict %v), want 1050", next.ID, v)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestNextHopUsesRoutingTableOutsideRange(t *testing.T) {
 	hop := refID(id.New(0x7000000000000000, 1))
 	n := routeTestNode(t, self, fullLeafSet(self, 8), []NodeRef{hop})
 	key := id.New(0x7abc000000000000, 5)
-	next, isSelf, emptySlot := n.nextHop(key, nil)
-	if isSelf || next.ID != hop.ID {
+	next, v, emptySlot := n.nextHop(key, nil)
+	if v != forward || next.ID != hop.ID {
 		t.Fatalf("next = %v, want routing-table entry", next)
 	}
 	if emptySlot {
@@ -72,8 +72,8 @@ func TestNextHopFallsBackOnEmptySlot(t *testing.T) {
 	fallback := refID(id.New(0x6000000000000000, 9))
 	n := routeTestNode(t, self, fullLeafSet(self, 8), []NodeRef{fallback})
 	key := id.New(0x7abc000000000000, 5)
-	next, isSelf, emptySlot := n.nextHop(key, nil)
-	if isSelf || next.ID != fallback.ID {
+	next, v, emptySlot := n.nextHop(key, nil)
+	if v != forward || next.ID != fallback.ID {
 		t.Fatalf("next = %v, want fallback %v", next.ID, fallback.ID)
 	}
 	if !emptySlot {
@@ -81,15 +81,56 @@ func TestNextHopFallsBackOnEmptySlot(t *testing.T) {
 	}
 }
 
-func TestNextHopExcludedEverywhereDeliversSelf(t *testing.T) {
+// A node that has tried every candidate closer to the key is not the key's
+// root: the closest of them, not marked failed, is.
+func TestNextHopExcludedEverywhereHolds(t *testing.T) {
 	self := id.New(0, 1000)
 	other := ref(1100)
 	n := routeTestNode(t, self, []NodeRef{other}, nil)
 	var tried triedSet
 	tried.add(other.ID)
-	_, isSelf, _ := n.nextHop(id.New(0, 1099), &tried)
-	if !isSelf {
-		t.Fatal("with every candidate excluded the node is the terminal")
+	if _, v, _ := n.nextHop(id.New(0, 1099), &tried); v != hold {
+		t.Fatalf("every closer candidate tried: verdict %v, want hold", v)
+	}
+	n.failed[other.ID] = other
+	if _, v, _ := n.nextHop(id.New(0, 1099), &tried); v != deliver {
+		t.Fatalf("the closer candidate marked failed: verdict %v, want deliver", v)
+	}
+}
+
+// outOfRangeSuspect gives a node with a tight leaf set a key outside the
+// leaf range whose only closer candidate is an excluded routing-table
+// entry: the leaf members on the key's side are marked failed.
+func outOfRangeSuspect(t *testing.T) (*Node, id.ID) {
+	self := id.New(0, 1<<32)
+	hop := refID(id.New(0x7000000000000000, 1))
+	leaves := fullLeafSet(self, 8)
+	n := routeTestNode(t, self, leaves, []NodeRef{hop})
+	key := id.New(0x7abc000000000000, 5)
+	n.excluded[hop.ID] = true
+	for _, m := range leaves {
+		if id.CloserToKey(key, m.ID, self) {
+			n.failed[m.ID] = m
+		}
+	}
+	if n.ls.InRange(key) {
+		t.Fatal("the key is in the leaf range")
+	}
+	return n, key
+}
+
+// Outside the leaf range some other node is always closer to the key, so a
+// node that finds no candidate there holds the lookup; it is not the root.
+func TestNextHopOutsideLeafRangeHolds(t *testing.T) {
+	n, key := outOfRangeSuspect(t)
+	rec := newRecorder()
+	n.obs = rec
+	if _, v, _ := n.nextHop(key, nil); v != hold {
+		t.Fatalf("verdict %v, want hold", v)
+	}
+	n.routeLookup(&Lookup{Key: key, Seq: 7, Origin: n.self}, n.Now())
+	if _, delivered := rec.delivered[7]; delivered || len(n.holdBuffer) != 1 {
+		t.Fatalf("delivered=%v, %d held: want the lookup held", delivered, len(n.holdBuffer))
 	}
 }
 
@@ -109,8 +150,8 @@ func TestNextHopStrictlyApproachesKey(t *testing.T) {
 		}
 		n := routeTestNode(t, self, leaves, table)
 		key := id.Random(rng)
-		next, isSelf, _ := n.nextHop(key, nil)
-		if isSelf {
+		next, v, _ := n.nextHop(key, nil)
+		if v != forward {
 			continue
 		}
 		selfPrefix := id.CommonPrefixLen(key, self, 4)
@@ -142,9 +183,12 @@ func TestRoutingTerminatesFromEveryNode(t *testing.T) {
 		cur := nodes[rng.Intn(len(nodes))]
 		hops := 0
 		for {
-			next, isSelf, _ := cur.nextHop(key, nil)
-			if isSelf {
+			next, v, _ := cur.nextHop(key, nil)
+			if v == deliver {
 				break
+			}
+			if v == hold {
+				t.Fatalf("a consistent overlay held key %v at %v", key, cur.Ref().ID)
 			}
 			hops++
 			if hops > 20 {
@@ -244,7 +288,7 @@ func TestHoldOnSuspectBlocksDelivery(t *testing.T) {
 	key := right.ID // the neighbour is the root of its own id
 	n.excluded[right.ID] = true
 	lk := &Lookup{Key: key, Seq: 999, Origin: n.Ref(), Issued: net.sim.Now()}
-	n.receiveRootLookup(lk)
+	n.routeLookup(lk, n.Now())
 	if _, delivered := rec.delivered[uint64(999)]; delivered {
 		t.Fatal("delivered while a closer node was merely suspected")
 	}
@@ -273,8 +317,78 @@ func TestHoldOnSuspectDisabledDeliversImmediately(t *testing.T) {
 	}
 	n.excluded[right.ID] = true
 	lk := &Lookup{Key: right.ID, Seq: 998, Origin: n.Ref(), Issued: net.sim.Now()}
-	n.receiveRootLookup(lk)
+	n.routeLookup(lk, n.Now())
 	if got, delivered := rec.delivered[uint64(998)]; !delivered || got.ID != n.Ref().ID {
 		t.Fatal("with the rule disabled the node should deliver locally (the ablation behaviour)")
+	}
+	// Outside the leaf range too: the excluded routing-table entry does not
+	// hold the lookup.
+	m, key := outOfRangeSuspect(t)
+	m.cfg.HoldOnSuspect = false
+	m.obs = rec
+	m.routeLookup(&Lookup{Key: key, Seq: 997, Origin: m.self}, m.Now())
+	if got, delivered := rec.delivered[997]; !delivered || got.ID != m.self.ID {
+		t.Fatal("with the rule disabled an out-of-range key with an excluded candidate should deliver locally")
+	}
+}
+
+// A hold behind an open breaker is lifted by the breaker's cooldown, which
+// no event marks: no probe completes, and the next tick re-routes the
+// lookup to its root.
+func TestHeldLookupRedrivenAtTick(t *testing.T) {
+	net, n, sent := hopNode(t, testConfig(), nil)
+	n.breakerOf(ref(1100)).Trip(n.Now())
+	n.Lookup(keyAt1100, nil)
+	net.run(0)
+	if len(n.holdBuffer) != 1 || len(*sent) != 0 {
+		t.Fatalf("%d held, %d sent: want the lookup held behind the open breaker", len(n.holdBuffer), len(*sent))
+	}
+	net.run(2 * n.cfg.breakerCooldown)
+	if len(n.holdBuffer) != 1 || len(*sent) != 0 {
+		t.Fatal("the hold was lifted before a tick")
+	}
+	n.onTick()
+	if _, env := lastHop(t, n, *sent); env.Lookup == nil || env.Lookup.Key != keyAt1100 || len(n.holdBuffer) != 0 {
+		t.Fatalf("the tick did not re-route the held lookup to its root: %d held", len(n.holdBuffer))
+	}
+}
+
+// A hold nothing lifts ends in a reported drop, MinTrt after the first
+// hold at this node: re-holding at a tick does not restart the clock.
+func TestHeldLookupDroppedAfterBound(t *testing.T) {
+	rec := newRecorder()
+	net, n, _ := hopNode(t, testConfig(), rec)
+	n.excluded[ref(1100).ID] = true
+	seq, _ := n.Lookup(keyAt1100, nil)
+	net.run(n.cfg.MinTrt() - time.Millisecond)
+	n.onTick()
+	if _, dropped := rec.dropped[seq]; dropped || len(n.holdBuffer) != 1 {
+		t.Fatalf("dropped before the bound: %d held", len(n.holdBuffer))
+	}
+	net.run(time.Millisecond)
+	n.onTick()
+	if reason, dropped := rec.dropped[seq]; !dropped || reason != DropHeld || len(n.holdBuffer) != 0 {
+		t.Fatalf("at the bound: dropped=%v (%v), %d held; want dropped held", dropped, reason, len(n.holdBuffer))
+	}
+}
+
+// A crashed node reports the lookups only it had — held, or issued and not
+// yet routed — but not one on a pending hop, whose copy may still arrive.
+func TestFailReportsLookupsInCustody(t *testing.T) {
+	rec := newRecorder()
+	net, n, _ := hopNode(t, testConfig(), rec)
+	n.excluded[ref(1100).ID] = true
+	held, _ := n.Lookup(keyAt1100, nil)
+	onHop, _ := n.Lookup(keyAt900, nil)
+	net.run(0)
+	queued, _ := n.Lookup(keyAt900, nil)
+	n.Fail()
+	n.Fail()
+	net.run(time.Second)
+	if len(rec.dropped) != 2 || rec.dropped[held] != DropBuffer || rec.dropped[queued] != DropBuffer {
+		t.Fatalf("drops %v, want %d and %d dropped in the buffer", rec.dropped, held, queued)
+	}
+	if _, dropped := rec.dropped[onHop]; dropped {
+		t.Fatal("the lookup on a pending hop was reported dropped")
 	}
 }

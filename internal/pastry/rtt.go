@@ -35,10 +35,10 @@ func (e *rttEstimator) observe(sample time.Duration) {
 }
 
 // rto returns the aggressive retransmission timeout: srtt + 2*rttvar
-// (TCP uses 4*rttvar), clamped to [min, max]. Before any sample it returns
-// the fallback value.
+// (TCP uses 4*rttvar), clamped to [min, max]. Before any sample, or on a
+// nil estimator, it returns the fallback value.
 func (e *rttEstimator) rto(fallback, min, max time.Duration) time.Duration {
-	if !e.init {
+	if e == nil || !e.init {
 		return clampDuration(fallback, min, max)
 	}
 	return clampDuration(e.srtt+2*e.rttvar, min, max)

@@ -62,9 +62,7 @@ func (n *Node) startSecureSession(lk *Lookup) {
 }
 
 func (n *Node) armSecureTimer(ss *secureSession) {
-	if ss.timer != nil {
-		ss.timer.Cancel()
-	}
+	stop(ss.timer)
 	seq := ss.lk.Seq
 	ss.timer = n.schedule(secureReplyTimeout, func() { n.secureTimeout(seq) })
 }
@@ -137,10 +135,8 @@ func (n *Node) secureSelfDelivered(seq uint64) {
 }
 
 func (n *Node) closeSecureSession(ss *secureSession) {
-	if ss.timer != nil {
-		ss.timer.Cancel()
-		ss.timer = nil
-	}
+	stop(ss.timer)
+	ss.timer = nil
 	delete(n.secureSess, ss.lk.Seq)
 }
 
