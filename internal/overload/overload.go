@@ -327,7 +327,7 @@ func (b *Breaker) Trip(now time.Duration) {
 }
 
 // Ready reports whether an open breaker's cooldown has expired, so the
-// owner should move it half-open and send a trial probe.
+// owner should move it half-open and admit regular traffic as the trial.
 func (b *Breaker) Ready(now time.Duration) bool {
 	return b.state == BreakerOpen && now-b.openedAt >= b.openFor
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mspastry/internal/id"
-	"mspastry/internal/overload"
 )
 
 // stressedPeer builds a two-node overlay and then silences the second
@@ -141,5 +140,4 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if s := src.Breakers(); s.Open != 0 {
 		t.Fatalf("breaker still open after recovery: %+v", s)
 	}
-	_ = overload.BreakerClosed
 }

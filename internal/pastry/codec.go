@@ -216,12 +216,6 @@ func present[T any](c *codec.Coder, part **T) bool {
 	return has
 }
 
-// encodeMessage serialises a message into a fresh buffer. Hot paths
-// should prefer AppendMessage with a pooled or reused buffer.
-func encodeMessage(m Message) []byte {
-	return AppendMessage(make([]byte, 0, 256), m)
-}
-
 // AppendMessage serialises a message onto buf and returns the extended
 // slice, allocating only when buf's capacity is exhausted.
 func AppendMessage(buf []byte, m Message) []byte {

@@ -11,6 +11,10 @@ import (
 	"mspastry/internal/id"
 )
 
+// encodeMessage serialises a message into a fresh buffer, which stays on
+// the caller's stack when it does not escape.
+func encodeMessage(m Message) []byte { return AppendMessage(make([]byte, 0, 256), m) }
+
 func appendRef(buf []byte, r NodeRef) []byte {
 	c := codec.Appender(buf)
 	walkRef(&c, &r)

@@ -115,12 +115,12 @@ type Config struct {
 	RetryBudgetBurst int
 
 	// BreakerThreshold is the number of consecutive per-hop ack failures
-	// after which a peer's circuit breaker opens: the peer is fast-failed
-	// and routed around until a recovery probe succeeds. 0 disables
-	// circuit breakers.
+	// after which a peer's circuit breaker opens: the peer is routed around
+	// until its cooldown ends, then regular traffic is the trial and only
+	// an ack closes the breaker (breaker.go). 0 disables circuit breakers.
 	BreakerThreshold int
-	// breakerCooldown is how long an opened breaker waits before probing
-	// the peer (half-open); each failed recovery probe doubles the wait
+	// breakerCooldown is how long an opened breaker denies the peer before
+	// it goes half-open; each failed trial (a missed ack) doubles the wait
 	// up to breakerMaxCooldown.
 	breakerCooldown    time.Duration
 	breakerMaxCooldown time.Duration

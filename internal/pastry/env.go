@@ -57,19 +57,13 @@ const (
 	DropHeld
 )
 
+var dropReasons = [...]string{DropTTL: "ttl", DropRetries: "retries", DropBuffer: "buffer", DropHeld: "held"}
+
 func (d DropReason) String() string {
-	switch d {
-	case DropTTL:
-		return "ttl"
-	case DropRetries:
-		return "retries"
-	case DropBuffer:
-		return "buffer"
-	case DropHeld:
-		return "held"
-	default:
+	if d < DropTTL || int(d) >= len(dropReasons) {
 		return "unknown"
 	}
+	return dropReasons[d]
 }
 
 // Observer receives protocol-level events for metrics collection. Methods
@@ -99,17 +93,13 @@ const (
 	HopBackoff
 )
 
+var hopCauses = [...]string{HopForward: "forward", HopReroute: "reroute", HopBackoff: "backoff"}
+
 func (c HopCause) String() string {
-	switch c {
-	case HopForward:
-		return "forward"
-	case HopReroute:
-		return "reroute"
-	case HopBackoff:
-		return "backoff"
-	default:
+	if c < HopForward || int(c) >= len(hopCauses) {
 		return "unknown"
 	}
+	return hopCauses[c]
 }
 
 // TraceObserver is an optional Observer extension receiving per-lookup

@@ -15,19 +15,17 @@ func (n *Node) sendJoinRequest(seed NodeRef) {
 	ph := n.takeHop()
 	ph.join, ph.key = &JoinRequest{Joiner: n.self}, n.self.ID
 	n.transmit(ph, seed, HopForward, n.rtoFor(seed))
-	n.armJoinWatchdog()
+	n.arm(timerJoinRetry, joinRetryAfter, &n.joinAlarm, nil)
 }
 
-// armJoinWatchdog restarts the join if the node has not activated within
-// the retry window (for example, the seed crashed mid-join).
-func (n *Node) armJoinWatchdog() {
-	start := n.joinStart
-	n.schedule(joinRetryAfter, func() {
-		if n.active || n.joinStart != start {
-			return
-		}
-		n.scheduleJoinRetry()
-	})
+// joinWatchdog restarts a join that has not activated joinRetryAfter after
+// its request went out (for example, the seed crashed mid-join). A join
+// restarted since has a watchdog of its own.
+func (n *Node) joinWatchdog() {
+	if n.active || n.env.Now()-n.joinStart < joinRetryAfter {
+		return
+	}
+	n.scheduleJoinRetry()
 }
 
 // scheduleJoinRetry restarts the join protocol with a fresh seed.
@@ -107,38 +105,43 @@ func (n *Node) announceRows() {
 // improvement remains, use the final node to seed the join.
 func (n *Node) startNearestNeighbour(seed NodeRef) {
 	n.nn = &nnState{current: seed, budget: 12}
-	n.send(seed, &NNStateRequest{From: n.self})
-	state := n.nn
-	state.timer = n.schedule(4*n.cfg.To, func() { n.nnGiveUp(state) })
+	n.askNN(seed)
 }
 
-// nnState tracks the nearest-neighbour search during a join.
+// askNN asks the search's current candidate for its routing state and
+// re-arms the search's give-up timer.
+func (n *Node) askNN(ref NodeRef) {
+	n.send(ref, &NNStateRequest{From: n.self})
+	stop(n.nnAlarm.timer)
+	n.arm(timerNNGiveUp, 4*n.cfg.To, &n.nnAlarm, nil)
+}
+
+// nnState tracks the nearest-neighbour search during a join; n.nn is the
+// search in progress, nil once it finished.
 type nnState struct {
-	current   NodeRef
-	currentD  time.Duration
-	measured  bool
-	pendingN  int
-	bestCand  NodeRef
-	bestD     time.Duration
-	haveCand  bool
-	budget    int
-	timer     Timer
-	completed bool
+	current  NodeRef
+	currentD time.Duration
+	measured bool
+	pendingN int
+	bestCand NodeRef
+	bestD    time.Duration
+	haveCand bool
+	budget   int
 }
 
-// nnGiveUp abandons the search and joins through the best node seen.
-func (n *Node) nnGiveUp(state *nnState) {
-	if state.completed || n.nn != state {
-		return
-	}
-	n.nnFinish(state)
-}
-
+// nnFinish ends the search and joins through the best node seen: when no
+// closer node is left, when the budget runs out, or when the give-up timer
+// fires (it is due exactly while a search is in progress).
 func (n *Node) nnFinish(state *nnState) {
-	state.completed = true
-	stop(state.timer)
+	stop(n.nnAlarm.timer)
 	n.nn = nil
 	n.sendJoinRequest(state.current)
+}
+
+// handleNNStateRequest answers a nearest-neighbour query with this node's
+// leaf set and routing-table entries.
+func (n *Node) handleNNStateRequest(req *NNStateRequest) {
+	n.send(req.From, &NNStateReply{From: n.self, Leaves: n.ls.Members(), Entries: n.rt.Entries()})
 }
 
 // handleNNStateReply processes the candidate's state: probe distance (one
@@ -146,7 +149,7 @@ func (n *Node) nnFinish(state *nnState) {
 // have not measured, tracking the closest.
 func (n *Node) handleNNStateReply(msg *NNStateReply) {
 	state := n.nn
-	if state == nil || state.completed || n.active {
+	if state == nil || n.active {
 		return
 	}
 	cands := append(append([]NodeRef(nil), msg.Leaves...), msg.Entries...)
@@ -180,7 +183,7 @@ func (n *Node) handleNNStateReply(msg *NNStateReply) {
 // nnSample folds in one distance measurement for the search round; when
 // the round completes, either move to a closer node or finish.
 func (n *Node) nnSample(state *nnState, target NodeRef, rtt time.Duration, ok bool) {
-	if state.completed || n.nn != state {
+	if n.nn != state {
 		return
 	}
 	state.pendingN--
@@ -210,7 +213,5 @@ func (n *Node) nnSample(state *nnState, target NodeRef, rtt time.Duration, ok bo
 	state.currentD = state.bestD
 	state.measured = true
 	state.haveCand = false
-	n.send(state.current, &NNStateRequest{From: n.self})
-	stop(state.timer)
-	state.timer = n.schedule(4*n.cfg.To, func() { n.nnGiveUp(state) })
+	n.askNN(state.current)
 }

@@ -131,35 +131,23 @@ func (ls *LeafSet) Left() []NodeRef { return ls.left }
 func (ls *LeafSet) Right() []NodeRef { return ls.right }
 
 // LeftNeighbour returns the closest node on the left, if any.
-func (ls *LeafSet) LeftNeighbour() (NodeRef, bool) {
-	if len(ls.left) == 0 {
-		return NodeRef{}, false
-	}
-	return ls.left[0], true
-}
+func (ls *LeafSet) LeftNeighbour() (NodeRef, bool) { return at(ls.left, 0) }
 
 // RightNeighbour returns the closest node on the right, if any.
-func (ls *LeafSet) RightNeighbour() (NodeRef, bool) {
-	if len(ls.right) == 0 {
-		return NodeRef{}, false
-	}
-	return ls.right[0], true
-}
+func (ls *LeafSet) RightNeighbour() (NodeRef, bool) { return at(ls.right, 0) }
 
 // Leftmost returns the farthest node on the left side, if any.
-func (ls *LeafSet) Leftmost() (NodeRef, bool) {
-	if len(ls.left) == 0 {
-		return NodeRef{}, false
-	}
-	return ls.left[len(ls.left)-1], true
-}
+func (ls *LeafSet) Leftmost() (NodeRef, bool) { return at(ls.left, len(ls.left)-1) }
 
 // Rightmost returns the farthest node on the right side, if any.
-func (ls *LeafSet) Rightmost() (NodeRef, bool) {
-	if len(ls.right) == 0 {
+func (ls *LeafSet) Rightmost() (NodeRef, bool) { return at(ls.right, len(ls.right)-1) }
+
+// at returns side[i], if side has one.
+func at(side []NodeRef, i int) (NodeRef, bool) {
+	if i < 0 || i >= len(side) {
 		return NodeRef{}, false
 	}
-	return ls.right[len(ls.right)-1], true
+	return side[i], true
 }
 
 // Empty reports whether both sides are empty (a singleton overlay).

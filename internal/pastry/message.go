@@ -59,27 +59,14 @@ const (
 // 1-based), sized for dense per-category arrays.
 const CategoryCount = int(CatSecure) + 1
 
+var categories = [CategoryCount]string{CatLookup: "lookup", CatJoin: "join", CatDistance: "distance",
+	CatLeafSet: "leafset", CatRTProbe: "rtprobe", CatAck: "ack", CatApp: "app", CatSecure: "secure"}
+
 func (c Category) String() string {
-	switch c {
-	case CatLookup:
-		return "lookup"
-	case CatJoin:
-		return "join"
-	case CatDistance:
-		return "distance"
-	case CatLeafSet:
-		return "leafset"
-	case CatRTProbe:
-		return "rtprobe"
-	case CatAck:
-		return "ack"
-	case CatApp:
-		return "app"
-	case CatSecure:
-		return "secure"
-	default:
+	if c < CatLookup || int(c) >= len(categories) {
 		return fmt.Sprintf("Category(%d)", int(c))
 	}
+	return categories[c]
 }
 
 // Message is anything a node can send to another node.
@@ -361,3 +348,30 @@ type NNStateReply struct {
 
 // Category implements Message.
 func (*NNStateReply) Category() Category { return CatJoin }
+
+// contact is implemented by every message that names its direct sender:
+// Receive notes contact with the sender, and takes its Trt hint, before it
+// dispatches. JoinReply names none.
+type contact interface {
+	sender() (from NodeRef, trtHint time.Duration)
+}
+
+func (m *Envelope) sender() (NodeRef, time.Duration)       { return m.From, m.TrtHint }
+func (m *Ack) sender() (NodeRef, time.Duration)            { return m.From, m.TrtHint }
+func (m *LSProbe) sender() (NodeRef, time.Duration)        { return m.From, m.TrtHint }
+func (m *LSProbeReply) sender() (NodeRef, time.Duration)   { return m.From, m.TrtHint }
+func (m *Heartbeat) sender() (NodeRef, time.Duration)      { return m.From, m.TrtHint }
+func (m *RTProbe) sender() (NodeRef, time.Duration)        { return m.From, m.TrtHint }
+func (m *RTProbeReply) sender() (NodeRef, time.Duration)   { return m.From, m.TrtHint }
+func (m *RootReport) sender() (NodeRef, time.Duration)     { return m.From, m.TrtHint }
+func (m *DistProbe) sender() (NodeRef, time.Duration)      { return m.From, 0 }
+func (m *DistProbeReply) sender() (NodeRef, time.Duration) { return m.From, 0 }
+func (m *DistReport) sender() (NodeRef, time.Duration)     { return m.From, 0 }
+func (m *RowRequest) sender() (NodeRef, time.Duration)     { return m.From, 0 }
+func (m *RowReply) sender() (NodeRef, time.Duration)       { return m.From, 0 }
+func (m *RowAnnounce) sender() (NodeRef, time.Duration)    { return m.From, 0 }
+func (m *RepairRequest) sender() (NodeRef, time.Duration)  { return m.From, 0 }
+func (m *RepairReply) sender() (NodeRef, time.Duration)    { return m.From, 0 }
+func (m *NNStateRequest) sender() (NodeRef, time.Duration) { return m.From, 0 }
+func (m *NNStateReply) sender() (NodeRef, time.Duration)   { return m.From, 0 }
+func (m *AppDirect) sender() (NodeRef, time.Duration)      { return m.From, 0 }

@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"mspastry/internal/id"
@@ -61,8 +62,6 @@ type Node struct {
 
 	lastReconnect time.Duration
 
-	repairTimer Timer
-
 	// Per-hop ack state.
 	pending  map[uint64]*pendingHop
 	nextXfer uint64
@@ -74,11 +73,10 @@ type Node struct {
 	freeProbes []*probeState
 
 	// issued queues this origin's lookups between Lookup and the zero-delay
-	// callback that routes them (routeIssued, bound once as routeIssuedFn):
-	// first in, first out, issuedHead the next one out.
-	issued        []*Lookup
-	issuedHead    int
-	routeIssuedFn func()
+	// timer that routes them (routeIssued): first in, first out, issuedHead
+	// the next one out.
+	issued     []issuedLookup
+	issuedHead int
 
 	// Self-tuning state.
 	failureHist []time.Duration
@@ -100,7 +98,8 @@ type Node struct {
 
 	nextLookupSeq uint64
 
-	tickTimer Timer
+	// The node's own timer slots (arm); records carry their own.
+	tickAlarm, repairAlarm, joinAlarm, nnAlarm, issuedAlarm alarm
 
 	app App
 
@@ -168,36 +167,20 @@ type Counters struct {
 // Add accumulates o into c, field by field: how a run totals the
 // counters of every node instance it hosted.
 func (c *Counters) Add(o Counters) {
-	c.SuppressedProbes += o.SuppressedProbes
-	c.SentRTProbes += o.SentRTProbes
-	c.SentReconnectProbes += o.SentReconnectProbes
-	c.SentHeartbeats += o.SentHeartbeats
-	c.Retransmits += o.Retransmits
-	c.FalsePositives += o.FalsePositives
-	c.DeliveredLookups += o.DeliveredLookups
-	c.RetryBudgetExhausted += o.RetryBudgetExhausted
-	c.BreakerOpens += o.BreakerOpens
-	c.BreakerReopens += o.BreakerReopens
-	c.BreakerCloses += o.BreakerCloses
-	c.SecureReports += o.SecureReports
-	c.SecureTestPass += o.SecureTestPass
-	c.SecureTestFail += o.SecureTestFail
-	c.SecureRedundantRounds += o.SecureRedundantRounds
-	c.SecureRedundantSends += o.SecureRedundantSends
-	c.SecureDistrusted += o.SecureDistrusted
-	c.SecureGiveUps += o.SecureGiveUps
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := range dst.NumField() {
+		dst.Field(i).SetUint(dst.Field(i).Uint() + src.Field(i).Uint())
+	}
 }
 
 // probeState is one outstanding liveness probe, a node-local record taken
 // from Node.freeProbes and parked there when the probe completes (see
 // startProbe, parkProbe).
 type probeState struct {
-	n       *Node  // owner; set with fire at first allocation, kept across reuse
-	fire    func() // the timeout method value, bound once
+	alarm   // the timeout; its callback is bound once and kept across reuse
 	ref     NodeRef
 	isLeaf  bool // leaf-set probe (LSProbe) vs routing-table ping
 	retries int
-	timer   Timer
 	// announce marks probes started by first-hand failure suspicion
 	// (missed heartbeat or missed per-hop ack): if such a probe times
 	// out, the failure is announced to the rest of the leaf set.
@@ -213,8 +196,7 @@ type probeState struct {
 // its ack, a node-local record taken from Node.freeHops and parked there
 // when the hop completes (see takeHop, parkHop).
 type pendingHop struct {
-	n        *Node  // owner; set with fire at first allocation, kept across reuse
-	fire     func() // the timeout method value, bound once
+	alarm           // the timeout; its callback is bound once and kept across reuse
 	xfer     uint64 // the transmission the armed timer guards
 	lookup   *Lookup
 	join     *JoinRequest
@@ -223,7 +205,6 @@ type pendingHop struct {
 	attempts int
 	// tried holds next hops already attempted for this message.
 	tried  triedSet
-	timer  Timer
 	sentAt time.Duration
 	retx   bool
 }
@@ -254,7 +235,6 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 		secureSess:   make(map[uint64]*secureSession),
 		addrScratch:  make(map[string]struct{}),
 	}
-	n.routeIssuedFn = n.routeIssued
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)
 	n.sobs, _ = obs.(StatsObserver)
@@ -309,6 +289,13 @@ func (n *Node) SendDirect(to NodeRef, payload []byte) {
 	n.send(to, &AppDirect{From: n.self, Payload: payload})
 }
 
+// handleAppDirect hands a point-to-point message to the application.
+func (n *Node) handleAppDirect(m *AppDirect) {
+	if n.app != nil {
+		n.app.Direct(m.From, m.Payload)
+	}
+}
+
 // SetSeedSource installs a callback used to obtain a fresh seed when a
 // join stalls (for example because the original seed crashed mid-join).
 func (n *Node) SetSeedSource(f func() (NodeRef, bool)) { n.seedSource = f }
@@ -354,12 +341,12 @@ func (n *Node) Fail() {
 		n.obs.LookupDropped(n, h.lk, DropBuffer)
 	}
 	n.holdBuffer = nil
-	for _, lk := range n.issued[n.issuedHead:] {
-		n.obs.LookupDropped(n, lk, DropBuffer)
+	for _, is := range n.issued[n.issuedHead:] {
+		n.obs.LookupDropped(n, is.lk, DropBuffer)
 	}
-	stop(n.tickTimer)
-	stop(n.repairTimer)
-	n.tickTimer, n.repairTimer = nil, nil
+	n.issued, n.issuedHead = nil, 0
+	stop(n.tickAlarm.timer)
+	stop(n.repairAlarm.timer)
 	for _, ps := range n.probing {
 		stop(ps.timer)
 	}
@@ -367,7 +354,7 @@ func (n *Node) Fail() {
 		stop(ph.timer)
 	}
 	for _, ds := range n.distSessions {
-		stop(ds.timer)
+		stop(ds.deadline.timer)
 	}
 	for _, ss := range n.secureSess {
 		stop(ss.timer)
@@ -401,23 +388,31 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 	// Route asynchronously so the caller observes the sequence number
 	// before any delivery callback can fire (the origin may itself be the
 	// key's root, in which case routing delivers immediately).
-	n.issued = append(n.issued, lk)
-	n.env.Schedule(0, n.routeIssuedFn)
+	n.issued = append(n.issued, issuedLookup{lk: lk})
+	n.arm(timerIssued, 0, &n.issuedAlarm, nil)
 	return lk.Seq, true
 }
 
-// routeIssued routes the oldest queued lookup. Lookup schedules one call
-// per lookup, so each call takes exactly one — also on a node that crashed
-// in between, which reported it dropped (Fail).
+// issuedLookup is a lookup queued between Lookup and routeIssued; redundant
+// asks for a diverse-path round as soon as it is routed (LookupSecure).
+type issuedLookup struct {
+	lk        *Lookup
+	redundant bool
+}
+
+// routeIssued routes the oldest queued lookup. Lookup arms one timer per
+// lookup, so each call takes exactly one; a crash empties the queue and
+// reports what it held dropped (Fail), and its timers run nothing.
 func (n *Node) routeIssued() {
-	lk := n.issued[n.issuedHead]
-	n.issued[n.issuedHead] = nil
+	is := n.issued[n.issuedHead]
+	n.issued[n.issuedHead] = issuedLookup{}
 	n.issuedHead++
 	if n.issuedHead == len(n.issued) {
 		n.issued, n.issuedHead = n.issued[:0], 0
 	}
-	if n.alive {
-		n.routeLookup(lk, n.env.Now())
+	n.routeLookup(is.lk, n.env.Now())
+	if ss, live := n.secureSess[is.lk.Seq]; is.redundant && live {
+		n.redundantRound(ss)
 	}
 }
 
@@ -428,91 +423,147 @@ func (n *Node) routeIssued() {
 // Falls back to a plain Lookup when secure routing is off.
 func (n *Node) LookupSecure(key id.ID, payload []byte) (uint64, bool) {
 	seq, ok := n.Lookup(key, payload)
-	if !ok || !n.cfg.SecureRouting {
-		return seq, ok
+	if ok && n.cfg.SecureRouting {
+		n.issued[len(n.issued)-1].redundant = true
 	}
-	n.schedule(0, func() {
-		if ss, live := n.secureSess[seq]; live {
-			n.redundantRound(ss)
-		}
-	})
-	return seq, true
+	return seq, ok
 }
 
-// Receive processes one incoming message. The sender is identified by the
-// message's From field; receipt of any message refreshes the sender's
-// liveness.
+// Receive processes one incoming message: it notes contact with the
+// sender, whose receipt of any message refreshes its liveness, then runs
+// the message type's rule.
 func (n *Node) Receive(m Message) {
 	if !n.alive {
 		return
 	}
+	if c, ok := m.(contact); ok {
+		n.noteContact(c.sender())
+	}
 	switch msg := m.(type) {
 	case *Envelope:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleEnvelope(msg)
 	case *Ack:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleAck(msg)
 	case *LSProbe:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleLSProbe(msg)
 	case *LSProbeReply:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleLSProbeReply(msg)
 	case *Heartbeat:
-		n.noteContact(msg.From, msg.TrtHint)
+		n.handleHeartbeat(msg)
 	case *RTProbe:
-		n.noteContact(msg.From, msg.TrtHint)
-		n.send(msg.From, &RTProbeReply{From: n.self, TrtHint: n.trtLocal})
+		n.handleRTProbe(msg)
 	case *RTProbeReply:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleRTProbeReply(msg)
 	case *JoinReply:
 		n.handleJoinReply(msg)
 	case *DistProbe:
-		n.noteContact(msg.From, 0)
-		n.send(msg.From, &DistProbeReply{From: n.self, Seq: msg.Seq})
+		n.handleDistProbe(msg)
 	case *DistProbeReply:
-		n.noteContact(msg.From, 0)
 		n.handleDistProbeReply(msg)
 	case *DistReport:
-		n.noteContact(msg.From, 0)
 		n.handleDistReport(msg)
 	case *RowRequest:
-		n.noteContact(msg.From, 0)
-		n.send(msg.From, &RowReply{From: n.self, Row: msg.Row, Entries: n.rt.Row(msg.Row)})
+		n.handleRowRequest(msg)
 	case *RowReply:
-		n.noteContact(msg.From, 0)
-		n.handleRowEntries(append(msg.Entries, msg.From), false)
+		n.handleRowReply(msg)
 	case *RowAnnounce:
-		// A join announcement: always measure the newcomer itself; the
-		// other row entries only fill gaps (periodic maintenance handles
-		// slot improvement).
-		n.noteContact(msg.From, 0)
-		n.handleRowEntries([]NodeRef{msg.From}, false)
-		n.handleRowEntries(msg.Entries, true)
+		n.handleRowAnnounce(msg)
 	case *RepairRequest:
-		n.noteContact(msg.From, 0)
 		n.handleRepairRequest(msg)
 	case *RepairReply:
-		n.noteContact(msg.From, 0)
-		n.handleRowEntries(msg.Entries, true)
+		n.handleRepairReply(msg)
 	case *NNStateRequest:
-		n.noteContact(msg.From, 0)
-		n.send(msg.From, &NNStateReply{From: n.self, Leaves: n.ls.Members(), Entries: n.rt.Entries()})
+		n.handleNNStateRequest(msg)
 	case *NNStateReply:
-		n.noteContact(msg.From, 0)
 		n.handleNNStateReply(msg)
 	case *AppDirect:
-		n.noteContact(msg.From, 0)
-		if n.app != nil {
-			n.app.Direct(msg.From, msg.Payload)
-		}
+		n.handleAppDirect(msg)
 	case *RootReport:
-		n.noteContact(msg.From, msg.TrtHint)
 		n.handleRootReport(msg)
 	default:
 		panic(fmt.Sprintf("pastry: unknown message %T", m))
+	}
+}
+
+// timerKind names the rule a timer runs. Every timer the node arms has a
+// kind (arm), and fire dispatches on it.
+type timerKind uint8
+
+const (
+	timerTick timerKind = iota
+	timerHop
+	timerProbe
+	timerRepairRetry
+	timerJoinRetry
+	timerNNGiveUp
+	timerDistProbe
+	timerDistDeadline
+	timerSecure
+	timerIssued
+	timerKinds // the number of kinds
+)
+
+// timerRules names the rule method each kind of timer runs.
+var timerRules = [timerKinds]string{
+	timerTick:         "onTick",
+	timerHop:          "hopTimeout",
+	timerProbe:        "probeTimeout",
+	timerRepairRetry:  "repairRetry",
+	timerJoinRetry:    "joinWatchdog",
+	timerNNGiveUp:     "nnFinish",
+	timerDistProbe:    "sendDistProbe",
+	timerDistDeadline: "finishDistSession",
+	timerSecure:       "secureTimeout",
+	timerIssued:       "routeIssued",
+}
+
+func (k timerKind) String() string { return timerRules[k] }
+
+// alarm is one timer slot, the node's or a record's: the timer armed last
+// and the callback that runs it, bound to the slot's kind and owner when
+// the slot is first armed and kept from then on.
+type alarm struct {
+	timer Timer
+	run   func()
+}
+
+// arm arms slot a to run kind k's rule after d, on rec (nil for the node's
+// own slots). It is the package's one call of Env.Schedule, and allocates
+// nothing but the Env's handle once the slot is bound.
+func (n *Node) arm(k timerKind, d time.Duration, a *alarm, rec any) {
+	if a.run == nil {
+		a.run = func() { n.fire(k, rec) }
+	}
+	a.timer = n.env.Schedule(d, a.run)
+}
+
+// fire runs the rule of a timer of kind k that came due on rec. A crashed
+// node runs none.
+func (n *Node) fire(k timerKind, rec any) {
+	if !n.alive {
+		return
+	}
+	switch k {
+	case timerTick:
+		n.onTick()
+	case timerHop:
+		n.hopTimeout(rec.(*pendingHop))
+	case timerProbe:
+		n.probeTimeout(rec.(*probeState))
+	case timerRepairRetry:
+		n.repairRetry()
+	case timerJoinRetry:
+		n.joinWatchdog()
+	case timerNNGiveUp:
+		n.nnFinish(n.nn)
+	case timerDistProbe:
+		n.sendDistProbe(rec.(*distSession))
+	case timerDistDeadline:
+		n.finishDistSession(rec.(*distSession))
+	case timerSecure:
+		n.secureTimeout(rec.(*secureSession))
+	case timerIssued:
+		n.routeIssued()
 	}
 }
 
@@ -607,16 +658,6 @@ func deriveTraceID(origin NodeRef, seq uint64, issued time.Duration) uint64 {
 	return h
 }
 
-// schedule wraps Env.Schedule with a liveness guard so callbacks never run
-// on a crashed node.
-func (n *Node) schedule(d time.Duration, fn func()) Timer {
-	return n.env.Schedule(d, func() {
-		if n.alive {
-			fn()
-		}
-	})
-}
-
 // activate marks the node active, replays held messages and starts the
 // periodic maintenance tick.
 func (n *Node) activate() {
@@ -624,29 +665,19 @@ func (n *Node) activate() {
 	clear(n.failed)
 	n.obs.Activated(n, n.env.Now()-n.joinStart)
 	n.lastMaintenance = n.env.Now()
-	n.startTick()
+	if n.tickAlarm.timer == nil {
+		// The first tick, at a random offset: ticks desynchronise across nodes.
+		n.arm(timerTick, time.Duration(n.env.Rand().Int63n(int64(n.cfg.TickInterval))), &n.tickAlarm, nil)
+	}
 	n.announceRows()
 	n.releaseHeld()
 }
 
-func (n *Node) startTick() {
-	if n.tickTimer != nil {
-		return
-	}
-	var tick func()
-	tick = func() {
-		n.tickTimer = n.schedule(n.cfg.TickInterval, tick)
-		n.onTick()
-	}
-	// Desynchronise ticks across nodes.
-	first := time.Duration(n.env.Rand().Int63n(int64(n.cfg.TickInterval)))
-	n.tickTimer = n.schedule(first, tick)
-}
-
-// onTick runs the periodic maintenance: heartbeats, right-neighbour
-// failure suspicion, routing-table liveness probing, self-tuning and
-// periodic routing-table maintenance.
+// onTick arms the next tick and runs the periodic maintenance: heartbeats,
+// right-neighbour failure suspicion, routing-table liveness probing,
+// self-tuning and periodic routing-table maintenance.
 func (n *Node) onTick() {
+	n.arm(timerTick, n.cfg.TickInterval, &n.tickAlarm, nil)
 	if !n.active {
 		return
 	}

@@ -13,8 +13,10 @@ type distSession struct {
 	want    int
 	samples []time.Duration
 	sentAt  map[uint64]time.Duration
-	timer   Timer
-	done    []func(rtt time.Duration, ok bool)
+	// sample sends the probes after the first, one timer each; deadline
+	// ends the session.
+	sample, deadline alarm
+	done             []func(rtt time.Duration, ok bool)
 }
 
 // measureDistance starts (or joins) a distance measurement to target with
@@ -38,18 +40,18 @@ func (n *Node) measureDistance(target NodeRef, samples int, done func(rtt time.D
 	n.distSessions[target.ID] = ds
 	n.sendDistProbe(ds)
 	for i := 1; i < samples; i++ {
-		i := i
-		n.schedule(time.Duration(i)*n.cfg.DistProbeSpacing, func() {
-			if n.distSessions[ds.target.ID] == ds {
-				n.sendDistProbe(ds)
-			}
-		})
+		n.arm(timerDistProbe, time.Duration(i)*n.cfg.DistProbeSpacing, &ds.sample, ds)
 	}
 	deadline := time.Duration(samples)*n.cfg.DistProbeSpacing + 2*n.cfg.To
-	ds.timer = n.schedule(deadline, func() { n.finishDistSession(ds) })
+	n.arm(timerDistDeadline, deadline, &ds.deadline, ds)
 }
 
+// sendDistProbe sends one of the session's probes; a session that is over
+// sends none.
 func (n *Node) sendDistProbe(ds *distSession) {
+	if n.distSessions[ds.target.ID] != ds {
+		return
+	}
 	n.nextDistSeq++
 	seq := n.nextDistSeq
 	ds.sentAt[seq] = n.env.Now()
@@ -84,7 +86,7 @@ func (n *Node) finishDistSession(ds *distSession) {
 		return
 	}
 	delete(n.distSessions, ds.target.ID)
-	stop(ds.timer)
+	stop(ds.deadline.timer)
 	for seq := range ds.sentAt {
 		delete(n.distSeqs, seq)
 	}
@@ -101,11 +103,34 @@ func (n *Node) finishDistSession(ds *distSession) {
 	}
 }
 
+// handleDistProbe echoes a distance probe.
+func (n *Node) handleDistProbe(p *DistProbe) {
+	n.send(p.From, &DistProbeReply{From: n.self, Seq: p.Seq})
+}
+
 // handleDistReport applies a symmetric distance report: the peer measured
 // the round-trip delay between us, so we can consider it for our routing
 // table without probing (round-trip delay is symmetric).
 func (n *Node) handleDistReport(msg *DistReport) {
 	n.rt.AddWithRTT(msg.From, msg.RTT)
+}
+
+// handleRowRequest answers periodic maintenance with the requested row.
+func (n *Node) handleRowRequest(req *RowRequest) {
+	n.send(req.From, &RowReply{From: n.self, Row: req.Row, Entries: n.rt.Row(req.Row)})
+}
+
+// handleRowReply considers the returned row's entries and its sender.
+func (n *Node) handleRowReply(rep *RowReply) {
+	n.handleRowEntries(append(rep.Entries, rep.From), false)
+}
+
+// handleRowAnnounce takes a join announcement: it always measures the
+// newcomer itself; the other row entries only fill gaps (periodic
+// maintenance handles slot improvement).
+func (n *Node) handleRowAnnounce(a *RowAnnounce) {
+	n.handleRowEntries([]NodeRef{a.From}, false)
+	n.handleRowEntries(a.Entries, true)
 }
 
 // handleRowEntries processes routing-table rows received through gossip

@@ -8,20 +8,23 @@ import (
 )
 
 // probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
-// probei: no-op if the node is already being probed with a leaf probe or
-// has been marked faulty.
-func (n *Node) probeLeaf(ref NodeRef) { n.probeLeafAnnounce(ref, false) }
+// probei.
+func (n *Node) probeLeaf(ref NodeRef) { n.probe(ref, true, false) }
 
-// probeLeafAnnounce starts a leaf probe; announce marks it as first-hand
-// failure suspicion (its timeout is announced to the leaf set).
-func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
-	if ref.ID == n.self.ID || ref.IsZero() {
+// probe starts a probe of ref — a leaf-set probe (isLeaf) or a routing-table
+// liveness ping — unless ref is this node or marked faulty. announce marks
+// first-hand failure suspicion (its timeout is announced to the leaf set).
+// A leaf probe of a node already under probe upgrades that probe instead;
+// a ping does nothing.
+func (n *Node) probe(ref NodeRef, isLeaf, announce bool) {
+	if ref.ID == n.self.ID || ref.IsZero() || n.isFailed(ref.ID) {
 		return
 	}
-	if _, bad := n.failed[ref.ID]; bad {
-		return
-	}
-	if ps, ok := n.probing[ref.ID]; ok {
+	ps, ok := n.probing[ref.ID]
+	switch {
+	case !ok:
+		n.startProbe(probeState{ref: ref, isLeaf: isLeaf, announce: announce})
+	case isLeaf:
 		if announce {
 			ps.announce = true
 		}
@@ -31,44 +34,27 @@ func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
 			ps.isLeaf = true
 			n.sendProbeMsg(ps)
 		}
-		return
 	}
-	n.startProbe(probeState{ref: ref, isLeaf: true, announce: announce})
-}
-
-// probeLiveness starts a routing-table liveness probe of ref.
-func (n *Node) probeLiveness(ref NodeRef) {
-	if ref.ID == n.self.ID || ref.IsZero() {
-		return
-	}
-	if _, bad := n.failed[ref.ID]; bad {
-		return
-	}
-	if _, ok := n.probing[ref.ID]; ok {
-		return
-	}
-	n.startProbe(probeState{ref: ref})
 }
 
 // startProbe starts the probe p describes (its ref and kind): it fills a
 // record with p — a parked record when the free list has any, a new one
-// otherwise; owner and bound timeout are set once and survive every park,
-// as a hop record's do (takeHop) — enters it in n.probing, sends the probe
-// and arms its timeout.
+// otherwise; the timeout's bound callback survives every park, as a hop
+// record's does (takeHop) — enters it in n.probing, sends the probe and
+// arms its timeout.
 func (n *Node) startProbe(p probeState) {
 	var ps *probeState
 	if last := len(n.freeProbes) - 1; last >= 0 {
 		ps = n.freeProbes[last]
 		n.freeProbes = n.freeProbes[:last]
 	} else {
-		ps = &probeState{n: n}
-		ps.fire = ps.timeout
+		ps = new(probeState)
 	}
-	p.n, p.fire = ps.n, ps.fire
+	p.alarm = alarm{run: ps.run}
 	*ps = p
 	n.probing[p.ref.ID] = ps
 	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.arm(timerProbe, n.cfg.To, &ps.alarm, ps)
 }
 
 // parkProbe ends the probe: it takes ps out of n.probing, cancels its timer
@@ -77,7 +63,7 @@ func (n *Node) startProbe(p probeState) {
 func (n *Node) parkProbe(ps *probeState) {
 	delete(n.probing, ps.ref.ID)
 	stop(ps.timer)
-	*ps = probeState{n: n, fire: ps.fire}
+	*ps = probeState{alarm: alarm{run: ps.run}}
 	if len(n.freeProbes) < n.maxFree() {
 		n.freeProbes = append(n.freeProbes, ps)
 	}
@@ -100,17 +86,6 @@ func (n *Node) sendProbeMsg(ps *probeState) {
 		n.counters.SentRTProbes++
 	}
 	n.send(ps.ref, &RTProbe{From: n.self, TrtHint: n.trtLocal})
-}
-
-func (n *Node) armProbeTimer(ps *probeState) {
-	ps.timer = n.env.Schedule(n.cfg.To, ps.fire)
-}
-
-// timeout is the probe timer's callback, guarded like pendingHop.timeout.
-func (ps *probeState) timeout() {
-	if ps.n.alive {
-		ps.n.probeTimeout(ps)
-	}
 }
 
 // failedList snapshots the failure records in identifier order. The order
@@ -148,7 +123,7 @@ func (n *Node) probeTimeout(ps *probeState) {
 		if n.retryAllowed(ps.ref) {
 			n.sendProbeMsg(ps)
 		}
-		n.armProbeTimer(ps)
+		n.arm(timerProbe, n.cfg.To, &ps.alarm, ps)
 		return
 	}
 	if ps.reconnect {
@@ -238,7 +213,7 @@ func (n *Node) repairLeafSet() {
 			progressed = n.repairProbe(cand, "repair-right-empty") || progressed
 		}
 	}
-	if progressed || n.repairTimer != nil {
+	if progressed || n.repairAlarm.timer != nil {
 		return
 	}
 	// Nothing left to probe. If the node is still joining, its seed may
@@ -261,7 +236,9 @@ func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 	now := n.env.Now()
 	s := n.suppressOf(n.peers.Obtain(ref.ID, ref.Addr, now))
 	if s.lastRepair != 0 && now-s.lastRepair < n.cfg.To {
-		n.armRepairRetry(n.cfg.To - (now - s.lastRepair))
+		if n.repairAlarm.timer == nil {
+			n.arm(timerRepairRetry, n.cfg.To-(now-s.lastRepair), &n.repairAlarm, nil)
+		}
 		return false
 	}
 	s.lastRepair = now
@@ -272,16 +249,13 @@ func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 	return true
 }
 
-func (n *Node) armRepairRetry(d time.Duration) {
-	if n.repairTimer != nil {
-		return
+// repairRetry re-enters a paced-out repair once its pacing window has
+// passed, unless probes in flight or a complete leaf set made it moot.
+func (n *Node) repairRetry() {
+	n.repairAlarm.timer = nil
+	if len(n.probing) == 0 && !n.ls.Complete() {
+		n.repairLeafSet()
 	}
-	n.repairTimer = n.schedule(d, func() {
-		n.repairTimer = nil
-		if len(n.probing) == 0 && !n.ls.Complete() {
-			n.repairLeafSet()
-		}
-	})
 }
 
 // closestKnown finds the nearest known node on the requested side among
@@ -448,6 +422,11 @@ func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
 	return slices.Clone(all[:k])
 }
 
+// handleRTProbe answers a routing-table liveness probe.
+func (n *Node) handleRTProbe(p *RTProbe) {
+	n.send(p.From, &RTProbeReply{From: n.self, TrtHint: n.trtLocal})
+}
+
 // handleRTProbeReply completes a liveness probe. Like leaf-set probe
 // replies, it clears the exclusion but not the circuit breaker: liveness
 // and serviceability are separate questions under overload.
@@ -461,11 +440,8 @@ func (n *Node) handleRTProbeReply(p *RTProbeReply) {
 // suspect triggers failure detection for a node (SUSPECT-FAULTY in the
 // paper): leaf-set members get a leaf probe; routing-table entries a ping.
 func (n *Node) suspect(ref NodeRef) {
-	if n.ls.Contains(ref.ID) {
-		n.probeLeafAnnounce(ref, true)
-		return
-	}
-	n.probeLiveness(ref)
+	isLeaf := n.ls.Contains(ref.ID)
+	n.probe(ref, isLeaf, isLeaf)
 }
 
 // sendHeartbeats sends the periodic liveness heartbeat. With structured
@@ -490,6 +466,10 @@ func (n *Node) sendHeartbeats(now time.Duration) {
 		n.send(t, &Heartbeat{From: n.self, TrtHint: n.trtLocal})
 	}
 }
+
+// handleHeartbeat is RECEIVE(HEARTBEAT): the contact Receive notes before
+// dispatch is all a heartbeat does.
+func (n *Node) handleHeartbeat(*Heartbeat) {}
 
 func (n *Node) heartbeatTargets() []NodeRef {
 	if n.cfg.StructuredHeartbeats {
@@ -561,7 +541,7 @@ func (n *Node) scanRoutingTable(now time.Duration) {
 			return
 		}
 		rec.LastLiveness = now
-		n.probeLiveness(e)
+		n.probe(e, false, false)
 	}
 	// Sending a probe changes neither structure, so both are walked in
 	// place: the table, then the leaf members it lacks.

@@ -3,7 +3,6 @@ package pastry
 import (
 	"time"
 
-	"mspastry/internal/id"
 	"mspastry/internal/peer"
 )
 
@@ -57,17 +56,6 @@ func (n *Node) rememberFailed(ref NodeRef) {
 		n.peers.Expel(victim.ref.ID, victim.ref.Addr)
 	}
 	n.peers.Put(rec, n.slotGrave, &graveRecord{ref: ref, lastTry: now})
-}
-
-// graveFor returns the peer's reconnect record, nil when none (exposed
-// for tests and status reporting).
-func (n *Node) graveFor(x id.ID) *graveRecord {
-	rec := n.peers.Lookup(x)
-	if rec == nil {
-		return nil
-	}
-	g, _ := rec.Get(n.slotGrave).(*graveRecord)
-	return g
 }
 
 // forgetFailed drops ref's reconnect record (direct contact proved it

@@ -8,6 +8,16 @@ import (
 	"mspastry/internal/id"
 )
 
+// graveFor returns the peer's reconnect record, nil when none.
+func (n *Node) graveFor(x id.ID) *graveRecord {
+	rec := n.peers.Lookup(x)
+	if rec == nil {
+		return nil
+	}
+	g, _ := rec.Get(n.slotGrave).(*graveRecord)
+	return g
+}
+
 // ringRepaired reports whether the live nodes form one consistent ring:
 // every node active, leaf sets complete, and both ring neighbours
 // matching the global sorted order.

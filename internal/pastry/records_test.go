@@ -26,8 +26,8 @@ func checkRecords(t *testing.T, n *Node) {
 			t.Fatalf("hop record %p is on the free list twice", ph)
 		}
 		freeHops[ph] = true
-		if ph.n != n || ph.fire == nil {
-			t.Fatalf("parked hop record lost its owner or its bound timeout: %+v", ph)
+		if ph.run == nil {
+			t.Fatalf("parked hop record lost its bound timeout: %+v", ph)
 		}
 		if ph.lookup != nil || ph.join != nil || ph.timer != nil || ph.tried.n != 0 || ph.tried.spill != nil ||
 			ph.xfer != 0 || ph.attempts != 0 || !ph.to.IsZero() || ph.key != (id.ID{}) || ph.sentAt != 0 || ph.retx {
@@ -38,7 +38,7 @@ func checkRecords(t *testing.T, n *Node) {
 		if freeHops[ph] {
 			t.Fatalf("hop record of transmission %d is pending and on the free list", xfer)
 		}
-		if ph.xfer != xfer || ph.n != n || ph.timer == nil || (ph.lookup == nil) == (ph.join == nil) || !ph.tried.has(ph.to.ID) {
+		if ph.xfer != xfer || ph.run == nil || ph.timer == nil || (ph.lookup == nil) == (ph.join == nil) || !ph.tried.has(ph.to.ID) {
 			t.Fatalf("pending hop %d has a damaged record: %+v", xfer, ph)
 		}
 	}
@@ -48,8 +48,8 @@ func checkRecords(t *testing.T, n *Node) {
 			t.Fatalf("probe record %p is on the free list twice", ps)
 		}
 		freeProbes[ps] = true
-		if ps.n != n || ps.fire == nil {
-			t.Fatalf("parked probe record lost its owner or its bound timeout: %+v", ps)
+		if ps.run == nil {
+			t.Fatalf("parked probe record lost its bound timeout: %+v", ps)
 		}
 		if !ps.ref.IsZero() || ps.timer != nil || ps.isLeaf || ps.retries != 0 || ps.announce || ps.reconnect {
 			t.Fatalf("parked probe record is not empty: %+v", ps)
@@ -59,7 +59,7 @@ func checkRecords(t *testing.T, n *Node) {
 		if freeProbes[ps] {
 			t.Fatalf("probe record of %v is outstanding and on the free list", x)
 		}
-		if ps.ref.ID != x || ps.n != n || ps.timer == nil {
+		if ps.ref.ID != x || ps.run == nil || ps.timer == nil {
 			t.Fatalf("outstanding probe of %v has a damaged record: %+v", x, ps)
 		}
 	}
@@ -256,7 +256,7 @@ func TestProbeRecordsAreReusedAndParkedEmpty(t *testing.T) {
 	// The next probe takes the record while the first one's cancelled timer
 	// would still be due.
 	net.run(to / 2)
-	n.probeLiveness(ref(900))
+	n.probe(ref(900), false, false)
 	second := n.probing[ref(900).ID]
 	if second != first {
 		t.Fatal("the second probe did not reuse the first probe's record")

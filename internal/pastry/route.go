@@ -233,18 +233,16 @@ func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinReques
 }
 
 // takeHop returns an empty hop record: a parked one when the free list has
-// any, a new one otherwise. A record's owner and its bound timeout are set
-// here, once, and survive every park, so arming its timer allocates
-// nothing but the Env's handle.
+// any, a new one otherwise. The callback its timeout is bound to on first
+// arming survives every park, so arming its timer again allocates nothing
+// but the Env's handle.
 func (n *Node) takeHop() *pendingHop {
 	if last := len(n.freeHops) - 1; last >= 0 {
 		ph := n.freeHops[last]
 		n.freeHops = n.freeHops[:last]
 		return ph
 	}
-	ph := &pendingHop{n: n}
-	ph.fire = ph.timeout
-	return ph
+	return new(pendingHop)
 }
 
 // parkHop ends ph's hop: it cancels the record's timer (a no-op on the one
@@ -257,7 +255,7 @@ func (n *Node) takeHop() *pendingHop {
 // netmodel).
 func (n *Node) parkHop(ph *pendingHop) {
 	stop(ph.timer)
-	*ph = pendingHop{n: n, fire: ph.fire}
+	*ph = pendingHop{alarm: alarm{run: ph.run}}
 	if len(n.freeHops) < n.maxFree() {
 		n.freeHops = append(n.freeHops, ph)
 	}
@@ -276,20 +274,12 @@ func (n *Node) maxFree() int { return n.cfg.L }
 
 // armHopTimer records ph as the pending hop of transmission xfer and arms
 // its retransmission timeout. A hop has one live timer at a time — it is
-// re-armed only from its own timeout — so the callback can read the
-// current xfer from ph.
+// re-armed only from its own timeout — so the rule can read the current
+// xfer from ph.
 func (n *Node) armHopTimer(ph *pendingHop, xfer uint64, rto time.Duration) {
 	n.pending[xfer] = ph
 	ph.xfer = xfer
-	ph.timer = n.env.Schedule(rto, ph.fire)
-}
-
-// timeout is the hop timer's callback, with the liveness guard
-// Node.schedule wraps around every other callback.
-func (ph *pendingHop) timeout() {
-	if ph.n.alive {
-		ph.n.hopTimeout(ph.xfer)
-	}
+	n.arm(timerHop, rto, &ph.alarm, ph)
 }
 
 // rtoFor computes the per-hop retransmission timeout for a destination,
@@ -311,12 +301,11 @@ func (n *Node) rtoFor(to NodeRef) time.Duration {
 // hop is temporarily excluded from routing, probed (it is only marked
 // faulty if the probe times out — aggressive retransmission must not cause
 // false positives), and the message is rerouted to an alternative node.
-func (n *Node) hopTimeout(xfer uint64) {
-	ph, ok := n.pending[xfer]
-	if !ok {
+func (n *Node) hopTimeout(ph *pendingHop) {
+	if n.pending[ph.xfer] != ph {
 		return
 	}
-	delete(n.pending, xfer)
+	delete(n.pending, ph.xfer)
 	n.counters.Retransmits++
 	n.excluded[ph.to.ID] = true
 	n.breakerFailure(ph.to)
@@ -480,9 +469,10 @@ func (n *Node) IsRootFor(key id.ID) bool {
 // receiveRootJoin answers a join request that reached the joiner's root.
 func (n *Node) receiveRootJoin(jr *JoinRequest) {
 	if !n.active {
-		// The paper buffers and replays; a join request is retried by the
-		// joiner anyway, so dropping is acceptable here — but replaying is
-		// cheap and faster, so hold it via re-route after activation.
+		// The paper buffers and replays. This node drops the request
+		// instead, and the joiner's watchdog restarts the join
+		// joinRetryAfter after the request went out: a joiner whose
+		// request ends at another joiner stalls that long.
 		return
 	}
 	rows := append(append([]NodeRef(nil), jr.Rows...), n.self)
@@ -528,3 +518,7 @@ func (n *Node) handleRepairRequest(req *RepairRequest) {
 	}
 	n.send(req.From, &RepairReply{From: n.self, Row: req.Row, Col: req.Col, Entries: out})
 }
+
+// handleRepairReply considers the candidates a passive repair returned for
+// an empty slot.
+func (n *Node) handleRepairReply(rep *RepairReply) { n.handleRowEntries(rep.Entries, true) }

@@ -46,7 +46,7 @@ type secureSession struct {
 	// suspects are reporters whose reports failed the test; they are
 	// distrusted if a strictly closer root is later accepted.
 	suspects []NodeRef
-	timer    Timer
+	alarm    // the reply timeout
 }
 
 // startSecureSession registers the lookup for report tracking and arms
@@ -58,13 +58,7 @@ func (n *Node) startSecureSession(lk *Lookup) {
 		reported:  make(map[id.ID]bool),
 	}
 	n.secureSess[lk.Seq] = ss
-	n.armSecureTimer(ss)
-}
-
-func (n *Node) armSecureTimer(ss *secureSession) {
-	stop(ss.timer)
-	seq := ss.lk.Seq
-	ss.timer = n.schedule(secureReplyTimeout, func() { n.secureTimeout(seq) })
+	n.arm(timerSecure, secureReplyTimeout, &ss.alarm, ss)
 }
 
 // handleRootReport evaluates one root completion report against the
@@ -136,7 +130,6 @@ func (n *Node) secureSelfDelivered(seq uint64) {
 
 func (n *Node) closeSecureSession(ss *secureSession) {
 	stop(ss.timer)
-	ss.timer = nil
 	delete(n.secureSess, ss.lk.Seq)
 }
 
@@ -144,9 +137,8 @@ func (n *Node) closeSecureSession(ss *secureSession) {
 // reply timeout: issue another diverse round, or give up after
 // secureMaxRounds (the copies already in flight can still deliver — the
 // origin just stops spending redundancy on the lookup).
-func (n *Node) secureTimeout(seq uint64) {
-	ss, ok := n.secureSess[seq]
-	if !ok {
+func (n *Node) secureTimeout(ss *secureSession) {
+	if n.secureSess[ss.lk.Seq] != ss {
 		return
 	}
 	if ss.rounds < secureMaxRounds {
@@ -174,7 +166,8 @@ func (n *Node) redundantRound(ss *secureSession) {
 	}
 	// Re-arm even when no fresh hop was available: copies already in
 	// flight may still produce a report, and the timer owns give-up.
-	n.armSecureTimer(ss)
+	stop(ss.timer)
+	n.arm(timerSecure, secureReplyTimeout, &ss.alarm, ss)
 }
 
 // diverseFirstHops selects up to secureFanout distinct first hops for a
