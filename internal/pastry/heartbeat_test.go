@@ -80,7 +80,7 @@ func TestSuppressionSkipsHeartbeatUnderTraffic(t *testing.T) {
 		for _, n := range nodes {
 			if left, ok := n.Leaf().LeftNeighbour(); ok {
 				// Any direct message counts; send a dist probe.
-				n.measureDistance(left, 1, func(time.Duration, bool) {})
+				n.measureDistance(left, 1, nil)
 			}
 		}
 		net.sim.After(5*time.Second, chatter)

@@ -264,7 +264,7 @@ func TestCrashedNodeRunsNoRule(t *testing.T) {
 	x.suspect(leaf)
 	x.repairProbe(leaf, "test")
 	x.repairProbe(leaf, "test") // paced out: arms the retry
-	x.measureDistance(nodes[2].Ref(), distProbeCount, func(time.Duration, bool) {})
+	x.measureDistance(nodes[2].Ref(), distProbeCount, nil)
 	x.Lookup(nodes[3].Ref().ID, nil)
 
 	hop, probe, secure, dist := false, false, false, false
@@ -278,7 +278,7 @@ func TestCrashedNodeRunsNoRule(t *testing.T) {
 		secure = secure || ss.run != nil
 	}
 	for _, ds := range x.distSessions {
-		dist = dist || ds.sample.run != nil && ds.deadline.run != nil
+		dist = dist || ds.sample[0].run != nil && ds.deadline.run != nil
 	}
 	for k, armed := range [timerKinds]bool{
 		timerTick:         x.tickAlarm.run != nil,

@@ -1,9 +1,8 @@
 package pastry
 
 import (
+	"slices"
 	"time"
-
-	"mspastry/internal/id"
 )
 
 // joinRetryAfter is the backoff before a stalled join is restarted.
@@ -152,31 +151,38 @@ func (n *Node) handleNNStateReply(msg *NNStateReply) {
 	if state == nil || n.active {
 		return
 	}
-	cands := append(append([]NodeRef(nil), msg.Leaves...), msg.Entries...)
-	cands = append(cands, msg.From)
-	seen := map[id.ID]bool{n.self.ID: true}
-	probeTargets := make([]NodeRef, 0, len(cands))
-	for _, c := range cands {
-		if seen[c.ID] {
-			continue
-		}
-		seen[c.ID] = true
-		probeTargets = append(probeTargets, c)
-	}
+	// The round's targets: the candidate's leaves, entries and itself, each
+	// once and never this node, the first maxPerRound of them. They are
+	// gathered in the node's scratch slice: measureDistance only appends to
+	// sessions and sends, so nothing reaches the slice before the loop ends.
 	const maxPerRound = 24
-	if len(probeTargets) > maxPerRound {
-		probeTargets = probeTargets[:maxPerRound]
+	targets := slices.Grow(n.refScratch[:0], maxPerRound)
+	add := func(c NodeRef) {
+		if len(targets) == maxPerRound || c.ID == n.self.ID {
+			return
+		}
+		for _, t := range targets {
+			if t.ID == c.ID {
+				return
+			}
+		}
+		targets = append(targets, c)
 	}
-	state.pendingN = len(probeTargets)
+	for _, c := range msg.Leaves {
+		add(c)
+	}
+	for _, c := range msg.Entries {
+		add(c)
+	}
+	add(msg.From)
+	n.refScratch = targets[:0]
+	state.pendingN = len(targets)
 	if state.pendingN == 0 {
 		n.nnFinish(state)
 		return
 	}
-	for _, target := range probeTargets {
-		target := target
-		n.measureDistance(target, 1, func(rtt time.Duration, ok bool) {
-			n.nnSample(state, target, rtt, ok)
-		})
+	for _, target := range targets {
+		n.measureDistance(target, 1, state)
 	}
 }
 

@@ -133,6 +133,71 @@ func randomRoutingState(t *testing.T, rng *rand.Rand) (*testNet, *Node, []NodeRe
 	return net, n, pool
 }
 
+// TestNearestKnownIsCloserToKeyOrder holds nearestKnown to the definition
+// of its order — everything the node knows, sorted by id.CloserToKey — on
+// routing state built in diametrically placed pairs around the target
+// (target+d and target-d are equally far from it; the clockwise one ranks
+// first), plus the antipode target+Half. Pairs with a small d sit in the
+// leaf set around a target near the node, so ties reach the head of the
+// list; pairs with a random d land in the table.
+func TestNearestKnownIsCloserToKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	cfg := testConfig()
+	cfg.L = 32
+	headTies, ties := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		net := newTestNet(t, 1)
+		n := net.addNode(id.Random(rng), cfg, nil)
+		target := n.self.ID.Add(id.New(0, rng.Uint64()>>40))
+		switch trial % 4 {
+		case 1:
+			target = n.self.ID // the pairs straddle the node
+		case 2:
+			target = id.Random(rng)
+		}
+		add := func(x id.ID) {
+			r := NodeRef{ID: x, Addr: "p" + x.String()}
+			n.rt.Add(r)
+			n.ls.Add(r)
+		}
+		add(target.Add(id.Half))
+		for i := 0; i < 30; i++ {
+			d := id.New(0, rng.Uint64()>>40)
+			if i%2 == 1 {
+				d = id.Random(rng)
+			}
+			add(target.Add(d))
+			add(target.Sub(d))
+		}
+		seen := map[id.ID]bool{n.self.ID: true, target: true}
+		var all []NodeRef
+		for _, e := range append(n.rt.Entries(), n.ls.Members()...) {
+			if !seen[e.ID] {
+				seen[e.ID] = true
+				all = append(all, e)
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return id.CloserToKey(target, all[i].ID, all[j].ID) })
+		for i := 1; i < len(all); i++ {
+			if target.Distance(all[i-1].ID) == target.Distance(all[i].ID) {
+				ties++
+				if i <= cfg.L {
+					headTies++
+				}
+			}
+		}
+		for _, k := range []int{1, 2, cfg.L + 1, len(all), len(all) + 3} {
+			want := all[:min(k, len(all))]
+			if got := n.nearestKnown(target, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d target %v k=%d:\n got %v\nwant %v", trial, target, k, got, want)
+			}
+		}
+	}
+	if headTies == 0 || ties == headTies {
+		t.Fatalf("%d tied neighbours, %d of them in the first %d: ties must occur in and past the head", ties, headTies, cfg.L+1)
+	}
+}
+
 func TestNearestKnownMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var inBoth, leafOnly int

@@ -66,11 +66,13 @@ type Node struct {
 	pending  map[uint64]*pendingHop
 	nextXfer uint64
 
-	// freeHops and freeProbes hold parked hop and probe records for reuse,
-	// at most maxFree each: plain stacks, as netmodel.Network.free is, so a
+	// freeHops, freeProbes and freeDists hold parked hop, probe and
+	// distance-session records for reuse (at most maxFree, maxFree and
+	// maxFreeDists): plain stacks, as netmodel.Network.free is, so a
 	// simulated node takes the same path on every run.
 	freeHops   []*pendingHop
 	freeProbes []*probeState
+	freeDists  []*distSession
 
 	// issued queues this origin's lookups between Lookup and the zero-delay
 	// timer that routes them (routeIssued): first in, first out, issuedHead
@@ -106,10 +108,12 @@ type Node struct {
 	counters Counters
 
 	// Scratch for the maintenance path, which runs on every tick and every
-	// repair probe: values consumed before the handler returns. Anything
-	// that goes into a message is copied out first — the simulator hands
-	// the receiver the very object that was sent.
+	// repair probe, and for a join's search rounds: values consumed before
+	// the handler returns. Anything that goes into a message is copied out
+	// first — the simulator hands the receiver the very object that was
+	// sent.
 	refScratch  []NodeRef
+	rankScratch []rankKey
 	addrScratch map[string]struct{}
 	trtScratch  []time.Duration
 }

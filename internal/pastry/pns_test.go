@@ -144,7 +144,7 @@ func TestSymmetricProbesShareMeasurement(t *testing.T) {
 	b := net.addNode(id.New(0x9999000000000000, 1), cfg, nil)
 	a.Bootstrap()
 	b.Bootstrap()
-	a.measureDistance(b.Ref(), 3, func(time.Duration, bool) {})
+	a.measureDistance(b.Ref(), 3, nil)
 	net.run(30 * time.Second)
 	rtt, ok := b.Table().RTT(a.Ref().ID)
 	if !ok {
@@ -156,25 +156,31 @@ func TestSymmetricProbesShareMeasurement(t *testing.T) {
 }
 
 func TestDistanceSessionMedian(t *testing.T) {
-	// Distance sessions send distProbeCount probes and use the median.
+	// Distance sessions send distProbeCount probes and use the median:
+	// the probes take 10, 50 and 20 ms out, every echo (and the report)
+	// 5 ms. Neither node is active, so no leaf-set probe joins the
+	// traffic.
 	net := newTestNet(t, 63)
 	cfg := testConfig()
 	cfg.DistProbeSpacing = 100 * time.Millisecond
 	a := net.addNode(id.New(1, 1), cfg, nil)
 	b := net.addNode(id.New(1<<60, 2), cfg, nil)
-	a.Bootstrap()
-	b.Bootstrap()
-	var got time.Duration
-	ok := false
-	a.measureDistance(b.Ref(), distProbeCount, func(rtt time.Duration, success bool) {
-		got, ok = rtt, success
-	})
-	net.run(10 * time.Second)
-	if !ok {
-		t.Fatal("distance session failed")
+	out := []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 20 * time.Millisecond}
+	net.delayFn = func(from, _ NodeRef) time.Duration {
+		if from != a.Ref() || len(out) == 0 {
+			return 5 * time.Millisecond
+		}
+		d := out[0]
+		out = out[1:]
+		return d
 	}
-	if got != 2*net.delay {
-		t.Fatalf("measured RTT %v, want %v", got, 2*net.delay)
+	a.measureDistance(b.Ref(), distProbeCount, nil)
+	net.run(10 * time.Second)
+	if got, ok := a.Table().RTT(b.Ref().ID); !ok || got != 25*time.Millisecond {
+		t.Fatalf("measured RTT %v (measured: %v), want the median 25ms", got, ok)
+	}
+	if len(out) != 0 {
+		t.Fatalf("%d probes were not sent", len(out))
 	}
 }
 
@@ -185,18 +191,25 @@ func TestDistanceSessionFailsForDeadTarget(t *testing.T) {
 	dead := net.addNode(id.New(2, 2), cfg, nil)
 	a.Bootstrap()
 	dead.Fail()
-	called := false
-	okResult := true
-	a.measureDistance(dead.Ref(), 3, func(_ time.Duration, success bool) {
-		called, okResult = true, success
-	})
+	state := &nnState{pendingN: 2}
+	a.nn = state
+	a.measureDistance(dead.Ref(), 3, nil)
+	a.measureDistance(dead.Ref(), 3, state)
 	net.run(time.Minute)
-	if !called {
+	if state.pendingN != 1 {
 		t.Fatal("session never concluded")
 	}
-	if okResult {
+	if state.haveCand {
 		t.Fatal("session to a dead node reported success")
 	}
+	if _, measured := a.Table().RTT(dead.Ref().ID); measured {
+		t.Fatal("session to a dead node offered it to the routing table")
+	}
+	if len(a.distSessions) != 0 || len(a.distSeqs) != 0 || len(a.freeDists) != 1 {
+		t.Fatalf("%d sessions, %d probes outstanding, %d records parked; want 0, 0 and 1",
+			len(a.distSessions), len(a.distSeqs), len(a.freeDists))
+	}
+	checkRecords(t, a)
 }
 
 func TestDistanceSessionCoalesces(t *testing.T) {
@@ -206,20 +219,33 @@ func TestDistanceSessionCoalesces(t *testing.T) {
 	b := net.addNode(id.New(2, 2), cfg, nil)
 	a.Bootstrap()
 	b.Bootstrap()
-	calls := 0
+	// Five callers, of both kinds: three samples of one search round that
+	// waits for four, and two offers to the routing table.
+	state := &nnState{pendingN: 4}
+	a.nn = state
 	probesBefore := net.sent[CatDistance]
 	for i := 0; i < 5; i++ {
-		a.measureDistance(b.Ref(), 3, func(time.Duration, bool) { calls++ })
+		if i%2 == 0 {
+			a.measureDistance(b.Ref(), 3, state)
+		} else {
+			a.measureDistance(b.Ref(), 3, nil)
+		}
+	}
+	if ds := a.distSessions[b.Ref().ID]; ds == nil || len(ds.waiters) != 5 {
+		t.Fatal("the five callers do not wait on one session")
 	}
 	net.run(10 * time.Second)
-	if calls != 5 {
-		t.Fatalf("callbacks = %d, want 5 (coalesced session, all callers served)", calls)
+	if state.pendingN != 1 || state.bestCand != b.Ref() || state.bestD != 2*net.delay {
+		t.Fatalf("the search got %d of its 3 samples, best %v at %v", 4-state.pendingN, state.bestCand, state.bestD)
+	}
+	if rtt, ok := a.Table().RTT(b.Ref().ID); !ok || rtt != 2*net.delay {
+		t.Fatalf("the routing table has %v (measured: %v), want %v", rtt, ok, 2*net.delay)
 	}
 	// One session: 3 probes + 3 replies + 1 symmetric report.
-	probes := net.sent[CatDistance] - probesBefore
-	if probes > 8 {
+	if probes := net.sent[CatDistance] - probesBefore; probes != 7 {
 		t.Fatalf("concurrent requests were not coalesced: %d distance messages", probes)
 	}
+	checkRecords(t, a)
 }
 
 func TestPassiveRepairFillsSlot(t *testing.T) {

@@ -389,10 +389,10 @@ func (n *Node) wouldExtendLeafSet(cand NodeRef) bool {
 // nearestKnown returns up to k known nodes closest (in ring distance) to
 // the target identifier, drawn from the routing table and leaf set. It
 // implements the reply side of generalised leaf-set repair. Candidates are
-// gathered in the node's scratch slice — table entries in row-major order,
+// gathered in the node's scratch slices — table entries in row-major order,
 // then leaf members the table lacks; neither structure holds the local
-// node or an id twice — and only the k chosen, which travel in the reply,
-// are copied out.
+// node or an id twice — and ranked once each; only the k chosen, which
+// travel in the reply, are copied out.
 func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
 	all := n.refScratch[:0]
 	n.rt.each(func(e NodeRef) {
@@ -406,20 +406,42 @@ func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
 		}
 	}
 	n.refScratch = all[:0]
-	// Selection sort of the k closest is fine at leaf-set scale.
-	if k > len(all) {
-		k = len(all)
+	ranks := n.rankScratch[:0]
+	for i, e := range all {
+		ranks = append(ranks, rankOf(target, e.ID, i))
 	}
-	for i := 0; i < k; i++ {
-		minIdx := i
-		for j := i + 1; j < len(all); j++ {
-			if id.CloserToKey(target, all[j].ID, all[minIdx].ID) {
-				minIdx = j
-			}
+	n.rankScratch = ranks[:0]
+	slices.SortFunc(ranks, func(a, b rankKey) int {
+		if c := a.dist.Cmp(b.dist); c != 0 || a.ccw == b.ccw {
+			return c
 		}
-		all[i], all[minIdx] = all[minIdx], all[i]
+		if a.ccw {
+			return 1
+		}
+		return -1
+	})
+	near := make([]NodeRef, min(k, len(ranks)))
+	for j := range near {
+		near[j] = all[ranks[j].i]
 	}
-	return slices.Clone(all[:k])
+	return near
+}
+
+// rankKey is candidate i's rank by id.CloserToKey: its ring distance to the
+// target, and for two candidates that distance away on either side, the
+// clockwise one (ccw false) first. Distinct candidates never share a rank.
+type rankKey struct {
+	dist id.ID
+	ccw  bool
+	i    int32
+}
+
+func rankOf(target, x id.ID, i int) rankKey {
+	cw, ccw := target.Clockwise(x), x.Clockwise(target)
+	if cw.Cmp(ccw) <= 0 {
+		return rankKey{dist: cw, i: int32(i)}
+	}
+	return rankKey{dist: ccw, ccw: true, i: int32(i)}
 }
 
 // handleRTProbe answers a routing-table liveness probe.

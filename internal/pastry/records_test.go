@@ -2,23 +2,25 @@ package pastry
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"mspastry/internal/id"
 )
 
-// Hop and probe records are reused (takeHop, startProbe). These tests hold
-// the reuse to what makes it safe: a record is parked once, empty, with its
-// timer dead and before control is handed on; whoever takes it next sees
-// none of its past, and nothing from its past — a late ack, a cancelled
-// timer — reaches its new holder.
+// Hop, probe and distance-session records are reused (takeHop, startProbe,
+// measureDistance). These tests hold the reuse to what makes it safe: a
+// record is parked once, empty, with its timers dead and before control is
+// handed on; whoever takes it next sees none of its past, and nothing from
+// its past — a late ack or echo, a cancelled timer — reaches its new holder.
 
 // checkRecords verifies the record invariants of one node.
 func checkRecords(t *testing.T, n *Node) {
 	t.Helper()
-	if len(n.freeHops) > n.maxFree() || len(n.freeProbes) > n.maxFree() {
-		t.Fatalf("%d hop and %d probe records parked, more than %d", len(n.freeHops), len(n.freeProbes), n.maxFree())
+	if len(n.freeHops) > n.maxFree() || len(n.freeProbes) > n.maxFree() || len(n.freeDists) > maxFreeDists {
+		t.Fatalf("%d hop, %d probe and %d session records parked, more than %d, %[4]d and %d",
+			len(n.freeHops), len(n.freeProbes), len(n.freeDists), n.maxFree(), maxFreeDists)
 	}
 	freeHops := make(map[*pendingHop]bool)
 	for _, ph := range n.freeHops {
@@ -61,6 +63,38 @@ func checkRecords(t *testing.T, n *Node) {
 		}
 		if ps.ref.ID != x || ps.run == nil || ps.timer == nil {
 			t.Fatalf("outstanding probe of %v has a damaged record: %+v", x, ps)
+		}
+	}
+	freeDists := make(map[*distSession]bool)
+	for _, ds := range n.freeDists {
+		if freeDists[ds] {
+			t.Fatalf("session record %p is on the free list twice", ds)
+		}
+		freeDists[ds] = true
+		if ds.deadline.timer != nil || slices.ContainsFunc(ds.sample[:], func(a alarm) bool { return a.timer != nil }) {
+			t.Fatalf("parked session record has a live timer: %+v", ds)
+		}
+		if !ds.target.IsZero() || ds.want != 0 || ds.sent != 0 || ds.got != 0 || ds.seqs != [distProbeCount]uint64{} ||
+			ds.sentAt != [distProbeCount]time.Duration{} || ds.samples != [distProbeCount]time.Duration{} || len(ds.waiters) != 0 ||
+			slices.ContainsFunc(ds.waiters[:cap(ds.waiters)], func(w distWaiter) bool { return w != distWaiter{} }) {
+			t.Fatalf("parked session record is not empty: %+v", ds)
+		}
+	}
+	for x, ds := range n.distSessions {
+		if freeDists[ds] {
+			t.Fatalf("session record of %v is measuring and on the free list", x)
+		}
+		if ds.target.ID != x || ds.deadline.run == nil || ds.deadline.timer == nil || ds.want < 1 || ds.want > distProbeCount ||
+			ds.sent < 1 || ds.sent > ds.want || ds.got >= ds.want || ds.got > ds.sent || len(ds.waiters) == 0 {
+			t.Fatalf("session of %v has a damaged record: %+v", x, ds)
+		}
+	}
+	for seq, ds := range n.distSeqs {
+		if freeDists[ds] {
+			t.Fatalf("probe %d names a parked session record", seq)
+		}
+		if n.distSessions[ds.target.ID] != ds || !slices.Contains(ds.seqs[:ds.sent], seq) {
+			t.Fatalf("probe %d names a session that did not send it: %+v", seq, ds)
 		}
 	}
 }
@@ -341,24 +375,46 @@ func TestTriedSetIsAValue(t *testing.T) {
 // and reordering with lookups throughout and checks every node's records at
 // every delivery. The cases that make reuse dangerous must all occur: acks
 // for transmissions that are over, crashes with hops in flight, join retries
-// with probes in flight.
+// with probes in flight, and distance echoes for sessions that are over
+// (PNS is on: every join measures its nearest-neighbour candidates, every
+// activation's row announcements are measured by their receivers).
 func TestRecordsUnderChurnAndLoss(t *testing.T) {
 	net := newTestNet(t, 24)
 	cfg := testConfig()
+	cfg.PNS = true
 	nodes := buildOverlay(t, net, 24, cfg)
 	rng := rand.New(rand.NewSource(24))
-	net.drop = func(_, _ NodeRef, _ Message) bool { return rng.Intn(20) == 0 }
+	// One distance echo in eight is held back past its session's deadline,
+	// when the record may measure something else.
+	late := distProbeCount*cfg.DistProbeSpacing + 2*cfg.To + time.Second
+	net.drop = func(_, to NodeRef, m Message) bool {
+		if _, echo := m.(*DistProbeReply); echo && rng.Intn(8) == 0 {
+			net.sim.After(late, func() {
+				if dst := net.nodes[to.Addr]; dst.Alive() {
+					net.onDeliver(dst, m)
+					dst.Receive(m)
+				}
+			})
+			return true
+		}
+		return rng.Intn(20) == 0
+	}
 	net.delayFn = func(_, _ NodeRef) time.Duration {
 		return 10*time.Millisecond + time.Duration(rng.Intn(40))*time.Millisecond
 	}
-	var lateAcks, deliveries, parked int
+	var lateAcks, lateEchoes, parked, parkedDists int
 	net.onDeliver = func(dst *Node, m Message) {
-		if ack, ok := m.(*Ack); ok && dst.pending[ack.Xfer] == nil {
-			lateAcks++
+		switch m := m.(type) {
+		case *Ack:
+			if dst.pending[m.Xfer] == nil {
+				lateAcks++
+			}
+		case *DistProbeReply:
+			if dst.distSeqs[m.Seq] == nil {
+				lateEchoes++
+			}
 		}
-		if deliveries++; deliveries%16 == 0 {
-			checkRecords(t, dst)
-		}
+		checkRecords(t, dst)
 	}
 	alive := append([]*Node(nil), nodes...)
 	randomAlive := func() *Node { return alive[rng.Intn(len(alive))] }
@@ -412,15 +468,17 @@ func TestRecordsUnderChurnAndLoss(t *testing.T) {
 			t.Errorf("node %v: %d hops pending on a quiet network", n.self.ID, len(n.pending))
 		}
 		parked += len(n.freeHops)
+		parkedDists += len(n.freeDists)
 	}
 	for _, n := range net.nodes {
 		if !n.alive {
 			checkRecords(t, n) // a crash leaves the records as they were
 		}
 	}
-	t.Logf("acks for finished transmissions %d, crashes with hops in flight %d, join retries with probes in flight %d, hop records parked at the end %d",
-		lateAcks, crashedMidHop, retriedMidProbe, parked)
-	if lateAcks == 0 || crashedMidHop == 0 || retriedMidProbe == 0 || parked == 0 {
+	t.Logf("acks for finished transmissions %d, crashes with hops in flight %d, join retries with probes in flight %d, "+
+		"echoes for finished sessions %d, hop and session records parked at the end %d and %d",
+		lateAcks, crashedMidHop, retriedMidProbe, lateEchoes, parked, parkedDists)
+	if lateAcks == 0 || crashedMidHop == 0 || retriedMidProbe == 0 || lateEchoes == 0 || parked == 0 || parkedDists == 0 {
 		t.Fatal("a case the run exists for did not occur")
 	}
 }
@@ -428,7 +486,8 @@ func TestRecordsUnderChurnAndLoss(t *testing.T) {
 // TestRecordAllocations pins, with the free lists warm, what the node's
 // own bookkeeping may allocate beside the messages it sends and the one
 // handle the Env returns per timer (the test Env's is an *eventsim.Event).
-// Exact maxima: the next closure someone adds to transmit fails here.
+// Exact maxima: the next closure someone adds to transmit or to a distance
+// measurement fails here.
 func TestRecordAllocations(t *testing.T) {
 	const handle = 1
 	net, n, _ := hopNode(t, testConfig(), nil)
@@ -453,6 +512,14 @@ func TestRecordAllocations(t *testing.T) {
 		Lookup: &Lookup{Key: prev.ID, Seq: 2, Origin: next}}
 	altAck, prevAck := &Ack{From: alt}, &Ack{From: prev}
 	local := n.self.ID
+	// Distance echoes, as next and prev would send them, and a search
+	// round that waits for more samples than the pins take.
+	var echoes [distProbeCount]*DistProbeReply
+	for i := range echoes {
+		echoes[i] = &DistProbeReply{From: next}
+	}
+	nnEcho := &DistProbeReply{From: prev}
+	n.nn = &nnState{current: prev, pendingN: 1 << 30}
 	for name, pin := range map[string]struct {
 		max float64
 		f   func()
@@ -498,16 +565,38 @@ func TestRecordAllocations(t *testing.T) {
 			n.Receive(&LSProbeReply{From: prev})
 			net.run(time.Second)
 		}},
+		// Routing-table maintenance: three probes, the symmetric report; a
+		// timer each for the second and third probe and the deadline.
+		"3-sample measurement, offered to the table": {4 + 3*handle, func() {
+			n.measureDistance(next, distProbeCount, nil)
+			for i, echo := range echoes {
+				if i > 0 {
+					net.run(n.cfg.DistProbeSpacing)
+				}
+				echo.Seq = n.nextDistSeq
+				n.Receive(echo)
+			}
+		}},
+		// A nearest-neighbour sample: the probe, the report, the deadline.
+		"1-sample measurement, a nearest-neighbour sample": {2 + handle, func() {
+			n.measureDistance(prev, 1, n.nn)
+			nnEcho.Seq = n.nextDistSeq
+			n.Receive(nnEcho)
+		}},
 	} {
 		pin.f()
 		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
 			t.Errorf("%s: %v allocs, want at most %v", name, got, pin.max)
 		}
-		if len(n.pending) != 0 || len(n.probing) != 0 || len(n.holdBuffer) != 0 {
-			t.Fatalf("%s: the pinned path left %d hops, %d probes, %d held lookups", name, len(n.pending), len(n.probing), len(n.holdBuffer))
+		if len(n.pending) != 0 || len(n.probing) != 0 || len(n.holdBuffer) != 0 || len(n.distSessions) != 0 {
+			t.Fatalf("%s: the pinned path left %d hops, %d probes, %d held lookups, %d distance sessions",
+				name, len(n.pending), len(n.probing), len(n.holdBuffer), len(n.distSessions))
 		}
 	}
 	checkRecords(t, n)
+	if _, ok := n.rt.RTT(next.ID); !ok || !n.nn.haveCand || n.nn.bestCand != prev {
+		t.Fatal("a pinned measurement did not complete")
+	}
 	// Every run of a timeout pin retransmitted where the pin's name says: a
 	// warm-up, AllocsPerRun's own warm-up and its 100 runs.
 	if runs := 102; len(retxTo) != 2 || retxTo[alt.ID] != runs || retxTo[prev.ID] != runs {
