@@ -360,24 +360,43 @@ var stdInterfaceMethods = map[string]bool{
 }
 
 // TestEveryExportedFuncHasACaller fails for an exported function or method
-// declared in a non-test file under internal/ whose name no non-test file
-// (bench/ included) mentions outside a declaration. It matches
-// identifiers, not types, so a name that collides with another passes: the
-// rule can miss a dead function, never flag a live one. Run with -v for
-// the census: who names each function.
+// declared in a non-test file under internal/ that no non-test file
+// (bench/ included) names outside a declaration: a function as any
+// identifier, a method only as the selector of x.Method where x is not an
+// imported package. It matches names, not types, so a name that collides
+// with another passes: the rule can miss a dead function, never flag a
+// live one. Run with -v for the census: who names each function.
 func TestEveryExportedFuncHasACaller(t *testing.T) {
 	files := sourceFiles(t)
-	namedIn := make(map[string][]string) // identifier -> files naming it
+	namedIn := make(map[string][]string)    // identifier -> files naming it
+	selectedIn := make(map[string][]string) // selector of x.M, x no package -> files
 	for _, f := range files {
-		seen := make(map[string]bool)
+		imported := make(map[string]bool) // the file's names for its imports
+		for _, imp := range f.file.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if imp.Name != nil {
+				imported[imp.Name.Name] = true
+			} else {
+				imported[path.Base(p)] = true
+			}
+		}
+		named, selected := make(map[string]bool), make(map[string]bool)
 		decl := make(map[*ast.Ident]bool) // the names of declared functions
 		ast.Inspect(f.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				decl[n.Name] = true
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); (!ok || !imported[x.Name]) && !selected[n.Sel.Name] {
+					selected[n.Sel.Name] = true
+					selectedIn[n.Sel.Name] = append(selectedIn[n.Sel.Name], f.path)
+				}
 			case *ast.Ident:
-				if !decl[n] && !seen[n.Name] {
-					seen[n.Name] = true
+				if !decl[n] && !named[n.Name] {
+					named[n.Name] = true
 					namedIn[n.Name] = append(namedIn[n.Name], f.path)
 				}
 			}
@@ -400,16 +419,15 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 			if !ok || !fn.Name.IsExported() {
 				continue
 			}
-			name := f.file.Name.Name + "." + fn.Name.Name
+			name, callers := f.file.Name.Name+"."+fn.Name.Name, namedIn[fn.Name.Name]
 			if fn.Recv != nil {
 				if stdInterfaceMethods[fn.Name.Name] {
 					continue
 				}
 				recv := strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*")
-				name = f.file.Name.Name + "." + recv + "." + fn.Name.Name
+				name, callers = f.file.Name.Name+"."+recv+"."+fn.Name.Name, selectedIn[fn.Name.Name]
 			}
 			delete(stale, name)
-			callers := namedIn[fn.Name.Name]
 			if len(callers) > 3 {
 				callers = append(callers[:3:3], "...")
 			}

@@ -11,9 +11,11 @@
 //	mspastry-node -listen 127.0.0.1:7002 -seed-addr 127.0.0.1:7001 -seed-id <hex>
 //
 // The admin listener serves /metrics (Prometheus text), /status (JSON leaf
-// set, routing table and counters), /traces (recent lookup hop traces) and
-// /debug/pprof. The stdout status command, /status and /metrics all read
-// from the same telemetry registry, so they cannot disagree.
+// set, routing table and counters), /debug/events (the node's most recent
+// telemetry events: lookups issued, forwarded, delivered and dropped, ack
+// round trips, leaf-set repairs) and /debug/pprof. The stdout status
+// command, /status and /metrics all read from the same telemetry registry,
+// so they cannot disagree.
 //
 // Commands on stdin:
 //
@@ -63,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		listen    = fs.String("listen", "127.0.0.1:0", "UDP listen address")
-		adminAddr = fs.String("admin", "", "HTTP admin listen address for /metrics, /status, /traces and /debug/pprof (empty = off)")
+		adminAddr = fs.String("admin", "", "HTTP admin listen address for /metrics, /status, /debug/events and /debug/pprof (empty = off)")
 		bootstrap = fs.Bool("bootstrap", false, "start a new overlay instead of joining")
 		seedAddr  = fs.String("seed-addr", "", "seed node address (host:port)")
 		seedID    = fs.String("seed-id", "", "seed node identifier (32 hex digits)")
@@ -165,7 +167,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(1, "%v", err)
 		}
 		defer adm.Close()
-		fmt.Fprintf(stdout, "admin endpoint: http://%s/metrics /status /traces /debug/pprof\n", adm.Addr())
+		fmt.Fprintf(stdout, "admin endpoint: http://%s/metrics /status /debug/events /debug/pprof\n", adm.Addr())
 	}
 
 	if *bootstrap {

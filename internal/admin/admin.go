@@ -2,7 +2,7 @@
 //
 //	/metrics        telemetry registry in Prometheus text format
 //	/status         JSON snapshot (leaf set, routing table, counters)
-//	/traces         recently completed lookup hop traces, as JSON
+//	/debug/events   the node's most recent telemetry events (?n=, default 50), as JSON
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
 // The server is read-only and unauthenticated; bind it to loopback (the
@@ -27,7 +27,7 @@ type Options struct {
 	// its result is rendered as JSON. It runs on an HTTP goroutine, so it
 	// must do its own synchronisation (e.g. transport.DoSync).
 	Status func() any
-	// Tracer, when set, backs /traces.
+	// Tracer, when set, backs /debug/events.
 	Tracer *telemetry.Tracer
 }
 
@@ -59,9 +59,9 @@ func Serve(addr string, reg *telemetry.Registry, opts Options) (*Server, error) 
 			"metrics": reg.Snapshot(),
 		})
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Tracer == nil {
-			http.Error(w, "hop tracing disabled", http.StatusNotFound)
+			http.Error(w, "event recording disabled", http.StatusNotFound)
 			return
 		}
 		n := 50
@@ -70,10 +70,7 @@ func Serve(addr string, reg *telemetry.Registry, opts Options) (*Server, error) 
 				n = v
 			}
 		}
-		writeJSON(w, map[string]any{
-			"stats":  opts.Tracer.Stats(),
-			"traces": traceJSON(opts.Tracer.Recent(n)),
-		})
+		writeJSON(w, opts.Tracer.Recent(n))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -97,65 +94,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// hopJSON and lookupTraceJSON flatten the tracer's records into a stable,
-// self-describing JSON shape (IDs as hex strings, durations in seconds).
-type hopJSON struct {
-	From  string  `json:"from"`
-	To    string  `json:"to"`
-	Index int     `json:"index"`
-	At    float64 `json:"at_seconds"`
-	Cause string  `json:"cause"`
-	Retx  bool    `json:"retx"`
-}
-
-type lookupTraceJSON struct {
-	TraceID   uint64    `json:"trace_id"`
-	Key       string    `json:"key"`
-	Origin    string    `json:"origin"`
-	Delivered bool      `json:"delivered"`
-	Root      string    `json:"root,omitempty"`
-	DropCause string    `json:"drop_cause,omitempty"`
-	Issued    float64   `json:"issued_seconds"`
-	DoneAt    float64   `json:"done_seconds"`
-	Retx      int       `json:"retx"`
-	Path      []string  `json:"path,omitempty"`
-	Hops      []hopJSON `json:"hops"`
-}
-
-func traceJSON(traces []*telemetry.LookupTrace) []lookupTraceJSON {
-	out := make([]lookupTraceJSON, 0, len(traces))
-	for _, t := range traces {
-		j := lookupTraceJSON{
-			TraceID:   t.TraceID,
-			Key:       t.Key.String(),
-			Origin:    t.Origin.ID.String(),
-			Delivered: t.Delivered,
-			DropCause: t.DropCause,
-			Issued:    t.Issued.Seconds(),
-			DoneAt:    t.DoneAt.Seconds(),
-			Retx:      t.Retx,
-		}
-		if t.Delivered {
-			j.Root = t.Root.ID.String()
-		}
-		if path, ok := t.Path(); ok {
-			for _, ref := range path {
-				j.Path = append(j.Path, ref.ID.String())
-			}
-		}
-		for _, h := range t.Hops {
-			j.Hops = append(j.Hops, hopJSON{
-				From:  h.From.ID.String(),
-				To:    h.To.ID.String(),
-				Index: h.Index,
-				At:    h.At.Seconds(),
-				Cause: h.Cause,
-				Retx:  h.Retx,
-			})
-		}
-		out = append(out, j)
-	}
-	return out
 }

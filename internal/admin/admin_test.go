@@ -19,11 +19,15 @@ import (
 // liveNode bundles one UDP transport, its node, DHT store and telemetry,
 // the way cmd/mspastry-node wires them.
 type liveNode struct {
-	tr    *transport.UDP
-	node  *pastry.Node
-	store *dht.Store
-	reg   *telemetry.Registry
+	tr     *transport.UDP
+	node   *pastry.Node
+	store  *dht.Store
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
 }
+
+// liveRing is the capacity of each live node's event ring.
+const liveRing = 64
 
 func startLiveNode(t *testing.T, seed int64) *liveNode {
 	t.Helper()
@@ -34,7 +38,7 @@ func startLiveNode(t *testing.T, seed int64) *liveNode {
 	t.Cleanup(func() { tr.Close() })
 
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(64)
+	tracer := telemetry.NewTracer(liveRing)
 	obs := telemetry.NewOverlay(reg, tracer, telemetry.OverlayOptions{})
 	tr.SetMetricsSink(telemetry.NewTransportMetrics(reg))
 
@@ -43,7 +47,7 @@ func startLiveNode(t *testing.T, seed int64) *liveNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &liveNode{tr: tr, node: node, reg: reg}
+	ln := &liveNode{tr: tr, node: node, reg: reg, tracer: tracer}
 	tr.DoSync(func(n *pastry.Node) {
 		ln.store = dht.New(n, tr.Env(), dht.DefaultConfig())
 	})
@@ -184,26 +188,30 @@ func TestTwoNodeOverlayAdmin(t *testing.T) {
 		t.Errorf("/debug/pprof/ status %d", code)
 	}
 
-	// /traces 404s when no tracer was configured.
-	if code, _ = get(t, base+"/traces"); code != http.StatusNotFound {
-		t.Errorf("/traces without tracer: status %d, want 404", code)
+	// /debug/events 404s when no tracer was configured.
+	if code, _ = get(t, base+"/debug/events"); code != http.StatusNotFound {
+		t.Errorf("/debug/events without tracer: status %d, want 404", code)
 	}
 }
 
-// TestTracesEndpoint serves a tracer that has recorded a synthetic
-// delivered lookup and checks the JSON shape.
-func TestTracesEndpoint(t *testing.T) {
+// TestEventsEndpoint serves a tracer's events and checks that ?n= selects
+// the newest ones, oldest first, in the JSON shape of telemetry.Event.
+func TestEventsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(8)
 	refs := make([]pastry.NodeRef, 3)
 	for i := range refs {
 		refs[i] = pastry.NodeRef{ID: id.FromKey(fmt.Sprint("n", i)), Addr: fmt.Sprintf("10.0.0.%d:1", i)}
 	}
-	lk := &pastry.Lookup{TraceID: 42, Key: id.FromKey("k"), Origin: refs[0]}
-	tracer.Begin(lk, 0)
-	tracer.Hop(lk, refs[0], refs[1], pastry.HopForward, time.Millisecond)
-	tracer.Hop(lk, refs[1], refs[2], pastry.HopForward, 2*time.Millisecond)
-	tracer.Deliver(lk, refs[2], 3*time.Millisecond)
+	for i, e := range []telemetry.Event{
+		{Node: refs[0], Kind: telemetry.KindIssued},
+		{Node: refs[0], Kind: telemetry.KindHop, Cause: "forward", Peer: refs[1]},
+		{Node: refs[1], Kind: telemetry.KindHop, Cause: "forward", Peer: refs[2], Detail: 1},
+		{Node: refs[2], Kind: telemetry.KindDelivered, Detail: 2},
+	} {
+		e.At, e.TraceID, e.Origin, e.Seq = time.Duration(i)*time.Millisecond, 42, refs[0], 1
+		tracer.Add(e)
+	}
 
 	srv, err := Serve("127.0.0.1:0", reg, Options{Tracer: tracer})
 	if err != nil {
@@ -211,29 +219,91 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	code, body := get(t, "http://"+srv.Addr()+"/traces")
+	code, body := get(t, "http://"+srv.Addr()+"/debug/events?n=2")
 	if code != http.StatusOK {
-		t.Fatalf("/traces status %d", code)
+		t.Fatalf("/debug/events status %d", code)
 	}
-	var doc struct {
-		Stats  telemetry.TraceStats `json:"stats"`
-		Traces []lookupTraceJSON    `json:"traces"`
+	var events []telemetry.Event
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
+		t.Fatalf("/debug/events is not valid JSON: %v\n%s", err, body)
 	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/traces is not valid JSON: %v\n%s", err, body)
+	want := tracer.Recent(2)
+	if len(events) != 2 || events[0] != want[0] || events[1] != want[1] {
+		t.Fatalf("events = %v, want %v", events, want)
 	}
-	if doc.Stats.Delivered != 1 || doc.Stats.Reconstructed != 1 {
-		t.Fatalf("trace stats = %+v", doc.Stats)
+	if events[1].Kind != telemetry.KindDelivered || events[1].Node != refs[2] || events[1].At != 3*time.Millisecond {
+		t.Fatalf("newest event = %v", events[1])
 	}
-	if len(doc.Traces) != 1 {
-		t.Fatalf("got %d traces", len(doc.Traces))
+}
+
+// TestEveryLiveNodeRecordsItsHops runs lookups through a loopback overlay
+// in which each node has its own bounded ring, as each mspastry-node
+// process does. Every ring stays within its capacity however many
+// lookups pass, and a node that issued none of them still records the
+// hops it forwarded and the deliveries it made as their root.
+func TestEveryLiveNodeRecordsItsHops(t *testing.T) {
+	const lookups, batch = 2000, 100
+	nodes := []*liveNode{startLiveNode(t, 1)}
+	nodes[0].tr.DoSync(func(n *pastry.Node) { n.Bootstrap() })
+	nodes[0].waitActive(t)
+	seedRef := pastry.NodeRef{ID: nodes[0].node.Ref().ID, Addr: nodes[0].tr.Addr()}
+	for seed := int64(2); seed <= 4; seed++ {
+		ln := startLiveNode(t, seed)
+		ln.tr.DoSync(func(n *pastry.Node) { n.Join(seedRef) })
+		ln.waitActive(t)
+		nodes = append(nodes, ln)
 	}
-	tr0 := doc.Traces[0]
-	if tr0.TraceID != 42 || !tr0.Delivered || len(tr0.Hops) != 2 {
-		t.Fatalf("trace = %+v", tr0)
+	delivered := func() (sum float64) {
+		for _, ln := range nodes {
+			for _, m := range ln.reg.Snapshot() {
+				if m.Name == "mspastry_lookups_delivered_total" {
+					sum += m.Value
+				}
+			}
+		}
+		return sum
 	}
-	want := []string{refs[0].ID.String(), refs[1].ID.String(), refs[2].ID.String()}
-	if len(tr0.Path) != 3 || tr0.Path[0] != want[0] || tr0.Path[2] != want[2] {
-		t.Fatalf("path = %v, want %v", tr0.Path, want)
+
+	origin := nodes[0]
+	base := delivered()
+	for sent := batch; sent <= lookups; sent += batch {
+		origin.tr.DoSync(func(n *pastry.Node) {
+			for i := sent - batch; i < sent; i++ {
+				n.Lookup(id.FromKey(fmt.Sprint("leak", i)), nil)
+			}
+		})
+		deadline := time.Now().Add(10 * time.Second)
+		for delivered()-base < float64(sent) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v of %d lookups delivered", delivered()-base, sent)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	for i, ln := range nodes {
+		events := ln.tracer.Recent(0)
+		if len(events) > liveRing {
+			t.Errorf("node %d holds %d events, capacity %d", i, len(events), liveRing)
+		}
+		if i == 0 {
+			continue
+		}
+		var forwarded, rooted int
+		for _, e := range events {
+			if e.Origin.ID != origin.node.Ref().ID {
+				continue
+			}
+			switch e.Kind {
+			case telemetry.KindHop:
+				forwarded++
+			case telemetry.KindDelivered:
+				rooted++
+			}
+		}
+		t.Logf("node %d: %d events, %d hops and %d deliveries of node 0's lookups", i, len(events), forwarded, rooted)
+		if forwarded+rooted == 0 {
+			t.Errorf("node %d records none of node 0's lookups", i)
+		}
 	}
 }

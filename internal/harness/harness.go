@@ -64,8 +64,9 @@ type Config struct {
 	// metric names a live mspastry-node exports on /metrics, so sim
 	// experiments and deployments feed identical dashboards.
 	Telemetry *telemetry.Registry
-	// TraceLookups records per-lookup hop traces (requires Telemetry);
-	// the result carries the tracer and its route-reconstruction stats.
+	// TraceLookups records every node's telemetry events, hops included
+	// (requires Telemetry); the result carries the tracer and its
+	// route-reconstruction stats.
 	TraceLookups bool
 	// MaliciousFraction marks this fraction of slots Byzantine: their
 	// nodes run the normal protocol but attack routing with every
@@ -137,8 +138,8 @@ type Result struct {
 	// TrtMedian samples the self-tuned probing period at the end of the
 	// run (median over live nodes).
 	TrtMedian time.Duration
-	// Tracer holds the per-lookup hop traces (nil unless TraceLookups was
-	// set); TraceStats summarises route-path reconstruction.
+	// Tracer holds every node's telemetry events (nil unless TraceLookups
+	// was set); TraceStats summarises route-path reconstruction from them.
 	Tracer     *telemetry.Tracer
 	TraceStats telemetry.TraceStats
 }

@@ -19,10 +19,12 @@ package harness
 // node crashes. It was re-recorded with -update on that change; against
 // the earlier recording, 19 held lookups are delivered at an earlier tick
 // by the same node and 3 crashes report a held lookup, and nothing else
-// moved.
+// moved. Each line is now a telemetry.Event's String(), recorded by
+// telemetry.Overlay, so the file pins the event vocabulary too; the file
+// was unchanged by that move, and the recipe above needs a parent that has
+// telemetry.Event.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -32,6 +34,7 @@ import (
 
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
+	"mspastry/internal/telemetry"
 	"mspastry/internal/trace"
 )
 
@@ -74,85 +77,54 @@ func hopsConfig(t testing.TB) Config {
 	return cfg
 }
 
-// hopLog is the observer of the golden run: it writes one line per call —
-// time node event lookup peer detail — and passes the three calls the
+// hopLog is the observer of the golden run: a telemetry.Overlay records
+// each call as a telemetry.Event, whose String() is one line of the file
+// (time node event lookup peer detail), and passes the three calls the
 // harness itself needs on to it. MessageSent fires for every message of
 // the run and TrtTuned on every tick of every node, thirty times the rest
-// together, so their lines go into a digest that the log's last line
-// carries, not into the file one by one.
+// together, and Overlay records neither: their events go into a digest
+// that the log's last line carries, not into the file one by one.
 type hopLog struct {
-	inner  pastry.Observer
-	lines  bytes.Buffer
+	*telemetry.Overlay
+	events *telemetry.Tracer
 	folded int
 	digest [sha256.Size]byte
-	count  map[string]int
 }
 
-func (l *hopLog) line(n *pastry.Node, event string, lk *pastry.Lookup, peer pastry.NodeRef, detail any) string {
-	lookup, to := "-", "-"
-	if lk != nil {
-		lookup = fmt.Sprintf("%s/%d", lk.Origin.Addr, lk.Seq)
-	}
-	if !peer.IsZero() {
-		to = peer.Addr
-	}
-	l.count[event]++
-	return fmt.Sprintf("%d %s %s %s %s %v\n", n.Now(), n.Ref().Addr, event, lookup, to, detail)
-}
-
-func (l *hopLog) Activated(n *pastry.Node, joinLatency time.Duration) {
-	l.lines.WriteString(l.line(n, "activated", nil, pastry.NodeRef{}, joinLatency))
-	if joinLatency >= joinRetryAfter {
-		l.count["activated after a restart"]++
-	}
-	l.inner.Activated(n, joinLatency)
-}
-
-func (l *hopLog) Delivered(n *pastry.Node, lk *pastry.Lookup) {
-	l.lines.WriteString(l.line(n, "delivered", lk, pastry.NodeRef{}, lk.Hops))
-	l.inner.Delivered(n, lk)
-}
-
-func (l *hopLog) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
-	l.lines.WriteString(l.line(n, "dropped-"+reason.String(), lk, pastry.NodeRef{}, lk.Hops))
-	l.inner.LookupDropped(n, lk, reason)
-}
-
-func (l *hopLog) LookupIssued(n *pastry.Node, lk *pastry.Lookup) {
-	l.lines.WriteString(l.line(n, "issued", lk, pastry.NodeRef{}, "-"))
-}
-
-func (l *hopLog) LookupHop(n *pastry.Node, lk *pastry.Lookup, to pastry.NodeRef, cause pastry.HopCause) {
-	l.lines.WriteString(l.line(n, "hop-"+cause.String(), lk, to, lk.Hops))
+func (l *hopLog) digested(e telemetry.Event) {
+	l.folded++
+	l.digest = sha256.Sum256(append(l.digest[:], e.String()+"\n"...))
 }
 
 func (l *hopLog) MessageSent(n *pastry.Node, cat pastry.Category, retx bool) {
-	l.digested(l.line(n, "sent", nil, pastry.NodeRef{}, fmt.Sprint(cat, retx)))
-}
-
-func (l *hopLog) digested(line string) {
-	l.folded++
-	l.digest = sha256.Sum256(append(l.digest[:], line...))
-}
-
-func (l *hopLog) AckRTT(n *pastry.Node, to pastry.NodeRef, rtt time.Duration) {
-	l.lines.WriteString(l.line(n, "ackrtt", nil, to, rtt))
+	e := telemetry.Event{At: n.Now(), Node: n.Ref(), Kind: telemetry.KindSent, Cause: cat.String()}
+	if retx {
+		e.Detail = 1
+	}
+	l.digested(e)
 }
 
 func (l *hopLog) TrtTuned(n *pastry.Node, trt time.Duration) {
-	l.digested(l.line(n, "trt", nil, pastry.NodeRef{}, trt))
-}
-
-func (l *hopLog) LeafSetRepair(n *pastry.Node, cause string) {
-	l.lines.WriteString(l.line(n, "leafset-"+cause, nil, pastry.NodeRef{}, "-"))
+	l.digested(telemetry.Event{At: n.Now(), Node: n.Ref(), Kind: telemetry.KindTrt, Detail: int64(trt)})
 }
 
 func TestHopGolden(t *testing.T) {
 	r := newRun(hopsConfig(t))
-	log := &hopLog{inner: r.obs, count: make(map[string]int)}
+	log := &hopLog{events: telemetry.NewTracer(0)}
+	log.Overlay = telemetry.NewOverlay(telemetry.NewRegistry(), log.events, telemetry.OverlayOptions{Inner: r.obs})
 	r.obs = log
 	res := r.execute()
-	got := log.lines.String() + fmt.Sprintf("and %d sent and trt lines, sha256 %x\n", log.folded, log.digest)
+	var lines strings.Builder
+	count := make(map[string]int)
+	for _, e := range log.events.Recent(0) {
+		line := e.String()
+		lines.WriteString(line + "\n")
+		count[strings.Fields(line)[2]]++
+		if e.Kind == telemetry.KindActivated && time.Duration(e.Detail) >= joinRetryAfter {
+			count["activated after a restart"]++
+		}
+	}
+	got := lines.String() + fmt.Sprintf("and %d sent and trt lines, sha256 %x\n", log.folded, log.digest)
 
 	// The run is only worth comparing if the ways a record ends all
 	// occurred; each is a counter the run or the log keeps.
@@ -166,25 +138,25 @@ func TestHopGolden(t *testing.T) {
 		name string
 		n    int
 	}{
-		{"acked hops (a record freed by its ack)", log.count["ackrtt"]},
-		{"reroutes (a record re-armed for another next hop)", log.count["hop-reroute"]},
-		{"backed-off retransmissions (re-armed for the same one)", log.count["hop-backoff"]},
-		{"give-ups after the last attempt", log.count["dropped-retries"]},
+		{"acked hops (a record freed by its ack)", count["ackrtt"]},
+		{"reroutes (a record re-armed for another next hop)", count["hop-reroute"]},
+		{"backed-off retransmissions (re-armed for the same one)", count["hop-backoff"]},
+		{"give-ups after the last attempt", count["dropped-retries"]},
 		{"retry budgets run dry (the hold branch, and probes not resent)", int(res.Counters.RetryBudgetExhausted)},
 		{"hop timeouts", int(res.Counters.Retransmits)},
 		{"breakers opened", int(res.Counters.BreakerOpens)},
-		{"leaf members marked faulty at a probe's last timeout and announced", log.count["leafset-announce"]},
+		{"leaf members marked faulty at a probe's last timeout and announced", count["leafset-announce"]},
 		{"messages duplicated (duplicate acks)", int(res.FaultCounts.Duplicated)},
 		{"messages reordered (stale acks)", int(res.FaultCounts.Reordered)},
 		{"messages for a crashed node (crashes with hops and probes in flight)", int(res.DropsByCause[netmodel.DropDeadEndpoint])},
 		{"joins under churn", joins},
-		{"joins that stalled and restarted", log.count["activated after a restart"]},
+		{"joins that stalled and restarted", count["activated after a restart"]},
 	} {
 		if c.n == 0 {
 			t.Errorf("the run has no %s", c.name)
 		}
 	}
-	t.Logf("events: %v; %d lines, %d bytes", log.count, strings.Count(got, "\n"), len(got))
+	t.Logf("events: %v; %d lines, %d bytes", count, strings.Count(got, "\n"), len(got))
 
 	if *updateGolden {
 		if err := os.WriteFile(hopsGoldenPath, []byte(got), 0o644); err != nil {

@@ -43,16 +43,18 @@ func TestHopTraceReconstruction(t *testing.T) {
 
 	// Every reconstructed path must chain origin -> ... -> root.
 	checked := 0
-	for _, lt := range res.Tracer.Recent(0) {
-		if !lt.Delivered {
+	closed, _ := telemetry.Traces(res.Tracer.Recent(0))
+	for _, trace := range closed {
+		end := trace[len(trace)-1]
+		if end.Kind != telemetry.KindDelivered {
 			continue
 		}
-		path, ok := lt.Path()
+		path, ok := telemetry.Path(trace)
 		if !ok {
 			continue
 		}
-		if path[0].ID != lt.Origin.ID || path[len(path)-1].ID != lt.Root.ID {
-			t.Fatalf("path endpoints wrong: %v (origin %v root %v)", path, lt.Origin, lt.Root)
+		if path[0].ID != end.Origin.ID || path[len(path)-1].ID != end.Node.ID {
+			t.Fatalf("path endpoints wrong: %v (origin %v root %v)", path, end.Origin, end.Node)
 		}
 		checked++
 	}

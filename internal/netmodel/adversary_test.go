@@ -12,7 +12,7 @@ import (
 func buildTriangle(t *testing.T) (*Network, []*Endpoint, []*pastry.Node) {
 	t.Helper()
 	sim, nw := testNet(t, 0)
-	base := nw.Topology().Attach(3, sim.Rand())
+	base := nw.topo.Attach(3, sim.Rand())
 	var eps []*Endpoint
 	var nodes []*pastry.Node
 	for i := 0; i < 3; i++ {

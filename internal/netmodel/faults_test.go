@@ -30,7 +30,7 @@ func (o *deliveryLog) LookupDropped(*pastry.Node, *pastry.Lookup, pastry.DropRea
 func rootWithLog(t *testing.T) (*eventsim.Simulator, *Network, *Endpoint, *Endpoint, *pastry.Node, *deliveryLog) {
 	t.Helper()
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	makeNode(t, nw, a)
 	log := &deliveryLog{sim: sim}
@@ -64,7 +64,7 @@ func lookupEnvelope(from *pastry.Node, seq uint64) *pastry.Envelope {
 
 func TestPartitionDropsCrossSideAndHeals(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -92,7 +92,7 @@ func TestPartitionDropsCrossSideAndHeals(t *testing.T) {
 
 func TestPartitionSameSideDelivers(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -107,7 +107,7 @@ func TestPartitionSameSideDelivers(t *testing.T) {
 
 func TestAsymmetricLinkLoss(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -138,7 +138,7 @@ func TestDelaySpikeShiftsDelivery(t *testing.T) {
 	const extra = 5 * time.Second
 	armNow(nw, Fault{Spike: extra})
 	a.Send(b.node.Ref(), lookupEnvelope(na, 1))
-	base := nw.Topology().Delay(a.Index(), b.Index())
+	base := nw.topo.Delay(a.Index(), b.Index())
 	sim.RunUntil(base + extra - time.Millisecond)
 	if len(log.seqs) != 0 {
 		t.Fatal("delivered before the spike delay elapsed")
@@ -157,7 +157,7 @@ func TestOverlappingSpikeWindows(t *testing.T) {
 	na := a.nw.eps[a.Addr()].node
 	nw.Faults().At(0, time.Minute, Fault{Spike: time.Second})
 	nw.Faults().At(30*time.Second, time.Minute, Fault{Spike: 2 * time.Second})
-	base := nw.Topology().Delay(a.Index(), b.Index())
+	base := nw.topo.Delay(a.Index(), b.Index())
 	sends := []struct{ at, spike time.Duration }{
 		{15 * time.Second, time.Second},
 		{45 * time.Second, 2 * time.Second},
@@ -226,7 +226,7 @@ func TestJitterBounded(t *testing.T) {
 	if len(log.seqs) != n {
 		t.Fatalf("delivered %d of %d", len(log.seqs), n)
 	}
-	base := nw.Topology().Delay(a.Index(), b.Index())
+	base := nw.topo.Delay(a.Index(), b.Index())
 	var sawDelayed bool
 	for _, at := range log.times {
 		if at < base || at > base+maxJitter {
@@ -296,7 +296,7 @@ func TestReorderingOvertakes(t *testing.T) {
 
 func TestDropClassificationChurnArtifacts(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -332,7 +332,7 @@ func TestDropClassificationChurnArtifacts(t *testing.T) {
 
 func TestUniformLossClassified(t *testing.T) {
 	sim, nw := testNet(t, 0.5)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)

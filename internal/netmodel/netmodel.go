@@ -147,9 +147,6 @@ func (nw *Network) OnFrame(fn func(from *Endpoint, f FrameInfo)) {
 	nw.onFrame = fn
 }
 
-// Topology returns the underlying topology.
-func (nw *Network) Topology() *topology.Network { return nw.topo }
-
 // Endpoint is an attachment point for one overlay node. It implements
 // pastry.Env.
 type Endpoint struct {

@@ -37,7 +37,7 @@ func makeNode(t *testing.T, nw *Network, ep *Endpoint) *pastry.Node {
 
 func TestDeliveryWithDelay(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -47,7 +47,7 @@ func TestDeliveryWithDelay(t *testing.T) {
 	// topology delay (b records the contact by replying nothing, so use
 	// a dist probe which triggers a reply).
 	a.Send(nb.Ref(), &pastry.DistProbe{From: na.Ref(), Seq: 7})
-	delay := nw.Topology().Delay(a.Index(), b.Index())
+	delay := nw.topo.Delay(a.Index(), b.Index())
 	sim.RunUntil(delay - time.Nanosecond)
 	// Reply cannot have been sent yet (message not yet delivered).
 	sim.RunUntil(10 * time.Second)
@@ -60,7 +60,7 @@ func TestDeliveryWithDelay(t *testing.T) {
 
 func TestLossDropsMessages(t *testing.T) {
 	sim, nw := testNet(t, 0.5)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -75,7 +75,7 @@ func TestLossDropsMessages(t *testing.T) {
 
 func TestNoDeliveryToFailedEndpoint(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -89,7 +89,7 @@ func TestNoDeliveryToFailedEndpoint(t *testing.T) {
 
 func TestNoDeliveryToReincarnatedIdentity(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	oldRef := makeNode(t, nw, b).Ref()
@@ -106,7 +106,7 @@ func TestNoDeliveryToReincarnatedIdentity(t *testing.T) {
 
 func TestOnSendHookSeesEverything(t *testing.T) {
 	sim, nw := testNet(t, 0.9)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -122,7 +122,7 @@ func TestOnSendHookSeesEverything(t *testing.T) {
 
 func TestEnvelopeCopiedOnDelivery(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -154,7 +154,7 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 	// Without coalescing, every message is charged its single-frame
 	// encoding, byte for byte.
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -189,7 +189,7 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 	// coalescer assembles for the same message sequence.
 	sim2, nw2 := testNet(t, 0)
 	nw2.SetCoalesceWindow(5 * time.Millisecond)
-	c := nw2.NewEndpoint(nw2.Topology().Attach(2, sim2.Rand()))
+	c := nw2.NewEndpoint(nw2.topo.Attach(2, sim2.Rand()))
 	d := nw2.NewEndpoint(c.Index() + 1)
 	nc := makeNode(t, nw2, c)
 	nd := makeNode(t, nw2, d)
@@ -288,7 +288,7 @@ func TestRecycledDeliverySurvivesReentrantSend(t *testing.T) {
 	sim, nw := testNet(t, 0)
 	armNow(nw, Fault{Duplicate: 0.5})
 	const n = 4
-	first := nw.Topology().Attach(n, sim.Rand())
+	first := nw.topo.Attach(n, sim.Rand())
 	nodes := make([]*pastry.Node, n)
 	arrivals := map[uint64]int{}
 	var sends uint64
@@ -346,7 +346,7 @@ func TestRecycledDeliverySurvivesReentrantSend(t *testing.T) {
 // dropped as stale, whatever the struct carried before.
 func TestRecycledDeliveryDropsStaleIdentity(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	oldRef := makeNode(t, nw, b).Ref()
@@ -381,7 +381,7 @@ func TestRecycledDeliveryDropsStaleIdentity(t *testing.T) {
 // are copied for the receiver; that copy is the message, not the network.)
 func TestSendAllocations(t *testing.T) {
 	sim, nw := testNet(t, 0)
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	to := makeNode(t, nw, b).Ref()
@@ -412,7 +412,7 @@ func TestCancelledTimerNeverFires(t *testing.T) {
 		{"from a callback due at the same instant", true, d, 0},
 	} {
 		sim, nw := testNet(t, 0)
-		ep := nw.NewEndpoint(nw.Topology().Attach(1, sim.Rand()))
+		ep := nw.NewEndpoint(nw.topo.Attach(1, sim.Rand()))
 		var victim pastry.Timer
 		fired := 0
 		if tc.cancel && tc.after >= 0 {

@@ -14,7 +14,7 @@ import (
 func TestServiceModelBoundsRate(t *testing.T) {
 	sim, nw := testNet(t, 0)
 	nw.SetServiceModel(ServiceModel{QueueLimit: 64, Rate: 2})
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -23,7 +23,7 @@ func TestServiceModelBoundsRate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Send(nb.Ref(), &pastry.Heartbeat{From: na.Ref()})
 	}
-	delay := nw.Topology().Delay(a.Index(), b.Index())
+	delay := nw.topo.Delay(a.Index(), b.Index())
 
 	// After the propagation delay plus 4 service slots, at most 4 of the
 	// 10 heartbeats can have been processed.
@@ -50,7 +50,7 @@ func TestServiceModelBoundsRate(t *testing.T) {
 func TestServiceModelShedsLowestPriorityFirst(t *testing.T) {
 	sim, nw := testNet(t, 0)
 	nw.SetServiceModel(ServiceModel{QueueLimit: 8, Rate: 1})
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -65,7 +65,7 @@ func TestServiceModelShedsLowestPriorityFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a.Send(nb.Ref(), &pastry.Heartbeat{From: na.Ref()})
 	}
-	delay := nw.Topology().Delay(a.Index(), b.Index())
+	delay := nw.topo.Delay(a.Index(), b.Index())
 	sim.RunUntil(delay + time.Millisecond)
 
 	if got := nw.ShedByLane[overload.LaneBulk]; got != 8 {
@@ -88,7 +88,7 @@ func TestServiceModelShedsLowestPriorityFirst(t *testing.T) {
 func TestServiceQueueDiesWithEndpoint(t *testing.T) {
 	sim, nw := testNet(t, 0)
 	nw.SetServiceModel(ServiceModel{QueueLimit: 16, Rate: 1})
-	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
 	na := makeNode(t, nw, a)
 	nb := makeNode(t, nw, b)
@@ -98,7 +98,7 @@ func TestServiceQueueDiesWithEndpoint(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		a.Send(nb.Ref(), &pastry.AppDirect{From: na.Ref(), Payload: []byte{1}})
 	}
-	delay := nw.Topology().Delay(a.Index(), b.Index())
+	delay := nw.topo.Delay(a.Index(), b.Index())
 	sim.RunUntil(delay + time.Millisecond)
 	if b.LoadFactor() == 0 {
 		t.Fatal("no work queued before failure")

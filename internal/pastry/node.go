@@ -277,9 +277,6 @@ func (n *Node) Trt() time.Duration { return n.trtCurrent }
 // Stats returns a snapshot of the node's internal counters.
 func (n *Node) Stats() Counters { return n.counters }
 
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // SetApp installs the application layer. Must be called before the node
 // joins the overlay.
 func (n *Node) SetApp(app App) { n.app = app }

@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer shared by the simulator and
 // live deployments: a dependency-free metrics registry (counters, gauges
 // and fixed-bucket latency histograms with quantile estimation), Prometheus
-// text exposition, and per-lookup hop tracing that reconstructs full route
-// paths from a trace identifier carried in Lookup messages.
+// text exposition, and a ring of protocol events (a live node's flight
+// recorder) from which full lookup route paths are reconstructed by the
+// trace identifier carried in Lookup messages.
 //
 // The simulator harness and a live mspastry-node emit the same metric
 // names through the same Overlay observer, so a dashboard built against

@@ -20,12 +20,11 @@ type OverlayOptions struct {
 }
 
 // Overlay records the paper's §5.2 metrics from a node's protocol events
-// into a Registry (and, optionally, per-hop traces into a Tracer). One
+// into a Registry and, optionally, each call as an Event into a Tracer. One
 // Overlay serves any number of nodes: the simulator attaches all its
 // instances to a single Overlay so a run's metrics aggregate, while a live
 // node has exactly one. The metric names are identical in both worlds.
 type Overlay struct {
-	reg    *Registry
 	tracer *Tracer
 	opts   OverlayOptions
 
@@ -37,17 +36,15 @@ type Overlay struct {
 	sent        *CounterVec
 	retx        *Counter
 	ackRTT      *Histogram
-	trt         *Gauge
 	repairs     *CounterVec
 	joins       *Counter
 	joinLatency *Histogram
 }
 
 // NewOverlay creates an overlay observer recording into reg and, when
-// tracer is non-nil, tracing every lookup's hops.
+// tracer is non-nil, every call but MessageSent and TrtTuned into tracer.
 func NewOverlay(reg *Registry, tracer *Tracer, opts OverlayOptions) *Overlay {
 	return &Overlay{
-		reg:    reg,
 		tracer: tracer,
 		opts:   opts,
 
@@ -69,8 +66,6 @@ func NewOverlay(reg *Registry, tracer *Tracer, opts OverlayOptions) *Overlay {
 		ackRTT: reg.Histogram("mspastry_ack_rtt_seconds",
 			"Per-hop ack round-trip samples (first transmissions only, Karn's rule).",
 			DefBuckets),
-		trt: reg.Gauge("mspastry_trt_seconds",
-			"Most recent self-tuned routing-table probing period Trt."),
 		repairs: reg.CounterVec("mspastry_leafset_repairs_total",
 			"Leaf-set repair probe launches, by cause.", "cause"),
 		joins: reg.Counter("mspastry_joins_total",
@@ -80,16 +75,23 @@ func NewOverlay(reg *Registry, tracer *Tracer, opts OverlayOptions) *Overlay {
 	}
 }
 
-// Registry returns the backing registry.
-func (o *Overlay) Registry() *Registry { return o.reg }
-
-// Tracer returns the hop tracer (nil when tracing is off).
-func (o *Overlay) Tracer() *Tracer { return o.tracer }
+// record appends one event to the tracer, if there is one.
+func (o *Overlay) record(n *pastry.Node, kind Kind, cause string, lk *pastry.Lookup, peer pastry.NodeRef, detail int64) {
+	if o.tracer == nil {
+		return
+	}
+	e := Event{At: n.Now(), Node: n.Ref(), Kind: kind, Cause: cause, Peer: peer, Detail: detail}
+	if lk != nil {
+		e.TraceID, e.Origin, e.Seq = lk.TraceID, lk.Origin, lk.Seq
+	}
+	o.tracer.Add(e)
+}
 
 // Activated implements pastry.Observer.
 func (o *Overlay) Activated(n *pastry.Node, joinLatency time.Duration) {
 	o.joins.Inc()
 	o.joinLatency.Observe(joinLatency.Seconds())
+	o.record(n, KindActivated, "", nil, pastry.NodeRef{}, int64(joinLatency))
 	if o.opts.Inner != nil {
 		o.opts.Inner.Activated(n, joinLatency)
 	}
@@ -102,9 +104,7 @@ func (o *Overlay) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 	if o.opts.SharedClock {
 		o.delay.Observe((n.Now() - lk.Issued).Seconds())
 	}
-	if o.tracer != nil {
-		o.tracer.Deliver(lk, n.Ref(), n.Now())
-	}
+	o.record(n, KindDelivered, "", lk, pastry.NodeRef{}, int64(lk.Hops))
 	if o.opts.Inner != nil {
 		o.opts.Inner.Delivered(n, lk)
 	}
@@ -113,9 +113,7 @@ func (o *Overlay) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 // LookupDropped implements pastry.Observer.
 func (o *Overlay) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
 	o.dropped.With(reason.String()).Inc()
-	if o.tracer != nil {
-		o.tracer.Drop(lk, reason, n.Now())
-	}
+	o.record(n, KindDropped, reason.String(), lk, pastry.NodeRef{}, int64(lk.Hops))
 	if o.opts.Inner != nil {
 		o.opts.Inner.LookupDropped(n, lk, reason)
 	}
@@ -124,16 +122,12 @@ func (o *Overlay) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry
 // LookupIssued implements pastry.TraceObserver.
 func (o *Overlay) LookupIssued(n *pastry.Node, lk *pastry.Lookup) {
 	o.issued.Inc()
-	if o.tracer != nil {
-		o.tracer.Begin(lk, n.Now())
-	}
+	o.record(n, KindIssued, "", lk, pastry.NodeRef{}, 0)
 }
 
 // LookupHop implements pastry.TraceObserver.
 func (o *Overlay) LookupHop(n *pastry.Node, lk *pastry.Lookup, to pastry.NodeRef, cause pastry.HopCause) {
-	if o.tracer != nil {
-		o.tracer.Hop(lk, n.Ref(), to, cause, n.Now())
-	}
+	o.record(n, KindHop, cause.String(), lk, to, int64(lk.Hops))
 }
 
 // MessageSent implements pastry.StatsObserver.
@@ -147,14 +141,16 @@ func (o *Overlay) MessageSent(n *pastry.Node, cat pastry.Category, retx bool) {
 // AckRTT implements pastry.StatsObserver.
 func (o *Overlay) AckRTT(n *pastry.Node, to pastry.NodeRef, rtt time.Duration) {
 	o.ackRTT.Observe(rtt.Seconds())
+	o.record(n, KindAckRTT, "", nil, to, int64(rtt))
 }
 
-// TrtTuned implements pastry.StatsObserver.
-func (o *Overlay) TrtTuned(n *pastry.Node, trt time.Duration) {
-	o.trt.Set(trt.Seconds())
-}
+// TrtTuned implements pastry.StatsObserver. It records nothing: the
+// mspastry_trt_seconds gauge is set where a whole run's or node's Trt is
+// known (the harness's end-of-run median, mspastry-node's scrape hook).
+func (o *Overlay) TrtTuned(n *pastry.Node, trt time.Duration) {}
 
 // LeafSetRepair implements pastry.StatsObserver.
 func (o *Overlay) LeafSetRepair(n *pastry.Node, cause string) {
 	o.repairs.With(cause).Inc()
+	o.record(n, KindLeafSet, cause, nil, pastry.NodeRef{}, 0)
 }

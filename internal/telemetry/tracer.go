@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -8,51 +10,154 @@ import (
 	"mspastry/internal/pastry"
 )
 
-// HopRecord is one forwarding event of a traced lookup: the node that
-// transmitted, the next hop it chose, when (node-local clock; in the
-// simulator all nodes share the clock, so consecutive records yield per-hop
-// latencies), and why (first route, reroute after a missed ack, or backoff
-// retransmission to the same hop).
-type HopRecord struct {
-	From  pastry.NodeRef `json:"from"`
-	To    pastry.NodeRef `json:"to"`
-	Index int            `json:"index"` // overlay hop count at transmission
-	At    time.Duration  `json:"at"`
-	Cause string         `json:"cause"`
-	Retx  bool           `json:"retx"`
-}
+// Kind names what an event records: one kind per observer call.
+type Kind string
 
-// LookupTrace accumulates everything observed about one traced lookup.
-type LookupTrace struct {
-	TraceID uint64         `json:"trace_id"`
-	Key     id.ID          `json:"key"`
+const (
+	KindActivated Kind = "activated" // Detail: join latency
+	KindIssued    Kind = "issued"    // the lookup entered the overlay here
+	KindHop       Kind = "hop"       // Cause: the HopCause; Peer: next hop; Detail: hops so far
+	KindDelivered Kind = "delivered" // delivered here as root; Detail: hops
+	KindDropped   Kind = "dropped"   // Cause: the DropReason; Detail: hops
+	KindAckRTT    Kind = "ackrtt"    // Peer: the acking hop; Detail: round trip
+	KindLeafSet   Kind = "leafset"   // Cause: why a leaf-set repair started
+	// KindSent (Cause: the message category; Detail: 1 for a
+	// retransmission) and KindTrt (Detail: the new Trt) complete the
+	// vocabulary, but Overlay does not record them: they fire once per
+	// message and once per tick and would flush a bounded ring in under a
+	// second.
+	KindSent Kind = "sent"
+	KindTrt  Kind = "trt"
+)
+
+// Event is one observer call on one node, at that node's clock (in the
+// simulator all nodes share the clock). Lookup events carry the lookup's
+// TraceID, origin and sequence number, which is what ties one lookup's
+// events on different nodes together.
+type Event struct {
+	At      time.Duration  `json:"at_ns"`
+	Node    pastry.NodeRef `json:"node"`
+	Kind    Kind           `json:"kind"`
+	Cause   string         `json:"cause,omitempty"`
+	TraceID uint64         `json:"trace_id,omitempty"`
 	Origin  pastry.NodeRef `json:"origin"`
-	Issued  time.Duration  `json:"issued"`
-	Hops    []HopRecord    `json:"hops"`
-	// Retx counts reroute and backoff transmissions.
-	Retx int `json:"retx"`
-
-	Done      bool           `json:"done"`
-	Delivered bool           `json:"delivered"`
-	Root      pastry.NodeRef `json:"root,omitempty"`
-	DoneAt    time.Duration  `json:"done_at"`
-	DropCause string         `json:"drop_cause,omitempty"`
+	Seq     uint64         `json:"seq,omitempty"`
+	Peer    pastry.NodeRef `json:"peer"`
+	// Detail is a hop count or a duration in nanoseconds, by Kind.
+	Detail int64 `json:"detail"`
 }
 
-// Path reconstructs the route the lookup actually travelled by chaining
-// hop records: start at the origin, and at each step follow the
-// transmission out of the current node (preferring the one whose
+// String renders the event as one line: time node event origin/seq peer
+// detail, with "-" for what the kind does not carry.
+func (e Event) String() string {
+	name, lookup, peer, detail := string(e.Kind), "-", "-", "-"
+	switch e.Kind {
+	case KindHop, KindDropped, KindLeafSet:
+		name += "-" + e.Cause
+	}
+	switch e.Kind {
+	case KindIssued, KindHop, KindDelivered, KindDropped:
+		lookup = e.Origin.Addr + "/" + strconv.FormatUint(e.Seq, 10)
+	}
+	if !e.Peer.IsZero() {
+		peer = e.Peer.Addr
+	}
+	switch e.Kind {
+	case KindActivated, KindAckRTT, KindTrt:
+		detail = time.Duration(e.Detail).String()
+	case KindHop, KindDelivered, KindDropped:
+		detail = strconv.FormatInt(e.Detail, 10)
+	case KindSent:
+		detail = e.Cause + " " + strconv.FormatBool(e.Detail != 0)
+	}
+	return fmt.Sprintf("%d %s %s %s %s %s", int64(e.At), e.Node.Addr, name, lookup, peer, detail)
+}
+
+// Tracer is a node's flight recorder: a ring of its most recent events.
+// All methods are safe for concurrent use.
+type Tracer struct {
+	mu       sync.Mutex
+	capacity int
+	events   []Event
+	next     int // ring cursor (the oldest event) once at capacity
+}
+
+// NewTracer creates a tracer keeping the last capacity events (capacity
+// <= 0 keeps every event, which experiment harnesses use to validate
+// reconstruction).
+func NewTracer(capacity int) *Tracer {
+	return &Tracer{capacity: capacity}
+}
+
+// Add records one event, evicting the oldest when the ring is full.
+func (tr *Tracer) Add(e Event) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.capacity > 0 && len(tr.events) == tr.capacity {
+		tr.events[tr.next] = e
+		tr.next = (tr.next + 1) % tr.capacity
+		return
+	}
+	tr.events = append(tr.events, e)
+}
+
+// Recent returns up to n of the most recent events, oldest first (n <= 0
+// returns them all).
+func (tr *Tracer) Recent(n int) []Event {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if n <= 0 || n > len(tr.events) {
+		n = len(tr.events)
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = tr.events[(tr.next+len(tr.events)-n+i)%len(tr.events)]
+	}
+	return out
+}
+
+// Traces groups events by lookup. A trace opens at the lookup's issued
+// event, collects its hop events and closes at its first delivered or
+// dropped event; events of a lookup not open are ignored, as are
+// untraced lookups (TraceID zero). closed holds the closed traces in
+// closing order; open counts those never closed.
+func Traces(events []Event) (closed [][]Event, open int) {
+	active := make(map[uint64][]Event)
+	for _, e := range events {
+		if e.TraceID == 0 {
+			continue
+		}
+		t, ok := active[e.TraceID]
+		switch {
+		case e.Kind == KindIssued && !ok:
+			active[e.TraceID] = []Event{e}
+		case ok && e.Kind == KindHop:
+			active[e.TraceID] = append(t, e)
+		case ok && (e.Kind == KindDelivered || e.Kind == KindDropped):
+			closed = append(closed, append(t, e))
+			delete(active, e.TraceID)
+		}
+	}
+	return closed, len(active)
+}
+
+// Path reconstructs the route a closed trace actually travelled by
+// chaining its hop events: start at the origin, and at each step follow
+// the transmission out of the current node (preferring the one whose
 // destination transmitted the next hop, so timed-out branches that were
 // rerouted around are not followed). ok reports a complete chain: every
-// link connects and, for a delivered lookup, the chain ends at the
-// delivering root.
-func (t *LookupTrace) Path() (path []pastry.NodeRef, ok bool) {
-	byFrom := make(map[id.ID][]HopRecord, len(t.Hops))
-	for _, h := range t.Hops {
-		byFrom[h.From.ID] = append(byFrom[h.From.ID], h)
+// link connects and the lookup was delivered at the chain's end.
+func Path(trace []Event) (path []pastry.NodeRef, ok bool) {
+	last := trace[len(trace)-1]
+	delivered := last.Kind == KindDelivered
+	byFrom := make(map[id.ID][]Event, len(trace))
+	for _, e := range trace {
+		if e.Kind == KindHop {
+			byFrom[e.Node.ID] = append(byFrom[e.Node.ID], e)
+		}
 	}
-	path = []pastry.NodeRef{t.Origin}
-	cur := t.Origin
+	cur := trace[0].Origin
+	path = []pastry.NodeRef{cur}
 	visited := map[id.ID]bool{cur.ID: true}
 	for {
 		evs := byFrom[cur.ID]
@@ -64,146 +169,31 @@ func (t *LookupTrace) Path() (path []pastry.NodeRef, ok bool) {
 		// the last transmission (latest reroute wins).
 		next := evs[len(evs)-1]
 		for _, ev := range evs {
-			if len(byFrom[ev.To.ID]) > 0 && !visited[ev.To.ID] {
+			if len(byFrom[ev.Peer.ID]) > 0 && !visited[ev.Peer.ID] {
 				next = ev
 				break
 			}
-			if t.Delivered && ev.To.ID == t.Root.ID {
+			if delivered && ev.Peer.ID == last.Node.ID {
 				next = ev
 			}
 		}
-		if visited[next.To.ID] {
+		if visited[next.Peer.ID] {
 			return path, false // routing loop in the records: incomplete
 		}
-		visited[next.To.ID] = true
-		path = append(path, next.To)
-		cur = next.To
+		visited[next.Peer.ID] = true
+		path = append(path, next.Peer)
+		cur = next.Peer
 	}
-	if !t.Delivered {
-		return path, false
-	}
-	return path, path[len(path)-1].ID == t.Root.ID
+	return path, delivered && cur.ID == last.Node.ID
 }
 
-// Tracer records lookup traces. All methods are safe for concurrent use.
-// Completed traces are kept in a bounded ring (capacity <= 0 keeps
-// everything, which experiment harnesses use to validate reconstruction).
-type Tracer struct {
-	mu       sync.Mutex
-	capacity int
-	active   map[uint64]*LookupTrace
-	done     []*LookupTrace
-	next     int // ring cursor when at capacity
-	total    struct {
-		delivered, dropped, reconstructed uint64
-	}
-}
-
-// NewTracer creates a tracer keeping up to capacity completed traces
-// (capacity <= 0 = unbounded).
-func NewTracer(capacity int) *Tracer {
-	return &Tracer{capacity: capacity, active: make(map[uint64]*LookupTrace)}
-}
-
-// Begin opens a trace for a lookup entering the overlay.
-func (tr *Tracer) Begin(lk *pastry.Lookup, at time.Duration) {
-	if lk.TraceID == 0 {
-		return
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if _, ok := tr.active[lk.TraceID]; ok {
-		return
-	}
-	tr.active[lk.TraceID] = &LookupTrace{
-		TraceID: lk.TraceID, Key: lk.Key, Origin: lk.Origin, Issued: at,
-	}
-}
-
-// Hop records one forwarding transmission.
-func (tr *Tracer) Hop(lk *pastry.Lookup, from, to pastry.NodeRef, cause pastry.HopCause, at time.Duration) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	t, ok := tr.active[lk.TraceID]
-	if !ok {
-		return
-	}
-	retx := cause != pastry.HopForward
-	t.Hops = append(t.Hops, HopRecord{
-		From: from, To: to, Index: lk.Hops, At: at, Cause: cause.String(), Retx: retx,
-	})
-	if retx {
-		t.Retx++
-	}
-}
-
-// Deliver closes a trace as delivered by root.
-func (tr *Tracer) Deliver(lk *pastry.Lookup, root pastry.NodeRef, at time.Duration) {
-	tr.finish(lk.TraceID, func(t *LookupTrace) {
-		t.Delivered = true
-		t.Root = root
-		t.DoneAt = at
-		tr.total.delivered++
-		if _, ok := t.Path(); ok {
-			tr.total.reconstructed++
-		}
-	})
-}
-
-// Drop closes a trace as dropped for the given protocol reason.
-func (tr *Tracer) Drop(lk *pastry.Lookup, reason pastry.DropReason, at time.Duration) {
-	tr.finish(lk.TraceID, func(t *LookupTrace) {
-		t.DropCause = reason.String()
-		t.DoneAt = at
-		tr.total.dropped++
-	})
-}
-
-func (tr *Tracer) finish(traceID uint64, fn func(*LookupTrace)) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	t, ok := tr.active[traceID]
-	if !ok {
-		return
-	}
-	delete(tr.active, traceID)
-	t.Done = true
-	fn(t)
-	if tr.capacity > 0 && len(tr.done) >= tr.capacity {
-		tr.done[tr.next] = t
-		tr.next = (tr.next + 1) % tr.capacity
-		return
-	}
-	tr.done = append(tr.done, t)
-}
-
-// Recent returns up to n of the most recently completed traces.
-func (tr *Tracer) Recent(n int) []*LookupTrace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if n <= 0 || n > len(tr.done) {
-		n = len(tr.done)
-	}
-	out := make([]*LookupTrace, 0, n)
-	// The ring cursor points at the oldest entry once wrapped.
-	start := 0
-	if tr.capacity > 0 && len(tr.done) == tr.capacity {
-		start = tr.next
-	}
-	for i := 0; i < n; i++ {
-		idx := (start + len(tr.done) - n + i) % len(tr.done)
-		out = append(out, tr.done[idx])
-	}
-	return out
-}
-
-// TraceStats summarises a tracer's lifetime totals.
+// TraceStats summarises the traces in a tracer's events.
 type TraceStats struct {
-	Delivered     uint64 `json:"delivered"`
-	Dropped       uint64 `json:"dropped"`
-	Reconstructed uint64 `json:"reconstructed"`
+	Delivered     uint64
+	Dropped       uint64
+	Reconstructed uint64
 	// Outstanding is the number of traces still open.
-	Outstanding int `json:"outstanding"`
+	Outstanding int
 }
 
 // ReconstructionRate is the fraction of delivered lookups whose full route
@@ -215,15 +205,19 @@ func (s TraceStats) ReconstructionRate() float64 {
 	return float64(s.Reconstructed) / float64(s.Delivered)
 }
 
-// Stats returns lifetime totals (counted over all traces, including ones
-// evicted from the ring).
+// Stats reconstructs the traces of the events the tracer holds.
 func (tr *Tracer) Stats() TraceStats {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return TraceStats{
-		Delivered:     tr.total.delivered,
-		Dropped:       tr.total.dropped,
-		Reconstructed: tr.total.reconstructed,
-		Outstanding:   len(tr.active),
+	closed, open := Traces(tr.Recent(0))
+	s := TraceStats{Outstanding: open}
+	for _, t := range closed {
+		if t[len(t)-1].Kind == KindDropped {
+			s.Dropped++
+			continue
+		}
+		s.Delivered++
+		if _, ok := Path(t); ok {
+			s.Reconstructed++
+		}
 	}
+	return s
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test for what only two processes can show: node B joins node A's
 # overlay across process boundaries, both admin endpoints serve live
-# counters, and both exit on quit. Everything one process can show (the
+# counters, B's event ring holds its activation, and both exit on quit. Everything one process can show (the
 # stdin commands, restart durability) is cmd/mspastry-node's own test.
 # Every port is ephemeral, so runs do not collide.
 set -euo pipefail
@@ -51,6 +51,9 @@ for n in a b; do
   grep -q '"metrics"' "$dir/$n.status" || die "node $n /status has no metrics snapshot"
 done
 grep -q '^mspastry_joins_total 1$' "$dir/b.metrics" || die "node B's join is not on its counters"
+b_admin=$(sed -n 's|^admin endpoint: http://\([^/]*\)/.*|\1|p' "$dir/b.log")
+curl -sf "http://$b_admin/debug/events" > "$dir/b.events" || die "node B /debug/events failed"
+grep -q '"kind": "activated"' "$dir/b.events" || die "node B's /debug/events lacks its activated event"
 
 echo quit >&3
 echo quit >&4
