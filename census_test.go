@@ -453,30 +453,76 @@ var tallies = []reflect.Type{
 }
 
 // TestEveryTallyHasAMetric fails for an exported numeric field of one of
-// the tallies without a metric tag, for a metric tag without a help tag,
-// and for a metric name that two fields share: declaring a tally is what
-// exports it, under one name. Run with -v for the census: each field's
-// metric.
+// the tallies without a metric tag, and, over every metric tag in non-test
+// Go outside bench/ (the tallies and the Register handle structs alike),
+// for one without a help tag and for a family name that two fields share:
+// declaring a field is what exports it, under one name. A family is
+// declared only by a tag, so it also fails for a non-test call outside
+// internal/telemetry and bench/ that registers one by name, and for a
+// string literal (a reader such as the node's status line) naming a family
+// no tag declares. Run with -v for the census: each family's field.
 func TestEveryTallyHasAMetric(t *testing.T) {
-	owner := make(map[string]string) // metric name -> the field that has it
 	for _, typ := range tallies {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
-			if k := f.Type.Kind(); !f.IsExported() || k < reflect.Int || k > reflect.Float64 {
-				continue
+			if k := f.Type.Kind(); f.IsExported() && k >= reflect.Int && k <= reflect.Float64 && f.Tag.Get("metric") == "" {
+				t.Errorf("%s.%s has no metric tag; name the gauge it is exported as", typ, f.Name)
 			}
-			field := typ.String() + "." + f.Name
-			name := f.Tag.Get("metric")
-			t.Logf("%s: %s", field, name)
-			switch {
-			case name == "":
-				t.Errorf("%s has no metric tag; name the gauge it is exported as", field)
-			case f.Tag.Get("help") == "":
-				t.Errorf("%s: metric %s has no help tag", field, name)
-			case owner[name] != "":
-				t.Errorf("%s and %s are both metric %s", owner[name], field, name)
+		}
+	}
+	owner := make(map[string]string) // family name -> the field whose tag declares it
+	var literals []*ast.BasicLit
+	var literalIn []string
+	for _, f := range sourceFiles(t) {
+		if strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		tags := make(map[*ast.BasicLit]bool)
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				if n.Tag == nil {
+					return true
+				}
+				tags[n.Tag] = true
+				raw, _ := strconv.Unquote(n.Tag.Value)
+				tag := reflect.StructTag(raw)
+				name, ok := tag.Lookup("metric")
+				if !ok {
+					return true
+				}
+				field := f.path + ":" + types.ExprString(n.Type)
+				if len(n.Names) > 0 {
+					field = f.path + ":" + n.Names[0].Name
+				}
+				t.Logf("%s: %s", name, field)
+				switch {
+				case tag.Get("help") == "":
+					t.Errorf("%s: metric %s has no help tag", field, name)
+				case owner[name] != "":
+					t.Errorf("%s and %s are both metric %s", owner[name], field, name)
+				}
+				owner[name] = field
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if ok && (sel.Sel.Name == "Histogram" || sel.Sel.Name == "Counter") && len(n.Args) > 0 &&
+					!strings.HasPrefix(f.path, "internal/telemetry/") {
+					t.Errorf("%s registers a family by name (%s); declare it as a Register tag", f.path, types.ExprString(n))
+				}
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && !tags[n] {
+					literals, literalIn = append(literals, n), append(literalIn, f.path)
+				}
 			}
-			owner[name] = field
+			return true
+		})
+	}
+	family := regexp.MustCompile(`mspastry_[a-z0-9_]+`)
+	for i, lit := range literals {
+		for _, name := range family.FindAllString(lit.Value, -1) {
+			if owner[name] == "" {
+				t.Errorf("%s names family %s, which no metric tag declares", literalIn[i], name)
+			}
 		}
 	}
 }

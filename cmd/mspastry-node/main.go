@@ -287,6 +287,8 @@ loop:
 // hooks run only from HTTP handlers and the stdin loop, never from the
 // event loop itself.
 func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, cache bool) {
+	var g nodeGauges
+	reg.Register(&g)
 	reg.OnCollect(func() {
 		tr.DoSync(func(n *pastry.Node) {
 			if n == nil {
@@ -295,25 +297,28 @@ func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store,
 			reg.SetGauges(n.Stats())
 			peers := n.PeerStats()
 			reg.SetGauges(peers)
-			slotLive := reg.GaugeVec("mspastry_peers_slot_live",
-				"Records holding state in the component slot.", "slot")
-			slotDropped := reg.GaugeVec("mspastry_peers_slot_dropped_total",
-				"Slot values cleared by pruning in the component slot.", "slot")
 			for _, sl := range peers.Slots {
-				slotLive.With(sl.Name).Set(float64(sl.Live))
-				slotDropped.With(sl.Name).Set(float64(sl.Dropped))
+				g.SlotLive.With(sl.Name).Set(float64(sl.Live))
+				g.SlotDropped.With(sl.Name).Set(float64(sl.Dropped))
 			}
 			reg.SetGauges(store.Counters())
-			reg.Gauge("mspastry_dht_local_objects",
-				"Objects currently stored on this node.").Set(float64(store.LocalObjects()))
+			g.LocalObjects.Set(float64(store.LocalObjects()))
 			reg.SetGauges(store.StoreStats())
 			if cache {
 				reg.SetGauges(store.CacheStats())
 			}
-			reg.Gauge("mspastry_trt_seconds",
-				"Most recent self-tuned routing-table probing period Trt.").Set(n.Trt().Seconds())
+			reg.SetGauges(telemetry.Trt{Seconds: n.Trt().Seconds()})
 		})
 	})
+}
+
+// nodeGauges are the families a node sets at scrape time that no tally
+// struct carries: the peer registry's per-slot counts and the DHT's
+// stored-object level.
+type nodeGauges struct {
+	SlotLive     *telemetry.GaugeVec `metric:"mspastry_peers_slot_live" help:"Records holding state in the component slot." label:"slot"`
+	SlotDropped  *telemetry.GaugeVec `metric:"mspastry_peers_slot_dropped_total" help:"Slot values cleared by pruning in the component slot." label:"slot"`
+	LocalObjects *telemetry.Gauge    `metric:"mspastry_dht_local_objects" help:"Objects currently stored on this node."`
 }
 
 // nodeStatus is the /status JSON shape: what a node has that no metric
@@ -376,17 +381,12 @@ func statusSnapshot(tr *transport.UDP, durable bool) nodeStatus {
 // back from the telemetry registry.
 func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, durable bool) {
 	s := statusSnapshot(tr, durable)
-	snap := reg.Snapshot()
-	m := make(map[string]float64)
-	for _, mv := range snap {
-		key := mv.Name
-		if mv.Label != "" {
-			key += "{" + mv.Label + "}"
-		}
+	m := make(map[string]float64) // a labelled family's children sum under its name
+	for _, mv := range reg.Snapshot() {
 		if mv.Quantiles != nil {
-			m[key+":count"] = float64(mv.Count)
+			m[mv.Name+":count"] = float64(mv.Count)
 		} else {
-			m[key] = mv.Value
+			m[mv.Name] += mv.Value
 		}
 	}
 	fmt.Fprintf(stdout, "status: active=%v leaf=%d rt=%d trt=%s objects=%.0f\n",
@@ -403,8 +403,7 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, d
 		m["mspastry_lookups_issued_total"], m["mspastry_lookups_delivered_total"],
 		m["mspastry_ack_rtt_seconds:count"], m["mspastry_node_retransmits"])
 	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f saved=%.0f\n",
-		sumByName(snap, "mspastry_transport_msgs_sent_total"),
-		sumByName(snap, "mspastry_transport_msgs_received_total"),
+		m["mspastry_transport_msgs_sent_total"], m["mspastry_transport_msgs_received_total"],
 		m["mspastry_transport_datagrams_sent_total"],
 		m["mspastry_transport_bytes_sent_total"], m["mspastry_transport_bytes_received_total"],
 		m["mspastry_transport_coalesced_bytes_saved_total"])
@@ -413,7 +412,7 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, d
 		m["mspastry_dht_retries"], m["mspastry_dht_replicas_pushed"],
 		m["mspastry_dht_sync_rounds"], m["mspastry_dht_sync_keys_repaired"])
 	fmt.Fprintf(stdout, "  overload: load=%.2f shed=%.0f panics=%.0f breakers open=%d half-open=%d tripping=%d budget_dry=%.0f\n",
-		s.Overload.LoadFactor, sumByName(snap, "mspastry_transport_msgs_shed_total"),
+		s.Overload.LoadFactor, m["mspastry_transport_msgs_shed_total"],
 		m["mspastry_transport_handler_panics_total"],
 		s.Overload.Breakers.Open, s.Overload.Breakers.HalfOpen, s.Overload.Breakers.Tripping,
 		m["mspastry_node_retry_budget_exhausted"])
@@ -427,17 +426,6 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, d
 			m["mspastry_store_objects"], m["mspastry_store_tombstones"], m["mspastry_store_wal_bytes"],
 			m["mspastry_store_snapshot_bytes"], m["mspastry_store_compactions"])
 	}
-}
-
-// sumByName totals every labelled child of one metric family.
-func sumByName(snap []telemetry.MetricValue, name string) float64 {
-	var total float64
-	for _, mv := range snap {
-		if mv.Name == name {
-			total += mv.Value
-		}
-	}
-	return total
 }
 
 // logObserver prints protocol events.

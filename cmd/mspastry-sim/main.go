@@ -257,7 +257,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-18s %8s %10s %10s %8s\n", "phase", "issued", "delivered", "incorrect", "lost")
 		for _, p := range []struct {
 			name  string
-			count stats.PhaseCount
+			count stats.Outcomes
 		}{
 			{"before-fault", res.Phases.Before},
 			{"during-fault", res.Phases.During},

@@ -45,7 +45,7 @@ func partitionHeal(s Scale) (Report, error) {
 		rec = res.Recovery[0]
 	}
 	t := Table{Cols: []string{"issued", "delivered", "incorrect", "lost", "incRate", "lossRate"}}
-	phases := []stats.PhaseCount{res.Phases.Before, res.Phases.During, res.Phases.After}
+	phases := []stats.Outcomes{res.Phases.Before, res.Phases.During, res.Phases.After}
 	for i, label := range []string{"before", "during-partition", "after-heal"} {
 		p := phases[i]
 		t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{

@@ -64,9 +64,9 @@ type Config struct {
 	// metric names a live mspastry-node exports on /metrics, so sim
 	// experiments and deployments feed identical dashboards.
 	Telemetry *telemetry.Registry
-	// TraceLookups records every node's telemetry events, hops included
-	// (requires Telemetry); the result carries the tracer and its
-	// route-reconstruction stats.
+	// TraceLookups records every node's telemetry events, hops included;
+	// the result carries the tracer and its route-reconstruction stats.
+	// The Telemetry overlay records them, so Run panics without it.
 	TraceLookups bool
 	// MaliciousFraction marks this fraction of slots Byzantine: their
 	// nodes run the normal protocol but attack routing with every
@@ -197,6 +197,9 @@ type outstandingLookup struct {
 func newRun(cfg Config) *run {
 	if cfg.Topo == nil || cfg.Trace == nil {
 		panic("harness: Topo and Trace are required")
+	}
+	if cfg.TraceLookups && cfg.Telemetry == nil {
+		panic("harness: TraceLookups records through Telemetry, which is nil")
 	}
 	if cfg.lossTimeout <= 0 {
 		cfg.lossTimeout = time.Minute
@@ -342,9 +345,7 @@ func (r *run) execute() Result {
 		// Mirror the run-aggregated node counters into the registry so a
 		// metrics dump carries the same names a live node serves.
 		r.cfg.Telemetry.SetGauges(r.counters)
-		r.cfg.Telemetry.Gauge("mspastry_trt_seconds",
-			"Most recent self-tuned routing-table probing period Trt.").
-			Set(res.TrtMedian.Seconds())
+		r.cfg.Telemetry.SetGauges(telemetry.Trt{Seconds: res.TrtMedian.Seconds()})
 	}
 	if r.tracer != nil {
 		res.Tracer = r.tracer

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -8,6 +9,24 @@ import (
 
 	"mspastry/internal/telemetry"
 )
+
+// TestTraceLookupsRequiresTelemetry: the events are recorded by the
+// telemetry overlay, so asking for them without a registry is refused
+// rather than recording nothing.
+func TestTraceLookupsRequiresTelemetry(t *testing.T) {
+	topo, err := BuildTopology("corpnet", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(topo, stableTrace(4, time.Minute))
+	cfg.TraceLookups = true
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "TraceLookups") {
+			t.Fatalf("panicked with %v, want one naming TraceLookups", r)
+		}
+	}()
+	Run(cfg)
+}
 
 // TestHopTraceReconstruction is the hop-tracing acceptance experiment: in
 // a churn-free 100-node run, the recorded hop traces must reconstruct the

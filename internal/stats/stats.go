@@ -10,7 +10,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mspastry/internal/pastry"
@@ -39,12 +39,9 @@ type Window struct {
 	ControlDatagrams int
 	DatagramBytes    int
 	CoalescedSaved   int
-	// Issued counts lookups issued in this window; Delivered, Incorrect
-	// and Lost are attributed to the window the lookup was issued in.
-	Issued    int
-	Delivered int
-	Incorrect int
-	Lost      int
+	// Outcomes counts lookups issued in this window; their deliveries and
+	// losses are attributed to the window they were issued in.
+	Outcomes
 	// DelaySum and NetDelaySum accumulate achieved and direct delays (in
 	// seconds) for delivered lookups with a non-zero network delay; their
 	// ratio is the window's RDP. RatioSum/RDPCount tracks the secondary
@@ -107,33 +104,34 @@ func (p Phase) String() string {
 	}
 }
 
-// PhaseCount accumulates lookup outcomes over one fault phase.
-type PhaseCount struct {
+// Outcomes counts lookups issued over a span of a run (a window, a fault
+// phase) and what became of them, with the paper's two dependability rates.
+type Outcomes struct {
 	Issued    int
 	Delivered int
 	Incorrect int
 	Lost      int
 }
 
-// IncorrectRate is incorrect deliveries over issued lookups for the phase.
-func (p PhaseCount) IncorrectRate() float64 {
-	if p.Issued == 0 {
+// IncorrectRate is incorrect deliveries over issued lookups.
+func (o Outcomes) IncorrectRate() float64 {
+	if o.Issued == 0 {
 		return 0
 	}
-	return float64(p.Incorrect) / float64(p.Issued)
+	return float64(o.Incorrect) / float64(o.Issued)
 }
 
-// LossRate is lost lookups over issued lookups for the phase.
-func (p PhaseCount) LossRate() float64 {
-	if p.Issued == 0 {
+// LossRate is lost lookups over issued lookups.
+func (o Outcomes) LossRate() float64 {
+	if o.Issued == 0 {
 		return 0
 	}
-	return float64(p.Lost) / float64(p.Issued)
+	return float64(o.Lost) / float64(o.Issued)
 }
 
 // PhaseTotals carries the three phases of a faulted run.
 type PhaseTotals struct {
-	Before, During, After PhaseCount
+	Before, During, After Outcomes
 }
 
 // NewCollector creates a collector for a run of the given duration with
@@ -221,7 +219,7 @@ func (c *Collector) ExtendFaultWindow(end time.Duration) {
 
 // phase maps an issue time to its fault phase; ok is false when no fault
 // window was declared or the time precedes measurement.
-func (c *Collector) phase(t time.Duration) (*PhaseCount, bool) {
+func (c *Collector) phase(t time.Duration) (*Outcomes, bool) {
 	if !c.faultSet || t < 0 {
 		return nil, false
 	}
@@ -361,6 +359,9 @@ type WindowStat struct {
 	// the retransmission-storm indicator under delay spikes and
 	// partitions.
 	RetxPerNodeSec float64
+	// TotalPerNodeSec is every message sent per second per node, lookups
+	// and application traffic included.
+	TotalPerNodeSec float64
 }
 
 // Finalize integrates the remaining node-seconds and produces per-window
@@ -373,40 +374,71 @@ func (c *Collector) Finalize() []WindowStat {
 		if end := c.duration - w.Start; end < winLen {
 			winLen = end
 		}
-		row := WindowStat{Start: w.Start, Issued: w.Issued, ByCategory: make(map[pastry.Category]float64)}
-		if winLen > 0 {
-			row.Active = w.nodeSeconds / winLen.Seconds()
-		}
-		if w.nodeSeconds > 0 {
-			var control, controlBytes int
-			for cat := 1; cat < numCategories; cat++ {
-				if !wire.Control(pastry.Category(cat)) {
-					continue
-				}
-				control += w.ControlSent[cat]
-				controlBytes += w.SentBytes[cat]
-				row.ByCategory[pastry.Category(cat)] = float64(w.ControlSent[cat]) / w.nodeSeconds
-			}
-			row.ControlPerNodeSec = float64(control) / w.nodeSeconds
-			row.ControlBytesPerNodeSec = float64(controlBytes) / w.nodeSeconds
-			row.DatagramsPerNodeSec = float64(w.Datagrams) / w.nodeSeconds
-			row.ControlDatagramsPerNodeSec = float64(w.ControlDatagrams) / w.nodeSeconds
-			row.RetxPerNodeSec = float64(w.Retransmits) / w.nodeSeconds
-		}
-		if w.RDPCount > 0 && w.NetDelaySum > 0 {
-			row.RDP = w.DelaySum / w.NetDelaySum
-			row.RDPMeanOfRatios = w.RatioSum / float64(w.RDPCount)
-		}
-		if w.Delivered > 0 {
-			row.MeanHops = float64(w.HopsSum) / float64(w.Delivered)
-		}
-		if w.Issued > 0 {
-			row.LossRate = float64(w.Lost) / float64(w.Issued)
-			row.IncorrectRate = float64(w.Incorrect) / float64(w.Issued)
-		}
-		out[i] = row
+		out[i] = w.rates(winLen, wire.Control)
 	}
 	return out
+}
+
+// add folds o's counts into w.
+func (w *Window) add(o *Window) {
+	for cat := range w.ControlSent {
+		w.ControlSent[cat] += o.ControlSent[cat]
+		w.SentBytes[cat] += o.SentBytes[cat]
+	}
+	w.Datagrams += o.Datagrams
+	w.ControlDatagrams += o.ControlDatagrams
+	w.DatagramBytes += o.DatagramBytes
+	w.CoalescedSaved += o.CoalescedSaved
+	w.Issued += o.Issued
+	w.Delivered += o.Delivered
+	w.Incorrect += o.Incorrect
+	w.Lost += o.Lost
+	w.DelaySum += o.DelaySum
+	w.NetDelaySum += o.NetDelaySum
+	w.RatioSum += o.RatioSum
+	w.RDPCount += o.RDPCount
+	w.HopsSum += o.HopsSum
+	w.Retransmits += o.Retransmits
+	w.nodeSeconds += o.nodeSeconds
+}
+
+// rates computes the paper's rates from a window's counts accumulated over
+// length: the one formula for each, applied to every window and, folded,
+// to the whole run. ByCategory holds the categories listed selects.
+func (w *Window) rates(length time.Duration, listed func(pastry.Category) bool) WindowStat {
+	row := WindowStat{Start: w.Start, Issued: w.Issued, ByCategory: make(map[pastry.Category]float64)}
+	if length > 0 {
+		row.Active = w.nodeSeconds / length.Seconds()
+	}
+	if w.nodeSeconds > 0 {
+		var control, controlBytes, all int
+		for i := 1; i < numCategories; i++ {
+			cat := pastry.Category(i)
+			all += w.ControlSent[cat]
+			if listed(cat) {
+				row.ByCategory[cat] = float64(w.ControlSent[cat]) / w.nodeSeconds
+			}
+			if wire.Control(cat) {
+				control += w.ControlSent[cat]
+				controlBytes += w.SentBytes[cat]
+			}
+		}
+		row.ControlPerNodeSec = float64(control) / w.nodeSeconds
+		row.TotalPerNodeSec = float64(all) / w.nodeSeconds
+		row.ControlBytesPerNodeSec = float64(controlBytes) / w.nodeSeconds
+		row.DatagramsPerNodeSec = float64(w.Datagrams) / w.nodeSeconds
+		row.ControlDatagramsPerNodeSec = float64(w.ControlDatagrams) / w.nodeSeconds
+		row.RetxPerNodeSec = float64(w.Retransmits) / w.nodeSeconds
+	}
+	if w.RDPCount > 0 && w.NetDelaySum > 0 {
+		row.RDP = w.DelaySum / w.NetDelaySum
+		row.RDPMeanOfRatios = w.RatioSum / float64(w.RDPCount)
+	}
+	if w.Delivered > 0 {
+		row.MeanHops = float64(w.HopsSum) / float64(w.Delivered)
+	}
+	row.LossRate, row.IncorrectRate = w.LossRate(), w.IncorrectRate()
+	return row
 }
 
 // Totals summarises a whole run.
@@ -417,8 +449,8 @@ type Totals struct {
 	MeanHops                           float64
 	LossRate, IncorrectRate            float64
 	ControlPerNodeSec                  float64
-	// TotalPerNodeSec includes lookup and application traffic (the
-	// quantity the Squirrel validation in Figure 8 plots).
+	// TotalPerNodeSec includes lookup and application traffic. Figure 8's
+	// Squirrel replay counts its own messages and does not read it.
 	TotalPerNodeSec float64
 	// ControlBytesPerNodeSec measures control traffic in encoded wire
 	// bytes; DatagramsPerNodeSec and ControlDatagramsPerNodeSec count
@@ -428,10 +460,12 @@ type Totals struct {
 	DatagramsPerNodeSec        float64
 	ControlDatagramsPerNodeSec float64
 	CoalescedSavedBytes        int
-	ByCategory                 map[pastry.Category]float64
-	MeanActive                 float64
-	Joins                      int
-	MedianJoinLatency          time.Duration
+	// ByCategory holds every category's rate, lookups and application
+	// traffic included.
+	ByCategory        map[pastry.Category]float64
+	MeanActive        float64
+	Joins             int
+	MedianJoinLatency time.Duration
 	// Retransmits is the run total of per-hop retransmissions;
 	// PeakRetxPerNodeSec is the highest windowed retransmission rate (the
 	// storm's amplitude).
@@ -439,89 +473,47 @@ type Totals struct {
 	PeakRetxPerNodeSec float64
 }
 
-// Totals aggregates over the full run. Call after the run completes;
-// Finalize is invoked internally.
+// Totals aggregates over the full run: the windows folded into one that
+// spans it, with the rates Finalize computes per window. Call after the
+// run completes.
 func (c *Collector) Totals() Totals {
-	c.integrateTo(c.duration)
-	t := Totals{ByCategory: make(map[pastry.Category]float64)}
-	var delaySum, netDelaySum, ratioSum float64
-	var rdpN, hopsSum int
-	var nodeSec float64
-	var datagrams, controlDatagrams, controlBytes int
-	control := make(map[pastry.Category]int)
-	for _, w := range c.wins {
-		datagrams += w.Datagrams
-		controlDatagrams += w.ControlDatagrams
-		t.CoalescedSavedBytes += w.CoalescedSaved
-		for cat := 1; cat < numCategories; cat++ {
-			if wire.Control(pastry.Category(cat)) {
-				controlBytes += w.SentBytes[cat]
-			}
-		}
-		t.Issued += w.Issued
-		t.Delivered += w.Delivered
-		t.Incorrect += w.Incorrect
-		t.Lost += w.Lost
-		t.Retransmits += w.Retransmits
-		delaySum += w.DelaySum
-		netDelaySum += w.NetDelaySum
-		ratioSum += w.RatioSum
-		rdpN += w.RDPCount
-		hopsSum += w.HopsSum
-		nodeSec += w.nodeSeconds
-		if w.nodeSeconds > 0 {
-			if r := float64(w.Retransmits) / w.nodeSeconds; r > t.PeakRetxPerNodeSec {
-				t.PeakRetxPerNodeSec = r
-			}
-		}
-		for cat := 1; cat < numCategories; cat++ {
-			control[pastry.Category(cat)] += w.ControlSent[cat]
-		}
+	var sum Window
+	var peak float64
+	for i, row := range c.Finalize() {
+		sum.add(&c.wins[i])
+		peak = max(peak, row.RetxPerNodeSec)
 	}
-	if rdpN > 0 && netDelaySum > 0 {
-		t.RDP = delaySum / netDelaySum
-		t.RDPMeanOfRatios = ratioSum / float64(rdpN)
+	r := sum.rates(c.duration, func(pastry.Category) bool { return true })
+	t := Totals{
+		Issued: sum.Issued, Delivered: sum.Delivered, Incorrect: sum.Incorrect, Lost: sum.Lost,
+		RDP: r.RDP, RDPMeanOfRatios: r.RDPMeanOfRatios, MeanHops: r.MeanHops,
+		LossRate: r.LossRate, IncorrectRate: r.IncorrectRate,
+		ControlPerNodeSec: r.ControlPerNodeSec, TotalPerNodeSec: r.TotalPerNodeSec,
+		ControlBytesPerNodeSec: r.ControlBytesPerNodeSec, DatagramsPerNodeSec: r.DatagramsPerNodeSec,
+		ControlDatagramsPerNodeSec: r.ControlDatagramsPerNodeSec, CoalescedSavedBytes: sum.CoalescedSaved,
+		ByCategory: r.ByCategory, MeanActive: r.Active,
+		Joins: len(c.joinLatencies), Retransmits: sum.Retransmits, PeakRetxPerNodeSec: peak,
 	}
-	if t.Delivered > 0 {
-		t.MeanHops = float64(hopsSum) / float64(t.Delivered)
-	}
-	if t.Issued > 0 {
-		t.LossRate = float64(t.Lost) / float64(t.Issued)
-		t.IncorrectRate = float64(t.Incorrect) / float64(t.Issued)
-	}
-	if nodeSec > 0 {
-		var totalControl, totalAll int
-		for cat, cnt := range control {
-			totalAll += cnt
-			t.ByCategory[cat] = float64(cnt) / nodeSec
-			if wire.Control(cat) {
-				totalControl += cnt
-			}
-		}
-		t.ControlPerNodeSec = float64(totalControl) / nodeSec
-		t.TotalPerNodeSec = float64(totalAll) / nodeSec
-		t.ControlBytesPerNodeSec = float64(controlBytes) / nodeSec
-		t.DatagramsPerNodeSec = float64(datagrams) / nodeSec
-		t.ControlDatagramsPerNodeSec = float64(controlDatagrams) / nodeSec
-	}
-	t.MeanActive = nodeSec / c.duration.Seconds()
-	t.Joins = len(c.joinLatencies)
-	if len(c.joinLatencies) > 0 {
-		s := append([]time.Duration(nil), c.joinLatencies...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		t.MedianJoinLatency = s[len(s)/2]
+	if joins := c.sortedJoins(); len(joins) > 0 {
+		t.MedianJoinLatency = joins[len(joins)/2]
 	}
 	return t
+}
+
+// sortedJoins sorts the join latencies in place, once for the median and
+// the CDF alike.
+func (c *Collector) sortedJoins() []time.Duration {
+	slices.Sort(c.joinLatencies)
+	return c.joinLatencies
 }
 
 // JoinLatencyCDF returns (latency, cumulative fraction) points for the
 // join-latency CDF plotted in Figure 5 (right).
 func (c *Collector) JoinLatencyCDF() []CDFPoint {
-	if len(c.joinLatencies) == 0 {
+	s := c.sortedJoins()
+	if len(s) == 0 {
 		return nil
 	}
-	s := append([]time.Duration(nil), c.joinLatencies...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	out := make([]CDFPoint, len(s))
 	for i, v := range s {
 		out[i] = CDFPoint{Latency: v, Fraction: float64(i+1) / float64(len(s))}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,29 +30,18 @@ import (
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*family
-	order   []string
+	order   []*family
 	collect []func()
 }
 
 // metricKind is the Prometheus TYPE of a family.
-type metricKind int
+type metricKind string
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   metricKind = "counter"
+	kindGauge     metricKind = "gauge"
+	kindHistogram metricKind = "histogram"
 )
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
 
 // family is one metric name with zero or more labelled children.
 type family struct {
@@ -82,22 +72,13 @@ func (r *Registry) OnCollect(fn func()) {
 	r.collect = append(r.collect, fn)
 }
 
-// runCollect runs the registered collect hooks outside the registry lock
-// (hooks call back into the registry to set gauges).
-func (r *Registry) runCollect() {
-	r.mu.Lock()
-	hooks := append([]func(){}, r.collect...)
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
+// family returns the family called name, creating it on first use. A
+// family registered again must have the same kind, label and buckets.
 func (r *Registry) family(name, help string, kind metricKind, label string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.metrics[name]; ok {
-		if f.kind != kind || f.label != label {
+		if f.kind != kind || f.label != label || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered with a different shape", name))
 		}
 		return f
@@ -107,7 +88,7 @@ func (r *Registry) family(name, help string, kind metricKind, label string, buck
 		buckets: buckets, children: make(map[string]interface{}),
 	}
 	r.metrics[name] = f
-	r.order = append(r.order, name)
+	r.order = append(r.order, f)
 	return f
 }
 
@@ -124,21 +105,90 @@ func (f *family) child(val string, mk func() interface{}) interface{} {
 }
 
 // Counter returns the unlabelled counter with the given name, creating it
-// on first use.
+// on first use. A family a program declares is a Register tag; this is for
+// a counter nothing else shares.
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.family(name, help, kindCounter, "", nil)
 	return f.child("", func() interface{} { return &Counter{} }).(*Counter)
 }
 
-// CounterVec returns a counter family partitioned by one label.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{f: r.family(name, help, kindCounter, label, nil)}
-}
-
-// Gauge returns the unlabelled gauge with the given name.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// gauge returns the unlabelled gauge with the given name.
+func (r *Registry) gauge(name, help string) *Gauge {
 	f := r.family(name, help, kindGauge, "", nil)
 	return f.child("", func() interface{} { return &Gauge{} }).(*Gauge)
+}
+
+// Histogram returns the histogram with the given name. Buckets are upper
+// bounds in ascending order, and must match any earlier registration's. A
+// family a program declares is a Register tag; this looks one up by name.
+func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	f := r.family(name, help, kindHistogram, "", buckets)
+	return f.child("", func() interface{} { return newHistogram(f.buckets) }).(*Histogram)
+}
+
+// bucketSets are the bucket sets a `buckets` tag names.
+var bucketSets = map[string][]float64{
+	"DefBuckets": DefBuckets, "HopBuckets": HopBuckets,
+	"BatchBuckets": BatchBuckets, "HoldBuckets": HoldBuckets,
+}
+
+// eachMetric calls fn for every field of the struct sv that has a `metric`
+// tag, with the tag's family name. A field fn finds fault with (it returns
+// what is wrong) is a programming error, and panics.
+func eachMetric(sv reflect.Value, fn func(name string, f reflect.StructField, fv reflect.Value) (fault string)) {
+	st := sv.Type()
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if name, ok := f.Tag.Lookup("metric"); ok {
+			if fault := fn(name, f, sv.Field(i)); fault != "" {
+				panic(fmt.Sprintf("telemetry: metric %q tags %s.%s, %s", name, st, f.Name, fault))
+			}
+		}
+	}
+}
+
+// Register declares one family per tagged field of the struct ptr points
+// to and stores the family's handle in the field: the field's type is the
+// family's kind, its `metric` tag names the family and its `help` tag
+// describes it. A *CounterVec or *GaugeVec field names its label in a
+// `label` tag, and a *Histogram field its bucket set (DefBuckets,
+// HopBuckets, BatchBuckets or HoldBuckets) in a `buckets` tag. Untagged
+// fields are skipped. A tag on an unexported field or one of another type,
+// a vec without a label and an unknown bucket set panic.
+func (r *Registry) Register(ptr any) {
+	eachMetric(reflect.ValueOf(ptr).Elem(), func(name string, f reflect.StructField, fv reflect.Value) string {
+		if !fv.CanSet() {
+			return "which is unexported"
+		}
+		help, label := f.Tag.Get("help"), f.Tag.Get("label")
+		var h any
+		switch fv.Interface().(type) {
+		case *Counter:
+			h = r.Counter(name, help)
+		case *Gauge:
+			h = r.gauge(name, help)
+		case *Histogram:
+			buckets, ok := bucketSets[f.Tag.Get("buckets")]
+			if !ok {
+				return "which names no bucket set"
+			}
+			h = r.Histogram(name, help, buckets)
+		case *CounterVec:
+			if label == "" {
+				return "a vec without a label tag"
+			}
+			h = &CounterVec{f: r.family(name, help, kindCounter, label, nil)}
+		case *GaugeVec:
+			if label == "" {
+				return "a vec without a label tag"
+			}
+			h = &GaugeVec{f: r.family(name, help, kindGauge, label, nil)}
+		default:
+			return "which is not a metric handle"
+		}
+		fv.Set(reflect.ValueOf(h))
+		return ""
+	})
 }
 
 // SetGauges sets one gauge per tagged field of the struct v: the field's
@@ -146,16 +196,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // is the gauge's. Untagged fields are skipped. A tag on a field that is
 // not an integer or a float is a programming error, and panics.
 func (r *Registry) SetGauges(v any) {
-	sv := reflect.ValueOf(v)
-	st := sv.Type()
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		name, ok := f.Tag.Lookup("metric")
-		if !ok {
-			continue
-		}
+	eachMetric(reflect.ValueOf(v), func(name string, f reflect.StructField, fv reflect.Value) string {
 		var x float64
-		switch fv := sv.Field(i); {
+		switch {
 		case fv.CanInt():
 			x = float64(fv.Int())
 		case fv.CanUint():
@@ -163,22 +206,11 @@ func (r *Registry) SetGauges(v any) {
 		case fv.CanFloat():
 			x = fv.Float()
 		default:
-			panic(fmt.Sprintf("telemetry: metric %q tags %s.%s, which is not a number", name, st, f.Name))
+			return "which is not a number"
 		}
-		r.Gauge(name, f.Tag.Get("help")).Set(x)
-	}
-}
-
-// GaugeVec returns a gauge family partitioned by one label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, kindGauge, label, nil)}
-}
-
-// Histogram returns the histogram with the given name. Buckets are upper
-// bounds in ascending order; they are fixed at first registration.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.family(name, help, kindHistogram, "", buckets)
-	return f.child("", func() interface{} { return newHistogram(f.buckets) }).(*Histogram)
+		r.gauge(name, f.Tag.Get("help")).Set(x)
+		return ""
+	})
 }
 
 // Counter is a monotonically increasing value.
@@ -320,51 +352,65 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
+// sample is one child of a family, copied out under the locks.
+type sample struct {
+	f     *family
+	label string      // the child's label value, "" in an unlabelled family
+	m     interface{} // *Counter | *Gauge | *Histogram
+}
+
+// samples runs the collect hooks, then copies out every child of every
+// family in registration order: the one read that WritePrometheus and
+// Snapshot render.
+func (r *Registry) samples() []sample {
+	r.mu.Lock()
+	hooks := append([]func(){}, r.collect...)
+	r.mu.Unlock()
+	for _, fn := range hooks { // outside the lock: hooks set gauges
+		fn()
+	}
+	r.mu.Lock()
+	fams := append([]*family{}, r.order...)
+	r.mu.Unlock()
+	var out []sample
+	for _, f := range fams {
+		f.mu.Lock()
+		for _, v := range f.vals {
+			out = append(out, sample{f: f, label: v, m: f.children[v]})
+		}
+		f.mu.Unlock()
+	}
+	return out
+}
+
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4), running collect hooks first.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.runCollect()
-	r.mu.Lock()
-	names := append([]string{}, r.order...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.metrics[n]
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
-		f.mu.Lock()
-		vals := append([]string{}, f.vals...)
-		children := make([]interface{}, len(vals))
-		for i, v := range vals {
-			children[i] = f.children[v]
+	ss := r.samples()
+	for i, s := range ss {
+		f := s.f
+		if i == 0 || ss[i-1].f != f {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		}
-		f.mu.Unlock()
-		if len(children) == 0 {
-			continue
+		labels := ""
+		if f.label != "" {
+			labels = fmt.Sprintf("{%s=%q}", f.label, s.label)
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for i, c := range children {
-			labels := ""
-			if f.label != "" {
-				labels = fmt.Sprintf("{%s=%q}", f.label, vals[i])
+		switch m := s.m.(type) {
+		case *Counter:
+			fmt.Fprintf(&b, "%s%s %d\n", f.name, labels, m.Value())
+		case *Gauge:
+			fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(m.Value()))
+		case *Histogram:
+			var cum uint64
+			for j, bound := range m.bounds {
+				cum += m.counts[j].Load()
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", f.name, formatFloat(bound), cum)
 			}
-			switch m := c.(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, labels, m.Value())
-			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(m.Value()))
-			case *Histogram:
-				var cum uint64
-				for j, bound := range m.bounds {
-					cum += m.counts[j].Load()
-					fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", f.name, formatFloat(bound), cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", f.name, m.Count())
-				fmt.Fprintf(&b, "%s_sum %s\n", f.name, formatFloat(m.Sum()))
-				fmt.Fprintf(&b, "%s_count %d\n", f.name, m.Count())
-			}
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", f.name, m.Count())
+			fmt.Fprintf(&b, "%s_sum %s\n", f.name, formatFloat(m.Sum()))
+			fmt.Fprintf(&b, "%s_count %d\n", f.name, m.Count())
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -389,42 +435,24 @@ type MetricValue struct {
 // quantiles), running collect hooks first. It backs the JSON /status
 // endpoint and the stdout status command.
 func (r *Registry) Snapshot() []MetricValue {
-	r.runCollect()
-	r.mu.Lock()
-	names := append([]string{}, r.order...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.metrics[n]
-	}
-	r.mu.Unlock()
-
 	var out []MetricValue
-	for _, f := range fams {
-		f.mu.Lock()
-		vals := append([]string{}, f.vals...)
-		children := make([]interface{}, len(vals))
-		for i, v := range vals {
-			children[i] = f.children[v]
-		}
-		f.mu.Unlock()
-		for i, c := range children {
-			mv := MetricValue{Name: f.name, Label: vals[i]}
-			switch m := c.(type) {
-			case *Counter:
-				mv.Value = float64(m.Value())
-			case *Gauge:
-				mv.Value = m.Value()
-			case *Histogram:
-				mv.Count = m.Count()
-				mv.Value = m.Sum()
-				mv.Quantiles = map[string]float64{
-					"p50": m.Quantile(0.50),
-					"p95": m.Quantile(0.95),
-					"p99": m.Quantile(0.99),
-				}
+	for _, s := range r.samples() {
+		mv := MetricValue{Name: s.f.name, Label: s.label}
+		switch m := s.m.(type) {
+		case *Counter:
+			mv.Value = float64(m.Value())
+		case *Gauge:
+			mv.Value = m.Value()
+		case *Histogram:
+			mv.Count = m.Count()
+			mv.Value = m.Sum()
+			mv.Quantiles = map[string]float64{
+				"p50": m.Quantile(0.50),
+				"p95": m.Quantile(0.95),
+				"p99": m.Quantile(0.99),
 			}
-			out = append(out, mv)
 		}
+		out = append(out, mv)
 	}
 	return out
 }

@@ -18,14 +18,19 @@ func TestCountersAndGauges(t *testing.T) {
 	if r.Counter("c_total", "help") != c {
 		t.Fatal("re-registration must return the same counter")
 	}
-	v := r.CounterVec("v_total", "help", "cat")
+	var m struct {
+		V *CounterVec `metric:"v_total" help:"help" label:"cat"`
+		G *Gauge      `metric:"g" help:"help"`
+	}
+	r.Register(&m)
+	v := m.V
 	v.With("a").Inc()
 	v.With("a").Inc()
 	v.With("b").Inc()
 	if v.With("a").Value() != 2 || v.With("b").Value() != 1 {
 		t.Fatal("labelled children not independent")
 	}
-	g := r.Gauge("g", "help")
+	g := m.G
 	g.Set(2.5)
 	g.Add(-1)
 	if g.Value() != 1.5 {
@@ -77,8 +82,13 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_requests_total", "Requests.").Add(3)
-	r.CounterVec("t_by_cat_total", "By category.", "category").With("x").Inc()
-	r.Gauge("t_temp", "Temp.").Set(1.5)
+	var m struct {
+		ByCat *CounterVec `metric:"t_by_cat_total" help:"By category." label:"category"`
+		Temp  *Gauge      `metric:"t_temp" help:"Temp."`
+	}
+	r.Register(&m)
+	m.ByCat.With("x").Inc()
+	m.Temp.Set(1.5)
 	h := r.Histogram("t_lat_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -116,7 +126,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestCollectHooksRunOnScrapeAndSnapshot(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("t_live", "Live value.")
+	g := r.gauge("t_live", "Live value.")
 	calls := 0
 	r.OnCollect(func() {
 		calls++
@@ -190,4 +200,91 @@ func TestSetGaugesWalksTaggedNumbers(t *testing.T) {
 	r.SetGauges(struct {
 		S string `metric:"t_s" help:"S."`
 	}{})
+}
+
+func TestRegisterDeclaresEveryHandleKind(t *testing.T) {
+	r := NewRegistry()
+	var m struct {
+		C     *Counter    `metric:"t_c_total" help:"C."`
+		CV    *CounterVec `metric:"t_cv_total" help:"CV." label:"cat"`
+		G     *Gauge      `metric:"t_g" help:"G."`
+		GV    *GaugeVec   `metric:"t_gv" help:"GV." label:"slot"`
+		H     *Histogram  `metric:"t_h_seconds" help:"H." buckets:"HoldBuckets"`
+		Plain *Counter
+		N     int
+	}
+	r.Register(&m)
+	if m.Plain != nil {
+		t.Fatal("Register set an untagged field")
+	}
+	m.C.Inc()
+	m.CV.With("x").Inc()
+	m.G.Set(2)
+	m.GV.With("y").Set(3)
+	m.H.Observe(0.002)
+	if m.C != r.Counter("t_c_total", "") || m.H != r.Histogram("t_h_seconds", "", HoldBuckets) {
+		t.Fatal("a second registration by name returned another handle")
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	for _, want := range []string{
+		"# HELP t_c_total C.\n# TYPE t_c_total counter\nt_c_total 1\n",
+		"# HELP t_cv_total CV.\n# TYPE t_cv_total counter\nt_cv_total{cat=\"x\"} 1\n",
+		"# HELP t_g G.\n# TYPE t_g gauge\nt_g 2\n",
+		"# HELP t_gv GV.\n# TYPE t_gv gauge\nt_gv{slot=\"y\"} 3\n",
+		"# HELP t_h_seconds H.\n# TYPE t_h_seconds histogram\nt_h_seconds_bucket{le=\"0.0001\"} 0\n",
+		"t_h_seconds_bucket{le=\"0.0025\"} 1\n",
+		"t_h_seconds_bucket{le=\"1\"} 1\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q\n%s", want, b.String())
+		}
+	}
+}
+
+func TestRegisterRejectsMalformedTags(t *testing.T) {
+	for name, ptr := range map[string]any{
+		"unknown buckets": &struct {
+			H *Histogram `metric:"t_h" help:"H." buckets:"NoSuchBuckets"`
+		}{},
+		"vec without label": &struct {
+			V *CounterVec `metric:"t_v" help:"V."`
+		}{},
+		"gauge vec without label": &struct {
+			V *GaugeVec `metric:"t_v" help:"V."`
+		}{},
+		"unsupported type": &struct {
+			N float64 `metric:"t_n" help:"N."`
+		}{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Register did not panic")
+				}
+			}()
+			NewRegistry().Register(ptr)
+		})
+	}
+}
+
+func TestHistogramRejectsOtherBuckets(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("t_h", "", []float64{1, 2})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a histogram registered again with other buckets did not panic")
+		}
+	}()
+	r.Histogram("t_h", "", []float64{1, 2, 4})
+}
+
+// The benchmark reads the Overlay's delay histogram by name; it must get
+// the very histogram the Overlay observes into.
+func TestOverlayDelayHistogramByName(t *testing.T) {
+	reg := NewRegistry()
+	o := NewOverlay(reg, nil, OverlayOptions{SharedClock: true})
+	if h := reg.Histogram("mspastry_lookup_delay_seconds", "", DefBuckets); h != o.m.Delay {
+		t.Fatal("a lookup by name returned another histogram than the Overlay's")
+	}
 }

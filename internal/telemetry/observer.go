@@ -27,52 +27,31 @@ type OverlayOptions struct {
 type Overlay struct {
 	tracer *Tracer
 	opts   OverlayOptions
+	m      overlayMetrics
+}
 
-	issued      *Counter
-	delivered   *Counter
-	dropped     *CounterVec
-	hops        *Histogram
-	delay       *Histogram
-	sent        *CounterVec
-	retx        *Counter
-	ackRTT      *Histogram
-	repairs     *CounterVec
-	joins       *Counter
-	joinLatency *Histogram
+// overlayMetrics are the families an Overlay records into (fields
+// exported so that Register can set them).
+type overlayMetrics struct {
+	Issued      *Counter    `metric:"mspastry_lookups_issued_total" help:"Application lookups that entered the overlay at this node."`
+	Delivered   *Counter    `metric:"mspastry_lookups_delivered_total" help:"Lookups delivered by this node as the key's root."`
+	Dropped     *CounterVec `metric:"mspastry_lookups_dropped_total" help:"Lookups dropped by the overlay, by protocol reason." label:"reason"`
+	Hops        *Histogram  `metric:"mspastry_lookup_hops" help:"Overlay hops of delivered lookups." buckets:"HopBuckets"`
+	Delay       *Histogram  `metric:"mspastry_lookup_delay_seconds" help:"End-to-end delay of delivered lookups (simulator only: requires a shared clock)." buckets:"DefBuckets"`
+	Sent        *CounterVec `metric:"mspastry_messages_sent_total" help:"Protocol messages sent, by the paper's Figure 4 traffic category." label:"category"`
+	Retx        *Counter    `metric:"mspastry_hop_retransmits_total" help:"Per-hop retransmissions (reroutes and backoffs)."`
+	AckRTT      *Histogram  `metric:"mspastry_ack_rtt_seconds" help:"Per-hop ack round-trip samples (first transmissions only, Karn's rule)." buckets:"DefBuckets"`
+	Repairs     *CounterVec `metric:"mspastry_leafset_repairs_total" help:"Leaf-set repair probe launches, by cause." label:"cause"`
+	Joins       *Counter    `metric:"mspastry_joins_total" help:"Nodes that completed the join protocol and became active."`
+	JoinLatency *Histogram  `metric:"mspastry_join_latency_seconds" help:"Join latency from first request to activation." buckets:"DefBuckets"`
 }
 
 // NewOverlay creates an overlay observer recording into reg and, when
 // tracer is non-nil, every call but MessageSent and TrtTuned into tracer.
 func NewOverlay(reg *Registry, tracer *Tracer, opts OverlayOptions) *Overlay {
-	return &Overlay{
-		tracer: tracer,
-		opts:   opts,
-
-		issued: reg.Counter("mspastry_lookups_issued_total",
-			"Application lookups that entered the overlay at this node."),
-		delivered: reg.Counter("mspastry_lookups_delivered_total",
-			"Lookups delivered by this node as the key's root."),
-		dropped: reg.CounterVec("mspastry_lookups_dropped_total",
-			"Lookups dropped by the overlay, by protocol reason.", "reason"),
-		hops: reg.Histogram("mspastry_lookup_hops",
-			"Overlay hops of delivered lookups.", HopBuckets),
-		delay: reg.Histogram("mspastry_lookup_delay_seconds",
-			"End-to-end delay of delivered lookups (simulator only: requires a shared clock).",
-			DefBuckets),
-		sent: reg.CounterVec("mspastry_messages_sent_total",
-			"Protocol messages sent, by the paper's Figure 4 traffic category.", "category"),
-		retx: reg.Counter("mspastry_hop_retransmits_total",
-			"Per-hop retransmissions (reroutes and backoffs)."),
-		ackRTT: reg.Histogram("mspastry_ack_rtt_seconds",
-			"Per-hop ack round-trip samples (first transmissions only, Karn's rule).",
-			DefBuckets),
-		repairs: reg.CounterVec("mspastry_leafset_repairs_total",
-			"Leaf-set repair probe launches, by cause.", "cause"),
-		joins: reg.Counter("mspastry_joins_total",
-			"Nodes that completed the join protocol and became active."),
-		joinLatency: reg.Histogram("mspastry_join_latency_seconds",
-			"Join latency from first request to activation.", DefBuckets),
-	}
+	o := &Overlay{tracer: tracer, opts: opts}
+	reg.Register(&o.m)
+	return o
 }
 
 // record appends one event to the tracer, if there is one.
@@ -89,8 +68,8 @@ func (o *Overlay) record(n *pastry.Node, kind Kind, cause string, lk *pastry.Loo
 
 // Activated implements pastry.Observer.
 func (o *Overlay) Activated(n *pastry.Node, joinLatency time.Duration) {
-	o.joins.Inc()
-	o.joinLatency.Observe(joinLatency.Seconds())
+	o.m.Joins.Inc()
+	o.m.JoinLatency.Observe(joinLatency.Seconds())
 	o.record(n, KindActivated, "", nil, pastry.NodeRef{}, int64(joinLatency))
 	if o.opts.Inner != nil {
 		o.opts.Inner.Activated(n, joinLatency)
@@ -99,10 +78,10 @@ func (o *Overlay) Activated(n *pastry.Node, joinLatency time.Duration) {
 
 // Delivered implements pastry.Observer.
 func (o *Overlay) Delivered(n *pastry.Node, lk *pastry.Lookup) {
-	o.delivered.Inc()
-	o.hops.Observe(float64(lk.Hops))
+	o.m.Delivered.Inc()
+	o.m.Hops.Observe(float64(lk.Hops))
 	if o.opts.SharedClock {
-		o.delay.Observe((n.Now() - lk.Issued).Seconds())
+		o.m.Delay.Observe((n.Now() - lk.Issued).Seconds())
 	}
 	o.record(n, KindDelivered, "", lk, pastry.NodeRef{}, int64(lk.Hops))
 	if o.opts.Inner != nil {
@@ -112,7 +91,7 @@ func (o *Overlay) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 
 // LookupDropped implements pastry.Observer.
 func (o *Overlay) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
-	o.dropped.With(reason.String()).Inc()
+	o.m.Dropped.With(reason.String()).Inc()
 	o.record(n, KindDropped, reason.String(), lk, pastry.NodeRef{}, int64(lk.Hops))
 	if o.opts.Inner != nil {
 		o.opts.Inner.LookupDropped(n, lk, reason)
@@ -121,7 +100,7 @@ func (o *Overlay) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry
 
 // LookupIssued implements pastry.TraceObserver.
 func (o *Overlay) LookupIssued(n *pastry.Node, lk *pastry.Lookup) {
-	o.issued.Inc()
+	o.m.Issued.Inc()
 	o.record(n, KindIssued, "", lk, pastry.NodeRef{}, 0)
 }
 
@@ -132,25 +111,32 @@ func (o *Overlay) LookupHop(n *pastry.Node, lk *pastry.Lookup, to pastry.NodeRef
 
 // MessageSent implements pastry.StatsObserver.
 func (o *Overlay) MessageSent(n *pastry.Node, cat pastry.Category, retx bool) {
-	o.sent.With(cat.String()).Inc()
+	o.m.Sent.With(cat.String()).Inc()
 	if retx {
-		o.retx.Inc()
+		o.m.Retx.Inc()
 	}
 }
 
 // AckRTT implements pastry.StatsObserver.
 func (o *Overlay) AckRTT(n *pastry.Node, to pastry.NodeRef, rtt time.Duration) {
-	o.ackRTT.Observe(rtt.Seconds())
+	o.m.AckRTT.Observe(rtt.Seconds())
 	o.record(n, KindAckRTT, "", nil, to, int64(rtt))
 }
 
-// TrtTuned implements pastry.StatsObserver. It records nothing: the
-// mspastry_trt_seconds gauge is set where a whole run's or node's Trt is
-// known (the harness's end-of-run median, mspastry-node's scrape hook).
+// TrtTuned implements pastry.StatsObserver. It records nothing: the Trt
+// gauge is set where a whole run's or node's Trt is known (the harness's
+// end-of-run median, mspastry-node's scrape hook).
 func (o *Overlay) TrtTuned(n *pastry.Node, trt time.Duration) {}
+
+// Trt is the self-tuned routing-table probing period (§4.1) as a gauge,
+// for SetGauges: a live node sets its own at every scrape, the simulator
+// the median over its active nodes at the end of a run.
+type Trt struct {
+	Seconds float64 `metric:"mspastry_trt_seconds" help:"Most recent self-tuned routing-table probing period Trt."`
+}
 
 // LeafSetRepair implements pastry.StatsObserver.
 func (o *Overlay) LeafSetRepair(n *pastry.Node, cause string) {
-	o.repairs.With(cause).Inc()
+	o.m.Repairs.With(cause).Inc()
 	o.record(n, KindLeafSet, cause, nil, pastry.NodeRef{}, 0)
 }

@@ -23,95 +23,72 @@ var HoldBuckets = []float64{
 // satisfies the transport package's MetricsSink interface (which is
 // defined there to keep the transport dependency-free); install it with
 // SetMetricsSink.
-type TransportMetrics struct {
-	sentMsgs      *CounterVec
-	recvMsgs      *CounterVec
-	sentDatagrams *Counter
-	sentBytes     *Counter
-	recvDatagrams *Counter
-	recvBytes     *Counter
-	savedBytes    *Counter
-	batchSize     *Histogram
-	recvBatch     *Histogram
-	flushHold     *Histogram
-	sendErrors    *Counter
-	decodeError   *Counter
-	shedMsgs      *CounterVec
-	panics        *Counter
+type TransportMetrics struct{ m transportMetrics }
+
+// transportMetrics are the families a TransportMetrics records into
+// (fields exported so that Register can set them).
+type transportMetrics struct {
+	SentMsgs      *CounterVec `metric:"mspastry_transport_msgs_sent_total" help:"Messages accepted for transmission, by traffic category." label:"category"`
+	RecvMsgs      *CounterVec `metric:"mspastry_transport_msgs_received_total" help:"Well-formed messages decoded from received frames, by traffic category." label:"category"`
+	SentDatagrams *Counter    `metric:"mspastry_transport_datagrams_sent_total" help:"Frames written to the socket; a coalesced batch is one datagram."`
+	SentBytes     *Counter    `metric:"mspastry_transport_bytes_sent_total" help:"Encoded frame bytes written to the socket."`
+	RecvDatagrams *Counter    `metric:"mspastry_transport_datagrams_received_total" help:"Structurally valid frames received."`
+	RecvBytes     *Counter    `metric:"mspastry_transport_bytes_received_total" help:"Frame bytes of structurally valid datagrams received."`
+	SavedBytes    *Counter    `metric:"mspastry_transport_coalesced_bytes_saved_total" help:"Bytes saved by batching versus sending every message as its own frame."`
+	BatchSize     *Histogram  `metric:"mspastry_transport_msgs_per_datagram" help:"Messages per sent datagram." buckets:"BatchBuckets"`
+	RecvBatch     *Histogram  `metric:"mspastry_transport_msgs_per_datagram_received" help:"Messages per received datagram." buckets:"BatchBuckets"`
+	FlushHold     *Histogram  `metric:"mspastry_transport_flush_hold_seconds" help:"How long a sent frame's oldest message waited for the coalescing window." buckets:"HoldBuckets"`
+	SendErrors    *Counter    `metric:"mspastry_transport_send_errors_total" help:"Failed sends: unresolvable addresses, oversized messages, socket errors."`
+	DecodeErrors  *Counter    `metric:"mspastry_transport_decode_errors_total" help:"Malformed frames, and malformed messages inside otherwise valid batches."`
+	ShedMsgs      *CounterVec `metric:"mspastry_transport_msgs_shed_total" help:"Messages shed by the bounded inbound queue, by priority lane." label:"lane"`
+	Panics        *Counter    `metric:"mspastry_transport_handler_panics_total" help:"Message-handler panics contained by the receive loop."`
 }
 
 // NewTransportMetrics registers the transport metric families in reg.
 func NewTransportMetrics(reg *Registry) *TransportMetrics {
-	return &TransportMetrics{
-		sentMsgs: reg.CounterVec("mspastry_transport_msgs_sent_total",
-			"Messages accepted for transmission, by traffic category.", "category"),
-		recvMsgs: reg.CounterVec("mspastry_transport_msgs_received_total",
-			"Well-formed messages decoded from received frames, by traffic category.", "category"),
-		sentDatagrams: reg.Counter("mspastry_transport_datagrams_sent_total",
-			"Frames written to the socket; a coalesced batch is one datagram."),
-		sentBytes: reg.Counter("mspastry_transport_bytes_sent_total",
-			"Encoded frame bytes written to the socket."),
-		recvDatagrams: reg.Counter("mspastry_transport_datagrams_received_total",
-			"Structurally valid frames received."),
-		recvBytes: reg.Counter("mspastry_transport_bytes_received_total",
-			"Frame bytes of structurally valid datagrams received."),
-		savedBytes: reg.Counter("mspastry_transport_coalesced_bytes_saved_total",
-			"Bytes saved by batching versus sending every message as its own frame."),
-		batchSize: reg.Histogram("mspastry_transport_msgs_per_datagram",
-			"Messages per sent datagram.", BatchBuckets),
-		recvBatch: reg.Histogram("mspastry_transport_msgs_per_datagram_received",
-			"Messages per received datagram.", BatchBuckets),
-		flushHold: reg.Histogram("mspastry_transport_flush_hold_seconds",
-			"How long a sent frame's oldest message waited for the coalescing window.", HoldBuckets),
-		sendErrors: reg.Counter("mspastry_transport_send_errors_total",
-			"Failed sends: unresolvable addresses, oversized messages, socket errors."),
-		decodeError: reg.Counter("mspastry_transport_decode_errors_total",
-			"Malformed frames, and malformed messages inside otherwise valid batches."),
-		shedMsgs: reg.CounterVec("mspastry_transport_msgs_shed_total",
-			"Messages shed by the bounded inbound queue, by priority lane.", "lane"),
-		panics: reg.Counter("mspastry_transport_handler_panics_total",
-			"Message-handler panics contained by the receive loop."),
-	}
+	t := &TransportMetrics{}
+	reg.Register(&t.m)
+	return t
 }
 
 // MsgSent implements transport.MetricsSink.
-func (m *TransportMetrics) MsgSent(cat pastry.Category, bytes int) {
-	m.sentMsgs.With(cat.String()).Inc()
+func (t *TransportMetrics) MsgSent(cat pastry.Category, bytes int) {
+	t.m.SentMsgs.With(cat.String()).Inc()
 }
 
 // MsgReceived implements transport.MetricsSink.
-func (m *TransportMetrics) MsgReceived(cat pastry.Category, bytes int) {
-	m.recvMsgs.With(cat.String()).Inc()
+func (t *TransportMetrics) MsgReceived(cat pastry.Category, bytes int) {
+	t.m.RecvMsgs.With(cat.String()).Inc()
 }
 
 // DatagramSent implements transport.MetricsSink.
-func (m *TransportMetrics) DatagramSent(bytes, msgs, savedBytes int, held time.Duration) {
-	m.sentDatagrams.Inc()
-	m.sentBytes.Add(uint64(bytes))
+func (t *TransportMetrics) DatagramSent(bytes, msgs, savedBytes int, held time.Duration) {
+	t.m.SentDatagrams.Inc()
+	t.m.SentBytes.Add(uint64(bytes))
 	if savedBytes > 0 {
-		m.savedBytes.Add(uint64(savedBytes))
+		t.m.SavedBytes.Add(uint64(savedBytes))
 	}
-	m.batchSize.Observe(float64(msgs))
-	m.flushHold.Observe(held.Seconds())
+	t.m.BatchSize.Observe(float64(msgs))
+	t.m.FlushHold.Observe(held.Seconds())
 }
 
 // DatagramReceived implements transport.MetricsSink.
-func (m *TransportMetrics) DatagramReceived(bytes, msgs int) {
-	m.recvDatagrams.Inc()
-	m.recvBytes.Add(uint64(bytes))
-	m.recvBatch.Observe(float64(msgs))
+func (t *TransportMetrics) DatagramReceived(bytes, msgs int) {
+	t.m.RecvDatagrams.Inc()
+	t.m.RecvBytes.Add(uint64(bytes))
+	t.m.RecvBatch.Observe(float64(msgs))
 }
 
 // SendError implements transport.MetricsSink.
-func (m *TransportMetrics) SendError() { m.sendErrors.Inc() }
+func (t *TransportMetrics) SendError() { t.m.SendErrors.Inc() }
 
 // DecodeError implements transport.MetricsSink.
-func (m *TransportMetrics) DecodeError() { m.decodeError.Inc() }
+func (t *TransportMetrics) DecodeError() { t.m.DecodeErrors.Inc() }
 
 // MsgShed implements transport.MetricsSink.
-func (m *TransportMetrics) MsgShed(lane overload.Lane) {
-	m.shedMsgs.With(lane.String()).Inc()
+func (t *TransportMetrics) MsgShed(lane overload.Lane) {
+	t.m.ShedMsgs.With(lane.String()).Inc()
 }
 
 // HandlerPanic implements transport.MetricsSink.
-func (m *TransportMetrics) HandlerPanic() { m.panics.Inc() }
+func (t *TransportMetrics) HandlerPanic() { t.m.Panics.Inc() }

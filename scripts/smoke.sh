@@ -43,9 +43,12 @@ for n in a b; do
   curl -sf "http://$admin/metrics" > "$dir/$n.metrics" || die "node $n /metrics failed"
   grep -Eq '^mspastry_transport_msgs_sent_total\{category="[a-z]+"\} [1-9]' "$dir/$n.metrics" ||
     die "node $n /metrics has no non-zero transport counter"
-  # One gauge from each struct whose tagged fields the node exports.
-  for family in mspastry_node_heartbeats_sent mspastry_peers_live mspastry_dht_handoff_offers mspastry_store_objects; do
-    grep -q "^$family " "$dir/$n.metrics" || die "node $n /metrics lacks $family"
+  # One gauge from each struct whose tagged fields the node exports, and
+  # the families declared outside the tallies (the Trt gauge, an Overlay
+  # histogram, the node's own slot gauges).
+  for family in mspastry_node_heartbeats_sent mspastry_peers_live mspastry_dht_handoff_offers mspastry_store_objects \
+    mspastry_trt_seconds mspastry_ack_rtt_seconds_count mspastry_peers_slot_live; do
+    grep -Eq "^$family[ {]" "$dir/$n.metrics" || die "node $n /metrics lacks $family"
   done
   curl -sf "http://$admin/status" > "$dir/$n.status" || die "node $n /status failed"
   grep -q '"metrics"' "$dir/$n.status" || die "node $n /status has no metrics snapshot"
