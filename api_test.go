@@ -76,8 +76,8 @@ func TestPublicAPIExperiment(t *testing.T) {
 	if res.Totals.MeanActive < 30 {
 		t.Fatalf("mean active = %v", res.Totals.MeanActive)
 	}
-	if res.Totals.IncorrectRate != 0 {
-		t.Fatalf("incorrect deliveries: %v", res.Totals.IncorrectRate)
+	if res.Totals.IncorrectRate() != 0 {
+		t.Fatalf("incorrect deliveries: %v", res.Totals.IncorrectRate())
 	}
 }
 

@@ -203,8 +203,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"window", "active", "rdp", "hops", "ctrl/n/s", "loss", "incorrect")
 	for _, w := range res.Windows {
 		fmt.Fprintf(stdout, "%-10s %8.0f %8.2f %8.2f %10.3f %10.2e %10.2e\n",
-			w.Start.Round(time.Second), w.Active, w.RDP, w.MeanHops,
-			w.ControlPerNodeSec, w.LossRate, w.IncorrectRate)
+			w.Start.Round(time.Second), w.MeanActive, w.RDP, w.MeanHops,
+			w.ControlPerNodeSec, w.LossRate(), w.IncorrectRate())
 	}
 	t := res.Totals
 	fmt.Fprintf(stdout, "\nTOTALS  %s\n", t)
@@ -272,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *traceLook {
-		ts := res.TraceStats
+		ts := res.Tracer.Stats()
 		fmt.Fprintf(stdout, "hop traces: delivered=%d dropped=%d outstanding=%d reconstructed=%d (%.2f%%)\n",
 			ts.Delivered, ts.Dropped, ts.Outstanding, ts.Reconstructed,
 			ts.ReconstructionRate()*100)
@@ -288,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr.Duration, elapsed.Round(time.Millisecond), res.SimEvents, events/elapsed.Seconds(),
 		float64(memAfter.Mallocs-memBefore.Mallocs)/events,
 		float64(memAfter.TotalAlloc-memBefore.TotalAlloc)/events)
-	if t.IncorrectRate > 0 {
+	if t.IncorrectRate() > 0 {
 		fmt.Fprintf(stderr, "note: incorrect deliveries observed (expected only with link loss)\n")
 	}
 

@@ -32,7 +32,7 @@ func Example_churnStudy() {
 		res := mspastry.RunExperiment(cfg)
 		t := res.Totals
 		fmt.Printf("%-10s %6.0f %10.2e %10.2e %6.2f %9.3f %10s\n",
-			tc.Name, t.MeanActive, t.LossRate, t.IncorrectRate, t.RDP,
+			tc.Name, t.MeanActive, t.LossRate(), t.IncorrectRate(), t.RDP,
 			t.ControlPerNodeSec, res.TrtMedian.Round(time.Second))
 	}
 	// Output:

@@ -46,8 +46,8 @@ func TestBatchingReducesControlDatagrams(t *testing.T) {
 		t.Errorf("lookup success changed by %.3f: off %d/%d, on %d/%d",
 			d, off.Delivered, off.Issued, on.Delivered, on.Issued)
 	}
-	if d := math.Abs(on.LossRate - off.LossRate); d > 0.005 {
-		t.Errorf("loss rate changed: off=%.4f on=%.4f", off.LossRate, on.LossRate)
+	if d := math.Abs(on.LossRate() - off.LossRate()); d > 0.005 {
+		t.Errorf("loss rate changed: off=%.4f on=%.4f", off.LossRate(), on.LossRate())
 	}
 	// Unchanged routing: hops may wiggle only within noise (delivery timing
 	// shifts by at most the window; routes are decided before the wire

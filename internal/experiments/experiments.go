@@ -282,8 +282,8 @@ func totalsTable(labels []string, res []harness.Result, extra ...string) Table {
 	for i, r := range res {
 		t.Rows = append(t.Rows, Row{Label: labels[i], Values: map[string]float64{
 			"active":    r.Totals.MeanActive,
-			"loss":      r.Totals.LossRate,
-			"incorrect": r.Totals.IncorrectRate,
+			"loss":      r.Totals.LossRate(),
+			"incorrect": r.Totals.IncorrectRate(),
 			"rdp":       r.Totals.RDP,
 			"hops":      r.Totals.MeanHops,
 			"ctrl":      r.Totals.ControlPerNodeSec,

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"mspastry/internal/harness"
+	"mspastry/internal/stats"
 )
 
 // tiny returns the smallest scale that still exhibits the paper's
@@ -179,12 +181,12 @@ func TestNetworkLossShape(t *testing.T) {
 	lossy := harness.Run(cfg)
 	t.Logf("clean: %v", clean.Totals)
 	t.Logf("lossy: %v", lossy.Totals)
-	if clean.Totals.IncorrectRate != 0 {
+	if clean.Totals.IncorrectRate() != 0 {
 		t.Fatal("incorrect deliveries without link loss (paper: zero)")
 	}
 	// Per-hop acks keep lookup loss tiny even at 5% link loss.
-	if lossy.Totals.LossRate > 0.01 {
-		t.Fatalf("lookup loss %.3g at 5%% link loss, want <1%%", lossy.Totals.LossRate)
+	if lossy.Totals.LossRate() > 0.01 {
+		t.Fatalf("lookup loss %.3g at 5%% link loss, want <1%%", lossy.Totals.LossRate())
 	}
 	if lossy.Totals.RDP < clean.Totals.RDP {
 		t.Log("note: lossy RDP below clean RDP (noise at this scale)")
@@ -195,22 +197,33 @@ func TestFig8WeekPattern(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two simulated days of Squirrel replay")
 	}
-	r := squirrelReplay(1, 30, 2)
+	const days = 2
+	r := squirrelReplay(1, 30, days)
 	if r.requests == 0 {
 		t.Fatal("no web requests replayed")
 	}
-	// Daytime windows must carry clearly more traffic than night windows.
+	// The series is whole days of 2-hour windows: the join ramp before
+	// measurement is set-up, not a window of its own.
+	if len(r.windows) != days*12 || len(r.winRequests) != days*12 {
+		t.Fatalf("%d windows, %d request counts, want %d", len(r.windows), len(r.winRequests), days*12)
+	}
+	hourOf := func(w stats.WindowStat) float64 { return math.Mod(w.Start.Hours(), 24) }
+	// Daytime windows must carry clearly more traffic than night windows,
+	// and the busiest window is a working-hours one (08:00-18:00).
 	var day, night float64
 	var dayN, nightN int
+	peak := r.windows[0]
 	for _, w := range r.windows {
-		hour := w.start.Hours() - float64(int(w.start.Hours())/24*24)
-		switch {
+		switch hour := hourOf(w); {
 		case hour >= 10 && hour < 16:
-			day += w.totalPerNodeSec
+			day += w.TotalPerNodeSec
 			dayN++
 		case hour >= 0 && hour < 6:
-			night += w.totalPerNodeSec
+			night += w.TotalPerNodeSec
 			nightN++
+		}
+		if w.TotalPerNodeSec > peak.TotalPerNodeSec {
+			peak = w
 		}
 	}
 	if dayN == 0 || nightN == 0 {
@@ -218,9 +231,12 @@ func TestFig8WeekPattern(t *testing.T) {
 	}
 	day /= float64(dayN)
 	night /= float64(nightN)
-	t.Logf("traffic: day=%.4f night=%.4f msgs/node/s", day, night)
+	t.Logf("traffic: day=%.4f night=%.4f msgs/node/s, peak %.4f at %v", day, night, peak.TotalPerNodeSec, peak.Start)
 	if day <= night {
 		t.Fatal("no daily traffic pattern in the Squirrel replay")
+	}
+	if h := hourOf(peak); h < 8 || h >= 18 {
+		t.Fatalf("traffic peaks at %v, outside working hours", peak.Start)
 	}
 	// The cache must dedupe: origin fetches well below requests.
 	if r.originFetches*2 > r.requests {

@@ -116,8 +116,8 @@ func jitterRuns(s Scale, spike time.Duration) (hold, naive harness.Result) {
 // delivery at all, its rate is floored at the measurement resolution (one
 // incorrect lookup), so the gap is a lower bound.
 func gapOrders(hold, naive harness.Result) float64 {
-	nRate := naive.Totals.IncorrectRate
-	hRate := hold.Totals.IncorrectRate
+	nRate := naive.Totals.IncorrectRate()
+	hRate := hold.Totals.IncorrectRate()
 	if hRate == 0 && hold.Totals.Issued > 0 {
 		hRate = 1 / float64(hold.Totals.Issued)
 	}
@@ -147,8 +147,8 @@ func jitterFalsePositives(s Scale) (Report, error) {
 	}
 	last := len(res) - 2
 	return Report{Tables: []Table{t}, Headlines: []Headline{
-		{"incorrect-hold", res[last].Totals.IncorrectRate},
-		{"incorrect-naive", res[last+1].Totals.IncorrectRate},
+		{"incorrect-hold", res[last].Totals.IncorrectRate()},
+		{"incorrect-naive", res[last+1].Totals.IncorrectRate()},
 		{"gap-orders", gaps[last+1]},
 	}}, nil
 }

@@ -49,8 +49,8 @@ func TestJitterFalsePositivesGap(t *testing.T) {
 	hold, naive := holdRun.Totals, naiveRun.Totals
 	gap := gapOrders(holdRun, naiveRun)
 	t.Logf("hold: issued=%d incorrect=%d (%.3g); naive: issued=%d incorrect=%d (%.3g); gap=%.2f orders",
-		hold.Issued, hold.Incorrect, hold.IncorrectRate,
-		naive.Issued, naive.Incorrect, naive.IncorrectRate, gap)
+		hold.Issued, hold.Incorrect, hold.IncorrectRate(),
+		naive.Issued, naive.Incorrect, naive.IncorrectRate(), gap)
 	if naive.Incorrect == 0 {
 		t.Fatal("delay spikes caused no incorrect deliveries under naive delivery")
 	}
@@ -59,7 +59,7 @@ func TestJitterFalsePositivesGap(t *testing.T) {
 	if gap < 3 {
 		t.Fatalf("gap = %.2f orders, want >= 3", gap)
 	}
-	if hold.IncorrectRate > 1e-3 {
-		t.Fatalf("hold-on-suspect incorrect rate %.3g too high", hold.IncorrectRate)
+	if hold.IncorrectRate() > 1e-3 {
+		t.Fatalf("hold-on-suspect incorrect rate %.3g too high", hold.IncorrectRate())
 	}
 }

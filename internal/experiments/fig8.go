@@ -11,25 +11,21 @@ import (
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
 	"mspastry/internal/squirrel"
+	"mspastry/internal/stats"
 	"mspastry/internal/topology"
 	"mspastry/internal/trace"
 	"mspastry/internal/transport"
 )
 
-// fig8Window is one point of the Figure 8 series: total traffic (control,
-// lookup and application messages) per second per node.
-type fig8Window struct {
-	start           time.Duration
-	totalPerNodeSec float64
-	active          float64
-	requests        int
-}
-
 // fig8Result is the Squirrel traffic series of Figure 8, with the
 // weekday/weekend pattern visible.
 type fig8Result struct {
-	windows []fig8Window
-	// originFetches and requests summarise cache effectiveness.
+	// windows are the run's rows: TotalPerNodeSec is total traffic
+	// (control, lookup and application messages) per second per node.
+	windows []stats.WindowStat
+	// winRequests counts web requests per window; originFetches and
+	// requests summarise cache effectiveness.
+	winRequests   []int
 	originFetches int
 	requests      int
 }
@@ -60,11 +56,11 @@ func fig8(s Scale) (Report, error) {
 		Cols:  []string{"msgsPerNodeSec", "active", "requests"},
 	}
 	var traffic []float64
-	for _, w := range r.windows {
-		t.Rows = append(t.Rows, Row{Label: w.start.Round(time.Minute).String(), Values: map[string]float64{
-			"msgsPerNodeSec": w.totalPerNodeSec, "active": w.active, "requests": float64(w.requests),
+	for i, w := range r.windows {
+		t.Rows = append(t.Rows, Row{Label: w.Start.Round(time.Minute).String(), Values: map[string]float64{
+			"msgsPerNodeSec": w.TotalPerNodeSec, "active": w.MeanActive, "requests": float64(r.winRequests[i]),
 		}})
-		traffic = append(traffic, w.totalPerNodeSec)
+		traffic = append(traffic, w.TotalPerNodeSec)
 	}
 	trough, peak := extremes(traffic)
 	return Report{Tables: []Table{t}, Headlines: []Headline{
@@ -78,7 +74,9 @@ func fig8(s Scale) (Report, error) {
 // a strong daily pattern and quieter weekends, machines leaving at night —
 // through the simulator and reports total traffic per node per window.
 // The overlay churns, so it starts and stops nodes itself rather than
-// through NewCluster.
+// through NewCluster. As in the harness, the machines first up join over
+// a setup ramp, and one stats.Collector counts on measured time, which
+// starts when the ramp ends.
 func squirrelReplay(seed int64, machines, days int) fig8Result {
 	sim := eventsim.New(seed)
 	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
@@ -97,22 +95,14 @@ func squirrelReplay(seed int64, machines, days int) fig8Result {
 	pcfg := pastry.DefaultConfig()
 	pcfg.L = 16
 
-	nwin := int(duration/fig8WindowLen) + 1
-	msgs := make([]int, nwin)
-	reqs := make([]int, nwin)
-	nodeSec := make([]float64, nwin)
-	win := func() int {
-		i := int(sim.Now() / fig8WindowLen)
-		if i >= nwin {
-			i = nwin - 1
-		}
-		return i
-	}
+	const ramp = 15 * time.Minute
+	measured := func() time.Duration { return sim.Now() - ramp }
+	col := stats.NewCollector(duration, fig8WindowLen)
 	nw.OnSend(func(from *netmodel.Endpoint, to pastry.NodeRef, m pastry.Message, singleBytes int) {
-		msgs[win()]++
+		col.MsgSent(measured(), m.Category(), singleBytes)
 	})
 
-	res := fig8Result{}
+	res := fig8Result{winRequests: make([]int, duration/fig8WindowLen)}
 	origin := squirrel.OriginFunc(func(url string) ([]byte, error) {
 		res.originFetches++
 		return []byte("obj:" + url), nil
@@ -153,9 +143,11 @@ func squirrelReplay(seed int64, machines, days int) fig8Result {
 			node.Bootstrap()
 		}
 		alive = append(alive, slot)
+		col.ActiveChanged(measured(), +1)
 	}
 	stop := func(slot int) {
 		eps[slot].Fail()
+		col.ActiveChanged(measured(), -1)
 		for i, s := range alive {
 			if s == slot {
 				alive = append(alive[:i], alive[i+1:]...)
@@ -169,7 +161,6 @@ func squirrelReplay(seed int64, machines, days int) fig8Result {
 		slot := slot
 		sim.At(time.Duration(sim.Rand().Int63n(int64(10*time.Minute))), func() { start(slot) })
 	}
-	const ramp = 15 * time.Minute
 	for _, ev := range churn.Events {
 		ev := ev
 		at := ramp + ev.At
@@ -198,41 +189,29 @@ func squirrelReplay(seed int64, machines, days int) fig8Result {
 	var tick func()
 	const step = 30 * time.Second
 	tick = func() {
-		now := sim.Now()
+		now := measured()
 		if now >= duration {
 			return
 		}
-		intensity := workdayIntensity(now)
-		mean := fig8PeakRate * intensity * step.Seconds()
+		mean := fig8PeakRate * workdayIntensity(now) * step.Seconds()
 		for _, slot := range alive {
 			p := proxies[slot]
 			if p == nil || !p.Node().Alive() || !p.Node().Active() {
 				continue
 			}
 			n := poissonDraw(sim.Rand(), mean)
+			res.winRequests[now/fig8WindowLen] += n
+			res.requests += n
 			for k := 0; k < n; k++ {
-				w := win()
-				reqs[w]++
-				res.requests++
 				p.Get(catalog[int(zipf.Uint64())], func([]byte, squirrel.Outcome) {})
 			}
 		}
-		// Integrate node-seconds.
-		nodeSec[win()] += float64(len(alive)) * step.Seconds()
 		sim.After(step, tick)
 	}
 	sim.At(ramp, tick)
 
-	sim.RunUntil(duration)
-
-	for i := 0; i < nwin; i++ {
-		w := fig8Window{start: time.Duration(i) * fig8WindowLen, requests: reqs[i]}
-		if nodeSec[i] > 0 {
-			w.totalPerNodeSec = float64(msgs[i]) / nodeSec[i]
-			w.active = nodeSec[i] / fig8WindowLen.Seconds()
-		}
-		res.windows = append(res.windows, w)
-	}
+	sim.RunUntil(ramp + duration)
+	res.windows = col.Finalize()
 	return res
 }
 

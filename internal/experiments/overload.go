@@ -85,8 +85,8 @@ func overloadSweep(s Scale) (Report, error) {
 	}
 	for i, r := range res {
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("load x%g", multiples[i]), Values: map[string]float64{
-			"success":   1 - r.Totals.LossRate,
-			"loss":      r.Totals.LossRate,
+			"success":   1 - r.Totals.LossRate(),
+			"loss":      r.Totals.LossRate(),
 			"shedLive":  float64(r.ShedByLane[overload.LaneLiveness]),
 			"shedCtrl":  float64(r.ShedByLane[overload.LaneControl]),
 			"shedLkup":  float64(r.ShedByLane[overload.LaneLookup]),
@@ -99,7 +99,7 @@ func overloadSweep(s Scale) (Report, error) {
 	at1, at5 := res[0], res[2]
 	return Report{Tables: []Table{t}, Headlines: []Headline{
 		// The graceful-degradation number: 1.0 is no degradation.
-		{"success-5x/1x", ratio(1-at5.Totals.LossRate, 1-at1.Totals.LossRate)},
+		{"success-5x/1x", ratio(1-at5.Totals.LossRate(), 1-at1.Totals.LossRate())},
 		{"budget-denials-5x", float64(at5.Counters.RetryBudgetExhausted)},
 		{"breaker-opens-5x", float64(at5.Counters.BreakerOpens)},
 	}}, nil

@@ -18,7 +18,7 @@ func TestOverloadDegradesGracefully(t *testing.T) {
 	}
 	res := overloadRuns(quick(), 40, 24*time.Minute, []float64{1, 5})
 	base, loaded := res[0], res[1]
-	baseOK, loadedOK := 1-base.Totals.LossRate, 1-loaded.Totals.LossRate
+	baseOK, loadedOK := 1-base.Totals.LossRate(), 1-loaded.Totals.LossRate()
 	t.Logf("1x: success=%.4f sheds=%v | 5x: success=%.4f sheds=%v budgetHit=%d brkOpens=%d",
 		baseOK, base.ShedByLane, loadedOK, loaded.ShedByLane,
 		loaded.Counters.RetryBudgetExhausted, loaded.Counters.BreakerOpens)

@@ -51,7 +51,7 @@ func secureSweep(s Scale) (Report, error) {
 	for i, r := range res {
 		mode := []string{"off", "on"}[i%2]
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("f=%.2f %s", fracs[i/2], mode), Values: map[string]float64{
-			"success":  1 - r.Totals.LossRate,
+			"success":  1 - r.Totals.LossRate(),
 			"reports":  float64(r.Counters.SecureReports),
 			"testFail": float64(r.Counters.SecureTestFail),
 			"rounds":   float64(r.Counters.SecureRedundantRounds),
@@ -65,7 +65,7 @@ func secureSweep(s Scale) (Report, error) {
 	honest, attacked := res[1], res[5] // defended, at f=0 and f=0.1
 	return Report{Tables: []Table{t}, Headlines: []Headline{
 		// The defense number: 1.0 is full recovery.
-		{"restoration-f0.1", ratio(1-attacked.Totals.LossRate, 1-honest.Totals.LossRate)},
+		{"restoration-f0.1", ratio(1-attacked.Totals.LossRate(), 1-honest.Totals.LossRate())},
 		{"false-positive-rate", falsePositiveRate(honest)},
 	}}, nil
 }

@@ -19,7 +19,7 @@ func TestSecureRoutingRestoresSuccess(t *testing.T) {
 		t.Skip("four 20-minute simulated adversary runs")
 	}
 	res := secureRuns(quick(), 40, 20*time.Minute, []float64{0, 0.1})
-	success := func(r harness.Result) float64 { return 1 - r.Totals.LossRate }
+	success := func(r harness.Result) float64 { return 1 - r.Totals.LossRate() }
 	offBase, onBase := success(res[0]), success(res[1])
 	offAdv, onAdv := success(res[2]), success(res[3])
 	adv := res[3]

@@ -157,9 +157,9 @@ func fig6(s Scale) (Report, error) {
 	res := sweep(len(labels), s.onGnutella(), func(i int, cfg *harness.Config) { cfg.NetworkLoss = rates[i] })
 	clean, lossy := res[0].Totals, res[5].Totals
 	return Report{Tables: []Table{totalsTable(labels, res)}, Headlines: []Headline{
-		{"lookuploss-0%", clean.LossRate},
-		{"lookuploss-5%", lossy.LossRate},
-		{"incorrect-5%", lossy.IncorrectRate},
+		{"lookuploss-0%", clean.LossRate()},
+		{"lookuploss-5%", lossy.LossRate()},
+		{"incorrect-5%", lossy.IncorrectRate()},
 		{"rdp-5%", lossy.RDP},
 	}}, nil
 }
@@ -205,10 +205,10 @@ func ablation(s Scale) (Report, error) {
 		cfg.Pastry.PerHopAcks = acks[i]
 	})
 	return Report{Tables: []Table{totalsTable(labels, res)}, Headlines: []Headline{
-		{"loss-neither", res[0].Totals.LossRate},
-		{"loss-acks", res[1].Totals.LossRate},
-		{"loss-probing", res[2].Totals.LossRate},
-		{"loss-both", res[3].Totals.LossRate},
+		{"loss-neither", res[0].Totals.LossRate()},
+		{"loss-acks", res[1].Totals.LossRate()},
+		{"loss-probing", res[2].Totals.LossRate()},
+		{"loss-both", res[3].Totals.LossRate()},
 	}}, nil
 }
 
@@ -228,8 +228,8 @@ func selfTuning(s Scale) (Report, error) {
 		t.Rows[i].Values["target"] = targets[i]
 	}
 	return Report{Tables: []Table{t}, Headlines: []Headline{
-		{"rawloss-at-5%", res[0].Totals.LossRate},
-		{"rawloss-at-1%", res[1].Totals.LossRate},
+		{"rawloss-at-5%", res[0].Totals.LossRate()},
+		{"rawloss-at-1%", res[1].Totals.LossRate()},
 		{"ctrl-ratio-1%/5%", ratio(res[1].Totals.ControlPerNodeSec, res[0].Totals.ControlPerNodeSec)},
 	}}, nil
 }
@@ -278,8 +278,8 @@ func consistencyRule(s Scale) (Report, error) {
 		cfg.Pastry.HoldOnSuspect = i == 0
 	})
 	return Report{Tables: []Table{totalsTable(labels, res)}, Headlines: []Headline{
-		{"incorrect-with-rule", res[0].Totals.IncorrectRate},
-		{"incorrect-without", res[1].Totals.IncorrectRate},
+		{"incorrect-with-rule", res[0].Totals.IncorrectRate()},
+		{"incorrect-without", res[1].Totals.IncorrectRate()},
 		{"rdp-with-rule", res[0].Totals.RDP},
 		{"rdp-without", res[1].Totals.RDP},
 	}}, nil

@@ -139,9 +139,8 @@ type Result struct {
 	// run (median over live nodes).
 	TrtMedian time.Duration
 	// Tracer holds every node's telemetry events (nil unless TraceLookups
-	// was set); TraceStats summarises route-path reconstruction from them.
-	Tracer     *telemetry.Tracer
-	TraceStats telemetry.TraceStats
+	// was set); its Stats summarise route-path reconstruction from them.
+	Tracer *telemetry.Tracer
 }
 
 // Run executes the experiment.
@@ -323,6 +322,7 @@ func (r *run) execute() Result {
 		SimEvents:     r.sim.Steps(),
 		DropsByReason: r.dropReasons,
 		TimeoutLost:   r.timeoutLost,
+		Tracer:        r.tracer,
 	}
 	if r.adv != nil {
 		res.Adversary = r.adv.Stats
@@ -346,10 +346,6 @@ func (r *run) execute() Result {
 		// metrics dump carries the same names a live node serves.
 		r.cfg.Telemetry.SetGauges(r.counters)
 		r.cfg.Telemetry.SetGauges(telemetry.Trt{Seconds: res.TrtMedian.Seconds()})
-	}
-	if r.tracer != nil {
-		res.Tracer = r.tracer
-		res.TraceStats = r.tracer.Stats()
 	}
 	return res
 }

@@ -29,11 +29,11 @@ func TestRunStableOverlay(t *testing.T) {
 	if res.Totals.Issued < 1000 {
 		t.Fatalf("too few lookups issued: %d", res.Totals.Issued)
 	}
-	if res.Totals.IncorrectRate != 0 {
-		t.Fatalf("incorrect deliveries in a loss-free run: %v", res.Totals.IncorrectRate)
+	if res.Totals.IncorrectRate() != 0 {
+		t.Fatalf("incorrect deliveries in a loss-free run: %v", res.Totals.IncorrectRate())
 	}
-	if res.Totals.LossRate > 0.001 {
-		t.Fatalf("loss rate %v too high for stable overlay", res.Totals.LossRate)
+	if res.Totals.LossRate() > 0.001 {
+		t.Fatalf("loss rate %v too high for stable overlay", res.Totals.LossRate())
 	}
 	if res.Totals.RDP < 1 || res.Totals.RDP > 6 {
 		t.Fatalf("RDP %v implausible", res.Totals.RDP)
@@ -50,11 +50,11 @@ func TestRunUnderChurn(t *testing.T) {
 	if res.Totals.Issued == 0 {
 		t.Fatal("no lookups issued")
 	}
-	if res.Totals.IncorrectRate != 0 {
-		t.Fatalf("incorrect deliveries without link loss: %v (paper: zero)", res.Totals.IncorrectRate)
+	if res.Totals.IncorrectRate() != 0 {
+		t.Fatalf("incorrect deliveries without link loss: %v (paper: zero)", res.Totals.IncorrectRate())
 	}
-	if res.Totals.LossRate > 0.01 {
-		t.Fatalf("loss rate %v too high with per-hop acks", res.Totals.LossRate)
+	if res.Totals.LossRate() > 0.01 {
+		t.Fatalf("loss rate %v too high with per-hop acks", res.Totals.LossRate())
 	}
 	if res.Totals.ControlPerNodeSec <= 0 {
 		t.Fatal("no control traffic measured")
@@ -72,8 +72,8 @@ func TestRunWithNetworkLoss(t *testing.T) {
 		t.Fatal("loss injection did not drop anything")
 	}
 	// Per-hop acks keep the loss rate low even at 5% link loss.
-	if res.Totals.LossRate > 0.02 {
-		t.Fatalf("lookup loss %v too high despite per-hop acks", res.Totals.LossRate)
+	if res.Totals.LossRate() > 0.02 {
+		t.Fatalf("lookup loss %v too high despite per-hop acks", res.Totals.LossRate())
 	}
 }
 
@@ -85,8 +85,8 @@ func TestRunWindowsCoverTrace(t *testing.T) {
 		t.Fatalf("windows = %d, want 3", len(res.Windows))
 	}
 	for i, w := range res.Windows {
-		if w.Active < 40 || w.Active > 80 {
-			t.Fatalf("window %d active = %v, want ~60", i, w.Active)
+		if w.MeanActive < 40 || w.MeanActive > 80 {
+			t.Fatalf("window %d active = %v, want ~60", i, w.MeanActive)
 		}
 	}
 }

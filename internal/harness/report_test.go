@@ -21,7 +21,7 @@ func (r Result) ReportString() string {
 	fmt.Fprintf(&b, "totals issued=%d delivered=%d incorrect=%d lost=%d\n",
 		t.Issued, t.Delivered, t.Incorrect, t.Lost)
 	fmt.Fprintf(&b, "totals rdp=%s rdp_mor=%s hops=%s loss=%s incorrect_rate=%s\n",
-		g(t.RDP), g(t.RDPMeanOfRatios), g(t.MeanHops), g(t.LossRate), g(t.IncorrectRate))
+		g(t.RDP), g(t.RDPMeanOfRatios), g(t.MeanHops), g(t.LossRate()), g(t.IncorrectRate()))
 	fmt.Fprintf(&b, "totals control=%s total=%s control_bytes=%s dgrams=%s control_dgrams=%s saved_bytes=%d\n",
 		g(t.ControlPerNodeSec), g(t.TotalPerNodeSec), g(t.ControlBytesPerNodeSec),
 		g(t.DatagramsPerNodeSec), g(t.ControlDatagramsPerNodeSec), t.CoalescedSavedBytes)
@@ -31,11 +31,11 @@ func (r Result) ReportString() string {
 
 	for _, w := range r.Windows {
 		fmt.Fprintf(&b, "window start=%d active=%s control=%s control_bytes=%s dgrams=%s control_dgrams=%s\n",
-			int64(w.Start), g(w.Active), g(w.ControlPerNodeSec), g(w.ControlBytesPerNodeSec),
+			int64(w.Start), g(w.MeanActive), g(w.ControlPerNodeSec), g(w.ControlBytesPerNodeSec),
 			g(w.DatagramsPerNodeSec), g(w.ControlDatagramsPerNodeSec))
 		fmt.Fprintf(&b, "window start=%d rdp=%s rdp_mor=%s hops=%s loss=%s incorrect=%s issued=%d retx=%s\n",
-			int64(w.Start), g(w.RDP), g(w.RDPMeanOfRatios), g(w.MeanHops), g(w.LossRate),
-			g(w.IncorrectRate), w.Issued, g(w.RetxPerNodeSec))
+			int64(w.Start), g(w.RDP), g(w.RDPMeanOfRatios), g(w.MeanHops), g(w.LossRate()),
+			g(w.IncorrectRate()), w.Issued, g(w.RetxPerNodeSec))
 		writeCategories(&b, fmt.Sprintf("window start=%d", int64(w.Start)), w.ByCategory)
 	}
 

@@ -51,7 +51,7 @@ func TestHopTraceReconstruction(t *testing.T) {
 	if res.Totals.Delivered == 0 {
 		t.Fatal("no lookups delivered")
 	}
-	ts := res.TraceStats
+	ts := res.Tracer.Stats()
 	if ts.Delivered == 0 {
 		t.Fatal("tracer saw no deliveries")
 	}

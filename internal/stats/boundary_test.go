@@ -35,15 +35,15 @@ func TestOutcomeAttributedToIssueWindow(t *testing.T) {
 	if w0.Issued != 2 {
 		t.Fatalf("window 0 issued = %d, want 2", w0.Issued)
 	}
-	if got := w0.LossRate; math.Abs(got-0.5) > 1e-12 {
+	if got := w0.LossRate(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("window 0 loss rate = %v, want 0.5", got)
 	}
 	if w0.MeanHops != 3 {
 		t.Fatalf("window 0 mean hops = %v, want 3 (delivery must land in issue window)", w0.MeanHops)
 	}
-	if w1.Issued != 1 || w1.LossRate != 0 {
+	if w1.Issued != 1 || w1.LossRate() != 0 {
 		t.Fatalf("window 1 issued=%d loss=%v; boundary lookup belongs to window 1",
-			w1.Issued, w1.LossRate)
+			w1.Issued, w1.LossRate())
 	}
 	if ws[2].Issued != 0 {
 		t.Fatalf("window 2 issued = %d, want 0", ws[2].Issued)
@@ -82,16 +82,16 @@ func TestFinalPartialWindow(t *testing.T) {
 	if last.Issued != 3 {
 		t.Fatalf("final window issued = %d, want 3", last.Issued)
 	}
-	if got := last.LossRate; math.Abs(got-2.0/3.0) > 1e-12 {
+	if got := last.LossRate(); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Fatalf("final window loss rate = %v, want 2/3", got)
 	}
 	if last.MeanHops != 2 {
 		t.Fatalf("final window mean hops = %v, want 2", last.MeanHops)
 	}
-	// Active normalises by the partial window's real length (5 minutes),
+	// MeanActive normalises by the partial window's real length (5 minutes),
 	// so 8 nodes active throughout still average to 8.
-	if math.Abs(last.Active-8) > 1e-9 {
-		t.Fatalf("final window active = %v, want 8", last.Active)
+	if math.Abs(last.MeanActive-8) > 1e-9 {
+		t.Fatalf("final window active = %v, want 8", last.MeanActive)
 	}
 
 	tot := c.Totals()
@@ -112,7 +112,7 @@ func TestSetupIssueCrossingIntoMeasurement(t *testing.T) {
 	c.LookupLost(-time.Millisecond)
 
 	ws := c.Finalize()
-	if ws[0].Issued != 0 || ws[0].MeanHops != 0 || ws[0].LossRate != 0 {
+	if ws[0].Issued != 0 || ws[0].MeanHops != 0 || ws[0].LossRate() != 0 {
 		t.Fatalf("setup-phase lookups leaked into window 0: %+v", ws[0])
 	}
 	tot := c.Totals()

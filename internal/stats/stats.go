@@ -325,10 +325,12 @@ func (c *Collector) JoinLatency(d time.Duration) {
 }
 
 // WindowStat is one finalized window row: the numbers the paper plots.
+// Its Outcomes are the lookups issued in the window, with the paper's two
+// dependability rates as methods.
 type WindowStat struct {
 	Start time.Duration
-	// Active is the average number of active nodes in the window.
-	Active float64
+	// MeanActive is the average number of active nodes in the window.
+	MeanActive float64
 	// ControlPerNodeSec is control messages (everything except lookups)
 	// sent per second per node.
 	ControlPerNodeSec float64
@@ -350,17 +352,13 @@ type WindowStat struct {
 	RDPMeanOfRatios float64
 	// MeanHops is the average overlay hop count.
 	MeanHops float64
-	// LossRate is lost lookups / issued; IncorrectRate is incorrect
-	// deliveries / issued.
-	LossRate      float64
-	IncorrectRate float64
-	Issued        int
+	Outcomes
 	// RetxPerNodeSec is per-hop retransmissions sent per second per node:
 	// the retransmission-storm indicator under delay spikes and
 	// partitions.
 	RetxPerNodeSec float64
 	// TotalPerNodeSec is every message sent per second per node, lookups
-	// and application traffic included.
+	// and application traffic included: Figure 8's series.
 	TotalPerNodeSec float64
 }
 
@@ -406,9 +404,9 @@ func (w *Window) add(o *Window) {
 // length: the one formula for each, applied to every window and, folded,
 // to the whole run. ByCategory holds the categories listed selects.
 func (w *Window) rates(length time.Duration, listed func(pastry.Category) bool) WindowStat {
-	row := WindowStat{Start: w.Start, Issued: w.Issued, ByCategory: make(map[pastry.Category]float64)}
+	row := WindowStat{Start: w.Start, Outcomes: w.Outcomes, ByCategory: make(map[pastry.Category]float64)}
 	if length > 0 {
-		row.Active = w.nodeSeconds / length.Seconds()
+		row.MeanActive = w.nodeSeconds / length.Seconds()
 	}
 	if w.nodeSeconds > 0 {
 		var control, controlBytes, all int
@@ -437,35 +435,18 @@ func (w *Window) rates(length time.Duration, listed func(pastry.Category) bool) 
 	if w.Delivered > 0 {
 		row.MeanHops = float64(w.HopsSum) / float64(w.Delivered)
 	}
-	row.LossRate, row.IncorrectRate = w.LossRate(), w.IncorrectRate()
 	return row
 }
 
-// Totals summarises a whole run.
+// Totals summarises a whole run: its windows folded into one row (with
+// ByCategory holding every category, lookups and application traffic
+// included), plus the counts only a whole run has.
 type Totals struct {
-	Issued, Delivered, Incorrect, Lost int
-	RDP                                float64
-	RDPMeanOfRatios                    float64
-	MeanHops                           float64
-	LossRate, IncorrectRate            float64
-	ControlPerNodeSec                  float64
-	// TotalPerNodeSec includes lookup and application traffic. Figure 8's
-	// Squirrel replay counts its own messages and does not read it.
-	TotalPerNodeSec float64
-	// ControlBytesPerNodeSec measures control traffic in encoded wire
-	// bytes; DatagramsPerNodeSec and ControlDatagramsPerNodeSec count
-	// frames on the wire (a batch is one datagram); CoalescedSavedBytes is
-	// the run-total byte saving from batching.
-	ControlBytesPerNodeSec     float64
-	DatagramsPerNodeSec        float64
-	ControlDatagramsPerNodeSec float64
-	CoalescedSavedBytes        int
-	// ByCategory holds every category's rate, lookups and application
-	// traffic included.
-	ByCategory        map[pastry.Category]float64
-	MeanActive        float64
-	Joins             int
-	MedianJoinLatency time.Duration
+	WindowStat
+	// CoalescedSavedBytes is the run-total byte saving from batching.
+	CoalescedSavedBytes int
+	Joins               int
+	MedianJoinLatency   time.Duration
 	// Retransmits is the run total of per-hop retransmissions;
 	// PeakRetxPerNodeSec is the highest windowed retransmission rate (the
 	// storm's amplitude).
@@ -483,16 +464,12 @@ func (c *Collector) Totals() Totals {
 		sum.add(&c.wins[i])
 		peak = max(peak, row.RetxPerNodeSec)
 	}
-	r := sum.rates(c.duration, func(pastry.Category) bool { return true })
 	t := Totals{
-		Issued: sum.Issued, Delivered: sum.Delivered, Incorrect: sum.Incorrect, Lost: sum.Lost,
-		RDP: r.RDP, RDPMeanOfRatios: r.RDPMeanOfRatios, MeanHops: r.MeanHops,
-		LossRate: r.LossRate, IncorrectRate: r.IncorrectRate,
-		ControlPerNodeSec: r.ControlPerNodeSec, TotalPerNodeSec: r.TotalPerNodeSec,
-		ControlBytesPerNodeSec: r.ControlBytesPerNodeSec, DatagramsPerNodeSec: r.DatagramsPerNodeSec,
-		ControlDatagramsPerNodeSec: r.ControlDatagramsPerNodeSec, CoalescedSavedBytes: sum.CoalescedSaved,
-		ByCategory: r.ByCategory, MeanActive: r.Active,
-		Joins: len(c.joinLatencies), Retransmits: sum.Retransmits, PeakRetxPerNodeSec: peak,
+		WindowStat:          sum.rates(c.duration, func(pastry.Category) bool { return true }),
+		CoalescedSavedBytes: sum.CoalescedSaved,
+		Joins:               len(c.joinLatencies),
+		Retransmits:         sum.Retransmits,
+		PeakRetxPerNodeSec:  peak,
 	}
 	if joins := c.sortedJoins(); len(joins) > 0 {
 		t.MedianJoinLatency = joins[len(joins)/2]
@@ -555,5 +532,5 @@ func (r RecoveryStat) TimeToRepair() time.Duration {
 func (t Totals) String() string {
 	return fmt.Sprintf(
 		"issued=%d delivered=%d loss=%.2e incorrect=%.2e rdp=%.2f hops=%.2f control=%.3f msgs/s/node active=%.0f",
-		t.Issued, t.Delivered, t.LossRate, t.IncorrectRate, t.RDP, t.MeanHops, t.ControlPerNodeSec, t.MeanActive)
+		t.Issued, t.Delivered, t.LossRate(), t.IncorrectRate(), t.RDP, t.MeanHops, t.ControlPerNodeSec, t.MeanActive)
 }

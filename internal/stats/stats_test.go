@@ -56,11 +56,11 @@ func TestLookupAccounting(t *testing.T) {
 	if math.Abs(w.RDPMeanOfRatios-2.0) > 1e-9 {
 		t.Fatalf("RDPMeanOfRatios = %v, want 2.0", w.RDPMeanOfRatios)
 	}
-	if math.Abs(w.LossRate-0.1) > 1e-9 {
-		t.Fatalf("loss = %v, want 0.1", w.LossRate)
+	if math.Abs(w.LossRate()-0.1) > 1e-9 {
+		t.Fatalf("loss = %v, want 0.1", w.LossRate())
 	}
-	if math.Abs(w.IncorrectRate-0.1) > 1e-9 {
-		t.Fatalf("incorrect = %v, want 0.1", w.IncorrectRate)
+	if math.Abs(w.IncorrectRate()-0.1) > 1e-9 {
+		t.Fatalf("incorrect = %v, want 0.1", w.IncorrectRate())
 	}
 	if math.Abs(w.MeanHops-2.0) > 1e-9 {
 		t.Fatalf("hops = %v, want 2.0", w.MeanHops)
@@ -93,11 +93,11 @@ func TestActiveIntegration(t *testing.T) {
 	c.ActiveChanged(5*time.Minute, +4) // 4 for 5min, 8 for 5min -> avg 6
 	c.ActiveChanged(10*time.Minute, -8)
 	ws := c.Finalize()
-	if math.Abs(ws[0].Active-6) > 1e-9 {
-		t.Fatalf("window 0 active = %v, want 6", ws[0].Active)
+	if math.Abs(ws[0].MeanActive-6) > 1e-9 {
+		t.Fatalf("window 0 active = %v, want 6", ws[0].MeanActive)
 	}
-	if math.Abs(ws[1].Active) > 1e-9 {
-		t.Fatalf("window 1 active = %v, want 0", ws[1].Active)
+	if math.Abs(ws[1].MeanActive) > 1e-9 {
+		t.Fatalf("window 1 active = %v, want 0", ws[1].MeanActive)
 	}
 }
 
