@@ -503,21 +503,19 @@ func (ep *Endpoint) LoadFactor() float64 {
 }
 
 // copyForDelivery clones mutable routed payloads (lookup/join envelopes);
-// all other message types are treated as immutable by receivers.
+// all other message types are treated as immutable by receivers. A lookup
+// envelope's copy is one allocation (pastry.ReceivedCopy); a join
+// envelope's also copies its request and the rows each hop extends.
 func copyForDelivery(m pastry.Message) pastry.Message {
 	env, ok := m.(*pastry.Envelope)
 	if !ok {
 		return m
 	}
-	out := *env
-	if env.Lookup != nil {
-		lk := *env.Lookup
-		out.Lookup = &lk
-	}
+	out := pastry.ReceivedCopy(env)
 	if env.Join != nil {
 		jr := *env.Join
 		jr.Rows = append([]pastry.NodeRef(nil), env.Join.Rows...)
 		out.Join = &jr
 	}
-	return &out
+	return out
 }

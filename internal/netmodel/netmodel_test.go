@@ -430,3 +430,27 @@ func TestCancelledTimerNeverFires(t *testing.T) {
 		}
 	}
 }
+
+// delivered keeps the pinned copies on the heap, as a receiver would.
+var delivered pastry.Message
+
+// TestDeliveryCopyAllocations pins the receiver's copy of an envelope: a
+// lookup envelope and its Lookup are one object (pastry.ReceivedCopy); a
+// join envelope's copy adds its request and the rows the receiver extends.
+func TestDeliveryCopyAllocations(t *testing.T) {
+	from := pastry.NodeRef{ID: id.New(1, 1), Addr: "1"}
+	for _, pin := range []struct {
+		name string
+		env  *pastry.Envelope
+		want float64
+	}{
+		{"lookup envelope", &pastry.Envelope{Xfer: 1, NeedAck: true, From: from,
+			Lookup: &pastry.Lookup{Key: id.New(2, 2), Origin: from, Payload: []byte("body")}}, 1},
+		{"join envelope", &pastry.Envelope{Xfer: 2, From: from,
+			Join: &pastry.JoinRequest{Joiner: from, Rows: []pastry.NodeRef{from, from}}}, 3},
+	} {
+		if got := testing.AllocsPerRun(100, func() { delivered = copyForDelivery(pin.env) }); got != pin.want {
+			t.Errorf("%s: %v allocs per copy, want %v", pin.name, got, pin.want)
+		}
+	}
+}

@@ -45,7 +45,7 @@ const (
 
 // newMessage maps a wire tag to an empty message for walk to fill.
 var newMessage = [...]func() Message{
-	tagLookupEnvelope: func() Message { return new(Envelope) },
+	tagLookupEnvelope: func() Message { return newReceived() },
 	tagAck:            func() Message { return new(Ack) },
 	tagLSProbe:        func() Message { return new(LSProbe) },
 	tagLSProbeReply:   func() Message { return new(LSProbeReply) },
@@ -205,12 +205,17 @@ func walkRefs(c *codec.Coder, refs *[]NodeRef) {
 	}
 }
 
-// present walks the presence byte of an optional part of a message, and
-// allocates the part when a reader finds it present.
+// present walks the presence byte of an optional part of a message. A
+// reader that finds the part present allocates it unless the message came
+// with it (a received envelope's inline Lookup), and clears the pointer
+// when the part is absent.
 func present[T any](c *codec.Coder, part **T) bool {
 	has := *part != nil
 	c.Bool(&has)
-	if has && *part == nil {
+	switch {
+	case !has:
+		*part = nil
+	case *part == nil:
 		*part = new(T)
 	}
 	return has

@@ -169,9 +169,10 @@ func lookupEnvelope() *Envelope {
 
 // TestCodecAllocations pins what the one-walk codec must not cost: sizing
 // and encoding into a buffer with room allocate nothing, and decoding
-// allocates the message's own parts only (envelope, lookup, two address
-// strings, payload) — and with a warm table of addresses, as in a
-// transport's read loop, no strings: the message objects alone.
+// allocates the message's own parts only (the envelope with its lookup in
+// one object, two address strings, payload) — and with a warm table of
+// addresses, as in a transport's read loop, no strings: the message
+// objects alone.
 func TestCodecAllocations(t *testing.T) {
 	env := lookupEnvelope()
 	frame := encodeMessage(env)
@@ -191,13 +192,44 @@ func TestCodecAllocations(t *testing.T) {
 		"MessageWireSize":            {0, func() { size += MessageWireSize(env) }},
 		"AppendMessage":              {0, func() { buf = AppendMessage(buf[:0], env) }},
 		"encodeMessage":              {0, func() { size += len(encodeMessage(env)) }}, // the buffer stays on the stack
-		"DecodeMessage":              {5, func() { DecodeMessage(frame) }},
-		"DecodeInterned":             {3, func() { DecodeInterned(frame, names) }}, // envelope, lookup, payload
-		"DecodeInterned, no payload": {2, func() { DecodeInterned(bare, names) }},
+		"DecodeMessage":              {4, func() { DecodeMessage(frame) }},
+		"DecodeInterned":             {2, func() { DecodeInterned(frame, names) }}, // envelope with lookup, payload
+		"DecodeInterned, no payload": {1, func() { DecodeInterned(bare, names) }},
 	} {
 		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
 			t.Errorf("%s: %v allocs per message, want at most %v", name, got, pin.max)
 		}
+	}
+}
+
+// TestDecodeClearsAbsentParts: a decoded envelope starts with its Lookup
+// in place (the receive layout), so a frame that carries no lookup must
+// read back with Lookup nil, and one that carries neither part with Join
+// nil too.
+func TestDecodeClearsAbsentParts(t *testing.T) {
+	seen := 0
+	for _, s := range frameSamples {
+		if s.name != "envelope-join" && s.name != "envelope-bare" {
+			continue
+		}
+		seen++
+		m, err := DecodeMessage(encodeMessage(s.msg))
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		env := m.(*Envelope)
+		if env.Lookup != nil {
+			t.Errorf("%s: decoded with Lookup %+v, want nil", s.name, *env.Lookup)
+		}
+		if wantJoin := s.name == "envelope-join"; (env.Join != nil) != wantJoin {
+			t.Errorf("%s: decoded Join %+v, want present=%v", s.name, env.Join, wantJoin)
+		}
+		if env.Category() == CatLookup {
+			t.Errorf("%s: decoded as lookup traffic", s.name)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("found %d of the 2 samples", seen)
 	}
 }
 

@@ -139,6 +139,36 @@ type Envelope struct {
 	TrtHint time.Duration
 }
 
+// received is the receive side's layout of an envelope: the envelope and
+// the Lookup it carries in one allocation, with Envelope.Lookup pointing
+// at lk while a lookup is present. A received envelope belongs to its
+// receiver alone, so nothing else aliases lk.
+type received struct {
+	Envelope
+	lk Lookup
+}
+
+// newReceived returns an empty received envelope whose Lookup is its own
+// inline lk, for the decoder to fill or clear.
+func newReceived() *Envelope {
+	r := new(received)
+	r.Lookup = &r.lk
+	return &r.Envelope
+}
+
+// ReceivedCopy returns a copy of env as a receiver holds it: env's
+// fields and a copy of its Lookup in one allocation. The Join part, if
+// any, is shared with env; a caller that hands the copy to a node that
+// extends the join route copies it too.
+func ReceivedCopy(env *Envelope) *Envelope {
+	r := &received{Envelope: *env}
+	if env.Lookup != nil {
+		r.lk = *env.Lookup
+		r.Lookup = &r.lk
+	}
+	return &r.Envelope
+}
+
 // Category implements Message.
 func (e *Envelope) Category() Category {
 	switch {

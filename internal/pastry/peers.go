@@ -21,10 +21,20 @@ import (
 // state: that is the registry's invariant, pinned by the cross-layer
 // leak-detector test in the harness.
 
-// trtHint is the peer's advertised routing-table probing period, fed to
-// the self-tuning median. A pointer so hot-path updates mutate in place
-// instead of boxing a fresh value per message.
-type trtHint struct{ d time.Duration }
+// peerState is the node's common per-peer state: the self-tuning hint,
+// the probe-suppression memory and the RTT estimator in one allocation.
+// Each of the three slots holds the same *peerState while its component
+// is set and nil otherwise, so each keeps its own pruning rule and slot
+// gauge. stateOf finds the pointer through whichever slot is set; a
+// component that is created assigns its whole value, so a field left
+// behind by a pruned component never reads back.
+type peerState struct {
+	// hint is the peer's advertised routing-table probing period, fed to
+	// the self-tuning median.
+	hint     time.Duration
+	suppress suppressState
+	rtt      rttEstimator
+}
 
 // suppressState is probe-suppression memory: when the peer was last
 // distance-probed, last probed as a leaf-set candidate, and last sent a
@@ -93,7 +103,7 @@ func (n *Node) pruneHint(x id.ID, v any, _ time.Duration, _ bool) any {
 // window — after that a re-probe would be due anyway, so the memory
 // carries no information.
 func (n *Node) pruneSuppress(_ id.ID, v any, now time.Duration, _ bool) any {
-	s := v.(*suppressState)
+	s := &v.(*peerState).suppress
 	if s.distProbed != 0 && now-s.distProbed > 2*n.cfg.RTMaintenance {
 		s.distProbed = 0
 	}
@@ -134,24 +144,56 @@ func (n *Node) pruneOverload(x id.ID, v any, now time.Duration, _ bool) any {
 // reconnect graveyard manages its own expiry (retryReconnect).
 func pruneKeep(_ id.ID, v any, _ time.Duration, _ bool) any { return v }
 
+// stateOf returns the record's peerState: the one any of its three slots
+// holds, or a new one when none is set. It sets no slot; the caller puts
+// the state into the slot of the component it creates.
+func (n *Node) stateOf(rec *peer.Record) *peerState {
+	for _, s := range [...]peer.Slot{n.slotHint, n.slotSuppress, n.slotRTT} {
+		if st := stateIn(rec, s); st != nil {
+			return st
+		}
+	}
+	return new(peerState)
+}
+
+// stateIn returns the record's peerState when slot s is set, else nil.
+func stateIn(rec *peer.Record, s peer.Slot) *peerState {
+	st, _ := rec.Get(s).(*peerState)
+	return st
+}
+
 // setTrtHint records the peer's advertised probing period.
 func (n *Node) setTrtHint(rec *peer.Record, d time.Duration) {
-	if h, _ := rec.Get(n.slotHint).(*trtHint); h != nil {
-		h.d = d
+	if st := stateIn(rec, n.slotHint); st != nil {
+		st.hint = d
 		return
 	}
-	n.peers.Put(rec, n.slotHint, &trtHint{d: d})
+	st := n.stateOf(rec)
+	st.hint = d
+	n.peers.Put(rec, n.slotHint, st)
 }
 
 // suppressOf returns the record's suppression memory, creating it when
 // absent (every caller writes a field right after checking it).
 func (n *Node) suppressOf(rec *peer.Record) *suppressState {
-	if s, _ := rec.Get(n.slotSuppress).(*suppressState); s != nil {
-		return s
+	if st := stateIn(rec, n.slotSuppress); st != nil {
+		return &st.suppress
 	}
-	s := &suppressState{}
-	n.peers.Put(rec, n.slotSuppress, s)
-	return s
+	st := n.stateOf(rec)
+	st.suppress = suppressState{}
+	n.peers.Put(rec, n.slotSuppress, st)
+	return &st.suppress
+}
+
+// rttOf returns the record's RTT estimator, creating it when absent.
+func (n *Node) rttOf(rec *peer.Record) *rttEstimator {
+	if st := stateIn(rec, n.slotRTT); st != nil {
+		return &st.rtt
+	}
+	st := n.stateOf(rec)
+	st.rtt = rttEstimator{}
+	n.peers.Put(rec, n.slotRTT, st)
+	return &st.rtt
 }
 
 // overloadOf returns the record's overload state, creating it when

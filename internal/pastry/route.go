@@ -288,7 +288,9 @@ func (n *Node) armHopTimer(ph *pendingHop, xfer uint64, rto time.Duration) {
 func (n *Node) rtoFor(to NodeRef) time.Duration {
 	var est *rttEstimator
 	if rec := n.peers.Lookup(to.ID); rec != nil {
-		est, _ = rec.Get(n.slotRTT).(*rttEstimator)
+		if st := stateIn(rec, n.slotRTT); st != nil {
+			est = &st.rtt
+		}
 	}
 	fallback := 500 * time.Millisecond
 	if rtt, ok := n.rt.RTT(to.ID); ok {
@@ -417,14 +419,8 @@ func (n *Node) handleAck(ack *Ack) {
 	n.parkHop(ph)
 	n.breakerSuccess(to.ID, sentAt)
 	if !retx {
-		rec := n.peers.Obtain(to.ID, to.Addr, n.env.Now())
-		est, _ := rec.Get(n.slotRTT).(*rttEstimator)
-		if est == nil {
-			est = &rttEstimator{}
-			n.peers.Put(rec, n.slotRTT, est)
-		}
 		rtt := n.env.Now() - sentAt
-		est.observe(rtt)
+		n.rttOf(n.peers.Obtain(to.ID, to.Addr, n.env.Now())).observe(rtt)
 		if n.sobs != nil {
 			n.sobs.AckRTT(n, to, rtt)
 		}

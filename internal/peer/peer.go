@@ -65,6 +65,10 @@ type PruneFunc func(x id.ID, v any, now time.Duration, member bool) any
 // Slot is a handle to one registered component's per-record state.
 type Slot struct{ idx int }
 
+// maxSlots is how many slots a registry can register: a record holds its
+// slot table inline, so the table's size is fixed. A node registers five.
+const maxSlots = 5
+
 type slotDef struct {
 	name  string
 	prune PruneFunc // nil for retained slots
@@ -72,7 +76,7 @@ type slotDef struct {
 
 // Record is one peer's state. The exported timestamp fields are the
 // liveness bookkeeping every layer shares; component state hangs off
-// the registered slots.
+// the registered slots, whose table the record holds inline.
 type Record struct {
 	ID   id.ID
 	Addr string
@@ -88,7 +92,7 @@ type Record struct {
 	touch    time.Duration
 	admitted bool
 	doomed   bool
-	slots    []any
+	slots    [maxSlots]any
 }
 
 // Admitted reports whether the peer ever entered routing state.
@@ -129,6 +133,10 @@ type Registry struct {
 	live  []int
 	drops []uint64
 
+	// evict is the sweep's eviction list, kept between sweeps and cleared
+	// after each so that it holds no record.
+	evict []*Record
+
 	sweeps           uint64
 	evictedStrangers uint64
 	evictedAdmitted  uint64
@@ -166,6 +174,9 @@ func (r *Registry) NewRetainedSlot(name string) Slot {
 }
 
 func (r *Registry) addSlot(name string, prune PruneFunc) Slot {
+	if len(r.slots) == maxSlots {
+		panic("peer: slot " + name + " is past the record's inline slot table (maxSlots)")
+	}
 	r.slots = append(r.slots, slotDef{name: name, prune: prune})
 	r.live = append(r.live, 0)
 	r.drops = append(r.drops, 0)
@@ -198,22 +209,11 @@ func (r *Registry) Obtain(x id.ID, addr string, now time.Duration) *Record {
 }
 
 // Get returns the record's value for the slot (nil when unset).
-func (rec *Record) Get(s Slot) any {
-	if s.idx >= len(rec.slots) {
-		return nil
-	}
-	return rec.slots[s.idx]
-}
+func (rec *Record) Get(s Slot) any { return rec.slots[s.idx] }
 
 // Put stores the record's value for the slot (nil clears it) and keeps
-// the registry's live-slot accounting. A record's slot table is allocated
-// on its first Put, sized once for every slot registered so far.
+// the registry's live-slot accounting.
 func (r *Registry) Put(rec *Record, s Slot, v any) {
-	if s.idx >= len(rec.slots) {
-		grown := make([]any, len(r.slots))
-		copy(grown, rec.slots)
-		rec.slots = grown
-	}
 	old := rec.slots[s.idx]
 	rec.slots[s.idx] = v
 	if old == nil && v != nil {
@@ -242,8 +242,8 @@ func (r *Registry) Each(fn func(*Record)) {
 // Busy records veto TTL eviction until their slots drain; the leak
 // detector uses this to tell vetoed records from genuinely leaked ones.
 func (r *Registry) Busy(rec *Record) bool {
-	for i, v := range rec.slots {
-		if v != nil && r.slots[i].prune != nil {
+	for i, sd := range r.slots {
+		if rec.slots[i] != nil && sd.prune != nil {
 			return true
 		}
 	}
@@ -277,7 +277,7 @@ func (r *Registry) Expel(x id.ID, addr string) {
 // Returns the number of records evicted.
 func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 	r.sweeps++
-	var evict []*Record
+	evict := r.evict[:0]
 	for x, rec := range r.recs {
 		m := member(x)
 		if m {
@@ -289,12 +289,11 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			rec.Touch(now)
 		}
 		busy := false
-		for i := range rec.slots {
+		for i, sd := range r.slots {
 			v := rec.slots[i]
 			if v == nil {
 				continue
 			}
-			sd := r.slots[i]
 			if sd.prune == nil {
 				continue // retained: lives with the record
 			}
@@ -321,8 +320,8 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 	slices.SortFunc(evict, func(a, b *Record) int { return a.ID.Cmp(b.ID) })
 	for _, rec := range evict {
 		delete(r.recs, rec.ID)
-		for i, v := range rec.slots {
-			if v != nil {
+		for i := range r.slots {
+			if rec.slots[i] != nil {
 				r.live[i]--
 			}
 		}
@@ -338,6 +337,8 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			fn(rec.ID, rec.Addr)
 		}
 	}
+	clear(evict)
+	r.evict = evict[:0]
 	return len(evict)
 }
 

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -180,38 +181,91 @@ func TestExpelWithoutRecordIsSafe(t *testing.T) {
 	}
 }
 
-// A record's slot table is sized once, on its first Put, whichever slot
-// that Put names; slots registered later still fit. A sweep with nothing
-// to evict — nearly every sweep — allocates nothing.
+// A record holds its slot table inline, so a peer's whole state is one
+// object: Obtain of a new peer allocates its record, and filling every
+// slot, prunable or retained, allocates nothing more. A sweep with
+// nothing to evict — nearly every sweep — allocates nothing, and one that
+// evicts reuses the registry's eviction list.
 func TestRegistryAllocations(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: time.Hour})
 	var slots []Slot
 	for _, name := range []string{"a", "b", "c", "d"} {
 		slots = append(slots, r.NewSlot(name, func(_ id.ID, v any, _ time.Duration, _ bool) any { return v }))
 	}
+	slots = append(slots, r.NewRetainedSlot("e"))
 	v := &struct{ int }{1}
-	fresh := make([]Record, 101) // AllocsPerRun calls once to warm up, then 100 times
+	// The peers are inserted once and evicted before the pin, so the
+	// pinned Obtains find the map already grown.
+	const runs = 100
+	ids := make([]id.ID, runs+1) // AllocsPerRun calls once to warm up
+	for i := range ids {
+		ids[i] = id.New(uint64(i)+1, 0)
+		r.Obtain(ids[i], "a", 0)
+	}
+	none := member()
+	if n := r.Sweep(time.Minute, none); n != len(ids) {
+		t.Fatalf("evicted %d, want %d", n, len(ids))
+	}
 	next := 0
-	if got := testing.AllocsPerRun(100, func() {
-		rec := &fresh[next]
+	if got := testing.AllocsPerRun(runs, func() {
+		rec := r.Obtain(ids[next], "a", time.Minute)
 		next++
-		r.Put(rec, slots[3], v) // the last slot first
-		r.Put(rec, slots[0], v)
-	}); got > 1 {
-		t.Errorf("two Puts on a fresh record: %v allocs, want at most 1 (the slot table)", got)
+		for i := len(slots) - 1; i >= 0; i-- { // the last slot first
+			r.Put(rec, slots[i], v)
+		}
+	}); got != 1 {
+		t.Errorf("Obtain and a Put into every slot: %v allocs, want 1 (the record)", got)
+	}
+	for _, s := range slots {
+		if r.SlotCount(s) != len(ids) {
+			t.Fatalf("slot count %d, want %d", r.SlotCount(s), len(ids))
+		}
 	}
 
-	rec := r.Obtain(testID(1), "a", 0)
-	r.Put(rec, slots[1], v)
-	late := r.NewRetainedSlot("late")
-	r.Put(rec, late, v)
-	if rec.Get(slots[1]) != v || rec.Get(late) != v || r.SlotCount(late) != 1 {
-		t.Fatal("a slot registered after the record's first Put lost a value")
-	}
-	isMember := member(testID(1))
-	if got := testing.AllocsPerRun(100, func() { r.Sweep(time.Second, isMember) }); got != 0 {
+	isMember := member(ids[0])
+	if got := testing.AllocsPerRun(100, func() { r.Sweep(time.Minute, isMember) }); got != 0 {
 		t.Errorf("sweep that evicts nothing: %v allocs, want 0", got)
 	}
+
+	for _, x := range ids {
+		for _, s := range slots {
+			r.Put(r.Lookup(x), s, nil)
+		}
+	}
+	if n := r.Sweep(2*time.Hour, none); n != len(ids) {
+		t.Fatalf("evicted %d, want %d", n, len(ids))
+	}
+	next = 0
+	if got := testing.AllocsPerRun(runs, func() {
+		r.Obtain(ids[next], "a", 2*time.Hour)
+		next++
+		r.Sweep(2*time.Hour+time.Minute, none)
+	}); got != 1 {
+		t.Errorf("a peer observed and evicted: %v allocs, want 1 (the record)", got)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d records survived their sweep", r.Len())
+	}
+	for _, rec := range r.evict[:cap(r.evict)] {
+		if rec != nil {
+			t.Fatal("the eviction list holds a record after its sweep")
+		}
+	}
+}
+
+// TestSlotTableIsFixed: a record's inline table has room for maxSlots
+// slots, and registering one more is a programming error.
+func TestSlotTableIsFixed(t *testing.T) {
+	r := New(Config{})
+	for i := 0; i < maxSlots; i++ {
+		r.NewRetainedSlot(fmt.Sprint(i))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a slot past the table's size was registered")
+		}
+	}()
+	r.NewRetainedSlot("one too many")
 }
 
 // BenchmarkRegistryAdmitEvict is the CI lifecycle smoke: observe,
