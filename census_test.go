@@ -169,6 +169,7 @@ var keptForTest = map[string]string{
 	"peer.Record.Touched":           "internal/harness/leak_test.go, likewise",
 	"pastry.Node.PeerMember":        "internal/harness/leak_test.go, likewise",
 	"dht.Store.HasLocal":            "public façade API (mspastry.DHTStore) that Example_kvStore demonstrates",
+	"eventsim.Event.Armed":          "internal/pastry's checkRecords asks whether a parked record's kept handle is pending",
 }
 
 // configTypes are the Config types whose fields the field rule checks;

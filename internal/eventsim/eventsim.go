@@ -22,19 +22,30 @@ type Handler interface {
 }
 
 // Event is a scheduled callback: the Handler that can be cancelled before
-// it fires. The simulator never reuses an Event, so a handle stays safe to
-// Cancel for as long as its holder keeps it.
+// it fires. Only its holder re-arms it (Rearm), and only once it is dead,
+// so a handle stays safe to Cancel for as long as its holder keeps it.
 type Event struct {
-	fn       func()
-	canceled bool
+	fn func()
+	// live is 1 + the seq of the event's pending arming, 0 once that
+	// arming fired or was cancelled. A queue entry whose seq it does not
+	// name is a cancelled arming: it never fires and never counts.
+	live uint64
 }
 
-// Fire implements Handler: it runs the callback.
-func (e *Event) Fire() { e.fn() }
+// Fire implements Handler: it ends the arming, then runs the callback, so
+// the callback may re-arm its own event.
+func (e *Event) Fire() {
+	e.live = 0
+	e.fn()
+}
 
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
+func (e *Event) Cancel() { e.live = 0 }
+
+// Armed reports whether the event is pending: armed by At, After or Rearm
+// and since then neither fired nor cancelled.
+func (e *Event) Armed() bool { return e.live != 0 }
 
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; construct with New.
@@ -70,7 +81,8 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // Schedule queues h to fire at absolute virtual time t, fire-and-forget:
 // there is no handle, so nothing can cancel it and h may recycle itself
 // once fired. Scheduling in the past (before Now) panics: that is always a
-// logic error in a simulation.
+// logic error in a simulation. An *Event is armed by At, After and Rearm,
+// not here: queued this way it would count as cancelled.
 func (s *Simulator) Schedule(t time.Duration, h Handler) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
@@ -82,7 +94,7 @@ func (s *Simulator) Schedule(t time.Duration, h Handler) {
 // At schedules fn to run at absolute virtual time t and returns the handle
 // that cancels it; like Schedule, it panics for a t before Now.
 func (s *Simulator) At(t time.Duration, fn func()) *Event {
-	e := &Event{fn: fn}
+	e := &Event{fn: fn, live: s.seq + 1}
 	s.Schedule(t, e)
 	return e
 }
@@ -90,6 +102,20 @@ func (s *Simulator) At(t time.Duration, fn func()) *Event {
 // After schedules fn to run d after the current virtual time.
 func (s *Simulator) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
+}
+
+// Rearm queues e's callback again, d after the current virtual time, in
+// the order After would have given a new event, and reports true. While e
+// is pending it does nothing and reports false. A cancelled arming of e
+// may still sit in the queue; it is told apart by its seq, so it neither
+// fires nor counts as a step.
+func (s *Simulator) Rearm(e *Event, d time.Duration) bool {
+	if e.live != 0 {
+		return false
+	}
+	e.live = s.seq + 1
+	s.Schedule(s.now+d, e)
+	return true
 }
 
 // Stop makes the current Run/RunUntil call return after the current event's
@@ -164,11 +190,12 @@ func (e entry) before(o entry) bool {
 	return e.seq < o.seq
 }
 
-// canceled reports whether the entry is an Event whose Cancel was called;
-// Step and peek drop such entries without counting them.
+// canceled reports whether the entry is an Event arming that was
+// cancelled, whether or not the Event was re-armed since; Step and peek
+// drop such entries without counting them.
 func (e entry) canceled() bool {
 	ev, ok := e.h.(*Event)
-	return ok && ev.canceled
+	return ok && ev.live != e.seq+1
 }
 
 func (s *Simulator) push(e entry) {

@@ -203,25 +203,72 @@ func TestStepsCountsOnlyFiredEvents(t *testing.T) {
 	}
 }
 
+// A cancelled arming stays queued after its event is re-armed, earlier
+// than the new arming: it is dropped at the top without firing and without
+// counting, and the new arming fires once, at its own time.
+func TestRearmedEventSkipsItsCancelledArming(t *testing.T) {
+	s := New(1)
+	var at []time.Duration
+	e := s.At(2*time.Second, func() { at = append(at, s.Now()) })
+	if s.Rearm(e, time.Second) {
+		t.Fatal("Rearm of a pending event reported true")
+	}
+	e.Cancel()
+	if e.Armed() || !s.Rearm(e, 3*time.Second) || !e.Armed() {
+		t.Fatal("a cancelled event did not re-arm")
+	}
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d after Cancel and Rearm, want 2", s.Pending())
+	}
+	s.Run()
+	if s.Steps() != 1 || !slices.Equal(at, []time.Duration{3 * time.Second}) {
+		t.Fatalf("Steps = %d, fired at %v; want the re-armed event once, at 3s", s.Steps(), at)
+	}
+	if e.Armed() {
+		t.Fatal("a fired event is still armed")
+	}
+}
+
+// A callback re-arms its own event: the event is dead while it runs.
+func TestRearmFromOwnCallback(t *testing.T) {
+	s := New(1)
+	var e *Event
+	var at []time.Duration
+	e = s.At(time.Second, func() {
+		at = append(at, s.Now())
+		if len(at) < 3 && !s.Rearm(e, time.Second) {
+			t.Error("Rearm from the running callback reported false")
+		}
+	})
+	s.Run()
+	if want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}; !slices.Equal(at, want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+}
+
 type nopHandler struct{}
 
 func (*nopHandler) Fire() {}
 
 // TestSchedulingAllocations pins the engine's own cost per event: the queue
 // holds entries by value, so a handler that already exists costs nothing
-// to schedule and fire, and a cancellable callback costs its Event handle.
+// to schedule and fire, a cancellable callback costs its Event handle, and
+// re-arming that handle costs nothing.
 func TestSchedulingAllocations(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 64; i++ { // a standing queue, grown before measuring
 		s.At(time.Hour, func() {})
 	}
 	h, fn := &nopHandler{}, func() {}
+	ev := s.At(s.Now(), fn)
+	s.Step()
 	for name, pin := range map[string]struct {
 		want float64
 		f    func()
 	}{
 		"Schedule+Step": {0, func() { s.Schedule(s.Now(), h); s.Step() }},
 		"At+Step":       {1, func() { s.At(s.Now(), fn); s.Step() }},
+		"Rearm+Step":    {0, func() { s.Rearm(ev, 0); s.Step() }},
 	} {
 		if got := testing.AllocsPerRun(100, pin.f); got != pin.want {
 			t.Errorf("%s: %v allocs per event, want %v", name, got, pin.want)
@@ -230,10 +277,12 @@ func TestSchedulingAllocations(t *testing.T) {
 }
 
 func TestHeapPropertyRandomOrder(t *testing.T) {
-	// Property: whatever the interleaving of scheduling and stepping, events
-	// fire in (time, scheduling order) — checked against a reference queue
-	// that finds its minimum by linear scan. Times are drawn from a small
-	// range so that most of them collide.
+	// Property: whatever the interleaving of scheduling, cancelling,
+	// re-arming and stepping, events fire in (time, arming order) —
+	// checked against a reference queue that finds its minimum by linear
+	// scan. Times are drawn from a small range so that most of them
+	// collide, and a re-arm or cancel picks any event made by At so far,
+	// pending, fired or cancelled.
 	type ref struct {
 		when time.Duration
 		idx  int
@@ -242,6 +291,8 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 		s := New(1)
 		var fired, want []int
 		var queue []ref
+		events := make(map[int]*Event) // idx -> the handle At returned
+		var made []int                 // the idx of every At, in order
 		refStep := func() {
 			if len(queue) == 0 {
 				return
@@ -255,15 +306,36 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 			want = append(want, queue[min].idx)
 			queue = append(queue[:min], queue[min+1:]...)
 		}
+		queued := func(idx int) int {
+			return slices.IndexFunc(queue, func(r ref) bool { return r.idx == idx })
+		}
 		for i, v := range raw {
 			i := i
-			when := s.Now() + time.Duration(v%32)*time.Millisecond
-			if v&1 == 0 {
-				s.At(when, func() { fired = append(fired, i) })
-			} else {
-				s.Schedule(when, appendHandler{&fired, i})
+			d := time.Duration(v>>2%32) * time.Millisecond
+			switch op := v % 4; {
+			case op == 0 || op > 1 && len(made) == 0:
+				events[i] = s.At(s.Now()+d, func() { fired = append(fired, i) })
+				made = append(made, i)
+				queue = append(queue, ref{s.Now() + d, i})
+			case op == 1:
+				s.Schedule(s.Now()+d, appendHandler{&fired, i})
+				queue = append(queue, ref{s.Now() + d, i})
+			case op == 2:
+				idx := made[int(v>>7)%len(made)]
+				pending := queued(idx) >= 0
+				if s.Rearm(events[idx], d) == pending || !events[idx].Armed() {
+					return false
+				}
+				if !pending {
+					queue = append(queue, ref{s.Now() + d, idx})
+				}
+			default:
+				idx := made[int(v>>7)%len(made)]
+				events[idx].Cancel()
+				if q := queued(idx); q >= 0 {
+					queue = append(queue[:q], queue[q+1:]...)
+				}
 			}
-			queue = append(queue, ref{when, i})
 			if v%3 == 0 {
 				s.Step()
 				refStep()
@@ -273,7 +345,7 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 		for len(queue) > 0 {
 			refStep()
 		}
-		return len(fired) == len(raw) && slices.Equal(fired, want)
+		return slices.Equal(fired, want) && s.Steps() == uint64(len(fired))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)

@@ -244,6 +244,13 @@ func (ep *Endpoint) Schedule(d time.Duration, fn func()) pastry.Timer {
 	return ep.nw.sim.After(d, fn)
 }
 
+// Rearm implements pastry.Rearmer: a handle Schedule returned that has
+// fired or been cancelled is queued again, d from now (eventsim's Rearm).
+func (ep *Endpoint) Rearm(t pastry.Timer, d time.Duration) bool {
+	ev, ok := t.(*eventsim.Event)
+	return ok && ep.nw.sim.Rearm(ev, d)
+}
+
 // Send implements pastry.Env. With no coalescing window the message is
 // framed and transmitted immediately, exactly as before batching existed:
 // traffic hook, one loss roll, fault rolls, then delivery after the

@@ -3,6 +3,7 @@ package netmodel
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -395,38 +396,77 @@ func TestSendAllocations(t *testing.T) {
 	}
 }
 
+// foreignTimer is a pastry.Timer no Env made.
+type foreignTimer struct{}
+
+func (foreignTimer) Cancel() {}
+
 // TestCancelledTimerNeverFires holds Endpoint to pastry.Timer's contract: a
 // node reuses a hop or probe record once it has cancelled the record's
 // timer, so a cancelled timer that fired would time out a stranger's hop.
+// It holds Endpoint to pastry.Rearmer's too: a record keeps its handle and
+// re-arms it, so a cancelled arming of it that fired would do the same.
 func TestCancelledTimerNeverFires(t *testing.T) {
 	const d = 20 * time.Millisecond
+	const (
+		noRearm          = iota
+		rearmCancelled   // by the arming code, after its cancels, to 2d
+		rearmPending     // by the arming code, still pending: refused
+		rearmFromRunning // by its own callback, once, d later
+		rearmForeign     // the arming code offers a stranger's handle: refused
+	)
 	for _, tc := range []struct {
 		name   string
 		cancel bool
 		after  time.Duration // < 0: cancelled by the arming code, twice
-		want   int
+		rearm  int
+		want   []time.Duration // when the callback ran
 	}{
-		{"never cancelled", false, 0, 1},
-		{"at once, twice", true, -1, 0},
-		{"from an earlier callback", true, d / 2, 0},
-		{"from a callback due at the same instant", true, d, 0},
+		{"never cancelled", false, 0, noRearm, []time.Duration{d}},
+		{"at once, twice", true, -1, noRearm, nil},
+		{"from an earlier callback", true, d / 2, noRearm, nil},
+		{"from a callback due at the same instant", true, d, noRearm, nil},
+		{"cancelled, re-armed before the old deadline", true, -1, rearmCancelled, []time.Duration{2 * d}},
+		{"re-armed from its own callback", false, 0, rearmFromRunning, []time.Duration{d, 2 * d}},
+		{"re-armed while pending", false, 0, rearmPending, []time.Duration{d}},
+		{"a foreign handle re-armed", false, 0, rearmForeign, []time.Duration{d}},
 	} {
 		sim, nw := testNet(t, 0)
 		ep := nw.NewEndpoint(nw.topo.Attach(1, sim.Rand()))
 		var victim pastry.Timer
-		fired := 0
+		var ran []time.Duration
 		if tc.cancel && tc.after >= 0 {
 			ep.Schedule(tc.after, func() { victim.Cancel() })
 		}
-		victim = ep.Schedule(d, func() { fired++; victim.Cancel() }) // on itself, running: nothing
+		victim = ep.Schedule(d, func() {
+			ran = append(ran, sim.Now())
+			victim.Cancel() // on itself, running: nothing
+			if tc.rearm == rearmFromRunning && len(ran) == 1 && !ep.Rearm(victim, d) {
+				t.Errorf("%s: Rearm refused the running timer", tc.name)
+			}
+		})
 		if tc.cancel && tc.after < 0 {
 			victim.Cancel()
 			victim.Cancel()
 		}
-		sim.RunUntil(2 * d)
+		switch tc.rearm {
+		case rearmCancelled:
+			if !ep.Rearm(victim, 2*d) {
+				t.Errorf("%s: Rearm refused the cancelled timer", tc.name)
+			}
+		case rearmPending:
+			if ep.Rearm(victim, 2*d) {
+				t.Errorf("%s: Rearm took a pending timer", tc.name)
+			}
+		case rearmForeign:
+			if ep.Rearm(foreignTimer{}, d) {
+				t.Errorf("%s: Rearm took a foreign handle", tc.name)
+			}
+		}
+		sim.RunUntil(3 * d)
 		victim.Cancel() // after the deadline: nothing to undo
-		if fired != tc.want {
-			t.Errorf("%s: the callback ran %d times, want %d", tc.name, fired, tc.want)
+		if !slices.Equal(ran, tc.want) {
+			t.Errorf("%s: the callback ran at %v, want %v", tc.name, ran, tc.want)
 		}
 	}
 }

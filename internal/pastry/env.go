@@ -18,6 +18,19 @@ type Timer interface {
 	Cancel()
 }
 
+// Rearmer is an optional Env extension: an Env that can queue a timer it
+// returned again, so a slot that keeps its handle (arm) re-arms it instead
+// of asking Schedule for a new one. The node detects it once, at
+// construction. Only the slot that owns a handle re-arms it, and only once
+// the handle is dead, so no other holder's Cancel can reach the new arming.
+type Rearmer interface {
+	// Rearm queues t's callback again, d from now, and reports true, when
+	// t has fired or been cancelled. It does nothing and reports false when
+	// t is still pending, is not one of this Env's timers, or the Env runs
+	// no more callbacks; the caller then calls Schedule.
+	Rearm(t Timer, d time.Duration) bool
+}
+
 // stop cancels t, a timer that may never have been armed.
 func stop(t Timer) {
 	if t != nil {

@@ -18,11 +18,13 @@ type Node struct {
 	cfg Config
 	env Env
 	obs Observer
-	// tobs and sobs cache the observer's optional telemetry extensions
-	// (detected once at construction; nil when not implemented).
-	tobs TraceObserver
-	sobs StatsObserver
-	self NodeRef
+	// tobs and sobs cache the observer's optional telemetry extensions,
+	// rearm the Env's Rearmer (detected once at construction; nil when not
+	// implemented).
+	tobs  TraceObserver
+	sobs  StatsObserver
+	rearm Rearmer
+	self  NodeRef
 
 	ls *LeafSet
 	rt *RoutingTable
@@ -102,6 +104,9 @@ type Node struct {
 
 	// The node's own timer slots (arm); records carry their own.
 	tickAlarm, repairAlarm, joinAlarm, nnAlarm, issuedAlarm alarm
+	// repairArmed is set while repairAlarm is pending: a paced-out repair
+	// waits for it (repairProbe).
+	repairArmed bool
 
 	app App
 
@@ -242,6 +247,7 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)
 	n.sobs, _ = obs.(StatsObserver)
+	n.rearm, _ = env.(Rearmer)
 	n.trtCurrent = n.initialTrt()
 	n.trtLocal = n.trtCurrent
 	return n, nil
@@ -520,20 +526,28 @@ var timerRules = [timerKinds]string{
 
 func (k timerKind) String() string { return timerRules[k] }
 
-// alarm is one timer slot, the node's or a record's: the timer armed last
+// alarm is one timer slot, the node's or a record's: the handle armed last
 // and the callback that runs it, bound to the slot's kind and owner when
-// the slot is first armed and kept from then on.
+// the slot is first armed and kept from then on. A parked record keeps its
+// whole alarm; its handle is dead by then.
 type alarm struct {
 	timer Timer
 	run   func()
 }
 
 // arm arms slot a to run kind k's rule after d, on rec (nil for the node's
-// own slots). It is the package's one call of Env.Schedule, and allocates
-// nothing but the Env's handle once the slot is bound.
+// own slots). Once the slot is bound and has a handle, an Env with the
+// Rearmer extension re-arms that handle when it is dead, and arm allocates
+// nothing. Otherwise — a first arming, an Env without the extension, a
+// handle still pending, such as the issued-lookup slot's when two lookups
+// are issued at one instant — it asks Env.Schedule, the package's one call
+// of it, for a new handle, and the old one runs on as it was armed.
 func (n *Node) arm(k timerKind, d time.Duration, a *alarm, rec any) {
 	if a.run == nil {
 		a.run = func() { n.fire(k, rec) }
+	}
+	if a.timer != nil && n.rearm != nil && n.rearm.Rearm(a.timer, d) {
+		return
 	}
 	a.timer = n.env.Schedule(d, a.run)
 }

@@ -19,8 +19,8 @@ type distSession struct {
 	seqs      [distProbeCount]uint64
 	sentAt    [distProbeCount]time.Duration
 	samples   [distProbeCount]time.Duration
-	// sample[i] sends probe i+1; deadline ends the session. Each slot's
-	// callback is bound once and kept across reuse.
+	// sample[i] sends probe i+1; deadline ends the session. Each alarm is
+	// bound once and kept across reuse.
 	sample   [distProbeCount - 1]alarm
 	deadline alarm
 	// waiters are the completions, in the order they were asked for; the
@@ -82,16 +82,12 @@ func (n *Node) takeDist() *distSession {
 // 1.4% of its allocations and read 8 MiB more peak heap there.
 const maxFreeDists = 8
 
-// parkDist empties ds but for its bound callbacks and its waiters' array
-// and puts it on the free list (up to maxFreeDists). The caller has taken
-// ds out of distSessions and distSeqs and cancelled its timers.
+// parkDist empties ds but for its alarms and its waiters' array and puts
+// it on the free list (up to maxFreeDists). The caller has taken ds out of
+// distSessions and distSeqs and cancelled its timers.
 func (n *Node) parkDist(ds *distSession) {
 	clear(ds.waiters)
-	kept := distSession{deadline: alarm{run: ds.deadline.run}, waiters: ds.waiters[:0]}
-	for i := range ds.sample {
-		kept.sample[i].run = ds.sample[i].run
-	}
-	*ds = kept
+	*ds = distSession{sample: ds.sample, deadline: ds.deadline, waiters: ds.waiters[:0]}
 	if len(n.freeDists) < maxFreeDists {
 		n.freeDists = append(n.freeDists, ds)
 	}

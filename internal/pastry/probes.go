@@ -39,9 +39,9 @@ func (n *Node) probe(ref NodeRef, isLeaf, announce bool) {
 
 // startProbe starts the probe p describes (its ref and kind): it fills a
 // record with p — a parked record when the free list has any, a new one
-// otherwise; the timeout's bound callback survives every park, as a hop
-// record's does (takeHop) — enters it in n.probing, sends the probe and
-// arms its timeout.
+// otherwise; the timeout's alarm survives every park, as a hop record's
+// does (takeHop) — enters it in n.probing, sends the probe and arms its
+// timeout.
 func (n *Node) startProbe(p probeState) {
 	var ps *probeState
 	if last := len(n.freeProbes) - 1; last >= 0 {
@@ -50,7 +50,7 @@ func (n *Node) startProbe(p probeState) {
 	} else {
 		ps = new(probeState)
 	}
-	p.alarm = alarm{run: ps.run}
+	p.alarm = ps.alarm
 	*ps = p
 	n.probing[p.ref.ID] = ps
 	n.sendProbeMsg(ps)
@@ -63,7 +63,7 @@ func (n *Node) startProbe(p probeState) {
 func (n *Node) parkProbe(ps *probeState) {
 	delete(n.probing, ps.ref.ID)
 	stop(ps.timer)
-	*ps = probeState{alarm: alarm{run: ps.run}}
+	*ps = probeState{alarm: ps.alarm}
 	if len(n.freeProbes) < n.maxFree() {
 		n.freeProbes = append(n.freeProbes, ps)
 	}
@@ -213,7 +213,7 @@ func (n *Node) repairLeafSet() {
 			progressed = n.repairProbe(cand, "repair-right-empty") || progressed
 		}
 	}
-	if progressed || n.repairAlarm.timer != nil {
+	if progressed || n.repairArmed {
 		return
 	}
 	// Nothing left to probe. If the node is still joining, its seed may
@@ -236,7 +236,8 @@ func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 	now := n.env.Now()
 	s := n.suppressOf(n.peers.Obtain(ref.ID, ref.Addr, now))
 	if s.lastRepair != 0 && now-s.lastRepair < n.cfg.To {
-		if n.repairAlarm.timer == nil {
+		if !n.repairArmed {
+			n.repairArmed = true
 			n.arm(timerRepairRetry, n.cfg.To-(now-s.lastRepair), &n.repairAlarm, nil)
 		}
 		return false
@@ -252,7 +253,7 @@ func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 // repairRetry re-enters a paced-out repair once its pacing window has
 // passed, unless probes in flight or a complete leaf set made it moot.
 func (n *Node) repairRetry() {
-	n.repairAlarm.timer = nil
+	n.repairArmed = false
 	if len(n.probing) == 0 && !n.ls.Complete() {
 		n.repairLeafSet()
 	}

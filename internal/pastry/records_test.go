@@ -1,11 +1,14 @@
 package pastry
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"mspastry/internal/eventsim"
 	"mspastry/internal/id"
 )
 
@@ -14,8 +17,17 @@ import (
 // record is parked once, empty, with its timers dead and before control is
 // handed on; whoever takes it next sees none of its past, and nothing from
 // its past — a late ack or echo, a cancelled timer — reaches its new holder.
+// A parked record keeps its timer handles, dead, for its next holder to
+// re-arm (arm).
 
-// checkRecords verifies the record invariants of one node.
+// timerPending reports whether tm, a handle of the test Env's, is armed:
+// neither fired nor cancelled since it was last armed.
+func timerPending(tm Timer) bool {
+	return tm != nil && tm.(*eventsim.Event).Armed()
+}
+
+// checkRecords verifies the record invariants of one node. An outstanding
+// record's timer is pending while the node lives; a crash cancels it.
 func checkRecords(t *testing.T, n *Node) {
 	t.Helper()
 	if len(n.freeHops) > n.maxFree() || len(n.freeProbes) > n.maxFree() || len(n.freeDists) > maxFreeDists {
@@ -31,7 +43,10 @@ func checkRecords(t *testing.T, n *Node) {
 		if ph.run == nil {
 			t.Fatalf("parked hop record lost its bound timeout: %+v", ph)
 		}
-		if ph.lookup != nil || ph.join != nil || ph.timer != nil || ph.tried.n != 0 || ph.tried.spill != nil ||
+		if timerPending(ph.timer) {
+			t.Fatalf("parked hop record has a live timer: %+v", ph)
+		}
+		if ph.lookup != nil || ph.join != nil || ph.tried.n != 0 || ph.tried.spill != nil ||
 			ph.xfer != 0 || ph.attempts != 0 || !ph.to.IsZero() || ph.key != (id.ID{}) || ph.sentAt != 0 || ph.retx {
 			t.Fatalf("parked hop record is not empty: %+v", ph)
 		}
@@ -40,7 +55,7 @@ func checkRecords(t *testing.T, n *Node) {
 		if freeHops[ph] {
 			t.Fatalf("hop record of transmission %d is pending and on the free list", xfer)
 		}
-		if ph.xfer != xfer || ph.run == nil || ph.timer == nil || (ph.lookup == nil) == (ph.join == nil) || !ph.tried.has(ph.to.ID) {
+		if ph.xfer != xfer || ph.run == nil || timerPending(ph.timer) != n.alive || (ph.lookup == nil) == (ph.join == nil) || !ph.tried.has(ph.to.ID) {
 			t.Fatalf("pending hop %d has a damaged record: %+v", xfer, ph)
 		}
 	}
@@ -53,7 +68,10 @@ func checkRecords(t *testing.T, n *Node) {
 		if ps.run == nil {
 			t.Fatalf("parked probe record lost its bound timeout: %+v", ps)
 		}
-		if !ps.ref.IsZero() || ps.timer != nil || ps.isLeaf || ps.retries != 0 || ps.announce || ps.reconnect {
+		if timerPending(ps.timer) {
+			t.Fatalf("parked probe record has a live timer: %+v", ps)
+		}
+		if !ps.ref.IsZero() || ps.isLeaf || ps.retries != 0 || ps.announce || ps.reconnect {
 			t.Fatalf("parked probe record is not empty: %+v", ps)
 		}
 	}
@@ -61,7 +79,7 @@ func checkRecords(t *testing.T, n *Node) {
 		if freeProbes[ps] {
 			t.Fatalf("probe record of %v is outstanding and on the free list", x)
 		}
-		if ps.ref.ID != x || ps.run == nil || ps.timer == nil {
+		if ps.ref.ID != x || ps.run == nil || timerPending(ps.timer) != n.alive {
 			t.Fatalf("outstanding probe of %v has a damaged record: %+v", x, ps)
 		}
 	}
@@ -71,7 +89,7 @@ func checkRecords(t *testing.T, n *Node) {
 			t.Fatalf("session record %p is on the free list twice", ds)
 		}
 		freeDists[ds] = true
-		if ds.deadline.timer != nil || slices.ContainsFunc(ds.sample[:], func(a alarm) bool { return a.timer != nil }) {
+		if timerPending(ds.deadline.timer) || slices.ContainsFunc(ds.sample[:], func(a alarm) bool { return timerPending(a.timer) }) {
 			t.Fatalf("parked session record has a live timer: %+v", ds)
 		}
 		if !ds.target.IsZero() || ds.want != 0 || ds.sent != 0 || ds.got != 0 || ds.seqs != [distProbeCount]uint64{} ||
@@ -84,7 +102,7 @@ func checkRecords(t *testing.T, n *Node) {
 		if freeDists[ds] {
 			t.Fatalf("session record of %v is measuring and on the free list", x)
 		}
-		if ds.target.ID != x || ds.deadline.run == nil || ds.deadline.timer == nil || ds.want < 1 || ds.want > distProbeCount ||
+		if ds.target.ID != x || ds.deadline.run == nil || timerPending(ds.deadline.timer) != n.alive || ds.want < 1 || ds.want > distProbeCount ||
 			ds.sent < 1 || ds.sent > ds.want || ds.got >= ds.want || ds.got > ds.sent || len(ds.waiters) == 0 {
 			t.Fatalf("session of %v has a damaged record: %+v", x, ds)
 		}
@@ -484,12 +502,12 @@ func TestRecordsUnderChurnAndLoss(t *testing.T) {
 }
 
 // TestRecordAllocations pins, with the free lists warm, what the node's
-// own bookkeeping may allocate beside the messages it sends and the one
-// handle the Env returns per timer (the test Env's is an *eventsim.Event).
-// Exact maxima: the next closure someone adds to transmit or to a distance
-// measurement fails here.
+// own bookkeeping may allocate beside the messages it sends: nothing. A
+// timer costs nothing either, as every slot a pin arms (a record's or the
+// node's) re-arms the handle it kept (the test Env is a Rearmer). Exact
+// maxima: the next closure someone adds to transmit or to a distance
+// measurement, or a slot that drops its handle, fails here.
 func TestRecordAllocations(t *testing.T) {
-	const handle = 1
 	net, n, _ := hopNode(t, testConfig(), nil)
 	for _, l := range fullLeafSet(n.self.ID, n.cfg.L) {
 		n.ls.Add(l)
@@ -526,26 +544,25 @@ func TestRecordAllocations(t *testing.T) {
 	}{
 		// The ack for the hop that arrived and the envelope that carries
 		// the lookup on; taking the next hop's ack costs nothing.
-		"forward an acked hop, take its ack": {2 + handle, func() {
+		"forward an acked hop, take its ack": {2, func() {
 			arriving.Lookup.Hops = 0
 			n.Receive(arriving)
 			ack.Xfer = n.nextXfer
 			n.Receive(ack)
 		}},
 		// The Lookup; the root is the origin itself.
-		"Lookup through routeIssued": {1 + handle, func() {
+		"Lookup through routeIssued": {1, func() {
 			n.Lookup(local, nil)
 			net.run(0)
 		}},
 		// The probe and (built here, as its sender would) the reply.
-		"leaf probe sent, answered, done": {2 + handle, func() {
+		"leaf probe sent, answered, done": {2, func() {
 			n.probeLeaf(next)
 			n.Receive(&LSProbeReply{From: next})
 		}},
 		// The first pin's ack and envelope, then at the timeout next's probe
-		// and the envelope to alt; the probe's reply. A timer each for the
-		// hop, the probe and the retransmission.
-		"hop timeout, reroute to an alternative": {5 + 3*handle, func() {
+		// and the envelope to alt; the probe's reply.
+		"hop timeout, reroute to an alternative": {5, func() {
 			arriving.Lookup.Hops = 0
 			n.Receive(arriving)
 			net.run(rto) // next stays silent
@@ -556,7 +573,7 @@ func TestRecordAllocations(t *testing.T) {
 		}},
 		// As the reroute, with the retransmission going to prev; prev's ack
 		// closes its breaker, and idling earns back the retry budget's token.
-		"hop timeout, backed-off retransmission to the same peer": {5 + 3*handle, func() {
+		"hop timeout, backed-off retransmission to the same peer": {5, func() {
 			toPrev.Lookup.Hops = 0
 			n.Receive(toPrev)
 			net.run(rto) // prev stays silent
@@ -565,9 +582,8 @@ func TestRecordAllocations(t *testing.T) {
 			n.Receive(&LSProbeReply{From: prev})
 			net.run(time.Second)
 		}},
-		// Routing-table maintenance: three probes, the symmetric report; a
-		// timer each for the second and third probe and the deadline.
-		"3-sample measurement, offered to the table": {4 + 3*handle, func() {
+		// Routing-table maintenance: three probes, the symmetric report.
+		"3-sample measurement, offered to the table": {4, func() {
 			n.measureDistance(next, distProbeCount, nil)
 			for i, echo := range echoes {
 				if i > 0 {
@@ -577,8 +593,8 @@ func TestRecordAllocations(t *testing.T) {
 				n.Receive(echo)
 			}
 		}},
-		// A nearest-neighbour sample: the probe, the report, the deadline.
-		"1-sample measurement, a nearest-neighbour sample": {2 + handle, func() {
+		// A nearest-neighbour sample: the probe, the report.
+		"1-sample measurement, a nearest-neighbour sample": {2, func() {
 			n.measureDistance(prev, 1, n.nn)
 			nnEcho.Seq = n.nextDistSeq
 			n.Receive(nnEcho)
@@ -602,4 +618,83 @@ func TestRecordAllocations(t *testing.T) {
 	if runs := 102; len(retxTo) != 2 || retxTo[alt.ID] != runs || retxTo[prev.ID] != runs {
 		t.Fatalf("retransmissions by destination %v, want %d each to %v and %v", retxTo, runs, alt.ID, prev.ID)
 	}
+}
+
+// eventLog records every observer event with its time and node, in order.
+type eventLog struct{ lines []string }
+
+func (l *eventLog) add(n *Node, format string, args ...any) {
+	l.lines = append(l.lines, fmt.Sprintf("%v %s ", n.Now(), n.self.Addr)+fmt.Sprintf(format, args...))
+}
+
+func (l *eventLog) Activated(n *Node, d time.Duration) { l.add(n, "activated after %v", d) }
+func (l *eventLog) Delivered(n *Node, lk *Lookup)      { l.add(n, "delivered %x", lk.TraceID) }
+func (l *eventLog) LookupDropped(n *Node, lk *Lookup, r DropReason) {
+	l.add(n, "dropped %x: %v", lk.TraceID, r)
+}
+func (l *eventLog) LookupIssued(n *Node, lk *Lookup) { l.add(n, "issued %x", lk.TraceID) }
+func (l *eventLog) LookupHop(n *Node, lk *Lookup, to NodeRef, c HopCause) {
+	l.add(n, "hop %x to %s: %v", lk.TraceID, to.Addr, c)
+}
+
+// TestRearmMovesNothing runs one small overlay through joins, lookups,
+// loss and a crash twice: on the test Env, whose nodes re-arm the handles
+// their slots keep, and on one that hides Rearmer, so that every arming
+// asks Schedule for a new handle (the path of an Env that wraps an
+// endpoint without the extension). A re-armed timer keeps its deadline and
+// its place in the order, so the runs must agree on every event, counter
+// and message, and the simulator must have run as many events.
+func TestRearmMovesNothing(t *testing.T) {
+	type outcome struct {
+		events   []string
+		counters []Counters
+		sent     map[Category]int
+		steps    uint64
+		rearmed  int
+	}
+	run := func(hide bool) outcome {
+		net := newTestNet(t, 7)
+		net.hideRearm = hide
+		log := &eventLog{}
+		net.obs = log
+		cfg := testConfig()
+		cfg.PNS = true
+		nodes := buildOverlay(t, net, 12, cfg)
+		rng := rand.New(rand.NewSource(7))
+		net.drop = func(NodeRef, NodeRef, Message) bool { return rng.Intn(20) == 0 }
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 40; i++ {
+				nodes[rng.Intn(len(nodes))].Lookup(id.Random(rng), nil)
+				if i%4 == 0 {
+					net.run(30 * time.Millisecond)
+				}
+			}
+			if round == 1 {
+				nodes[5].Fail()
+			}
+			net.run(20 * time.Second)
+		}
+		out := outcome{events: log.lines, sent: net.sent, steps: net.sim.Steps(), rearmed: net.rearmed}
+		for _, n := range nodes {
+			out.counters = append(out.counters, n.Stats())
+		}
+		return out
+	}
+	kept, plain := run(false), run(true)
+	if kept.rearmed == 0 || plain.rearmed != 0 {
+		t.Fatalf("handles re-armed: %d with the extension, %d without; want some and none", kept.rearmed, plain.rearmed)
+	}
+	if !slices.Equal(kept.events, plain.events) {
+		for i := range min(len(kept.events), len(plain.events)) {
+			if kept.events[i] != plain.events[i] {
+				t.Fatalf("event %d: %q re-arming, %q scheduling", i, kept.events[i], plain.events[i])
+			}
+		}
+		t.Fatalf("%d events re-arming, %d scheduling", len(kept.events), len(plain.events))
+	}
+	if !slices.Equal(kept.counters, plain.counters) || !maps.Equal(kept.sent, plain.sent) || kept.steps != plain.steps {
+		t.Fatalf("re-arming: %d steps, sent %v, counters %+v\nscheduling: %d steps, sent %v, counters %+v",
+			kept.steps, kept.sent, kept.counters, plain.steps, plain.sent, plain.counters)
+	}
+	t.Logf("%d events, %d simulator steps, %d handles re-armed", len(kept.events), kept.steps, kept.rearmed)
 }

@@ -233,9 +233,9 @@ func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinReques
 }
 
 // takeHop returns an empty hop record: a parked one when the free list has
-// any, a new one otherwise. The callback its timeout is bound to on first
-// arming survives every park, so arming its timer again allocates nothing
-// but the Env's handle.
+// any, a new one otherwise. Its timeout's alarm — the callback bound on
+// first arming and the handle, dead once parked — survives every park, so
+// arming its timer again allocates nothing when the Env re-arms handles.
 func (n *Node) takeHop() *pendingHop {
 	if last := len(n.freeHops) - 1; last >= 0 {
 		ph := n.freeHops[last]
@@ -255,7 +255,7 @@ func (n *Node) takeHop() *pendingHop {
 // netmodel).
 func (n *Node) parkHop(ph *pendingHop) {
 	stop(ph.timer)
-	*ph = pendingHop{alarm: alarm{run: ph.run}}
+	*ph = pendingHop{alarm: ph.alarm}
 	if len(n.freeHops) < n.maxFree() {
 		n.freeHops = append(n.freeHops, ph)
 	}

@@ -3,6 +3,7 @@ package pastry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,6 +27,10 @@ type testNet struct {
 	// obs, if set, observes every node added without an observer of its own.
 	obs  Observer
 	sent map[Category]int
+	// hideRearm gives every node added an Env without the Rearmer
+	// extension; rearmed counts the handles the test Env re-armed.
+	hideRearm bool
+	rearmed   int
 }
 
 func newTestNet(t *testing.T, seed int64) *testNet {
@@ -53,6 +58,19 @@ func (e *testEnv) Schedule(d time.Duration, fn func()) Timer {
 	return e.net.sim.After(d, fn)
 }
 
+// Rearm implements Rearmer, as netmodel.Endpoint does.
+func (e *testEnv) Rearm(t Timer, d time.Duration) bool {
+	ev, ok := t.(*eventsim.Event)
+	if !ok || !e.net.sim.Rearm(ev, d) {
+		return false
+	}
+	e.net.rearmed++
+	return true
+}
+
+// plainEnv hides the Rearmer extension of the Env it embeds.
+type plainEnv struct{ Env }
+
 func (e *testEnv) Send(to NodeRef, m Message) {
 	net := e.net
 	net.sent[m.Category()]++
@@ -77,7 +95,10 @@ func (e *testEnv) Send(to NodeRef, m Message) {
 func (net *testNet) addNode(x id.ID, cfg Config, obs Observer) *Node {
 	addr := fmt.Sprintf("t%d", len(net.nodes))
 	self := NodeRef{ID: x, Addr: addr}
-	env := &testEnv{net: net, addr: addr, self: self}
+	var env Env = &testEnv{net: net, addr: addr, self: self}
+	if net.hideRearm {
+		env = plainEnv{env}
+	}
 	if obs == nil {
 		obs = net.obs
 	}
@@ -173,38 +194,77 @@ func (r *deliveryRecorder) LookupDropped(n *Node, lk *Lookup, reason DropReason)
 	r.dropped[lk.Seq] = reason
 }
 
+// foreignTimer is a Timer no Env made.
+type foreignTimer struct{}
+
+func (foreignTimer) Cancel() {}
+
 // TestCancelledTimerNeverFires holds the test Env to Timer's contract, the
-// property the node's record reuse rests on. A canceller is scheduled
-// before its victim, so at the victim's own instant it runs first.
+// property the node's record reuse rests on, and to Rearmer's, the one a
+// slot's kept handle rests on. A canceller is scheduled before its victim,
+// so at the victim's own instant it runs first; a cancelled arming of a
+// re-armed victim never runs.
 func TestCancelledTimerNeverFires(t *testing.T) {
 	const d = 20 * time.Millisecond
+	const (
+		noRearm          = iota
+		rearmCancelled   // by the arming code, after its cancels, to 2d
+		rearmPending     // by the arming code, still pending: refused
+		rearmFromRunning // by its own callback, once, d later
+		rearmForeign     // the arming code offers a stranger's handle: refused
+	)
 	for _, tc := range []struct {
 		name   string
 		cancel bool
 		after  time.Duration // < 0: cancelled by the arming code, twice
-		want   int
+		rearm  int
+		want   []time.Duration // when the callback ran
 	}{
-		{"never cancelled", false, 0, 1},
-		{"at once, twice", true, -1, 0},
-		{"from an earlier callback", true, d / 2, 0},
-		{"from a callback due at the same instant", true, d, 0},
+		{"never cancelled", false, 0, noRearm, []time.Duration{d}},
+		{"at once, twice", true, -1, noRearm, nil},
+		{"from an earlier callback", true, d / 2, noRearm, nil},
+		{"from a callback due at the same instant", true, d, noRearm, nil},
+		{"cancelled, re-armed before the old deadline", true, -1, rearmCancelled, []time.Duration{2 * d}},
+		{"re-armed from its own callback", false, 0, rearmFromRunning, []time.Duration{d, 2 * d}},
+		{"re-armed while pending", false, 0, rearmPending, []time.Duration{d}},
+		{"a foreign handle re-armed", false, 0, rearmForeign, []time.Duration{d}},
 	} {
 		net := newTestNet(t, 1)
 		env := &testEnv{net: net}
 		var victim Timer
-		fired := 0
+		var ran []time.Duration
 		if tc.cancel && tc.after >= 0 {
 			env.Schedule(tc.after, func() { victim.Cancel() })
 		}
-		victim = env.Schedule(d, func() { fired++; victim.Cancel() }) // on itself, running: nothing
+		victim = env.Schedule(d, func() {
+			ran = append(ran, env.Now())
+			victim.Cancel() // on itself, running: nothing
+			if tc.rearm == rearmFromRunning && len(ran) == 1 && !env.Rearm(victim, d) {
+				t.Errorf("%s: Rearm refused the running timer", tc.name)
+			}
+		})
 		if tc.cancel && tc.after < 0 {
 			victim.Cancel()
 			victim.Cancel()
 		}
-		net.run(2 * d)
+		switch tc.rearm {
+		case rearmCancelled:
+			if !env.Rearm(victim, 2*d) {
+				t.Errorf("%s: Rearm refused the cancelled timer", tc.name)
+			}
+		case rearmPending:
+			if env.Rearm(victim, 2*d) {
+				t.Errorf("%s: Rearm took a pending timer", tc.name)
+			}
+		case rearmForeign:
+			if env.Rearm(foreignTimer{}, d) {
+				t.Errorf("%s: Rearm took a foreign handle", tc.name)
+			}
+		}
+		net.run(3 * d)
 		victim.Cancel() // after the deadline: nothing to undo
-		if fired != tc.want {
-			t.Errorf("%s: the callback ran %d times, want %d", tc.name, fired, tc.want)
+		if !slices.Equal(ran, tc.want) {
+			t.Errorf("%s: the callback ran at %v, want %v", tc.name, ran, tc.want)
 		}
 	}
 }

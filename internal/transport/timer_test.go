@@ -14,17 +14,20 @@ import (
 // scheduling order, in a list that is scanned linearly.
 type refTimer struct {
 	when time.Duration
+	seq  int
 	live bool
 }
 
 // TestTimerHeapMatchesLinearScan drives the heap and a linear-scan model
-// through random interleavings of Schedule, Cancel (of pending, fired and
-// already cancelled timers, and from inside a callback — often of a timer
-// due at the same instant) and firing, with deadlines drawn from a handful
-// of values so that they collide. The two must fire the same timers in the
-// same order: by deadline, equal deadlines in scheduling order. The heap
-// must also hold exactly the pending timers — Cancel removes its entry at
-// once — and a handle that is not pending must keep no callback.
+// through random interleavings of Schedule, re-arm and Cancel (of pending,
+// fired and already cancelled timers, and Cancel from inside a callback —
+// often of a timer due at the same instant) and firing, with deadlines
+// drawn from a handful of values so that they collide. The two must fire
+// the same timers in the same order: by deadline, equal deadlines in
+// scheduling order, a re-armed timer ordered as a new one. The heap must
+// also hold exactly the pending timers — Cancel removes its entry at
+// once — a re-arm of a pending timer must do nothing, and every handle
+// must keep its callback.
 func TestTimerHeapMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -35,23 +38,36 @@ func TestTimerHeapMatchesLinearScan(t *testing.T) {
 			victim    = map[int]int{} // timer → the timer its callback cancels
 			got, want []int
 			now       time.Duration
+			seq       int
 		)
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(10); {
-			case op < 5:
+			case op < 4 || len(handles) == 0 && op < 7:
 				id := len(handles)
 				when := now + time.Duration(rng.Intn(6))
 				if len(handles) > 0 && rng.Intn(3) == 0 {
 					victim[id] = rng.Intn(len(handles))
 				}
-				ref = append(ref, &refTimer{when: when, live: true})
+				seq++
+				ref = append(ref, &refTimer{when: when, seq: seq, live: true})
 				handles = append(handles, tr.schedule(when, func() {
 					got = append(got, id)
 					if v, ok := victim[id]; ok {
 						handles[v].Cancel()
 					}
 				}))
-			case op < 7 && len(handles) > 0:
+			case op < 5:
+				id := rng.Intn(len(handles))
+				when := now + time.Duration(rng.Intn(6))
+				if handles[id].rearm(when) == ref[id].live {
+					t.Fatalf("seed %d step %d: re-arm of timer %d (pending=%v) reported %v",
+						seed, step, id, ref[id].live, !ref[id].live)
+				}
+				if !ref[id].live {
+					seq++
+					*ref[id] = refTimer{when: when, seq: seq, live: true}
+				}
+			case op < 7:
 				id := rng.Intn(len(handles))
 				handles[id].Cancel()
 				ref[id].live = false
@@ -86,7 +102,7 @@ func TestTimerHeapMatchesLinearScan(t *testing.T) {
 				if r.live {
 					pending++
 				}
-				if r.live != (ut.index >= 0) || r.live != (ut.fn != nil) {
+				if r.live != (ut.index >= 0) || ut.fn == nil {
 					t.Fatalf("seed %d step %d: timer %d pending=%v has index %d, callback kept=%v",
 						seed, step, id, r.live, ut.index, ut.fn != nil)
 				}
@@ -115,7 +131,7 @@ func pendingTimers(tr *UDP) int {
 func refDue(ref []*refTimer, now time.Duration) int {
 	best := -1
 	for id, r := range ref {
-		if r.live && r.when <= now && (best < 0 || r.when < ref[best].when) {
+		if r.live && r.when <= now && (best < 0 || r.when < ref[best].when || r.when == ref[best].when && r.seq < ref[best].seq) {
 			best = id
 		}
 	}
@@ -132,12 +148,13 @@ func refNext(ref []*refTimer) time.Duration {
 	return next
 }
 
-// TestUDPTimersOffLoop hammers Schedule and Cancel from several
+// TestUDPTimersOffLoop hammers Schedule, Cancel and re-arm from several
 // goroutines while the event loop fires what comes due: the heap is the
 // transport's first state shared between the loop and arbitrary callers.
 // Every timer that was not cancelled fires exactly once, a cancelled one
-// at most once (an off-loop Cancel can lose the race with the fire), and
-// nothing is left in the heap. Run under -race.
+// at most once (an off-loop Cancel can lose the race with the fire), one
+// re-armed after its cancel at least once and at most twice, and nothing
+// is left in the heap. Run under -race.
 func TestUDPTimersOffLoop(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -145,9 +162,10 @@ func TestUDPTimersOffLoop(t *testing.T) {
 	}
 	defer tr.Close()
 	env := tr.Env()
+	rearm := env.(pastry.Rearmer)
 	const workers, each = 4, 500
 	fired := make([]atomic.Int32, workers*each)
-	cancelled := make([]bool, workers*each)
+	cancelled, rearmed := make([]bool, workers*each), make([]bool, workers*each)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -164,6 +182,9 @@ func TestUDPTimersOffLoop(t *testing.T) {
 					tm.Cancel()
 					tm.Cancel()
 					cancelled[id] = true
+					if rng.Intn(2) == 0 && rearm.Rearm(tm, time.Duration(rng.Intn(2000))*time.Microsecond) {
+						rearmed[id] = true
+					}
 				}
 			}
 		}(w)
@@ -174,8 +195,9 @@ func TestUDPTimersOffLoop(t *testing.T) {
 	}
 	tr.DoSync(func(*pastry.Node) {}) // the last callback has returned
 	for id := range fired {
-		if n := fired[id].Load(); n > 1 || n == 0 && !cancelled[id] {
-			t.Errorf("timer %d (cancelled=%v) fired %d times", id, cancelled[id], n)
+		n := fired[id].Load()
+		if rearmed[id] && (n < 1 || n > 2) || !rearmed[id] && (n > 1 || n == 0 && !cancelled[id]) {
+			t.Errorf("timer %d (cancelled=%v, re-armed=%v) fired %d times", id, cancelled[id], rearmed[id], n)
 		}
 	}
 }
@@ -207,7 +229,8 @@ func TestUDPEarlierTimerWakesSleepingLoop(t *testing.T) {
 }
 
 // TestUDPScheduleAllocations pins Env.Schedule at one allocation, the
-// handle that is also the heap entry, and Cancel at none.
+// handle that is also the heap entry, and Cancel and re-arming that handle
+// at none.
 func TestUDPScheduleAllocations(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -220,12 +243,20 @@ func TestUDPScheduleAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { env.Schedule(time.Minute, fn).Cancel() }); got != 1 {
 		t.Errorf("Schedule+Cancel allocates %v times, want 1", got)
 	}
+	rearm, handle := env.(pastry.Rearmer), env.Schedule(time.Minute, fn)
+	handle.Cancel()
+	if got := testing.AllocsPerRun(1000, func() { rearm.Rearm(handle, time.Minute); handle.Cancel() }); got != 0 {
+		t.Errorf("re-arm+Cancel allocates %v times, want 0", got)
+	}
 }
 
 // TestUDPCancelledTimerNeverFires holds the transport's Env to
 // pastry.Timer's contract where it is promised: on the event loop. A node
 // reuses a hop or probe record once it has cancelled the record's timer, so
-// a cancelled timer that fired would time out a stranger's hop.
+// a cancelled timer that fired would time out a stranger's hop. It holds
+// the Env to pastry.Rearmer's contract too: a record keeps its handle and
+// re-arms it, so a cancelled arming of it that fired would do the same, and
+// a closed transport or another transport's handle re-arms nothing.
 func TestUDPCancelledTimerNeverFires(t *testing.T) {
 	const d = 20 * time.Millisecond
 	tr, err := Listen("127.0.0.1:0", 1)
@@ -233,34 +264,79 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	other, err := Listen("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 	env := tr.Env()
+	rearm := env.(pastry.Rearmer)
+	const (
+		noRearm          = iota
+		rearmCancelled   // by the arming code, after its cancels, to 2d
+		rearmPending     // by the arming code, still pending: refused
+		rearmFromRunning // by its own callback, once, d later
+		rearmForeign     // the arming code offers the other transport's handle: refused
+	)
 	cases := []struct {
 		name   string
 		cancel bool
 		after  time.Duration // < 0: cancelled by the arming code, twice
+		rearm  int
 		want   int32
 	}{
-		{"never cancelled", false, 0, 1},
-		{"at once, twice", true, -1, 0},
-		{"from an earlier callback", true, d / 2, 0},
+		{"never cancelled", false, 0, noRearm, 1},
+		{"at once, twice", true, -1, noRearm, 0},
+		{"from an earlier callback", true, d / 2, noRearm, 0},
 		// Both deadlines pass while the loop is busy, so both are due when
 		// it looks: the one scheduled first runs and cancels the other.
-		{"from a callback due at the same time", true, d, 0},
+		{"from a callback due at the same time", true, d, noRearm, 0},
+		{"cancelled, re-armed before the old deadline", true, -1, rearmCancelled, 1},
+		{"re-armed from its own callback", false, 0, rearmFromRunning, 2},
+		{"re-armed while pending", false, 0, rearmPending, 1},
+		{"a foreign handle re-armed", false, 0, rearmForeign, 1},
 	}
 	fired := make([]atomic.Int32, len(cases))
 	victims := make([]pastry.Timer, len(cases))
+	var foreignRan atomic.Int32
+	foreign := other.Env().Schedule(time.Hour, func() { foreignRan.Add(1) })
+	foreign.Cancel()
+	t0 := time.Now()
+	var early atomic.Bool // the re-armed cancelled timer ran before its new deadline
 	tr.DoSync(func(*pastry.Node) {
 		for i, tc := range cases {
 			if tc.cancel && tc.after >= 0 {
 				env.Schedule(tc.after, func() { victims[i].Cancel() })
 			}
-			victims[i] = env.Schedule(d, func() { fired[i].Add(1); victims[i].Cancel() }) // on itself, running: nothing
+			victims[i] = env.Schedule(d, func() {
+				if fired[i].Add(1) == 1 && tc.rearm == rearmCancelled && time.Since(t0) < 2*d {
+					early.Store(true)
+				}
+				victims[i].Cancel() // on itself, running: nothing
+				if tc.rearm == rearmFromRunning && fired[i].Load() == 1 && !rearm.Rearm(victims[i], d) {
+					t.Errorf("%s: Rearm refused the running timer", tc.name)
+				}
+			})
 			if tc.cancel && tc.after < 0 {
 				victims[i].Cancel()
 				victims[i].Cancel()
 			}
+			switch tc.rearm {
+			case rearmCancelled:
+				if !rearm.Rearm(victims[i], 2*d) {
+					t.Errorf("%s: Rearm refused the cancelled timer", tc.name)
+				}
+			case rearmPending:
+				if rearm.Rearm(victims[i], 2*d) {
+					t.Errorf("%s: Rearm took a pending timer", tc.name)
+				}
+			case rearmForeign:
+				if rearm.Rearm(foreign, 0) {
+					t.Errorf("%s: Rearm took another transport's handle", tc.name)
+				}
+			}
 		}
-		time.Sleep(d + d/2) // every deadline passes with the loop held
+		time.Sleep(d + d/2) // every first deadline passes with the loop held
 	})
 	if !waitFor(t, 5*time.Second, func() bool { return pendingTimers(tr) == 0 }) {
 		t.Fatal("timers were still pending seconds after the last deadline")
@@ -274,5 +350,16 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 		if got := fired[i].Load(); got != tc.want {
 			t.Errorf("%s: the callback ran %d times, want %d", tc.name, got, tc.want)
 		}
+	}
+	if early.Load() {
+		t.Error("the cancelled, re-armed timer ran at its old deadline")
+	}
+	if n := pendingTimers(other); n != 0 || foreignRan.Load() != 0 {
+		t.Errorf("the other transport has %d timers pending, and its cancelled one ran %d times", n, foreignRan.Load())
+	}
+	// A closed transport runs no callbacks, so it re-arms nothing.
+	tr.Close()
+	if rearm.Rearm(victims[0], 0) || pendingTimers(tr) != 0 {
+		t.Error("a closed transport re-armed a timer")
 	}
 }

@@ -570,14 +570,43 @@ func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
 	return (*UDP)(e).schedule(e.Now()+d, fn)
 }
 
+// Rearm implements pastry.Rearmer: a handle of this transport's that has
+// fired or been cancelled is queued again, d from now, with the callback
+// it was scheduled with. A foreign handle, a pending one or a closed
+// transport makes it report false and queue nothing.
+func (e *udpEnv) Rearm(tm pastry.Timer, d time.Duration) bool {
+	ut, ok := tm.(*udpTimer)
+	return ok && ut.owner == (*UDP)(e) && ut.rearm(e.Now()+d)
+}
+
 func (t *UDP) schedule(when time.Duration, fn func()) *udpTimer {
-	ut := &udpTimer{owner: t, when: when, index: -1}
+	ut := &udpTimer{owner: t, index: -1}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return ut
+	if !t.closed {
+		ut.fn = fn
+		t.queue(ut, when)
 	}
-	ut.fn, ut.seq = fn, t.timerSeq
+	return ut
+}
+
+// rearm queues ut again, due at when, unless it is pending or its
+// transport is closed, and reports whether it did.
+func (ut *udpTimer) rearm(when time.Duration) bool {
+	t := ut.owner
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || ut.index >= 0 {
+		return false
+	}
+	t.queue(ut, when)
+	return true
+}
+
+// queue puts ut, which is not pending, in the heap, due at when, and wakes
+// the loop if it is the earliest. The caller holds mu.
+func (t *UDP) queue(ut *udpTimer, when time.Duration) {
+	ut.when, ut.seq = when, t.timerSeq
 	t.timerSeq++
 	heap.Push(&t.timers, ut)
 	if ut.index == 0 {
@@ -586,7 +615,6 @@ func (t *UDP) schedule(when time.Duration, fn func()) *udpTimer {
 		default: // a wake-up is pending already
 		}
 	}
-	return ut
 }
 
 // popDue removes the earliest timer and returns its callback if it is due
@@ -600,19 +628,18 @@ func (t *UDP) popDue(now time.Duration) (fn func(), next time.Duration) {
 	if next = t.timers[0].when; next > now {
 		return nil, next
 	}
-	ut := heap.Pop(&t.timers).(*udpTimer)
-	fn, ut.fn = ut.fn, nil
-	return fn, next
+	return heap.Pop(&t.timers).(*udpTimer).fn, next
 }
 
-// udpTimer is a Schedule handle and, until it fires or is cancelled, an
-// entry of its transport's heap.
+// udpTimer is a Schedule handle and, while it is pending, an entry of its
+// transport's heap. It keeps its callback when it fires or is cancelled,
+// so that its holder can re-arm it (Rearm); only Close drops it.
 type udpTimer struct {
 	owner *UDP
 	when  time.Duration // deadline, on the Env clock
 	seq   uint64        // scheduling order: breaks ties between equal deadlines
-	fn    func()        // nil once fired, cancelled or dropped
-	index int           // position in owner.timers, -1 when not in it
+	fn    func()        // nil once Close dropped the timer, or if it came after
+	index int           // position in owner.timers, -1 when not pending
 }
 
 // Cancel implements pastry.Timer, from any goroutine. The entry leaves the
@@ -626,7 +653,6 @@ func (ut *udpTimer) Cancel() {
 	defer t.mu.Unlock()
 	if ut.index >= 0 {
 		heap.Remove(&t.timers, ut.index)
-		ut.fn = nil
 	}
 }
 
