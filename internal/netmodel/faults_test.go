@@ -266,6 +266,51 @@ func TestDuplicationDeliversCopies(t *testing.T) {
 	}
 }
 
+// A duplicated hop is two receivers' copies, and each is its own: each
+// sends the ack inline in it and carries the lookup on in itself, so the
+// two acks and the two forwards are four distinct objects, and the
+// sender's lookup is never written.
+func TestDuplicatedHopAcksAndForwardsIndependently(t *testing.T) {
+	nw, eps, nodes := buildTriangle(t)
+	na, nb, nc := nodes[0], nodes[1], nodes[2]
+	env := &pastry.Envelope{Xfer: 1 << 60, NeedAck: true, From: na.Ref(),
+		Lookup: &pastry.Lookup{Key: nc.Ref().ID, Seq: 1, Origin: na.Ref()}}
+	var acks []*pastry.Ack
+	var forwards []*pastry.Envelope
+	nw.OnSend(func(from *Endpoint, to pastry.NodeRef, m pastry.Message, _ int) {
+		switch m := m.(type) {
+		case *pastry.Ack:
+			if from == eps[1] && m.Xfer == env.Xfer {
+				acks = append(acks, m)
+			}
+		case *pastry.Envelope:
+			if from == eps[1] && m.Lookup != nil && m.Lookup.Seq == 1 {
+				forwards = append(forwards, m)
+			}
+		}
+	})
+	armNow(nw, Fault{Duplicate: 0.999999})
+	delivered := nc.Stats().DeliveredLookups
+	eps[0].Send(nb.Ref(), env)
+	nw.sim.RunUntil(nw.sim.Now() + time.Second)
+	if len(acks) != 2 || acks[0] == acks[1] || len(forwards) != 2 || forwards[0] == forwards[1] ||
+		forwards[0].Lookup == forwards[1].Lookup {
+		t.Fatalf("b sent acks %v and forwards %v, want two of each, all distinct", acks, forwards)
+	}
+	for _, f := range forwards {
+		if f == env || f.Lookup == env.Lookup || f.From != nb.Ref() || f.Lookup.Hops != 1 {
+			t.Fatalf("forward %#v is not a copy of its own", f)
+		}
+	}
+	// Each forward is duplicated too.
+	if got := nc.Stats().DeliveredLookups - delivered; got != 4 {
+		t.Fatalf("the root delivered %d copies, want 4", got)
+	}
+	if env.Lookup.Hops != 0 || env.From != na.Ref() {
+		t.Fatal("a receiver wrote the sender's envelope")
+	}
+}
+
 func TestReorderingOvertakes(t *testing.T) {
 	sim, nw, a, _, nb, log := rootWithLog(t)
 	na := a.nw.eps[a.Addr()].node

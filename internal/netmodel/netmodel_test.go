@@ -494,3 +494,41 @@ func TestDeliveryCopyAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardedHopAllocations pins a routed lookup's cost per hop at one
+// object, the receiver's copy: it holds the ack its receiver owes, and a
+// transit node sends the lookup on in it. The hop a sends to b (built once,
+// as a sender's envelope already exists) is delivered, acked and forwarded
+// at b, then delivered and acked at c, the key's root.
+func TestForwardedHopAllocations(t *testing.T) {
+	nw, eps, nodes := buildTriangle(t)
+	sim := nw.sim
+	na, nb, nc := nodes[0], nodes[1], nodes[2]
+	env := &pastry.Envelope{Xfer: 1 << 60, NeedAck: true, From: na.Ref(),
+		Lookup: &pastry.Lookup{Key: nc.Ref().ID, Seq: 1, Origin: na.Ref()}}
+	var acks, forwards int
+	nw.OnSend(func(from *Endpoint, to pastry.NodeRef, m pastry.Message, _ int) {
+		switch m := m.(type) {
+		case *pastry.Ack:
+			if from == eps[1] && m.Xfer == env.Xfer {
+				acks++
+			}
+		case *pastry.Envelope:
+			if from == eps[1] && to == nc.Ref() && m.Lookup != nil && m.Lookup.Seq == 1 {
+				forwards++
+			}
+		}
+	})
+	delivered := nc.Stats().DeliveredLookups
+	got := testing.AllocsPerRun(100, func() {
+		eps[0].Send(nb.Ref(), env)
+		sim.RunUntil(sim.Now() + time.Second)
+	})
+	if got != 2 {
+		t.Errorf("a lookup over two hops: %v allocs, want 2, one per hop", got)
+	}
+	if runs := 101; acks != runs || forwards != runs || nc.Stats().DeliveredLookups-delivered != uint64(runs) {
+		t.Fatalf("%d acks, %d forwards, %d deliveries at the root, want %d each: the pinned path did not route",
+			acks, forwards, nc.Stats().DeliveredLookups-delivered, runs)
+	}
+}

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,6 +15,40 @@ import (
 // encodeMessage serialises a message into a fresh buffer, which stays on
 // the caller's stack when it does not escape.
 func encodeMessage(m Message) []byte { return AppendMessage(make([]byte, 0, 256), m) }
+
+// sameWire reports whether two messages carry the same wire content: every
+// exported field compared, the receive side's two spare pointers (the
+// envelope's inline ack and its lookup's first-forward envelope) not.
+func sameWire(a, b Message) bool { return reflect.DeepEqual(wireContent(a), wireContent(b)) }
+
+// wireContent returns m, or for an envelope a copy of it and its Lookup
+// with the spare pointers set to nil.
+func wireContent(m Message) Message {
+	env, ok := m.(*Envelope)
+	if !ok {
+		return m
+	}
+	cp := *env
+	cp.spareAck = nil
+	if env.Lookup != nil {
+		lk := *env.Lookup
+		lk.spareEnv = nil
+		cp.Lookup = &lk
+	}
+	return &cp
+}
+
+// checkSpares fails unless a decoded lookup envelope carries both spares:
+// its inline ack, and its own envelope as the lookup's first forward.
+func checkSpares(t *testing.T, name string, m Message) {
+	t.Helper()
+	if env, ok := m.(*Envelope); ok && env.Lookup != nil {
+		if env.spareAck == nil || env.Lookup.spareEnv != env {
+			t.Errorf("%s: decoded lookup envelope lacks its spares: ack %p, envelope %p (want %p)",
+				name, env.spareAck, env.Lookup.spareEnv, env)
+		}
+	}
+}
 
 func appendRef(buf []byte, r NodeRef) []byte {
 	c := codec.Appender(buf)
@@ -74,9 +109,10 @@ func TestCodecRoundTripAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
 		}
-		if !reflect.DeepEqual(m, got) {
+		if !sameWire(m, got) {
 			t.Fatalf("%T round trip mismatch:\n  in:  %#v\n  out: %#v", m, m, got)
 		}
+		checkSpares(t, fmt.Sprintf("%T", m), got)
 	}
 }
 

@@ -100,6 +100,11 @@ type Lookup struct {
 	WantReport bool
 	// Payload is opaque application data (used by Squirrel and the DHT).
 	Payload []byte
+	// spareEnv is an envelope this node may send the lookup on once: the
+	// one it arrived in, or the one Node.Lookup built beside it.
+	// hopEnvelope takes it, and only while its Lookup points at this very
+	// Lookup, so a value copy never writes its original's envelope.
+	spareEnv *Envelope
 }
 
 // Category implements Message.
@@ -137,34 +142,41 @@ type Envelope struct {
 	Lookup  *Lookup
 	Join    *JoinRequest
 	TrtHint time.Duration
+	// spareAck is the Ack a received envelope's receiver owes, inline in
+	// the same allocation; handleEnvelope takes it once.
+	spareAck *Ack
 }
 
-// received is the receive side's layout of an envelope: the envelope and
-// the Lookup it carries in one allocation, with Envelope.Lookup pointing
-// at lk while a lookup is present. A received envelope belongs to its
-// receiver alone, so nothing else aliases lk.
+// received is the receive side's layout of an envelope: the envelope, the
+// Lookup it carries and the Ack its receiver owes in one allocation, with
+// Envelope.Lookup pointing at lk while a lookup is present. A received
+// envelope belongs to its receiver alone, so nothing else aliases lk. Once
+// the ack is built the envelope is dead to the receiver, so the lookup's
+// first hop onwards goes out in it (lk.spareEnv): written once, then sent.
 type received struct {
 	Envelope
-	lk Lookup
+	lk  Lookup
+	ack Ack
 }
 
 // newReceived returns an empty received envelope whose Lookup is its own
 // inline lk, for the decoder to fill or clear.
 func newReceived() *Envelope {
 	r := new(received)
-	r.Lookup = &r.lk
+	r.Lookup, r.lk.spareEnv, r.spareAck = &r.lk, &r.Envelope, &r.ack
 	return &r.Envelope
 }
 
 // ReceivedCopy returns a copy of env as a receiver holds it: env's
-// fields and a copy of its Lookup in one allocation. The Join part, if
-// any, is shared with env; a caller that hands the copy to a node that
-// extends the join route copies it too.
+// fields, a copy of its Lookup and the receiver's Ack in one allocation.
+// The Join part, if any, is shared with env; a caller that hands the copy
+// to a node that extends the join route copies it too.
 func ReceivedCopy(env *Envelope) *Envelope {
 	r := &received{Envelope: *env}
+	r.spareAck = &r.ack
 	if env.Lookup != nil {
 		r.lk = *env.Lookup
-		r.Lookup = &r.lk
+		r.Lookup, r.lk.spareEnv = &r.lk, &r.Envelope
 	}
 	return &r.Envelope
 }

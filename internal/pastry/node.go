@@ -376,14 +376,16 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 		return 0, false
 	}
 	n.nextLookupSeq++
-	lk := &Lookup{
+	o := &originLookup{lk: Lookup{
 		Key:     key,
 		Seq:     n.nextLookupSeq,
 		Origin:  n.self,
 		Issued:  n.env.Now(),
 		NoAck:   !n.cfg.PerHopAcks,
 		Payload: payload,
-	}
+	}}
+	lk := &o.lk
+	lk.spareEnv, o.env.Lookup = &o.env, lk
 	lk.TraceID = deriveTraceID(n.self, lk.Seq, lk.Issued)
 	if n.cfg.SecureRouting {
 		lk.WantReport = true
@@ -398,6 +400,13 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 	n.issued = append(n.issued, issuedLookup{lk: lk})
 	n.arm(timerIssued, 0, &n.issuedAlarm, nil)
 	return lk.Seq, true
+}
+
+// originLookup is what Node.Lookup allocates: the lookup and the envelope
+// its first hop from the origin goes out in (spareEnvelope).
+type originLookup struct {
+	lk  Lookup
+	env Envelope
 }
 
 // issuedLookup is a lookup queued between Lookup and routeIssued; redundant

@@ -501,6 +501,85 @@ func TestRecordsUnderChurnAndLoss(t *testing.T) {
 	}
 }
 
+// arrivingAt1100 is a receiver's copy, as the simulator and the decoder
+// build one, of an acked hop from 900 for a key 1100 is the root of.
+func arrivingAt1100() *Envelope {
+	return ReceivedCopy(&Envelope{Xfer: 9, NeedAck: true, From: ref(900),
+		Lookup: &Lookup{Key: keyAt1100, Seq: 1, Origin: ref(900)}})
+}
+
+// A received envelope is the receiver's: it holds the ack the receiver
+// owes, and once that is built the lookup's first hop onwards goes out in
+// the envelope itself, written once before it is sent.
+func TestReceivedEnvelopeCarriesItsAckAndForward(t *testing.T) {
+	_, n, sent := hopNode(t, testConfig(), nil)
+	env := arrivingAt1100()
+	lk, owed := env.Lookup, env.spareAck
+	n.Receive(env)
+	if len(*sent) != 2 {
+		t.Fatalf("sent %d messages, want the ack and the forward", len(*sent))
+	}
+	ack, ok := (*sent)[0].(*Ack)
+	if !ok || owed == nil || ack != owed || ack.Xfer != 9 || ack.From != n.self {
+		t.Fatalf("the ack %#v is not the received envelope's own", (*sent)[0])
+	}
+	if (*sent)[1] != env || env.Lookup != lk || env.From != n.self || env.Xfer != n.nextXfer || !env.NeedAck || env.Retx {
+		t.Fatalf("the forward %#v is not the received envelope rewritten for the next hop", (*sent)[1])
+	}
+	if env.spareAck != nil || lk.spareEnv != nil {
+		t.Fatal("a spare outlived its one use")
+	}
+}
+
+// A value copy of a received Lookup, as the adversary or a redundant round
+// makes one, shares its original's spare pointer but is not the lookup the
+// spare carries: routed, it goes out in an envelope of its own, and the
+// original's envelope is still there for the original.
+func TestValueCopyOfReceivedLookupGetsItsOwnEnvelope(t *testing.T) {
+	_, n, sent := hopNode(t, testConfig(), nil)
+	env := arrivingAt1100()
+	orig := env.Lookup
+	before := *env
+	cp := *orig
+	cp.Hops++
+	n.routeLookup(&cp, n.Now())
+	_, out := lastHop(t, n, *sent)
+	if out == env || out.Lookup != &cp {
+		t.Fatal("the copy was sent in its original's envelope")
+	}
+	if *env != before || orig.spareEnv != env {
+		t.Fatalf("routing the copy wrote its original's envelope: %#v, was %#v", *env, before)
+	}
+	n.Receive(env)
+	if _, fwd := lastHop(t, n, *sent); fwd != env {
+		t.Fatal("the original did not go on in its own envelope")
+	}
+}
+
+// A hop that times out goes out again in a new envelope: the spare was
+// taken by the first transmission, which may still be in flight and must
+// arrive as it was sent.
+func TestRerouteSendsAFreshEnvelope(t *testing.T) {
+	net, n, sent := hopNode(t, testConfig(), nil)
+	n.ls.Add(ref(1050)) // the key's closest node once 1100 is excluded
+	env := arrivingAt1100()
+	n.Receive(env)
+	ph, first := lastHop(t, n, *sent)
+	if first != env || ph.to != ref(1100) {
+		t.Fatalf("the first transmission went to %v in %p, want 1100 in the received envelope", ph.to, first)
+	}
+	inFlight := *env
+	net.run(rto) // 1100 stays silent
+	ph, again := lastHop(t, n, *sent)
+	if again == env || !again.Retx || again.Lookup != env.Lookup || ph.to != ref(1050) {
+		t.Fatalf("the reroute to %v went out in %#v, want a new envelope to 1050", ph.to, again)
+	}
+	if *env != inFlight {
+		t.Fatalf("the reroute rewrote the envelope in flight: %#v, sent as %#v", *env, inFlight)
+	}
+	checkRecords(t, n)
+}
+
 // TestRecordAllocations pins, with the free lists warm, what the node's
 // own bookkeeping may allocate beside the messages it sends: nothing. A
 // timer costs nothing either, as every slot a pin arms (a record's or the
@@ -524,6 +603,13 @@ func TestRecordAllocations(t *testing.T) {
 	arriving := &Envelope{Xfer: 9, NeedAck: true, From: prev,
 		Lookup: &Lookup{Key: next.ID, Seq: 1, Origin: prev}}
 	ack := &Ack{From: next}
+	// Each run of the received-hop pin takes one receiver's copy of
+	// arriving, built here, as the simulator and the decoder build them:
+	// a warm-up, AllocsPerRun's own warm-up and its 100 runs.
+	copies := make([]*Envelope, 102)
+	for i := range copies {
+		copies[i] = ReceivedCopy(arriving)
+	}
 	// With prev suspected, this node is the closest left to prev's key, so
 	// the hop is retransmitted to prev, backed off, not delivered here.
 	toPrev := &Envelope{Xfer: 9, NeedAck: true, From: next,
@@ -542,15 +628,28 @@ func TestRecordAllocations(t *testing.T) {
 		max float64
 		f   func()
 	}{
-		// The ack for the hop that arrived and the envelope that carries
-		// the lookup on; taking the next hop's ack costs nothing.
-		"forward an acked hop, take its ack": {2, func() {
+		// Nothing: a received envelope holds the ack its receiver owes and
+		// is itself the envelope the lookup goes on in; taking the next
+		// hop's ack costs nothing.
+		"forward a received hop, take its ack": {0, func() {
+			env := copies[0]
+			copies = copies[1:]
+			n.Receive(env)
+			if ack.Xfer = n.nextXfer; env.Xfer != ack.Xfer {
+				t.Fatal("the received envelope did not carry the lookup on")
+			}
+			n.Receive(ack)
+		}},
+		// A hop built by hand has no spares: the ack for it and the
+		// envelope that carries the lookup on.
+		"forward a hand-built acked hop, take its ack": {2, func() {
 			arriving.Lookup.Hops = 0
 			n.Receive(arriving)
 			ack.Xfer = n.nextXfer
 			n.Receive(ack)
 		}},
-		// The Lookup; the root is the origin itself.
+		// The Lookup, with the envelope of its first hop inside; the root
+		// is the origin itself.
 		"Lookup through routeIssued": {1, func() {
 			n.Lookup(local, nil)
 			net.run(0)

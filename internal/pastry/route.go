@@ -216,8 +216,13 @@ func (n *Node) transmit(ph *pendingHop, to NodeRef, cause HopCause, rto time.Dur
 // here would put one more frame on the path of every forwarded hop, which on
 // a live node runs on the transport's loop goroutines: their stacks sit just
 // under a growth step, and a frame more doubles many of them.
+//
+// A lookup's first hop from this node goes out in the lookup's spare
+// envelope when it has one (see spareEnvelope); every other hop, and every
+// join hop, in a new one.
 func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinRequest, to NodeRef, cause HopCause) *Envelope {
-	env := &Envelope{
+	env := spareEnvelope(lk)
+	*env = Envelope{
 		Xfer:    xfer,
 		NeedAck: needAck,
 		Retx:    cause != HopForward,
@@ -228,6 +233,24 @@ func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinReques
 	}
 	if lk != nil && n.tobs != nil {
 		n.tobs.LookupHop(n, lk, to, cause)
+	}
+	return env
+}
+
+// spareEnvelope takes lk's spare envelope — the received one whose ack is
+// built, or the one Node.Lookup made beside lk — if it still carries lk
+// itself, and a new envelope otherwise. The spare is taken once: nothing on
+// this node writes the envelope again after its one send. A value copy of a
+// Lookup (a secure redundant round's) shares the pointer but not the
+// identity, so it gets a new envelope and leaves its original's alone.
+func spareEnvelope(lk *Lookup) *Envelope {
+	if lk == nil {
+		return new(Envelope)
+	}
+	env := lk.spareEnv
+	lk.spareEnv = nil
+	if env == nil || env.Lookup != lk {
+		return new(Envelope)
 	}
 	return env
 }
@@ -375,10 +398,18 @@ func (n *Node) retransmitSame(ph *pendingHop) {
 }
 
 // handleEnvelope processes one received overlay hop: acknowledge, then
-// route the payload onwards.
+// route the payload onwards. The ack is the one inline in a received
+// envelope when it has one; once it is sent, the envelope may carry the
+// lookup on (spareEnvelope).
 func (n *Node) handleEnvelope(env *Envelope) {
 	if env.NeedAck {
-		n.send(env.From, &Ack{Xfer: env.Xfer, From: n.self, TrtHint: n.trtLocal})
+		ack := env.spareAck
+		env.spareAck = nil
+		if ack == nil {
+			ack = new(Ack)
+		}
+		*ack = Ack{Xfer: env.Xfer, From: n.self, TrtHint: n.trtLocal}
+		n.send(env.From, ack)
 	}
 	switch {
 	case env.Lookup != nil:

@@ -217,14 +217,19 @@ func TestUDPInboundQueueKeepsBatchOrder(t *testing.T) {
 }
 
 // echoApp answers every direct message with the same payload; the node
-// that is not echoing reports each arrival on got.
+// that is not echoing reports each direct arrival and each lookup it
+// delivers on got.
 type echoApp struct {
 	node *pastry.Node
 	echo bool
 	got  chan struct{}
 }
 
-func (a *echoApp) Deliver(*pastry.Lookup)      {}
+func (a *echoApp) Deliver(*pastry.Lookup) {
+	if !a.echo {
+		a.got <- struct{}{}
+	}
+}
 func (a *echoApp) Forward(*pastry.Lookup) bool { return true }
 func (a *echoApp) Direct(from pastry.NodeRef, payload []byte) {
 	if a.echo {
@@ -234,11 +239,9 @@ func (a *echoApp) Direct(from pastry.NodeRef, payload []byte) {
 	a.got <- struct{}{}
 }
 
-// pingPong builds two joined nodes on loopback and returns a function that
-// makes one SendDirect round trip between them: two datagrams, each
-// through Env.Send, the coalescer, the socket, the read loop, the decoder,
-// the loop queue and Node.Receive.
-func pingPong(tb testing.TB) (roundTrip func()) {
+// livePair builds two joined nodes on loopback: node 0 reports on its
+// app's got, node 1 echoes.
+func livePair(tb testing.TB) ([2]*UDP, [2]*echoApp) {
 	tb.Helper()
 	var trs [2]*UDP
 	var apps [2]*echoApp
@@ -264,20 +267,55 @@ func pingPong(tb testing.TB) (roundTrip func()) {
 	}) {
 		tb.Fatal("the second node never became active")
 	}
-	peer := apps[1].node.Ref()
-	body := make([]byte, 32)
-	send := func(n *pastry.Node) { n.SendDirect(peer, body) }
+	return trs, apps
+}
+
+// awaitGot returns a function that waits up to 5 s for one report on got.
+func awaitGot(tb testing.TB, got chan struct{}, what string) func() {
 	timeout := time.NewTimer(time.Hour)
 	tb.Cleanup(func() { timeout.Stop() })
 	return func() {
-		trs[0].Do(send)
 		timeout.Reset(5 * time.Second)
 		select {
-		case <-apps[0].got:
+		case <-got:
 		case <-timeout.C:
-			tb.Fatal("no echo within 5 s")
+			tb.Fatalf("no %s within 5 s", what)
 		}
 	}
+}
+
+// pingPong builds two joined nodes on loopback and returns a function that
+// makes one SendDirect round trip between them: two datagrams, each
+// through Env.Send, the coalescer, the socket, the read loop, the decoder,
+// the loop queue and Node.Receive.
+func pingPong(tb testing.TB) (roundTrip func()) {
+	tb.Helper()
+	trs, apps := livePair(tb)
+	peer := apps[1].node.Ref()
+	body := make([]byte, 32)
+	send := func(n *pastry.Node) { n.SendDirect(peer, body) }
+	await := awaitGot(tb, apps[0].got, "echo")
+	return func() {
+		trs[0].Do(send)
+		await()
+	}
+}
+
+// mallocsPer returns the process-wide allocations per call of round over
+// 2,000 calls, after 200 that warm queues, buffers and intern tables. The
+// loops are goroutines, so testing.AllocsPerRun cannot be used.
+func mallocsPer(round func()) float64 {
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	const rounds = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / rounds
 }
 
 // pingPongBudget is what a SendDirect round trip may allocate: per
@@ -288,25 +326,53 @@ func pingPong(tb testing.TB) (roundTrip func()) {
 const pingPongBudget = 6
 
 // TestUDPPingPongAllocations is the live path's end-to-end allocation pin.
-// The loops are goroutines, so testing.AllocsPerRun cannot be used: this
-// reads the process-wide malloc count around 2,000 round trips, and allows
-// the budget half as much again for what else the runtime does meanwhile.
+// It allows the budget half as much again for what else the runtime does
+// meanwhile.
 func TestUDPPingPongAllocations(t *testing.T) {
-	roundTrip := pingPong(t)
-	for i := 0; i < 200; i++ {
-		roundTrip() // queues, buffers and the intern tables are warm
-	}
-	const rounds = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		roundTrip()
-	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.Mallocs-before.Mallocs) / rounds
+	per := mallocsPer(pingPong(t))
 	t.Logf("%.2f allocations per round trip (budget %d, +50%% slack)", per, pingPongBudget)
 	if per > pingPongBudget*1.5 {
 		t.Errorf("a SendDirect round trip allocates %.2f times, want at most %d (+50%%)", per, pingPongBudget)
+	}
+}
+
+// forwardedHopBudget is what a lookup hop forwarded by a live node costs
+// the process: the hop as node 1's decoder builds it, which holds the ack
+// node 1 owes and is the envelope it forwards the lookup in; node 0's
+// decodes of that ack and of the forward; node 1's decode of node 0's ack.
+// Four decoded messages, and nothing built to send.
+const forwardedHopBudget = 4
+
+// TestUDPForwardedHopAllocations pins a lookup hop that arrives at a live
+// node and is forwarded: a bare socket sends node 1 a hop, as from node 0,
+// for node 0's own key, and node 1 acks it and forwards it to node 0, which
+// delivers it. The slack is half an allocation, so one object more on the
+// path fails: an ack built by either node, or an envelope built to forward
+// in (seven allocations in all when each is built).
+func TestUDPForwardedHopAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("race instrumentation allocates on the loops; the run without -race decides this pin")
+	}
+	trs, apps := livePair(t)
+	root := apps[0].node.Ref()
+	frame := wire.EncodeSingle(&pastry.Envelope{Xfer: 1 << 60, NeedAck: true, From: root,
+		Lookup: &pastry.Lookup{Key: root.ID, Seq: 1, Origin: root}})
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	forwarder := trs[1].conn.LocalAddr().(*net.UDPAddr).AddrPort()
+	await := awaitGot(t, apps[0].got, "delivery at the root")
+	per := mallocsPer(func() {
+		if _, err := peer.WriteToUDPAddrPort(frame, forwarder); err != nil {
+			t.Fatal(err)
+		}
+		await()
+	})
+	t.Logf("%.2f allocations per forwarded hop (budget %d, +0.5 slack)", per, forwardedHopBudget)
+	if per > forwardedHopBudget+0.5 {
+		t.Errorf("a forwarded hop allocates %.2f times, want at most %d (+0.5)", per, forwardedHopBudget)
 	}
 }
 
