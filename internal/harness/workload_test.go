@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -74,5 +75,39 @@ func TestLookupGeneratorAllocations(t *testing.T) {
 	}
 	if r.sim.Pending() < 200 {
 		t.Fatalf("%d events pending: the generator did not reschedule itself", r.sim.Pending())
+	}
+}
+
+// TestJoinRampAllocations pins what a static overlay costs to build: 64
+// nodes join over faultConfig's two-minute ramp on CorpNet at seed 1 and
+// settle for a minute, with no lookups — join requests and replies, leaf
+// probes, distance probes and row announcements, the joiners' tables and
+// records. The pin is objects per joined node, counted with the process at
+// one P as testing.AllocsPerRun counts them. Runs differ by a few dozen
+// objects of map growth, under the race detector by about one per node;
+// the maximum allows those and no more. Measured with go1.24: a toolchain
+// whose maps grow differently moves the count, and then the pin is
+// re-measured, not loosened.
+func TestJoinRampAllocations(t *testing.T) {
+	const nodes, maxPerNode = 64, 1306
+	cfg := faultConfig(t, nodes, time.Minute)
+	cfg.LookupRate = 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := newRun(cfg)
+	r.execute()
+	runtime.ReadMemStats(&after)
+	joined := 0
+	for _, s := range r.slots {
+		if s.node != nil && s.node.Active() {
+			joined++
+		}
+	}
+	if joined != nodes {
+		t.Fatalf("%d of %d nodes joined", joined, nodes)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / nodes; per > maxPerNode {
+		t.Errorf("the join ramp cost %.1f objects per joined node, want at most %d", per, maxPerNode)
 	}
 }

@@ -47,13 +47,13 @@ const (
 var newMessage = [...]func() Message{
 	tagLookupEnvelope: func() Message { return newReceived() },
 	tagAck:            func() Message { return new(Ack) },
-	tagLSProbe:        func() Message { return new(LSProbe) },
+	tagLSProbe:        func() Message { return newLSProbe() },
 	tagLSProbeReply:   func() Message { return new(LSProbeReply) },
 	tagHeartbeat:      func() Message { return new(Heartbeat) },
-	tagRTProbe:        func() Message { return new(RTProbe) },
+	tagRTProbe:        func() Message { return newRTProbe() },
 	tagRTProbeReply:   func() Message { return new(RTProbeReply) },
 	tagJoinReply:      func() Message { return new(JoinReply) },
-	tagDistProbe:      func() Message { return new(DistProbe) },
+	tagDistProbe:      func() Message { return newDistProbe() },
 	tagDistProbeReply: func() Message { return new(DistProbeReply) },
 	tagDistReport:     func() Message { return new(DistReport) },
 	tagRowRequest:     func() Message { return new(RowRequest) },

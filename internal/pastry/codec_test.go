@@ -17,35 +17,71 @@ import (
 func encodeMessage(m Message) []byte { return AppendMessage(make([]byte, 0, 256), m) }
 
 // sameWire reports whether two messages carry the same wire content: every
-// exported field compared, the receive side's two spare pointers (the
-// envelope's inline ack and its lookup's first-forward envelope) not.
+// exported field compared, the spare pointers (an envelope's inline ack
+// and its lookup's first-forward envelope, a probe's inline reply, an
+// echo's inline report) not.
 func sameWire(a, b Message) bool { return reflect.DeepEqual(wireContent(a), wireContent(b)) }
 
-// wireContent returns m, or for an envelope a copy of it and its Lookup
-// with the spare pointers set to nil.
+// wireContent returns a copy of m with its spare pointers set to nil: for
+// an envelope, a copy of it and its Lookup.
 func wireContent(m Message) Message {
-	env, ok := m.(*Envelope)
-	if !ok {
-		return m
+	switch m := m.(type) {
+	case *Envelope:
+		cp := *m
+		cp.spareAck = nil
+		if m.Lookup != nil {
+			lk := *m.Lookup
+			lk.spareEnv = nil
+			cp.Lookup = &lk
+		}
+		return &cp
+	case *LSProbe:
+		cp := *m
+		cp.spareReply = nil
+		return &cp
+	case *RTProbe:
+		cp := *m
+		cp.spareReply = nil
+		return &cp
+	case *DistProbe:
+		cp := *m
+		cp.spareReply = nil
+		return &cp
+	case *DistProbeReply:
+		cp := *m
+		cp.spareReport = nil
+		return &cp
 	}
-	cp := *env
-	cp.spareAck = nil
-	if env.Lookup != nil {
-		lk := *env.Lookup
-		lk.spareEnv = nil
-		cp.Lookup = &lk
-	}
-	return &cp
+	return m
 }
 
-// checkSpares fails unless a decoded lookup envelope carries both spares:
-// its inline ack, and its own envelope as the lookup's first forward.
+// checkSpares fails unless a decoded message carries the spares its
+// receiver takes: a lookup envelope its inline ack and its own envelope as
+// the lookup's first forward, a probe its inline reply. A decoded echo
+// carries no report: the report is its prober's, built beside the probe.
 func checkSpares(t *testing.T, name string, m Message) {
 	t.Helper()
-	if env, ok := m.(*Envelope); ok && env.Lookup != nil {
-		if env.spareAck == nil || env.Lookup.spareEnv != env {
+	switch m := m.(type) {
+	case *Envelope:
+		if m.Lookup != nil && (m.spareAck == nil || m.Lookup.spareEnv != m) {
 			t.Errorf("%s: decoded lookup envelope lacks its spares: ack %p, envelope %p (want %p)",
-				name, env.spareAck, env.Lookup.spareEnv, env)
+				name, m.spareAck, m.Lookup.spareEnv, m)
+		}
+	case *LSProbe:
+		if m.spareReply == nil {
+			t.Errorf("%s: decoded leaf-set probe lacks its spare reply", name)
+		}
+	case *RTProbe:
+		if m.spareReply == nil {
+			t.Errorf("%s: decoded liveness probe lacks its spare reply", name)
+		}
+	case *DistProbe:
+		if m.spareReply == nil || m.spareReply.spareReport != nil {
+			t.Errorf("%s: decoded distance probe has spare echo %p, want one without a report", name, m.spareReply)
+		}
+	case *DistProbeReply:
+		if m.spareReport != nil {
+			t.Errorf("%s: decoded echo carries a spare report", name)
 		}
 	}
 }
@@ -208,7 +244,7 @@ func lookupEnvelope() *Envelope {
 // allocates the message's own parts only (the envelope with its lookup in
 // one object, two address strings, payload) — and with a warm table of
 // addresses, as in a transport's read loop, no strings: the message
-// objects alone.
+// objects alone. A decoded probe is one object with the reply it is owed.
 func TestCodecAllocations(t *testing.T) {
 	env := lookupEnvelope()
 	frame := encodeMessage(env)
@@ -216,7 +252,8 @@ func TestCodecAllocations(t *testing.T) {
 	var size int
 	names := codec.NewInterner(16)
 	bare := encodeMessage(frameSamples[1].msg) // envelope-lookup-min: no payload
-	for _, f := range [][]byte{frame, bare} {
+	distProbe := encodeMessage(&DistProbe{From: env.From, Seq: 99})
+	for _, f := range [][]byte{frame, bare, distProbe} {
 		if _, err := DecodeInterned(f, names); err != nil {
 			t.Fatal(err)
 		}
@@ -231,6 +268,7 @@ func TestCodecAllocations(t *testing.T) {
 		"DecodeMessage":              {4, func() { DecodeMessage(frame) }},
 		"DecodeInterned":             {2, func() { DecodeInterned(frame, names) }}, // envelope with lookup, payload
 		"DecodeInterned, no payload": {1, func() { DecodeInterned(bare, names) }},
+		"DecodeInterned, DistProbe":  {1, func() { DecodeInterned(distProbe, names) }}, // the probe with its echo inline
 	} {
 		if got := testing.AllocsPerRun(100, pin.f); got > pin.max {
 			t.Errorf("%s: %v allocs per message, want at most %v", name, got, pin.max)

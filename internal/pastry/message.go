@@ -203,6 +203,18 @@ type Ack struct {
 // Category implements Message.
 func (*Ack) Category() Category { return CatAck }
 
+// takeSpare returns the message *spare points at — an ack, reply or report
+// inline in a received message's allocation — and clears the pointer, so a
+// spare is taken once and written once; a new message when there is none.
+func takeSpare[T any](spare **T) *T {
+	m := *spare
+	*spare = nil
+	if m == nil {
+		m = new(T)
+	}
+	return m
+}
+
 // LSProbe is a leaf-set probe: it carries the sender's leaf set and failed
 // set (Figure 2 of the paper).
 type LSProbe struct {
@@ -214,10 +226,30 @@ type LSProbe struct {
 	// during joins and repair).
 	NeedNear bool
 	TrtHint  time.Duration
+	// spareReply is the reply the probe's receiver owes, inline in the
+	// same allocation (lsExchange); handleLSProbe takes it once.
+	spareReply *LSProbeReply
 }
 
 // Category implements Message.
 func (*LSProbe) Category() Category { return CatLeafSet }
+
+// lsExchange is a leaf-set probe's layout: the probe and the reply its
+// receiver owes in one allocation. The sender builds it and the decoder's
+// factory returns it, so a peer answers a probe, simulated or decoded,
+// without allocating. The reply belongs to the receiver alone: it is
+// written once, then sent.
+type lsExchange struct {
+	LSProbe
+	reply LSProbeReply
+}
+
+// newLSProbe returns an empty leaf-set probe that holds its spare reply.
+func newLSProbe() *LSProbe {
+	x := new(lsExchange)
+	x.spareReply = &x.reply
+	return &x.LSProbe
+}
 
 // LSProbeReply answers an LSProbe with the same information, plus Near: the
 // responder's closest known nodes to the requester, which implements the
@@ -248,10 +280,26 @@ func (*Heartbeat) Category() Category { return CatLeafSet }
 type RTProbe struct {
 	From    NodeRef
 	TrtHint time.Duration
+	// spareReply is the reply the probe's receiver owes (rtExchange).
+	spareReply *RTProbeReply
 }
 
 // Category implements Message.
 func (*RTProbe) Category() Category { return CatRTProbe }
+
+// rtExchange is a liveness probe and its receiver's reply in one
+// allocation, on lsExchange's terms.
+type rtExchange struct {
+	RTProbe
+	reply RTProbeReply
+}
+
+// newRTProbe returns an empty liveness probe that holds its spare reply.
+func newRTProbe() *RTProbe {
+	x := new(rtExchange)
+	x.spareReply = &x.reply
+	return &x.RTProbe
+}
 
 // RTProbeReply answers an RTProbe.
 type RTProbeReply struct {
@@ -266,6 +314,8 @@ func (*RTProbeReply) Category() Category { return CatRTProbe }
 type DistProbe struct {
 	From NodeRef
 	Seq  uint64
+	// spareReply is the echo the probe's receiver owes (distExchange).
+	spareReply *DistProbeReply
 }
 
 // Category implements Message.
@@ -275,10 +325,46 @@ func (*DistProbe) Category() Category { return CatDistance }
 type DistProbeReply struct {
 	From NodeRef
 	Seq  uint64
+	// spareReport is the DistReport the prober owes the target once this
+	// echo completes the measurement (distReportExchange). Only a
+	// session's last probe carries one, and only in its sender's own
+	// allocation: a decoded echo has none.
+	spareReport *DistReport
 }
 
 // Category implements Message.
 func (*DistProbeReply) Category() Category { return CatDistance }
+
+// distExchange is a distance probe and its receiver's echo in one
+// allocation, on lsExchange's terms.
+type distExchange struct {
+	DistProbe
+	reply DistProbeReply
+}
+
+// newDistProbe returns an empty distance probe that holds its spare echo.
+func newDistProbe() *DistProbe {
+	x := new(distExchange)
+	x.spareReply = &x.reply
+	return &x.DistProbe
+}
+
+// distReportExchange is a session's last distance probe: the probe, its
+// echo and, for the prober once the echo is back, the symmetric report,
+// in one allocation. The report is the prober's: it is written once, when
+// the echo completes the session, then sent.
+type distReportExchange struct {
+	distExchange
+	report DistReport
+}
+
+// newLastDistProbe returns an empty distance probe whose spare echo holds
+// the spare report.
+func newLastDistProbe() *DistProbe {
+	x := new(distReportExchange)
+	x.spareReply, x.reply.spareReport = &x.reply, &x.report
+	return &x.DistProbe
+}
 
 // DistReport implements symmetric distance probing: after measuring the
 // round-trip delay to a peer, a node reports the value so the peer can

@@ -583,7 +583,7 @@ func (n *Node) fire(k timerKind, rec any) {
 	case timerDistProbe:
 		n.sendDistProbe(rec.(*distSession))
 	case timerDistDeadline:
-		n.finishDistSession(rec.(*distSession))
+		n.finishDistSession(rec.(*distSession), nil)
 	case timerSecure:
 		n.secureTimeout(rec.(*secureSession))
 	case timerIssued:

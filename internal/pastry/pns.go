@@ -93,15 +93,25 @@ func (n *Node) parkDist(ds *distSession) {
 	}
 }
 
-// sendDistProbe sends the session's next probe. The session's timers are
-// cancelled when it ends, so one that is over sends none.
+// sendDistProbe sends the session's next probe, built with the echo its
+// target will owe inline (distExchange); the last one also holds the
+// report this node will owe the target once the echoes are in
+// (distReportExchange). The session's timers are cancelled when it ends,
+// so one that is over sends none.
 func (n *Node) sendDistProbe(ds *distSession) {
 	n.nextDistSeq++
 	seq := n.nextDistSeq
+	var p *DistProbe
+	if ds.sent == ds.want-1 {
+		p = newLastDistProbe()
+	} else {
+		p = newDistProbe()
+	}
+	p.From, p.Seq = n.self, seq
 	ds.seqs[ds.sent], ds.sentAt[ds.sent] = seq, n.env.Now()
 	ds.sent++
 	n.distSeqs[seq] = ds
-	n.send(ds.target, &DistProbe{From: n.self, Seq: seq})
+	n.send(ds.target, p)
 }
 
 // handleDistProbeReply folds a probe echo into its session; the session
@@ -121,16 +131,18 @@ func (n *Node) handleDistProbeReply(msg *DistProbeReply) {
 		}
 	}
 	if ds.got >= ds.want {
-		n.finishDistSession(ds)
+		n.finishDistSession(ds, takeSpare(&msg.spareReport))
 	}
 }
 
 // finishDistSession concludes a measurement, reporting the median of the
 // collected samples and sending the symmetric distance report so the
-// target can reuse the measurement. The record is parked before any
-// completion runs, as a hop's is before its lookup is handed on: the
-// waiters are copied out first (to the stack, short of three).
-func (n *Node) finishDistSession(ds *distSession) {
+// target can reuse the measurement. The report goes out in report — the
+// completing echo's spare — or, at the deadline (report nil), in a new
+// one. The record is parked before any completion runs, as a hop's is
+// before its lookup is handed on: the waiters are copied out first (to
+// the stack, short of three).
+func (n *Node) finishDistSession(ds *distSession, report *DistReport) {
 	delete(n.distSessions, ds.target.ID)
 	stop(ds.deadline.timer)
 	for i := range ds.sample {
@@ -148,7 +160,11 @@ func (n *Node) finishDistSession(ds *distSession) {
 	waiters := append(buf[:0], ds.waiters...)
 	n.parkDist(ds)
 	if ok {
-		n.send(target, &DistReport{From: n.self, RTT: rtt})
+		if report == nil {
+			report = new(DistReport)
+		}
+		*report = DistReport{From: n.self, RTT: rtt}
+		n.send(target, report)
 	}
 	for _, w := range waiters {
 		n.complete(w, rtt, ok)
@@ -166,9 +182,13 @@ func (n *Node) complete(w distWaiter, rtt time.Duration, ok bool) {
 	}
 }
 
-// handleDistProbe echoes a distance probe.
+// handleDistProbe echoes a distance probe, in the echo the probe carries
+// inline when it has one. The echo's fields are set one by one: its spare
+// report, if any, is the prober's and rides back with it.
 func (n *Node) handleDistProbe(p *DistProbe) {
-	n.send(p.From, &DistProbeReply{From: n.self, Seq: p.Seq})
+	reply := takeSpare(&p.spareReply)
+	reply.From, reply.Seq = n.self, p.Seq
+	n.send(p.From, reply)
 }
 
 // handleDistReport applies a symmetric distance report: the peer measured

@@ -69,15 +69,14 @@ func (n *Node) parkProbe(ps *probeState) {
 	}
 }
 
+// sendProbeMsg sends ps's probe, built with the reply its target will owe
+// inline (lsExchange, rtExchange).
 func (n *Node) sendProbeMsg(ps *probeState) {
 	if ps.isLeaf {
-		n.send(ps.ref, &LSProbe{
-			From:     n.self,
-			Leaves:   n.ls.Members(),
-			Failed:   n.failedList(),
-			NeedNear: !n.ls.Complete(),
-			TrtHint:  n.trtLocal,
-		})
+		p := newLSProbe()
+		p.From, p.Leaves, p.Failed = n.self, n.ls.Members(), n.failedList()
+		p.NeedNear, p.TrtHint = !n.ls.Complete(), n.trtLocal
+		n.send(ps.ref, p)
 		return
 	}
 	if ps.reconnect {
@@ -85,7 +84,9 @@ func (n *Node) sendProbeMsg(ps *probeState) {
 	} else {
 		n.counters.SentRTProbes++
 	}
-	n.send(ps.ref, &RTProbe{From: n.self, TrtHint: n.trtLocal})
+	p := newRTProbe()
+	p.From, p.TrtHint = n.self, n.trtLocal
+	n.send(ps.ref, p)
 }
 
 // failedList snapshots the failure records in identifier order. The order
@@ -295,10 +296,12 @@ func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 	return best, found
 }
 
-// handleLSProbe implements RECEIVE(LS-PROBE) from Figure 2.
+// handleLSProbe implements RECEIVE(LS-PROBE) from Figure 2. The reply is
+// the one the probe carries inline when it has one.
 func (n *Node) handleLSProbe(p *LSProbe) {
 	n.processLeafInfo(p.From, p.Leaves, nil, p.Failed)
-	reply := &LSProbeReply{
+	reply := takeSpare(&p.spareReply)
+	*reply = LSProbeReply{
 		From:    n.self,
 		Leaves:  n.ls.Members(),
 		Failed:  n.failedList(),
@@ -445,9 +448,12 @@ func rankOf(target, x id.ID, i int) rankKey {
 	return rankKey{dist: ccw, ccw: true, i: int32(i)}
 }
 
-// handleRTProbe answers a routing-table liveness probe.
+// handleRTProbe answers a routing-table liveness probe, in the reply the
+// probe carries inline when it has one.
 func (n *Node) handleRTProbe(p *RTProbe) {
-	n.send(p.From, &RTProbeReply{From: n.self, TrtHint: n.trtLocal})
+	reply := takeSpare(&p.spareReply)
+	*reply = RTProbeReply{From: n.self, TrtHint: n.trtLocal}
+	n.send(p.From, reply)
 }
 
 // handleRTProbeReply completes a liveness probe. Like leaf-set probe

@@ -580,6 +580,171 @@ func TestRerouteSendsAFreshEnvelope(t *testing.T) {
 	checkRecords(t, n)
 }
 
+// answer returns the reply a peer at from owes probe, built as its
+// handleLSProbe, handleRTProbe or handleDistProbe builds it: in the spare
+// the probe carries.
+func answer(probe Message, from NodeRef) Message {
+	switch p := probe.(type) {
+	case *LSProbe:
+		r := takeSpare(&p.spareReply)
+		*r = LSProbeReply{From: from}
+		return r
+	case *RTProbe:
+		r := takeSpare(&p.spareReply)
+		*r = RTProbeReply{From: from}
+		return r
+	case *DistProbe:
+		r := takeSpare(&p.spareReply)
+		r.From, r.Seq = from, p.Seq
+		return r
+	}
+	panic(fmt.Sprintf("answer: %T is not a probe", probe))
+}
+
+// A probe delivered twice — the simulator's duplication fault hands its
+// receiver the same pointer twice — is answered twice: the first time in
+// the spare reply it carries, the second in a new one, and building the
+// second leaves the first as it was sent.
+func TestDuplicatedProbeGetsTwoReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		probe func(prober *Node, target NodeRef)
+	}{
+		{"leaf-set probe", func(p *Node, to NodeRef) { p.probeLeaf(to) }},
+		{"routing-table ping", func(p *Node, to NodeRef) { p.probe(to, false, false) }},
+		{"distance probe", func(p *Node, to NodeRef) { p.measureDistance(to, 1, nil) }},
+	} {
+		net := newTestNet(t, 1)
+		a := net.addNode(id.New(0, 1000), testConfig(), nil)
+		b := net.addNode(id.New(0, 1100), testConfig(), nil)
+		var last Message // the last message sent to a, or by a
+		net.drop = func(from, to NodeRef, m Message) bool {
+			if from == a.self || to == a.self {
+				last = m
+			}
+			return true
+		}
+		tc.probe(a, b.self)
+		probe := last
+		var spare Message
+		switch p := probe.(type) {
+		case *LSProbe:
+			spare = p.spareReply
+		case *RTProbe:
+			spare = p.spareReply
+		case *DistProbe:
+			spare = p.spareReply
+		}
+		b.Receive(probe)
+		first := last
+		sentAs := string(AppendMessage(nil, first))
+		b.Receive(probe)
+		second := last
+		if first != spare {
+			t.Errorf("%s: the first reply %p is not the probe's spare %p", tc.name, first, spare)
+		}
+		if second == first {
+			t.Fatalf("%s: the second delivery was answered in %p, the first reply's object", tc.name, second)
+		}
+		if string(AppendMessage(nil, first)) != sentAs {
+			t.Errorf("%s: building the second reply rewrote the first: %#v", tc.name, first)
+		}
+		if !sameWire(first, second) {
+			t.Errorf("%s: the replies differ:\n  %#v\n  %#v", tc.name, first, second)
+		}
+		if from, _ := second.(contact).sender(); from != b.self {
+			t.Errorf("%s: the second reply names %v as its sender, want %v", tc.name, from, b.self)
+		}
+		if echo, ok := first.(*DistProbeReply); ok && (echo.spareReport == nil || second.(*DistProbeReply).spareReport != nil) {
+			t.Errorf("%s: the prober's report went to %p and %p, want the first echo only",
+				tc.name, echo.spareReport, second.(*DistProbeReply).spareReport)
+		}
+	}
+}
+
+// A measurement's report goes out in the completing echo's spare when that
+// echo is the last probe's. An earlier probe's echo that completes the
+// session, having overtaken the last one's, and the deadline send a new
+// report: the same report, to the same target.
+func TestDistReportWithoutItsSpare(t *testing.T) {
+	net, n, sent := hopNode(t, testConfig(), nil)
+	target := ref(1100)
+	spacing := n.cfg.DistProbeSpacing
+	const late = 100 * time.Millisecond
+	// measure sends a measurement's probes, answers them in their spares
+	// and returns the echoes in probe order, late after the last probe.
+	measure := func() []*DistProbeReply {
+		*sent = (*sent)[:0]
+		n.measureDistance(target, distProbeCount, nil)
+		net.run(time.Duration(distProbeCount-1) * spacing)
+		var echoes []*DistProbeReply
+		for _, m := range *sent {
+			if p, ok := m.(*DistProbe); ok {
+				echoes = append(echoes, answer(p, target).(*DistProbeReply))
+			}
+		}
+		if len(echoes) != distProbeCount {
+			t.Fatalf("sent %d distance probes, want %d", len(echoes), distProbeCount)
+		}
+		if echoes[len(echoes)-1].spareReport == nil || echoes[0].spareReport != nil {
+			t.Fatal("the report is not in the last probe's echo alone")
+		}
+		net.run(late)
+		*sent = (*sent)[:0]
+		return echoes
+	}
+	// report returns the one DistReport sent since measure, checking it.
+	report := func(name string, rtt time.Duration) *DistReport {
+		var out *DistReport
+		for _, m := range *sent {
+			if r, ok := m.(*DistReport); ok {
+				if out != nil {
+					t.Fatalf("%s: two reports sent", name)
+				}
+				out = r
+			}
+		}
+		if out == nil || *out != (DistReport{From: n.self, RTT: rtt}) {
+			t.Fatalf("%s: sent report %+v, want one from %v with RTT %v", name, out, n.self, rtt)
+		}
+		return out
+	}
+
+	// In order: the last echo completes the session, in its spare. The
+	// samples are 2, 1 and 0 spacings, each plus late.
+	echoes := measure()
+	spare := echoes[2].spareReport
+	for _, e := range echoes {
+		n.Receive(e)
+	}
+	if r := report("in order", spacing+late); r != spare || echoes[2].spareReport != nil {
+		t.Fatalf("in order: the report %p is not the last echo's spare %p, taken", r, spare)
+	}
+
+	// Out of order: the last echo overtakes the others, and the second
+	// completes the session.
+	echoes = measure()
+	spare = echoes[2].spareReport
+	for _, i := range []int{2, 0, 1} {
+		n.Receive(echoes[i])
+	}
+	if r := report("out of order", spacing+late); r == spare || echoes[2].spareReport != spare {
+		t.Fatal("out of order: the report went out in the last echo's spare, which did not complete the session")
+	}
+
+	// At the deadline: only the last echo is back.
+	echoes = measure()
+	spare = echoes[2].spareReport
+	n.Receive(echoes[2])
+	net.run(spacing + 2*n.cfg.To) // the deadline is 3 spacings and 2 To after the first probe
+	if r := report("deadline", late); r == spare {
+		t.Fatal("deadline: the report went out in the last echo's spare")
+	}
+	if len(n.distSessions) != 0 || len(n.distSeqs) != 0 {
+		t.Fatalf("%d sessions and %d probe seqs left", len(n.distSessions), len(n.distSeqs))
+	}
+}
+
 // TestRecordAllocations pins, with the free lists warm, what the node's
 // own bookkeeping may allocate beside the messages it sends: nothing. A
 // timer costs nothing either, as every slot a pin arms (a record's or the
@@ -592,10 +757,12 @@ func TestRecordAllocations(t *testing.T) {
 		n.ls.Add(l)
 	}
 	retxTo := make(map[id.ID]int) // and record only retransmissions, by destination
+	var last Message              // and the last message sent
 	net.drop = func(_, to NodeRef, m Message) bool {
 		if env, ok := m.(*Envelope); ok && env.Retx {
 			retxTo[to.ID]++
 		}
+		last = m
 		return true
 	}
 	prev, next := refID(n.self.ID.Sub(id.New(0, 1))), refID(n.self.ID.Add(id.New(0, 1)))
@@ -654,7 +821,16 @@ func TestRecordAllocations(t *testing.T) {
 			n.Lookup(local, nil)
 			net.run(0)
 		}},
-		// The probe and (built here, as its sender would) the reply.
+		// The probe, with the reply its peer owes inside.
+		"leaf probe sent, answered in its spare, done": {1, func() {
+			n.probeLeaf(next)
+			n.Receive(answer(last, next))
+		}},
+		"routing-table ping, answered in its spare": {1, func() {
+			n.probe(next, false, false)
+			n.Receive(answer(last, next))
+		}},
+		// A reply built by hand has no spare: the probe and the reply.
 		"leaf probe sent, answered, done": {2, func() {
 			n.probeLeaf(next)
 			n.Receive(&LSProbeReply{From: next})
@@ -681,7 +857,23 @@ func TestRecordAllocations(t *testing.T) {
 			n.Receive(&LSProbeReply{From: prev})
 			net.run(time.Second)
 		}},
-		// Routing-table maintenance: three probes, the symmetric report.
+		// Three probes, each with its echo inside; the last holds the
+		// symmetric report too.
+		"3-sample measurement answered in the spares, offered to the table": {3, func() {
+			n.measureDistance(next, distProbeCount, nil)
+			for i := range distProbeCount {
+				if i > 0 {
+					net.run(n.cfg.DistProbeSpacing)
+				}
+				n.Receive(answer(last, next))
+			}
+		}},
+		// The one probe, with its echo and the report inside.
+		"1-sample nearest-neighbour sample, answered in the spare": {1, func() {
+			n.measureDistance(prev, 1, n.nn)
+			n.Receive(answer(last, prev))
+		}},
+		// Echoes built by hand carry no report: three probes, the report.
 		"3-sample measurement, offered to the table": {4, func() {
 			n.measureDistance(next, distProbeCount, nil)
 			for i, echo := range echoes {
@@ -692,7 +884,7 @@ func TestRecordAllocations(t *testing.T) {
 				n.Receive(echo)
 			}
 		}},
-		// A nearest-neighbour sample: the probe, the report.
+		// As above with one sample: the probe, the report.
 		"1-sample measurement, a nearest-neighbour sample": {2, func() {
 			n.measureDistance(prev, 1, n.nn)
 			nnEcho.Seq = n.nextDistSeq

@@ -403,11 +403,7 @@ func (n *Node) retransmitSame(ph *pendingHop) {
 // lookup on (spareEnvelope).
 func (n *Node) handleEnvelope(env *Envelope) {
 	if env.NeedAck {
-		ack := env.spareAck
-		env.spareAck = nil
-		if ack == nil {
-			ack = new(Ack)
-		}
+		ack := takeSpare(&env.spareAck)
 		*ack = Ack{Xfer: env.Xfer, From: n.self, TrtHint: n.trtLocal}
 		n.send(env.From, ack)
 	}
