@@ -15,7 +15,10 @@ package main
 // with the hook that run held inline at that commit standing in for
 // collectGauges — the procedure of the recorded wire frames
 // (internal/pastry/frames_test.go). internal/harness checks that every
-// family the simulator emits is in it.
+// family the simulator emits is in it. The change that removed
+// control-message coalescing edited it by hand: the four families that
+// described batching went, and the help text of datagrams_sent_total and
+// decode_errors_total no longer speaks of batches.
 
 import (
 	"encoding/json"

@@ -70,7 +70,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		seedAddr  = fs.String("seed-addr", "", "seed node address (host:port)")
 		seedID    = fs.String("seed-id", "", "seed node identifier (32 hex digits)")
 		nodeID    = fs.String("id", "", "this node's identifier (default: random)")
-		coalesce  = fs.Duration("coalesce", 2*time.Millisecond, "control-message coalescing window (0 = one message per datagram)")
 		dataDir   = fs.String("data-dir", "", "directory for the durable object store (empty = in-memory)")
 		inQueue   = fs.Int("inbound-queue", 0, "bound inbound work at this many messages, shedding lowest-priority-first (0 = unbounded)")
 		secRoute  = fs.Bool("secure-routing", false, "run the routing failure test on lookups issued with slookup, with redundant diverse-path retries")
@@ -88,12 +87,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// A typo'd flag must die here with a clear message, not surface later
-	// as a wedged coalescer or a panicking queue constructor.
+	// as a panicking queue constructor.
 	var self, sid id.ID
 	var err error
 	switch {
-	case *coalesce < 0:
-		return fail(2, "-coalesce must be >= 0, got %v", *coalesce)
 	case *inQueue < 0:
 		return fail(2, "-inbound-queue must be >= 0, got %d", *inQueue)
 	case *cacheEnt < 0:
@@ -117,7 +114,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(1, "%v", err)
 	}
 	defer tr.Close()
-	tr.SetCoalesceWindow(*coalesce)
 	tr.SetInboundQueue(*inQueue)
 
 	// One registry backs every view of this node: the Prometheus endpoint,
@@ -402,11 +398,10 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, d
 	fmt.Fprintf(stdout, "  lookups: issued=%.0f delivered=%.0f  acks=%.0f  retransmits=%.0f\n",
 		m["mspastry_lookups_issued_total"], m["mspastry_lookups_delivered_total"],
 		m["mspastry_ack_rtt_seconds:count"], m["mspastry_node_retransmits"])
-	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f saved=%.0f\n",
+	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f\n",
 		m["mspastry_transport_msgs_sent_total"], m["mspastry_transport_msgs_received_total"],
 		m["mspastry_transport_datagrams_sent_total"],
-		m["mspastry_transport_bytes_sent_total"], m["mspastry_transport_bytes_received_total"],
-		m["mspastry_transport_coalesced_bytes_saved_total"])
+		m["mspastry_transport_bytes_sent_total"], m["mspastry_transport_bytes_received_total"])
 	fmt.Fprintf(stdout, "  dht: puts=%.0f gets=%.0f dels=%.0f retries=%.0f replicas=%.0f syncs=%.0f repaired=%.0f\n",
 		m["mspastry_dht_puts"], m["mspastry_dht_gets"], m["mspastry_dht_deletes"],
 		m["mspastry_dht_retries"], m["mspastry_dht_replicas_pushed"],

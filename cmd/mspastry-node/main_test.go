@@ -37,10 +37,10 @@ func TestRejectedFlags(t *testing.T) {
 		{"-seed-addr 127.0.0.1:7001", "need -bootstrap, or -seed-addr and -seed-id"},
 		{"-seed-addr 127.0.0.1:7001 -seed-id xyz", "-seed-id: "},
 		{"-bootstrap -id 12", "-id: "},
-		{"-bootstrap -coalesce -1ms", "-coalesce must be >= 0"},
 		{"-bootstrap -inbound-queue -1", "-inbound-queue must be >= 0"},
 		{"-bootstrap -cache-entries -1", "-cache-entries must be >= 0"},
 		{"-bootstrap -status 1s", "flag provided but not defined: -status"},
+		{"-bootstrap -coalesce 0", "flag provided but not defined: -coalesce"},
 	} {
 		var stdout syncBuffer
 		var stderr bytes.Buffer
@@ -107,9 +107,9 @@ func TestCommandsAndRestartDurability(t *testing.T) {
 }
 
 // The subsystems a deployment turns on by flag: secure lookups, the
-// hotspot read cache, the bounded inbound queue, and no coalescing.
+// hotspot read cache and the bounded inbound queue.
 func TestOptionalSubsystems(t *testing.T) {
-	out := node(t, "-secure-routing -cache-entries 64 -inbound-queue 128 -coalesce 0 -id 000102030405060708090a0b0c0d0e0f",
+	out := node(t, "-secure-routing -cache-entries 64 -inbound-queue 128 -id 000102030405060708090a0b0c0d0e0f",
 		"put k v\nget k\nget k\nslookup k\nstatus\nquit\n")
 	wantAll(t, out, "id=000102030405060708090a0b0c0d0e0f", `stored "k"`, "v\n",
 		"secure lookup for ", "status: active=true", "  overload: load=0.00 shed=0 panics=0 ")

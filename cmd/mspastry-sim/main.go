@@ -2,8 +2,8 @@
 // the windowed evaluation metrics (§5.2 of the paper): relative delay
 // penalty, control traffic per node, lookup loss rate and incorrect
 // delivery rate. The paper's parameter sweeps and ablations (b, l, Tls,
-// per-hop acks, probing, self-tuning target, coalescing, jitter) are
-// registry experiments: see mspastry-bench.
+// per-hop acks, probing, self-tuning target, jitter) are registry
+// experiments: see mspastry-bench.
 //
 // Examples:
 //
@@ -218,9 +218,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %s=%.4f", cat, t.ByCategory[cat])
 	}
 	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "wire: datagrams/n/s=%.4f control-datagrams/n/s=%.4f control-bytes/n/s=%.1f coalesced-saved=%dB\n",
-		t.DatagramsPerNodeSec, t.ControlDatagramsPerNodeSec,
-		t.ControlBytesPerNodeSec, t.CoalescedSavedBytes)
+	fmt.Fprintf(stdout, "wire: datagrams/n/s=%.4f control-datagrams/n/s=%.4f control-bytes/n/s=%.1f\n",
+		t.DatagramsPerNodeSec, t.ControlDatagramsPerNodeSec, t.ControlBytesPerNodeSec)
 	fmt.Fprintf(stdout, "self-tuned Trt (median of live nodes): %v\n", res.TrtMedian.Round(time.Second))
 	fmt.Fprintf(stdout, "joins=%d medianJoinLatency=%v retransmits=%d suppressedProbes=%d\n",
 		t.Joins, t.MedianJoinLatency.Round(time.Millisecond),

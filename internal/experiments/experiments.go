@@ -107,8 +107,6 @@ var All = []Experiment{
 		Paper: "claim: holding delivery while a closer node is suspected keeps incorrect deliveries at the 1e-5 scale; delivering immediately does not"},
 	{Name: "antientropy", Title: "Anti-entropy vs full-push sweep maintenance", Run: antiEntropy,
 		Paper: "claim: sweeps cost one digest exchange per replica pair when converged, full values move only for keys that actually diverged (bar: reduction >= 5x)"},
-	{Name: "batching", Title: "wire coalescing A/B", Run: batching,
-		Paper: "claim: under aggressive failure detection, heartbeats to the ring neighbour batch under the long window — the paper's suppression rule extended to piggybacking — without touching routing behaviour (bar: control datagrams -25%)"},
 	{Name: "overload", Title: "Overload & graceful degradation", Run: overloadSweep,
 		Paper: "claim: bounded lane queues shed bulk and lookups before liveness traffic, retry budgets cap the per-peer retransmission rate, and circuit breakers route around saturated peers — so load past capacity degrades throughput smoothly instead of collapsing the failure detector (bar: success at 5x >= 0.80 of 1x)"},
 	{Name: "secure", Title: "Secure routing under Byzantine peers", Run: secureSweep,

@@ -284,70 +284,3 @@ func consistencyRule(s Scale) (Report, error) {
 		{"rdp-without", res[1].Totals.RDP},
 	}}, nil
 }
-
-// The batching A/B runs the same seeded workload with coalescing off (one
-// message per datagram, the paper's wire behaviour) and with the windows
-// set. Batching is a pure wire-layer change — the protocol sends the same
-// messages either way — so routing quality (loss, hops, RDP) must be
-// unchanged while the datagram count drops: acks, heartbeats and probe
-// replies to the same peer share frames.
-//
-// The workload models aggressive failure detection: Tls lowered from the
-// paper's 30s to 1s, the regime the paper's dependability analysis targets
-// (detection latency is bounded by Tls+To, so fast detection forces a
-// short Tls) and the one where liveness traffic dominates control load.
-// Consecutive heartbeats to the same ring neighbour then arrive within the
-// long window and share frames — the paper's ack/heartbeat suppression
-// rule extended from "any traffic substitutes for a probe" to "liveness
-// traffic rides along with whatever else is going to that peer".
-const (
-	batchingTls = time.Second
-	// The base window must stay under MinRTO. The long one must stay
-	// below the probe timeout To: a heartbeat held longer than To arrives
-	// after the receiver's Tls+To suspicion deadline and triggers
-	// spurious repair.
-	batchingWindow     = 30 * time.Millisecond
-	batchingLongWindow = 2500 * time.Millisecond
-)
-
-// batchingRuns returns the coalescing-off and coalescing-on runs.
-func batchingRuns(s Scale) []harness.Result {
-	return sweep(2, s.base("gatech", s.poisson(30*time.Minute)), func(i int, cfg *harness.Config) {
-		cfg.Pastry.Tls = batchingTls
-		// The maintenance tick bounds how often heartbeats can go out; it
-		// must be finer than Tls for the 1s heartbeat period to be real.
-		cfg.Pastry.TickInterval = batchingTls / 2
-		if i == 1 {
-			cfg.CoalesceWindow = batchingWindow
-			cfg.CoalesceLongWindow = batchingLongWindow
-		}
-	})
-}
-
-func batching(s Scale) (Report, error) {
-	labels := []string{"coalesce-off", "coalesce-on"}
-	res := batchingRuns(s)
-	t := totalsTable(labels, res, "datagrams", "ctrlDgrams", "ctrlBytes", "savedB")
-	t.Title = "wire coalescing A/B (Tls=" + batchingTls.String() + ", window=" + batchingWindow.String() +
-		", long=" + batchingLongWindow.String() + ")"
-	for i, r := range res {
-		v := t.Rows[i].Values
-		v["datagrams"] = r.Totals.DatagramsPerNodeSec
-		v["ctrlDgrams"] = r.Totals.ControlDatagramsPerNodeSec
-		v["ctrlBytes"] = r.Totals.ControlBytesPerNodeSec
-		v["savedB"] = float64(r.Totals.CoalescedSavedBytes)
-	}
-	off, on := res[0].Totals, res[1].Totals
-	return Report{Tables: []Table{t}, Headlines: []Headline{
-		// The fraction of control datagrams per node per second removed
-		// by coalescing.
-		{"ctrl-dgram-reduction", controlDatagramReduction(off, on)},
-	}}, nil
-}
-
-func controlDatagramReduction(off, on stats.Totals) float64 {
-	if off.ControlDatagramsPerNodeSec == 0 {
-		return 0
-	}
-	return 1 - on.ControlDatagramsPerNodeSec/off.ControlDatagramsPerNodeSec
-}

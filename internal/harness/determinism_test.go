@@ -14,10 +14,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 
 // goldenChurnConfig is the fixed-seed churn run whose report is pinned
 // bit-for-bit across refactors: 200s of heavy Poisson churn (mean
-// session 2 minutes, ~48 nodes) with lookups and uniform loss, and
-// coalescing off (the default) so held-frame flush ordering cannot
-// enter the picture. Any change to the seeded draw sequence — message
-// emission order, probe scheduling, eviction order — shows up here.
+// session 2 minutes, ~48 nodes) with lookups and uniform loss. Any
+// change to the seeded draw sequence — message emission order, probe
+// scheduling, eviction order — shows up here.
 func goldenChurnConfig(t testing.TB) Config {
 	topo, err := BuildTopology("gatech", 8, 1)
 	if err != nil {

@@ -35,16 +35,6 @@ type Config struct {
 	LookupRate float64
 	// NetworkLoss is the uniform message loss probability.
 	NetworkLoss float64
-	// CoalesceWindow is how long coalescable control messages (acks,
-	// heartbeats, probes) may wait to share a datagram with later traffic
-	// to the same peer. Zero (the default) disables batching, reproducing
-	// one-message-per-datagram behaviour exactly.
-	CoalesceWindow time.Duration
-	// CoalesceLongWindow is the extended wait budget for delay-tolerant
-	// messages (heartbeats, distance reports, row announcements). Only
-	// meaningful with a nonzero CoalesceWindow; keep it below the probe
-	// timeout To so held heartbeats beat the Tls+To suspicion deadline.
-	CoalesceLongWindow time.Duration
 	// Window is the metric averaging window (paper: 10 min, or 1 h for
 	// the Microsoft trace).
 	Window time.Duration
@@ -249,8 +239,6 @@ func newRun(cfg Config) *run {
 		r.obs = telemetry.NewOverlay(cfg.Telemetry, r.tracer,
 			telemetry.OverlayOptions{Inner: r.obs, SharedClock: true})
 	}
-	nw.SetCoalesceWindow(cfg.CoalesceWindow)
-	nw.SetCoalesceLongWindow(cfg.CoalesceLongWindow)
 	nw.SetServiceModel(cfg.Service)
 	nw.OnSend(func(from *netmodel.Endpoint, to pastry.NodeRef, m pastry.Message, singleBytes int) {
 		t := r.measured()

@@ -22,9 +22,9 @@ func (r Result) ReportString() string {
 		t.Issued, t.Delivered, t.Incorrect, t.Lost)
 	fmt.Fprintf(&b, "totals rdp=%s rdp_mor=%s hops=%s loss=%s incorrect_rate=%s\n",
 		g(t.RDP), g(t.RDPMeanOfRatios), g(t.MeanHops), g(t.LossRate()), g(t.IncorrectRate()))
-	fmt.Fprintf(&b, "totals control=%s total=%s control_bytes=%s dgrams=%s control_dgrams=%s saved_bytes=%d\n",
+	fmt.Fprintf(&b, "totals control=%s total=%s control_bytes=%s dgrams=%s control_dgrams=%s\n",
 		g(t.ControlPerNodeSec), g(t.TotalPerNodeSec), g(t.ControlBytesPerNodeSec),
-		g(t.DatagramsPerNodeSec), g(t.ControlDatagramsPerNodeSec), t.CoalescedSavedBytes)
+		g(t.DatagramsPerNodeSec), g(t.ControlDatagramsPerNodeSec))
 	fmt.Fprintf(&b, "totals active=%s joins=%d median_join=%d retx=%d peak_retx=%s\n",
 		g(t.MeanActive), t.Joins, int64(t.MedianJoinLatency), t.Retransmits, g(t.PeakRetxPerNodeSec))
 	writeCategories(&b, "totals", t.ByCategory)

@@ -18,9 +18,9 @@ type Cluster struct {
 // node on each, spacing apart: the first bootstraps, the rest join
 // through it. each, when non-nil, runs once per node after Bind and
 // before the node joins — the place to attach an application layer.
-// Anything that must see the join traffic (OnSend, SetServiceModel,
-// coalescing windows) is set on the network before the call; letting the
-// overlay settle afterwards is the caller's RunUntil.
+// Anything that must see the join traffic (OnSend, SetServiceModel) is
+// set on the network before the call; letting the overlay settle
+// afterwards is the caller's RunUntil.
 //
 // The draw order is fixed — Attach, then per node: id, NewNode, Bind,
 // each, Bootstrap or Join, run spacing — so a seeded caller's numbers do

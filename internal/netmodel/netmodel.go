@@ -4,22 +4,18 @@
 // (the paper's network-loss model; congestion is not modelled), and exposes
 // traffic hooks for the metrics pipeline.
 //
-// Every send is charged its encoded wire-frame size — the same framing the
-// UDP transport puts on the socket — so simulated byte and datagram counts
-// are directly comparable to a live node's /metrics. With a coalescing
-// window set, control messages to the same peer share one frame, and the
-// whole frame is one loss/fault/delay roll: a batch is one packet.
+// Every send is one frame, charged its encoded wire-frame size — the same
+// framing the UDP transport puts on the socket — so simulated byte and
+// datagram counts are directly comparable to a live node's /metrics.
 package netmodel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
 	"time"
 
 	"mspastry/internal/eventsim"
-	"mspastry/internal/id"
 	"mspastry/internal/overload"
 	"mspastry/internal/pastry"
 	"mspastry/internal/topology"
@@ -27,24 +23,18 @@ import (
 )
 
 // FrameInfo describes one frame (datagram) handed to the network, for
-// traffic accounting.
+// traffic accounting. A frame carries one message.
 type FrameInfo struct {
 	To pastry.NodeRef
-	// Msgs is how many messages the frame carries.
-	Msgs int
 	// Bytes is the encoded frame size: what the simulator charges and what
 	// a live transport would write to the socket.
 	Bytes int
-	// SingleBytes is what the same messages would have cost as individual
-	// single frames; SingleBytes - Bytes is the coalescing saving.
+	// SingleBytes equals Bytes: a message always travels as a frame of
+	// its own.
 	SingleBytes int
-	// Control reports whether every message in the frame is control
-	// traffic (a frame carrying a lookup or application payload is not a
-	// control datagram even when acks ride along).
+	// Control reports whether the message is control traffic (not a
+	// lookup or application payload).
 	Control bool
-	// Held is how long the oldest message waited for the coalescing
-	// window.
-	Held time.Duration
 }
 
 // Network is a simulated packet network connecting overlay endpoints.
@@ -52,8 +42,6 @@ type Network struct {
 	sim      *eventsim.Simulator
 	topo     *topology.Network
 	lossRate float64
-	coWindow time.Duration
-	coLong   time.Duration
 	eps      map[string]*Endpoint
 	onSend   func(from *Endpoint, to pastry.NodeRef, m pastry.Message, singleBytes int)
 	onFrame  func(from *Endpoint, f FrameInfo)
@@ -71,11 +59,8 @@ type Network struct {
 	FaultCounts FaultCounters
 	// Frames counts frames (datagrams) handed to the network; FrameBytes
 	// sums their encoded sizes — the bytes the network charges.
-	// SingleBytes sums what the same messages would have cost unbatched,
-	// so SingleBytes - FrameBytes is the coalescing saving.
-	Frames      uint64
-	FrameBytes  uint64
-	SingleBytes uint64
+	Frames     uint64
+	FrameBytes uint64
 
 	// svc bounds per-endpoint processing capacity; the zero value leaves
 	// delivery unbounded (byte-for-byte the pre-overload behaviour).
@@ -122,18 +107,6 @@ func New(sim *eventsim.Simulator, topo *topology.Network, lossRate float64) *Net
 	return &Network{sim: sim, topo: topo, lossRate: lossRate, eps: make(map[string]*Endpoint)}
 }
 
-// SetCoalesceWindow sets how long coalescable control messages may wait to
-// share a frame with later traffic to the same peer. Zero (the default)
-// sends every message as its own frame, byte-for-byte reproducing the
-// pre-batching behaviour. Set it before traffic starts: endpoints build
-// their coalescers on first send.
-func (nw *Network) SetCoalesceWindow(d time.Duration) { nw.coWindow = d }
-
-// SetCoalesceLongWindow sets the extended wait budget for delay-tolerant
-// messages (heartbeats, distance reports, row announcements); see
-// wire.Config.LongWindow. It only matters when a base window is also set.
-func (nw *Network) SetCoalesceLongWindow(d time.Duration) { nw.coLong = d }
-
 // OnSend registers a hook invoked for every message handed to the network
 // (at enqueue, before loss is applied), with the message's single-frame
 // encoded size for byte accounting.
@@ -142,7 +115,7 @@ func (nw *Network) OnSend(fn func(from *Endpoint, to pastry.NodeRef, m pastry.Me
 }
 
 // OnFrame registers a hook invoked for every frame (datagram) the network
-// accepts, after any coalescing and before loss is applied.
+// accepts, before loss is applied.
 func (nw *Network) OnFrame(fn func(from *Endpoint, f FrameInfo)) {
 	nw.onFrame = fn
 }
@@ -155,7 +128,6 @@ type Endpoint struct {
 	addr  string
 	node  *pastry.Node
 	up    bool
-	co    *wire.Coalescer
 
 	// Service-capacity state (nil/false while the model is disabled):
 	// the bounded inbound lane queue and whether a processing slot is
@@ -199,31 +171,18 @@ func (ep *Endpoint) Index() int { return ep.index }
 func (ep *Endpoint) Node() *pastry.Node { return ep.node }
 
 // Bind attaches an overlay node to the endpoint and marks it up. A new
-// node instance is bound for every session of a churning endpoint. The
-// endpoint subscribes to the node's peer-eviction broadcast: when the
-// registry evicts a peer, its coalescing queue is flushed (held
-// delay-tolerant frames still go out) and released.
+// node instance is bound for every session of a churning endpoint.
 func (ep *Endpoint) Bind(n *pastry.Node) {
 	ep.node = n
 	ep.up = true
-	n.Peers().OnEvict(func(x id.ID, addr string) {
-		if ep.co != nil && ep.node == n {
-			ep.co.Evict(queueKey(pastry.NodeRef{ID: x, Addr: addr}))
-		}
-	})
 }
 
 // Fail crashes the endpoint's node and stops delivery to it. Messages
-// still waiting for the coalescing window are discarded: a crashed node
-// sends nothing. Messages still waiting in the service queue die with
-// the node.
+// still waiting in the service queue die with the node.
 func (ep *Endpoint) Fail() {
 	ep.up = false
 	if ep.node != nil {
 		ep.node.Fail()
-	}
-	if ep.co != nil {
-		ep.co.DiscardAll()
 	}
 	if ep.svcQ != nil {
 		ep.nw.dropN(DropDeadEndpoint, ep.svcQ.Drain())
@@ -251,108 +210,48 @@ func (ep *Endpoint) Rearm(t pastry.Timer, d time.Duration) bool {
 	return ok && ep.nw.sim.Rearm(ev, d)
 }
 
-// Send implements pastry.Env. With no coalescing window the message is
-// framed and transmitted immediately, exactly as before batching existed:
-// traffic hook, one loss roll, fault rolls, then delivery after the
-// topology's one-way delay. With a window, coalescable control messages
-// queue per destination and the whole batch later transmits as one frame.
+// Send implements pastry.Env: the message is framed and transmitted
+// immediately — traffic hooks, one loss roll, fault rolls, then delivery
+// after the topology's one-way delay.
 func (ep *Endpoint) Send(to pastry.NodeRef, m pastry.Message) {
 	nw := ep.nw
 	if nw.adv != nil {
 		m = nw.adv.rewriteOutbound(ep, to, m)
 	}
-	if nw.coWindow <= 0 {
-		size := wire.SingleSize(pastry.MessageWireSize(m))
-		if nw.onSend != nil {
-			nw.onSend(ep, to, m, size)
-		}
-		nw.countFrame(ep, FrameInfo{
-			To: to, Msgs: 1, Bytes: size, SingleBytes: size,
-			Control: wire.Control(m.Category()),
-		})
-		ep.transmit(to, m, nil, 1)
-		return
-	}
-	size, err := ep.coalescer().Send(queueKey(to), to, m)
-	if err != nil {
-		// The simulator does not bound single-message size.
-		panic(fmt.Sprintf("netmodel: %v", err))
-	}
+	size := wire.SingleSize(pastry.MessageWireSize(m))
 	if nw.onSend != nil {
-		nw.onSend(ep, to, m, wire.SingleSize(size))
+		nw.onSend(ep, to, m, size)
 	}
-}
-
-// coalescer lazily builds the endpoint's per-peer batching queues; lazily
-// so that SetCoalesceWindow calls made after endpoint creation but before
-// traffic starts still take effect.
-func (ep *Endpoint) coalescer() *wire.Coalescer {
-	if ep.co == nil {
-		nw := ep.nw
-		ep.co = wire.NewCoalescer(wire.Config{
-			Window:     nw.coWindow,
-			LongWindow: nw.coLong,
-			Now:        nw.sim.Now,
-			After:      func(d time.Duration, fn func()) { nw.sim.After(d, fn) },
-			Emit: func(f wire.Flush) {
-				control := true
-				for _, m := range f.Msgs {
-					if !wire.Control(m.Category()) {
-						control = false
-						break
-					}
-				}
-				nw.countFrame(ep, FrameInfo{
-					To: f.To, Msgs: len(f.Msgs), Bytes: len(f.Frame),
-					SingleBytes: f.SingleBytes, Control: control, Held: f.Held,
-				})
-				// Msgs is the queue's own slice; delivery is later, so keep a copy.
-				ep.transmit(f.To, nil, append([]pastry.Message(nil), f.Msgs...), len(f.Msgs))
-			},
-		})
-	}
-	return ep.co
-}
-
-// queueKey identifies a coalescing queue by address and node identity, so
-// messages addressed to a dead incarnation never share a frame with — and
-// are never revived by — traffic to its reincarnation.
-func queueKey(to pastry.NodeRef) string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], to.ID.Hi)
-	binary.BigEndian.PutUint64(b[8:], to.ID.Lo)
-	return to.Addr + string(b[:])
+	nw.countFrame(ep, FrameInfo{To: to, Bytes: size, SingleBytes: size, Control: wire.Control(m.Category())})
+	ep.transmit(to, m)
 }
 
 // countFrame accounts one accepted frame and fires the frame hook.
 func (nw *Network) countFrame(from *Endpoint, f FrameInfo) {
 	nw.Frames++
 	nw.FrameBytes += uint64(f.Bytes)
-	nw.SingleBytes += uint64(f.SingleBytes)
 	if nw.onFrame != nil {
 		nw.onFrame(from, f)
 	}
 }
 
 // transmit carries one frame across the network: one loss roll, one fault
-// roll and one delay for the whole frame — a batch is one packet, lost or
-// delivered together. Exactly one of single (a frame of one) and batch is
-// set; nmsgs is the message count for drop accounting.
-func (ep *Endpoint) transmit(to pastry.NodeRef, single pastry.Message, batch []pastry.Message, nmsgs int) {
+// roll and one delay.
+func (ep *Endpoint) transmit(to pastry.NodeRef, m pastry.Message) {
 	nw := ep.nw
 	if nw.lossRate > 0 && nw.sim.Rand().Float64() < nw.lossRate {
-		nw.dropN(DropLoss, nmsgs)
+		nw.dropN(DropLoss, 1)
 		return
 	}
 	if nw.faults != nil {
 		if cause, dropped := nw.faults.dropsMessage(nw.sim.Rand(), ep.addr, to.Addr); dropped {
-			nw.dropN(cause, nmsgs)
+			nw.dropN(cause, 1)
 			return
 		}
 	}
 	dst, ok := nw.eps[to.Addr]
 	if !ok {
-		nw.dropN(DropUnknownEndpoint, nmsgs)
+		nw.dropN(DropUnknownEndpoint, 1)
 		return
 	}
 	delay := nw.topo.Delay(ep.index, dst.index)
@@ -360,14 +259,13 @@ func (ep *Endpoint) transmit(to pastry.NodeRef, single pastry.Message, batch []p
 		delay = nw.faults.perturbDelay(nw.sim.Rand(), delay)
 		if nw.faults.duplicates(nw.sim.Rand()) {
 			dup := nw.faults.perturbDelay(nw.sim.Rand(), nw.topo.Delay(ep.index, dst.index))
-			nw.deliverAfter(dst, to, single, batch, nmsgs, dup)
+			nw.deliverAfter(dst, to, m, dup)
 		}
 	}
-	nw.deliverAfter(dst, to, single, batch, nmsgs, delay)
+	nw.deliverAfter(dst, to, m, delay)
 }
 
-// dropN accounts n undelivered messages (a dropped frame drops everything
-// inside it).
+// dropN accounts n undelivered messages.
 func (nw *Network) dropN(cause DropCause, n int) {
 	nw.DropsByCause[cause] += uint64(n)
 	if cause.injected() {
@@ -380,59 +278,44 @@ func (nw *Network) dropN(cause DropCause, n int) {
 // delivery — it cannot be cancelled — so a fired one goes back to the
 // network's free list and a frame in flight costs no allocation.
 type delivery struct {
-	dst    *Endpoint
-	to     pastry.NodeRef
-	single pastry.Message
-	batch  []pastry.Message
-	nmsgs  int
+	dst *Endpoint
+	to  pastry.NodeRef
+	m   pastry.Message
 }
 
 // deliverAfter schedules one delivery attempt for a frame; destination
-// liveness and identity are re-checked at delivery time, once per frame
-// (every message in a frame was addressed to the same incarnation).
-func (nw *Network) deliverAfter(dst *Endpoint, to pastry.NodeRef, single pastry.Message, batch []pastry.Message, nmsgs int, delay time.Duration) {
+// liveness and identity are re-checked at delivery time.
+func (nw *Network) deliverAfter(dst *Endpoint, to pastry.NodeRef, m pastry.Message, delay time.Duration) {
 	var d *delivery
 	if last := len(nw.free) - 1; last >= 0 {
 		d, nw.free = nw.free[last], nw.free[:last]
 	} else {
 		d = new(delivery)
 	}
-	*d = delivery{dst: dst, to: to, single: single, batch: batch, nmsgs: nmsgs}
+	*d = delivery{dst: dst, to: to, m: m}
 	nw.sim.Schedule(nw.sim.Now()+delay, d)
 }
 
 // Fire implements eventsim.Handler. The frame is copied out and the struct
-// parked, zeroed, before any message is handed over: a receiver that sends
+// parked, zeroed, before the message is handed over: a receiver that sends
 // from inside Receive may take this very struct for its own frame, and a
-// parked delivery must not keep the messages it carried alive.
+// parked delivery must not keep the message it carried alive.
 func (d *delivery) Fire() {
 	f := *d
 	dst, to, nw := f.dst, f.to, f.dst.nw
 	*d = delivery{}
 	nw.free = append(nw.free, d)
 	if !dst.up || dst.node == nil {
-		nw.dropN(DropDeadEndpoint, f.nmsgs)
+		nw.dropN(DropDeadEndpoint, 1)
 		return
 	}
 	if dst.node.Ref().ID != to.ID {
 		// The endpoint was reincarnated with a new identity; the
 		// frame was addressed to the dead instance.
-		nw.dropN(DropStaleIdentity, f.nmsgs)
+		nw.dropN(DropStaleIdentity, 1)
 		return
 	}
-	if f.batch == nil {
-		dst.accept(to, f.single)
-		return
-	}
-	for _, m := range f.batch {
-		if !dst.up || dst.node == nil || dst.node.Ref().ID != to.ID {
-			// An earlier message in the frame killed or replaced the
-			// node mid-delivery.
-			nw.dropN(DropDeadEndpoint, 1)
-			continue
-		}
-		dst.accept(to, m)
-	}
+	dst.accept(to, f.m)
 }
 
 // accept hands one arrived message to the destination node: immediately

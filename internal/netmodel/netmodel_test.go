@@ -152,8 +152,7 @@ func TestBadLossRatePanics(t *testing.T) {
 // a real socket — that equality is what makes simulated overhead numbers
 // comparable to a live node's /metrics.
 func TestChargedBytesMatchWireEncoder(t *testing.T) {
-	// Without coalescing, every message is charged its single-frame
-	// encoding, byte for byte.
+	// Every message is charged its single-frame encoding, byte for byte.
 	sim, nw := testNet(t, 0)
 	a := nw.NewEndpoint(nw.topo.Attach(2, sim.Rand()))
 	b := nw.NewEndpoint(a.Index() + 1)
@@ -186,46 +185,8 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 		total += want
 	}
 
-	// With a window, the batch is charged exactly what an independent wire
-	// coalescer assembles for the same message sequence.
-	sim2, nw2 := testNet(t, 0)
-	nw2.SetCoalesceWindow(5 * time.Millisecond)
-	c := nw2.NewEndpoint(nw2.topo.Attach(2, sim2.Rand()))
-	d := nw2.NewEndpoint(c.Index() + 1)
-	nc := makeNode(t, nw2, c)
-	nd := makeNode(t, nw2, d)
-	batch := []pastry.Message{
-		&pastry.Heartbeat{From: nc.Ref(), TrtHint: 30 * time.Second},
-		&pastry.Ack{Xfer: 9, From: nc.Ref()},
-		&pastry.Heartbeat{From: nc.Ref(), TrtHint: time.Second},
-	}
-	var batchCharged []int
-	nw2.OnFrame(func(from *Endpoint, f FrameInfo) {
-		if from == c {
-			batchCharged = append(batchCharged, f.Bytes)
-		}
-	})
-	for _, m := range batch {
-		c.Send(nd.Ref(), m)
-	}
-	sim2.RunUntil(6 * time.Millisecond) // past the window: one flush
-
-	want := 0
-	ref := wire.NewCoalescer(wire.Config{
-		Window: 5 * time.Millisecond,
-		Now:    func() time.Duration { return 0 },
-		After:  func(time.Duration, func()) {},
-		Emit:   func(f wire.Flush) { want += len(f.Frame) },
-	})
-	for _, m := range batch {
-		ref.Send("peer", nd.Ref(), m)
-	}
-	ref.FlushAll()
-	if len(batchCharged) != 1 || batchCharged[0] != want {
-		t.Fatalf("batch charged %v, wire coalescer assembles %d bytes", batchCharged, want)
-	}
-	if got := int(nw2.FrameBytes); got != want {
-		t.Fatalf("network charged %d total bytes, wire output is %d", got, want)
+	if got := int(nw.FrameBytes); got != total {
+		t.Fatalf("network charged %d total bytes, wire output is %d", got, total)
 	}
 }
 
@@ -336,7 +297,7 @@ func TestRecycledDeliverySurvivesReentrantSend(t *testing.T) {
 		t.Fatalf("free list holds %d deliveries after %d frames: want reuse", len(nw.free), copies)
 	}
 	for _, d := range nw.free {
-		if d.dst != nil || d.single != nil || d.batch != nil || !d.to.IsZero() {
+		if d.dst != nil || d.m != nil || !d.to.IsZero() {
 			t.Fatalf("parked delivery still references its frame: %+v", *d)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // fixed order, each encoded as internal/codec encodes its type. The
 // message format itself is versionless; versioning lives one layer down,
 // in the internal/wire frame header that every transported message is
-// wrapped in (see DESIGN.md "Wire format & batching").
+// wrapped in (see DESIGN.md "Wire format").
 
 const (
 	tagLookupEnvelope byte = iota + 1

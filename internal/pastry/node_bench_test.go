@@ -138,7 +138,7 @@ func BenchmarkLeafSetMembers(b *testing.B) {
 }
 
 // BenchmarkMessageWireSize measures the per-send size accounting the
-// simulated network charges every message (netmodel Send, no coalescing).
+// simulated network charges every message (netmodel Send).
 func BenchmarkMessageWireSize(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	leaves := make([]NodeRef, 16)

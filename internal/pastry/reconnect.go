@@ -20,8 +20,8 @@ import (
 // per remembered peer, kept alive (the slot vetoes record eviction) until
 // the peer answers a reconnect probe or exhausts its retries. Expiry goes
 // through Registry.Expel, which broadcasts the final eviction to every
-// registered component — transports drop resolved addresses, coalescers
-// flush held frames — in place of the old point-to-point PeerEvictor hook.
+// registered component — transports drop resolved addresses, the DHT its
+// deposit records — in place of the old point-to-point PeerEvictor hook.
 
 // graveRecord remembers one purged peer.
 type graveRecord struct {

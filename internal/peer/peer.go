@@ -14,17 +14,15 @@
 // short for strangers that were never admitted (so senders that never
 // make it into routing state cannot leak state), long for once-admitted
 // peers (so reconnect and RTT memory survive transient membership
-// gaps). Eviction is broadcast to subscribers (transports, wire
-// coalescers, the DHT) so no layer keeps private per-peer state beyond
-// the record's life.
+// gaps). Eviction is broadcast to subscribers (transports, the DHT) so
+// no layer keeps private per-peer state beyond the record's life.
 //
 // Ordering guarantees: slot pruners run in registration order within a
 // record; records are visited in map order during a sweep (pruning is
 // pure state removal, so this order is unobservable); evicted records
 // are broadcast in ascending identifier order so that any work a
-// subscriber performs on eviction (for example flushing a coalescing
-// queue) happens in a deterministic sequence, keeping seeded
-// simulations replayable.
+// subscriber performs on eviction happens in a deterministic sequence,
+// keeping seeded simulations replayable.
 package peer
 
 import (
@@ -251,10 +249,9 @@ func (r *Registry) Busy(rec *Record) bool {
 }
 
 // Expel broadcasts the peer's eviction immediately — its external
-// per-peer state (transport addresses, coalescing queues, deposit
-// records) is released now — and dooms the record: it is deleted at the
-// first sweep where every prunable slot has drained, without waiting
-// for the idle TTL. Used when a layer knows the peer is gone for good
+// per-peer state (transport addresses, deposit records) is released now —
+// and dooms the record: it is deleted at the first sweep where every
+// prunable slot has drained, without waiting for the idle TTL. Used when a layer knows the peer is gone for good
 // (reconnect cache expiry). Safe to call for peers with no record.
 func (r *Registry) Expel(x id.ID, addr string) {
 	if rec := r.recs[x]; rec != nil {

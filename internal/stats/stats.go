@@ -29,16 +29,12 @@ type Window struct {
 	// wire layer so sim and live byte accounting agree.
 	ControlSent [numCategories]int
 	SentBytes   [numCategories]int
-	// Datagrams counts frames handed to the network; a coalesced batch is
-	// one datagram. ControlDatagrams counts frames carrying only control
-	// messages (a lookup frame with acks riding along is not one).
-	// DatagramBytes sums encoded frame sizes as charged on the wire, and
-	// CoalescedSaved is the byte saving versus sending every message as
-	// its own frame.
+	// Datagrams counts frames handed to the network, one message each.
+	// ControlDatagrams counts frames carrying a control message.
+	// DatagramBytes sums encoded frame sizes as charged on the wire.
 	Datagrams        int
 	ControlDatagrams int
 	DatagramBytes    int
-	CoalescedSaved   int
 	// Outcomes counts lookups issued in this window; their deliveries and
 	// losses are attributed to the window they were issued in.
 	Outcomes
@@ -163,7 +159,7 @@ func (c *Collector) winIndex(t time.Duration) int {
 
 // MsgSent records one sent message at time t with its single-frame
 // encoded size in bytes. Retransmissions keep their control category
-// (a retx envelope reports CatAck) even when they travel inside a batch.
+// (a retx envelope reports CatAck).
 func (c *Collector) MsgSent(t time.Duration, cat pastry.Category, bytes int) {
 	if i := c.winIndex(t); i >= 0 {
 		c.wins[i].ControlSent[cat]++
@@ -172,14 +168,13 @@ func (c *Collector) MsgSent(t time.Duration, cat pastry.Category, bytes int) {
 }
 
 // DatagramSent records one frame handed to the network at time t: its
-// on-wire size, what its contents would have cost unbatched, and whether
-// it is a pure control-traffic frame.
-func (c *Collector) DatagramSent(t time.Duration, control bool, bytes, singleBytes int) {
+// on-wire size and whether it carries control traffic. A frame carries
+// one message, so its single-frame size (the last argument) is its size.
+func (c *Collector) DatagramSent(t time.Duration, control bool, bytes, _ int) {
 	if i := c.winIndex(t); i >= 0 {
 		w := &c.wins[i]
 		w.Datagrams++
 		w.DatagramBytes += bytes
-		w.CoalescedSaved += singleBytes - bytes
 		if control {
 			w.ControlDatagrams++
 		}
@@ -340,7 +335,7 @@ type WindowStat struct {
 	// bytes rather than messages.
 	ControlBytesPerNodeSec float64
 	// DatagramsPerNodeSec and ControlDatagramsPerNodeSec count frames on
-	// the wire; with coalescing enabled they fall below the message rates.
+	// the wire, one message each.
 	DatagramsPerNodeSec        float64
 	ControlDatagramsPerNodeSec float64
 	// RDP is the relative delay penalty for lookups issued in the window:
@@ -386,7 +381,6 @@ func (w *Window) add(o *Window) {
 	w.Datagrams += o.Datagrams
 	w.ControlDatagrams += o.ControlDatagrams
 	w.DatagramBytes += o.DatagramBytes
-	w.CoalescedSaved += o.CoalescedSaved
 	w.Issued += o.Issued
 	w.Delivered += o.Delivered
 	w.Incorrect += o.Incorrect
@@ -443,10 +437,8 @@ func (w *Window) rates(length time.Duration, listed func(pastry.Category) bool) 
 // included), plus the counts only a whole run has.
 type Totals struct {
 	WindowStat
-	// CoalescedSavedBytes is the run-total byte saving from batching.
-	CoalescedSavedBytes int
-	Joins               int
-	MedianJoinLatency   time.Duration
+	Joins             int
+	MedianJoinLatency time.Duration
 	// Retransmits is the run total of per-hop retransmissions;
 	// PeakRetxPerNodeSec is the highest windowed retransmission rate (the
 	// storm's amplitude).
@@ -465,11 +457,10 @@ func (c *Collector) Totals() Totals {
 		peak = max(peak, row.RetxPerNodeSec)
 	}
 	t := Totals{
-		WindowStat:          sum.rates(c.duration, func(pastry.Category) bool { return true }),
-		CoalescedSavedBytes: sum.CoalescedSaved,
-		Joins:               len(c.joinLatencies),
-		Retransmits:         sum.Retransmits,
-		PeakRetxPerNodeSec:  peak,
+		WindowStat:         sum.rates(c.duration, func(pastry.Category) bool { return true }),
+		Joins:              len(c.joinLatencies),
+		Retransmits:        sum.Retransmits,
+		PeakRetxPerNodeSec: peak,
 	}
 	if joins := c.sortedJoins(); len(joins) > 0 {
 		t.MedianJoinLatency = joins[len(joins)/2]

@@ -129,7 +129,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // bucketSets are the bucket sets a `buckets` tag names.
 var bucketSets = map[string][]float64{
 	"DefBuckets": DefBuckets, "HopBuckets": HopBuckets,
-	"BatchBuckets": BatchBuckets, "HoldBuckets": HoldBuckets,
 }
 
 // eachMetric calls fn for every field of the struct sv that has a `metric`
@@ -151,8 +150,8 @@ func eachMetric(sv reflect.Value, fn func(name string, f reflect.StructField, fv
 // to and stores the family's handle in the field: the field's type is the
 // family's kind, its `metric` tag names the family and its `help` tag
 // describes it. A *CounterVec or *GaugeVec field names its label in a
-// `label` tag, and a *Histogram field its bucket set (DefBuckets,
-// HopBuckets, BatchBuckets or HoldBuckets) in a `buckets` tag. Untagged
+// `label` tag, and a *Histogram field its bucket set (DefBuckets or
+// HopBuckets) in a `buckets` tag. Untagged
 // fields are skipped. A tag on an unexported field or one of another type,
 // a vec without a label and an unknown bucket set panic.
 func (r *Registry) Register(ptr any) {

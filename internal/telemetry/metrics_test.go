@@ -209,7 +209,7 @@ func TestRegisterDeclaresEveryHandleKind(t *testing.T) {
 		CV    *CounterVec `metric:"t_cv_total" help:"CV." label:"cat"`
 		G     *Gauge      `metric:"t_g" help:"G."`
 		GV    *GaugeVec   `metric:"t_gv" help:"GV." label:"slot"`
-		H     *Histogram  `metric:"t_h_seconds" help:"H." buckets:"HoldBuckets"`
+		H     *Histogram  `metric:"t_h_seconds" help:"H." buckets:"DefBuckets"`
 		Plain *Counter
 		N     int
 	}
@@ -222,7 +222,7 @@ func TestRegisterDeclaresEveryHandleKind(t *testing.T) {
 	m.G.Set(2)
 	m.GV.With("y").Set(3)
 	m.H.Observe(0.002)
-	if m.C != r.Counter("t_c_total", "") || m.H != r.Histogram("t_h_seconds", "", HoldBuckets) {
+	if m.C != r.Counter("t_c_total", "") || m.H != r.Histogram("t_h_seconds", "", DefBuckets) {
 		t.Fatal("a second registration by name returned another handle")
 	}
 	var b strings.Builder
@@ -232,7 +232,7 @@ func TestRegisterDeclaresEveryHandleKind(t *testing.T) {
 		"# HELP t_cv_total CV.\n# TYPE t_cv_total counter\nt_cv_total{cat=\"x\"} 1\n",
 		"# HELP t_g G.\n# TYPE t_g gauge\nt_g 2\n",
 		"# HELP t_gv GV.\n# TYPE t_gv gauge\nt_gv{slot=\"y\"} 3\n",
-		"# HELP t_h_seconds H.\n# TYPE t_h_seconds histogram\nt_h_seconds_bucket{le=\"0.0001\"} 0\n",
+		"# HELP t_h_seconds H.\n# TYPE t_h_seconds histogram\nt_h_seconds_bucket{le=\"0.001\"} 0\n",
 		"t_h_seconds_bucket{le=\"0.0025\"} 1\n",
 		"t_h_seconds_bucket{le=\"1\"} 1\n",
 	} {

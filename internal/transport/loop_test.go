@@ -137,8 +137,8 @@ func (pt *probeTarget) replies(t *testing.T, n int) []uint64 {
 	return seqs
 }
 
-// A coalesced batch of k messages arrives as one datagram and reaches the
-// node in send order, through the per-message hand-off.
+// A batch of k messages sent in one turn of the event loop leaves as k
+// datagrams of one message each and reaches the node in send order.
 func TestUDPBatchDeliveredInSendOrder(t *testing.T) {
 	pt := newProbeTarget(t)
 	sender, err := Listen("127.0.0.1:0", 2)
@@ -146,70 +146,59 @@ func TestUDPBatchDeliveredInSendOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
-	sender.SetCoalesceWindow(time.Minute)
 	const k = 12
 	sender.DoSync(func(*pastry.Node) {
-		for seq := uint64(1); seq < k; seq++ {
+		for seq := uint64(1); seq <= k; seq++ {
 			sender.Env().Send(pt.to, &pastry.DistProbe{From: pt.from, Seq: seq})
 		}
-		// Not coalescable: flushes at once, the pending probes with it.
-		sender.Env().Send(pt.to, &pastry.AppDirect{From: pt.from})
 	})
-	for i, seq := range pt.replies(t, k-1) {
+	for i, seq := range pt.replies(t, k) {
 		if seq != uint64(i+1) {
 			t.Fatalf("reply %d answers probe %d: the batch was handed over out of order", i, seq)
 		}
 	}
-	// The read loop counts the datagram after handing its messages over.
-	if !waitFor(t, 5*time.Second, func() bool { d, _ := pt.sink.snapshot(); return len(d) > 0 }) {
-		t.Fatal("no datagram counted")
-	}
-	if datagrams, _ := pt.sink.snapshot(); len(datagrams) != 1 || datagrams[0] != k {
-		t.Fatalf("received datagrams of %v messages, want one of %d", datagrams, k)
+	// The read loop counts a datagram before handing its message over.
+	if datagrams, _ := pt.sink.snapshot(); len(datagrams) != k || slices.ContainsFunc(datagrams, func(n int) bool { return n != 1 }) {
+		t.Fatalf("received datagrams of %v messages, want %d of one", datagrams, k)
 	}
 }
 
-// A batch with one malformed entry delivers the others, in order, and
-// counts one decode error.
-func TestUDPBatchDropsOnlyMalformedEntry(t *testing.T) {
-	pt := newProbeTarget(t)
-	const k = 5
-	frame := []byte{wire.Version, 2} // a batch frame
-	for seq := uint64(1); seq <= k; seq++ {
-		p := pastry.AppendMessage(nil, &pastry.DistProbe{From: pt.from, Seq: seq})
-		if seq == 3 {
-			p = []byte{0xff, 0x00, 0x01} // no such message tag
-		}
-		frame = append(frame, byte(len(p)))
-		frame = append(frame, p...)
-	}
+// sendRaw writes frame to the target's socket from the bare peer.
+func (pt *probeTarget) sendRaw(t *testing.T, frame []byte) {
+	t.Helper()
 	if _, err := pt.peer.WriteToUDPAddrPort(frame, pt.tr.conn.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pt.replies(t, k-1), []uint64{1, 2, 4, 5}; !slices.Equal(got, want) {
+}
+
+// A batch frame of the older format (kind 2) is dropped whole as one
+// decode error, none of its messages delivered, and a single frame sent
+// after it is still delivered.
+func TestUDPBatchDropsOnlyMalformedEntry(t *testing.T) {
+	pt := newProbeTarget(t)
+	batch := []byte{wire.Version, 2}
+	for seq := uint64(1); seq <= 3; seq++ {
+		p := pastry.AppendMessage(nil, &pastry.DistProbe{From: pt.from, Seq: seq})
+		batch = append(append(batch, byte(len(p))), p...)
+	}
+	pt.sendRaw(t, batch)
+	pt.sendRaw(t, wire.EncodeSingle(&pastry.DistProbe{From: pt.from, Seq: 4}))
+	if got, want := pt.replies(t, 1), []uint64{4}; !slices.Equal(got, want) {
 		t.Fatalf("replies to probes %v, want %v", got, want)
 	}
-	if !waitFor(t, 5*time.Second, func() bool { d, _ := pt.sink.snapshot(); return len(d) > 0 }) {
-		t.Fatal("no datagram counted")
-	}
-	if datagrams, errs := pt.sink.snapshot(); errs != 1 || len(datagrams) != 1 || datagrams[0] != k-1 {
-		t.Fatalf("sink saw datagrams of %v messages and %d decode errors, want one of %d and 1", datagrams, errs, k-1)
+	if datagrams, errs := pt.sink.snapshot(); errs != 1 || len(datagrams) != 1 || datagrams[0] != 1 {
+		t.Fatalf("sink saw datagrams of %v messages and %d decode errors, want one of 1 and 1", datagrams, errs)
 	}
 }
 
-// The bounded inbound queue takes the same per-message path: a batch goes
-// through it in order, with one prebuilt drain item per datagram.
+// The bounded inbound queue keeps arrival order within a lane: k single
+// datagrams go through it and are answered in the order they were sent.
 func TestUDPInboundQueueKeepsBatchOrder(t *testing.T) {
 	pt := newProbeTarget(t)
 	pt.tr.SetInboundQueue(64)
-	frame := []byte{wire.Version, 2}
 	const k = 6
 	for seq := uint64(1); seq <= k; seq++ {
-		p := pastry.AppendMessage(nil, &pastry.DistProbe{From: pt.from, Seq: seq})
-		frame = append(append(frame, byte(len(p))), p...)
-	}
-	if _, err := pt.peer.WriteToUDPAddrPort(frame, pt.tr.conn.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
-		t.Fatal(err)
+		pt.sendRaw(t, wire.EncodeSingle(&pastry.DistProbe{From: pt.from, Seq: seq}))
 	}
 	if got, want := pt.replies(t, k), []uint64{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
 		t.Fatalf("replies to probes %v, want %v", got, want)
@@ -286,7 +275,7 @@ func awaitGot(tb testing.TB, got chan struct{}, what string) func() {
 
 // pingPong builds two joined nodes on loopback and returns a function that
 // makes one SendDirect round trip between them: two datagrams, each
-// through Env.Send, the coalescer, the socket, the read loop, the decoder,
+// through Env.Send, the socket, the read loop, the decoder,
 // the loop queue and Node.Receive.
 func pingPong(tb testing.TB) (roundTrip func()) {
 	tb.Helper()

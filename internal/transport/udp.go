@@ -4,11 +4,7 @@
 // wire codec, and serialises all node callbacks on one event loop per node
 // (the protocol code is single-threaded by design).
 //
-// All traffic travels in wire frames. With a coalescing window set,
-// control messages to the same peer queue briefly and share one datagram;
-// latency-critical messages flush immediately and carry the pending batch
-// with them. Incoming batch frames are decoded back into individual
-// message deliveries.
+// Every message travels as one wire frame in a datagram of its own.
 package transport
 
 import (
@@ -33,7 +29,7 @@ import (
 // maxPacket is the largest datagram the transport will send or accept.
 // Join replies and leaf-set probes carry tens of node references; 64 KiB
 // (the UDP maximum) leaves ample headroom.
-const maxPacket = wire.DefaultMaxPacket
+const maxPacket = wire.MaxPacket
 
 // maxAddrCache bounds the resolved-address cache. The primary bound is
 // the peer registry's eviction broadcast (entries are dropped when the
@@ -66,11 +62,10 @@ type UDP struct {
 	wake chan struct{}
 	done chan struct{}
 
-	mu       sync.Mutex
-	closed   bool
-	node     *pastry.Node
-	coWindow time.Duration
-	sink     MetricsSink
+	mu     sync.Mutex
+	closed bool
+	node   *pastry.Node
+	sink   MetricsSink
 	// timers (under mu: Schedule and Cancel are legal off the loop) is the
 	// one heap of pending timers. An entry leaves when it fires, on Cancel
 	// or at Close, never later: a pending callback keeps the node, and
@@ -85,12 +80,9 @@ type UDP struct {
 	inMu sync.Mutex
 	inQ  *overload.Queue
 
-	// Event-loop-confined state (Send, flush timers and the registry's
-	// eviction broadcast all run there): the per-peer resolved-address
-	// cache, the coalescer, and during a Send the address it resolved.
-	addrs   map[string]netip.AddrPort
-	co      *wire.Coalescer
-	sendDst netip.AddrPort
+	// addrs is the per-peer resolved-address cache, confined to the event
+	// loop (Send and the registry's eviction broadcast both run there).
+	addrs map[string]netip.AddrPort
 }
 
 // MetricsSink observes the transport's traffic. The telemetry package
@@ -99,23 +91,25 @@ type UDP struct {
 // the event loop and receive-side callbacks on the read loop, so
 // implementations must be safe for concurrent use.
 type MetricsSink interface {
-	// MsgSent fires for every message accepted for transmission, with its
-	// single-frame encoded size (what it would cost unbatched).
+	// MsgSent fires for every message written to the socket, with its
+	// encoded frame size.
 	MsgSent(cat pastry.Category, bytes int)
 	// MsgReceived fires for every well-formed message decoded from a
 	// frame, with its single-frame encoded size.
 	MsgReceived(cat pastry.Category, bytes int)
-	// DatagramSent fires after a frame is written: its on-wire size, how
-	// many messages it carried, the bytes saved versus unbatched sends,
-	// and how long its oldest message waited for the coalescing window.
+	// DatagramSent fires after a frame is written. A frame carries one
+	// message and waits for nothing, so the transport always passes
+	// (bytes, 1, 0, 0): its on-wire size, one message, no bytes saved and
+	// no hold time.
 	DatagramSent(bytes, msgs, savedBytes int, held time.Duration)
-	// DatagramReceived fires for every structurally valid frame received.
+	// DatagramReceived fires for every received frame whose message
+	// decodes (msgs is 1).
 	DatagramReceived(bytes, msgs int)
 	// SendError fires when a send fails: unresolvable address, oversized
 	// message or socket write error.
 	SendError()
-	// DecodeError fires for malformed frames and for each malformed
-	// message inside an otherwise valid batch.
+	// DecodeError fires for every received datagram dropped as malformed:
+	// a bad frame or a message that does not decode.
 	DecodeError()
 	// MsgShed fires when the bounded inbound queue sheds a message from
 	// the given priority lane (the event loop fell behind the socket).
@@ -137,22 +131,6 @@ func (t *UDP) metricsSink() MetricsSink {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sink
-}
-
-// SetCoalesceWindow sets how long coalescable control messages may wait to
-// share a datagram with later traffic to the same peer. Zero (the
-// default) sends every message as its own datagram. Set it before the
-// node starts sending: the coalescer is built on first send.
-func (t *UDP) SetCoalesceWindow(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.coWindow = d
-}
-
-func (t *UDP) coalesceWindow() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.coWindow
 }
 
 // SetInboundQueue bounds inbound work between the socket read loop and
@@ -201,8 +179,7 @@ func Listen(addr string, seed int64) (*UDP, error) {
 func (t *UDP) Addr() string { return t.conn.LocalAddr().String() }
 
 // Counters returns the number of protocol messages sent and received by
-// this transport (malformed packets are not counted as received; messages
-// sharing a coalesced datagram each count once).
+// this transport (malformed packets are not counted as received).
 func (t *UDP) Counters() (sent, received uint64) {
 	return t.sent.Load(), t.received.Load()
 }
@@ -229,20 +206,10 @@ func (t *UDP) CreateNode(nodeID id.ID, cfg pastry.Config, obs pastry.Observer) (
 	if err != nil {
 		return nil, err
 	}
-	// When the node's peer registry evicts a peer for good, release the
-	// transport's per-peer state: flush (not drop) any held coalesced
-	// frames while the resolved address is still cached, then forget the
-	// address. The broadcast fires from node processing, which runs on
-	// the event loop, so this touches loop-confined state safely.
-	n.Peers().OnEvict(func(x id.ID, addr string) {
-		if addr == "" {
-			return
-		}
-		if t.co != nil {
-			t.co.Evict(addr)
-		}
-		delete(t.addrs, addr)
-	})
+	// When the node's peer registry evicts a peer for good, forget its
+	// resolved address. The broadcast fires from node processing, which
+	// runs on the event loop, so this touches loop-confined state safely.
+	n.Peers().OnEvict(func(_ id.ID, addr string) { delete(t.addrs, addr) })
 	t.node = n
 	return n, nil
 }
@@ -271,9 +238,8 @@ func (t *UDP) DoSync(fn func(n *pastry.Node)) {
 	}
 }
 
-// Close shuts the transport down: the node crashes (fail-stop), pending
-// coalesced frames flush, the socket closes, the loops exit and every
-// timer still pending is dropped.
+// Close shuts the transport down: the node crashes (fail-stop), the
+// socket closes, the loops exit and every timer still pending is dropped.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -285,9 +251,6 @@ func (t *UDP) Close() error {
 	t.DoSync(func(n *pastry.Node) {
 		if n != nil {
 			n.Fail()
-		}
-		if t.co != nil {
-			t.co.FlushAll()
 		}
 	})
 	close(t.done)
@@ -338,7 +301,7 @@ func (t *UDP) runLoop() {
 
 // readLoop decodes each datagram in place (the pastry decoder copies
 // everything it retains, so buf is reused for the next one) and hands its
-// messages to the event loop one by one, in frame order.
+// message to the event loop.
 func (t *UDP) readLoop() {
 	buf := make([]byte, maxPacket)
 	names := codec.NewInterner(maxAddrCache)
@@ -357,52 +320,35 @@ func (t *UDP) readLoop() {
 			continue
 		}
 		sink := t.metricsSink()
-		frame, err := wire.Walk(buf[:n])
+		p, err := wire.Payload(buf[:n])
+		var m pastry.Message
+		if err == nil {
+			m, err = pastry.DecodeInterned(p, names)
+		}
 		if err != nil {
-			decodeErrors(sink, 1)
+			if sink != nil {
+				sink.DecodeError()
+			}
 			continue
+		}
+		t.received.Add(1)
+		if sink != nil {
+			sink.MsgReceived(m.Category(), n)
+			sink.DatagramReceived(n, 1)
 		}
 		t.inMu.Lock()
 		q := t.inQ
-		t.inMu.Unlock()
-		var good, bad int
-		for p := frame.Next(); p != nil; p = frame.Next() {
-			m, err := pastry.DecodeInterned(p, names)
-			if err != nil {
-				bad++ // a malformed message inside a batch drops only itself
-				continue
-			}
-			good++
-			t.received.Add(1)
-			if sink != nil {
-				sink.MsgReceived(m.Category(), wire.SingleSize(len(p)))
-			}
-			if q == nil {
-				t.enqueue(loopItem{msg: m})
-				continue
-			}
-			t.inMu.Lock()
-			shed := q.Push(pastry.LaneOf(m), m)
+		if q == nil {
 			t.inMu.Unlock()
-			if shed >= 0 && sink != nil {
-				sink.MsgShed(shed)
-			}
+			t.enqueue(loopItem{msg: m})
+			continue
 		}
-		decodeErrors(sink, bad)
-		if good > 0 && sink != nil {
-			sink.DatagramReceived(n, good)
+		shed := q.Push(pastry.LaneOf(m), m)
+		t.inMu.Unlock()
+		if shed >= 0 && sink != nil {
+			sink.MsgShed(shed)
 		}
-		if good > 0 && q != nil {
-			t.enqueue(drain)
-		}
-	}
-}
-
-// decodeErrors counts a malformed frame, or the n malformed messages of an
-// otherwise valid batch.
-func decodeErrors(sink MetricsSink, n int) {
-	for ; n > 0 && sink != nil; n-- {
-		sink.DecodeError()
+		t.enqueue(drain)
 	}
 }
 
@@ -454,30 +400,33 @@ func (e *udpEnv) Now() time.Duration { return time.Since(e.start) }
 // Rand returns the transport's random source (only touched from the loop).
 func (e *udpEnv) Rand() *rand.Rand { return e.rng }
 
-// Send frames and transmits a message, batching coalescable control
-// messages within the configured window. Delivery is best-effort UDP;
-// failures are counted by the MetricsSink's SendError and otherwise
+// Send frames a message and writes it as one datagram. Delivery is
+// best-effort UDP; an unresolvable address, a frame over maxPacket and a
+// socket error are counted by the MetricsSink's SendError and otherwise
 // dropped, like a lost datagram.
 func (e *udpEnv) Send(to pastry.NodeRef, m pastry.Message) {
 	t := (*UDP)(e)
-	// Resolve now so address errors surface synchronously, before the
-	// message can enter a batch; what the coalescer emits before it returns
-	// is for this peer too, and goes to the same address.
 	dst, err := e.resolve(to.Addr)
 	if err != nil {
 		t.sendError()
 		return
 	}
-	t.sendDst = dst
-	size, err := t.coalescer().Send(to.Addr, to, m)
-	t.sendDst = netip.AddrPort{}
-	if err != nil {
-		t.sendError() // larger than maxPacket
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = wire.AppendFrame(*buf, m)
+	n := len(*buf)
+	if n > maxPacket {
+		t.sendError()
+		return
+	}
+	if _, err := t.conn.WriteToUDPAddrPort(*buf, dst); err != nil {
+		t.sendError()
 		return
 	}
 	e.sent.Add(1)
 	if sink := t.metricsSink(); sink != nil {
-		sink.MsgSent(m.Category(), wire.SingleSize(size))
+		sink.MsgSent(m.Category(), n)
+		sink.DatagramSent(n, 1, 0, 0)
 	}
 }
 
@@ -501,47 +450,6 @@ func (e *udpEnv) resolve(addr string) (netip.AddrPort, error) {
 	}
 	e.addrs[addr] = dst
 	return dst, nil
-}
-
-// coalescer lazily builds the per-peer batching queues, so a
-// SetCoalesceWindow call made between Listen and the first send takes
-// effect.
-func (t *UDP) coalescer() *wire.Coalescer {
-	if t.co == nil {
-		t.co = wire.NewCoalescer(wire.Config{
-			Window:    t.coalesceWindow(),
-			MaxPacket: maxPacket,
-			MaxSingle: maxPacket,
-			Now:       (*udpEnv)(t).Now,
-			After:     func(d time.Duration, fn func()) { (*udpEnv)(t).Schedule(d, fn) },
-			Emit:      t.emitFrame,
-		})
-	}
-	return t.co
-}
-
-// emitFrame writes one assembled frame to the socket. Runs on the event
-// loop: synchronously from Send, which has resolved the address, or from
-// a flush timer, which resolves it again.
-func (t *UDP) emitFrame(f wire.Flush) {
-	e := (*udpEnv)(t)
-	dst, err := t.sendDst, error(nil)
-	if !dst.IsValid() {
-		dst, err = e.resolve(f.To.Addr)
-	}
-	if err != nil {
-		// The cache entry was shed between enqueue and flush and the
-		// re-resolve failed; the frame is lost like a dropped datagram.
-		t.sendError()
-		return
-	}
-	if _, err := t.conn.WriteToUDPAddrPort(f.Frame, dst); err != nil {
-		t.sendError()
-		return
-	}
-	if sink := t.metricsSink(); sink != nil {
-		sink.DatagramSent(len(f.Frame), len(f.Msgs), f.SingleBytes-len(f.Frame), f.Held)
-	}
 }
 
 func (t *UDP) sendError() {

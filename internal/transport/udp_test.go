@@ -223,6 +223,15 @@ func TestUDPSendErrorHook(t *testing.T) {
 	if got := sink.sendErrorCount(); got != 1 {
 		t.Fatalf("sink counted %d send errors for an unresolvable address, want 1", got)
 	}
+	// A message whose frame exceeds the datagram limit is one send error,
+	// not a truncated or split datagram.
+	tr.DoSync(func(n *pastry.Node) {
+		big := &pastry.AppDirect{From: n.Ref(), Payload: make([]byte, maxPacket)}
+		tr.Env().Send(n.Ref(), big)
+	})
+	if got := sink.sendErrorCount(); got != 2 {
+		t.Fatalf("sink counted %d send errors after an oversized message, want 2", got)
+	}
 	sent, _ := tr.Counters()
 	if sent != 0 {
 		t.Fatalf("failed send counted as sent: %d", sent)

@@ -2,100 +2,50 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
 	"mspastry/internal/pastry"
 )
 
-// walkAll collects the frame walk: what it yields, or why it yields
-// nothing.
-func walkAll(frame []byte) ([][]byte, error) {
-	w, err := Walk(frame)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, w.Len())
-	for p := w.Next(); p != nil; p = w.Next() {
-		out = append(out, p)
-	}
-	if w.Len() != 0 || w.Next() != nil {
-		return nil, errors.New("walk yields past its end")
-	}
-	return out, nil
-}
-
 // FuzzFrameRoundTrip asserts the frame layer is total (arbitrary bytes
-// either split into payloads or return an error, never panic) and
-// canonical: payloads extracted from an accepted frame re-frame into a
-// frame that yields the same payloads. DecodeAll, the collector over the
-// same walk, must agree with it on every input: it fails exactly the
-// frames the walk fails, and accounts for every payload the walk yields
-// exactly as decoding that payload alone does.
+// either yield a payload or return an error, never panic) and exact: an
+// accepted frame is a single frame whose payload is everything after the
+// header, and re-framing that payload gives back the frame. DecodeAll,
+// the collector over the same parse, must agree with it on every input:
+// it fails exactly the frames Payload fails, and accounts for the payload
+// exactly as decoding it alone does. A batch frame of the older format is
+// kept as a seed that must be rejected.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(EncodeSingle(hb(1)))
-	batch := []byte{Version, frameBatch}
-	for _, m := range []pastry.Message{hb(1), &pastry.Ack{Xfer: 9, From: ref(2)}} {
-		p := pastry.AppendMessage(nil, m)
-		batch = appendUvarint(batch, uint64(len(p)))
-		batch = append(batch, p...)
-	}
-	f.Add(batch)
+	f.Add(oldBatch(hb(1), &pastry.Ack{Xfer: 9, From: ref(2)}))
 	f.Add([]byte{})
-	f.Add([]byte{Version, frameBatch, 0x80})
+	f.Add([]byte{Version, oldBatchKind, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payloads, err := walkAll(data)
-		msgs, sizes, bad, _ := DecodeAll(data)
+		p, err := Payload(data)
+		msgs, sizes, bad, decErr := DecodeAll(data)
 		if err != nil {
-			if msgs != nil || sizes != nil || bad != 0 {
-				t.Fatalf("the walk fails %x (%v), DecodeAll returns %d msgs, bad=%d", data, err, len(msgs), bad)
+			if p != nil || msgs != nil || sizes != nil || bad != 0 || decErr == nil {
+				t.Fatalf("Payload fails %x (%v), DecodeAll returns %d msgs, bad=%d, err=%v", data, err, len(msgs), bad, decErr)
 			}
 			return
 		}
-		if len(payloads) == 0 {
-			t.Fatalf("accepted frame %x with no payloads", data)
+		if len(data) <= HeaderLen || data[0] != Version || data[1] != frameSingle || !bytes.Equal(p, data[HeaderLen:]) {
+			t.Fatalf("accepted %x with payload %x, want a single frame yielding everything after the header", data, p)
 		}
-		if msgs == nil || len(msgs)+bad != len(payloads) || len(sizes) != len(msgs) {
-			t.Fatalf("the walk yields %d payloads of %x, DecodeAll %d msgs, %d sizes, bad=%d",
-				len(payloads), data, len(msgs), len(sizes), bad)
+		if back := append([]byte{Version, frameSingle}, p...); !bytes.Equal(back, data) {
+			t.Fatalf("re-framing the payload of %x gives %x", data, back)
 		}
-		good := 0
-		for _, p := range payloads {
-			m, err := pastry.DecodeMessage(p)
-			if err != nil {
-				continue
+		m, err := pastry.DecodeMessage(p)
+		if err != nil {
+			if len(msgs) != 0 || len(sizes) != 0 || bad != 1 || decErr == nil {
+				t.Fatalf("payload %x does not decode (%v), DecodeAll has %d msgs, bad=%d", p, err, len(msgs), bad)
 			}
-			if !reflect.DeepEqual(msgs[good], m) || sizes[good] != len(p) {
-				t.Fatalf("payload %x of %x: DecodeAll has %#v (%d bytes)", p, data, msgs[good], sizes[good])
-			}
-			good++
+			return
 		}
-		if good != len(msgs) {
-			t.Fatalf("DecodeAll decoded %d of %x, payload by payload %d decode", len(msgs), data, good)
-		}
-		// Re-frame what we extracted and extract again: the payload
-		// sequence must survive (uvarint prefixes admit non-minimal
-		// encodings, so the frame image itself need not be identical).
-		reframed := []byte{Version, frameBatch}
-		for _, p := range payloads {
-			reframed = appendUvarint(reframed, uint64(len(p)))
-			reframed = append(reframed, p...)
-		}
-		back, err := walkAll(reframed)
-		if err != nil || len(back) != len(payloads) {
-			t.Fatalf("re-framed %x: %d payloads, err=%v", data, len(back), err)
-		}
-		for i := range back {
-			if !bytes.Equal(back[i], payloads[i]) {
-				t.Fatalf("payload %d changed across re-framing of %x", i, data)
-			}
-		}
-		// A lone payload must also survive the single-frame path.
-		single := AppendSingle(nil, payloads[0])
-		back, err = walkAll(single)
-		if err != nil || len(back) != 1 || !bytes.Equal(back[0], payloads[0]) {
-			t.Fatalf("single re-framing of %x failed: %v", payloads[0], err)
+		if len(msgs) != 1 || len(sizes) != 1 || bad != 0 || decErr != nil ||
+			!reflect.DeepEqual(msgs[0], m) || sizes[0] != len(p) {
+			t.Fatalf("payload %x of %x: DecodeAll has %d msgs, %v sizes, bad=%d, err=%v", p, data, len(msgs), sizes, bad, decErr)
 		}
 	})
 }
