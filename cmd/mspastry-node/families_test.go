@@ -18,7 +18,9 @@ package main
 // family the simulator emits is in it. The change that removed
 // control-message coalescing edited it by hand: the four families that
 // described batching went, and the help text of datagrams_sent_total and
-// decode_errors_total no longer speaks of batches.
+// decode_errors_total no longer speaks of batches. A later change edited
+// the help text of datagrams_received_total and bytes_received_total by
+// hand to say what the transport counts: a datagram whose message decoded.
 
 import (
 	"encoding/json"

@@ -44,7 +44,7 @@ func (n *Node) scheduleJoinRetry() {
 	for _, ps := range n.probing {
 		n.parkProbe(ps)
 	}
-	clear(n.failed)
+	n.clearFailed()
 	n.sendJoinRequest(seed)
 }
 

@@ -315,28 +315,67 @@ func TestRepairReplyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFailedListMatchesReference: failedList agrees with a sort of the
+// failure map after every write, and its snapshot is shared until the
+// next write: a list read before a change keeps what it held, and a read
+// after the change sees the change.
 func TestFailedListMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := newTestNode(t, id.Random(rng))
 	if got := n.failedList(); got != nil {
 		t.Fatalf("nothing failed: got %v, want nil", got)
 	}
+	check := func(trial int, what string) []NodeRef {
+		t.Helper()
+		got, want := n.failedList(), refFailedList(n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, %s:\n got %v\nwant %v", trial, what, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("trial %d, %s: the snapshot's capacity %d exceeds its length %d", trial, what, cap(got), len(got))
+		}
+		return got
+	}
 	for trial := 0; trial < 200; trial++ {
-		clear(n.failed)
+		n.clearFailed()
 		for i, size := 0, 1+rng.Intn(40); i < size; i++ {
 			// Ids that differ in the low word only, as well as spread ones.
 			x := id.New(uint64(rng.Intn(4)), rng.Uint64())
-			n.failed[x] = NodeRef{ID: x, Addr: "f" + x.String()}
+			n.setFailed(NodeRef{ID: x, Addr: "f" + x.String()})
 		}
-		if got, want := n.failedList(), refFailedList(n); !slices.Equal(got, want) {
-			t.Fatalf("trial %d:\n got %v\nwant %v", trial, got, want)
+		before := check(trial, "built")
+		kept := slices.Clone(before)
+		if again := n.failedList(); &again[0] != &before[0] {
+			t.Fatalf("trial %d: a second read with no change built a new list", trial)
 		}
+
+		// Read, mutate, read again: an added record, a lifted one and a
+		// re-recorded address each show in the next read and leave the
+		// list read before them as it was.
+		x := id.New(uint64(rng.Intn(4)), rng.Uint64())
+		n.setFailed(NodeRef{ID: x, Addr: "new"})
+		check(trial, "after an add")
+		victim := before[rng.Intn(len(before))]
+		if !n.unsetFailed(victim.ID) || n.unsetFailed(victim.ID) {
+			t.Fatalf("trial %d: unsetFailed of a record, then of it again, must report true, then false", trial)
+		}
+		check(trial, "after a lift")
+		n.setFailed(NodeRef{ID: x, Addr: "moved"})
+		check(trial, "after a new address")
+		if !slices.Equal(before, kept) {
+			t.Fatalf("trial %d: a write changed a list read before it", trial)
+		}
+	}
+	n.clearFailed()
+	if got := n.failedList(); got != nil {
+		t.Fatalf("cleared: got %v, want nil", got)
 	}
 }
 
 // TestMaintenanceAllocations pins the per-probe budget: answering a repair
-// probe allocates the reply's candidate list and nothing else, and a node
-// with no failure records builds no failed list.
+// probe allocates the reply's candidate list and nothing else, a node
+// with no failure records builds no failed list, and one whose records
+// have not changed since its last list sends that list again.
 func TestMaintenanceAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	net := newTestNet(t, 1)
@@ -348,12 +387,17 @@ func TestMaintenanceAllocations(t *testing.T) {
 	}
 	target := id.Random(rng)
 	n.nearestKnown(target, n.cfg.L+1) // grows the scratch slice once
+	full := net.addNode(id.Random(rng), testConfig(), nil)
+	for i := 0; i < 8; i++ {
+		full.setFailed(NodeRef{ID: id.Random(rng), Addr: "f"})
+	}
 	for name, pin := range map[string]struct {
 		max float64
 		f   func()
 	}{
 		"nearestKnown":     {1, func() { n.nearestKnown(target, n.cfg.L+1) }},
 		"failedList/empty": {0, func() { n.failedList() }},
+		"failedList/built": {0, func() { full.failedList() }},
 		"monitoredNodes":   {0, func() { n.monitoredNodes() }},
 	} {
 		pin.f()

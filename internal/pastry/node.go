@@ -50,11 +50,14 @@ type Node struct {
 	slotRTT      peer.Slot
 
 	// probing tracks outstanding liveness probes (leaf-set and routing
-	// table); failed holds nodes marked faulty; excluded holds nodes
+	// table); failed holds nodes marked faulty, written only through
+	// setFailed, unsetFailed and clearFailed, which drop failedSnap, the
+	// list failedList last built from it; excluded holds nodes
 	// temporarily routed around after a missed per-hop ack.
-	probing  map[id.ID]*probeState
-	failed   map[id.ID]NodeRef
-	excluded map[id.ID]bool
+	probing    map[id.ID]*probeState
+	failed     map[id.ID]NodeRef
+	failedSnap []NodeRef
+	excluded   map[id.ID]bool
 
 	// secureSess tracks this origin's secure lookups awaiting a root
 	// report; density is the id-space density estimate the routing
@@ -602,9 +605,8 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 	now := n.env.Now()
 	rec := n.peers.Obtain(from.ID, from.Addr, now)
 	rec.LastRecv = now
-	if _, wasFailed := n.failed[from.ID]; wasFailed {
+	if n.unsetFailed(from.ID) {
 		// A node we marked faulty is alive after all: false positive.
-		delete(n.failed, from.ID)
 		n.counters.FalsePositives++
 	}
 	n.forgetFailed(from)
@@ -629,10 +631,10 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 func (n *Node) markCandidateProbe(ref NodeRef) bool {
 	now := n.env.Now()
 	s := n.suppressOf(n.peers.Obtain(ref.ID, ref.Addr, now))
-	if s.lsCandidate != 0 && now-s.lsCandidate < n.cfg.Tls {
+	if s.LSCandidate != 0 && now-s.LSCandidate < n.cfg.Tls {
 		return false
 	}
-	s.lsCandidate = now
+	s.LSCandidate = now
 	return true
 }
 
@@ -686,7 +688,7 @@ func deriveTraceID(origin NodeRef, seq uint64, issued time.Duration) uint64 {
 // periodic maintenance tick.
 func (n *Node) activate() {
 	n.active = true
-	clear(n.failed)
+	n.clearFailed()
 	n.obs.Activated(n, n.env.Now()-n.joinStart)
 	n.lastMaintenance = n.env.Now()
 	if n.tickAlarm.timer == nil {

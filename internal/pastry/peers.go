@@ -20,31 +20,12 @@ import (
 // and upper layers. No per-peer state survives eviction from routing
 // state: that is the registry's invariant, pinned by the cross-layer
 // leak-detector test in the harness.
-
-// peerState is the node's common per-peer state: the self-tuning hint,
-// the probe-suppression memory and the RTT estimator in one allocation.
-// Each of the three slots holds the same *peerState while its component
-// is set and nil otherwise, so each keeps its own pruning rule and slot
-// gauge. stateOf finds the pointer through whichever slot is set; a
-// component that is created assigns its whole value, so a field left
-// behind by a pruned component never reads back.
-type peerState struct {
-	// hint is the peer's advertised routing-table probing period, fed to
-	// the self-tuning median.
-	hint     time.Duration
-	suppress suppressState
-	rtt      rttEstimator
-}
-
-// suppressState is probe-suppression memory: when the peer was last
-// distance-probed, last probed as a leaf-set candidate, and last sent a
-// leaf-set repair probe. Zero means "never" — the simulation clock is
-// strictly positive whenever these are written.
-type suppressState struct {
-	distProbed  time.Duration
-	lsCandidate time.Duration
-	lastRepair  time.Duration
-}
+//
+// The hint, the probe-suppression memory and the RTT estimator live in
+// the record itself (peer.State). Each of the three slots holds
+// &rec.State while its component is set and nil otherwise, so each keeps
+// its own pruning rule and slot gauge, and a peer's first contact costs
+// its record and nothing more.
 
 // overloadState is the peer's overload protection: circuit breaker and
 // retry-budget token bucket (either may be nil).
@@ -103,17 +84,17 @@ func (n *Node) pruneHint(x id.ID, v any, _ time.Duration, _ bool) any {
 // window — after that a re-probe would be due anyway, so the memory
 // carries no information.
 func (n *Node) pruneSuppress(_ id.ID, v any, now time.Duration, _ bool) any {
-	s := &v.(*peerState).suppress
-	if s.distProbed != 0 && now-s.distProbed > 2*n.cfg.RTMaintenance {
-		s.distProbed = 0
+	s := &v.(*peer.State).Suppress
+	if s.DistProbed != 0 && now-s.DistProbed > 2*n.cfg.RTMaintenance {
+		s.DistProbed = 0
 	}
-	if s.lsCandidate != 0 && now-s.lsCandidate > 2*n.cfg.Tls {
-		s.lsCandidate = 0
+	if s.LSCandidate != 0 && now-s.LSCandidate > 2*n.cfg.Tls {
+		s.LSCandidate = 0
 	}
-	if s.lastRepair != 0 && now-s.lastRepair > 2*n.cfg.To {
-		s.lastRepair = 0
+	if s.LastRepair != 0 && now-s.LastRepair > 2*n.cfg.To {
+		s.LastRepair = 0
 	}
-	if s.distProbed == 0 && s.lsCandidate == 0 && s.lastRepair == 0 {
+	if *s == (peer.Suppress{}) {
 		return nil
 	}
 	return v
@@ -144,56 +125,31 @@ func (n *Node) pruneOverload(x id.ID, v any, now time.Duration, _ bool) any {
 // reconnect graveyard manages its own expiry (retryReconnect).
 func pruneKeep(_ id.ID, v any, _ time.Duration, _ bool) any { return v }
 
-// stateOf returns the record's peerState: the one any of its three slots
-// holds, or a new one when none is set. It sets no slot; the caller puts
-// the state into the slot of the component it creates.
-func (n *Node) stateOf(rec *peer.Record) *peerState {
-	for _, s := range [...]peer.Slot{n.slotHint, n.slotSuppress, n.slotRTT} {
-		if st := stateIn(rec, s); st != nil {
-			return st
-		}
-	}
-	return new(peerState)
-}
-
-// stateIn returns the record's peerState when slot s is set, else nil.
-func stateIn(rec *peer.Record, s peer.Slot) *peerState {
-	st, _ := rec.Get(s).(*peerState)
-	return st
-}
-
 // setTrtHint records the peer's advertised probing period.
 func (n *Node) setTrtHint(rec *peer.Record, d time.Duration) {
-	if st := stateIn(rec, n.slotHint); st != nil {
-		st.hint = d
-		return
+	rec.State.TrtHint = d
+	if rec.Get(n.slotHint) == nil {
+		n.peers.Put(rec, n.slotHint, &rec.State)
 	}
-	st := n.stateOf(rec)
-	st.hint = d
-	n.peers.Put(rec, n.slotHint, st)
 }
 
 // suppressOf returns the record's suppression memory, creating it when
 // absent (every caller writes a field right after checking it).
-func (n *Node) suppressOf(rec *peer.Record) *suppressState {
-	if st := stateIn(rec, n.slotSuppress); st != nil {
-		return &st.suppress
+func (n *Node) suppressOf(rec *peer.Record) *peer.Suppress {
+	if rec.Get(n.slotSuppress) == nil {
+		rec.State.Suppress = peer.Suppress{}
+		n.peers.Put(rec, n.slotSuppress, &rec.State)
 	}
-	st := n.stateOf(rec)
-	st.suppress = suppressState{}
-	n.peers.Put(rec, n.slotSuppress, st)
-	return &st.suppress
+	return &rec.State.Suppress
 }
 
 // rttOf returns the record's RTT estimator, creating it when absent.
-func (n *Node) rttOf(rec *peer.Record) *rttEstimator {
-	if st := stateIn(rec, n.slotRTT); st != nil {
-		return &st.rtt
+func (n *Node) rttOf(rec *peer.Record) *peer.RTT {
+	if rec.Get(n.slotRTT) == nil {
+		rec.State.RTT = peer.RTT{}
+		n.peers.Put(rec, n.slotRTT, &rec.State)
 	}
-	st := n.stateOf(rec)
-	st.rtt = rttEstimator{}
-	n.peers.Put(rec, n.slotRTT, st)
-	return &st.rtt
+	return &rec.State.RTT
 }
 
 // overloadOf returns the record's overload state, creating it when

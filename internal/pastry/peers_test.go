@@ -54,9 +54,9 @@ func TestStrangerRecordsExpire(t *testing.T) {
 }
 
 // TestPeerStateIsShared: the hint, the suppression memory and the RTT
-// estimator share one peerState, and each slot still keeps its own
+// estimator live in the record's State, and each slot still keeps its own
 // lifecycle. A component created after its slot was emptied starts from
-// zero even though the state it lives in carried on.
+// zero even though the State it lives in carried on.
 func TestPeerStateIsShared(t *testing.T) {
 	n := newTestNode(t, id.New(1<<60, 0))
 	ref := NodeRef{ID: id.New(5<<40, 5), Addr: "p"}
@@ -68,12 +68,12 @@ func TestPeerStateIsShared(t *testing.T) {
 	n.rt.Add(ref)
 	rec := n.peers.Obtain(ref.ID, ref.Addr, time.Second)
 	n.setTrtHint(rec, time.Minute)
-	n.suppressOf(rec).distProbed = time.Second
-	n.rttOf(rec).observe(40 * time.Millisecond)
-	st := stateIn(rec, n.slotHint)
+	n.suppressOf(rec).DistProbed = time.Second
+	n.rttOf(rec).Observe(40 * time.Millisecond)
+	st := &rec.State
 	for _, s := range slots {
-		if got := stateIn(rec, s); got == nil || got != st {
-			t.Fatalf("slot %v holds %p, want the shared %p", s, got, st)
+		if got := rec.Get(s); got != st {
+			t.Fatalf("slot %v holds %v, want the record's own %p", s, got, st)
 		}
 	}
 	rto := n.rtoFor(ref)
@@ -85,36 +85,66 @@ func TestPeerStateIsShared(t *testing.T) {
 	if rec.Get(n.slotHint) != nil {
 		t.Fatal("the hint survived its peer leaving routing state")
 	}
-	if stateIn(rec, n.slotSuppress) != st || stateIn(rec, n.slotRTT) != st ||
-		st.suppress.distProbed != time.Second || n.rtoFor(ref) != rto {
+	if rec.Get(n.slotSuppress) != st || rec.Get(n.slotRTT) != st ||
+		st.Suppress.DistProbed != time.Second || n.rtoFor(ref) != rto {
 		t.Fatalf("pruning the hint disturbed the other components: %+v", *st)
 	}
 
-	// A hint set again lands in the shared state and reads back alone.
+	// A hint set again lands in the record's State and reads back alone.
 	n.setTrtHint(rec, 30*time.Second)
 	n.clearSlot(ref.ID, n.slotHint)
 	n.setTrtHint(rec, 45*time.Second)
-	if got := stateIn(rec, n.slotHint); got != st || st.hint != 45*time.Second {
-		t.Fatalf("hint slot after clear holds %p reading %v, want the shared %p reading 45s", got, st.hint, st)
+	if got := rec.Get(n.slotHint); got != st || st.TrtHint != 45*time.Second {
+		t.Fatalf("hint slot after clear holds %v reading %v, want %p reading 45s", got, st.TrtHint, st)
 	}
 
-	// Memory created after its slot emptied is zero, whatever the state
+	// Memory created after its slot emptied is zero, whatever the State
 	// held before.
 	s := n.suppressOf(rec)
-	s.lsCandidate, s.lastRepair = time.Second, time.Second
+	s.LSCandidate, s.LastRepair = time.Second, time.Second
 	n.clearSlot(ref.ID, n.slotSuppress)
-	if got := *n.suppressOf(rec); got != (suppressState{}) {
+	if got := *n.suppressOf(rec); got != (peer.Suppress{}) {
 		t.Fatalf("suppression memory after its slot drained reads %+v, want zero", got)
 	}
 	n.clearSlot(ref.ID, n.slotRTT)
-	if got := *n.rttOf(rec); got != (rttEstimator{}) {
+	if got := *n.rttOf(rec); got != (peer.RTT{}) {
 		t.Fatalf("estimator created after its slot emptied reads %+v, want zero", got)
 	}
 
-	// Out of routing state and idle past the admitted TTL, with the
-	// suppression memory drained: the record goes, and every slot count
-	// with it.
+	// All three slots drain while the record lives on: the State keeps
+	// every field, and each component created again reads zero, never a
+	// stale hint, suppression timestamp or RTT sample.
+	n.setTrtHint(rec, time.Minute)
+	s = n.suppressOf(rec)
+	s.DistProbed, s.LSCandidate, s.LastRepair = time.Second, time.Second, time.Second
+	n.rttOf(rec).Observe(40 * time.Millisecond)
+	for _, sl := range slots {
+		n.clearSlot(ref.ID, sl)
+	}
+	if n.peers.Lookup(ref.ID) != rec || *st == (peer.State{}) {
+		t.Fatal("the record or its State's fields went with the slots")
+	}
+	n.setTrtHint(rec, 0)
+	if got := *n.suppressOf(rec); got != (peer.Suppress{}) {
+		t.Fatalf("suppression memory after every slot drained reads %+v, want zero", got)
+	}
+	if got := *n.rttOf(rec); got != (peer.RTT{}) {
+		t.Fatalf("estimator after every slot drained reads %+v, want zero", got)
+	}
+	if *st != (peer.State{}) {
+		t.Fatalf("State with every component created again reads %+v, want zero", *st)
+	}
+	if got := n.rtoFor(ref); got == rto {
+		t.Fatalf("RTO %v after the estimator was created again still reflects the old sample", got)
+	}
+
+	// Out of routing state and idle past the admitted TTL: the sweep
+	// drains the all-zero suppression memory just created, and the record
+	// goes, and every slot count with it.
 	n.clearSlot(ref.ID, n.slotHint)
+	if rec.Get(n.slotSuppress) == nil {
+		t.Fatal("the suppression slot is empty before the sweep; the test no longer shows it pruned")
+	}
 	if evicted := n.peers.Sweep(time.Hour, n.peerIsMember); evicted != 1 {
 		t.Fatalf("evicted %d records, want the peer's", evicted)
 	}
@@ -129,7 +159,9 @@ func TestPeerStateIsShared(t *testing.T) {
 }
 
 // TestPeerStateAllocations: a peer's first hint, suppression write and RTT
-// sample cost one object beside its record, the peerState they share.
+// sample allocate nothing. The three live in the record's inline State and
+// each slot points into it, and a pointer stored in an interface is not
+// boxed, so the record Obtain made is the only object a peer costs.
 func TestPeerStateAllocations(t *testing.T) {
 	n := newTestNode(t, id.New(1<<60, 0))
 	recs := make([]*peer.Record, 101) // AllocsPerRun calls once to warm up
@@ -141,9 +173,9 @@ func TestPeerStateAllocations(t *testing.T) {
 		rec := recs[next]
 		next++
 		n.setTrtHint(rec, time.Minute)
-		n.suppressOf(rec).distProbed = time.Second
-		n.rttOf(rec).observe(40 * time.Millisecond)
-	}); got != 1 {
-		t.Errorf("first hint, suppression write and RTT sample: %v allocs, want 1", got)
+		n.suppressOf(rec).DistProbed = time.Second
+		n.rttOf(rec).Observe(40 * time.Millisecond)
+	}); got != 0 {
+		t.Errorf("first hint, suppression write and RTT sample: %v allocs, want 0", got)
 	}
 }

@@ -241,10 +241,10 @@ func (n *Node) handleRowEntries(entries []NodeRef, fillOnly bool) {
 		// make it into the table last round is still farther this round,
 		// so re-probing it every maintenance period is pure overhead.
 		s := n.suppressOf(n.peers.Obtain(e.ID, e.Addr, now))
-		if s.distProbed != 0 && now-s.distProbed < n.cfg.RTMaintenance {
+		if s.DistProbed != 0 && now-s.DistProbed < n.cfg.RTMaintenance {
 			continue
 		}
-		s.distProbed = now
+		s.DistProbed = now
 		n.measureDistance(e, distProbeCount, nil)
 	}
 }

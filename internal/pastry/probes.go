@@ -93,18 +93,43 @@ func (n *Node) sendProbeMsg(ps *probeState) {
 // matters: receivers process the list sequentially and each confirm-probe
 // mutates their leaf set, so a map-order list would make the repair
 // cascade — and every byte count derived from it — vary between otherwise
-// identical runs. The list travels in a message, so it is a fresh slice —
-// or nil, the common case, when nothing has failed.
+// identical runs. It returns nil, the common case, when nothing has
+// failed. Like LeafSet.Members, the list is a shared snapshot, built once
+// per change to n.failed: callers and the messages that carry it must not
+// modify it, and its capacity is its length, so an append copies.
 func (n *Node) failedList() []NodeRef {
-	if len(n.failed) == 0 {
-		return nil
+	if n.failedSnap != nil || len(n.failed) == 0 {
+		return n.failedSnap
 	}
 	out := make([]NodeRef, 0, len(n.failed))
 	for _, ref := range n.failed {
 		out = append(out, ref)
 	}
 	slices.SortFunc(out, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
+	n.failedSnap = out
 	return out
+}
+
+// setFailed records ref as faulty.
+func (n *Node) setFailed(ref NodeRef) {
+	n.failed[ref.ID] = ref
+	n.failedSnap = nil
+}
+
+// unsetFailed lifts x's failure record and reports whether it had one.
+func (n *Node) unsetFailed(x id.ID) bool {
+	if _, ok := n.failed[x]; !ok {
+		return false
+	}
+	delete(n.failed, x)
+	n.failedSnap = nil
+	return true
+}
+
+// clearFailed drops every failure record.
+func (n *Node) clearFailed() {
+	clear(n.failed)
+	n.failedSnap = nil
 }
 
 // probeTimeout implements PROBE-TIMEOUT: retry a few times with a large
@@ -131,7 +156,7 @@ func (n *Node) probeTimeout(ps *probeState) {
 		// Still unreachable: restore the failure record without
 		// re-counting the failure (it was counted when first marked
 		// faulty) and without an announcement.
-		n.failed[ps.ref.ID] = ps.ref
+		n.setFailed(ps.ref)
 		n.doneProbing(ps.ref.ID)
 		return
 	}
@@ -147,7 +172,7 @@ func (n *Node) markFaulty(ref NodeRef, announce bool) {
 	wasLeaf := n.ls.Contains(ref.ID)
 	n.ls.Remove(ref.ID)
 	n.rt.Remove(ref.ID)
-	n.failed[ref.ID] = ref
+	n.setFailed(ref)
 	n.rememberFailed(ref)
 	delete(n.excluded, ref.ID)
 	n.clearSlot(ref.ID, n.slotHint)
@@ -186,7 +211,7 @@ func (n *Node) doneProbing(x id.ID) {
 		if !n.active {
 			n.activate()
 		} else {
-			clear(n.failed)
+			n.clearFailed()
 			n.releaseHeld()
 		}
 		return
@@ -236,14 +261,14 @@ func (n *Node) repairLeafSet() {
 func (n *Node) repairProbe(ref NodeRef, cause string) bool {
 	now := n.env.Now()
 	s := n.suppressOf(n.peers.Obtain(ref.ID, ref.Addr, now))
-	if s.lastRepair != 0 && now-s.lastRepair < n.cfg.To {
+	if s.LastRepair != 0 && now-s.LastRepair < n.cfg.To {
 		if !n.repairArmed {
 			n.repairArmed = true
-			n.arm(timerRepairRetry, n.cfg.To-(now-s.lastRepair), &n.repairAlarm, nil)
+			n.arm(timerRepairRetry, n.cfg.To-(now-s.LastRepair), &n.repairAlarm, nil)
 		}
 		return false
 	}
-	s.lastRepair = now
+	s.LastRepair = now
 	if n.sobs != nil {
 		n.sobs.LeafSetRepair(n, cause)
 	}
@@ -333,7 +358,7 @@ func (n *Node) handleLSProbeReply(p *LSProbeReply) {
 // meanwhile; and probe any new leaf-set candidates — the sender's leaves,
 // then the nearest-known list a repair reply adds — before inserting them.
 func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
-	delete(n.failed, from.ID)
+	n.unsetFailed(from.ID)
 	n.ls.Add(from)
 	n.rt.Add(from)
 	// Nodes the sender believes faulty: if they are in our leaf set, probe

@@ -100,6 +100,6 @@ func (n *Node) probeReconnect(ref NodeRef) {
 	if _, ok := n.probing[ref.ID]; ok {
 		return
 	}
-	delete(n.failed, ref.ID)
+	n.unsetFailed(ref.ID)
 	n.startProbe(probeState{ref: ref, reconnect: true})
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
 const maxTrt = time.Hour
@@ -307,19 +308,17 @@ func (n *Node) armHopTimer(ph *pendingHop, xfer uint64, rto time.Duration) {
 
 // rtoFor computes the per-hop retransmission timeout for a destination,
 // seeded from the routing table's measured distance when no ack samples
-// exist yet.
+// exist yet, and clamped to [MinRTO, MaxRTO].
 func (n *Node) rtoFor(to NodeRef) time.Duration {
-	var est *rttEstimator
-	if rec := n.peers.Lookup(to.ID); rec != nil {
-		if st := stateIn(rec, n.slotRTT); st != nil {
-			est = &st.rtt
-		}
+	var est *peer.RTT
+	if rec := n.peers.Lookup(to.ID); rec != nil && rec.Get(n.slotRTT) != nil {
+		est = &rec.State.RTT
 	}
 	fallback := 500 * time.Millisecond
 	if rtt, ok := n.rt.RTT(to.ID); ok {
 		fallback = 2 * rtt
 	}
-	return est.rto(fallback, n.cfg.MinRTO, n.cfg.MaxRTO)
+	return clampDuration(est.RTO(fallback), n.cfg.MinRTO, n.cfg.MaxRTO)
 }
 
 // hopTimeout fires when a per-hop ack was not received in time: the next
@@ -447,7 +446,7 @@ func (n *Node) handleAck(ack *Ack) {
 	n.breakerSuccess(to.ID, sentAt)
 	if !retx {
 		rtt := n.env.Now() - sentAt
-		n.rttOf(n.peers.Obtain(to.ID, to.Addr, n.env.Now())).observe(rtt)
+		n.rttOf(n.peers.Obtain(to.ID, to.Addr, n.env.Now())).Observe(rtt)
 		if n.sobs != nil {
 			n.sobs.AckRTT(n, to, rtt)
 		}

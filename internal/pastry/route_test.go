@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
 // routeTestNode builds a standalone node with hand-crafted routing state.
@@ -92,7 +93,7 @@ func TestNextHopExcludedEverywhereHolds(t *testing.T) {
 	if _, v, _ := n.nextHop(id.New(0, 1099), &tried); v != hold {
 		t.Fatalf("every closer candidate tried: verdict %v, want hold", v)
 	}
-	n.failed[other.ID] = other
+	n.setFailed(other)
 	if _, v, _ := n.nextHop(id.New(0, 1099), &tried); v != deliver {
 		t.Fatalf("the closer candidate marked failed: verdict %v, want deliver", v)
 	}
@@ -110,7 +111,7 @@ func outOfRangeSuspect(t *testing.T) (*Node, id.ID) {
 	n.excluded[hop.ID] = true
 	for _, m := range leaves {
 		if id.CloserToKey(key, m.ID, self) {
-			n.failed[m.ID] = m
+			n.setFailed(m)
 		}
 	}
 	if n.ls.InRange(key) {
@@ -233,30 +234,34 @@ func TestAckCompletesPendingHop(t *testing.T) {
 }
 
 func TestRTOEstimatorConverges(t *testing.T) {
-	var est rttEstimator
+	var est peer.RTT
 	for i := 0; i < 50; i++ {
-		est.observe(20 * time.Millisecond)
+		est.Observe(20 * time.Millisecond)
 	}
-	rto := est.rto(time.Second, time.Millisecond, 3*time.Second)
+	rto := est.RTO(time.Second)
 	// Stable samples: rto -> srtt + 2*rttvar, with rttvar decaying to 0.
 	if rto < 20*time.Millisecond || rto > 40*time.Millisecond {
 		t.Fatalf("converged RTO = %v, want ~20-40ms", rto)
 	}
 	// A spike raises the variance term.
-	est.observe(200 * time.Millisecond)
-	spiked := est.rto(time.Second, time.Millisecond, 3*time.Second)
+	est.Observe(200 * time.Millisecond)
+	spiked := est.RTO(time.Second)
 	if spiked <= rto {
 		t.Fatal("RTO did not react to a latency spike")
 	}
 }
 
+// TestRTOClamped: the node clamps the estimator's timeout, or the
+// fallback before any sample, to [MinRTO, MaxRTO].
 func TestRTOClamped(t *testing.T) {
-	var est rttEstimator
-	if got := est.rto(10*time.Second, time.Millisecond, 3*time.Second); got != 3*time.Second {
+	n := newTestNode(t, id.New(1<<60, 0))
+	n.cfg.MinRTO, n.cfg.MaxRTO = 50*time.Millisecond, 300*time.Millisecond
+	ref := NodeRef{ID: id.New(5<<40, 5), Addr: "p"}
+	if got := n.rtoFor(ref); got != 300*time.Millisecond { // 500 ms fallback
 		t.Fatalf("fallback not clamped: %v", got)
 	}
-	est.observe(time.Nanosecond)
-	if got := est.rto(time.Second, 50*time.Millisecond, 3*time.Second); got != 50*time.Millisecond {
+	n.rttOf(n.peers.Obtain(ref.ID, ref.Addr, time.Second)).Observe(time.Nanosecond)
+	if got := n.rtoFor(ref); got != 50*time.Millisecond {
 		t.Fatalf("min clamp failed: %v", got)
 	}
 }

@@ -173,8 +173,8 @@ func (n *Node) retune(now time.Duration) {
 	n.trtLocal = time.Duration(local * float64(time.Second))
 	vals := append(n.trtScratch[:0], n.trtLocal)
 	n.peers.Each(func(rec *peer.Record) {
-		if st := stateIn(rec, n.slotHint); st != nil {
-			vals = append(vals, st.hint)
+		if rec.Get(n.slotHint) != nil {
+			vals = append(vals, rec.State.TrtHint)
 		}
 	})
 	n.trtScratch = vals[:0]

@@ -1,8 +1,9 @@
 // Package peer is the per-peer state registry: one record per remote
-// peer, holding the liveness timestamps every layer needs plus typed
-// component slots for subsystem state (self-tuning hints, probe
-// suppression memory, overload protection, the reconnect graveyard),
-// with an explicit lifecycle
+// peer, holding the liveness timestamps every layer needs, the State
+// nearly every peer has (self-tuning hint, probe-suppression memory, RTT
+// estimator) inline, and typed component slots for subsystem state
+// (which of those three components are set, overload protection, the
+// reconnect graveyard), with an explicit lifecycle
 //
 //	observed -> admitted -> evicted
 //
@@ -74,7 +75,9 @@ type slotDef struct {
 
 // Record is one peer's state. The exported timestamp fields are the
 // liveness bookkeeping every layer shares; component state hangs off
-// the registered slots, whose table the record holds inline.
+// the registered slots, whose table the record holds inline, and State
+// is the common components' storage, which a slot points into. A record
+// is one object, whatever its slots hold.
 type Record struct {
 	ID   id.ID
 	Addr string
@@ -86,6 +89,9 @@ type Record struct {
 	LastSent      time.Duration
 	LastLiveness  time.Duration
 	LastHeartbeat time.Duration
+
+	// State is read only through the slot that marks its component set.
+	State State
 
 	touch    time.Duration
 	admitted bool

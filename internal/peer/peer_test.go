@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mspastry/internal/id"
 )
@@ -266,6 +267,19 @@ func TestSlotTableIsFixed(t *testing.T) {
 		}
 	}()
 	r.NewRetainedSlot("one too many")
+}
+
+// TestRecordSize pins a record's size, because a record is the one object
+// a peer costs and the allocator rounds it up to a size class. At 216 B
+// (the liveness timestamps, the inline State of 56 B, the slot table of
+// 80 B) it sits in the 224-B class with 8 B to spare; before the State
+// moved inline it was 160 B, exactly one class. A field that changes the
+// size fails here, so a record that crosses into a larger class is a
+// decision, not an accident.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 216 {
+		t.Errorf("peer.Record is %d B, want 216 (malloc size class 224 B)", got)
+	}
 }
 
 // BenchmarkRegistryAdmitEvict is the CI lifecycle smoke: observe,

@@ -21,8 +21,8 @@ type transportMetrics struct {
 	RecvMsgs      *CounterVec `metric:"mspastry_transport_msgs_received_total" help:"Well-formed messages decoded from received frames, by traffic category." label:"category"`
 	SentDatagrams *Counter    `metric:"mspastry_transport_datagrams_sent_total" help:"Frames written to the socket, one message each."`
 	SentBytes     *Counter    `metric:"mspastry_transport_bytes_sent_total" help:"Encoded frame bytes written to the socket."`
-	RecvDatagrams *Counter    `metric:"mspastry_transport_datagrams_received_total" help:"Structurally valid frames received."`
-	RecvBytes     *Counter    `metric:"mspastry_transport_bytes_received_total" help:"Frame bytes of structurally valid datagrams received."`
+	RecvDatagrams *Counter    `metric:"mspastry_transport_datagrams_received_total" help:"Received datagrams whose message decoded, one message each."`
+	RecvBytes     *Counter    `metric:"mspastry_transport_bytes_received_total" help:"Frame bytes of received datagrams whose message decoded."`
 	SendErrors    *Counter    `metric:"mspastry_transport_send_errors_total" help:"Failed sends: unresolvable addresses, oversized messages, socket errors."`
 	DecodeErrors  *Counter    `metric:"mspastry_transport_decode_errors_total" help:"Received datagrams dropped as malformed: a bad frame or a message that does not decode."`
 	ShedMsgs      *CounterVec `metric:"mspastry_transport_msgs_shed_total" help:"Messages shed by the bounded inbound queue, by priority lane." label:"lane"`
