@@ -26,6 +26,7 @@ import (
 	"mspastry/internal/hotspot"
 	"mspastry/internal/pastry"
 	"mspastry/internal/peer"
+	"mspastry/internal/secure"
 	"mspastry/internal/store"
 )
 
@@ -450,7 +451,7 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 // through telemetry.Registry.SetGauges.
 var tallies = []reflect.Type{
 	reflect.TypeOf(pastry.Counters{}), reflect.TypeOf(peer.Stats{}), reflect.TypeOf(dht.Counters{}),
-	reflect.TypeOf(store.Stats{}), reflect.TypeOf(hotspot.Stats{}),
+	reflect.TypeOf(store.Stats{}), reflect.TypeOf(hotspot.Stats{}), reflect.TypeOf(secure.Counters{}),
 }
 
 // TestEveryTallyHasAMetric fails for an exported numeric field of one of

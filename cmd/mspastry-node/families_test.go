@@ -90,7 +90,7 @@ func liveFamilies(t *testing.T) []string {
 	sink.MsgSent(pastry.CatLookup, 0)
 	sink.MsgReceived(pastry.CatLookup, 0)
 	sink.MsgShed(overload.LaneBulk)
-	collectGauges(reg, tr, store, true)
+	collectGauges(reg, tr, store, nil, true)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

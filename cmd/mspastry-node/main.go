@@ -48,6 +48,7 @@ import (
 	"mspastry/internal/dht"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
+	"mspastry/internal/secure"
 	objstore "mspastry/internal/store"
 	"mspastry/internal/telemetry"
 	"mspastry/internal/transport"
@@ -123,9 +124,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	obs := telemetry.NewOverlay(reg, tracer, telemetry.OverlayOptions{Inner: logObserver{stdout}})
 	tr.SetMetricsSink(telemetry.NewTransportMetrics(reg))
 
-	cfg := pastry.DefaultConfig()
-	cfg.SecureRouting = *secRoute
-	node, err := tr.CreateNode(self, cfg, obs)
+	node, err := tr.CreateNode(self, pastry.DefaultConfig(), obs)
 	if err != nil {
 		return fail(1, "%v", err)
 	}
@@ -145,11 +144,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		dhtCfg.Backend = backend
 	}
 	var store *dht.Store
+	var layer *secure.Layer // the secure-routing layer over the store, with -secure-routing
 	tr.DoSync(func(n *pastry.Node) {
 		store = dht.New(n, tr.Env(), dhtCfg)
+		if *secRoute {
+			layer = secure.New(n, tr.Env(), store)
+		}
 	})
 
-	collectGauges(reg, tr, store, *cacheEnt > 0)
+	collectGauges(reg, tr, store, layer, *cacheEnt > 0)
 
 	fmt.Fprintf(stdout, "node up: addr=%s id=%s\n", tr.Addr(), node.Ref().ID)
 
@@ -254,7 +257,7 @@ loop:
 				break
 			}
 			key := id.FromKey(fields[1])
-			tr.Do(func(n *pastry.Node) { n.LookupSecure(key, nil) })
+			tr.Do(func(*pastry.Node) { layer.LookupRedundant(key) })
 			fmt.Fprintf(stdout, "secure lookup for %s routed (root report checked on arrival)\n", key)
 		case "status":
 			printStatus(stdout, reg, tr, *dataDir != "")
@@ -276,13 +279,13 @@ loop:
 	return 0
 }
 
-// collectGauges copies the tallies the node, its DHT store, the store's
-// backend and (with cache) the hotspot cache keep into reg's gauges at
-// every scrape. It reads them in one trip onto the event loop, so every
-// Snapshot and WritePrometheus sees mutually consistent values. Collect
-// hooks run only from HTTP handlers and the stdin loop, never from the
-// event loop itself.
-func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, cache bool) {
+// collectGauges copies the tallies the node, its secure layer (nil for
+// none: its gauges read zero), its DHT store, the store's backend and
+// (with cache) the hotspot cache keep into reg's gauges at every scrape.
+// It reads them in one trip onto the event loop, so every Snapshot and
+// WritePrometheus sees mutually consistent values. Collect hooks run only
+// from HTTP handlers and the stdin loop, never from the event loop itself.
+func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store, layer *secure.Layer, cache bool) {
 	var g nodeGauges
 	reg.Register(&g)
 	reg.OnCollect(func() {
@@ -291,6 +294,7 @@ func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store,
 				return
 			}
 			reg.SetGauges(n.Stats())
+			reg.SetGauges(layer.Stats())
 			peers := n.PeerStats()
 			reg.SetGauges(peers)
 			for _, sl := range peers.Slots {
@@ -431,7 +435,7 @@ func (o logObserver) Activated(n *pastry.Node, lat time.Duration) {
 }
 
 func (o logObserver) Delivered(n *pastry.Node, lk *pastry.Lookup) {
-	if len(lk.Payload) == 0 {
+	if len(lk.Payload) == 0 || secure.IsRequest(lk.Payload) {
 		fmt.Fprintf(o.stdout, "\ndelivered lookup for %s (from %s, %d hops)\n> ", lk.Key, lk.Origin.Addr, lk.Hops)
 	}
 }

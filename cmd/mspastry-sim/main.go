@@ -156,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr := trace.Generate(tcfg)
 
 	cfg := harness.DefaultConfig(topo, tr)
-	cfg.Pastry.SecureRouting = *secRoute
+	cfg.SecureRouting = *secRoute
 	cfg.NetworkLoss = *loss
 	if *svcQueue > 0 {
 		cfg.Service = netmodel.ServiceModel{QueueLimit: *svcQueue, Rate: *svcRate}
@@ -245,10 +245,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			a.RootClaims, a.ReportsForged, a.AcksForged, a.MessagesPoisoned)
 	}
 	if *secRoute {
-		c := res.Counters
+		c := res.Secure
 		fmt.Fprintf(stdout, "secure routing: reports=%d pass=%d fail=%d rounds=%d sends=%d distrusted=%d giveups=%d\n",
-			c.SecureReports, c.SecureTestPass, c.SecureTestFail,
-			c.SecureRedundantRounds, c.SecureRedundantSends, c.SecureDistrusted, c.SecureGiveUps)
+			c.Reports, c.TestPass, c.TestFail, c.RedundantRounds, c.RedundantSends, c.Distrusted, c.GiveUps)
 	}
 	if cfg.Faults != nil {
 		fmt.Fprintf(stdout, "fault counters: duplicated=%d reordered=%d peakRetx=%.4f/node/s\n",

@@ -56,6 +56,10 @@ func TestRejectedFlags(t *testing.T) {
 var closingLines = regexp.MustCompile(`(?m)^lookups: issued=\d+ delivered=\d+ incorrect=\d+ dropped=\d+ timeout_lost=\d+\n` +
 	`simulated \S+ in \S+ \(\d+ events, \d+ events/s, [0-9.]+ allocs/event, \d+ B/event\)$`)
 
+// mountedLayer matches a secure routing line with at least one report: a
+// layer that is never mounted prints the line with reports=0.
+var mountedLayer = regexp.MustCompile(`(?m)^secure routing: reports=[1-9]`)
+
 // Small runs end to end: every section of the report that a flag turns on
 // is printed, and the closing line carries the cost columns after the
 // line that accounts for every lookup.
@@ -88,6 +92,9 @@ func TestRunPrintsTheReport(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s: output lacks %q:\n%s", tc.name, want, out)
 			}
+		}
+		if strings.Contains(out, "\nsecure routing: ") && !mountedLayer.MatchString(out) {
+			t.Errorf("%s: the secure layer evaluated no report:\n%s", tc.name, out)
 		}
 		if !closingLines.MatchString(out) {
 			t.Errorf("%s: no lookup accounting and closing cost lines:\n%s", tc.name, out)

@@ -26,7 +26,7 @@ func secureRuns(s Scale, nodes int, dur time.Duration, fracs []float64) []harnes
 	tr := stableTrace("secure-static", nodes, dur)
 	return sweep(2*len(fracs), s.base("gatech", tr), func(i int, cfg *harness.Config) {
 		cfg.Pastry.L = 16
-		cfg.Pastry.SecureRouting = i%2 == 1
+		cfg.SecureRouting = i%2 == 1
 		cfg.LookupRate = secureLookupRate
 		cfg.MaliciousFraction = fracs[i/2]
 	})
@@ -36,8 +36,8 @@ func secureRuns(s Scale, nodes int, dur time.Duration, fracs []float64) []harnes
 // evaluated reports; on a defended run without adversary the paper's
 // dependability argument rests on this being ~0.
 func falsePositiveRate(r harness.Result) float64 {
-	c := r.Counters
-	return ratio(float64(c.SecureTestFail), float64(c.SecureTestPass+c.SecureTestFail))
+	c := r.Secure
+	return ratio(float64(c.TestFail), float64(c.TestPass+c.TestFail))
 }
 
 func secureSweep(s Scale) (Report, error) {
@@ -52,11 +52,11 @@ func secureSweep(s Scale) (Report, error) {
 		mode := []string{"off", "on"}[i%2]
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("f=%.2f %s", fracs[i/2], mode), Values: map[string]float64{
 			"success":  1 - r.Totals.LossRate(),
-			"reports":  float64(r.Counters.SecureReports),
-			"testFail": float64(r.Counters.SecureTestFail),
-			"rounds":   float64(r.Counters.SecureRedundantRounds),
-			"sends":    float64(r.Counters.SecureRedundantSends),
-			"distrust": float64(r.Counters.SecureDistrusted),
+			"reports":  float64(r.Secure.Reports),
+			"testFail": float64(r.Secure.TestFail),
+			"rounds":   float64(r.Secure.RedundantRounds),
+			"sends":    float64(r.Secure.RedundantSends),
+			"distrust": float64(r.Secure.Distrusted),
 			"claims":   float64(r.Adversary.RootClaims),
 			"forged":   float64(r.Adversary.ReportsForged),
 			"advDrops": float64(r.DropsByCause[netmodel.DropAdversary]),

@@ -25,9 +25,8 @@ func TestSecureRoutingRestoresSuccess(t *testing.T) {
 	adv := res[3]
 	t.Logf("off: f=0 %.4f f=0.1 %.4f | on: f=0 %.4f f=0.1 %.4f", offBase, offAdv, onBase, onAdv)
 	t.Logf("defended f=0.1: reports=%d fail=%d rounds=%d sends=%d distrust=%d giveups=%d claims=%d forged=%d",
-		adv.Counters.SecureReports, adv.Counters.SecureTestFail,
-		adv.Counters.SecureRedundantRounds, adv.Counters.SecureRedundantSends,
-		adv.Counters.SecureDistrusted, adv.Counters.SecureGiveUps,
+		adv.Secure.Reports, adv.Secure.TestFail, adv.Secure.RedundantRounds,
+		adv.Secure.RedundantSends, adv.Secure.Distrusted, adv.Secure.GiveUps,
 		adv.Adversary.RootClaims, adv.Adversary.ReportsForged)
 
 	if offAdv > offBase-0.03 {

@@ -16,6 +16,7 @@ import (
 	"mspastry/internal/netmodel"
 	"mspastry/internal/overload"
 	"mspastry/internal/pastry"
+	"mspastry/internal/secure"
 	"mspastry/internal/stats"
 	"mspastry/internal/telemetry"
 	"mspastry/internal/topology"
@@ -63,6 +64,9 @@ type Config struct {
 	// behaviour of netmodel.Adversary. Zero disables the adversary
 	// entirely and reproduces pre-adversary runs bit-for-bit.
 	MaliciousFraction float64
+	// SecureRouting mounts the secure-routing layer (internal/secure) on
+	// every node and issues every generated lookup through it.
+	SecureRouting bool
 	// Zipf, when non-nil, draws lookup keys from its popular key set (see
 	// NewZipf); nil draws them uniformly from the id space, the paper's
 	// model.
@@ -96,8 +100,10 @@ type Result struct {
 	Windows []stats.WindowStat
 	Totals  stats.Totals
 	JoinCDF []stats.CDFPoint
-	// Aggregated protocol counters over all node instances.
+	// Aggregated protocol counters over all node instances, and secure
+	// layer counters over all layers (zero without Config.SecureRouting).
 	Counters pastry.Counters
+	Secure   secure.Counters
 	// NetworkDrops counts messages lost to injected faults (uniform loss,
 	// per-link loss, partitions).
 	NetworkDrops uint64
@@ -152,6 +158,7 @@ type run struct {
 	outstanding map[lookupKey]outstandingLookup
 
 	counters    pastry.Counters
+	secure      secure.Counters
 	dropReasons map[pastry.DropReason]int
 	timeoutLost int
 	recovery    []stats.RecoveryStat
@@ -170,6 +177,7 @@ type run struct {
 type slot struct {
 	ep   *netmodel.Endpoint
 	node *pastry.Node
+	sec  *secure.Layer // nil without Config.SecureRouting
 }
 
 type lookupKey struct {
@@ -319,6 +327,7 @@ func (r *run) execute() Result {
 	for _, s := range r.slots {
 		if s.node != nil && s.node.Alive() {
 			r.counters.Add(s.node.Stats())
+			r.secure.Add(s.sec.Stats())
 			if s.node.Active() {
 				trts = append(trts, s.node.Trt())
 			}
@@ -328,11 +337,12 @@ func (r *run) execute() Result {
 	if len(trts) > 0 {
 		res.TrtMedian = trts[len(trts)/2]
 	}
-	res.Counters = r.counters
+	res.Counters, res.Secure = r.counters, r.secure
 	if r.cfg.Telemetry != nil {
 		// Mirror the run-aggregated node counters into the registry so a
 		// metrics dump carries the same names a live node serves.
 		r.cfg.Telemetry.SetGauges(r.counters)
+		r.cfg.Telemetry.SetGauges(r.secure)
 		r.cfg.Telemetry.SetGauges(telemetry.Trt{Seconds: res.TrtMedian.Seconds()})
 	}
 	return res
@@ -351,8 +361,11 @@ func (r *run) startNode(slotIdx int, bootstrap bool) {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	node.SetSeedSource(func() (pastry.NodeRef, bool) { return r.randomActiveRef() })
-	s.node = node
+	s.node, s.sec = node, nil
 	s.ep.Bind(node)
+	if r.cfg.SecureRouting {
+		s.sec = secure.New(node, s.ep, nil)
+	}
 	if bootstrap || r.active.len() == 0 {
 		node.Bootstrap()
 		return
@@ -372,6 +385,7 @@ func (r *run) failNode(slotIdx int) {
 	}
 	wasActive := s.node.Active()
 	r.counters.Add(s.node.Stats())
+	r.secure.Add(s.sec.Stats())
 	s.ep.Fail()
 	if wasActive {
 		r.active.remove(s.node.Ref().ID)
@@ -400,11 +414,11 @@ func (r *run) nextKey() id.ID {
 }
 
 // scheduleLookups starts the Poisson lookup generator for a node.
-func (r *run) scheduleLookups(n *pastry.Node) {
+func (r *run) scheduleLookups(n *pastry.Node, sec *secure.Layer) {
 	if r.cfg.LookupRate <= 0 {
 		return
 	}
-	g := &lookupGen{r: r, n: n, origin: mustAtoi(n.Ref().Addr)}
+	g := &lookupGen{r: r, n: n, sec: sec, origin: mustAtoi(n.Ref().Addr)}
 	r.sim.Schedule(r.sim.Now()+g.gap(), g)
 }
 
@@ -414,7 +428,8 @@ func (r *run) scheduleLookups(n *pastry.Node) {
 type lookupGen struct {
 	r      *run
 	n      *pastry.Node
-	origin int // the node's endpoint index
+	sec    *secure.Layer // issues the lookups when set
+	origin int           // the node's endpoint index
 }
 
 func (g *lookupGen) gap() time.Duration {
@@ -428,7 +443,14 @@ func (g *lookupGen) Fire() {
 		return
 	}
 	key := r.nextKey()
-	if seq, ok := n.Lookup(key, nil); ok {
+	var seq uint64
+	var ok bool
+	if g.sec != nil {
+		seq, ok = g.sec.Lookup(key)
+	} else {
+		seq, ok = n.Lookup(key, nil)
+	}
+	if ok {
 		r.outstanding[lookupKey{origin: n.Ref().Addr, seq: seq}] = outstandingLookup{
 			key:     key,
 			issued:  r.measured(),
@@ -468,8 +490,8 @@ func (r *run) sweepLost() {
 }
 
 // runObserver adapts *run to pastry.Observer. It has the three core
-// methods only, so a node without telemetry skips the optional
-// trace/stats/secure observers entirely.
+// methods only, so a node without telemetry skips the optional trace and
+// stats observers entirely.
 type runObserver run
 
 // Activated implements pastry.Observer: the node enters the ground-truth
@@ -482,7 +504,7 @@ func (o *runObserver) Activated(n *pastry.Node, joinLatency time.Duration) {
 	if r.measured() >= 0 {
 		r.col.JoinLatency(joinLatency)
 	}
-	r.scheduleLookups(n)
+	r.scheduleLookups(n, r.slots[slotIdx].sec)
 }
 
 // Delivered implements pastry.Observer: judge the delivery against the

@@ -8,7 +8,9 @@ import (
 
 // Wire kinds for the path-caching protocol: the first byte of a GetVia, a
 // CachedReply, a deposited Entry and an Invalidate. They live above 0x40
-// so they can never collide with the dht request/response kinds (1..16).
+// so they can never collide with the dht request/response kinds (1..16);
+// the secure layer's kinds (internal/secure) sit above them, at 0x51 and
+// 0x52.
 const (
 	KindGetVia      byte = 0x41
 	KindCachedReply byte = 0x42

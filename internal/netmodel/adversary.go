@@ -21,6 +21,7 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
+	"mspastry/internal/secure"
 )
 
 // Behavior is a bit set of adversarial behaviours.
@@ -58,7 +59,8 @@ type AdversaryStats struct {
 	// RootClaims counts lookups captured by a colluder posing as the
 	// key's root.
 	RootClaims uint64
-	// ReportsForged counts forged RootReports sent for captured lookups.
+	// ReportsForged counts forged secure-layer reports sent for captured
+	// lookups.
 	ReportsForged uint64
 	// AcksForged counts per-hop acks forged for consumed lookups.
 	AcksForged uint64
@@ -153,14 +155,14 @@ func (a *Adversary) misroute(dst *Endpoint, lk *pastry.Lookup) {
 	// Capture: the lookup dies here, posing as delivered.
 	a.Stats.RootClaims++
 	a.nw.dropN(DropAdversary, 1)
-	if lk.WantReport && lk.Origin.ID != self.ID {
+	if secure.IsRequest(lk.Payload) && lk.Origin.ID != self.ID {
 		a.Stats.ReportsForged++
-		dst.Send(lk.Origin, &pastry.RootReport{
-			From:   self,
-			Seq:    lk.Seq,
-			Key:    lk.Key,
-			Leaves: a.colludersNear(self.ID, dst.addr, 16),
-		})
+		var leaves []id.ID
+		for _, c := range a.colludersNear(self.ID, dst.addr, 16) {
+			leaves = append(leaves, c.ID)
+		}
+		dst.Send(lk.Origin, &pastry.AppDirect{From: self,
+			Payload: secure.EncodeReport(secure.Report{Seq: lk.Seq, Key: lk.Key, Leaves: leaves})})
 	}
 }
 

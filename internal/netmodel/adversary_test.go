@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mspastry/internal/pastry"
+	"mspastry/internal/secure"
 )
 
 // buildTriangle wires three bootstrapped-and-joined nodes a, b, c and
@@ -91,7 +92,7 @@ func TestAdversaryMisroutesToColluder(t *testing.T) {
 	// the true root, so use a key rooted at node 0 instead and inject
 	// the envelope at colluder 1 directly.
 	key := nodes[0].Ref().ID
-	lk := &pastry.Lookup{Key: key, Seq: 5, Origin: nodes[2].Ref(), WantReport: true}
+	lk := &pastry.Lookup{Key: key, Seq: 5, Origin: nodes[2].Ref(), Payload: []byte{secure.KindRequest}}
 	eps[0].Send(nodes[1].Ref(), &pastry.Envelope{From: nodes[0].Ref(), Lookup: lk})
 	sim.RunUntil(sim.Now() + 20*time.Second)
 
@@ -104,7 +105,7 @@ func TestAdversaryMisroutesToColluder(t *testing.T) {
 		t.Fatalf("capture never terminated in a root claim: %+v", adv.Stats)
 	}
 	if adv.Stats.ReportsForged == 0 {
-		t.Fatalf("WantReport capture forged no report: %+v", adv.Stats)
+		t.Fatalf("a capture of a report-requesting lookup forged no report: %+v", adv.Stats)
 	}
 }
 

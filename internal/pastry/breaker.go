@@ -135,35 +135,32 @@ func (n *Node) inRoutingState(x id.ID) bool {
 	return n.ls.Contains(x) || n.rt.Contains(x)
 }
 
-// distrust feeds a peer confirmed bad by the secure-routing vote (its
-// root claim lost to a strictly closer accepted root) into the routing-
-// exclusion machinery: the peer is excluded from next-hop selection and
-// its circuit breaker is force-opened, so recovery follows the ordinary
-// cooldown/half-open path rather than being permanent — the failure test
-// is statistical, and an honest peer caught by a rare false vote must be
-// able to come back.
-func (n *Node) distrust(ref NodeRef) {
-	if ref.ID == n.self.ID {
-		return
+// Distrust feeds a peer an application layer found lying (the secure
+// layer's vote, internal/secure) into the routing-exclusion machinery: the
+// peer is excluded from next-hop selection and its circuit breaker is
+// force-opened, so recovery follows the ordinary cooldown/half-open path
+// rather than being permanent — the evidence is statistical, and an honest
+// peer caught by a rare false vote must be able to come back. It reports
+// false, doing nothing, for this node itself and for a peer already marked
+// faulty.
+func (n *Node) Distrust(ref NodeRef) bool {
+	if _, dead := n.failed[ref.ID]; dead || ref.ID == n.self.ID || !n.alive {
+		return false
 	}
-	if _, dead := n.failed[ref.ID]; dead {
-		return
-	}
-	n.counters.SecureDistrusted++
 	n.excluded[ref.ID] = true
 	// Hand the exclusion record to the regular probe machinery so it has
 	// an owner: a probe reply lifts it (the breaker keeps denying through
 	// its cooldown), a probe timeout marks the peer faulty outright.
 	n.suspect(ref)
-	if n.cfg.BreakerThreshold <= 0 {
-		return
+	if n.cfg.BreakerThreshold > 0 {
+		b := n.breakerOf(ref)
+		wasOpen := b.Denies()
+		b.Trip(n.env.Now())
+		if !wasOpen {
+			n.counters.BreakerOpens++
+		}
 	}
-	b := n.breakerOf(ref)
-	wasOpen := b.Denies()
-	b.Trip(n.env.Now())
-	if !wasOpen {
-		n.counters.BreakerOpens++
-	}
+	return true
 }
 
 // BreakerSummary counts this node's peer circuit breakers by state.

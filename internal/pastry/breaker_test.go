@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/overload"
 )
 
 // stressedPeer builds a two-node overlay and then silences the second
@@ -139,5 +140,45 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if s := src.Breakers(); s.Open != 0 {
 		t.Fatalf("breaker still open after recovery: %+v", s)
+	}
+}
+
+// TestPruneOverloadStateEvictsDeparted pins the membership eviction:
+// breaker and retry-budget state survives the registry sweep only while
+// the peer is still in the leaf set or routing table — state about
+// anyone else can never influence a next-hop decision and would
+// otherwise accumulate without bound under churn.
+func TestPruneOverloadStateEvictsDeparted(t *testing.T) {
+	net := newTestNet(t, 1)
+	nodes := buildOverlay(t, net, 4, testConfig())
+	n := nodes[0]
+	member := nodes[1].Ref()
+	if !n.inRoutingState(member.ID) {
+		t.Fatalf("%v not in node 0's routing state", member.ID)
+	}
+	stranger := id.New(0xdead, 0xbeef)
+	if n.inRoutingState(stranger) {
+		t.Fatal("stranger unexpectedly in routing state")
+	}
+	now := net.sim.Now()
+
+	for _, x := range []id.ID{member.ID, stranger} {
+		st := n.overloadOf(n.peers.Obtain(x, "", now))
+		b := &overload.Breaker{Threshold: n.cfg.BreakerThreshold,
+			Cooldown: n.cfg.breakerCooldown, MaxCooldown: n.cfg.breakerMaxCooldown}
+		b.Trip(now)
+		st.breaker = b
+		tb := overload.NewTokenBucket(0.001, 4, now)
+		tb.Take(now)
+		st.budget = tb
+	}
+
+	n.sweepPeers()
+
+	if st := n.overloadFor(member.ID); st == nil || st.breaker == nil || st.budget == nil {
+		t.Fatal("active records for a routing-state member were evicted")
+	}
+	if st := n.overloadFor(stranger); st != nil {
+		t.Fatal("records for a departed peer survived pruning")
 	}
 }

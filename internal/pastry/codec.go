@@ -32,7 +32,6 @@ const (
 	tagNNStateRequest
 	tagNNStateReply
 	tagAppDirect
-	tagRootReport
 )
 
 // maxWireSlice bounds decoded slice and address lengths, and maxPayload
@@ -64,7 +63,6 @@ var newMessage = [...]func() Message{
 	tagNNStateRequest: func() Message { return new(NNStateRequest) },
 	tagNNStateReply:   func() Message { return new(NNStateReply) },
 	tagAppDirect:      func() Message { return new(AppDirect) },
-	tagRootReport:     func() Message { return new(RootReport) },
 }
 
 // walk is the one wire description of every message: its tag, then its
@@ -89,7 +87,6 @@ func walk(c *codec.Coder, m Message) {
 			c.Duration(&m.Lookup.Issued)
 			c.Int(&m.Lookup.Hops)
 			c.Bool(&m.Lookup.NoAck)
-			c.Bool(&m.Lookup.WantReport)
 			c.Blob(&m.Lookup.Payload, maxPayload)
 		}
 		if present(c, &m.Join) {
@@ -181,13 +178,6 @@ func walk(c *codec.Coder, m Message) {
 		c.Tag(tagAppDirect)
 		walkRef(c, &m.From)
 		c.Blob(&m.Payload, maxPayload)
-	case *RootReport:
-		c.Tag(tagRootReport)
-		walkRef(c, &m.From)
-		c.Uvarint(&m.Seq)
-		c.ID(&m.Key)
-		walkRefs(c, &m.Leaves)
-		c.Duration(&m.TrtHint)
 	default:
 		panic(fmt.Sprintf("pastry: no wire format for %T", m))
 	}

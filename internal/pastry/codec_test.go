@@ -332,9 +332,6 @@ func TestMessageWireSizeMatchesEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	msgs := sampleMessages(rng)
 	msgs = append(msgs,
-		&RootReport{From: randRef(rng), Seq: 77, Key: id.Random(rng),
-			Leaves: randRefs(rng, 9), TrtHint: 45 * time.Second},
-		&RootReport{From: randRef(rng)},
 		&Ack{Xfer: 0, From: NodeRef{ID: id.Random(rng)}, TrtHint: -time.Second},
 		&Ack{Xfer: 127, From: randRef(rng)},
 		&Ack{Xfer: 128, From: randRef(rng)},
@@ -342,7 +339,7 @@ func TestMessageWireSizeMatchesEncoding(t *testing.T) {
 		&Envelope{Xfer: 300, From: randRef(rng), TrtHint: -time.Hour,
 			Lookup: &Lookup{Key: id.Random(rng), Seq: ^uint64(0), TraceID: 1 << 50,
 				Origin: randRef(rng), Issued: -time.Minute, Hops: 200,
-				WantReport: true, Payload: make([]byte, 300)}},
+				Payload: make([]byte, 300)}},
 	)
 	for _, m := range msgs {
 		if got, want := MessageWireSize(m), len(AppendMessage(nil, m)); got != want {

@@ -27,20 +27,6 @@ const (
 	// distProbeCount is the number of probes whose median is one distance
 	// measurement (paper: 3).
 	distProbeCount = 3
-	// secureFanout is how many diverse first hops a redundant round of a
-	// secure lookup uses; secureMaxRounds bounds the rounds per lookup.
-	secureFanout    = 4
-	secureMaxRounds = 3
-	// secureReplyTimeout is how long the origin of a secure lookup waits
-	// for a plausible root report before (re-)issuing a redundant round.
-	secureReplyTimeout = 5 * time.Second
-	// secureDensityRatio is the failure test's suspicion threshold: a
-	// reported neighbourhood sparser than this multiple of the local
-	// density estimate is flagged (γ in internal/secure).
-	// secureDistanceRatio flags roots farther than this multiple of the
-	// local mean inter-node gap from the key (δ in internal/secure).
-	secureDensityRatio  = 4
-	secureDistanceRatio = 8
 )
 
 // Config holds the MSPastry protocol parameters. DefaultConfig returns the
@@ -124,14 +110,6 @@ type Config struct {
 	// up to breakerMaxCooldown.
 	breakerCooldown    time.Duration
 	breakerMaxCooldown time.Duration
-
-	// SecureRouting enables the Byzantine-routing defenses: lookups ask
-	// the root for a completion report, the report's leaf-set density is
-	// checked against the locally observed id-space density (the routing
-	// failure test), and suspected misroutes are re-issued over multiple
-	// neighbour-diverse first hops whose reports vote on the true root.
-	// Off by default: the honest-world baseline pays no report traffic.
-	SecureRouting bool
 
 	// PeerStrangerTTL bounds how long per-peer state survives for a peer
 	// that was never admitted into routing state (leaf set, routing table

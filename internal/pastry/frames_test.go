@@ -31,7 +31,7 @@ var frameSamples = []struct {
 }{
 	{"envelope-lookup", &Envelope{Xfer: 300, NeedAck: true, From: frameRef(1), TrtHint: 30 * time.Second,
 		Lookup: &Lookup{Key: id.New(0xfeed, 0xbeef), Seq: 7, TraceID: 1 << 50, Origin: frameRef(2),
-			Issued: 3 * time.Second, Hops: 2, WantReport: true, Payload: []byte("hello")}}},
+			Issued: 3 * time.Second, Hops: 2, Payload: []byte("hello")}}},
 	{"envelope-lookup-min", &Envelope{Xfer: 2, From: frameRef(1),
 		Lookup: &Lookup{Key: id.New(1, 2), Origin: frameRef(2), NoAck: true}}},
 	{"envelope-join", &Envelope{Xfer: 1, Retx: true, From: frameRef(3),
@@ -62,8 +62,6 @@ var frameSamples = []struct {
 	{"nnstatereply", &NNStateReply{From: frameRef(18), Leaves: frameRefs(10), Entries: frameRefs(20)}},
 	{"appdirect", &AppDirect{From: frameRef(19), Payload: []byte("response body")}},
 	{"appdirect-empty", &AppDirect{From: frameRef(19)}},
-	{"rootreport", &RootReport{From: frameRef(20), Seq: 77, Key: id.New(5, 6), Leaves: frameRefs(9), TrtHint: 45 * time.Second}},
-	{"rootreport-empty", &RootReport{From: frameRef(20)}},
 }
 
 // TestRecordedFrames pins the wire bytes of every message tag to frames
@@ -92,7 +90,7 @@ func TestRecordedFrames(t *testing.T) {
 			t.Errorf("%s: with a table the recorded frame decodes to\n %#v (%v)\nwithout to\n %#v", s.name, interned, err, got)
 		}
 	}
-	if len(tags) != int(tagRootReport) {
-		t.Errorf("samples cover %d of %d tags", len(tags), tagRootReport)
+	if len(tags) != int(tagAppDirect) {
+		t.Errorf("samples cover %d of %d tags", len(tags), tagAppDirect)
 	}
 }

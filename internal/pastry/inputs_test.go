@@ -242,14 +242,14 @@ func (c *callCounter) TrtTuned(*Node, time.Duration)               { c.calls++ }
 func (c *callCounter) LeafSetRepair(*Node, string)                 { c.calls++ }
 
 // TestCrashedNodeRunsNoRule drives one node until it has armed a timer of
-// every kind — a PNS join, a distance measurement, a secure lookup, a
-// suspect, a paced repair, a lookup not yet routed — crashes it with timers
+// every kind — a PNS join, a distance measurement, a suspect, a paced
+// repair, a lookup not yet routed — crashes it with timers
 // of several kinds still due, and runs an hour: the node must send nothing
 // and tell its observer nothing. Fail cancels some of its timers; the rest
 // come due and meet fire's liveness guard.
 func TestCrashedNodeRunsNoRule(t *testing.T) {
 	cfg := testConfig()
-	cfg.PNS, cfg.SecureRouting = true, true
+	cfg.PNS = true
 	net := newTestNet(t, 3)
 	nodes := buildOverlay(t, net, 8, cfg)
 	obs := &callCounter{}
@@ -258,7 +258,7 @@ func TestCrashedNodeRunsNoRule(t *testing.T) {
 	for step := 0; step < 200 && !x.Active(); step++ {
 		net.run(100 * time.Millisecond)
 	}
-	x.LookupSecure(nodes[1].Ref().ID, nil)
+	x.Lookup(nodes[1].Ref().ID, nil)
 	net.run(0)
 	leaf := x.ls.Members()[0]
 	x.suspect(leaf)
@@ -267,15 +267,12 @@ func TestCrashedNodeRunsNoRule(t *testing.T) {
 	x.measureDistance(nodes[2].Ref(), distProbeCount, nil)
 	x.Lookup(nodes[3].Ref().ID, nil)
 
-	hop, probe, secure, dist := false, false, false, false
+	hop, probe, dist := false, false, false
 	for _, ph := range x.pending {
 		hop = hop || ph.run != nil
 	}
 	for _, ps := range x.probing {
 		probe = probe || ps.run != nil
-	}
-	for _, ss := range x.secureSess {
-		secure = secure || ss.run != nil
 	}
 	for _, ds := range x.distSessions {
 		dist = dist || ds.sample[0].run != nil && ds.deadline.run != nil
@@ -289,7 +286,6 @@ func TestCrashedNodeRunsNoRule(t *testing.T) {
 		timerNNGiveUp:     x.nnAlarm.run != nil,
 		timerDistProbe:    dist,
 		timerDistDeadline: dist,
-		timerSecure:       secure,
 		timerIssued:       len(x.issued) > x.issuedHead,
 	} {
 		if !armed {

@@ -23,13 +23,6 @@ func LaneOf(m Message) overload.Lane {
 			return overload.LaneLookup
 		}
 		return overload.LaneControl
-	case *Lookup:
-		return overload.LaneLookup
-	case *RootReport:
-		// Completion reports finish lookups, so they ride the lookup lane:
-		// shedding them would fail the secure path under the same load
-		// that sheds the lookups themselves, never earlier.
-		return overload.LaneLookup
 	case *AppDirect:
 		return overload.LaneBulk
 	default:

@@ -49,18 +49,14 @@ const (
 	// CatApp is direct application traffic (for example Squirrel
 	// responses); like lookups it is not control traffic.
 	CatApp
-	// CatSecure covers the secure-routing defenses: root completion
-	// reports for the routing failure test. Control traffic, so the
-	// defenses' byte overhead shows up in the paper-style accounting.
-	CatSecure
 )
 
 // CategoryCount is the number of categories plus one (categories are
 // 1-based), sized for dense per-category arrays.
-const CategoryCount = int(CatSecure) + 1
+const CategoryCount = int(CatApp) + 1
 
 var categories = [CategoryCount]string{CatLookup: "lookup", CatJoin: "join", CatDistance: "distance",
-	CatLeafSet: "leafset", CatRTProbe: "rtprobe", CatAck: "ack", CatApp: "app", CatSecure: "secure"}
+	CatLeafSet: "leafset", CatRTProbe: "rtprobe", CatAck: "ack", CatApp: "app"}
 
 func (c Category) String() string {
 	if c < CatLookup || int(c) >= len(categories) {
@@ -95,9 +91,6 @@ type Lookup struct {
 	// NoAck disables per-hop acknowledgements for this message
 	// (applications that do not need reliable routing set it).
 	NoAck bool
-	// WantReport asks the root to report its leaf set back to Origin on
-	// delivery, so the origin can run the secure-routing failure test.
-	WantReport bool
 	// Payload is opaque application data (used by Squirrel and the DHT).
 	Payload []byte
 	// spareEnv is an envelope this node may send the lookup on once: the
@@ -449,24 +442,6 @@ type AppDirect struct {
 // Category implements Message.
 func (*AppDirect) Category() Category { return CatApp }
 
-// RootReport is the root's completion report for a secure lookup: sent
-// directly to the lookup's origin after delivery, carrying the
-// responder's leaf set so the origin can compare the reported id-space
-// density against its own and flag implausible (misrouted) results.
-type RootReport struct {
-	From NodeRef
-	// Seq echoes the lookup's origin-local sequence number.
-	Seq uint64
-	// Key echoes the looked-up key, guarding against stale sequence reuse.
-	Key id.ID
-	// Leaves is the responder's leaf set at delivery time.
-	Leaves  []NodeRef
-	TrtHint time.Duration
-}
-
-// Category implements Message.
-func (*RootReport) Category() Category { return CatSecure }
-
 // NNStateReply returns the node's leaf set and routing-table entries.
 type NNStateReply struct {
 	From    NodeRef
@@ -491,7 +466,6 @@ func (m *LSProbeReply) sender() (NodeRef, time.Duration)   { return m.From, m.Tr
 func (m *Heartbeat) sender() (NodeRef, time.Duration)      { return m.From, m.TrtHint }
 func (m *RTProbe) sender() (NodeRef, time.Duration)        { return m.From, m.TrtHint }
 func (m *RTProbeReply) sender() (NodeRef, time.Duration)   { return m.From, m.TrtHint }
-func (m *RootReport) sender() (NodeRef, time.Duration)     { return m.From, m.TrtHint }
 func (m *DistProbe) sender() (NodeRef, time.Duration)      { return m.From, 0 }
 func (m *DistProbeReply) sender() (NodeRef, time.Duration) { return m.From, 0 }
 func (m *DistReport) sender() (NodeRef, time.Duration)     { return m.From, 0 }

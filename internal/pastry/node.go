@@ -7,7 +7,6 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/peer"
-	"mspastry/internal/secure"
 )
 
 // Node is one MSPastry overlay node. It is driven entirely by its Env:
@@ -59,12 +58,6 @@ type Node struct {
 	failedSnap []NodeRef
 	excluded   map[id.ID]bool
 
-	// secureSess tracks this origin's secure lookups awaiting a root
-	// report; density is the id-space density estimate the routing
-	// failure test compares reports against. See secure.go.
-	secureSess map[uint64]*secureSession
-	density    secure.Estimator
-
 	lastReconnect time.Duration
 
 	// Per-hop ack state.
@@ -82,7 +75,7 @@ type Node struct {
 	// issued queues this origin's lookups between Lookup and the zero-delay
 	// timer that routes them (routeIssued): first in, first out, issuedHead
 	// the next one out.
-	issued     []issuedLookup
+	issued     []*Lookup
 	issuedHead int
 
 	// Self-tuning state.
@@ -157,23 +150,6 @@ type Counters struct {
 	BreakerOpens   uint64 `metric:"mspastry_node_breaker_opens" help:"Per-peer circuit breakers tripped open."`
 	BreakerReopens uint64 `metric:"mspastry_node_breaker_reopens" help:"Half-open breaker probes that failed and reopened the breaker."`
 	BreakerCloses  uint64 `metric:"mspastry_node_breaker_closes" help:"Breakers closed by a successful interaction."`
-	// SecureReports counts root completion reports received for this
-	// origin's secure lookups; SecureTestPass/SecureTestFail count the
-	// routing failure test's verdicts on them.
-	SecureReports  uint64 `metric:"mspastry_node_secure_reports" help:"Root completion reports evaluated by the routing failure test."`
-	SecureTestPass uint64 `metric:"mspastry_node_secure_test_pass" help:"Root reports that passed the routing failure test."`
-	SecureTestFail uint64 `metric:"mspastry_node_secure_test_fail" help:"Root reports that failed the routing failure test."`
-	// SecureRedundantRounds counts redundant diverse-path rounds issued
-	// (on a failed test or report timeout); SecureRedundantSends counts
-	// the individual first-hop copies those rounds sent.
-	SecureRedundantRounds uint64 `metric:"mspastry_node_secure_redundant_rounds" help:"Redundant diverse-path rounds issued for suspect lookups."`
-	SecureRedundantSends  uint64 `metric:"mspastry_node_secure_redundant_sends" help:"Lookup copies sent by redundant diverse-path rounds."`
-	// SecureDistrusted counts peers confirmed bad by cross-path voting
-	// and fed into the exclusion/breaker machinery.
-	SecureDistrusted uint64 `metric:"mspastry_node_secure_distrusted" help:"Peers distrusted after a failed test lost the report vote."`
-	// SecureGiveUps counts secure lookups that exhausted every redundant
-	// round without an accepted root report.
-	SecureGiveUps uint64 `metric:"mspastry_node_secure_giveups" help:"Secure lookups that exhausted every redundant round without an accepted report."`
 }
 
 // Add accumulates o into c, field by field: how a run totals the
@@ -244,7 +220,6 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 		pending:      make(map[uint64]*pendingHop),
 		distSessions: make(map[id.ID]*distSession),
 		distSeqs:     make(map[uint64]*distSession),
-		secureSess:   make(map[uint64]*secureSession),
 		addrScratch:  make(map[string]struct{}),
 	}
 	n.initPeers()
@@ -257,7 +232,7 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 }
 
 func (n *Node) initialTrt() time.Duration {
-	return clampDuration(60*time.Second, n.cfg.MinTrt(), maxTrt)
+	return min(max(60*time.Second, n.cfg.MinTrt()), maxTrt)
 }
 
 // Ref returns the node's identity.
@@ -351,8 +326,8 @@ func (n *Node) Fail() {
 		n.obs.LookupDropped(n, h.lk, DropBuffer)
 	}
 	n.holdBuffer = nil
-	for _, is := range n.issued[n.issuedHead:] {
-		n.obs.LookupDropped(n, is.lk, DropBuffer)
+	for _, lk := range n.issued[n.issuedHead:] {
+		n.obs.LookupDropped(n, lk, DropBuffer)
 	}
 	n.issued, n.issuedHead = nil, 0
 	stop(n.tickAlarm.timer)
@@ -366,9 +341,6 @@ func (n *Node) Fail() {
 	for _, ds := range n.distSessions {
 		stop(ds.deadline.timer)
 	}
-	for _, ss := range n.secureSess {
-		stop(ss.timer)
-	}
 }
 
 // Lookup routes an application lookup to the root of key. It returns the
@@ -379,73 +351,57 @@ func (n *Node) Lookup(key id.ID, payload []byte) (uint64, bool) {
 		return 0, false
 	}
 	n.nextLookupSeq++
-	o := &originLookup{lk: Lookup{
-		Key:     key,
-		Seq:     n.nextLookupSeq,
-		Origin:  n.self,
-		Issued:  n.env.Now(),
-		NoAck:   !n.cfg.PerHopAcks,
-		Payload: payload,
-	}}
-	lk := &o.lk
-	lk.spareEnv, o.env.Lookup = &o.env, lk
-	lk.TraceID = deriveTraceID(n.self, lk.Seq, lk.Issued)
-	if n.cfg.SecureRouting {
-		lk.WantReport = true
-		n.startSecureSession(lk)
-	}
+	lk := n.newLookup(key, n.nextLookupSeq, n.env.Now(), payload)
 	if n.tobs != nil {
 		n.tobs.LookupIssued(n, lk)
 	}
 	// Route asynchronously so the caller observes the sequence number
 	// before any delivery callback can fire (the origin may itself be the
 	// key's root, in which case routing delivers immediately).
-	n.issued = append(n.issued, issuedLookup{lk: lk})
+	n.issued = append(n.issued, lk)
 	n.arm(timerIssued, 0, &n.issuedAlarm, nil)
 	return lk.Seq, true
 }
 
-// originLookup is what Node.Lookup allocates: the lookup and the envelope
-// its first hop from the origin goes out in (spareEnvelope).
+// SendCopy sends a copy of a lookup this node issued (Key, Seq, Issued and
+// Payload are read from lk) to the first hop to. The copy keeps the
+// original's sequence number, trace id and issue time, so the origin's
+// observers count whichever copy is delivered first, and starts a fresh
+// path: its hop count is zero.
+func (n *Node) SendCopy(lk Lookup, to NodeRef) {
+	if !n.alive {
+		return
+	}
+	cp := n.newLookup(lk.Key, lk.Seq, lk.Issued, lk.Payload)
+	n.sendHop(cp, nil, cp.Key, to, nil, !cp.NoAck)
+}
+
+// originLookup is what an origin allocates per lookup it sends: the lookup
+// and the envelope its first hop goes out in (spareEnvelope).
 type originLookup struct {
 	lk  Lookup
 	env Envelope
 }
 
-// issuedLookup is a lookup queued between Lookup and routeIssued; redundant
-// asks for a diverse-path round as soon as it is routed (LookupSecure).
-type issuedLookup struct {
-	lk        *Lookup
-	redundant bool
+// newLookup builds a lookup this node originates.
+func (n *Node) newLookup(key id.ID, seq uint64, issued time.Duration, payload []byte) *Lookup {
+	o := &originLookup{lk: Lookup{Key: key, Seq: seq, Origin: n.self, TraceID: deriveTraceID(n.self, seq, issued),
+		Issued: issued, NoAck: !n.cfg.PerHopAcks, Payload: payload}}
+	o.lk.spareEnv, o.env.Lookup = &o.env, &o.lk
+	return &o.lk
 }
 
 // routeIssued routes the oldest queued lookup. Lookup arms one timer per
 // lookup, so each call takes exactly one; a crash empties the queue and
 // reports what it held dropped (Fail), and its timers run nothing.
 func (n *Node) routeIssued() {
-	is := n.issued[n.issuedHead]
-	n.issued[n.issuedHead] = issuedLookup{}
+	lk := n.issued[n.issuedHead]
+	n.issued[n.issuedHead] = nil
 	n.issuedHead++
 	if n.issuedHead == len(n.issued) {
 		n.issued, n.issuedHead = n.issued[:0], 0
 	}
-	n.routeLookup(is.lk, n.env.Now())
-	if ss, live := n.secureSess[is.lk.Seq]; is.redundant && live {
-		n.redundantRound(ss)
-	}
-}
-
-// LookupSecure issues a lookup that is redundant from the start: besides
-// the normal route, a diverse-path round goes out immediately rather
-// than only after a failed test or timeout. The DHT uses it for writes,
-// where a captured lookup silently strands the data on the wrong node.
-// Falls back to a plain Lookup when secure routing is off.
-func (n *Node) LookupSecure(key id.ID, payload []byte) (uint64, bool) {
-	seq, ok := n.Lookup(key, payload)
-	if ok && n.cfg.SecureRouting {
-		n.issued[len(n.issued)-1].redundant = true
-	}
-	return seq, ok
+	n.routeLookup(lk, n.env.Now())
 }
 
 // Receive processes one incoming message: it notes contact with the
@@ -497,8 +453,6 @@ func (n *Node) Receive(m Message) {
 		n.handleNNStateReply(msg)
 	case *AppDirect:
 		n.handleAppDirect(msg)
-	case *RootReport:
-		n.handleRootReport(msg)
 	default:
 		panic(fmt.Sprintf("pastry: unknown message %T", m))
 	}
@@ -517,7 +471,6 @@ const (
 	timerNNGiveUp
 	timerDistProbe
 	timerDistDeadline
-	timerSecure
 	timerIssued
 	timerKinds // the number of kinds
 )
@@ -532,7 +485,6 @@ var timerRules = [timerKinds]string{
 	timerNNGiveUp:     "nnFinish",
 	timerDistProbe:    "sendDistProbe",
 	timerDistDeadline: "finishDistSession",
-	timerSecure:       "secureTimeout",
 	timerIssued:       "routeIssued",
 }
 
@@ -587,8 +539,6 @@ func (n *Node) fire(k timerKind, rec any) {
 		n.sendDistProbe(rec.(*distSession))
 	case timerDistDeadline:
 		n.finishDistSession(rec.(*distSession), nil)
-	case timerSecure:
-		n.secureTimeout(rec.(*secureSession))
 	case timerIssued:
 		n.routeIssued()
 	}

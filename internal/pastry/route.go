@@ -242,8 +242,8 @@ func (n *Node) hopEnvelope(xfer uint64, needAck bool, lk *Lookup, jr *JoinReques
 // built, or the one Node.Lookup made beside lk — if it still carries lk
 // itself, and a new envelope otherwise. The spare is taken once: nothing on
 // this node writes the envelope again after its one send. A value copy of a
-// Lookup (a secure redundant round's) shares the pointer but not the
-// identity, so it gets a new envelope and leaves its original's alone.
+// Lookup shares the pointer but not the identity, so it gets a new envelope
+// and leaves its original's alone.
 func spareEnvelope(lk *Lookup) *Envelope {
 	if lk == nil {
 		return new(Envelope)
@@ -318,7 +318,7 @@ func (n *Node) rtoFor(to NodeRef) time.Duration {
 	if rtt, ok := n.rt.RTT(to.ID); ok {
 		fallback = 2 * rtt
 	}
-	return clampDuration(est.RTO(fallback), n.cfg.MinRTO, n.cfg.MaxRTO)
+	return min(max(est.RTO(fallback), n.cfg.MinRTO), n.cfg.MaxRTO)
 }
 
 // hopTimeout fires when a per-hop ack was not received in time: the next
@@ -393,7 +393,7 @@ func (n *Node) retransmitSame(ph *pendingHop) {
 		return
 	}
 	rto := n.rtoFor(ph.to) << uint(ph.attempts)
-	n.transmit(ph, ph.to, HopBackoff, clampDuration(rto, n.cfg.MinRTO, n.cfg.MaxRTO))
+	n.transmit(ph, ph.to, HopBackoff, min(max(rto, n.cfg.MinRTO), n.cfg.MaxRTO))
 }
 
 // handleEnvelope processes one received overlay hop: acknowledge, then
@@ -461,22 +461,6 @@ func (n *Node) receiveRootLookup(lk *Lookup) {
 	if n.app != nil {
 		n.app.Deliver(lk)
 	}
-	if lk.WantReport {
-		if !lk.Origin.IsZero() && lk.Origin.ID != n.self.ID {
-			n.send(lk.Origin, &RootReport{
-				From:    n.self,
-				Seq:     lk.Seq,
-				Key:     lk.Key,
-				Leaves:  n.ls.Members(),
-				TrtHint: n.trtLocal,
-			})
-		} else {
-			// The origin is its own root: no report crosses the wire, the
-			// session resolves locally (trivially a pass — we trust our own
-			// leaf set).
-			n.secureSelfDelivered(lk.Seq)
-		}
-	}
 }
 
 // IsRootFor reports whether nextHop's verdict for key is deliver right
@@ -486,6 +470,23 @@ func (n *Node) receiveRootLookup(lk *Lookup) {
 func (n *Node) IsRootFor(key id.ID) bool {
 	_, v, _ := n.nextHop(key, nil)
 	return v == deliver
+}
+
+// FirstHops lists the peers a lookup could leave this node through: the
+// leaf set's members, then the routing table's entries, each once, without
+// this node, the peers in skip and the peers routing excludes right now.
+func (n *Node) FirstHops(skip map[id.ID]bool) []NodeRef {
+	excl := n.isExcluded(nil)
+	seen := make(map[id.ID]bool)
+	var out []NodeRef
+	for _, r := range append(n.ls.Members(), n.rt.Entries()...) {
+		if r.ID == n.self.ID || seen[r.ID] || skip[r.ID] || excl(r.ID) {
+			continue
+		}
+		seen[r.ID] = true
+		out = append(out, r)
+	}
+	return out
 }
 
 // receiveRootJoin answers a join request that reached the joiner's root.

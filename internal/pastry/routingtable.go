@@ -149,6 +149,9 @@ func (rt *RoutingTable) Row(r int) []NodeRef {
 	return out
 }
 
+// B returns the digit width in bits.
+func (rt *RoutingTable) B() int { return rt.b }
+
 // NumRows returns the number of rows (identifier digits).
 func (rt *RoutingTable) NumRows() int { return len(rt.rows) }
 

@@ -5,16 +5,6 @@ import (
 	"time"
 )
 
-func clampDuration(d, min, max time.Duration) time.Duration {
-	if d < min {
-		return min
-	}
-	if d > max {
-		return max
-	}
-	return d
-}
-
 // medianDuration returns the median of ds (average of the two middle
 // values for even lengths), sorting ds in place to find it: both callers
 // are done with the sample order. It returns 0 for an empty slice.

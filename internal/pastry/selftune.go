@@ -178,7 +178,7 @@ func (n *Node) retune(now time.Duration) {
 		}
 	})
 	n.trtScratch = vals[:0]
-	n.trtCurrent = clampDuration(medianDuration(vals), n.cfg.MinTrt(), maxTrt)
+	n.trtCurrent = min(max(medianDuration(vals), n.cfg.MinTrt()), maxTrt)
 	if n.sobs != nil {
 		n.sobs.TrtTuned(n, n.trtCurrent)
 	}

@@ -1,8 +1,8 @@
-// Package secure implements the statistical machinery of MSPastry's
-// Byzantine-routing defenses: an id-space density estimator and the
-// routing failure test of Castro et al.'s secure-routing line of work
-// (see also "Our Brothers' Keepers: Secure Routing with High Performance"
-// and "Spartan: Sparse Robust Addressable Networks").
+// Package secure is secure routing as a layer over an MSPastry node
+// (layer.go) and its statistics: an id-space density estimator and the
+// routing failure test of Castro et al.'s secure-routing line of work (see
+// also "Our Brothers' Keepers: Secure Routing with High Performance" and
+// "Spartan: Sparse Robust Addressable Networks").
 //
 // The core observation: node identifiers are assigned uniformly at
 // random (and, in a deployment, certified — an attacker controls only
@@ -15,10 +15,9 @@
 // failure test compares the two densities and flags statistically
 // implausible results as suspected misroutes.
 //
-// The package is pure: every function is deterministic in its inputs,
+// The statistics are pure: every function is deterministic in its inputs,
 // so the same code serves the simulator, live nodes and table-driven
-// tests. It deliberately depends only on internal/id — the pastry layer
-// imports it, not the other way around.
+// tests.
 package secure
 
 import (
@@ -153,8 +152,11 @@ func MeanGap(ids []id.ID) (gap float64, ok bool) {
 }
 
 // Report is one lookup completion to test: the claimed root, its
-// reported leaf set and the key that was looked up.
+// reported leaf set and the key that was looked up. On the wire (a
+// KindReport payload) it carries the lookup's sequence number Seq, and
+// Root is the sender.
 type Report struct {
+	Seq    uint64
 	Key    id.ID
 	Root   id.ID
 	Leaves []id.ID

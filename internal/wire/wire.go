@@ -19,7 +19,7 @@ import (
 // hook a future rolling upgrade needs: new binaries can speak old frames
 // to old peers and flip the version only once the deployment has turned
 // over.
-const Version = 1
+const Version = 2
 
 // HeaderLen is the fixed frame header: version byte + frame kind byte.
 const HeaderLen = 2
