@@ -529,14 +529,22 @@ func TestEveryTallyHasAMetric(t *testing.T) {
 	}
 }
 
-// TestEveryTallyAddsEveryField fails for a field that a tally's hand-kept
-// Add leaves out, which would never total into harness.Result or an
-// experiment's sum: with every exported numeric field of the argument at
-// 1, two Adds into a zero tally must leave each of them at 2.
+// TestEveryTallyAddsEveryField fails for a field that a tally's Add leaves
+// out or totals into another field, which would never total, or total
+// wrongly, into harness.Result or an experiment's sum: with each exported
+// numeric field of the argument set to its own value, two Adds into a zero
+// tally must leave each field at twice that value. The node's, the store's
+// and the secure layer's counters must have an Add.
 func TestEveryTallyAddsEveryField(t *testing.T) {
+	mustAdd := map[reflect.Type]bool{
+		reflect.TypeOf(pastry.Counters{}): true, reflect.TypeOf(dht.Counters{}): true, reflect.TypeOf(secure.Counters{}): true,
+	}
 	for _, typ := range tallies {
 		add, ok := reflect.PointerTo(typ).MethodByName("Add")
 		if !ok {
+			if mustAdd[typ] {
+				t.Errorf("%s has no Add", typ)
+			}
 			continue
 		}
 		one, sum := reflect.New(typ).Elem(), reflect.New(typ)
@@ -544,11 +552,11 @@ func TestEveryTallyAddsEveryField(t *testing.T) {
 			if f := one.Field(i); f.CanSet() {
 				switch {
 				case f.CanInt():
-					f.SetInt(1)
+					f.SetInt(int64(i + 1))
 				case f.CanUint():
-					f.SetUint(1)
+					f.SetUint(uint64(i + 1))
 				case f.CanFloat():
-					f.SetFloat(1)
+					f.SetFloat(float64(i + 1))
 				}
 			}
 		}
@@ -556,12 +564,13 @@ func TestEveryTallyAddsEveryField(t *testing.T) {
 		add.Func.Call([]reflect.Value{sum, one})
 		t.Logf("%s has an Add", typ)
 		for i := 0; i < typ.NumField(); i++ {
-			f := sum.Elem().Field(i)
+			f, want := sum.Elem().Field(i), 2*(i+1)
 			if !typ.Field(i).IsExported() {
 				continue
 			}
-			if (f.CanInt() && f.Int() != 2) || (f.CanUint() && f.Uint() != 2) || (f.CanFloat() && f.Float() != 2) {
-				t.Errorf("%s.Add does not total %s", typ, typ.Field(i).Name)
+			if (f.CanInt() && f.Int() != int64(want)) || (f.CanUint() && f.Uint() != uint64(want)) ||
+				(f.CanFloat() && f.Float() != float64(want)) {
+				t.Errorf("%s.Add does not total %s: %v, want %d", typ, typ.Field(i).Name, f, want)
 			}
 		}
 	}

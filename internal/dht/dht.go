@@ -21,6 +21,7 @@ package dht
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"time"
 
@@ -40,8 +41,8 @@ type Config struct {
 	Backend store.Backend
 	// CacheEntries enables hotspot path caching (see hotspot.go) and
 	// bounds the cache's entry count. Zero disables the subsystem
-	// entirely: Gets use the plain wire encoding and behave exactly as
-	// before.
+	// entirely: Gets use the plain wire encoding and go to the key's root,
+	// so a store without a cache still serves caching peers' reads.
 	CacheEntries int
 }
 
@@ -82,6 +83,9 @@ type Store struct {
 
 	nextSync   uint64
 	syncRounds map[uint64]*syncRound
+
+	// sweepAlarm is the sweep's timer slot, re-armed by every sweep.
+	sweepAlarm pastry.Alarm
 
 	// hot is the hotspot path-caching state, nil when disabled.
 	hot *hotState
@@ -150,50 +154,28 @@ type Counters struct {
 // Add accumulates o into c, field by field: how an experiment totals the
 // counters of a cluster's stores.
 func (c *Counters) Add(o Counters) {
-	c.Puts += o.Puts
-	c.Gets += o.Gets
-	c.Deletes += o.Deletes
-	c.PutOK += o.PutOK
-	c.PutFail += o.PutFail
-	c.GetOK += o.GetOK
-	c.GetNotFound += o.GetNotFound
-	c.GetFail += o.GetFail
-	c.DeleteOK += o.DeleteOK
-	c.DeleteFail += o.DeleteFail
-	c.Retries += o.Retries
-	c.ReplicasPushed += o.ReplicasPushed
-	c.ReplicasApplied += o.ReplicasApplied
-	c.Sweeps += o.Sweeps
-	c.SweepHandoffs += o.SweepHandoffs
-	c.HandoffOffers += o.HandoffOffers
-	c.SyncRounds += o.SyncRounds
-	c.SyncClean += o.SyncClean
-	c.SyncKeysRepaired += o.SyncKeysRepaired
-	c.DigestBytes += o.DigestBytes
-	c.MaintBytes += o.MaintBytes
-	c.CacheHitsLocal += o.CacheHitsLocal
-	c.CacheHitsRemote += o.CacheHitsRemote
-	c.CacheServes += o.CacheServes
-	c.CacheDeposits += o.CacheDeposits
-	c.CacheInvalidations += o.CacheInvalidations
-	c.CachePurged += o.CachePurged
-	c.CacheStaleRejected += o.CacheStaleRejected
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := range dst.NumField() {
+		dst.Field(i).SetUint(dst.Field(i).Uint() + src.Field(i).Uint())
+	}
 }
 
 // Counters returns a snapshot of the store's tallies.
 func (s *Store) Counters() Counters { return s.counters }
 
-// pendingOp is one in-flight client operation; kind is the request's wire
-// kind (kindPut, kindGet or kindDelete).
+// pendingOp is one client operation: in flight under reqID in
+// Store.pending, or a Get the local cache answered, with its value, until
+// localHit. kind is the request's wire kind (kindPut, kindGet, kindDelete).
 type pendingOp struct {
-	kind    byte
-	key     id.ID
-	value   []byte
-	retries int
+	pastry.Alarm // the timeout, or the deferred local cache hit
+	kind         byte
 	// fresh forces a Get to bypass all caching (a cached reply violated
 	// the monotonic read floor, or a test asked for it).
 	fresh   bool
-	timer   pastry.Timer
+	retries uint8
+	key     id.ID
+	value   []byte
+	reqID   uint64
 	doneErr func(error)
 	doneGet func([]byte, error)
 }
@@ -223,7 +205,8 @@ func New(node *pastry.Node, env pastry.Env, cfg Config) *Store {
 		node.Peers().OnEvict(func(x id.ID, _ string) { s.dropDepositTarget(x) })
 	}
 	node.SetApp(s)
-	s.armSweep()
+	s.sweepAlarm.Bind(func() { s.fire(timerSweep, nil) })
+	s.sweepAlarm.Arm(env, cfg.SweepInterval)
 	return s
 }
 
@@ -255,10 +238,7 @@ func (s *Store) HasLocal(key id.ID) bool {
 // called exactly once.
 func (s *Store) Put(key id.ID, value []byte, done func(error)) {
 	s.counters.Puts++
-	s.nextReq++
-	op := &pendingOp{kind: kindPut, key: key, value: value, doneErr: done}
-	s.pending[s.nextReq] = op
-	s.sendOp(s.nextReq, op)
+	s.startOp(&pendingOp{kind: kindPut, key: key, value: value, doneErr: done})
 }
 
 // Get fetches the value under key with end-to-end acknowledgement; done is
@@ -281,17 +261,15 @@ func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 				s.counters.CacheHitsLocal++
 				s.counters.GetOK++
 				s.hot.raiseFloor(key, e.Version, e.Origin)
-				value := e.Value
-				s.env.Schedule(0, func() { done(value, nil) })
+				hit := &pendingOp{kind: kindGet, key: key, value: e.Value, doneGet: done}
+				hit.Bind(func() { s.fire(timerLocalHit, hit) })
+				hit.Arm(s.env, 0)
 				return
 			}
 			s.hot.cache.Delete(key) // expired or below the read floor
 		}
 	}
-	s.nextReq++
-	op := &pendingOp{kind: kindGet, key: key, fresh: fresh, doneGet: done}
-	s.pending[s.nextReq] = op
-	s.sendOp(s.nextReq, op)
+	s.startOp(&pendingOp{kind: kindGet, key: key, fresh: fresh, doneGet: done})
 }
 
 // Delete removes key with end-to-end acknowledgement; done is called
@@ -300,41 +278,74 @@ func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 // stale replicas.
 func (s *Store) Delete(key id.ID, done func(error)) {
 	s.counters.Deletes++
-	s.nextReq++
-	op := &pendingOp{kind: kindDelete, key: key, doneErr: done}
-	s.pending[s.nextReq] = op
-	s.sendOp(s.nextReq, op)
+	s.startOp(&pendingOp{kind: kindDelete, key: key, doneErr: done})
 }
 
-func (s *Store) sendOp(reqID uint64, op *pendingOp) {
+// startOp gives op the next request id, binds its timeout and sends it.
+func (s *Store) startOp(op *pendingOp) {
+	s.nextReq++
+	op.reqID = s.nextReq
+	op.Bind(func() { s.fire(timerOp, op) })
+	s.pending[op.reqID] = op
+	s.sendOp(op)
+}
+
+func (s *Store) sendOp(op *pendingOp) {
 	var payload []byte
 	if op.kind == kindGet && s.hot != nil && !op.fresh {
 		// Cache-aware read: accumulate caching hops along the route so
 		// the root knows where to deposit hot replies.
-		payload = hotspot.Encode(&hotspot.GetVia{ReqID: reqID})
+		payload = hotspot.Encode(&hotspot.GetVia{ReqID: op.reqID})
 	} else {
-		payload = encode(&request{kind: op.kind, reqID: reqID, value: op.value})
+		payload = encode(&request{kind: op.kind, reqID: op.reqID, value: op.value})
 	}
 	if _, ok := s.node.Lookup(op.key, payload); !ok {
-		s.finish(reqID, nil, errors.New("dht: node is down"))
+		s.finish(op.reqID, nil, errors.New("dht: node is down"))
 		return
 	}
-	op.timer = s.env.Schedule(requestTimeout, func() { s.opTimeout(reqID) })
+	op.Arm(s.env, requestTimeout)
 }
 
-func (s *Store) opTimeout(reqID uint64) {
-	op, ok := s.pending[reqID]
-	if !ok {
-		return
+// timerKind names the rule a timer of the store runs. A slot is bound to
+// its kind once, and fire dispatches on it.
+type timerKind uint8
+
+const (
+	timerSweep timerKind = iota
+	timerOp
+	timerLocalHit
+)
+
+// fire runs the rule of a timer of kind k that came due, on op for the
+// operation kinds. Unlike the node's, its liveness guard is per rule:
+// only the sweep stops on a crashed node. An operation's timeout runs on,
+// so that its done is called once, with the node down.
+func (s *Store) fire(k timerKind, op *pendingOp) {
+	switch k {
+	case timerSweep:
+		s.sweepTick()
+	case timerOp:
+		s.opTimeout(op)
+	case timerLocalHit:
+		s.localHit(op)
 	}
+}
+
+// opTimeout resends an operation no reply has completed, or fails it once
+// its retries are spent.
+func (s *Store) opTimeout(op *pendingOp) {
 	if op.retries >= maxRetries {
-		s.finish(reqID, nil, ErrTimeout)
+		s.finish(op.reqID, nil, ErrTimeout)
 		return
 	}
 	op.retries++
 	s.counters.Retries++
-	s.sendOp(reqID, op)
+	s.sendOp(op)
 }
+
+// localHit completes a Get answered from this node's cache, after the call
+// returned, as every other completion is.
+func (s *Store) localHit(op *pendingOp) { op.doneGet(op.value, nil) }
 
 func (s *Store) finish(reqID uint64, value []byte, err error) {
 	op, ok := s.pending[reqID]
@@ -342,9 +353,7 @@ func (s *Store) finish(reqID uint64, value []byte, err error) {
 		return
 	}
 	delete(s.pending, reqID)
-	if op.timer != nil {
-		op.timer.Cancel()
-	}
+	op.Stop()
 	switch op.kind {
 	case kindPut:
 		if err != nil {
@@ -376,50 +385,70 @@ func (s *Store) finish(reqID uint64, value []byte, err error) {
 // Deliver implements pastry.App: the node is the root for the requested
 // key and assigns versions.
 func (s *Store) Deliver(lk *pastry.Lookup) {
-	if len(lk.Payload) > 0 && lk.Payload[0] == hotspot.KindGetVia {
-		s.deliverGetVia(lk)
+	if len(lk.Payload) == 0 {
 		return
 	}
+	switch lk.Payload[0] {
+	case kindPut:
+		s.deliverPut(lk)
+	case kindDelete:
+		s.deliverDelete(lk)
+	case kindGet:
+		s.deliverGet(lk)
+	case hotspot.KindGetVia:
+		s.deliverGetVia(lk)
+	}
+}
+
+func (s *Store) deliverPut(lk *pastry.Lookup) {
 	var req request
 	if !decode(lk.Payload, &req) {
 		return
 	}
-	switch req.kind {
-	case kindPut:
-		cur, _ := s.backend.Get(lk.Key)
-		obj := store.Object{Key: lk.Key, Version: cur.Version + 1,
-			Origin: s.origin, Value: req.value}
-		if _, err := s.backend.Apply(obj); err != nil {
-			return // durable write failed: no ack, the client retries
-		}
-		s.replicate(obj)
-		s.invalidateCached(obj)
-		s.reply(lk.Origin, encode(&ack{kindPutAck, req.reqID}))
-	case kindDelete:
-		// Write the tombstone even for a key we have never seen: a replica
-		// may still hold a value the root lost, and the tombstone stops
-		// anti-entropy from resurrecting it.
-		cur, _ := s.backend.Get(lk.Key)
-		if !cur.Tombstone {
-			tomb := store.Object{Key: lk.Key, Version: cur.Version + 1,
-				Origin: s.origin, Tombstone: true}
-			if _, err := s.backend.Apply(tomb); err != nil {
-				return
-			}
-			s.replicate(tomb)
-			s.invalidateCached(tomb)
-		}
-		s.reply(lk.Origin, encode(&ack{kindDeleteAck, req.reqID}))
-	case kindGet:
-		o, found := s.backend.Get(lk.Key)
-		found = found && !o.Tombstone
-		s.reply(lk.Origin, encode(&getResp{req.reqID, found, o.Value}))
+	cur, _ := s.backend.Get(lk.Key)
+	obj := store.Object{Key: lk.Key, Version: cur.Version + 1, Origin: s.origin, Value: req.value}
+	if _, err := s.backend.Apply(obj); err != nil {
+		return // durable write failed: no ack, the client retries
 	}
+	s.replicate(obj)
+	s.invalidateCached(obj)
+	s.reply(lk.Origin, encode(&ack{kindPutAck, req.reqID}))
 }
 
+// deliverDelete writes the tombstone even for a key the root has never
+// seen: a replica may still hold a value the root lost, and the tombstone
+// stops anti-entropy from resurrecting it.
+func (s *Store) deliverDelete(lk *pastry.Lookup) {
+	var req request
+	if !decode(lk.Payload, &req) {
+		return
+	}
+	cur, _ := s.backend.Get(lk.Key)
+	if !cur.Tombstone {
+		tomb := store.Object{Key: lk.Key, Version: cur.Version + 1, Origin: s.origin, Tombstone: true}
+		if _, err := s.backend.Apply(tomb); err != nil {
+			return
+		}
+		s.replicate(tomb)
+		s.invalidateCached(tomb)
+	}
+	s.reply(lk.Origin, encode(&ack{kindDeleteAck, req.reqID}))
+}
+
+func (s *Store) deliverGet(lk *pastry.Lookup) {
+	var req request
+	if !decode(lk.Payload, &req) {
+		return
+	}
+	o, found := s.backend.Get(lk.Key)
+	s.reply(lk.Origin, encode(&getResp{req.reqID, found && !o.Tombstone, o.Value}))
+}
+
+// reply sends a reply to an operation's origin, or dispatches it as
+// received when the origin is this node.
 func (s *Store) reply(to pastry.NodeRef, payload []byte) {
 	if to.ID == s.node.Ref().ID {
-		s.handleResponse(payload)
+		s.Direct(to, payload)
 		return
 	}
 	s.node.SendDirect(to, payload)
@@ -429,31 +458,24 @@ func (s *Store) reply(to pastry.NodeRef, payload []byte) {
 // this node's hotspot cache mid-route (consuming the lookup) or record
 // this node as a caching hop; everything else routes untouched.
 func (s *Store) Forward(lk *pastry.Lookup) bool {
-	if s.hot == nil || len(lk.Payload) == 0 || lk.Payload[0] != hotspot.KindGetVia {
-		return true
-	}
-	return s.hotspotForward(lk)
+	return s.hot == nil || len(lk.Payload) == 0 || lk.Payload[0] != hotspot.KindGetVia || s.hotspotForward(lk)
 }
 
-// Direct implements pastry.App: end-to-end responses, replica pushes, and
-// the anti-entropy/handoff protocol.
+// Direct implements pastry.App: end-to-end replies, replica pushes, cache
+// deposits and invalidations, and the anti-entropy/handoff protocol.
 func (s *Store) Direct(from pastry.NodeRef, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
 	switch payload[0] {
+	case kindPutAck, kindDeleteAck:
+		s.onAck(payload)
+	case kindGetResp:
+		s.onGetResp(payload)
+	case hotspot.KindCachedReply:
+		s.onCachedReply(payload)
 	case kindReplicate:
-		var o store.Object
-		if decode(payload, &o) {
-			if applied, _ := s.backend.Apply(o); applied {
-				s.counters.ReplicasApplied++
-				if s.hot != nil {
-					// A replica push or repair superseding a cached read
-					// invalidates it (anti-entropy as invalidation backstop).
-					s.hot.cache.InvalidateUnder(o.Key, o.Version, o.Origin)
-				}
-			}
-		}
+		s.onReplicate(payload)
 	case hotspot.KindDeposit:
 		s.onDeposit(payload)
 	case hotspot.KindInvalidate:
@@ -474,28 +496,39 @@ func (s *Store) Direct(from pastry.NodeRef, payload []byte) {
 		s.onHandoffWant(from, payload)
 	case kindHandoffHave:
 		s.onHandoffHave(payload)
-	default:
-		s.handleResponse(payload)
 	}
 }
 
-func (s *Store) handleResponse(payload []byte) {
-	switch payload[0] {
-	case hotspot.KindCachedReply:
-		s.onCachedReply(payload)
-	case kindPutAck, kindDeleteAck:
-		if done := (ack{kind: payload[0]}); decode(payload, &done) {
-			s.finish(done.id, nil, nil)
-		}
-	case kindGetResp:
-		var resp getResp
-		if !decode(payload, &resp) {
-			return
-		}
-		if resp.found {
-			s.finish(resp.reqID, resp.value, nil)
-		} else {
-			s.finish(resp.reqID, nil, ErrNotFound)
+// onAck completes a put or delete.
+func (s *Store) onAck(payload []byte) {
+	if done := (ack{kind: payload[0]}); decode(payload, &done) {
+		s.finish(done.id, nil, nil)
+	}
+}
+
+// onGetResp completes a get from its root's answer.
+func (s *Store) onGetResp(payload []byte) {
+	var resp getResp
+	switch {
+	case !decode(payload, &resp):
+	case resp.found:
+		s.finish(resp.reqID, resp.value, nil)
+	default:
+		s.finish(resp.reqID, nil, ErrNotFound)
+	}
+}
+
+// onReplicate applies a replica push or repair. One that supersedes a
+// cached read invalidates it (anti-entropy as invalidation backstop).
+func (s *Store) onReplicate(payload []byte) {
+	var o store.Object
+	if !decode(payload, &o) {
+		return
+	}
+	if applied, _ := s.backend.Apply(o); applied {
+		s.counters.ReplicasApplied++
+		if s.hot != nil {
+			s.hot.cache.InvalidateUnder(o.Key, o.Version, o.Origin)
 		}
 	}
 }
@@ -516,10 +549,7 @@ func (s *Store) replicaTargets(key id.ID) []pastry.NodeRef {
 	// below reorders in place.
 	members := append([]pastry.NodeRef(nil), s.node.Leaf().Members()...)
 	// Selection sort of the k-1 closest; leaf sets are small.
-	want := ReplicationFactor - 1
-	if want > len(members) {
-		want = len(members)
-	}
+	want := min(ReplicationFactor-1, len(members))
 	for i := 0; i < want; i++ {
 		best := i
 		for j := i + 1; j < len(members); j++ {
@@ -532,24 +562,25 @@ func (s *Store) replicaTargets(key id.ID) []pastry.NodeRef {
 	return members[:want]
 }
 
-// armSweep starts the periodic responsibility sweep.
-func (s *Store) armSweep() {
-	s.env.Schedule(s.cfg.SweepInterval, func() {
-		if !s.node.Alive() {
-			return
-		}
-		s.purgeHotspot()
-		s.sweep()
-		s.armSweep()
-	})
+// sweepTick runs the periodic sweep and re-arms it. A crashed node's
+// sweep stops for good.
+func (s *Store) sweepTick() {
+	if !s.node.Alive() {
+		return
+	}
+	s.purgeHotspot()
+	s.sweep()
+	s.sweepAlarm.Arm(s.env, s.cfg.SweepInterval)
 }
 
 // sweep re-establishes the replication invariant after churn. For every
 // stored key the node ranks itself against its leaf set: within the
 // replica set (rank < k) it reconciles with the other replicas by Merkle
 // anti-entropy; far outside it (rank ≥ 2k, with hysteresis) it offers
-// the object to the current root and drops its copy once answered.
+// the object to the current root and drops its copy once answered. The
+// sync rounds the previous sweep opened end here, answered or not.
 func (s *Store) sweep() {
+	clear(s.syncRounds)
 	if !s.node.Active() {
 		return
 	}

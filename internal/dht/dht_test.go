@@ -248,6 +248,55 @@ func TestCodecRejects(t *testing.T) {
 	}
 }
 
+// dropPutAcks is a store's application with every put ack it receives lost.
+type dropPutAcks struct{ *Store }
+
+func (d dropPutAcks) Direct(from pastry.NodeRef, payload []byte) {
+	if len(payload) > 0 && payload[0] == kindPutAck {
+		return
+	}
+	d.Store.Direct(from, payload)
+}
+
+// TestEveryOperationCompletesOnce pins the end-to-end completion contract:
+// each operation's done runs exactly once, with an error, when its origin
+// crashes with it pending and when every reply is lost, and a lost reply
+// costs maxRetries retransmissions before ErrTimeout.
+func TestEveryOperationCompletesOnce(t *testing.T) {
+	c := newCluster(t, 10, 8, DefaultConfig())
+	key := c.stores[6].Node().Ref().ID // rooted away from both origins
+
+	t.Run("origin crashes", func(t *testing.T) {
+		origin := c.stores[1]
+		var putDone, getDone int
+		var putErr, getErr error
+		origin.Put(key, []byte("v"), func(err error) { putDone, putErr = putDone+1, err })
+		origin.Get(key, func(_ []byte, err error) { getDone, getErr = getDone+1, err })
+		ep, _ := c.nw.Endpoint(origin.Node().Ref().Addr)
+		ep.Fail()
+		c.settle(2 * time.Minute)
+		if putDone != 1 || putErr == nil || getDone != 1 || getErr == nil {
+			t.Fatalf("put done %d times (%v), get done %d times (%v); want each once with an error",
+				putDone, putErr, getDone, getErr)
+		}
+	})
+
+	t.Run("replies lost", func(t *testing.T) {
+		origin := c.stores[2]
+		origin.Node().SetApp(dropPutAcks{origin})
+		done := 0
+		var err error
+		origin.Put(key, []byte("v"), func(e error) { done, err = done+1, e })
+		c.settle(2 * time.Minute)
+		if done != 1 || err != ErrTimeout {
+			t.Fatalf("put done %d times with %v, want once with ErrTimeout", done, err)
+		}
+		if got := origin.Counters(); got.Retries != maxRetries || got.PutFail != 1 {
+			t.Fatalf("Retries %d, PutFail %d; want %d and 1", got.Retries, got.PutFail, maxRetries)
+		}
+	})
+}
+
 // TestCountersAddCoversEveryField catches a counter added to the struct
 // but not to Add: every field must double when a value is added to itself.
 func TestCountersAddCoversEveryField(t *testing.T) {

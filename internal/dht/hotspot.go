@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"slices"
+
 	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
@@ -86,11 +88,9 @@ func (h *hotState) recordDeposit(key id.ID, ref pastry.NodeRef) {
 		}
 		h.depositOrder = append(h.depositOrder, key)
 	}
-	for i, t := range targets {
-		if t.ID == ref.ID {
-			targets[i] = ref
-			return
-		}
+	if i := slices.IndexFunc(targets, func(t pastry.NodeRef) bool { return t.ID == ref.ID }); i >= 0 {
+		targets[i] = ref
+		return
 	}
 	if len(targets) >= maxDepositTargets {
 		copy(targets, targets[1:])
@@ -241,11 +241,9 @@ func (s *Store) onCachedReply(payload []byte) {
 		if reply.Found {
 			if reply.FromCache && s.hot.belowFloor(op.key, reply.Version, reply.Origin) {
 				s.counters.CacheStaleRejected++
-				if op.timer != nil {
-					op.timer.Cancel()
-				}
+				op.Stop()
 				op.fresh = true
-				s.sendOp(reply.ReqID, op)
+				s.sendOp(op)
 				return
 			}
 			s.hot.raiseFloor(op.key, reply.Version, reply.Origin)
@@ -279,27 +277,19 @@ func (s *Store) onCachedReply(payload []byte) {
 // onDeposit caches an entry pushed by a key's root, subject to
 // frequency admission.
 func (s *Store) onDeposit(payload []byte) {
-	if s.hot == nil {
-		return
-	}
 	var e hotspot.Entry
-	if !hotspot.Decode(payload, &e) {
-		return
+	if s.hot != nil && hotspot.Decode(payload, &e) {
+		e.StoredAt = s.env.Now()
+		s.hot.cache.Put(e)
 	}
-	e.StoredAt = s.env.Now()
-	s.hot.cache.Put(e)
 }
 
 // onInvalidate drops a cached entry superseded by a newer write.
 func (s *Store) onInvalidate(payload []byte) {
-	if s.hot == nil {
-		return
-	}
 	var inv hotspot.Invalidate
-	if !hotspot.Decode(payload, &inv) {
-		return
+	if s.hot != nil && hotspot.Decode(payload, &inv) {
+		s.hot.cache.InvalidateUnder(inv.Key, inv.Version, inv.Origin)
 	}
-	s.hot.cache.InvalidateUnder(inv.Key, inv.Version, inv.Origin)
 }
 
 // invalidateCached runs at the root after applying a write: drop any
@@ -327,11 +317,9 @@ func (s *Store) invalidateCached(o store.Object) {
 // pass of its own — the peer registry's eviction broadcast (subscribed
 // in New) drops a peer's deposit records the moment the node evicts it.
 func (s *Store) purgeHotspot() {
-	if s.hot == nil {
-		return
+	if s.hot != nil {
+		s.counters.CachePurged += uint64(s.hot.cache.PurgeOlderThan(s.env.Now() - s.cfg.SweepInterval))
 	}
-	cutoff := s.env.Now() - s.cfg.SweepInterval
-	s.counters.CachePurged += uint64(s.hot.cache.PurgeOlderThan(cutoff))
 }
 
 // dropDepositTarget removes x from every key's deposit target list: an
@@ -340,12 +328,7 @@ func (s *Store) purgeHotspot() {
 // registry's eviction broadcast.
 func (s *Store) dropDepositTarget(x id.ID) {
 	for key, targets := range s.hot.deposits {
-		kept := targets[:0]
-		for _, t := range targets {
-			if t.ID != x {
-				kept = append(kept, t)
-			}
-		}
+		kept := slices.DeleteFunc(targets, func(t pastry.NodeRef) bool { return t.ID == x })
 		if len(kept) == 0 {
 			delete(s.hot.deposits, key)
 		} else {

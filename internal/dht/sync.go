@@ -8,9 +8,9 @@ import (
 	"mspastry/internal/store"
 )
 
-// Merkle anti-entropy replaces the old sweep behaviour of re-pushing every
-// value to every replica every 30 seconds. Each sweep, a node groups its
-// stored keys by replica neighbour and runs one exchange per neighbour:
+// Merkle anti-entropy keeps replicas in step without re-pushing every value
+// to every replica every sweep. Each sweep, a node groups its stored keys
+// by replica neighbour and runs one exchange per neighbour:
 //
 //	initiator                         responder
 //	SyncRoot(sid, arc, root)  ──►
@@ -24,8 +24,8 @@ import (
 // In the common steady state the exchange is one ~50-byte message each
 // way; values move only for keys that actually diverge. The responder is
 // stateless — every message it answers carries the arc bounds and bucket
-// set it needs — so only the initiator tracks rounds, which expire on a
-// timer if the responder dies mid-exchange.
+// set it needs — so only the initiator tracks rounds, and the next sweep
+// ends them, also one whose responder died mid-exchange.
 //
 // The arc [lo, hi] is the minimal clockwise range covering the keys the
 // initiator shares with this neighbour. Both sides digest the same
@@ -37,7 +37,6 @@ import (
 type syncRound struct {
 	target pastry.NodeRef
 	digest store.RangeDigest
-	timer  pastry.Timer
 }
 
 // startSync opens an anti-entropy exchange with target covering keys.
@@ -48,16 +47,9 @@ func (s *Store) startSync(target pastry.NodeRef, keys []id.ID) {
 	}
 	rd := store.SummarizeRange(s.backend, lo, hi)
 	s.nextSync++
-	sid := s.nextSync
-	round := &syncRound{target: target, digest: rd}
-	// Expire abandoned rounds (responder died mid-exchange) so the round
-	// map cannot grow without bound.
-	round.timer = s.env.Schedule(2*requestTimeout, func() {
-		delete(s.syncRounds, sid)
-	})
-	s.syncRounds[sid] = round
+	s.syncRounds[s.nextSync] = &syncRound{target: target, digest: rd}
 	s.counters.SyncRounds++
-	s.sendControl(target, encode(&syncRoot{sid, lo, hi, rd.Root()}))
+	s.sendControl(target, encode(&syncRoot{s.nextSync, lo, hi, rd.Root()}))
 }
 
 // sendControl sends a sync/handoff control message, charging its size to
@@ -92,13 +84,8 @@ func (s *Store) onSyncRoot(from pastry.NodeRef, payload []byte) {
 
 // onSyncRootOK (initiator): the replicas agree; close the round.
 func (s *Store) onSyncRootOK(payload []byte) {
-	agreed := ack{kind: kindSyncRootOK}
-	if !decode(payload, &agreed) {
-		return
-	}
-	if round, live := s.syncRounds[agreed.id]; live {
+	if agreed := (ack{kind: kindSyncRootOK}); decode(payload, &agreed) && s.syncRounds[agreed.id] != nil {
 		delete(s.syncRounds, agreed.id)
-		round.timer.Cancel()
 		s.counters.SyncClean++
 	}
 }
@@ -115,7 +102,6 @@ func (s *Store) onSyncBuckets(payload []byte) {
 		return
 	}
 	delete(s.syncRounds, layer.sid)
-	round.timer.Cancel()
 	theirs := store.RangeDigest{Lo: round.digest.Lo, Hi: round.digest.Hi, Buckets: layer.buckets}
 	diff := round.digest.DiffBuckets(&theirs)
 	if len(diff) == 0 {
@@ -195,9 +181,9 @@ func (s *Store) onSyncPull(from pastry.NodeRef, payload []byte) {
 
 // offerHandoff starts a digest-first responsibility handoff: send the
 // object's summary to the current root and keep the value until the root
-// answers. The old behaviour — push the full value unsolicited and delete
-// immediately — both wasted bandwidth when the root already had the object
-// and risked losing the last copy if the push was dropped.
+// answers. An unsolicited push of the full value would waste bandwidth
+// when the root already has the object, and deleting the copy at once
+// would risk losing the last one if the push were dropped.
 func (s *Store) offerHandoff(o store.Object, members []pastry.NodeRef) {
 	root, ok := s.closestMember(o.Key, members)
 	if !ok {
@@ -242,11 +228,9 @@ func (s *Store) onHandoffWant(from pastry.NodeRef, payload []byte) {
 
 // onHandoffHave (offerer side): the root is already current; just drop.
 func (s *Store) onHandoffHave(payload []byte) {
-	have := handoffKey{kind: kindHandoffHave}
-	if !decode(payload, &have) {
-		return
+	if have := (handoffKey{kind: kindHandoffHave}); decode(payload, &have) {
+		s.dropIfForeign(have.key)
 	}
-	s.dropIfForeign(have.key)
 }
 
 // dropIfForeign drops the local copy of key only if this node is still far

@@ -19,10 +19,10 @@ type Timer interface {
 }
 
 // Rearmer is an optional Env extension: an Env that can queue a timer it
-// returned again, so a slot that keeps its handle (arm) re-arms it instead
-// of asking Schedule for a new one. The node detects it once, at
-// construction. Only the slot that owns a handle re-arms it, and only once
-// the handle is dead, so no other holder's Cancel can reach the new arming.
+// returned again, so a slot that keeps its handle (Alarm) re-arms it
+// instead of asking Schedule for a new one. Only the slot that owns a
+// handle re-arms it, and only once the handle is dead, so no other
+// holder's Cancel can reach the new arming.
 type Rearmer interface {
 	// Rearm queues t's callback again, d from now, and reports true, when
 	// t has fired or been cancelled. It does nothing and reports false when
@@ -31,10 +31,36 @@ type Rearmer interface {
 	Rearm(t Timer, d time.Duration) bool
 }
 
-// stop cancels t, a timer that may never have been armed.
-func stop(t Timer) {
-	if t != nil {
-		t.Cancel()
+// Alarm is one timer slot, the node's, a record's or an application's: the
+// handle armed last and the callback that runs it, bound once (Bind) and
+// kept from then on. A parked record keeps its whole Alarm; its handle is
+// dead by then.
+type Alarm struct {
+	timer Timer
+	run   func()
+}
+
+// Bind sets the callback the slot runs, once, before its first Arm.
+func (a *Alarm) Bind(run func()) { a.run = run }
+
+// Arm arms the slot to run its callback after d. Once the slot has a
+// handle, an env with the Rearmer extension re-arms that handle when it is
+// dead, and Arm allocates nothing. Otherwise — a first arming, an Env
+// without the extension, a handle still pending, such as the issued-lookup
+// slot's when two lookups are issued at one instant — it asks
+// env.Schedule, the package's one call of it, for a new handle, and the
+// old one runs on as it was armed.
+func (a *Alarm) Arm(env Env, d time.Duration) {
+	if r, ok := env.(Rearmer); ok && a.timer != nil && r.Rearm(a.timer, d) {
+		return
+	}
+	a.timer = env.Schedule(d, a.run)
+}
+
+// Stop cancels the slot's pending arming, if it has one.
+func (a *Alarm) Stop() {
+	if a.timer != nil {
+		a.timer.Cancel()
 	}
 }
 

@@ -118,7 +118,7 @@ func exprString(e ast.Expr) string {
 }
 
 // TestEveryTimerIsArmedOnceAndFiredByItsRule fails when a call of
-// Env.Schedule appears outside arm, or when a timer kind has no rule name
+// Env.Schedule appears outside Alarm.Arm, or when a timer kind has no rule name
 // or no case in fire that is one call of that rule.
 func TestEveryTimerIsArmedOnceAndFiredByItsRule(t *testing.T) {
 	files := packageSource(t)
@@ -140,8 +140,8 @@ func TestEveryTimerIsArmedOnceAndFiredByItsRule(t *testing.T) {
 			})
 		}
 	}
-	if len(schedules) != 1 || schedules[0] != "arm" {
-		t.Errorf("Env.Schedule is called from %v; arm must be its one caller", schedules)
+	if len(schedules) != 1 || schedules[0] != "Arm" {
+		t.Errorf("Env.Schedule is called from %v; Alarm.Arm must be its one caller", schedules)
 	}
 
 	// timerRules' keyed literal ties each kind's identifier to its rule.

@@ -111,7 +111,7 @@ func (n *Node) startNearestNeighbour(seed NodeRef) {
 // re-arms the search's give-up timer.
 func (n *Node) askNN(ref NodeRef) {
 	n.send(ref, &NNStateRequest{From: n.self})
-	stop(n.nnAlarm.timer)
+	n.nnAlarm.Stop()
 	n.arm(timerNNGiveUp, 4*n.cfg.To, &n.nnAlarm, nil)
 }
 
@@ -132,7 +132,7 @@ type nnState struct {
 // closer node is left, when the budget runs out, or when the give-up timer
 // fires (it is due exactly while a search is in progress).
 func (n *Node) nnFinish(state *nnState) {
-	stop(n.nnAlarm.timer)
+	n.nnAlarm.Stop()
 	n.nn = nil
 	n.sendJoinRequest(state.current)
 }

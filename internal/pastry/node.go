@@ -17,13 +17,10 @@ type Node struct {
 	cfg Config
 	env Env
 	obs Observer
-	// tobs and sobs cache the observer's optional telemetry extensions,
-	// rearm the Env's Rearmer (detected once at construction; nil when not
-	// implemented).
-	tobs  TraceObserver
-	sobs  StatsObserver
-	rearm Rearmer
-	self  NodeRef
+	// tobs and sobs cache the observer's optional telemetry extensions.
+	tobs TraceObserver
+	sobs StatsObserver
+	self NodeRef
 
 	ls *LeafSet
 	rt *RoutingTable
@@ -99,7 +96,7 @@ type Node struct {
 	nextLookupSeq uint64
 
 	// The node's own timer slots (arm); records carry their own.
-	tickAlarm, repairAlarm, joinAlarm, nnAlarm, issuedAlarm alarm
+	tickAlarm, repairAlarm, joinAlarm, nnAlarm, issuedAlarm Alarm
 	// repairArmed is set while repairAlarm is pending: a paced-out repair
 	// waits for it (repairProbe).
 	repairArmed bool
@@ -165,7 +162,7 @@ func (c *Counters) Add(o Counters) {
 // from Node.freeProbes and parked there when the probe completes (see
 // startProbe, parkProbe).
 type probeState struct {
-	alarm   // the timeout; its callback is bound once and kept across reuse
+	Alarm   // the timeout; its callback is bound once and kept across reuse
 	ref     NodeRef
 	isLeaf  bool // leaf-set probe (LSProbe) vs routing-table ping
 	retries int
@@ -184,7 +181,7 @@ type probeState struct {
 // its ack, a node-local record taken from Node.freeHops and parked there
 // when the hop completes (see takeHop, parkHop).
 type pendingHop struct {
-	alarm           // the timeout; its callback is bound once and kept across reuse
+	Alarm           // the timeout; its callback is bound once and kept across reuse
 	xfer     uint64 // the transmission the armed timer guards
 	lookup   *Lookup
 	join     *JoinRequest
@@ -225,7 +222,6 @@ func NewNode(self NodeRef, cfg Config, env Env, obs Observer) (*Node, error) {
 	n.initPeers()
 	n.tobs, _ = obs.(TraceObserver)
 	n.sobs, _ = obs.(StatsObserver)
-	n.rearm, _ = env.(Rearmer)
 	n.trtCurrent = n.initialTrt()
 	n.trtLocal = n.trtCurrent
 	return n, nil
@@ -330,16 +326,16 @@ func (n *Node) Fail() {
 		n.obs.LookupDropped(n, lk, DropBuffer)
 	}
 	n.issued, n.issuedHead = nil, 0
-	stop(n.tickAlarm.timer)
-	stop(n.repairAlarm.timer)
+	n.tickAlarm.Stop()
+	n.repairAlarm.Stop()
 	for _, ps := range n.probing {
-		stop(ps.timer)
+		ps.Stop()
 	}
 	for _, ph := range n.pending {
-		stop(ph.timer)
+		ph.Stop()
 	}
 	for _, ds := range n.distSessions {
-		stop(ds.deadline.timer)
+		ds.deadline.Stop()
 	}
 }
 
@@ -490,30 +486,13 @@ var timerRules = [timerKinds]string{
 
 func (k timerKind) String() string { return timerRules[k] }
 
-// alarm is one timer slot, the node's or a record's: the handle armed last
-// and the callback that runs it, bound to the slot's kind and owner when
-// the slot is first armed and kept from then on. A parked record keeps its
-// whole alarm; its handle is dead by then.
-type alarm struct {
-	timer Timer
-	run   func()
-}
-
 // arm arms slot a to run kind k's rule after d, on rec (nil for the node's
-// own slots). Once the slot is bound and has a handle, an Env with the
-// Rearmer extension re-arms that handle when it is dead, and arm allocates
-// nothing. Otherwise — a first arming, an Env without the extension, a
-// handle still pending, such as the issued-lookup slot's when two lookups
-// are issued at one instant — it asks Env.Schedule, the package's one call
-// of it, for a new handle, and the old one runs on as it was armed.
-func (n *Node) arm(k timerKind, d time.Duration, a *alarm, rec any) {
+// own slots), binding the slot's callback to fire on its first arming.
+func (n *Node) arm(k timerKind, d time.Duration, a *Alarm, rec any) {
 	if a.run == nil {
-		a.run = func() { n.fire(k, rec) }
+		a.Bind(func() { n.fire(k, rec) })
 	}
-	if a.timer != nil && n.rearm != nil && n.rearm.Rearm(a.timer, d) {
-		return
-	}
-	a.timer = n.env.Schedule(d, a.run)
+	a.Arm(n.env, d)
 }
 
 // fire runs the rule of a timer of kind k that came due on rec. A crashed

@@ -21,8 +21,8 @@ type distSession struct {
 	samples   [distProbeCount]time.Duration
 	// sample[i] sends probe i+1; deadline ends the session. Each alarm is
 	// bound once and kept across reuse.
-	sample   [distProbeCount - 1]alarm
-	deadline alarm
+	sample   [distProbeCount - 1]Alarm
+	deadline Alarm
 	// waiters are the completions, in the order they were asked for; the
 	// slice's array is kept across reuse, zeroed.
 	waiters []distWaiter
@@ -144,9 +144,9 @@ func (n *Node) handleDistProbeReply(msg *DistProbeReply) {
 // the stack, short of three).
 func (n *Node) finishDistSession(ds *distSession, report *DistReport) {
 	delete(n.distSessions, ds.target.ID)
-	stop(ds.deadline.timer)
+	ds.deadline.Stop()
 	for i := range ds.sample {
-		stop(ds.sample[i].timer)
+		ds.sample[i].Stop()
 	}
 	for _, seq := range ds.seqs[:ds.sent] {
 		delete(n.distSeqs, seq)

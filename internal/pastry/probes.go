@@ -50,11 +50,11 @@ func (n *Node) startProbe(p probeState) {
 	} else {
 		ps = new(probeState)
 	}
-	p.alarm = ps.alarm
+	p.Alarm = ps.Alarm
 	*ps = p
 	n.probing[p.ref.ID] = ps
 	n.sendProbeMsg(ps)
-	n.arm(timerProbe, n.cfg.To, &ps.alarm, ps)
+	n.arm(timerProbe, n.cfg.To, &ps.Alarm, ps)
 }
 
 // parkProbe ends the probe: it takes ps out of n.probing, cancels its timer
@@ -62,8 +62,8 @@ func (n *Node) startProbe(p probeState) {
 // the free list (up to maxFree).
 func (n *Node) parkProbe(ps *probeState) {
 	delete(n.probing, ps.ref.ID)
-	stop(ps.timer)
-	*ps = probeState{alarm: ps.alarm}
+	ps.Stop()
+	*ps = probeState{Alarm: ps.Alarm}
 	if len(n.freeProbes) < n.maxFree() {
 		n.freeProbes = append(n.freeProbes, ps)
 	}
@@ -149,7 +149,7 @@ func (n *Node) probeTimeout(ps *probeState) {
 		if n.retryAllowed(ps.ref) {
 			n.sendProbeMsg(ps)
 		}
-		n.arm(timerProbe, n.cfg.To, &ps.alarm, ps)
+		n.arm(timerProbe, n.cfg.To, &ps.Alarm, ps)
 		return
 	}
 	if ps.reconnect {

@@ -89,7 +89,7 @@ func checkRecords(t *testing.T, n *Node) {
 			t.Fatalf("session record %p is on the free list twice", ds)
 		}
 		freeDists[ds] = true
-		if timerPending(ds.deadline.timer) || slices.ContainsFunc(ds.sample[:], func(a alarm) bool { return timerPending(a.timer) }) {
+		if timerPending(ds.deadline.timer) || slices.ContainsFunc(ds.sample[:], func(a Alarm) bool { return timerPending(a.timer) }) {
 			t.Fatalf("parked session record has a live timer: %+v", ds)
 		}
 		if !ds.target.IsZero() || ds.want != 0 || ds.sent != 0 || ds.got != 0 || ds.seqs != [distProbeCount]uint64{} ||

@@ -278,8 +278,8 @@ func (n *Node) takeHop() *pendingHop {
 // and a parked record must pin nothing (delivery.Fire's discipline in
 // netmodel).
 func (n *Node) parkHop(ph *pendingHop) {
-	stop(ph.timer)
-	*ph = pendingHop{alarm: ph.alarm}
+	ph.Stop()
+	*ph = pendingHop{Alarm: ph.Alarm}
 	if len(n.freeHops) < n.maxFree() {
 		n.freeHops = append(n.freeHops, ph)
 	}
@@ -303,7 +303,7 @@ func (n *Node) maxFree() int { return n.cfg.L }
 func (n *Node) armHopTimer(ph *pendingHop, xfer uint64, rto time.Duration) {
 	n.pending[xfer] = ph
 	ph.xfer = xfer
-	n.arm(timerHop, rto, &ph.alarm, ph)
+	n.arm(timerHop, rto, &ph.Alarm, ph)
 }
 
 // rtoFor computes the per-hop retransmission timeout for a destination,

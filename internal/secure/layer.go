@@ -1,6 +1,7 @@
 package secure
 
 import (
+	"reflect"
 	"sort"
 	"time"
 
@@ -80,8 +81,9 @@ func decodeReport(payload []byte) (r Report, ok bool) {
 	return r, c.Finish() == nil
 }
 
-// Counters are the layer's tallies, under the metric names they had when
-// the node itself ran the defence.
+// Counters are the layer's tallies. Their metric names keep the node's
+// prefix, as the defence runs on behalf of the node it is mounted on, and
+// dashboards read them beside the node's own counters.
 type Counters struct {
 	Reports         uint64 `metric:"mspastry_node_secure_reports" help:"Root completion reports evaluated by the routing failure test."`
 	TestPass        uint64 `metric:"mspastry_node_secure_test_pass" help:"Root reports that passed the routing failure test."`
@@ -92,15 +94,13 @@ type Counters struct {
 	GiveUps         uint64 `metric:"mspastry_node_secure_giveups" help:"Secure lookups that exhausted every redundant round without an accepted report."`
 }
 
-// Add accumulates o into c: how a run totals every layer it hosted.
+// Add accumulates o into c, field by field: how a run totals every layer it
+// hosted.
 func (c *Counters) Add(o Counters) {
-	c.Reports += o.Reports
-	c.TestPass += o.TestPass
-	c.TestFail += o.TestFail
-	c.RedundantRounds += o.RedundantRounds
-	c.RedundantSends += o.RedundantSends
-	c.Distrusted += o.Distrusted
-	c.GiveUps += o.GiveUps
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := range dst.NumField() {
+		dst.Field(i).SetUint(dst.Field(i).Uint() + src.Field(i).Uint())
+	}
 }
 
 // Layer runs secure lookups on one node. Like the node, it must be called
@@ -117,15 +117,15 @@ type Layer struct {
 // session is one secure lookup at its origin, from issue until a report
 // is accepted or every round is spent.
 type session struct {
-	lk     pastry.Lookup // what a redundant round sends copies of
-	rounds int
+	pastry.Alarm               // the reply timeout, re-armed by every round
+	lk           pastry.Lookup // what a redundant round sends copies of
+	rounds       int
 	// used holds the first hops rounds have taken; reported the
 	// responders already heard from (copies can reach one root twice).
 	used, reported map[id.ID]bool
 	// suspects are reporters whose reports failed the test; they are
 	// distrusted if a strictly closer root is accepted later.
 	suspects []pastry.NodeRef
-	timer    pastry.Timer
 }
 
 // New mounts a layer on node, over inner (nil for none): it becomes the
@@ -163,7 +163,8 @@ func (l *Layer) Lookup(key id.ID) (uint64, bool) {
 		s := &session{lk: pastry.Lookup{Key: key, Seq: seq, Issued: l.node.Now(), Payload: request},
 			used: make(map[id.ID]bool), reported: make(map[id.ID]bool)}
 		l.sessions[seq] = s
-		l.arm(s)
+		s.Bind(func() { l.timeout(s) })
+		s.Arm(l.env, replyTimeout)
 	}
 	return seq, ok
 }
@@ -177,8 +178,8 @@ func (l *Layer) LookupRedundant(key id.ID) (uint64, bool) {
 		// Time the session out at once. The node routes the lookup in a
 		// zero-delay timer armed before this one: the round leaves after it.
 		s := l.sessions[seq]
-		s.timer.Cancel()
-		s.timer = l.env.Schedule(0, func() { l.timeout(s) })
+		s.Stop()
+		s.Arm(l.env, 0)
 	}
 	return seq, ok
 }
@@ -256,12 +257,8 @@ func (l *Layer) onReport(from pastry.NodeRef, r Report) {
 	l.close(s)
 }
 
-func (l *Layer) arm(s *session) {
-	s.timer = l.env.Schedule(replyTimeout, func() { l.timeout(s) })
-}
-
 func (l *Layer) close(s *session) {
-	s.timer.Cancel()
+	s.Stop()
 	delete(l.sessions, s.lk.Seq)
 }
 
@@ -270,7 +267,7 @@ func (l *Layer) close(s *session) {
 // deliver; the origin stops spending redundancy on the lookup).
 func (l *Layer) timeout(s *session) {
 	switch {
-	case l.sessions[s.lk.Seq] != s || !l.node.Alive():
+	case !l.node.Alive():
 	case s.rounds < maxRounds:
 		l.round(s)
 	default:
@@ -290,8 +287,8 @@ func (l *Layer) round(s *session) {
 		l.counters.RedundantSends++
 		l.node.SendCopy(s.lk, h)
 	}
-	s.timer.Cancel()
-	l.arm(s)
+	s.Stop()
+	s.Arm(l.env, replyTimeout)
 }
 
 // diverseFirstHops picks up to fanout first hops not yet used for the
