@@ -21,6 +21,8 @@ package main
 // decode_errors_total no longer speaks of batches. A later change edited
 // the help text of datagrams_received_total and bytes_received_total by
 // hand to say what the transport counts: a datagram whose message decoded.
+// The change that counted passive repair requests added the two lines of
+// mspastry_node_repair_requests_sent by hand.
 
 import (
 	"encoding/json"

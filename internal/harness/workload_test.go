@@ -89,7 +89,7 @@ func TestLookupGeneratorAllocations(t *testing.T) {
 // whose maps grow differently moves the count, and then the pin is
 // re-measured, not loosened.
 func TestJoinRampAllocations(t *testing.T) {
-	const nodes, maxPerNode = 64, 1241
+	const nodes, maxPerNode = 64, 1211
 	cfg := faultConfig(t, nodes, time.Minute)
 	cfg.LookupRate = 0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
