@@ -22,7 +22,10 @@ package harness
 // moved. Each line is now a telemetry.Event's String(), recorded by
 // telemetry.Overlay, so the file pins the event vocabulary too; the file
 // was unchanged by that move, and the recipe above needs a parent that has
-// telemetry.Event.
+// telemetry.Event. It was re-recorded with -update once more when passive
+// repair began asking about a routing-table slot once per Trt: the first line
+// that differs follows the first request that rule suppressed, and with
+// the rule switched off the earlier recording is reproduced byte for byte.
 
 import (
 	"crypto/sha256"

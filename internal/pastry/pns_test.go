@@ -248,35 +248,94 @@ func TestDistanceSessionCoalesces(t *testing.T) {
 	checkRecords(t, a)
 }
 
+// emptySlotRoute builds the state passive repair works on in an overlay:
+// src's table loses x, a node outside src's leaf-set range, so a lookup for
+// x crosses an empty slot; and the next hop src picks for that lookup holds
+// a node for the slot (x itself, or the node already in x's slot there,
+// which shares more of x's prefix than src does).
+func emptySlotRoute(t *testing.T, nodes []*Node) (src, x *Node) {
+	t.Helper()
+	for _, src := range nodes {
+		for _, x := range nodes {
+			if x == src || !src.rt.Contains(x.Ref().ID) || src.ls.InRange(x.Ref().ID) {
+				continue
+			}
+			src.rt.Remove(x.Ref().ID)
+			next, v, empty := src.nextHop(x.Ref().ID, nil)
+			if v != forward || !empty {
+				t.Fatalf("a lookup for a removed entry outside the leaf range: verdict %v, empty slot %v", v, empty)
+			}
+			for _, n := range nodes {
+				if n.Ref() == next {
+					n.rt.Add(x.Ref())
+				}
+			}
+			return src, x
+		}
+	}
+	t.Fatal("no node holds a table entry outside its leaf-set range")
+	return nil, nil
+}
+
 func TestPassiveRepairFillsSlot(t *testing.T) {
 	// A node routes through an empty slot; the next hop answers the
 	// repair request and the slot gets filled (after a distance probe).
 	net := newTestNet(t, 66)
 	cfg := testConfig()
 	cfg.PNS = true
-	nodes := buildOverlayObs(t, net, 14, cfg, nil)
-	// Find a node with an empty slot that some other node could fill.
-	rng := rand.New(rand.NewSource(67))
-	var fixed bool
-	for trial := 0; trial < 200 && !fixed; trial++ {
-		src := nodes[rng.Intn(len(nodes))]
-		key := id.Random(rng)
-		row, col, ok := src.Table().Slot(key)
-		if !ok {
-			continue
-		}
-		if _, used := src.Table().Get(row, col); used {
-			continue
-		}
-		// Does anyone else have a matching node? (If so, repair can work.)
-		src.Lookup(key, nil)
-		net.run(30 * time.Second)
-		if _, used := src.Table().Get(row, col); used {
-			fixed = true
-		}
+	src, x := emptySlotRoute(t, buildOverlayObs(t, net, 14, cfg, nil))
+	row, col, _ := src.rt.Slot(x.Ref().ID)
+	before := src.counters.SentRepairRequests
+	src.Lookup(x.Ref().ID, nil)
+	net.run(30 * time.Second)
+	if got := src.counters.SentRepairRequests - before; got != 1 {
+		t.Fatalf("the lookup sent %d repair requests, want 1", got)
 	}
-	if !fixed {
-		t.Skip("no repairable empty slot encountered (small overlay)")
+	if _, used := src.rt.Get(row, col); !used {
+		t.Fatal("passive repair left the slot empty")
+	}
+}
+
+// TestPassiveRepairAsksOncePerSlot: lookups through a slot that stays
+// empty ask about it once per Trt; a slot emptied by Remove is asked about
+// at once.
+func TestPassiveRepairAsksOncePerSlot(t *testing.T) {
+	net := newTestNet(t, 69)
+	src, x := emptySlotRoute(t, buildOverlay(t, net, 14, testConfig()))
+	key := x.Ref().ID
+	row, col, _ := src.rt.Slot(key)
+	// Nothing src could fill the slot with reaches it: no repair or row
+	// reply, and no message from a node that belongs in the slot.
+	net.drop = func(from, to NodeRef, m Message) bool {
+		if to != src.Ref() {
+			return false
+		}
+		switch m.(type) {
+		case *RepairReply, *RowReply:
+			return true
+		}
+		r, c, _ := src.rt.Slot(from.ID)
+		return r == row && c == col
+	}
+	asked := func(lookups int) uint64 {
+		for range lookups {
+			src.Lookup(key, nil)
+			net.run(time.Second)
+		}
+		return src.counters.SentRepairRequests
+	}
+	base := src.counters.SentRepairRequests
+	if got := asked(2) - base; got != 1 {
+		t.Fatalf("two lookups within Trt sent %d repair requests, want 1", got)
+	}
+	net.run(src.Trt())
+	if got := asked(1) - base; got != 2 {
+		t.Fatalf("a lookup after Trt: %d repair requests in all, want 2", got)
+	}
+	src.rt.Add(x.Ref())
+	src.rt.Remove(key)
+	if got := asked(1) - base; got != 3 {
+		t.Fatalf("a lookup after Remove: %d repair requests in all, want 3", got)
 	}
 }
 
