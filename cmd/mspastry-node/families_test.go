@@ -22,7 +22,13 @@ package main
 // the help text of datagrams_received_total and bytes_received_total by
 // hand to say what the transport counts: a datagram whose message decoded.
 // The change that counted passive repair requests added the two lines of
-// mspastry_node_repair_requests_sent by hand.
+// mspastry_node_repair_requests_sent by hand. The change that kept every
+// count once edited by hand the help text of mspastry_node_retransmits, to
+// say what it counts (per-hop ack timeouts; retransmissions are
+// mspastry_hop_retransmits_total), and of msgs_sent_total, which counts
+// only messages written to the socket and now stands for datagrams too.
+// It removed seven families, each equal to one that stays;
+// removedSinceRecording lists their lines.
 
 import (
 	"encoding/json"
@@ -52,15 +58,36 @@ var addedSinceRecording = []string{
 	"# TYPE mspastry_dht_handoff_offers gauge",
 }
 
-// removedSinceRecording are the lines a later change removed on purpose: the
+// removedSinceRecording are the lines later changes removed on purpose,
+// each family because another that stays carries its count: the
 // secure-routing observer's two families, whose counts the
 // mspastry_node_secure_* gauges carry (mean fanout = redundant sends over
-// redundant rounds).
+// redundant rounds); then seven twins — delivered lookups (both equal
+// mspastry_lookup_hops_count), joins (mspastry_join_latency_seconds_count),
+// datagrams each way (a datagram is one message: the
+// mspastry_transport_msgs_*_total sums), the DHT's stored objects
+// (mspastry_store_objects) and its cache purges
+// (mspastry_hotspot_cache_purged_total, the same PurgeOlderThan return).
 var removedSinceRecording = []string{
 	"# HELP mspastry_secure_redundant_fanout First-hop copies sent per redundant diverse-path round.",
 	"# HELP mspastry_secure_verdicts_total Routing failure test verdicts on root completion reports.",
 	"# TYPE mspastry_secure_redundant_fanout histogram",
 	"# TYPE mspastry_secure_verdicts_total counter",
+
+	"# HELP mspastry_lookups_delivered_total Lookups delivered by this node as the key's root.",
+	"# TYPE mspastry_lookups_delivered_total counter",
+	"# HELP mspastry_node_delivered_lookups Lookups delivered as root (node counter).",
+	"# TYPE mspastry_node_delivered_lookups gauge",
+	"# HELP mspastry_joins_total Nodes that completed the join protocol and became active.",
+	"# TYPE mspastry_joins_total counter",
+	"# HELP mspastry_transport_datagrams_sent_total Frames written to the socket, one message each.",
+	"# TYPE mspastry_transport_datagrams_sent_total counter",
+	"# HELP mspastry_transport_datagrams_received_total Received datagrams whose message decoded, one message each.",
+	"# TYPE mspastry_transport_datagrams_received_total counter",
+	"# HELP mspastry_dht_local_objects Objects currently stored on this node.",
+	"# TYPE mspastry_dht_local_objects gauge",
+	"# HELP mspastry_dht_cache_purged Cached entries evicted by the sweep staleness backstop.",
+	"# TYPE mspastry_dht_cache_purged gauge",
 }
 
 // liveFamilies returns the sorted # HELP and # TYPE lines of a live node's

@@ -302,7 +302,6 @@ func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store,
 				g.SlotDropped.With(sl.Name).Set(float64(sl.Dropped))
 			}
 			reg.SetGauges(store.Counters())
-			g.LocalObjects.Set(float64(store.LocalObjects()))
 			reg.SetGauges(store.StoreStats())
 			if cache {
 				reg.SetGauges(store.CacheStats())
@@ -313,12 +312,10 @@ func collectGauges(reg *telemetry.Registry, tr *transport.UDP, store *dht.Store,
 }
 
 // nodeGauges are the families a node sets at scrape time that no tally
-// struct carries: the peer registry's per-slot counts and the DHT's
-// stored-object level.
+// struct carries: the peer registry's per-slot counts.
 type nodeGauges struct {
-	SlotLive     *telemetry.GaugeVec `metric:"mspastry_peers_slot_live" help:"Records holding state in the component slot." label:"slot"`
-	SlotDropped  *telemetry.GaugeVec `metric:"mspastry_peers_slot_dropped_total" help:"Slot values cleared by pruning in the component slot." label:"slot"`
-	LocalObjects *telemetry.Gauge    `metric:"mspastry_dht_local_objects" help:"Objects currently stored on this node."`
+	SlotLive    *telemetry.GaugeVec `metric:"mspastry_peers_slot_live" help:"Records holding state in the component slot." label:"slot"`
+	SlotDropped *telemetry.GaugeVec `metric:"mspastry_peers_slot_dropped_total" help:"Slot values cleared by pruning in the component slot." label:"slot"`
 }
 
 // nodeStatus is the /status JSON shape: what a node has that no metric
@@ -337,7 +334,7 @@ type nodeStatus struct {
 }
 
 // overloadStatus reports the overload-protection layer on /status: the
-// node's load factor and its per-peer circuit breakers.
+// transport's inbound-queue load and the node's per-peer circuit breakers.
 type overloadStatus struct {
 	LoadFactor float64               `json:"load_factor"`
 	Breakers   pastry.BreakerSummary `json:"breakers"`
@@ -371,7 +368,7 @@ func statusSnapshot(tr *transport.UDP, durable bool) nodeStatus {
 			}
 			s.RoutingRows = append(s.RoutingRows, ids)
 		}
-		s.Overload = overloadStatus{LoadFactor: n.LoadFactor(), Breakers: n.Breakers()}
+		s.Overload = overloadStatus{LoadFactor: tr.LoadFactor(), Breakers: n.Breakers()}
 	})
 	return s
 }
@@ -392,19 +389,18 @@ func printStatus(stdout io.Writer, reg *telemetry.Registry, tr *transport.UDP, d
 	fmt.Fprintf(stdout, "status: active=%v leaf=%d rt=%d trt=%s objects=%.0f\n",
 		s.Active, len(s.LeafLeft)+len(s.LeafRight), s.RoutingEntries,
 		time.Duration(m["mspastry_trt_seconds"]*float64(time.Second)).Round(time.Second),
-		m["mspastry_dht_local_objects"])
+		m["mspastry_store_objects"])
 	if len(s.LeafLeft) > 0 {
 		fmt.Fprintf(stdout, "  left  neighbour: %s\n", s.LeafLeft[0])
 	}
 	if len(s.LeafRight) > 0 {
 		fmt.Fprintf(stdout, "  right neighbour: %s\n", s.LeafRight[0])
 	}
-	fmt.Fprintf(stdout, "  lookups: issued=%.0f delivered=%.0f  acks=%.0f  retransmits=%.0f\n",
-		m["mspastry_lookups_issued_total"], m["mspastry_lookups_delivered_total"],
-		m["mspastry_ack_rtt_seconds:count"], m["mspastry_node_retransmits"])
-	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f datagrams_out=%.0f bytes_out=%.0f bytes_in=%.0f\n",
+	fmt.Fprintf(stdout, "  lookups: issued=%.0f delivered=%.0f  acks=%.0f  retransmits=%.0f timeouts=%.0f\n",
+		m["mspastry_lookups_issued_total"], m["mspastry_lookup_hops:count"],
+		m["mspastry_ack_rtt_seconds:count"], m["mspastry_hop_retransmits_total"], m["mspastry_node_retransmits"])
+	fmt.Fprintf(stdout, "  transport: sent=%.0f recv=%.0f bytes_out=%.0f bytes_in=%.0f\n",
 		m["mspastry_transport_msgs_sent_total"], m["mspastry_transport_msgs_received_total"],
-		m["mspastry_transport_datagrams_sent_total"],
 		m["mspastry_transport_bytes_sent_total"], m["mspastry_transport_bytes_received_total"])
 	fmt.Fprintf(stdout, "  dht: puts=%.0f gets=%.0f dels=%.0f retries=%.0f replicas=%.0f syncs=%.0f repaired=%.0f\n",
 		m["mspastry_dht_puts"], m["mspastry_dht_gets"], m["mspastry_dht_deletes"],

@@ -218,10 +218,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %s=%.4f", cat, t.ByCategory[cat])
 	}
 	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "wire: datagrams/n/s=%.4f control-datagrams/n/s=%.4f control-bytes/n/s=%.1f\n",
-		t.DatagramsPerNodeSec, t.ControlDatagramsPerNodeSec, t.ControlBytesPerNodeSec)
+	fmt.Fprintf(stdout, "wire: control-bytes/n/s=%.1f\n", t.ControlBytesPerNodeSec)
 	fmt.Fprintf(stdout, "self-tuned Trt (median of live nodes): %v\n", res.TrtMedian.Round(time.Second))
-	fmt.Fprintf(stdout, "joins=%d medianJoinLatency=%v retransmits=%d suppressedProbes=%d\n",
+	fmt.Fprintf(stdout, "joins=%d medianJoinLatency=%v timeouts=%d suppressedProbes=%d\n",
 		t.Joins, t.MedianJoinLatency.Round(time.Millisecond),
 		res.Counters.Retransmits, res.Counters.SuppressedProbes)
 	fmt.Fprintf(stdout, "drops by cause:")

@@ -145,11 +145,11 @@ func TestTwoNodeOverlayAdmin(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"# TYPE mspastry_joins_total counter",
-		"mspastry_joins_total 1",
+		"# TYPE mspastry_join_latency_seconds histogram",
+		"mspastry_join_latency_seconds_count 1",
 		"# TYPE mspastry_transport_msgs_sent_total counter",
 		"mspastry_transport_msgs_sent_total{category=",
-		"mspastry_transport_datagrams_sent_total",
+		"mspastry_transport_bytes_sent_total",
 		"mspastry_node_heartbeats_sent",
 		"mspastry_dht_sync_rounds",
 		"mspastry_store_objects",
@@ -256,8 +256,8 @@ func TestEveryLiveNodeRecordsItsHops(t *testing.T) {
 	delivered := func() (sum float64) {
 		for _, ln := range nodes {
 			for _, m := range ln.reg.Snapshot() {
-				if m.Name == "mspastry_lookups_delivered_total" {
-					sum += m.Value
+				if m.Name == "mspastry_lookup_hops" {
+					sum += float64(m.Count)
 				}
 			}
 		}

@@ -139,15 +139,15 @@ type Counters struct {
 	// counts Gets answered by a caching hop short-circuiting the route;
 	// CacheServes counts lookups this node answered from its cache on
 	// behalf of others. CacheDeposits / CacheInvalidations count entries
-	// pushed to and revoked from caching hops as a root. CachePurged is
-	// the sweep backstop's evictions; CacheStaleRejected counts cached
-	// replies refused for violating a client's monotonic read floor.
+	// pushed to and revoked from caching hops as a root. CacheStaleRejected
+	// counts cached replies refused for violating a client's monotonic
+	// read floor. The sweep backstop's evictions are the cache's own
+	// count (hotspot.Stats.Purged).
 	CacheHitsLocal     uint64 `metric:"mspastry_dht_cache_hits_local" help:"Gets answered from this node's own hotspot cache."`
 	CacheHitsRemote    uint64 `metric:"mspastry_dht_cache_hits_remote" help:"Gets answered by a caching hop short-circuiting the route."`
 	CacheServes        uint64 `metric:"mspastry_dht_cache_serves" help:"Lookups this node answered from its cache for other nodes."`
 	CacheDeposits      uint64 `metric:"mspastry_dht_cache_deposits" help:"Entries this node deposited on caching hops as a root."`
 	CacheInvalidations uint64 `metric:"mspastry_dht_cache_invalidations" help:"Invalidations sent to caching hops after writes."`
-	CachePurged        uint64 `metric:"mspastry_dht_cache_purged" help:"Cached entries evicted by the sweep staleness backstop."`
 	CacheStaleRejected uint64 `metric:"mspastry_dht_cache_stale_rejected" help:"Cached replies refused for violating the monotonic read floor."`
 }
 
@@ -224,9 +224,6 @@ func (s *Store) StoreStats() store.Stats { return s.backend.Stats() }
 // Close releases the backend (flushing a disk-backed WAL). Call on process
 // shutdown; the overlay node is stopped separately.
 func (s *Store) Close() error { return s.backend.Close() }
-
-// LocalObjects returns how many live objects this node currently stores.
-func (s *Store) LocalObjects() int { return s.backend.Len() }
 
 // HasLocal reports whether the node holds a live replica of key.
 func (s *Store) HasLocal(key id.ID) bool {

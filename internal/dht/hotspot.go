@@ -318,7 +318,7 @@ func (s *Store) invalidateCached(o store.Object) {
 // in New) drops a peer's deposit records the moment the node evicts it.
 func (s *Store) purgeHotspot() {
 	if s.hot != nil {
-		s.counters.CachePurged += uint64(s.hot.cache.PurgeOlderThan(s.env.Now() - s.cfg.SweepInterval))
+		s.hot.cache.PurgeOlderThan(s.env.Now() - s.cfg.SweepInterval)
 	}
 }
 

@@ -28,7 +28,6 @@ func sumCacheCounters(c *simCluster) Counters {
 		sum.CacheDeposits += cc.CacheDeposits
 		sum.CacheInvalidations += cc.CacheInvalidations
 		sum.CacheStaleRejected += cc.CacheStaleRejected
-		sum.CachePurged += cc.CachePurged
 	}
 	return sum
 }

@@ -73,7 +73,7 @@ func TestSyncTransfersOnlyDivergent(t *testing.T) {
 	}
 	c.settle(time.Minute)
 	for i := 0; i < 2; i++ {
-		if got := c.stores[i].LocalObjects(); got != 40 {
+		if got := c.stores[i].StoreStats().Objects; got != 40 {
 			t.Fatalf("store %d holds %d objects, want 40", i, got)
 		}
 	}

@@ -373,7 +373,6 @@ func hotspotOne(cfg hotspotConfig, caching, churn bool) hotspotRun {
 		CacheServes:        after.CacheServes - before.CacheServes,
 		CacheDeposits:      after.CacheDeposits - before.CacheDeposits,
 		CacheInvalidations: after.CacheInvalidations - before.CacheInvalidations,
-		CachePurged:        after.CachePurged - before.CachePurged,
 		CacheStaleRejected: after.CacheStaleRejected - before.CacheStaleRejected,
 	}
 	run.shed = sumShed(nw) - shedBefore

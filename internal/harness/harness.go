@@ -255,9 +255,6 @@ func newRun(cfg Config) *run {
 			r.col.Retransmit(t)
 		}
 	})
-	nw.OnFrame(func(from *netmodel.Endpoint, f netmodel.FrameInfo) {
-		r.col.DatagramSent(r.measured(), f.Control, f.Bytes, f.SingleBytes)
-	})
 	r.applyFaults()
 	return r
 }
@@ -309,7 +306,7 @@ func (r *run) execute() Result {
 		Windows:       r.col.Finalize(),
 		Totals:        r.col.Totals(),
 		JoinCDF:       r.col.JoinLatencyCDF(),
-		NetworkDrops:  r.nw.Drops,
+		NetworkDrops:  r.nw.Drops(),
 		DropsByCause:  r.nw.DropsByCause,
 		FaultCounts:   r.nw.FaultCounts,
 		ShedByLane:    r.nw.ShedByLane,

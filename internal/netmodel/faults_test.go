@@ -290,7 +290,7 @@ func TestDuplicatedHopAcksAndForwardsIndependently(t *testing.T) {
 		}
 	})
 	armNow(nw, Fault{Duplicate: 0.999999})
-	delivered := nc.Stats().DeliveredLookups
+	delivered := rooted.delivered[nc.Ref().ID]
 	eps[0].Send(nb.Ref(), env)
 	nw.sim.RunUntil(nw.sim.Now() + time.Second)
 	if len(acks) != 2 || acks[0] == acks[1] || len(forwards) != 2 || forwards[0] == forwards[1] ||
@@ -303,7 +303,7 @@ func TestDuplicatedHopAcksAndForwardsIndependently(t *testing.T) {
 		}
 	}
 	// Each forward is duplicated too.
-	if got := nc.Stats().DeliveredLookups - delivered; got != 4 {
+	if got := rooted.delivered[nc.Ref().ID] - delivered; got != 4 {
 		t.Fatalf("the root delivered %d copies, want 4", got)
 	}
 	if env.Lookup.Hops != 0 || env.From != na.Ref() {
@@ -370,8 +370,8 @@ func TestDropClassificationChurnArtifacts(t *testing.T) {
 	}
 
 	// Churn artifacts must not count as injected drops.
-	if nw.Drops != 0 {
-		t.Fatalf("injected Drops = %d, want 0 (only churn artifacts occurred)", nw.Drops)
+	if nw.Drops() != 0 {
+		t.Fatalf("injected Drops = %d, want 0 (only churn artifacts occurred)", nw.Drops())
 	}
 }
 
@@ -385,8 +385,8 @@ func TestUniformLossClassified(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		a.Send(nb.Ref(), &pastry.Heartbeat{From: na.Ref()})
 	}
-	if nw.DropsByCause[DropLoss] != nw.Drops {
-		t.Fatalf("uniform loss drops %d != Drops %d", nw.DropsByCause[DropLoss], nw.Drops)
+	if nw.DropsByCause[DropLoss] != nw.Drops() {
+		t.Fatalf("uniform loss drops %d != Drops %d", nw.DropsByCause[DropLoss], nw.Drops())
 	}
 }
 

@@ -5,8 +5,8 @@
 // traffic hooks for the metrics pipeline.
 //
 // Every send is one frame, charged its encoded wire-frame size — the same
-// framing the UDP transport puts on the socket — so simulated byte and
-// datagram counts are directly comparable to a live node's /metrics.
+// framing the UDP transport puts on the socket — so simulated message and
+// byte counts are directly comparable to a live node's /metrics.
 package netmodel
 
 import (
@@ -47,20 +47,11 @@ type Network struct {
 	onFrame  func(from *Endpoint, f FrameInfo)
 	faults   *FaultSet
 	adv      *Adversary
-	// Drops counts messages lost to injected faults (uniform loss,
-	// per-link loss and partitions). Churn artifacts — unknown, dead or
-	// reincarnated destinations — are accounted separately in
-	// DropsByCause so experiments can tell injected faults apart.
-	Drops uint64
 	// DropsByCause classifies every undelivered message, indexed by
 	// DropCause.
 	DropsByCause [NumDropCauses]uint64
 	// FaultCounts tallies duplication and reordering activity.
 	FaultCounts FaultCounters
-	// Frames counts frames (datagrams) handed to the network; FrameBytes
-	// sums their encoded sizes — the bytes the network charges.
-	Frames     uint64
-	FrameBytes uint64
 
 	// svc bounds per-endpoint processing capacity; the zero value leaves
 	// delivery unbounded (byte-for-byte the pre-overload behaviour).
@@ -222,17 +213,10 @@ func (ep *Endpoint) Send(to pastry.NodeRef, m pastry.Message) {
 	if nw.onSend != nil {
 		nw.onSend(ep, to, m, size)
 	}
-	nw.countFrame(ep, FrameInfo{To: to, Bytes: size, SingleBytes: size, Control: wire.Control(m.Category())})
-	ep.transmit(to, m)
-}
-
-// countFrame accounts one accepted frame and fires the frame hook.
-func (nw *Network) countFrame(from *Endpoint, f FrameInfo) {
-	nw.Frames++
-	nw.FrameBytes += uint64(f.Bytes)
 	if nw.onFrame != nil {
-		nw.onFrame(from, f)
+		nw.onFrame(ep, FrameInfo{To: to, Bytes: size, SingleBytes: size, Control: wire.Control(m.Category())})
 	}
+	ep.transmit(to, m)
 }
 
 // transmit carries one frame across the network: one loss roll, one fault
@@ -268,9 +252,19 @@ func (ep *Endpoint) transmit(to pastry.NodeRef, m pastry.Message) {
 // dropN accounts n undelivered messages.
 func (nw *Network) dropN(cause DropCause, n int) {
 	nw.DropsByCause[cause] += uint64(n)
-	if cause.injected() {
-		nw.Drops += uint64(n)
+}
+
+// Drops counts messages lost to injected faults (uniform loss, per-link
+// loss, partitions, the adversary): the injected causes' share of
+// DropsByCause.
+func (nw *Network) Drops() uint64 {
+	var n uint64
+	for c, d := range nw.DropsByCause {
+		if DropCause(c).injected() {
+			n += d
+		}
 	}
+	return n
 }
 
 // delivery is one frame in flight: the eventsim.Handler that hands it to
@@ -383,8 +377,8 @@ func (ep *Endpoint) deliverToNode(m pastry.Message) {
 	ep.node.Receive(copyForDelivery(m))
 }
 
-// LoadFactor implements pastry.LoadSampler: current service-queue
-// occupancy in [0,1]; 0 while the service model is disabled.
+// LoadFactor reports the current service-queue occupancy in [0,1]; 0
+// while the service model is disabled.
 func (ep *Endpoint) LoadFactor() float64 {
 	if ep.svcQ == nil {
 		return 0

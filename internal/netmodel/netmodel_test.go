@@ -23,12 +23,22 @@ func testNet(t *testing.T, loss float64) (*eventsim.Simulator, *Network) {
 
 var nodeSalt uint64
 
+// rooted counts the lookups each node makeNode built delivered as root.
+var rooted = rootCounter{delivered: make(map[id.ID]int)}
+
+type rootCounter struct {
+	pastry.NopObserver
+	delivered map[id.ID]int
+}
+
+func (c rootCounter) Delivered(n *pastry.Node, _ *pastry.Lookup) { c.delivered[n.Ref().ID]++ }
+
 func makeNode(t *testing.T, nw *Network, ep *Endpoint) *pastry.Node {
 	t.Helper()
 	nodeSalt++
 	cfg := pastry.DefaultConfig()
 	ref := pastry.NodeRef{ID: id.New(uint64(ep.Index()+1), nodeSalt), Addr: ep.Addr()}
-	n, err := pastry.NewNode(ref, cfg, ep, nil)
+	n, err := pastry.NewNode(ref, cfg, ep, rooted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +79,8 @@ func TestLossDropsMessages(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		a.Send(nb.Ref(), &pastry.Heartbeat{From: na.Ref()})
 	}
-	if nw.Drops < 350 || nw.Drops > 650 {
-		t.Fatalf("drops = %d, want ~500 of 1000", nw.Drops)
+	if d := nw.Drops(); d < 350 || d > 650 {
+		t.Fatalf("drops = %d, want ~500 of 1000", d)
 	}
 }
 
@@ -165,7 +175,9 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 		&pastry.Envelope{Xfer: 1, From: na.Ref(), Lookup: &pastry.Lookup{Key: id.New(5, 5), Seq: 1, Origin: na.Ref()}},
 	}
 	var charged []int
+	all := 0 // every frame's bytes, whoever sent it
 	nw.OnFrame(func(from *Endpoint, f FrameInfo) {
+		all += f.Bytes
 		if from == a {
 			charged = append(charged, f.Bytes)
 		}
@@ -185,8 +197,8 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 		total += want
 	}
 
-	if got := int(nw.FrameBytes); got != total {
-		t.Fatalf("network charged %d total bytes, wire output is %d", got, total)
+	if all != total {
+		t.Fatalf("network charged %d total bytes, wire output is %d", all, total)
 	}
 }
 
@@ -200,6 +212,7 @@ func TestNewClusterActiveAndDeterministic(t *testing.T) {
 	cfg.L = 8
 	build := func() (ids []id.ID, frames uint64, now time.Duration) {
 		sim, nw := testNet(t, 0)
+		nw.OnFrame(func(*Endpoint, FrameInfo) { frames++ })
 		hooked := 0
 		c := nw.NewCluster(n, cfg, 2*time.Second, func(i int, node *pastry.Node, ep *Endpoint) {
 			if node.Active() || ep.Node() != node || i != hooked {
@@ -217,7 +230,7 @@ func TestNewClusterActiveAndDeterministic(t *testing.T) {
 			}
 			ids = append(ids, node.Ref().ID)
 		}
-		return ids, nw.Frames, sim.Now()
+		return ids, frames, sim.Now()
 	}
 	ids1, frames1, now1 := build()
 	ids2, frames2, now2 := build()
@@ -348,12 +361,13 @@ func TestSendAllocations(t *testing.T) {
 	na := makeNode(t, nw, a)
 	to := makeNode(t, nw, b).Ref()
 	hb := &pastry.Heartbeat{From: na.Ref()}
-	received := nw.Frames
+	frames := 0
+	nw.OnFrame(func(*Endpoint, FrameInfo) { frames++ })
 	if got := testing.AllocsPerRun(100, func() { a.Send(to, hb); sim.Run() }); got != 0 {
 		t.Errorf("Send + delivery: %v allocs per message, want 0", got)
 	}
-	if nw.Frames-received != 101 || nw.DropsByCause != [NumDropCauses]uint64{} {
-		t.Fatalf("frames=%d drops=%v: the pinned path did not deliver", nw.Frames-received, nw.DropsByCause)
+	if frames != 101 || nw.DropsByCause != [NumDropCauses]uint64{} {
+		t.Fatalf("frames=%d drops=%v: the pinned path did not deliver", frames, nw.DropsByCause)
 	}
 }
 
@@ -480,7 +494,7 @@ func TestForwardedHopAllocations(t *testing.T) {
 			}
 		}
 	})
-	delivered := nc.Stats().DeliveredLookups
+	delivered := rooted.delivered[nc.Ref().ID]
 	got := testing.AllocsPerRun(100, func() {
 		eps[0].Send(nb.Ref(), env)
 		sim.RunUntil(sim.Now() + time.Second)
@@ -488,8 +502,8 @@ func TestForwardedHopAllocations(t *testing.T) {
 	if got != 2 {
 		t.Errorf("a lookup over two hops: %v allocs, want 2, one per hop", got)
 	}
-	if runs := 101; acks != runs || forwards != runs || nc.Stats().DeliveredLookups-delivered != uint64(runs) {
+	if runs := 101; acks != runs || forwards != runs || rooted.delivered[nc.Ref().ID]-delivered != runs {
 		t.Fatalf("%d acks, %d forwards, %d deliveries at the root, want %d each: the pinned path did not route",
-			acks, forwards, nc.Stats().DeliveredLookups-delivered, runs)
+			acks, forwards, rooted.delivered[nc.Ref().ID]-delivered, runs)
 	}
 }

@@ -78,8 +78,8 @@ func TestServiceModelShedsLowestPriorityFirst(t *testing.T) {
 		t.Fatalf("overload drops = %d, want 8", got)
 	}
 	// Injected-fault accounting must not count overload sheds.
-	if nw.Drops != 0 {
-		t.Fatalf("Drops = %d, want 0 (overload is not an injected fault)", nw.Drops)
+	if nw.Drops() != 0 {
+		t.Fatalf("Drops = %d, want 0 (overload is not an injected fault)", nw.Drops())
 	}
 }
 

@@ -189,21 +189,3 @@ func (n *Node) Breakers() BreakerSummary {
 	})
 	return s
 }
-
-// LoadSampler is an optional Env extension: transports that bound their
-// inbound work (the simulator's service-capacity model, the UDP
-// transport's inbound lane queue) report current occupancy in [0,1], so
-// protocol layers above (the DHT's anti-entropy scheduler) can defer
-// deferrable work under load.
-type LoadSampler interface {
-	LoadFactor() float64
-}
-
-// LoadFactor reports the transport's current inbound load in [0,1]; 0
-// when the Env does not implement LoadSampler or nothing is queued.
-func (n *Node) LoadFactor() float64 {
-	if ls, ok := n.env.(LoadSampler); ok {
-		return ls.LoadFactor()
-	}
-	return 0
-}

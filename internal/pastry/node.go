@@ -134,13 +134,13 @@ type Counters struct {
 	SentRepairRequests uint64 `metric:"mspastry_node_repair_requests_sent" help:"Passive routing-table repair requests sent."`
 	// SentHeartbeats counts heartbeats actually sent.
 	SentHeartbeats uint64 `metric:"mspastry_node_heartbeats_sent" help:"Left-neighbour heartbeats sent."`
-	// Retransmits counts per-hop retransmissions.
-	Retransmits uint64 `metric:"mspastry_node_retransmits" help:"Per-hop retransmissions (node counter)."`
+	// Retransmits counts per-hop ack timeouts (hopTimeout, for lookups
+	// and join requests); the retransmissions they lead to are the
+	// observer's mspastry_hop_retransmits_total.
+	Retransmits uint64 `metric:"mspastry_node_retransmits" help:"Per-hop ack timeouts of lookup and join-request hops."`
 	// FalsePositives counts nodes marked faulty that later proved alive
 	// (they contacted us after being marked).
 	FalsePositives uint64 `metric:"mspastry_node_false_positives" help:"Nodes marked faulty that later proved alive."`
-	// DeliveredLookups counts lookups delivered by this node as root.
-	DeliveredLookups uint64 `metric:"mspastry_node_delivered_lookups" help:"Lookups delivered as root (node counter)."`
 	// RetryBudgetExhausted counts repeat sends suppressed because the
 	// destination peer's retry budget ran dry.
 	RetryBudgetExhausted uint64 `metric:"mspastry_node_retry_budget_exhausted" help:"Retransmissions suppressed by the per-peer retry budget."`

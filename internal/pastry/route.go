@@ -456,7 +456,6 @@ func (n *Node) handleAck(ack *Ack) {
 // receiveRootLookup is Figure 2's receive-root for lookups: it delivers a
 // lookup nextHop found this node the root of.
 func (n *Node) receiveRootLookup(lk *Lookup) {
-	n.counters.DeliveredLookups++
 	n.obs.Delivered(n, lk)
 	if n.app != nil {
 		n.app.Deliver(lk)

@@ -225,11 +225,10 @@ func (l *Layer) onReport(from pastry.NodeRef, r Report) {
 	s.reported[from.ID] = true
 	l.counters.Reports++
 	members := l.node.Leaf().Members()
-	cfg := DefaultConfig()
 	// A plausible root's leaf set is about as full as our own; half
 	// tolerates transient repair without admitting colluder-only sets.
-	cfg.MinLeaves = (len(members) + 1) / 2
-	if Check(r, l.localDensity(members), cfg).Suspicious() {
+	minLeaves := (len(members) + 1) / 2
+	if Check(r, l.localDensity(members), minLeaves).Suspicious() {
 		l.counters.TestFail++
 		s.suspects = append(s.suspects, from)
 		// React to the first suspicion at once; later ones wait for the

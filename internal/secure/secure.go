@@ -37,38 +37,22 @@ func toFloat(x id.ID) float64 {
 	return float64(x.Hi)*18446744073709551616.0 + float64(x.Lo)
 }
 
-// Config holds the failure test's thresholds.
-type Config struct {
-	// DensityRatio is the suspicion threshold γ: a reported root
+// The failure test's thresholds, tuned for a near-zero false-positive
+// rate on honest networks.
+const (
+	// densityRatio is the suspicion threshold γ: a reported root
 	// neighbourhood whose mean inter-node gap exceeds γ× the locally
 	// estimated gap fails the test. With f·N colluders the forged
 	// neighbourhood is ~1/f times sparser than the truth, so any γ well
-	// below 1/f catches it; honest reports concentrate near ratio 1.
-	DensityRatio float64
-	// DistanceRatio is the root-distance threshold δ: a claimed root
+	// below 1/f catches it; honest reports concentrate near ratio 1, and
+	// sample means of ~16 exponential gaps essentially never differ by 4×.
+	densityRatio = 4
+	// distanceRatio is the root-distance threshold δ: a claimed root
 	// farther than δ× the local mean gap from the key fails the test.
 	// For an honest root the distance is exponential with mean gap/2, so
 	// the false-positive probability is ~e^(-2δ).
-	DistanceRatio float64
-	// MinLeaves is the smallest plausible reported leaf-set size: Pastry
-	// leaf sets have constant capacity L, so on a ring dense enough to
-	// fill the origin's own leaf set, every honest root's is full too. A
-	// report with fewer distinct leaves fails regardless of its gaps —
-	// this is the sharpest density signal of all when the colluder
-	// population is smaller than L, because the forger cannot name more
-	// distinct certified identifiers than it controls. Callers set it
-	// from their own leaf-set occupancy (typically half of it, tolerating
-	// transient repair); zero disables the check.
-	MinLeaves int
-}
-
-// DefaultConfig returns thresholds tuned for a near-zero false-positive
-// rate on honest networks: γ=4 (sample means of ~16 exponential gaps
-// essentially never differ by 4×), δ=8. MinLeaves is left 0 — it is
-// derived from live leaf-set occupancy, not a static default.
-func DefaultConfig() Config {
-	return Config{DensityRatio: 4, DistanceRatio: 8}
-}
+	distanceRatio = 8
+)
 
 // Verdict is the outcome of the routing failure test.
 type Verdict int
@@ -167,7 +151,16 @@ type Report struct {
 // A non-positive localGap means the origin has no estimate — a tiny or
 // just-bootstrapped network — and the test abstains with Pass: a test
 // that cannot tell honest from forged must not fail honest nodes.
-func Check(rep Report, localGap float64, cfg Config) Verdict {
+//
+// minLeaves is the smallest plausible reported leaf-set size: Pastry
+// leaf sets have constant capacity L, so on a ring dense enough to fill
+// the origin's own leaf set, every honest root's is full too. A report
+// with fewer distinct leaves fails regardless of its gaps — this is the
+// sharpest density signal of all when the colluder population is smaller
+// than L, because the forger cannot name more distinct certified
+// identifiers than it controls. Callers derive it from their own
+// leaf-set occupancy; zero disables the check.
+func Check(rep Report, localGap float64, minLeaves int) Verdict {
 	for _, l := range rep.Leaves {
 		if l != rep.Root && id.CloserToKey(rep.Key, l, rep.Root) {
 			return CloserMember
@@ -176,14 +169,14 @@ func Check(rep Report, localGap float64, cfg Config) Verdict {
 	if localGap <= 0 {
 		return Pass
 	}
-	if cfg.MinLeaves > 0 {
+	if minLeaves > 0 {
 		distinct := make(map[id.ID]bool, len(rep.Leaves))
 		for _, l := range rep.Leaves {
 			if l != rep.Root {
 				distinct[l] = true
 			}
 		}
-		if len(distinct) < cfg.MinLeaves {
+		if len(distinct) < minLeaves {
 			return Sparse
 		}
 	}
@@ -197,10 +190,10 @@ func Check(rep Report, localGap float64, cfg Config) Verdict {
 		// ring we know has other nodes is implausible.
 		return Sparse
 	}
-	if repGap > cfg.DensityRatio*localGap {
+	if repGap > densityRatio*localGap {
 		return Sparse
 	}
-	if toFloat(rep.Key.Distance(rep.Root)) > cfg.DistanceRatio*localGap {
+	if toFloat(rep.Key.Distance(rep.Root)) > distanceRatio*localGap {
 		return FarRoot
 	}
 	return Pass

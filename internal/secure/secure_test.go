@@ -79,7 +79,6 @@ func TestMeanGapDropsUncoveredArc(t *testing.T) {
 }
 
 func TestCheckVerdicts(t *testing.T) {
-	cfg := DefaultConfig()
 	// A dense honest world: 256 nodes → local gap ring/256.
 	world := spread(256)
 	localGap, _ := MeanGap(world[:32])
@@ -120,14 +119,14 @@ func TestCheckVerdicts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Check(tc.rep, tc.localGap, cfg); got != tc.want {
+			if got := Check(tc.rep, tc.localGap, 0); got != tc.want {
 				t.Fatalf("Check = %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestCheckMinLeaves pins the leaf-count component: with MinLeaves set,
+// TestCheckMinLeaves pins the leaf-count component: with minLeaves set,
 // a report naming fewer distinct leaves than the threshold is sparse no
 // matter how plausible its gaps look — the forger cannot name more
 // certified identifiers than it controls — while a full honest report,
@@ -135,29 +134,27 @@ func TestCheckVerdicts(t *testing.T) {
 // Duplicated leaves and the root listed among the leaves must not count
 // toward the minimum.
 func TestCheckMinLeaves(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinLeaves = 8
+	const minLeaves = 8
 	world := spread(256)
 	key := id.New(1<<60, 12345)
 	root := closestTo(world, key)
 	honest := neighboursOf(world, root, 16)
 	localGap, _ := MeanGap(world[:32])
 
-	if got := Check(Report{Key: key, Root: root, Leaves: honest}, localGap, cfg); got != Pass {
-		t.Fatalf("full honest report under MinLeaves: %v, want Pass", got)
+	if got := Check(Report{Key: key, Root: root, Leaves: honest}, localGap, minLeaves); got != Pass {
+		t.Fatalf("full honest report under minLeaves: %v, want Pass", got)
 	}
 	// Adjacent ring neighbours: density looks perfect, count does not.
 	short := neighboursOf(world, root, 4)
-	if got := Check(Report{Key: key, Root: root, Leaves: short}, localGap, cfg); got != Sparse {
-		t.Fatalf("4-leaf report under MinLeaves=8: %v, want Sparse", got)
+	if got := Check(Report{Key: key, Root: root, Leaves: short}, localGap, minLeaves); got != Sparse {
+		t.Fatalf("4-leaf report under minLeaves=8: %v, want Sparse", got)
 	}
 	// Padding with duplicates or the root itself must not help.
 	padded := append(append([]id.ID{}, short...), short[0], short[1], root, root)
-	if got := Check(Report{Key: key, Root: root, Leaves: padded}, localGap, cfg); got != Sparse {
-		t.Fatalf("padded report under MinLeaves=8: %v, want Sparse", got)
+	if got := Check(Report{Key: key, Root: root, Leaves: padded}, localGap, minLeaves); got != Sparse {
+		t.Fatalf("padded report under minLeaves=8: %v, want Sparse", got)
 	}
-	cfg.MinLeaves = 0
-	if got := Check(Report{Key: key, Root: root, Leaves: short}, localGap, cfg); got != Pass {
+	if got := Check(Report{Key: key, Root: root, Leaves: short}, localGap, 0); got != Pass {
 		t.Fatalf("4-leaf report with count check disabled: %v, want Pass", got)
 	}
 }
@@ -167,7 +164,6 @@ func TestCheckMinLeaves(t *testing.T) {
 // as the reports, so every honest report must pass — at every size down
 // to two nodes.
 func TestCheckHonestSparseNetwork(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, n := range []int{2, 3, 4, 8} {
 		world := spread(n)
 		localGap, ok := MeanGap(world)
@@ -177,7 +173,7 @@ func TestCheckHonestSparseNetwork(t *testing.T) {
 		for _, key := range []id.ID{id.New(5, 5), id.New(1<<63, 0), id.Max} {
 			root := closestTo(world, key)
 			rep := Report{Key: key, Root: root, Leaves: without(world, root)}
-			if got := Check(rep, localGap, cfg); got != Pass {
+			if got := Check(rep, localGap, 0); got != Pass {
 				t.Fatalf("n=%d key=%v: honest sparse report got %v, want Pass", n, key, got)
 			}
 		}

@@ -29,12 +29,6 @@ type Window struct {
 	// wire layer so sim and live byte accounting agree.
 	ControlSent [numCategories]int
 	SentBytes   [numCategories]int
-	// Datagrams counts frames handed to the network, one message each.
-	// ControlDatagrams counts frames carrying a control message.
-	// DatagramBytes sums encoded frame sizes as charged on the wire.
-	Datagrams        int
-	ControlDatagrams int
-	DatagramBytes    int
 	// Outcomes counts lookups issued in this window; their deliveries and
 	// losses are attributed to the window they were issued in.
 	Outcomes
@@ -167,19 +161,9 @@ func (c *Collector) MsgSent(t time.Duration, cat pastry.Category, bytes int) {
 	}
 }
 
-// DatagramSent records one frame handed to the network at time t: its
-// on-wire size and whether it carries control traffic. A frame carries
-// one message, so its single-frame size (the last argument) is its size.
-func (c *Collector) DatagramSent(t time.Duration, control bool, bytes, _ int) {
-	if i := c.winIndex(t); i >= 0 {
-		w := &c.wins[i]
-		w.Datagrams++
-		w.DatagramBytes += bytes
-		if control {
-			w.ControlDatagrams++
-		}
-	}
-}
+// DatagramSent records nothing: a frame carries one message, which
+// MsgSent has counted, so the datagram rates are the message rates.
+func (c *Collector) DatagramSent(time.Duration, bool, int, int) {}
 
 // Retransmit records one per-hop retransmission sent at time t.
 func (c *Collector) Retransmit(t time.Duration) {
@@ -335,7 +319,8 @@ type WindowStat struct {
 	// bytes rather than messages.
 	ControlBytesPerNodeSec float64
 	// DatagramsPerNodeSec and ControlDatagramsPerNodeSec count frames on
-	// the wire, one message each.
+	// the wire. A frame carries one message, so they equal
+	// TotalPerNodeSec and ControlPerNodeSec.
 	DatagramsPerNodeSec        float64
 	ControlDatagramsPerNodeSec float64
 	// RDP is the relative delay penalty for lookups issued in the window:
@@ -378,9 +363,6 @@ func (w *Window) add(o *Window) {
 		w.ControlSent[cat] += o.ControlSent[cat]
 		w.SentBytes[cat] += o.SentBytes[cat]
 	}
-	w.Datagrams += o.Datagrams
-	w.ControlDatagrams += o.ControlDatagrams
-	w.DatagramBytes += o.DatagramBytes
 	w.Issued += o.Issued
 	w.Delivered += o.Delivered
 	w.Incorrect += o.Incorrect
@@ -418,8 +400,8 @@ func (w *Window) rates(length time.Duration, listed func(pastry.Category) bool) 
 		row.ControlPerNodeSec = float64(control) / w.nodeSeconds
 		row.TotalPerNodeSec = float64(all) / w.nodeSeconds
 		row.ControlBytesPerNodeSec = float64(controlBytes) / w.nodeSeconds
-		row.DatagramsPerNodeSec = float64(w.Datagrams) / w.nodeSeconds
-		row.ControlDatagramsPerNodeSec = float64(w.ControlDatagrams) / w.nodeSeconds
+		row.DatagramsPerNodeSec = row.TotalPerNodeSec
+		row.ControlDatagramsPerNodeSec = row.ControlPerNodeSec
 		row.RetxPerNodeSec = float64(w.Retransmits) / w.nodeSeconds
 	}
 	if w.RDPCount > 0 && w.NetDelaySum > 0 {

@@ -113,6 +113,29 @@ func TestControlExcludesLookups(t *testing.T) {
 	}
 }
 
+// A frame carries one message, so a collector fed only MsgSent reports
+// datagram rates equal to its message rates, per window and in Totals:
+// the benchmark's datagrams_per_op reads them.
+func TestDatagramRatesAreMessageRates(t *testing.T) {
+	c := NewCollector(20*time.Minute, 10*time.Minute)
+	c.ActiveChanged(0, +3)
+	for i := 1; i < numCategories; i++ {
+		c.MsgSent(time.Duration(i)*time.Minute, pastry.Category(i), 40)
+		c.MsgSent(time.Duration(i)*time.Minute+10*time.Minute, pastry.Category(i), 40)
+	}
+	c.MsgSent(15*time.Minute, pastry.CatLookup, 40)
+	tt := c.Totals()
+	for i, w := range append(c.Finalize(), tt.WindowStat) {
+		if w.TotalPerNodeSec == 0 || w.ControlPerNodeSec == 0 {
+			t.Fatalf("row %d counted no traffic: %+v", i, w)
+		}
+		if w.DatagramsPerNodeSec != w.TotalPerNodeSec || w.ControlDatagramsPerNodeSec != w.ControlPerNodeSec {
+			t.Errorf("row %d: datagrams %v control-datagrams %v, want messages %v control %v", i,
+				w.DatagramsPerNodeSec, w.ControlDatagramsPerNodeSec, w.TotalPerNodeSec, w.ControlPerNodeSec)
+		}
+	}
+}
+
 func TestJoinLatencyCDF(t *testing.T) {
 	c := NewCollector(time.Minute, time.Minute)
 	for _, d := range []time.Duration{3 * time.Second, time.Second, 2 * time.Second} {

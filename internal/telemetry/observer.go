@@ -34,7 +34,6 @@ type Overlay struct {
 // exported so that Register can set them).
 type overlayMetrics struct {
 	Issued      *Counter    `metric:"mspastry_lookups_issued_total" help:"Application lookups that entered the overlay at this node."`
-	Delivered   *Counter    `metric:"mspastry_lookups_delivered_total" help:"Lookups delivered by this node as the key's root."`
 	Dropped     *CounterVec `metric:"mspastry_lookups_dropped_total" help:"Lookups dropped by the overlay, by protocol reason." label:"reason"`
 	Hops        *Histogram  `metric:"mspastry_lookup_hops" help:"Overlay hops of delivered lookups." buckets:"HopBuckets"`
 	Delay       *Histogram  `metric:"mspastry_lookup_delay_seconds" help:"End-to-end delay of delivered lookups (simulator only: requires a shared clock)." buckets:"DefBuckets"`
@@ -42,7 +41,6 @@ type overlayMetrics struct {
 	Retx        *Counter    `metric:"mspastry_hop_retransmits_total" help:"Per-hop retransmissions (reroutes and backoffs)."`
 	AckRTT      *Histogram  `metric:"mspastry_ack_rtt_seconds" help:"Per-hop ack round-trip samples (first transmissions only, Karn's rule)." buckets:"DefBuckets"`
 	Repairs     *CounterVec `metric:"mspastry_leafset_repairs_total" help:"Leaf-set repair probe launches, by cause." label:"cause"`
-	Joins       *Counter    `metric:"mspastry_joins_total" help:"Nodes that completed the join protocol and became active."`
 	JoinLatency *Histogram  `metric:"mspastry_join_latency_seconds" help:"Join latency from first request to activation." buckets:"DefBuckets"`
 }
 
@@ -68,7 +66,6 @@ func (o *Overlay) record(n *pastry.Node, kind Kind, cause string, lk *pastry.Loo
 
 // Activated implements pastry.Observer.
 func (o *Overlay) Activated(n *pastry.Node, joinLatency time.Duration) {
-	o.m.Joins.Inc()
 	o.m.JoinLatency.Observe(joinLatency.Seconds())
 	o.record(n, KindActivated, "", nil, pastry.NodeRef{}, int64(joinLatency))
 	if o.opts.Inner != nil {
@@ -78,7 +75,6 @@ func (o *Overlay) Activated(n *pastry.Node, joinLatency time.Duration) {
 
 // Delivered implements pastry.Observer.
 func (o *Overlay) Delivered(n *pastry.Node, lk *pastry.Lookup) {
-	o.m.Delivered.Inc()
 	o.m.Hops.Observe(float64(lk.Hops))
 	if o.opts.SharedClock {
 		o.m.Delay.Observe((n.Now() - lk.Issued).Seconds())

@@ -149,6 +149,17 @@ func (t *UDP) SetInboundQueue(limit int) {
 	t.inQ = overload.NewQueue(limit)
 }
 
+// LoadFactor reports the current occupancy of the bounded inbound queue
+// in [0,1], or 0 without one. Safe for concurrent use.
+func (t *UDP) LoadFactor() float64 {
+	t.inMu.Lock()
+	defer t.inMu.Unlock()
+	if t.inQ == nil {
+		return 0
+	}
+	return t.inQ.LoadFactor()
+}
+
 // Listen opens a UDP socket on addr (for example "127.0.0.1:0") and starts
 // the transport's event loop.
 func Listen(addr string, seed int64) (*UDP, error) {
@@ -456,19 +467,6 @@ func (t *UDP) sendError() {
 	if sink := t.metricsSink(); sink != nil {
 		sink.SendError()
 	}
-}
-
-// LoadFactor implements pastry.LoadSampler: current occupancy of the
-// bounded inbound queue in [0,1], or 0 without one. Layers above (the
-// DHT's sweep scheduler) use it to defer deferrable work under load.
-func (e *udpEnv) LoadFactor() float64 {
-	t := (*UDP)(e)
-	t.inMu.Lock()
-	defer t.inMu.Unlock()
-	if t.inQ == nil {
-		return 0
-	}
-	return t.inQ.LoadFactor()
 }
 
 // Schedule queues fn to run on the event loop d from now; the handle is

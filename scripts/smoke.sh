@@ -53,7 +53,7 @@ for n in a b; do
   curl -sf "http://$admin/status" > "$dir/$n.status" || die "node $n /status failed"
   grep -q '"metrics"' "$dir/$n.status" || die "node $n /status has no metrics snapshot"
 done
-grep -q '^mspastry_joins_total 1$' "$dir/b.metrics" || die "node B's join is not on its counters"
+grep -q '^mspastry_join_latency_seconds_count 1$' "$dir/b.metrics" || die "node B's join is not on its counters"
 b_admin=$(sed -n 's|^admin endpoint: http://\([^/]*\)/.*|\1|p' "$dir/b.log")
 curl -sf "http://$b_admin/debug/events" > "$dir/b.events" || die "node B /debug/events failed"
 grep -q '"kind": "activated"' "$dir/b.events" || die "node B's /debug/events lacks its activated event"
