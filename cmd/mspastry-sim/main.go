@@ -223,6 +223,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "joins=%d medianJoinLatency=%v timeouts=%d suppressedProbes=%d\n",
 		t.Joins, t.MedianJoinLatency.Round(time.Millisecond),
 		res.Counters.Retransmits, res.Counters.SuppressedProbes)
+	fmt.Fprintf(stdout, "leaf-set candidates: probes=%d unusedReplies=%d\n",
+		res.Counters.SentCandidateProbes, res.Counters.UnusedCandidateReplies)
 	fmt.Fprintf(stdout, "drops by cause:")
 	for c := netmodel.DropCause(0); c < netmodel.NumDropCauses; c++ {
 		fmt.Fprintf(stdout, "  %s=%d", c, res.DropsByCause[c])

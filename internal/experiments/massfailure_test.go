@@ -1,29 +1,30 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
+// TestMassFailureRecovery kills half of a settled overlay in one instant,
+// at 60 and 120 nodes and seeds 1–8, and requires the survivors' ring to
+// be consistent again within 10 minutes.
 func TestMassFailureRecovery(t *testing.T) {
-	r := massFailureRun(1, 60, 0.5, 20*time.Minute)
-	t.Logf("killed %d/%d; recovered=%v in %v with %d leaf msgs",
-		r.killed, r.nodes, r.recovered, r.recoveryTime, r.leafMsgs)
-	if !r.recovered {
-		t.Fatal("overlay did not heal from a 50% correlated failure")
-	}
-	if r.recoveryTime > 10*time.Minute {
-		t.Fatalf("recovery took %v", r.recoveryTime)
-	}
-}
-
-func TestMassFailureRecoveryLarger(t *testing.T) {
-	if testing.Short() {
-		t.Skip("larger soak")
-	}
-	r := massFailureRun(1, 120, 0.5, 20*time.Minute)
-	t.Logf("killed %d/%d; recovered=%v in %v", r.killed, r.nodes, r.recovered, r.recoveryTime)
-	if !r.recovered {
-		t.Fatal("120-node overlay did not heal from a 50% correlated failure")
+	for _, nodes := range []int{60, 120} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					r := massFailureRun(seed, nodes, 0.5, 20*time.Minute)
+					t.Logf("killed %d/%d; recovered=%v in %v with %d leaf msgs",
+						r.killed, r.nodes, r.recovered, r.recoveryTime, r.leafMsgs)
+					if !r.recovered {
+						t.Fatal("overlay did not heal from a 50% correlated failure")
+					}
+					if r.recoveryTime > 10*time.Minute {
+						t.Fatalf("recovery took %v", r.recoveryTime)
+					}
+				})
+			}
+		})
 	}
 }

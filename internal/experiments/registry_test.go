@@ -95,7 +95,9 @@ func declaredDifferent(section, line string) bool {
 // change to what nodes do: a joiner's join request carries its Trt hint,
 // and held lookups are re-routed at every tick and dropped after a bound.
 // They were re-recorded again, the same way, when passive repair began
-// asking about a routing-table slot once per Trt, not on every lookup.
+// asking about a routing-table slot once per Trt, not on every lookup,
+// and once more when a full leaf set began probing only the candidates
+// that can still enter it.
 func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment: ~25 s")

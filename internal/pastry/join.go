@@ -60,7 +60,7 @@ func (n *Node) handleJoinReply(jr *JoinReply) {
 	}
 	for _, ref := range jr.Leaves {
 		n.rt.Add(ref)
-		n.ls.Add(ref)
+		n.admit(ref)
 	}
 	members := n.ls.Members()
 	if len(members) == 0 {
@@ -68,7 +68,7 @@ func (n *Node) handleJoinReply(jr *JoinReply) {
 		// entire neighbourhood, but we cannot see it here since JoinReply
 		// has no From — rows contain the route's nodes, probe those.
 		for _, ref := range jr.Rows {
-			n.ls.Add(ref)
+			n.admit(ref)
 		}
 		members = n.ls.Members()
 	}

@@ -55,6 +55,15 @@ type Node struct {
 	failedSnap []NodeRef
 	excluded   map[id.ID]bool
 
+	// candidates lists, by clockwise distance from this node, the targets
+	// of the probes in n.probing marked candidate: the places a full leaf
+	// set has promised (canEnter). deferred holds the candidates turned
+	// away only because those places were taken, to be weighed again as
+	// each probe resolves (recheckDeferred). Both are allocated at
+	// capacity L on first use and reused as probes come and go.
+	candidates []id.ID
+	deferred   []NodeRef
+
 	lastReconnect time.Duration
 
 	// Per-hop ack state.
@@ -132,6 +141,11 @@ type Counters struct {
 	// SentRepairRequests counts passive routing-table repair requests
 	// sent for a slot a route found empty or its occupant excluded.
 	SentRepairRequests uint64 `metric:"mspastry_node_repair_requests_sent" help:"Passive routing-table repair requests sent."`
+	// SentCandidateProbes counts leaf-set probes sent to a node outside
+	// the leaf set; UnusedCandidateReplies counts their replies whose
+	// sender did not enter it.
+	SentCandidateProbes    uint64 `metric:"mspastry_node_candidate_probes_sent" help:"Leaf-set probes sent to a node outside the leaf set."`
+	UnusedCandidateReplies uint64 `metric:"mspastry_node_candidate_replies_unused" help:"Candidate probe replies whose sender did not enter the leaf set."`
 	// SentHeartbeats counts heartbeats actually sent.
 	SentHeartbeats uint64 `metric:"mspastry_node_heartbeats_sent" help:"Left-neighbour heartbeats sent."`
 	// Retransmits counts per-hop ack timeouts (hopTimeout, for lookups
@@ -178,6 +192,13 @@ type probeState struct {
 	// reconnect marks reconnect-cache probes: a timeout restores the
 	// failure record without re-counting the failure or announcing.
 	reconnect bool
+	// candidate marks a leaf probe of a node outside the leaf set: its
+	// reply may insert it, so it holds a place (Node.candidates).
+	candidate bool
+	// rightGone marks a probe of the right neighbour a peer's Failed
+	// list removed: this node was the one watching its heartbeats, so a
+	// timeout is announced although the node is no longer a member.
+	rightGone bool
 }
 
 // pendingHop is the bookkeeping of one acked hop (or join request) awaiting
@@ -549,9 +570,8 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 	// around) is probed so the leaf set re-admits it. Direct contact
 	// satisfies the insertion discipline; probing, rather than inserting
 	// outright, also exchanges leaf-set state.
-	if n.active && !n.ls.Contains(from.ID) && n.wouldExtendLeafSet(from) &&
-		n.markCandidateProbe(from) {
-		n.probeLeaf(from)
+	if n.active {
+		n.offerCandidate(from)
 	}
 	if hint > 0 {
 		n.setTrtHint(rec, hint)

@@ -15,15 +15,17 @@ func (n *Node) probeLeaf(ref NodeRef) { n.probe(ref, true, false) }
 // liveness ping — unless ref is this node or marked faulty. announce marks
 // first-hand failure suspicion (its timeout is announced to the leaf set).
 // A leaf probe of a node already under probe upgrades that probe instead;
-// a ping does nothing.
+// a ping does nothing. A leaf probe of a node outside the leaf set is
+// marked candidate and listed in n.candidates.
 func (n *Node) probe(ref NodeRef, isLeaf, announce bool) {
 	if ref.ID == n.self.ID || ref.IsZero() || n.isFailed(ref.ID) {
 		return
 	}
 	ps, ok := n.probing[ref.ID]
+	sent := !ok
 	switch {
 	case !ok:
-		n.startProbe(probeState{ref: ref, isLeaf: isLeaf, announce: announce})
+		ps = n.startProbe(probeState{ref: ref, isLeaf: isLeaf, announce: announce})
 	case isLeaf:
 		if announce {
 			ps.announce = true
@@ -33,6 +35,17 @@ func (n *Node) probe(ref NodeRef, isLeaf, announce bool) {
 			// reply carries leaf-set state.
 			ps.isLeaf = true
 			n.sendProbeMsg(ps)
+			sent = true
+		}
+	}
+	if isLeaf && !ps.candidate && !n.ls.Contains(ref.ID) {
+		ps.candidate = true
+		if n.candidates == nil {
+			n.candidates = make([]id.ID, 0, n.cfg.L)
+		}
+		n.candidates = append(n.candidates, n.self.ID.Clockwise(ref.ID))
+		if sent {
+			n.counters.SentCandidateProbes++
 		}
 	}
 }
@@ -40,9 +53,9 @@ func (n *Node) probe(ref NodeRef, isLeaf, announce bool) {
 // startProbe starts the probe p describes (its ref and kind): it fills a
 // record with p — a parked record when the free list has any, a new one
 // otherwise; the timeout's alarm survives every park, as a hop record's
-// does (takeHop) — enters it in n.probing, sends the probe and arms its
-// timeout.
-func (n *Node) startProbe(p probeState) {
+// does (takeHop) — enters it in n.probing, sends the probe, arms its
+// timeout and returns the record.
+func (n *Node) startProbe(p probeState) *probeState {
 	var ps *probeState
 	if last := len(n.freeProbes) - 1; last >= 0 {
 		ps = n.freeProbes[last]
@@ -55,17 +68,41 @@ func (n *Node) startProbe(p probeState) {
 	n.probing[p.ref.ID] = ps
 	n.sendProbeMsg(ps)
 	n.arm(timerProbe, n.cfg.To, &ps.Alarm, ps)
+	return ps
 }
 
-// parkProbe ends the probe: it takes ps out of n.probing, cancels its timer
-// (a no-op on the one that is running), empties the record and puts it on
-// the free list (up to maxFree).
+// parkProbe ends the probe: it takes ps out of n.probing (and
+// n.candidates), cancels its timer (a no-op on the one that is running),
+// empties the record and puts it on the free list (up to maxFree).
 func (n *Node) parkProbe(ps *probeState) {
 	delete(n.probing, ps.ref.ID)
+	if ps.candidate {
+		n.unlistCandidate(ps)
+	}
 	ps.Stop()
 	*ps = probeState{Alarm: ps.Alarm}
 	if len(n.freeProbes) < n.maxFree() {
 		n.freeProbes = append(n.freeProbes, ps)
+	}
+}
+
+// unlistCandidate takes ps's target off n.candidates: its probe ended, or
+// the target became a member (admit).
+func (n *Node) unlistCandidate(ps *probeState) {
+	ps.candidate = false
+	last := len(n.candidates) - 1
+	n.candidates[slices.Index(n.candidates, n.self.ID.Clockwise(ps.ref.ID))] = n.candidates[last]
+	n.candidates = n.candidates[:last]
+}
+
+// admit inserts ref into the leaf set. A candidate it inserts no longer
+// holds a place under probe: it is a member now.
+func (n *Node) admit(ref NodeRef) {
+	if !n.ls.Add(ref) {
+		return
+	}
+	if ps := n.probing[ref.ID]; ps != nil && ps.candidate {
+		n.unlistCandidate(ps)
 	}
 }
 
@@ -160,16 +197,18 @@ func (n *Node) probeTimeout(ps *probeState) {
 		n.doneProbing(ps.ref.ID)
 		return
 	}
-	n.markFaulty(ps.ref, ps.announce)
+	n.markFaulty(ps.ref, ps.announce && n.ls.Contains(ps.ref.ID) || ps.rightGone)
 	n.doneProbing(ps.ref.ID)
 }
 
 // markFaulty removes a node from all routing state, records the failure for
-// the failure-rate estimator, and — when the node was a leaf-set member —
-// announces the failure to the rest of the leaf set (whose probe replies in
-// turn supply repair candidates).
+// the failure-rate estimator, and — when announce is set — announces the
+// failure to the rest of the leaf set (whose probe replies in turn supply
+// repair candidates). A probe's timeout announces when first-hand
+// suspicion started it and the node is still a member, or when it was the
+// right neighbour a peer's Failed list removed (processLeafInfo): either
+// way this node is the one failure detection relies on.
 func (n *Node) markFaulty(ref NodeRef, announce bool) {
-	wasLeaf := n.ls.Contains(ref.ID)
 	n.ls.Remove(ref.ID)
 	n.rt.Remove(ref.ID)
 	n.setFailed(ref)
@@ -180,7 +219,7 @@ func (n *Node) markFaulty(ref NodeRef, announce bool) {
 	// would only shadow it.
 	n.dropBreaker(ref.ID)
 	n.recordFailure(n.env.Now())
-	if announce && wasLeaf && n.active {
+	if announce && n.active {
 		if n.sobs != nil {
 			n.sobs.LeafSetRepair(n, "announce")
 		}
@@ -204,6 +243,9 @@ func (n *Node) doneProbing(x id.ID) {
 		return
 	}
 	n.parkProbe(ps)
+	if len(n.deferred) > 0 {
+		n.recheckDeferred()
+	}
 	if len(n.probing) > 0 {
 		return
 	}
@@ -349,70 +391,154 @@ func (n *Node) handleLSProbe(p *LSProbe) {
 func (n *Node) handleLSProbeReply(p *LSProbeReply) {
 	delete(n.excluded, p.From.ID)
 	n.processLeafInfo(p.From, p.Leaves, p.Near, p.Failed)
+	if ps := n.probing[p.From.ID]; ps != nil && ps.candidate {
+		n.counters.UnusedCandidateReplies++
+	}
 	n.doneProbing(p.From.ID)
 }
 
 // processLeafInfo is the common body of LS-PROBE and LS-PROBE-REPLY
 // handling (Figure 2): insert the direct sender; re-probe members the
 // sender claims have failed (to recover from false positives); remove them
-// meanwhile; and probe any new leaf-set candidates — the sender's leaves,
-// then the nearest-known list a repair reply adds — before inserting them.
+// meanwhile; and probe any new leaf-set candidates that can still enter —
+// the sender's leaves, then the nearest-known list a repair reply adds —
+// before inserting them.
 func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
 	n.unsetFailed(from.ID)
-	n.ls.Add(from)
+	n.admit(from)
 	n.rt.Add(from)
 	// Nodes the sender believes faulty: if they are in our leaf set, probe
-	// them to confirm, and remove them until they prove alive.
+	// them to confirm, and remove them until they prove alive. The right
+	// neighbour's probe announces its timeout: this node watched its
+	// heartbeats, and no one else will announce what it no longer sees.
 	for _, f := range failed {
-		if f.ID == n.self.ID {
+		if f.ID == n.self.ID || !n.ls.Contains(f.ID) {
 			continue
 		}
-		if n.ls.Contains(f.ID) {
-			n.ls.Remove(f.ID)
-			n.probeLeaf(f)
+		right, _ := n.ls.RightNeighbour()
+		n.ls.Remove(f.ID)
+		n.probeLeaf(f)
+		if ps := n.probing[f.ID]; ps != nil && right.ID == f.ID {
+			ps.rightGone = true
 		}
 	}
 	// Candidate members from the sender's leaf set: probe before insertion
 	// (a node never enters the leaf set without direct contact).
 	for _, cand := range leaves {
-		n.probeCandidate(cand)
+		n.offerCandidate(cand)
 	}
 	for _, cand := range near {
-		n.probeCandidate(cand)
+		n.offerCandidate(cand)
 	}
 }
 
-// probeCandidate probes a node the sender vouched for if it is not known
-// dead, not yet a member, and would enter the leaf set once it answers.
-func (n *Node) probeCandidate(cand NodeRef) {
-	if cand.ID == n.self.ID {
+// offerCandidate probes cand if it can enter the leaf set, and defers it
+// if it waits for a place (probeCandidate).
+func (n *Node) offerCandidate(cand NodeRef) {
+	if !n.probeCandidate(cand) || slices.Contains(n.deferred, cand) ||
+		len(n.deferred) == n.cfg.L {
 		return
 	}
-	if _, bad := n.failed[cand.ID]; bad {
-		return
+	if n.deferred == nil {
+		n.deferred = make([]NodeRef, 0, n.cfg.L)
 	}
-	if n.ls.Contains(cand.ID) {
-		return
+	n.deferred = append(n.deferred, cand)
+}
+
+// probeCandidate probes a node the sender vouched for, or a direct sender,
+// if it is not known dead, not yet a member, and can still enter the leaf
+// set once it answers (canEnter). It reports whether cand waits: it is not
+// under probe, and only the places candidates under probe hold keep it out.
+func (n *Node) probeCandidate(cand NodeRef) bool {
+	if cand.ID == n.self.ID || n.isFailed(cand.ID) || n.ls.Contains(cand.ID) {
+		return false
 	}
-	if n.wouldExtendLeafSet(cand) && n.markCandidateProbe(cand) {
+	enter, wait := n.canEnter(cand.ID)
+	if enter && n.markCandidateProbe(cand) {
 		n.probeLeaf(cand)
 	}
+	return wait && n.probing[cand.ID] == nil
 }
 
-// wouldExtendLeafSet reports whether cand would enter the leaf set if it
-// proved alive, bounding probe traffic to useful candidates.
-func (n *Node) wouldExtendLeafSet(cand NodeRef) bool {
+// recheckDeferred weighs the deferred candidates again once a probe
+// resolved: a place a candidate held goes to the next one, and a candidate
+// the members alone now keep out is dropped.
+func (n *Node) recheckDeferred() {
+	kept := n.deferred[:0]
+	for _, cand := range n.deferred {
+		if n.probeCandidate(cand) {
+			kept = append(kept, cand)
+		}
+	}
+	clear(n.deferred[len(kept):])
+	n.deferred = kept
+}
+
+// canEnter reports whether x, a node outside the leaf set, can still
+// enter it once it answers a probe, and otherwise whether it waits for a
+// place. While either side is short every candidate can: that is leaf-set
+// repair, and it stays eager. On a full leaf set x must rank below half on
+// some side, where its rank counts the members closer to this node than x
+// and the candidates under probe closer than x, whose replies would fill
+// those places first. x waits when only the candidates keep it out.
+func (n *Node) canEnter(x id.ID) (enter, wait bool) {
 	half := n.ls.Half()
-	left, right := n.ls.Left(), n.ls.Right()
-	if len(left) < half || len(right) < half {
-		return true
+	if len(n.ls.Left()) < half || len(n.ls.Right()) < half {
+		return true, false
 	}
-	farLeft := left[len(left)-1]
-	if cand.ID.Clockwise(n.self.ID).Cmp(farLeft.ID.Clockwise(n.self.ID)) < 0 {
-		return true
+	for _, left := range [2]bool{true, false} {
+		members, held := n.rankOn(x, left)
+		if members+held < half {
+			return true, false
+		}
+		wait = wait || members < half
 	}
-	farRight := right[len(right)-1]
-	return n.self.ID.Clockwise(cand.ID).Cmp(n.self.ID.Clockwise(farRight.ID)) < 0
+	return false, wait
+}
+
+// rankOn counts, on one full side of the leaf set (left or right), the
+// members closer to this node than x and — up to the side's capacity — the
+// candidates under probe closer than x. Most candidates lie beyond the
+// farthest member, and cost one comparison.
+func (n *Node) rankOn(x id.ID, left bool) (members, held int) {
+	side := n.ls.Right()
+	if left {
+		side = n.ls.Left()
+	}
+	d := n.sideDist(x, left)
+	if n.sideDist(side[len(side)-1].ID, left).Cmp(d) < 0 {
+		return len(side), 0
+	}
+	for _, m := range side {
+		if n.sideDist(m.ID, left).Cmp(d) >= 0 {
+			break
+		}
+		members++
+	}
+	// The candidates are listed by clockwise distance, so on the left a
+	// closer one is one farther clockwise.
+	cw, closer := n.self.ID.Clockwise(x), -1
+	if left {
+		closer = 1
+	}
+	for _, c := range n.candidates {
+		if members+held == len(side) {
+			break
+		}
+		if c.Cmp(cw) == closer {
+			held++
+		}
+	}
+	return members, held
+}
+
+// sideDist is x's distance from this node on the left side
+// (counter-clockwise) or the right side (clockwise).
+func (n *Node) sideDist(x id.ID, left bool) id.ID {
+	if left {
+		return x.Clockwise(n.self.ID)
+	}
+	return n.self.ID.Clockwise(x)
 }
 
 // nearestKnown returns up to k known nodes closest (in ring distance) to

@@ -71,17 +71,30 @@ func checkRecords(t *testing.T, n *Node) {
 		if timerPending(ps.timer) {
 			t.Fatalf("parked probe record has a live timer: %+v", ps)
 		}
-		if !ps.ref.IsZero() || ps.isLeaf || ps.retries != 0 || ps.announce || ps.reconnect {
+		if !ps.ref.IsZero() || ps.isLeaf || ps.retries != 0 || ps.announce || ps.reconnect ||
+			ps.candidate || ps.rightGone {
 			t.Fatalf("parked probe record is not empty: %+v", ps)
 		}
 	}
+	candidates := 0
 	for x, ps := range n.probing {
 		if freeProbes[ps] {
 			t.Fatalf("probe record of %v is outstanding and on the free list", x)
 		}
-		if ps.ref.ID != x || ps.run == nil || timerPending(ps.timer) != n.alive {
+		if ps.ref.ID != x || ps.run == nil || timerPending(ps.timer) != n.alive || ps.candidate && !ps.isLeaf {
 			t.Fatalf("outstanding probe of %v has a damaged record: %+v", x, ps)
 		}
+		listed := slices.Contains(n.candidates, n.self.ID.Clockwise(x))
+		if ps.candidate != listed || ps.candidate && n.ls.Contains(x) {
+			t.Fatalf("outstanding probe of %v: candidate %v, listed %v, member %v",
+				x, ps.candidate, listed, n.ls.Contains(x))
+		}
+		if ps.candidate {
+			candidates++
+		}
+	}
+	if candidates != len(n.candidates) {
+		t.Fatalf("%d candidates listed, %d outstanding", len(n.candidates), candidates)
 	}
 	freeDists := make(map[*distSession]bool)
 	for _, ds := range n.freeDists {
