@@ -8,6 +8,8 @@ package mspastry
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -571,6 +573,107 @@ func TestEveryTallyAddsEveryField(t *testing.T) {
 			if (f.CanInt() && f.Int() != int64(want)) || (f.CanUint() && f.Uint() != uint64(want)) ||
 				(f.CanFloat() && f.Float() != float64(want)) {
 				t.Errorf("%s.Add does not total %s: %v, want %d", typ, typ.Field(i).Name, f, want)
+			}
+		}
+	}
+}
+
+// moduleImporter type-checks the repository's packages from their non-test
+// files, recording what it finds in info, and the standard library from
+// source, each package once.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // import path -> its non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	m.pkgs[path] = p
+	return p, err
+}
+
+// TestOnlyAlarmSchedules fails when non-test code outside bench/ uses the
+// pastry.Env method Schedule — on an Env, or on a type that implements
+// Env — anywhere but Alarm.Arm, the one place that asks an Env for a new
+// timer handle: every other arming is an Alarm's. The check reads types,
+// not names, so eventsim.Simulator's Schedule, which queues a Handler on
+// the engine, is another method and stays legal. bench/ is a module of
+// its own, with Envs that wrap one.
+func TestOnlyAlarmSchedules(t *testing.T) {
+	build.Default.CgoEnabled = false // the pure-Go standard library type-checks without a C toolchain
+	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: make(map[string][]*ast.File),
+		pkgs:  make(map[string]*types.Package),
+		info:  &types.Info{Selections: make(map[*ast.SelectorExpr]*types.Selection)},
+	}
+	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "bench"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		importPath := path.Join("mspastry", filepath.ToSlash(filepath.Dir(p)))
+		m.files[importPath] = append(m.files[importPath], f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for importPath := range m.files {
+		if _, err := m.Import(importPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := m.pkgs["mspastry/internal/pastry"].Scope().Lookup("Env").Type().Underlying().(*types.Interface)
+	for _, files := range m.files {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					s := m.info.Selections[sel]
+					if s == nil || s.Kind() == types.FieldVal || s.Obj().Name() != "Schedule" {
+						return true
+					}
+					if r := s.Recv(); !types.Implements(r, env) && !types.Implements(types.NewPointer(r), env) {
+						return true
+					}
+					at := fset.Position(sel.Pos())
+					if f.Name.Name == "pastry" && name == "Alarm.Arm" {
+						t.Logf("%s:%d: %s calls %s.Schedule", at.Filename, at.Line, name, s.Recv())
+					} else {
+						t.Errorf("%s:%d: %s uses %s.Schedule; arm a pastry.Alarm instead", at.Filename, at.Line, name, s.Recv())
+					}
+					return true
+				})
 			}
 		}
 	}

@@ -130,9 +130,9 @@ func ruleCall(body []ast.Stmt, methods map[string]*ast.FuncDecl) (string, bool) 
 // TestEveryInputHasARule fails when a timer kind has no case in fire, when
 // one of the dht's wire kinds or the hotspot kinds has no case in Deliver
 // or Direct or a case in both, when a case is not one call of a rule
-// method, or when a switch has a case for something else. It also fails on
-// a call of Schedule in this package or in internal/secure: the layers over
-// the node arm their timers through pastry.Alarm, as the node does.
+// method, or when a switch has a case for something else. The layers over
+// the node arm their timers through pastry.Alarm, as the node does; the
+// repository's TestOnlyAlarmSchedules fails on any other Env.Schedule.
 func TestEveryInputHasARule(t *testing.T) {
 	files := parseDir(t, ".")
 	methods := storeMethods(files)
@@ -179,14 +179,4 @@ func TestEveryInputHasARule(t *testing.T) {
 	check("timer", timers, "fire")
 	check("kind", kinds, "Deliver", "Direct")
 
-	for _, dir := range []string{".", "../secure"} {
-		for _, f := range parseDir(t, dir) {
-			ast.Inspect(f, func(nd ast.Node) bool {
-				if sel, ok := nd.(*ast.SelectorExpr); ok && sel.Sel.Name == "Schedule" {
-					t.Errorf("package %s calls Schedule; arm a pastry.Alarm instead", f.Name.Name)
-				}
-				return true
-			})
-		}
-	}
 }

@@ -5,12 +5,14 @@
 //
 // All state transitions in a simulation happen inside event callbacks, which
 // the engine executes one at a time in (time, schedule-order) order, so
-// simulations are single-threaded and reproducible for a given seed.
+// simulations are single-threaded and reproducible for a given seed. The
+// live transport's event loop runs one engine per node on the wall clock.
 package eventsim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -74,8 +76,11 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() uint64 { return s.steps }
 
-// Pending returns the number of events scheduled and not yet fired
-// (including cancelled events that have not been reaped yet).
+// Pending returns the number of entries in the queue: the events
+// scheduled and not yet fired, and the cancelled armings not reaped yet.
+// A cancelled arming leaves at the top or when a push finds the queue
+// full, so Pending stays under four times the most events ever live at
+// once, plus a few.
 func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule queues h to fire at absolute virtual time t, fire-and-forget:
@@ -150,7 +155,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(t time.Duration) {
 	s.stopped = false
 	for !s.stopped {
-		when, ok := s.peek()
+		when, ok := s.Next()
 		if !ok || when > t {
 			break
 		}
@@ -161,9 +166,9 @@ func (s *Simulator) RunUntil(t time.Duration) {
 	}
 }
 
-// peek reaps cancelled events off the top of the queue and returns the
-// time of the next one that will fire.
-func (s *Simulator) peek() (time.Duration, bool) {
+// Next reaps cancelled events off the top of the queue and returns the
+// time of the next one that will fire, and false when none remains.
+func (s *Simulator) Next() (time.Duration, bool) {
 	for len(s.events) > 0 {
 		if e := s.events[0]; !e.canceled() {
 			return e.when, true
@@ -191,14 +196,26 @@ func (e entry) before(o entry) bool {
 }
 
 // canceled reports whether the entry is an Event arming that was
-// cancelled, whether or not the Event was re-armed since; Step and peek
-// drop such entries without counting them.
+// cancelled, whether or not the Event was re-armed since; Step, Next and
+// push drop such entries without counting them.
 func (e entry) canceled() bool {
 	ev, ok := e.h.(*Event)
 	return ok && ev.live != e.seq+1
 }
 
+// push adds e to the queue. A full queue is reaped of its cancelled
+// entries first, and grows only if live entries still fill more than half
+// of it: a cancelled arming pins its callback until it leaves, and a
+// live deployment cancels most timers (an acked hop's) seconds before
+// they come due. The order over (when, seq) is total, so reaping cannot
+// change what fires next.
 func (s *Simulator) push(e entry) {
+	if len(s.events) == cap(s.events) {
+		s.reap()
+		if 2*len(s.events) > cap(s.events) {
+			s.events = slices.Grow(s.events, cap(s.events)-len(s.events)+1) // as append grows a full slice
+		}
+	}
 	h := append(s.events, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -213,32 +230,51 @@ func (s *Simulator) push(e entry) {
 	s.events = h
 }
 
+// reap drops every cancelled entry and restores the heap order over the
+// entries left.
+func (s *Simulator) reap() {
+	h := s.events[:0]
+	for _, e := range s.events {
+		if !e.canceled() {
+			h = append(h, e)
+		}
+	}
+	clear(s.events[len(h):]) // drop the handler references
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i, h[i])
+	}
+	s.events = h
+}
+
 func (s *Simulator) pop() entry {
 	h := s.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = entry{} // drop the handler reference
-	h = h[:n]
-	s.events = h
-	if n == 0 {
-		return top
+	s.events = h[:n]
+	if n > 0 {
+		down(h[:n], 0, last)
 	}
-	i := 0
+	return top
+}
+
+// down puts e in the hole at i of h, or below it, where the heap order
+// allows.
+func down(h []entry, i int, e entry) {
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= len(h) {
 			break
 		}
-		if child+1 < n && h[child+1].before(h[child]) {
+		if child+1 < len(h) && h[child+1].before(h[child]) {
 			child++
 		}
-		if !h[child].before(last) {
+		if !h[child].before(e) {
 			break
 		}
 		h[i] = h[child]
 		i = child
 	}
-	h[i] = last
-	return top
+	h[i] = e
 }

@@ -184,7 +184,8 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 }
 
 // A cancelled event stays queued (Pending counts it) until it reaches the
-// top, where it is dropped without firing and without counting as a step.
+// top or a push finds the queue full; either drops it without firing and
+// without counting it as a step.
 func TestStepsCountsOnlyFiredEvents(t *testing.T) {
 	s := New(1)
 	e := s.At(time.Second, func() {})
@@ -204,28 +205,42 @@ func TestStepsCountsOnlyFiredEvents(t *testing.T) {
 }
 
 // A cancelled arming stays queued after its event is re-armed, earlier
-// than the new arming: it is dropped at the top without firing and without
-// counting, and the new arming fires once, at its own time.
+// than the new arming, unless the re-arm finds the queue full and reaps
+// it: either way it never fires and never counts, and the new arming fires
+// once, at its own time.
 func TestRearmedEventSkipsItsCancelledArming(t *testing.T) {
-	s := New(1)
-	var at []time.Duration
-	e := s.At(2*time.Second, func() { at = append(at, s.Now()) })
-	if s.Rearm(e, time.Second) {
-		t.Fatal("Rearm of a pending event reported true")
-	}
-	e.Cancel()
-	if e.Armed() || !s.Rearm(e, 3*time.Second) || !e.Armed() {
-		t.Fatal("a cancelled event did not re-arm")
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d after Cancel and Rearm, want 2", s.Pending())
-	}
-	s.Run()
-	if s.Steps() != 1 || !slices.Equal(at, []time.Duration{3 * time.Second}) {
-		t.Fatalf("Steps = %d, fired at %v; want the re-armed event once, at 3s", s.Steps(), at)
-	}
-	if e.Armed() {
-		t.Fatal("a fired event is still armed")
+	for _, room := range []bool{false, true} {
+		s := New(1)
+		var at []time.Duration
+		var later []int
+		e := s.At(2*time.Second, func() { at = append(at, s.Now()) })
+		if room { // two later entries leave the queue room for a fourth
+			s.Schedule(4*time.Second, appendHandler{&later, 4})
+			s.Schedule(4*time.Second, appendHandler{&later, 4})
+		}
+		if s.Rearm(e, time.Second) {
+			t.Fatal("Rearm of a pending event reported true")
+		}
+		e.Cancel()
+		if e.Armed() || !s.Rearm(e, 3*time.Second) || !e.Armed() {
+			t.Fatal("a cancelled event did not re-arm")
+		}
+		// Full, the one-entry queue is reaped by the re-arm; with room the
+		// cancelled arming stays queued beside the new one.
+		want := 1
+		if room {
+			want = 4
+		}
+		if s.Pending() != want {
+			t.Fatalf("room=%v: Pending = %d after Cancel and Rearm, want %d", room, s.Pending(), want)
+		}
+		s.Run()
+		if s.Steps() != uint64(1+len(later)) || !slices.Equal(at, []time.Duration{3 * time.Second}) {
+			t.Fatalf("room=%v: Steps = %d, fired at %v; want the re-armed event once, at 3s", room, s.Steps(), at)
+		}
+		if e.Armed() {
+			t.Fatal("a fired event is still armed")
+		}
 	}
 }
 
@@ -282,13 +297,21 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 	// checked against a reference queue that finds its minimum by linear
 	// scan. Times are drawn from a small range so that most of them
 	// collide, and a re-arm or cancel picks any event made by At so far,
-	// pending, fired or cancelled.
+	// pending, fired or cancelled. The cancel-heavy input turns every
+	// Schedule into a Cancel and runs the input ten times over, so that
+	// pushes find the queue full of cancelled armings and reap them; the
+	// queue must stay within Pending's bound of the most events live at
+	// once.
 	type ref struct {
 		when time.Duration
 		idx  int
 	}
-	f := func(raw []uint16) bool {
+	f := func(cancelHeavy bool, raw []uint16) bool {
+		if cancelHeavy {
+			raw = slices.Concat(raw, raw, raw, raw, raw, raw, raw, raw, raw, raw)
+		}
 		s := New(1)
+		peak := 0 // the most events live at once
 		var fired, want []int
 		var queue []ref
 		events := make(map[int]*Event) // idx -> the handle At returned
@@ -312,7 +335,11 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 		for i, v := range raw {
 			i := i
 			d := time.Duration(v>>2%32) * time.Millisecond
-			switch op := v % 4; {
+			op := v % 4
+			if cancelHeavy && op == 1 {
+				op = 3
+			}
+			switch {
 			case op == 0 || op > 1 && len(made) == 0:
 				events[i] = s.At(s.Now()+d, func() { fired = append(fired, i) })
 				made = append(made, i)
@@ -336,6 +363,9 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 					queue = append(queue[:q], queue[q+1:]...)
 				}
 			}
+			if peak = max(peak, len(queue)); s.Pending() > 4*peak+4 {
+				return false
+			}
 			if v%3 == 0 {
 				s.Step()
 				refStep()
@@ -347,8 +377,11 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 		}
 		return slices.Equal(fired, want) && s.Steps() == uint64(len(fired))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(9))}); err != nil {
-		t.Fatal(err)
+	for _, cancelHeavy := range []bool{false, true} {
+		check := func(raw []uint16) bool { return f(cancelHeavy, raw) }
+		if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(9))}); err != nil {
+			t.Fatalf("cancel-heavy=%v: %v", cancelHeavy, err)
+		}
 	}
 }
 

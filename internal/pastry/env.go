@@ -7,9 +7,11 @@ import (
 
 // Timer is the handle of a callback scheduled with Env.Schedule.
 type Timer interface {
-	// Cancel, called from the node's serialised context (inside Receive or
-	// a callback), guarantees the callback does not run afterwards — also
-	// when it was due at this very instant and merely had not run yet. On
+	// Cancel is called only from the node's serialised context (inside
+	// Receive or a callback; live, inside the transport's Do too, never
+	// from another goroutine). It guarantees the callback does not run
+	// afterwards — also when it was due at this very instant and merely
+	// had not run yet. On
 	// a timer that has fired, is running or was cancelled before it does
 	// nothing. A node reuses a hop or probe record as soon as it has
 	// cancelled the record's timer (parkHop, parkProbe); a cancelled timer
@@ -26,8 +28,8 @@ type Timer interface {
 type Rearmer interface {
 	// Rearm queues t's callback again, d from now, and reports true, when
 	// t has fired or been cancelled. It does nothing and reports false when
-	// t is still pending, is not one of this Env's timers, or the Env runs
-	// no more callbacks; the caller then calls Schedule.
+	// t is still pending, is not of the kind the Env's Schedule returns, or
+	// the Env runs no more callbacks; the caller then calls Schedule.
 	Rearm(t Timer, d time.Duration) bool
 }
 

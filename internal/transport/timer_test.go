@@ -10,151 +10,21 @@ import (
 	"mspastry/internal/pastry"
 )
 
-// refTimer is the reference model's timer: the real one's deadline and
-// scheduling order, in a list that is scanned linearly.
-type refTimer struct {
-	when time.Duration
-	seq  int
-	live bool
-}
-
-// TestTimerHeapMatchesLinearScan drives the heap and a linear-scan model
-// through random interleavings of Schedule, re-arm and Cancel (of pending,
-// fired and already cancelled timers, and Cancel from inside a callback —
-// often of a timer due at the same instant) and firing, with deadlines
-// drawn from a handful of values so that they collide. The two must fire
-// the same timers in the same order: by deadline, equal deadlines in
-// scheduling order, a re-armed timer ordered as a new one. The heap must
-// also hold exactly the pending timers — Cancel removes its entry at
-// once — a re-arm of a pending timer must do nothing, and every handle
-// must keep its callback.
-func TestTimerHeapMatchesLinearScan(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &UDP{wake: make(chan struct{}, 1)} // the heap needs no socket
-		var (
-			handles   []*udpTimer
-			ref       []*refTimer
-			victim    = map[int]int{} // timer → the timer its callback cancels
-			got, want []int
-			now       time.Duration
-			seq       int
-		)
-		for step := 0; step < 600; step++ {
-			switch op := rng.Intn(10); {
-			case op < 4 || len(handles) == 0 && op < 7:
-				id := len(handles)
-				when := now + time.Duration(rng.Intn(6))
-				if len(handles) > 0 && rng.Intn(3) == 0 {
-					victim[id] = rng.Intn(len(handles))
-				}
-				seq++
-				ref = append(ref, &refTimer{when: when, seq: seq, live: true})
-				handles = append(handles, tr.schedule(when, func() {
-					got = append(got, id)
-					if v, ok := victim[id]; ok {
-						handles[v].Cancel()
-					}
-				}))
-			case op < 5:
-				id := rng.Intn(len(handles))
-				when := now + time.Duration(rng.Intn(6))
-				if handles[id].rearm(when) == ref[id].live {
-					t.Fatalf("seed %d step %d: re-arm of timer %d (pending=%v) reported %v",
-						seed, step, id, ref[id].live, !ref[id].live)
-				}
-				if !ref[id].live {
-					seq++
-					*ref[id] = refTimer{when: when, seq: seq, live: true}
-				}
-			case op < 7:
-				id := rng.Intn(len(handles))
-				handles[id].Cancel()
-				ref[id].live = false
-			default:
-				now += time.Duration(rng.Intn(4))
-				fn, next := tr.popDue(now)
-				for ; fn != nil; fn, next = tr.popDue(now) {
-					fn()
-				}
-				for id := refDue(ref, now); id >= 0; id = refDue(ref, now) {
-					want = append(want, id)
-					ref[id].live = false
-					if v, ok := victim[id]; ok {
-						ref[v].live = false
-					}
-				}
-				if wantNext := refNext(ref); next != wantNext {
-					t.Fatalf("seed %d step %d: next deadline %v, want %v", seed, step, next, wantNext)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d step %d: fired %v, want %v", seed, step, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d step %d: firing %d was timer %d, want %d", seed, step, i, got[i], want[i])
-				}
-			}
-			pending := 0
-			for id, r := range ref {
-				ut := handles[id]
-				if r.live {
-					pending++
-				}
-				if r.live != (ut.index >= 0) || ut.fn == nil {
-					t.Fatalf("seed %d step %d: timer %d pending=%v has index %d, callback kept=%v",
-						seed, step, id, r.live, ut.index, ut.fn != nil)
-				}
-				if r.live && tr.timers[ut.index] != ut {
-					t.Fatalf("seed %d step %d: timer %d is not at its index", seed, step, id)
-				}
-			}
-			if len(tr.timers) != pending {
-				t.Fatalf("seed %d step %d: heap holds %d entries, %d timers are pending", seed, step, len(tr.timers), pending)
-			}
-		}
-		if len(got) == 0 || len(victim) == 0 {
-			t.Fatalf("seed %d: the interleaving fired %d timers and had %d cancelling callbacks", seed, len(got), len(victim))
-		}
-	}
-}
-
-func pendingTimers(tr *UDP) int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.timers)
-}
-
-// refDue is the earliest live timer due at now, ties to the one scheduled
-// first, or -1.
-func refDue(ref []*refTimer, now time.Duration) int {
-	best := -1
-	for id, r := range ref {
-		if r.live && r.when <= now && (best < 0 || r.when < ref[best].when || r.when == ref[best].when && r.seq < ref[best].seq) {
-			best = id
-		}
-	}
-	return best
-}
-
-func refNext(ref []*refTimer) time.Duration {
-	next := forever
-	for _, r := range ref {
-		if r.live && r.when < next {
-			next = r.when
-		}
-	}
-	return next
+// pendingTimers is the number of entries in the transport's engine, read
+// on its loop: the pending timers and the cancelled armings not reaped yet.
+func pendingTimers(tr *UDP) (n int) {
+	tr.DoSync(func(*pastry.Node) { n = tr.sim.Pending() })
+	return n
 }
 
 // TestUDPTimersOffLoop hammers Schedule, Cancel and re-arm from several
-// goroutines while the event loop fires what comes due: the heap is the
-// transport's first state shared between the loop and arbitrary callers.
-// Every timer that was not cancelled fires exactly once, a cancelled one
-// at most once (an off-loop Cancel can lose the race with the fire), one
-// re-armed after its cancel at least once and at most twice, and nothing
-// is left in the heap. Run under -race.
+// goroutines, each through Do, while the event loop fires what comes due:
+// the Env is the loop's alone, and Do is how another goroutine reaches it.
+// A handle lives on the loop, from the Do that schedules it to the Do that
+// cancels it, which may come after it fired. Every timer that was not
+// cancelled fires exactly once, a cancelled one at most once (its cancel
+// can come after the fire), one re-armed after its cancel at least once
+// and at most twice, and nothing is left in the engine. Run under -race.
 func TestUDPTimersOffLoop(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -174,17 +44,20 @@ func TestUDPTimersOffLoop(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < each; i++ {
 				id := w*each + i
-				tm := env.Schedule(time.Duration(rng.Intn(2000))*time.Microsecond, func() { fired[id].Add(1) })
+				var tm pastry.Timer // touched only on the loop
+				d := time.Duration(rng.Intn(2000)) * time.Microsecond
+				tr.Do(func(*pastry.Node) { tm = env.Schedule(d, func() { fired[id].Add(1) }) })
 				if rng.Intn(2) == 0 {
 					if rng.Intn(2) == 0 {
 						time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 					}
-					tm.Cancel()
-					tm.Cancel()
 					cancelled[id] = true
-					if rng.Intn(2) == 0 && rearm.Rearm(tm, time.Duration(rng.Intn(2000))*time.Microsecond) {
-						rearmed[id] = true
-					}
+					again, d := rng.Intn(2) == 0, time.Duration(rng.Intn(2000))*time.Microsecond
+					tr.Do(func(*pastry.Node) {
+						tm.Cancel()
+						tm.Cancel()
+						rearmed[id] = again && rearm.Rearm(tm, d)
+					})
 				}
 			}
 		}(w)
@@ -203,7 +76,8 @@ func TestUDPTimersOffLoop(t *testing.T) {
 }
 
 // An earlier deadline scheduled while the loop sleeps on a later one must
-// not wait for it: Schedule wakes the loop, which re-arms its timer.
+// not wait for it: the Do that schedules it wakes the loop, which re-arms
+// its timer before it sleeps again.
 func TestUDPEarlierTimerWakesSleepingLoop(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -211,13 +85,12 @@ func TestUDPEarlierTimerWakesSleepingLoop(t *testing.T) {
 	}
 	defer tr.Close()
 	env := tr.Env()
-	env.Schedule(time.Hour, func() { t.Error("the 1 h timer fired") })
-	tr.DoSync(func(*pastry.Node) {})
+	tr.DoSync(func(*pastry.Node) { env.Schedule(time.Hour, func() { t.Error("the 1 h timer fired") }) })
 	time.Sleep(20 * time.Millisecond) // the loop is asleep until the hour is up
 	const d = 30 * time.Millisecond
 	t0 := time.Now()
 	done := make(chan time.Duration, 1)
-	env.Schedule(d, func() { done <- time.Since(t0) })
+	tr.Do(func(*pastry.Node) { env.Schedule(d, func() { done <- time.Since(t0) }) })
 	select {
 	case took := <-done:
 		if took < d {
@@ -229,8 +102,8 @@ func TestUDPEarlierTimerWakesSleepingLoop(t *testing.T) {
 }
 
 // TestUDPScheduleAllocations pins Env.Schedule at one allocation, the
-// handle that is also the heap entry, and Cancel and re-arming that handle
-// at none.
+// engine's Event handle, and Cancel and re-arming that handle at none.
+// It measures on the loop, where the Env is used.
 func TestUDPScheduleAllocations(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -239,15 +112,17 @@ func TestUDPScheduleAllocations(t *testing.T) {
 	defer tr.Close()
 	env := tr.Env()
 	fn := func() {}
-	env.Schedule(time.Hour, fn) // the heap's slice has grown
-	if got := testing.AllocsPerRun(1000, func() { env.Schedule(time.Minute, fn).Cancel() }); got != 1 {
-		t.Errorf("Schedule+Cancel allocates %v times, want 1", got)
-	}
-	rearm, handle := env.(pastry.Rearmer), env.Schedule(time.Minute, fn)
-	handle.Cancel()
-	if got := testing.AllocsPerRun(1000, func() { rearm.Rearm(handle, time.Minute); handle.Cancel() }); got != 0 {
-		t.Errorf("re-arm+Cancel allocates %v times, want 0", got)
-	}
+	tr.DoSync(func(*pastry.Node) {
+		env.Schedule(time.Hour, fn) // a standing timer, so the queue has grown
+		if got := testing.AllocsPerRun(1000, func() { env.Schedule(time.Minute, fn).Cancel() }); got != 1 {
+			t.Errorf("Schedule+Cancel allocates %v times, want 1", got)
+		}
+		rearm, handle := env.(pastry.Rearmer), env.Schedule(time.Minute, fn)
+		handle.Cancel()
+		if got := testing.AllocsPerRun(1000, func() { rearm.Rearm(handle, time.Minute); handle.Cancel() }); got != 0 {
+			t.Errorf("re-arm+Cancel allocates %v times, want 0", got)
+		}
+	})
 }
 
 // TestUDPCancelledTimerNeverFires holds the transport's Env to
@@ -256,7 +131,7 @@ func TestUDPScheduleAllocations(t *testing.T) {
 // a cancelled timer that fired would time out a stranger's hop. It holds
 // the Env to pastry.Rearmer's contract too: a record keeps its handle and
 // re-arms it, so a cancelled arming of it that fired would do the same, and
-// a closed transport or another transport's handle re-arms nothing.
+// a closed transport re-arms nothing.
 func TestUDPCancelledTimerNeverFires(t *testing.T) {
 	const d = 20 * time.Millisecond
 	tr, err := Listen("127.0.0.1:0", 1)
@@ -264,11 +139,6 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	other, err := Listen("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
 	env := tr.Env()
 	rearm := env.(pastry.Rearmer)
 	const (
@@ -276,7 +146,6 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 		rearmCancelled   // by the arming code, after its cancels, to 2d
 		rearmPending     // by the arming code, still pending: refused
 		rearmFromRunning // by its own callback, once, d later
-		rearmForeign     // the arming code offers the other transport's handle: refused
 	)
 	cases := []struct {
 		name   string
@@ -294,13 +163,9 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 		{"cancelled, re-armed before the old deadline", true, -1, rearmCancelled, 1},
 		{"re-armed from its own callback", false, 0, rearmFromRunning, 2},
 		{"re-armed while pending", false, 0, rearmPending, 1},
-		{"a foreign handle re-armed", false, 0, rearmForeign, 1},
 	}
 	fired := make([]atomic.Int32, len(cases))
 	victims := make([]pastry.Timer, len(cases))
-	var foreignRan atomic.Int32
-	foreign := other.Env().Schedule(time.Hour, func() { foreignRan.Add(1) })
-	foreign.Cancel()
 	t0 := time.Now()
 	var early atomic.Bool // the re-armed cancelled timer ran before its new deadline
 	tr.DoSync(func(*pastry.Node) {
@@ -330,10 +195,6 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 				if rearm.Rearm(victims[i], 2*d) {
 					t.Errorf("%s: Rearm took a pending timer", tc.name)
 				}
-			case rearmForeign:
-				if rearm.Rearm(foreign, 0) {
-					t.Errorf("%s: Rearm took another transport's handle", tc.name)
-				}
 			}
 		}
 		time.Sleep(d + d/2) // every first deadline passes with the loop held
@@ -353,9 +214,6 @@ func TestUDPCancelledTimerNeverFires(t *testing.T) {
 	}
 	if early.Load() {
 		t.Error("the cancelled, re-armed timer ran at its old deadline")
-	}
-	if n := pendingTimers(other); n != 0 || foreignRan.Load() != 0 {
-		t.Errorf("the other transport has %d timers pending, and its cancelled one ran %d times", n, foreignRan.Load())
 	}
 	// A closed transport runs no callbacks, so it re-arms nothing.
 	tr.Close()

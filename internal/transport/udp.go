@@ -1,14 +1,16 @@
 // Package transport runs MSPastry nodes over real UDP sockets. The same
-// protocol code that drives the simulator drives a deployment: the
-// transport implements pastry.Env with a wall-clock, real timers and the
-// wire codec, and serialises all node callbacks on one event loop per node
-// (the protocol code is single-threaded by design).
+// protocol code that drives the simulator drives a deployment, on the same
+// event engine: each node's event loop owns one eventsim.Simulator, runs
+// it up to the wall clock and sleeps until its next deadline. The
+// transport implements pastry.Env with that wall clock, the engine's
+// timers and random source, and the wire codec, and serialises all node
+// callbacks on the loop (the protocol code is single-threaded by design).
+// The Env is the loop's alone: it is used from callbacks, Do and DoSync.
 //
 // Every message travels as one wire frame in a datagram of its own.
 package transport
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"mspastry/internal/codec"
+	"mspastry/internal/eventsim"
 	"mspastry/internal/id"
 	"mspastry/internal/overload"
 	"mspastry/internal/pastry"
@@ -38,7 +41,7 @@ const maxPacket = wire.MaxPacket
 // on demand). It also bounds the read loop's table of address strings.
 const maxAddrCache = 4096
 
-// forever is the deadline of an empty timer heap.
+// forever is the deadline of an engine with nothing to fire.
 const forever = time.Duration(math.MaxInt64)
 
 // loopItem is one unit of event-loop work, held by value in the queue: a
@@ -52,26 +55,23 @@ type loopItem struct {
 type UDP struct {
 	conn  *net.UDPConn
 	start time.Time
-	rng   *rand.Rand
 
 	// loop is the one queue into the event loop, for Do callers and the
 	// read loop alike: 512 messages, a few milliseconds of backlog, behind
-	// which the socket buffer absorbs the rest. wake (one slot) tells a
-	// sleeping loop to look at the timers again.
-	loop chan loopItem
-	wake chan struct{}
-	done chan struct{}
+	// which the socket buffer absorbs the rest.
+	loop   chan loopItem
+	done   chan struct{}
+	exited chan struct{} // closed when the event loop has returned
+
+	// sim is the event loop's engine: the node's timers, on the Env clock,
+	// and its seeded random source. Loop-confined; Close drops it, and
+	// with it every pending callback, once the loop has returned.
+	sim *eventsim.Simulator
 
 	mu     sync.Mutex
 	closed bool
 	node   *pastry.Node
 	sink   MetricsSink
-	// timers (under mu: Schedule and Cancel are legal off the loop) is the
-	// one heap of pending timers. An entry leaves when it fires, on Cancel
-	// or at Close, never later: a pending callback keeps the node, and
-	// whatever an application hung off it, reachable.
-	timers   timerHeap
-	timerSeq uint64
 
 	sent, received atomic.Uint64
 
@@ -172,13 +172,13 @@ func Listen(addr string, seed int64) (*UDP, error) {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
 	t := &UDP{
-		conn:  conn,
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-		addrs: make(map[string]netip.AddrPort),
-		loop:  make(chan loopItem, 512),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		conn:   conn,
+		start:  time.Now(),
+		sim:    eventsim.New(seed),
+		addrs:  make(map[string]netip.AddrPort),
+		loop:   make(chan loopItem, 512),
+		done:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
 	go t.runLoop()
 	go t.readLoop()
@@ -196,21 +196,26 @@ func (t *UDP) Counters() (sent, received uint64) {
 }
 
 // Env returns the transport's pastry.Env, so applications (Squirrel, the
-// DHT) can share the node's clock, timers and transport. Use it only from
-// the event loop (inside Do/DoSync).
+// DHT) can share the node's clock, timers and transport. Use it only on
+// the event loop: in a timer callback or a handler, or inside Do/DoSync.
+// Its timers and random source are the loop's engine, which nothing
+// guards against another goroutine.
 func (t *UDP) Env() pastry.Env { return (*udpEnv)(t) }
 
-// CreateNode builds the node hosted by this transport. Call exactly once.
-// The node's identifier is drawn from the transport's seeded random source
-// unless nodeID is non-zero.
+// CreateNode builds the node hosted by this transport. Call exactly once,
+// before Close. The node's identifier is drawn from the engine's seeded
+// random source unless nodeID is non-zero.
 func (t *UDP) CreateNode(nodeID id.ID, cfg pastry.Config, obs pastry.Observer) (*pastry.Node, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.node != nil {
 		return nil, errors.New("transport: node already created")
 	}
+	if t.closed {
+		return nil, errors.New("transport: closed")
+	}
 	if nodeID.IsZero() {
-		nodeID = id.Random(t.rng)
+		nodeID = id.Random(t.sim.Rand())
 	}
 	ref := pastry.NodeRef{ID: nodeID, Addr: t.Addr()}
 	n, err := pastry.NewNode(ref, cfg, (*udpEnv)(t), obs)
@@ -249,8 +254,9 @@ func (t *UDP) DoSync(fn func(n *pastry.Node)) {
 	}
 }
 
-// Close shuts the transport down: the node crashes (fail-stop), the
-// socket closes, the loops exit and every timer still pending is dropped.
+// Close shuts the transport down: the node crashes (fail-stop), the event
+// loop exits, the engine goes with every timer still pending, and the
+// socket closes, which ends the read loop.
 func (t *UDP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -265,32 +271,26 @@ func (t *UDP) Close() error {
 		}
 	})
 	close(t.done)
-	t.mu.Lock()
-	for _, ut := range t.timers {
-		ut.index, ut.fn = -1, nil
-	}
-	t.timers = nil
-	t.mu.Unlock()
+	<-t.exited
+	t.sim = nil
 	return t.conn.Close()
 }
 
-// runLoop is the event loop. Between queue items it fires the timers that
-// are due, and it sleeps on one runtime timer, re-armed only when the
-// earliest deadline moves earlier than what it is armed for. Any wake-up
-// means "look again", never "a deadline was reached": a Cancel leaves the
-// timer armed too early, and a tick can outlive a Reset in its channel.
+// runLoop is the event loop. Between loop items it runs the engine up to
+// the wall clock, firing the timers that are due, and it sleeps on one
+// runtime timer, re-armed only when the engine's next deadline moves
+// earlier than what it is armed for. Whatever ends the sleep means "look
+// again", never "a deadline was reached": a Cancel leaves the timer armed
+// too early, and a tick can outlive a Reset in its channel.
 func (t *UDP) runLoop() {
+	defer close(t.exited)
 	sleep := time.NewTimer(forever)
 	defer sleep.Stop()
 	armed := forever // the deadline sleep is set for; forever once it has ticked
 	for {
 		now := (*udpEnv)(t).Now()
-		fn, next := t.popDue(now)
-		if fn != nil {
-			fn()
-			continue
-		}
-		if next < armed {
+		t.sim.RunUntil(now)
+		if next, ok := t.sim.Next(); ok && next < armed {
 			sleep.Reset(next - now)
 			armed = next
 		}
@@ -301,7 +301,6 @@ func (t *UDP) runLoop() {
 			} else if t.node != nil {
 				t.deliver(t.node, it.msg)
 			}
-		case <-t.wake:
 		case <-sleep.C:
 			armed = forever
 		case <-t.done:
@@ -408,8 +407,8 @@ type udpEnv UDP
 // transport started.
 func (e *udpEnv) Now() time.Duration { return time.Since(e.start) }
 
-// Rand returns the transport's random source (only touched from the loop).
-func (e *udpEnv) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's seeded random source.
+func (e *udpEnv) Rand() *rand.Rand { return e.sim.Rand() }
 
 // Send frames a message and writes it as one datagram. Delivery is
 // best-effort UDP; an unresolvable address, a frame over maxPacket and a
@@ -469,124 +468,24 @@ func (t *UDP) sendError() {
 	}
 }
 
-// Schedule queues fn to run on the event loop d from now; the handle is
-// the heap entry, the call's one allocation. On a closed transport, which
-// runs no callbacks, it queues nothing.
+// Schedule queues fn on the engine, d from now; the handle is the call's
+// one allocation. On a closed transport, which runs no callbacks, it
+// queues nothing and returns a handle that is not pending.
 func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
-	return (*UDP)(e).schedule(e.Now()+d, fn)
+	if e.sim == nil {
+		return new(eventsim.Event)
+	}
+	return e.sim.At(e.due(d), fn)
 }
 
-// Rearm implements pastry.Rearmer: a handle of this transport's that has
-// fired or been cancelled is queued again, d from now, with the callback
-// it was scheduled with. A foreign handle, a pending one or a closed
-// transport makes it report false and queue nothing.
+// Rearm implements pastry.Rearmer with the engine's Rearm, d from now. A
+// closed transport re-arms nothing.
 func (e *udpEnv) Rearm(tm pastry.Timer, d time.Duration) bool {
-	ut, ok := tm.(*udpTimer)
-	return ok && ut.owner == (*UDP)(e) && ut.rearm(e.Now()+d)
+	ev, ok := tm.(*eventsim.Event)
+	return ok && e.sim != nil && e.sim.Rearm(ev, e.due(d)-e.sim.Now())
 }
 
-func (t *UDP) schedule(when time.Duration, fn func()) *udpTimer {
-	ut := &udpTimer{owner: t, index: -1}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.closed {
-		ut.fn = fn
-		t.queue(ut, when)
-	}
-	return ut
-}
-
-// rearm queues ut again, due at when, unless it is pending or its
-// transport is closed, and reports whether it did.
-func (ut *udpTimer) rearm(when time.Duration) bool {
-	t := ut.owner
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || ut.index >= 0 {
-		return false
-	}
-	t.queue(ut, when)
-	return true
-}
-
-// queue puts ut, which is not pending, in the heap, due at when, and wakes
-// the loop if it is the earliest. The caller holds mu.
-func (t *UDP) queue(ut *udpTimer, when time.Duration) {
-	ut.when, ut.seq = when, t.timerSeq
-	t.timerSeq++
-	heap.Push(&t.timers, ut)
-	if ut.index == 0 {
-		select {
-		case t.wake <- struct{}{}:
-		default: // a wake-up is pending already
-		}
-	}
-}
-
-// popDue removes the earliest timer and returns its callback if it is due
-// at now; otherwise it returns nil and the earliest deadline left.
-func (t *UDP) popDue(now time.Duration) (fn func(), next time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.timers) == 0 {
-		return nil, forever
-	}
-	if next = t.timers[0].when; next > now {
-		return nil, next
-	}
-	return heap.Pop(&t.timers).(*udpTimer).fn, next
-}
-
-// udpTimer is a Schedule handle and, while it is pending, an entry of its
-// transport's heap. It keeps its callback when it fires or is cancelled,
-// so that its holder can re-arm it (Rearm); only Close drops it.
-type udpTimer struct {
-	owner *UDP
-	when  time.Duration // deadline, on the Env clock
-	seq   uint64        // scheduling order: breaks ties between equal deadlines
-	fn    func()        // nil once Close dropped the timer, or if it came after
-	index int           // position in owner.timers, -1 when not pending
-}
-
-// Cancel implements pastry.Timer, from any goroutine. The entry leaves the
-// heap at once: an ack cancels a hop's timer seconds before it is due, and
-// until then a marked entry would keep the hop its callback holds. On the
-// loop a cancelled timer never fires; elsewhere Cancel can lose the race
-// with the loop taking the timer off the heap, as time.Timer.Stop can.
-func (ut *udpTimer) Cancel() {
-	t := ut.owner
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ut.index >= 0 {
-		heap.Remove(&t.timers, ut.index)
-	}
-}
-
-// timerHeap is a container/heap of pending timers ordered by (when, seq),
-// each entry knowing its position so that Cancel can remove it.
-type timerHeap []*udpTimer
-
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	return h[i].when < h[j].when || h[i].when == h[j].when && h[i].seq < h[j].seq
-}
-
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-
-func (h *timerHeap) Push(x any) {
-	ut := x.(*udpTimer)
-	ut.index = len(*h)
-	*h = append(*h, ut)
-}
-
-func (h *timerHeap) Pop() any {
-	last := len(*h) - 1
-	ut := (*h)[last]
-	(*h)[last], *h = nil, (*h)[:last]
-	ut.index = -1
-	return ut
-}
+// due is the engine time d from now on the wall clock. The engine's clock
+// trails the wall clock (the loop moves it to the wall at each turn), and
+// due is never before it.
+func (e *udpEnv) due(d time.Duration) time.Duration { return max(e.Now()+d, e.sim.Now()) }

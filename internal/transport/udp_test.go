@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mspastry/internal/eventsim"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
 )
@@ -269,9 +270,9 @@ func TestUDPAddressCacheReused(t *testing.T) {
 
 // TestUDPCloseStopsTimers: a timer pending at Close used to stay armed,
 // its closure keeping the failed node (and any store hung off it)
-// reachable for up to a sweep interval. Close now drops every pending
-// timer, and none of their callbacks run afterwards. Schedule and Cancel
-// are called here from the test's goroutine, off the event loop.
+// reachable for up to a sweep interval. Close now drops the engine, and
+// with it every pending timer, and none of their callbacks run
+// afterwards. The timers are armed on the loop, where the Env is used.
 func TestUDPCloseStopsTimers(t *testing.T) {
 	tr, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
@@ -279,32 +280,62 @@ func TestUDPCloseStopsTimers(t *testing.T) {
 	}
 	var ran atomic.Int32
 	env := tr.Env()
-	armed := []*udpTimer{
-		env.Schedule(time.Hour, func() { ran.Add(1) }).(*udpTimer),
-		env.Schedule(time.Hour, func() { ran.Add(1) }).(*udpTimer),
-	}
-	env.Schedule(time.Hour, func() { ran.Add(1) }).Cancel()
+	var armed []*eventsim.Event
+	var cancelled pastry.Timer
 	fired := make(chan struct{})
-	env.Schedule(0, func() { close(fired) })
+	tr.DoSync(func(*pastry.Node) {
+		armed = []*eventsim.Event{
+			env.Schedule(time.Hour, func() { ran.Add(1) }).(*eventsim.Event),
+			env.Schedule(time.Hour, func() { ran.Add(1) }).(*eventsim.Event),
+		}
+		cancelled = env.Schedule(time.Hour, func() { ran.Add(1) })
+		cancelled.Cancel()
+		env.Schedule(0, func() { close(fired) })
+	})
 	<-fired
-	if n := pendingTimers(tr); n != len(armed) {
-		t.Fatalf("%d timers pending, want the %d neither fired nor cancelled", n, len(armed))
+	// The cancelled arming leaves the engine when it reaches the top or a
+	// push finds the queue full, so it may still be counted.
+	if n := pendingTimers(tr); n < len(armed) || n > len(armed)+1 {
+		t.Fatalf("%d timers pending, want the %d neither fired nor cancelled (and at most the cancelled one)", n, len(armed))
 	}
+	tr.DoSync(func(*pastry.Node) {
+		if !armed[0].Armed() || !armed[1].Armed() || cancelled.(*eventsim.Event).Armed() {
+			t.Error("a timer neither fired nor cancelled is not pending, or the cancelled one is")
+		}
+	})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := pendingTimers(tr); n != 0 {
-		t.Errorf("%d timers still pending after Close", n)
+	if tr.sim != nil {
+		t.Error("the engine, and every timer pending in it, outlived Close")
 	}
-	late := env.Schedule(0, func() { ran.Add(1) }).(*udpTimer)
-	for _, ut := range append(armed, late) {
-		if ut.index >= 0 || ut.fn != nil {
-			t.Error("a timer was still pending, or kept its callback, on a closed transport")
-		}
-		ut.Cancel() // a handle outlives its transport
+	late := env.Schedule(0, func() { ran.Add(1) })
+	if late.(*eventsim.Event).Armed() || env.(pastry.Rearmer).Rearm(late, 0) {
+		t.Error("a closed transport queued a timer")
+	}
+	for _, tm := range append(armed, late.(*eventsim.Event)) {
+		tm.Cancel() // a handle outlives its transport
 	}
 	time.Sleep(20 * time.Millisecond) // a late callback's chance to run
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d timer callbacks ran, want none", n)
+	}
+}
+
+// TestUDPNodeIDFromSeed pins the identifier CreateNode draws for a zero
+// ID from Listen's seed: the engine's random source is seeded as the
+// transport's own source was, so a seeded node keeps its identifier.
+func TestUDPNodeIDFromSeed(t *testing.T) {
+	tr, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n, err := tr.CreateNode(id.ID{}, liveConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Ref().ID.String(), "4d65822107fcfd5278629a0f5f3f164f"; got != want {
+		t.Errorf("seed 1 drew node ID %s, want %s", got, want)
 	}
 }

@@ -20,7 +20,7 @@
 // or run a real node over UDP:
 //
 //	tr, _ := mspastry.ListenUDP("0.0.0.0:7001", 1)
-//	node, _ := tr.CreateNode(mspastry.RandomID(tr.Rand()), mspastry.DefaultConfig(), nil)
+//	node, _ := tr.CreateNode(mspastry.ID{}, mspastry.DefaultConfig(), nil) // ID drawn from the seed
 //
 // See examples/ for complete programs, and DESIGN.md / EXPERIMENTS.md for
 // the paper-reproduction map.
