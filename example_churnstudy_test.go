@@ -37,7 +37,7 @@ func Example_churnStudy() {
 	}
 	// Output:
 	// trace       nodes       loss  incorrect    RDP  ctrl/n/s  medianTrt
-	// gnutella       52   0.00e+00   0.00e+00   1.36     0.341      25m7s
-	// overnet        49   0.00e+00   0.00e+00   2.08     0.379      9m28s
-	// microsoft      60   0.00e+00   0.00e+00   1.22     0.087     1h0m0s
+	// gnutella       52   0.00e+00   0.00e+00   1.47     0.277     35m50s
+	// overnet        49   0.00e+00   0.00e+00   1.91     0.289     27m30s
+	// microsoft      60   0.00e+00   0.00e+00   1.25     0.087     1h0m0s
 }

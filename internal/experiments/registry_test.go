@@ -96,8 +96,8 @@ func declaredDifferent(section, line string) bool {
 // and held lookups are re-routed at every tick and dropped after a bound.
 // They were re-recorded again, the same way, when passive repair began
 // asking about a routing-table slot once per Trt, not on every lookup,
-// and once more when a full leaf set began probing only the candidates
-// that can still enter it.
+// once more when a full leaf set began probing only the candidates that
+// can still enter it, and again when a short side began doing the same.
 func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment: ~25 s")
