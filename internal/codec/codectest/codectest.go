@@ -1,5 +1,5 @@
 // Package codectest holds the two checks every wire codec in the repo is
-// held to; the pastry, dht, hotspot and store test suites import it.
+// held to; the pastry, dht, squirrel and store test suites import it.
 package codectest
 
 import (
@@ -13,8 +13,9 @@ import (
 // WantFrame checks got against the frame recorded under name in
 // testdata/frames.golden of the calling test's package (one "name hex"
 // pair per line) and returns the recorded frame. Recorded frames are
-// never regenerated: wire bytes do not change. A new message has its line
-// added by hand from the failure.
+// never regenerated. A new message has its line added by hand from the
+// failure; a deliberate format change replaces the lines of the frames it
+// changes by hand from the failure, and CHANGES.md gives the reason.
 func WantFrame(t testing.TB, name string, got []byte) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/frames.golden")

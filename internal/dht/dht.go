@@ -25,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
 	"mspastry/internal/store"
@@ -40,9 +39,9 @@ type Config struct {
 	// backend; live nodes pass a disk-backed store to survive restarts.
 	Backend store.Backend
 	// CacheEntries enables hotspot path caching (see hotspot.go) and
-	// bounds the cache's entry count. Zero disables the subsystem
-	// entirely: Gets use the plain wire encoding and go to the key's root,
-	// so a store without a cache still serves caching peers' reads.
+	// bounds the cache's entry count. Zero disables the subsystem: Gets
+	// bypass every cache on the way to the key's root, and the store
+	// still serves caching peers' reads as a hop or a root.
 	CacheEntries int
 }
 
@@ -177,7 +176,8 @@ func (s *Store) Counters() Counters { return s.counters }
 
 // pendingOp is one client operation: in flight under reqID in
 // Store.pending, or a Get the local cache answered, with its value, until
-// localHit. kind is the request's wire kind (kindPut, kindGet, kindDelete).
+// localHit. kind is the request's wire kind (kindPut, kindGetVia,
+// kindDelete).
 type pendingOp struct {
 	pastry.Alarm // the timeout, or the deferred local cache hit
 	kind         byte
@@ -271,7 +271,7 @@ func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 				s.counters.CacheHitsLocal++
 				s.counters.GetOK++
 				s.hot.raiseFloor(key, e.Version, e.Origin)
-				hit := &pendingOp{kind: kindGet, key: key, value: e.Value, doneGet: done}
+				hit := &pendingOp{kind: kindGetVia, key: key, value: e.Value, doneGet: done}
 				hit.Bind(func() { s.fire(timerLocalHit, hit) })
 				hit.Arm(s.env, 0)
 				return
@@ -279,7 +279,7 @@ func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 			s.hot.cache.Delete(key) // expired or below the read floor
 		}
 	}
-	s.startOp(&pendingOp{kind: kindGet, key: key, fresh: fresh, doneGet: done})
+	s.startOp(&pendingOp{kind: kindGetVia, key: key, fresh: fresh, doneGet: done})
 }
 
 // Delete removes key with end-to-end acknowledgement; done is called
@@ -300,12 +300,13 @@ func (s *Store) startOp(op *pendingOp) {
 	s.sendOp(op)
 }
 
+// sendOp routes an operation to its key's root. A Get that bypasses
+// caching (a fresh read, or a client without a cache) is neither served
+// nor recorded by caching hops, and its root deposits nothing for it.
 func (s *Store) sendOp(op *pendingOp) {
 	var payload []byte
-	if op.kind == kindGet && s.hot != nil && !op.fresh {
-		// Cache-aware read: accumulate caching hops along the route so
-		// the root knows where to deposit hot replies.
-		payload = hotspot.Encode(&hotspot.GetVia{ReqID: op.reqID})
+	if op.kind == kindGetVia {
+		payload = encode(&getVia{reqID: op.reqID, bypass: s.hot == nil || op.fresh})
 	} else {
 		payload = encode(&request{kind: op.kind, reqID: op.reqID, value: op.value})
 	}
@@ -379,7 +380,7 @@ func (s *Store) finish(reqID uint64, value []byte, err error) {
 			s.counters.DeleteOK++
 		}
 		op.doneErr(err)
-	case kindGet:
+	case kindGetVia:
 		switch {
 		case err == nil:
 			s.counters.GetOK++
@@ -399,13 +400,9 @@ func (s *Store) Deliver(lk *pastry.Lookup) {
 		return
 	}
 	switch lk.Payload[0] {
-	case kindPut:
-		s.deliverPut(lk)
-	case kindDelete:
-		s.deliverDelete(lk)
-	case kindGet:
-		s.deliverGet(lk)
-	case hotspot.KindGetVia:
+	case kindPut, kindDelete:
+		s.deliverWrite(lk)
+	case kindGetVia:
 		s.deliverGetVia(lk)
 	}
 }
@@ -446,58 +443,33 @@ func (s *Store) noteWrite(lk *pastry.Lookup, reqID uint64) {
 	s.applied[writeFrom{lk.Key, lk.Origin.ID}] = appliedWrite{reqID, now}
 }
 
-func (s *Store) deliverPut(lk *pastry.Lookup) {
+// deliverWrite applies a put or a delete as the key's root and acks it.
+// A delete writes a tombstone even for a key the root has never seen: a
+// replica may still hold a value the root lost, and the tombstone stops
+// anti-entropy from resurrecting it. A delete of a tombstone only acks.
+func (s *Store) deliverWrite(lk *pastry.Lookup) {
 	var req request
 	if !decode(lk.Payload, &req) {
 		return
 	}
-	if s.lateWrite(lk, req.reqID) {
-		s.reply(lk.Origin, encode(&ack{kindPutAck, req.reqID}))
-		return
+	done := ack{kindPutAck, req.reqID}
+	if req.kind == kindDelete {
+		done.kind = kindDeleteAck
 	}
-	cur, _ := s.backend.Get(lk.Key)
-	obj := store.Object{Key: lk.Key, Version: cur.Version + 1, Origin: s.origin, Value: req.value}
-	if _, err := s.backend.Apply(obj); err != nil {
-		return // durable write failed: no ack, the client retries
-	}
-	s.noteWrite(lk, req.reqID)
-	s.replicate(obj)
-	s.invalidateCached(obj)
-	s.reply(lk.Origin, encode(&ack{kindPutAck, req.reqID}))
-}
-
-// deliverDelete writes the tombstone even for a key the root has never
-// seen: a replica may still hold a value the root lost, and the tombstone
-// stops anti-entropy from resurrecting it.
-func (s *Store) deliverDelete(lk *pastry.Lookup) {
-	var req request
-	if !decode(lk.Payload, &req) {
-		return
-	}
-	if s.lateWrite(lk, req.reqID) {
-		s.reply(lk.Origin, encode(&ack{kindDeleteAck, req.reqID}))
-		return
-	}
-	cur, _ := s.backend.Get(lk.Key)
-	if !cur.Tombstone {
-		tomb := store.Object{Key: lk.Key, Version: cur.Version + 1, Origin: s.origin, Tombstone: true}
-		if _, err := s.backend.Apply(tomb); err != nil {
-			return
+	if !s.lateWrite(lk, req.reqID) {
+		cur, _ := s.backend.Get(lk.Key)
+		if req.kind == kindPut || !cur.Tombstone {
+			obj := store.Object{Key: lk.Key, Version: cur.Version + 1, Origin: s.origin,
+				Tombstone: req.kind == kindDelete, Value: req.value}
+			if _, err := s.backend.Apply(obj); err != nil {
+				return // durable write failed: no ack, the client retries
+			}
+			s.replicate(obj)
+			s.invalidateCached(obj)
 		}
-		s.replicate(tomb)
-		s.invalidateCached(tomb)
+		s.noteWrite(lk, req.reqID)
 	}
-	s.noteWrite(lk, req.reqID)
-	s.reply(lk.Origin, encode(&ack{kindDeleteAck, req.reqID}))
-}
-
-func (s *Store) deliverGet(lk *pastry.Lookup) {
-	var req request
-	if !decode(lk.Payload, &req) {
-		return
-	}
-	o, found := s.backend.Get(lk.Key)
-	s.reply(lk.Origin, encode(&getResp{req.reqID, found && !o.Tombstone, o.Value}))
+	s.reply(lk.Origin, encode(&done))
 }
 
 // reply sends a reply to an operation's origin, or dispatches it as
@@ -514,7 +486,7 @@ func (s *Store) reply(to pastry.NodeRef, payload []byte) {
 // this node's hotspot cache mid-route (consuming the lookup) or record
 // this node as a caching hop; everything else routes untouched.
 func (s *Store) Forward(lk *pastry.Lookup) bool {
-	return s.hot == nil || len(lk.Payload) == 0 || lk.Payload[0] != hotspot.KindGetVia || s.hotspotForward(lk)
+	return s.hot == nil || len(lk.Payload) == 0 || lk.Payload[0] != kindGetVia || s.hotspotForward(lk)
 }
 
 // Direct implements pastry.App: end-to-end replies, replica pushes, cache
@@ -526,15 +498,13 @@ func (s *Store) Direct(from pastry.NodeRef, payload []byte) {
 	switch payload[0] {
 	case kindPutAck, kindDeleteAck:
 		s.onAck(payload)
-	case kindGetResp:
-		s.onGetResp(payload)
-	case hotspot.KindCachedReply:
+	case kindCachedReply:
 		s.onCachedReply(payload)
 	case kindReplicate:
 		s.onReplicate(payload)
-	case hotspot.KindDeposit:
+	case kindDeposit:
 		s.onDeposit(payload)
-	case hotspot.KindInvalidate:
+	case kindInvalidate:
 		s.onInvalidate(payload)
 	case kindSyncRoot:
 		s.onSyncRoot(from, payload)
@@ -559,18 +529,6 @@ func (s *Store) Direct(from pastry.NodeRef, payload []byte) {
 func (s *Store) onAck(payload []byte) {
 	if done := (ack{kind: payload[0]}); decode(payload, &done) {
 		s.finish(done.id, nil, nil)
-	}
-}
-
-// onGetResp completes a get from its root's answer.
-func (s *Store) onGetResp(payload []byte) {
-	var resp getResp
-	switch {
-	case !decode(payload, &resp):
-	case resp.found:
-		s.finish(resp.reqID, resp.value, nil)
-	default:
-		s.finish(resp.reqID, nil, ErrNotFound)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mspastry/internal/eventsim"
+	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
@@ -22,23 +24,24 @@ type simCluster struct {
 }
 
 // newNetCluster starts n stores on a fresh seeded network with the given
-// link loss, 5 s apart; the caller settles it.
-func newNetCluster(n int, seed int64, loss float64, cfg Config) *simCluster {
+// link loss, 5 s apart; the caller settles it. Store i is configured by
+// cfgs[i%len(cfgs)].
+func newNetCluster(n int, seed int64, loss float64, cfgs ...Config) *simCluster {
 	sim := eventsim.New(seed)
 	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30}, rand.New(rand.NewSource(seed)))
 	c := &simCluster{sim: sim, nw: netmodel.New(sim, topo, loss)}
 	pcfg := pastry.DefaultConfig()
 	pcfg.L = 8
 	pcfg.PNS = false
-	c.nw.NewCluster(n, pcfg, 5*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
-		c.stores = append(c.stores, New(node, ep, cfg))
+	c.nw.NewCluster(n, pcfg, 5*time.Second, func(i int, node *pastry.Node, ep *netmodel.Endpoint) {
+		c.stores = append(c.stores, New(node, ep, cfgs[i%len(cfgs)]))
 	})
 	return c
 }
 
-func newCluster(t *testing.T, n int, seed int64, cfg Config) *simCluster {
+func newCluster(t *testing.T, n int, seed int64, cfgs ...Config) *simCluster {
 	t.Helper()
-	c := newNetCluster(n, seed, 0, cfg)
+	c := newNetCluster(n, seed, 0, cfgs...)
 	c.settle(time.Minute)
 	for i, s := range c.stores {
 		if !s.Node().Active() {
@@ -213,13 +216,26 @@ func TestEndToEndRetrySurvivesLoss(t *testing.T) {
 
 // TestCodecRejects covers what the recorded frames and the fuzz round
 // trips do not: a decoder refuses another message's kind, bytes it has no
-// field for, and any truncation.
+// field for, values a message's rules forbid, and any truncation.
 func TestCodecRejects(t *testing.T) {
+	k := id.New(3, 3)
+	vias := []via{{id.New(1, 1), "10.0.0.1:9000"}, {id.New(2, 2), "10.0.0.2:9000"}, {k, ""}}
 	for name, frame := range map[string][]byte{
-		"unknown request kind": {0xff, 1},
-		"get with a value":     append(encode(&request{kindGet, 7, nil}), 'v'),
-		"short replicate":      {kindReplicate, 1},
-		"trailing byte":        append(encode(&syncPull{[]id.ID{id.New(4, 4)}}), 0),
+		"unknown request kind":         {0xff, 1},
+		"delete with a value":          append(encode(&request{kindDelete, 7, nil}), 'v'),
+		"short replicate":              {kindReplicate, 1},
+		"trailing byte":                append(encode(&syncPull{[]id.ID{id.New(4, 4)}}), 0),
+		"not-found reply with a value": encode(&cachedReply{reqID: 7, value: []byte("x")}),
+		"version-0 deposit":            encode(&hotspot.Entry{Key: k}),
+		"more than maxVia hops":        encode(&getVia{reqID: 1, vias: vias}),
+		"via address over the limit":   encode(&getVia{reqID: 1, vias: []via{{k, strings.Repeat("a", maxViaAddr+1)}}}),
+		"invalidate trailing byte":     append(encode(&invalidate{k, 1, 1}), 0xaa),
+		"unknown get flag":             {kindGetVia, 0x02, 1, 0},
+		"unknown reply flag":           {kindCachedReply, 0xff, 1},
+		"bare kind":                    {kindGetVia},
+		"short deposit":                {kindDeposit, 1, 2, 3},
+		"short invalidate":             {kindInvalidate, 0},
+		"empty":                        {},
 	} {
 		for decoder, empty := range decoders {
 			if decode(frame, empty()) {
@@ -236,7 +252,7 @@ func TestCodecRejects(t *testing.T) {
 	}
 	sum := store.Object{Key: id.New(3, 3), Version: 7, Origin: 1, Tombstone: true}.Summarize()
 	for _, m := range []any{&syncRoot{sid: 1}, &syncBuckets{sid: 1}, &syncKeys{sums: []store.Summary{sum}},
-		&syncPull{[]id.ID{id.New(4, 4)}}, &sum, &ack{kindSyncRootOK, 300}} {
+		&syncPull{[]id.ID{id.New(4, 4)}}, &sum, &ack{kindSyncRootOK, 300}, &getVia{reqID: 1}} {
 		frame := encode(m)
 		for cut := 0; cut < len(frame); cut++ {
 			for decoder, empty := range decoders {

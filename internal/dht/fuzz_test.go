@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mspastry/internal/codec/codectest"
+	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -14,7 +15,6 @@ var decoders = map[string]func() any{
 	"request":      func() any { return new(request) },
 	"putack":       func() any { return &ack{kind: kindPutAck} },
 	"deleteack":    func() any { return &ack{kind: kindDeleteAck} },
-	"getresp":      func() any { return new(getResp) },
 	"replicate":    func() any { return new(store.Object) },
 	"syncroot":     func() any { return new(syncRoot) },
 	"syncrootok":   func() any { return &ack{kind: kindSyncRootOK} },
@@ -24,6 +24,10 @@ var decoders = map[string]func() any{
 	"handoffoffer": func() any { return new(store.Summary) },
 	"handoffwant":  func() any { return &handoffKey{kind: kindHandoffWant} },
 	"handoffhave":  func() any { return &handoffKey{kind: kindHandoffHave} },
+	"getvia":       func() any { return new(getVia) },
+	"cachedreply":  func() any { return new(cachedReply) },
+	"deposit":      func() any { return new(hotspot.Entry) },
+	"invalidate":   func() any { return new(invalidate) },
 }
 
 // reencoder decodes its input as decoders[name] does and encodes what it
@@ -51,12 +55,25 @@ func fuzzDecoders(f *testing.F, seeds ...[]byte) {
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	fuzzDecoders(f, encode(&request{kindPut, 42, []byte("value")}), encode(&request{kindGet, 7, nil}),
+	fuzzDecoders(f, encode(&request{kindPut, 42, []byte("value")}), encode(&getVia{reqID: 7, bypass: true}),
 		encode(&request{kindDelete, 9, nil}), encode(&ack{kindPutAck, 3}), nil, []byte{kindPut})
 }
 
 func FuzzDecodeGetResp(f *testing.F) {
-	fuzzDecoders(f, encode(&getResp{5, true, []byte("x")}), encode(&getResp{}), []byte{kindGetResp, 2, 0})
+	fuzzDecoders(f, encode(&cachedReply{5, true, false, true, 1, 2, []byte("x")}), encode(&cachedReply{}),
+		[]byte{kindCachedReply, 2, 0})
+}
+
+// FuzzDecodeHotspotMessage seeds the targets' body with every recorded
+// path-caching frame.
+func FuzzDecodeHotspotMessage(f *testing.F) {
+	var seeds [][]byte
+	for _, s := range frameSamples() {
+		if frame := encode(s.msg); frame[0] >= kindGetVia {
+			seeds = append(seeds, frame)
+		}
+	}
+	fuzzDecoders(f, append(seeds, []byte{kindGetVia, 0x00, 0x00, 0x02}, []byte{kindCachedReply, 0x04, 0x01})...)
 }
 
 func FuzzDecodeReplicate(f *testing.F) {

@@ -10,13 +10,15 @@ import (
 )
 
 // Hotspot mitigation: popularity-aware path caching. Gets are routed as
-// hotspot.KindGetVia lookups that accumulate caching hops (the route's
-// first and penultimate node); the root answers with a versioned
-// KindCachedReply and, once the key's popularity-sketch estimate crosses
-// hotThreshold, deposits the entry on those hops. Later
-// lookups for the key short-circuit from any hop holding a fresh copy,
-// so a zipf hotspot's traffic is absorbed near its origins instead of
-// all landing on the key's root.
+// kindGetVia lookups that accumulate caching hops (the route's first and
+// penultimate node); the root answers with a versioned kindCachedReply
+// and, once the key's popularity-sketch estimate crosses hotThreshold,
+// deposits the entry on those hops. Later lookups for the key
+// short-circuit from any hop holding a fresh copy, so a zipf hotspot's
+// traffic is absorbed near its origins instead of all landing on the
+// key's root. A Get that bypasses caching takes no part in any of this:
+// no hop serves or records it, its root deposits nothing for it, and its
+// reply enters no cache and raises no read floor.
 //
 // Staleness is bounded by one sweep interval: writes invalidate by
 // version supersession (the root notifies recorded deposit targets, and
@@ -133,7 +135,7 @@ func (s *Store) CacheStats() hotspot.Stats {
 	return s.hot.cache.Stats()
 }
 
-// hotspotForward is the Forward hook for KindGetVia lookups: serve from
+// hotspotForward is the Forward hook for kindGetVia lookups: serve from
 // the local cache if a fresh copy is held (consuming the lookup), else
 // record this node as a caching hop and let it route on.
 func (s *Store) hotspotForward(lk *pastry.Lookup) bool {
@@ -141,46 +143,45 @@ func (s *Store) hotspotForward(lk *pastry.Lookup) bool {
 	if lk.Origin.ID == self.ID {
 		return true // origin's own first routing step: nothing cached upstream
 	}
-	var get hotspot.GetVia
-	if !hotspot.Decode(lk.Payload, &get) {
+	var get getVia
+	if !decode(lk.Payload, &get) || get.bypass {
 		return true
 	}
 	if e, hit := s.hot.cache.Get(lk.Key); hit {
 		if s.env.Now()-e.StoredAt <= s.cfg.SweepInterval {
 			s.counters.CacheServes++
-			s.node.SendDirect(lk.Origin, hotspot.Encode(&hotspot.CachedReply{
-				ReqID: get.ReqID, Found: true, FromCache: true,
-				Version: e.Version, Origin: e.Origin, Dig: e.Dig, Value: e.Value}))
+			s.node.SendDirect(lk.Origin, encode(&cachedReply{reqID: get.reqID, found: true, fromCache: true,
+				version: e.Version, origin: e.Origin, value: e.Value}))
 			return false
 		}
 		s.hot.cache.Delete(lk.Key) // expired: forward and refill from the root
 	}
-	me := hotspot.Via{ID: self.ID, Addr: self.Addr}
-	for _, v := range get.Vias {
-		if v.ID == me.ID {
+	me := via{self.ID, self.Addr}
+	for _, v := range get.vias {
+		if v.id == me.id {
 			return true // already recorded (held or rerouted lookup)
 		}
 	}
-	if len(get.Vias) < hotspot.MaxVia {
+	if len(get.vias) < maxVia {
 		// Slot 0 is the route's first hop...
-		get.Vias = append(get.Vias, me)
+		get.vias = append(get.vias, me)
 	} else {
 		// ...and slot 1, overwritten at every later hop, ends up the
 		// penultimate one.
-		get.Vias[hotspot.MaxVia-1] = me
+		get.vias[maxVia-1] = me
 	}
 	// Replace the payload rather than mutating it: the transport may
 	// alias the same backing array across in-flight copies.
-	lk.Payload = hotspot.Encode(&get)
+	lk.Payload = encode(&get)
 	return true
 }
 
-// deliverGetVia answers a KindGetVia lookup at the key's root and
-// deposits hot entries on the route's caching hops. It runs even when
-// this node has caching disabled, so mixed clusters interoperate.
+// deliverGetVia answers a Get at the key's root and, unless it bypasses
+// caching, deposits hot entries on the route's caching hops. It runs even
+// when this node has caching disabled, so mixed clusters interoperate.
 func (s *Store) deliverGetVia(lk *pastry.Lookup) {
-	var get hotspot.GetVia
-	if !hotspot.Decode(lk.Payload, &get) {
+	var get getVia
+	if !decode(lk.Payload, &get) {
 		return
 	}
 	o, found := s.backend.Get(lk.Key)
@@ -188,20 +189,16 @@ func (s *Store) deliverGetVia(lk *pastry.Lookup) {
 	if !found {
 		o = store.Object{}
 	}
-	var dig store.Digest
-	if found {
-		dig = o.Digest()
-	}
-	s.reply(lk.Origin, hotspot.Encode(&hotspot.CachedReply{
-		ReqID: get.ReqID, Found: found, Version: o.Version, Origin: o.Origin, Dig: dig, Value: o.Value}))
-	if found && s.hot != nil {
-		s.maybeDeposit(lk.Key, o, dig, get.Vias, lk.Origin)
+	s.reply(lk.Origin, encode(&cachedReply{reqID: get.reqID, found: found, bypass: get.bypass,
+		version: o.Version, origin: o.Origin, value: o.Value}))
+	if found && s.hot != nil && !get.bypass {
+		s.maybeDeposit(lk.Key, o, get.vias, lk.Origin)
 	}
 }
 
 // maybeDeposit pushes the object onto the lookup's recorded caching
 // hops once the key's popularity estimate crosses the hot threshold.
-func (s *Store) maybeDeposit(key id.ID, o store.Object, dig store.Digest, vias []hotspot.Via, origin pastry.NodeRef) {
+func (s *Store) maybeDeposit(key id.ID, o store.Object, vias []via, origin pastry.NodeRef) {
 	s.hot.cache.Touch(key)
 	if s.hot.cache.Estimate(key) < hotThreshold {
 		return
@@ -209,45 +206,43 @@ func (s *Store) maybeDeposit(key id.ID, o store.Object, dig store.Digest, vias [
 	var payload []byte
 	self := s.node.Ref().ID
 	for _, v := range vias {
-		if v.ID.IsZero() || v.ID == self || v.ID == origin.ID {
+		if v.id.IsZero() || v.id == self || v.id == origin.ID {
 			continue
 		}
 		if payload == nil {
-			payload = hotspot.Encode(&hotspot.Entry{
-				Key: key, Version: o.Version, Origin: o.Origin, Dig: dig, Value: o.Value,
-			})
+			payload = encode(&hotspot.Entry{Key: key, Version: o.Version, Origin: o.Origin, Value: o.Value})
 		}
-		ref := pastry.NodeRef{ID: v.ID, Addr: v.Addr}
+		ref := pastry.NodeRef{ID: v.id, Addr: v.addr}
 		s.counters.CacheDeposits++
 		s.node.SendDirect(ref, payload)
 		s.hot.recordDeposit(key, ref)
 	}
 }
 
-// onCachedReply completes a pending Get from a KindCachedReply, caching
-// the value locally and enforcing the monotonic read floor: a cached
-// reply below a version this client already read is refused and the
-// operation retried authoritatively.
+// onCachedReply completes a pending Get from its reply. Unless the Get
+// bypassed caching, it caches the value locally and enforces the
+// monotonic read floor: a cached reply below a version this client
+// already read is refused and the operation retried authoritatively.
 func (s *Store) onCachedReply(payload []byte) {
-	var reply hotspot.CachedReply
-	if !hotspot.Decode(payload, &reply) {
+	var reply cachedReply
+	if !decode(payload, &reply) {
 		return
 	}
-	op, live := s.pending[reply.ReqID]
-	if !live || op.kind != kindGet {
+	op, live := s.pending[reply.reqID]
+	if !live || op.kind != kindGetVia {
 		return
 	}
-	if s.hot != nil {
-		if reply.Found {
-			if reply.FromCache && s.hot.belowFloor(op.key, reply.Version, reply.Origin) {
+	if s.hot != nil && !reply.bypass {
+		if reply.found {
+			if reply.fromCache && s.hot.belowFloor(op.key, reply.version, reply.origin) {
 				s.counters.CacheStaleRejected++
 				op.Stop()
 				op.fresh = true
 				s.sendOp(op)
 				return
 			}
-			s.hot.raiseFloor(op.key, reply.Version, reply.Origin)
-			if reply.FromCache {
+			s.hot.raiseFloor(op.key, reply.version, reply.origin)
+			if reply.fromCache {
 				// Serve hearsay, never re-cache it: a value relayed by
 				// another cache left its root up to a sweep interval ago,
 				// and stamping it with a fresh StoredAt here would chain
@@ -258,19 +253,19 @@ func (s *Store) onCachedReply(payload []byte) {
 				s.counters.CacheHitsRemote++
 			} else {
 				s.hot.cache.Put(hotspot.Entry{
-					Key: op.key, Version: reply.Version, Origin: reply.Origin, Dig: reply.Dig,
-					Value: append([]byte(nil), reply.Value...), StoredAt: s.env.Now(),
+					Key: op.key, Version: reply.version, Origin: reply.origin,
+					Value: append([]byte(nil), reply.value...), StoredAt: s.env.Now(),
 				})
 			}
-		} else if !reply.FromCache {
+		} else if !reply.fromCache {
 			// The root says the key is gone; drop any cached copy.
 			s.hot.cache.Delete(op.key)
 		}
 	}
-	if reply.Found {
-		s.finish(reply.ReqID, reply.Value, nil)
+	if reply.found {
+		s.finish(reply.reqID, reply.value, nil)
 	} else {
-		s.finish(reply.ReqID, nil, ErrNotFound)
+		s.finish(reply.reqID, nil, ErrNotFound)
 	}
 }
 
@@ -278,7 +273,7 @@ func (s *Store) onCachedReply(payload []byte) {
 // frequency admission.
 func (s *Store) onDeposit(payload []byte) {
 	var e hotspot.Entry
-	if s.hot != nil && hotspot.Decode(payload, &e) {
+	if s.hot != nil && decode(payload, &e) {
 		e.StoredAt = s.env.Now()
 		s.hot.cache.Put(e)
 	}
@@ -286,9 +281,9 @@ func (s *Store) onDeposit(payload []byte) {
 
 // onInvalidate drops a cached entry superseded by a newer write.
 func (s *Store) onInvalidate(payload []byte) {
-	var inv hotspot.Invalidate
-	if s.hot != nil && hotspot.Decode(payload, &inv) {
-		s.hot.cache.InvalidateUnder(inv.Key, inv.Version, inv.Origin)
+	var inv invalidate
+	if s.hot != nil && decode(payload, &inv) {
+		s.hot.cache.InvalidateUnder(inv.key, inv.version, inv.origin)
 	}
 }
 
@@ -305,7 +300,7 @@ func (s *Store) invalidateCached(o store.Object) {
 		return
 	}
 	delete(s.hot.deposits, o.Key)
-	payload := hotspot.Encode(&hotspot.Invalidate{Key: o.Key, Version: o.Version, Origin: o.Origin})
+	payload := encode(&invalidate{o.Key, o.Version, o.Origin})
 	for _, t := range targets {
 		s.counters.CacheInvalidations++
 		s.node.SendDirect(t, payload)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
@@ -127,11 +126,11 @@ func TestHotspotStaleCachedReplyRejected(t *testing.T) {
 	reader.Get(key, func(v []byte, e error) { got, err, called = v, e, true })
 	reqID := reader.nextReq
 	op, live := reader.pending[reqID]
-	if !live || op.kind != kindGet {
+	if !live || op.kind != kindGetVia {
 		t.Fatalf("no pending get op for reqID %d", reqID)
 	}
-	reader.onCachedReply(hotspot.Encode(&hotspot.CachedReply{ReqID: reqID, Found: true, FromCache: true,
-		Version: floor.version - 1, Origin: floor.origin, Value: []byte("v1")}))
+	reader.onCachedReply(encode(&cachedReply{reqID: reqID, found: true, fromCache: true,
+		version: floor.version - 1, origin: floor.origin, value: []byte("v1")}))
 	if called {
 		t.Fatal("stale cached reply completed the operation")
 	}
@@ -269,4 +268,109 @@ func TestHotspotCacheAcrossPartitionHeal(t *testing.T) {
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("plain read past the staleness bound: got %q err %v", got, err)
 	}
+}
+
+// TestHotspotMixedCluster runs the one read protocol on a cluster where
+// every other store caches. A cacheless client's reads are never answered
+// from a cache and their root deposits nothing for them, a caching client
+// reads through cacheless hops and from a cacheless root, and every
+// operation completes once.
+func TestHotspotMixedCluster(t *testing.T) {
+	caching := cachingConfig(60 * time.Second)
+	plain := caching
+	plain.CacheEntries = 0
+	c := newCluster(t, 96, 13, caching, plain) // enough nodes for routes of several hops
+	hotKey, hotRoot := c.keyRootedAt(t, 0)     // at a caching store
+	coldKey, _ := c.keyRootedAt(t, 1)          // at a cacheless one
+	ops, done := 0, 0
+	write := func(key id.ID, value string) {
+		t.Helper()
+		ops++
+		var err error
+		c.stores[3].Put(key, []byte(value), func(e error) { err, done = e, done+1 })
+		c.settle(15 * time.Second)
+		if err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	read := func(reader *Store, key id.ID, want string) {
+		t.Helper()
+		ops++
+		var got []byte
+		var err error
+		reader.Get(key, func(v []byte, e error) { got, err, done = v, e, done+1 })
+		c.settle(12 * time.Second)
+		if err != nil || string(got) != want {
+			t.Fatalf("read: got %q err %v, want %q", got, err, want)
+		}
+	}
+	write(hotKey, "hot")
+	write(coldKey, "cold")
+
+	// Caching clients make hotKey hot, so its root deposits it on the
+	// hops of their routes. Each forgets its own copy first, so that every
+	// read leaves the node.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < len(c.stores); i += 2 {
+			c.stores[i].hot.cache.Delete(hotKey)
+			read(c.stores[i], hotKey, "hot")
+		}
+	}
+	warm := sumCacheCounters(c)
+	if warm.CacheDeposits == 0 {
+		t.Fatal("caching reads of a hot key deposited nothing")
+	}
+	popularity := hotRoot.hot.cache.Estimate(hotKey)
+	for round := 0; round < 3; round++ {
+		for i := 1; i < len(c.stores); i += 2 {
+			read(c.stores[i], hotKey, "hot")
+		}
+	}
+	if got := sumCacheCounters(c); got.CacheServes != warm.CacheServes || got.CacheDeposits != warm.CacheDeposits {
+		t.Errorf("cacheless reads moved cache serves %d → %d and deposits %d → %d",
+			warm.CacheServes, got.CacheServes, warm.CacheDeposits, got.CacheDeposits)
+	}
+	if got := hotRoot.hot.cache.Estimate(hotKey); got != popularity {
+		t.Errorf("the root counted cacheless reads: popularity %d → %d", popularity, got)
+	}
+
+	// A caching client's authoritative read from a cacheless root fills
+	// its own cache, which answers the next read.
+	reader := c.stores[0]
+	hits := reader.Counters().CacheHitsLocal
+	read(reader, coldKey, "cold")
+	read(reader, coldKey, "cold")
+	if reader.Counters().CacheHitsLocal != hits+1 {
+		t.Errorf("a read from a cacheless root did not fill the caching client's cache")
+	}
+
+	c.settle(2 * time.Minute)
+	if done != ops {
+		t.Errorf("%d of %d operations completed", done, ops)
+	}
+	for i, s := range c.stores {
+		if len(s.pending) != 0 {
+			t.Errorf("store %d has %d operations pending", i, len(s.pending))
+		}
+	}
+}
+
+// keyRootedAt returns a key whose root is a store with an index of the
+// given parity, and that store.
+func (c *simCluster) keyRootedAt(t *testing.T, parity int) (id.ID, *Store) {
+	t.Helper()
+	for k := uint64(1); k < 1000; k++ {
+		key := id.New(k*0x9e3779b97f4a7c15, k)
+		root := 0
+		for i, s := range c.stores {
+			if id.CloserToKey(key, s.Node().Ref().ID, c.stores[root].Node().Ref().ID) {
+				root = i
+			}
+		}
+		if root%2 == parity {
+			return key, c.stores[root]
+		}
+	}
+	t.Fatalf("no key rooted at a store of parity %d", parity)
+	return id.ID{}, nil
 }

@@ -34,8 +34,8 @@ func parseDir(t *testing.T, dir string) []*ast.File {
 	return files
 }
 
-// exprString renders a case expression or constant name: kindPut,
-// hotspot.KindGetVia.
+// exprString renders a case expression or constant name: kindPut, or a
+// qualified one such as pastry.CatApp.
 func exprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -46,9 +46,9 @@ func exprString(e ast.Expr) string {
 	return ""
 }
 
-// consts returns, prefixed with qual, the names of the constants declared
-// in the const blocks of files whose first constant keep accepts.
-func consts(files []*ast.File, qual string, keep func(first *ast.ValueSpec) bool) []string {
+// consts returns the names of the constants declared in the const blocks
+// of files whose first constant keep accepts, blank ones left out.
+func consts(files []*ast.File, keep func(first *ast.ValueSpec) bool) []string {
 	var names []string
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -58,7 +58,9 @@ func consts(files []*ast.File, qual string, keep func(first *ast.ValueSpec) bool
 			}
 			for _, sp := range gd.Specs {
 				for _, n := range sp.(*ast.ValueSpec).Names {
-					names = append(names, qual+n.Name)
+					if n.Name != "_" {
+						names = append(names, n.Name)
+					}
 				}
 			}
 		}
@@ -127,21 +129,24 @@ func ruleCall(body []ast.Stmt, methods map[string]*ast.FuncDecl) (string, bool) 
 	return sel.Sel.Name, true
 }
 
+// wireKinds returns the names of the dht's wire kinds: the constants of
+// the const blocks that open with a kind.
+func wireKinds(t *testing.T) []string {
+	return consts(parseDir(t, "."), func(vs *ast.ValueSpec) bool { return strings.HasPrefix(vs.Names[0].Name, "kind") })
+}
+
 // TestEveryInputHasARule fails when a timer kind has no case in fire, when
-// one of the dht's wire kinds or the hotspot kinds has no case in Deliver
-// or Direct or a case in both, when a case is not one call of a rule
-// method, or when a switch has a case for something else. The layers over
+// one of the dht's wire kinds has no case in Deliver or Direct or a case
+// in both, when a case is not one call of a rule method, or when a switch
+// has a case for something else. The layers over
 // the node arm their timers through pastry.Alarm, as the node does; the
 // repository's TestOnlyAlarmSchedules fails on any other Env.Schedule.
 func TestEveryInputHasARule(t *testing.T) {
 	files := parseDir(t, ".")
 	methods := storeMethods(files)
 
-	timers := consts(files, "", func(vs *ast.ValueSpec) bool { return exprString(vs.Type) == "timerKind" })
-	kinds := consts(files, "", func(vs *ast.ValueSpec) bool { return strings.HasPrefix(vs.Names[0].Name, "kind") })
-	kinds = append(kinds, consts(parseDir(t, "../hotspot"), "hotspot.", func(vs *ast.ValueSpec) bool {
-		return strings.HasPrefix(vs.Names[0].Name, "Kind")
-	})...)
+	timers := consts(files, func(vs *ast.ValueSpec) bool { return exprString(vs.Type) == "timerKind" })
+	kinds := wireKinds(t)
 	if len(timers) == 0 || len(kinds) == 0 {
 		t.Fatalf("found %d timer kinds and %d wire kinds", len(timers), len(kinds))
 	}

@@ -98,6 +98,9 @@ func declaredDifferent(section, line string) bool {
 // asking about a routing-table slot once per Trt, not on every lookup,
 // once more when a full leaf set began probing only the candidates that
 // can still enter it, and again when a short side began doing the same.
+// The fig5join rows and join-p95 headline were re-recorded by hand when
+// join latency began to be measured from Join, not from the join's last
+// restart: nothing a node does moved, only what it reports.
 func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment: ~25 s")

@@ -28,6 +28,10 @@ type Node struct {
 	alive  bool
 	active bool
 
+	// joinBegan is when Join or Bootstrap was called: activation reports
+	// its latency from there. joinStart is when the join was last
+	// (re)started, for its watchdog and the failure-rate estimator.
+	joinBegan  time.Duration
 	joinStart  time.Duration
 	joinSeed   NodeRef
 	seedSource func() (NodeRef, bool)
@@ -313,7 +317,7 @@ func (n *Node) Bootstrap() {
 	if !n.alive || n.active {
 		return
 	}
-	n.joinStart = n.env.Now()
+	n.joinBegan, n.joinStart = n.env.Now(), n.env.Now()
 	n.activate()
 }
 
@@ -324,7 +328,7 @@ func (n *Node) Join(seed NodeRef) {
 	if !n.alive || n.active {
 		return
 	}
-	n.joinStart = n.env.Now()
+	n.joinBegan, n.joinStart = n.env.Now(), n.env.Now()
 	n.joinSeed = seed
 	if n.cfg.PNS {
 		n.startNearestNeighbour(seed)
@@ -643,7 +647,7 @@ func deriveTraceID(origin NodeRef, seq uint64, issued time.Duration) uint64 {
 func (n *Node) activate() {
 	n.active = true
 	n.clearFailed()
-	n.obs.Activated(n, n.env.Now()-n.joinStart)
+	n.obs.Activated(n, n.env.Now()-n.joinBegan)
 	n.lastMaintenance = n.env.Now()
 	if n.tickAlarm.timer == nil {
 		// The first tick, at a random offset: ticks desynchronise across nodes.

@@ -27,8 +27,9 @@ import (
 //     root is distrusted (pastry.Node.Distrust).
 
 // Payload kinds: the first byte of a secure lookup's payload and of the
-// AppDirect that carries its root's report. They sit above the dht kinds
-// (1..16) and the hotspot kinds (0x41..0x44), so a layer can wrap either.
+// AppDirect that carries its root's report. They sit above the dht's
+// kinds (1..16 and, for reads and path caching, 0x41..0x44), so a layer
+// can wrap the dht.
 const (
 	KindRequest byte = 0x51
 	KindReport  byte = 0x52

@@ -11,9 +11,9 @@
 package squirrel
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"mspastry/internal/codec"
 	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
@@ -129,8 +129,7 @@ func (p *Proxy) Get(url string, done func(body []byte, outcome Outcome)) {
 	p.nextReq++
 	reqID := p.nextReq
 	p.pending[reqID] = pendingReq{key: key, done: done}
-	payload := encodeRequest(reqID, url)
-	if _, ok := p.node.Lookup(key, payload); !ok {
+	if _, ok := p.node.Lookup(key, encode(&request{reqID, []byte(url)})); !ok {
 		delete(p.pending, reqID)
 		p.stats.Failures++
 		done(nil, Failed)
@@ -140,17 +139,17 @@ func (p *Proxy) Get(url string, done func(body []byte, outcome Outcome)) {
 // Deliver implements pastry.App: the node is the home node for the
 // requested object.
 func (p *Proxy) Deliver(lk *pastry.Lookup) {
-	reqID, url, ok := decodeRequest(lk.Payload)
-	if !ok {
+	var req request
+	if !decode(lk.Payload, &req) {
 		return // not a squirrel request (foreign traffic on a shared ring)
 	}
 	p.stats.HomeServes++
 	e, hit := p.home.Get(lk.Key)
 	body := e.Value
 	if !hit {
-		fetched, err := p.origin.Fetch(url)
+		fetched, err := p.origin.Fetch(string(req.url))
 		if err != nil {
-			p.respond(lk.Origin, reqID, nil, Failed)
+			p.respond(lk.Origin, req.reqID, nil, Failed)
 			return
 		}
 		p.stats.HomeFetches++
@@ -163,10 +162,10 @@ func (p *Proxy) Deliver(lk *pastry.Lookup) {
 	}
 	if lk.Origin.ID == p.node.Ref().ID {
 		// The requester is its own home node: complete locally.
-		p.complete(reqID, body, outcome)
+		p.complete(req.reqID, body, outcome)
 		return
 	}
-	p.respond(lk.Origin, reqID, body, outcome)
+	p.respond(lk.Origin, req.reqID, body, outcome)
 }
 
 // Forward implements pastry.App: Squirrel does not intercept routing.
@@ -174,11 +173,10 @@ func (p *Proxy) Forward(*pastry.Lookup) bool { return true }
 
 // Direct implements pastry.App: a response from a home node.
 func (p *Proxy) Direct(from pastry.NodeRef, payload []byte) {
-	reqID, body, outcome, ok := decodeResponse(payload)
-	if !ok {
-		return
+	var resp response
+	if decode(payload, &resp) {
+		p.complete(resp.reqID, resp.body, Outcome(resp.outcome))
 	}
-	p.complete(reqID, body, outcome)
 }
 
 // pendingReq tracks one in-flight request.
@@ -208,7 +206,7 @@ func (p *Proxy) complete(reqID uint64, body []byte, outcome Outcome) {
 }
 
 func (p *Proxy) respond(to pastry.NodeRef, reqID uint64, body []byte, outcome Outcome) {
-	p.node.SendDirect(to, encodeResponse(reqID, body, outcome))
+	p.node.SendDirect(to, encode(&response{reqID, byte(outcome), body}))
 }
 
 // Wire formats for the squirrel payloads: a 1-byte kind, then fields.
@@ -217,41 +215,55 @@ const (
 	kindResponse
 )
 
-func encodeRequest(reqID uint64, url string) []byte {
-	buf := make([]byte, 0, 16+len(url))
-	buf = append(buf, kindRequest)
-	buf = binary.AppendUvarint(buf, reqID)
-	return append(buf, url...)
+type (
+	// request asks a URL's home node for the object.
+	request struct {
+		reqID uint64
+		url   []byte
+	}
+	// response carries the object back with the Outcome that produced it.
+	response struct {
+		reqID   uint64
+		outcome byte
+		body    []byte
+	}
+)
+
+// walk is the one wire description of both messages: the kind, then the
+// fields in wire order. It panics on unknown message types (a programming
+// error).
+func walk(c *codec.Coder, m any) {
+	switch m := m.(type) {
+	case *request:
+		c.Tag(kindRequest)
+		c.Uvarint(&m.reqID)
+		c.Rest(&m.url)
+	case *response:
+		c.Tag(kindResponse)
+		c.Byte(&m.outcome)
+		c.Uvarint(&m.reqID)
+		c.Rest(&m.body)
+	default: // not naming the type: formatting m would move every message to the heap
+		panic("squirrel: message type with no wire format")
+	}
 }
 
-func decodeRequest(buf []byte) (reqID uint64, url string, ok bool) {
-	if len(buf) < 2 || buf[0] != kindRequest {
-		return 0, "", false
-	}
-	v, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
-		return 0, "", false
-	}
-	return v, string(buf[1+n:]), true
+// encode serialises a message into a fresh, exactly sized slice.
+func encode(m any) []byte {
+	var c codec.Coder
+	walk(&c, m)
+	c = codec.Appender(make([]byte, 0, c.Size()))
+	walk(&c, m)
+	return c.Bytes()
 }
 
-func encodeResponse(reqID uint64, body []byte, outcome Outcome) []byte {
-	buf := make([]byte, 0, 16+len(body))
-	buf = append(buf, kindResponse, byte(outcome))
-	buf = binary.AppendUvarint(buf, reqID)
-	return append(buf, body...)
-}
-
-func decodeResponse(buf []byte) (reqID uint64, body []byte, outcome Outcome, ok bool) {
-	if len(buf) < 3 || buf[0] != kindResponse {
-		return 0, nil, 0, false
-	}
-	outcome = Outcome(buf[1])
-	v, n := binary.Uvarint(buf[2:])
-	if n <= 0 {
-		return 0, nil, 0, false
-	}
-	return v, buf[2+n:], outcome, true
+// decode fills m, a pointer to the message the caller expects, from buf.
+// It is total: arbitrary bytes either parse or report false, never panic.
+// Byte-slice fields alias buf.
+func decode(buf []byte, m any) bool {
+	c := codec.Reader(buf)
+	walk(&c, m)
+	return c.Finish() == nil
 }
 
 // newBodyCache builds a proxy body cache on the shared hotspot cache:

@@ -207,20 +207,20 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestRequestCodecRoundTrip(t *testing.T) {
-	buf := encodeRequest(42, "http://example.test/path?q=1")
-	reqID, url, ok := decodeRequest(buf)
-	if !ok || reqID != 42 || url != "http://example.test/path?q=1" {
-		t.Fatalf("request round trip: %v %v %v", reqID, url, ok)
+	var req request
+	if !decode(encode(&request{42, []byte("http://example.test/path?q=1")}), &req) ||
+		req.reqID != 42 || string(req.url) != "http://example.test/path?q=1" {
+		t.Fatalf("request round trip: %v %q", req.reqID, req.url)
 	}
-	rbuf := encodeResponse(42, []byte("hello"), HitRemote)
-	rid, body, outcome, ok := decodeResponse(rbuf)
-	if !ok || rid != 42 || string(body) != "hello" || outcome != HitRemote {
-		t.Fatalf("response round trip: %v %q %v %v", rid, body, outcome, ok)
+	var resp response
+	if !decode(encode(&response{42, byte(HitRemote), []byte("hello")}), &resp) ||
+		resp.reqID != 42 || string(resp.body) != "hello" || Outcome(resp.outcome) != HitRemote {
+		t.Fatalf("response round trip: %v %q %v", resp.reqID, resp.body, resp.outcome)
 	}
-	if _, _, ok := decodeRequest([]byte{9, 9}); ok {
+	if decode([]byte{9, 9}, &request{}) {
 		t.Fatal("garbage request accepted")
 	}
-	if _, _, _, ok := decodeResponse([]byte{}); ok {
+	if decode([]byte{}, &response{}) {
 		t.Fatal("garbage response accepted")
 	}
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for what only two processes can show: node B joins node A's
 # overlay across process boundaries, both admin endpoints serve live
-# counters, B's event ring holds its activation, and both exit on quit. Everything one process can show (the
-# stdin commands, restart durability) is cmd/mspastry-node's own test.
+# counters, B's event ring holds its activation, a caching node (A) and a
+# cacheless one (B) read, write and delete each other's keys over UDP with
+# the dht's one read protocol, and both exit on quit. Everything one
+# process can show (the stdin commands, restart durability) is
+# cmd/mspastry-node's own test.
 # Every port is ephemeral, so runs do not collide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +28,7 @@ wait_for() { # wait_for <log> <pattern>
 
 # The node exits on stdin EOF, so each gets a fifo held open on fd 3/4.
 mkfifo "$dir/a.in" "$dir/b.in"
-"$mspastry_node" -listen 127.0.0.1:0 -admin 127.0.0.1:0 -bootstrap < "$dir/a.in" > "$dir/a.log" 2>&1 &
+"$mspastry_node" -listen 127.0.0.1:0 -admin 127.0.0.1:0 -cache-entries 64 -bootstrap < "$dir/a.in" > "$dir/a.log" 2>&1 &
 a_pid=$!
 exec 3> "$dir/a.in"
 wait_for "$dir/a.log" "bootstrapped a new overlay"
@@ -57,6 +60,19 @@ grep -q '^mspastry_join_latency_seconds_count 1$' "$dir/b.metrics" || die "node 
 b_admin=$(sed -n 's|^admin endpoint: http://\([^/]*\)/.*|\1|p' "$dir/b.log")
 curl -sf "http://$b_admin/debug/events" > "$dir/b.events" || die "node B /debug/events failed"
 grep -q '"kind": "activated"' "$dir/b.events" || die "node B's /debug/events lacks its activated event"
+
+# A caches reads, B does not: both read B's write, and after A's delete
+# B's read finds the tombstone. Each command's output follows a "> " prompt.
+echo "put k v" >&4
+wait_for "$dir/b.log" '^> stored "k"'
+echo "get k" >&3
+wait_for "$dir/a.log" '^> v$'
+echo "get k" >&4
+wait_for "$dir/b.log" '^> v$'
+echo "del k" >&3
+wait_for "$dir/a.log" '^> deleted "k"'
+echo "get k" >&4
+wait_for "$dir/b.log" '^> get failed: dht: key not found$'
 
 echo quit >&3
 echo quit >&4
