@@ -678,3 +678,41 @@ func TestOnlyAlarmSchedules(t *testing.T) {
 		}
 	}
 }
+
+// syncAllowed names the packages that may import sync or sync/atomic, each
+// with the state it shares across goroutines. Every other package runs on
+// one node's event loop (the simulator's, or transport.UDP's, which Do and
+// DoSync reach) and needs no lock.
+var syncAllowed = map[string]string{
+	"internal/telemetry": "the admin endpoint's HTTP goroutines read registries and tracers while the loop writes them, and the reader goroutine counts received messages",
+	"internal/transport": "the reader goroutine hands datagrams to the event loop, and Do, DoSync and Close reach the loop from other goroutines",
+	"internal/wire":      "its buffer pool is shared by every node's loop in the process",
+}
+
+// TestOnlySharedStateImportsSync fails for a non-test file that imports
+// sync or sync/atomic outside the packages syncAllowed names. bench/ and
+// examples/ are clients that drive nodes from goroutines of their own, and
+// are not held to it.
+func TestOnlySharedStateImportsSync(t *testing.T) {
+	importing := make(map[string]bool)
+	for _, f := range sourceFiles(t) {
+		dir := path.Dir(f.path)
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") || strings.HasPrefix(dir, "examples/") {
+			continue
+		}
+		for _, imp := range f.file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+				importing[dir] = true
+				if _, ok := syncAllowed[dir]; !ok {
+					t.Errorf("%s imports %s; code on a node's event loop needs no lock", f.path, p)
+				}
+			}
+		}
+	}
+	for dir, why := range syncAllowed {
+		t.Logf("%s: %s", dir, why)
+		if !importing[dir] {
+			t.Errorf("syncAllowed lists %s, which imports neither sync nor sync/atomic; drop it", dir)
+		}
+	}
+}

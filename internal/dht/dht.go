@@ -365,6 +365,10 @@ func (s *Store) finish(reqID uint64, value []byte, err error) {
 	}
 	delete(s.pending, reqID)
 	op.Stop()
+	if op.kind != kindGetVia && err == nil && s.hot != nil {
+		// The client's own write supersedes whatever it had cached.
+		s.hot.cache.Delete(op.key)
+	}
 	switch op.kind {
 	case kindPut:
 		if err != nil {

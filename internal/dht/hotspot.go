@@ -68,11 +68,7 @@ type hotState struct {
 
 func newHotState(cfg Config) *hotState {
 	return &hotState{
-		cache: hotspot.New(hotspot.Config{
-			Capacity:  cfg.CacheEntries,
-			Shards:    4,
-			Admission: true,
-		}),
+		cache:    hotspot.New(hotspot.Config{Capacity: cfg.CacheEntries, Admission: true}),
 		deposits: make(map[id.ID][]pastry.NodeRef),
 		floors:   make(map[id.ID]versionFloor),
 	}

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -194,6 +195,81 @@ func TestHotspotPruneDepositState(t *testing.T) {
 	s.Node().Peers().Expel(real.ID, real.Addr)
 	if _, stillThere := s.hot.deposits[key1]; stillThere {
 		t.Fatal("deposit record for crashed peer survived its eviction")
+	}
+}
+
+// TestHotspotOwnWriteDropsCachedCopy pins that a caching client's own
+// write supersedes the copy it cached: the root's invalidation reaches
+// only its deposit targets, so without this the client would keep
+// reading its old value for up to one sweep interval.
+func TestHotspotOwnWriteDropsCachedCopy(t *testing.T) {
+	c := newCluster(t, 12, 11, cachingConfig(60*time.Second))
+	key, _ := c.keyRootedAt(t, 0)
+	client := c.stores[1] // odd index: not the key's root
+	write := func(op func(done func(error))) {
+		t.Helper()
+		err := errors.New("not called")
+		op(func(e error) { err = e })
+		c.settle(5 * time.Second)
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	read := func(wantValue string, wantErr error) {
+		t.Helper()
+		var got []byte
+		err := errors.New("not called")
+		client.Get(key, func(v []byte, e error) { got, err = v, e })
+		c.settle(5 * time.Second)
+		if err != wantErr || string(got) != wantValue {
+			t.Fatalf("read: got %q err %v, want %q err %v", got, err, wantValue, wantErr)
+		}
+	}
+	write(func(done func(error)) { client.Put(key, []byte("v"), done) })
+	read("v", nil)
+	if _, cached := client.hot.cache.Get(key); !cached {
+		t.Fatal("the authoritative read left no cached copy")
+	}
+	write(func(done func(error)) { client.Delete(key, done) })
+	read("", ErrNotFound)
+	write(func(done func(error)) { client.Put(key, []byte("w"), done) })
+	read("w", nil)
+}
+
+// TestHotspotCacheHoldsItsCapacity pins that a store's cache holds as
+// many keys as CacheEntries says, with no eviction before it is full.
+func TestHotspotCacheHoldsItsCapacity(t *testing.T) {
+	cfg := cachingConfig(60 * time.Second)
+	cfg.CacheEntries = 16
+	c := newCluster(t, 12, 9, cfg)
+	writer, reader := c.stores[0], c.stores[5]
+	var keys []id.ID
+	for k := uint64(1); k <= 16; k++ {
+		keys = append(keys, id.New(k*0x9e3779b97f4a7c15, k))
+	}
+	ok := 0
+	for _, key := range keys {
+		writer.Put(key, []byte("v"), func(err error) {
+			if err == nil {
+				ok++
+			}
+		})
+	}
+	c.settle(15 * time.Second)
+	for _, key := range keys {
+		reader.Get(key, func(v []byte, err error) {
+			if err == nil {
+				ok++
+			}
+		})
+	}
+	c.settle(15 * time.Second)
+	if ok != 2*len(keys) {
+		t.Fatalf("%d of %d operations succeeded", ok, 2*len(keys))
+	}
+	st := reader.CacheStats()
+	if st.Entries != len(keys) || st.Evictions != 0 || st.Rejected != 0 {
+		t.Fatalf("cache of %d after %d distinct reads: %+v", cfg.CacheEntries, len(keys), st)
 	}
 }
 

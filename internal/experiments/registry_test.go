@@ -101,6 +101,11 @@ func declaredDifferent(section, line string) bool {
 // The fig5join rows and join-p95 headline were re-recorded by hand when
 // join latency began to be measured from Join, not from the join's last
 // restart: nothing a node does moved, only what it reports.
+// The hotspot on/stable and on/churn hitsL cells were re-recorded by hand
+// (627 → 624 and 604 → 601) when a caching client's own write began to
+// drop its cached copy: three reads a run, by a key's writer, that its
+// cache answered with the value it had just overwritten now go to the
+// key's root.
 func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment: ~25 s")

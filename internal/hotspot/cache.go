@@ -2,7 +2,6 @@ package hotspot
 
 import (
 	"container/list"
-	"sync"
 	"time"
 
 	"mspastry/internal/codec"
@@ -50,12 +49,9 @@ func Newer(v, o, ev, eo uint64) bool {
 
 // Config shapes a Cache.
 type Config struct {
-	// Capacity bounds the total entry count across all shards.
+	// Capacity bounds the entry count.
 	Capacity int
-	// Shards is the number of independently locked segments (rounded up
-	// to a power of two, minimum 1).
-	Shards int
-	// Admission enables TinyLFU frequency admission: a full shard only
+	// Admission enables TinyLFU frequency admission: a full cache only
 	// evicts its victim when the incoming key's sketch estimate exceeds
 	// the victim's. When false the cache is a plain segmented LRU.
 	Admission bool
@@ -81,25 +77,17 @@ type Stats struct {
 	SketchOccupancy float64 `metric:"mspastry_hotspot_sketch_occupancy" help:"Fraction of non-zero popularity sketch counters."`
 }
 
-// Cache is a sharded, size-bounded cache of versioned entries with
-// segmented-LRU eviction (probation + protected segments, as in SLRU)
-// and optional TinyLFU admission backed by the count-min Sketch.
+// Cache is a size-bounded cache of versioned entries with segmented-LRU
+// eviction (probation + protected segments, as in SLRU) and optional
+// TinyLFU admission backed by the count-min Sketch. It has no lock: its
+// owner calls it from one goroutine, the node's event loop.
 type Cache struct {
-	shards    []*shard
-	shardMask uint64
-	capacity  int
-
-	mu     sync.Mutex // guards sketch
-	sketch *Sketch
-}
-
-type shard struct {
-	mu        sync.Mutex
 	cap       int
 	protCap   int
 	items     map[id.ID]*list.Element
-	probation *list.List // new arrivals; victims come from here first
+	probation *list.List // new arrivals; the eviction victim is its back
 	protected *list.List // re-referenced entries
+	sketch    *Sketch
 
 	hits, misses, admitted, rejected, evictions, invalidations, purged uint64
 }
@@ -109,50 +97,30 @@ type slot struct {
 	protected bool
 }
 
-// New builds a cache from cfg, normalizing degenerate values (capacity
-// and shard count are clamped to at least 1).
+// New builds a cache from cfg, clamping its capacity to at least 1.
 func New(cfg Config) *Cache {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1
 	}
-	ns := 1
-	for ns < cfg.Shards {
-		ns <<= 1
+	c := &Cache{
+		cap:       cfg.Capacity,
+		protCap:   cfg.Capacity * 4 / 5, // < cap: a full cache has a probation victim
+		items:     make(map[id.ID]*list.Element),
+		probation: list.New(),
+		protected: list.New(),
 	}
-	c := &Cache{shardMask: uint64(ns - 1), capacity: cfg.Capacity}
 	if cfg.Admission {
 		c.sketch = NewSketch(cfg.Capacity, 4)
 	}
-	per := (cfg.Capacity + ns - 1) / ns
-	for i := 0; i < ns; i++ {
-		protCap := per * 4 / 5
-		if protCap >= per {
-			protCap = per - 1
-		}
-		c.shards = append(c.shards, &shard{
-			cap:       per,
-			protCap:   protCap,
-			items:     make(map[id.ID]*list.Element),
-			probation: list.New(),
-			protected: list.New(),
-		})
-	}
 	return c
-}
-
-func (c *Cache) shardFor(key id.ID) *shard {
-	return c.shards[mix(key.Hi^key.Lo)&c.shardMask]
 }
 
 // Touch records one observation of key in the popularity sketch without
 // touching the cache proper. No-op when admission is disabled.
 func (c *Cache) Touch(key id.ID) {
-	if c.sketch == nil {
-		return
+	if c.sketch != nil {
+		c.sketch.Add(key)
 	}
-	c.mu.Lock()
-	c.sketch.Add(key)
-	c.mu.Unlock()
 }
 
 // Estimate returns the popularity sketch's estimate for key (0 when
@@ -161,8 +129,6 @@ func (c *Cache) Estimate(key id.ID) uint32 {
 	if c.sketch == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.sketch.Estimate(key)
 }
 
@@ -170,94 +136,67 @@ func (c *Cache) Estimate(key id.ID) uint32 {
 // protected segment. Staleness (TTL) is the caller's concern.
 func (c *Cache) Get(key id.ID) (Entry, bool) {
 	c.Touch(key)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
+	el, ok := c.items[key]
 	if !ok {
-		sh.misses++
+		c.misses++
 		return Entry{}, false
 	}
-	sh.hits++
-	sh.promote(el)
+	c.hits++
+	c.promote(el)
 	return el.Value.(*slot).entry, true
 }
 
 // promote moves a hit entry to the protected segment's front, demoting
 // the protected LRU back to probation if the segment overflows.
-func (sh *shard) promote(el *list.Element) {
+func (c *Cache) promote(el *list.Element) {
 	s := el.Value.(*slot)
 	if s.protected {
-		sh.protected.MoveToFront(el)
+		c.protected.MoveToFront(el)
 		return
 	}
-	sh.probation.Remove(el)
+	c.probation.Remove(el)
 	s.protected = true
-	sh.items[s.entry.Key] = sh.protected.PushFront(s)
-	for sh.protected.Len() > sh.protCap {
-		back := sh.protected.Back()
+	c.items[s.entry.Key] = c.protected.PushFront(s)
+	for c.protected.Len() > c.protCap {
+		back := c.protected.Back()
 		bs := back.Value.(*slot)
-		sh.protected.Remove(back)
+		c.protected.Remove(back)
 		bs.protected = false
-		sh.items[bs.entry.Key] = sh.probation.PushFront(bs)
+		c.items[bs.entry.Key] = c.probation.PushFront(bs)
 	}
 }
 
 // Put inserts or refreshes an entry and reports whether it resides in
 // the cache afterwards. An existing strictly-newer version is never
-// downgraded; a full shard consults the admission sketch (when enabled)
+// downgraded; a full cache consults the admission sketch (when enabled)
 // before evicting its victim.
 func (c *Cache) Put(e Entry) bool {
-	if c.sketch != nil {
-		c.mu.Lock()
-		c.sketch.Add(e.Key)
-		c.mu.Unlock()
-	}
-	sh := c.shardFor(e.Key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[e.Key]; ok {
+	c.Touch(e.Key)
+	if el, ok := c.items[e.Key]; ok {
 		s := el.Value.(*slot)
 		if Newer(s.entry.Version, s.entry.Origin, e.Version, e.Origin) {
 			return true // cached copy already supersedes the incoming one
 		}
 		s.entry = e
 		if s.protected {
-			sh.protected.MoveToFront(el)
+			c.protected.MoveToFront(el)
 		} else {
-			sh.probation.MoveToFront(el)
+			c.probation.MoveToFront(el)
 		}
 		return true
 	}
-	if sh.probation.Len()+sh.protected.Len() >= sh.cap {
-		victim := sh.probation.Back()
-		fromProbation := victim != nil
-		if victim == nil {
-			victim = sh.protected.Back()
-		}
-		if victim == nil {
+	if len(c.items) >= c.cap {
+		victim := c.probation.Back()
+		vs := victim.Value.(*slot)
+		if c.sketch != nil && c.sketch.Estimate(e.Key) <= c.sketch.Estimate(vs.entry.Key) {
+			c.rejected++
 			return false
 		}
-		vs := victim.Value.(*slot)
-		if c.sketch != nil {
-			c.mu.Lock()
-			keep := c.sketch.Estimate(e.Key) <= c.sketch.Estimate(vs.entry.Key)
-			c.mu.Unlock()
-			if keep {
-				sh.rejected++
-				return false
-			}
-		}
-		if fromProbation {
-			sh.probation.Remove(victim)
-		} else {
-			sh.protected.Remove(victim)
-		}
-		delete(sh.items, vs.entry.Key)
-		sh.evictions++
+		c.remove(victim)
+		c.evictions++
 	}
-	sh.items[e.Key] = sh.probation.PushFront(&slot{entry: e})
-	sh.admitted++
+	c.items[e.Key] = c.probation.PushFront(&slot{entry: e})
+	c.admitted++
 	return true
 }
 
@@ -265,10 +204,7 @@ func (c *Cache) Put(e Entry) bool {
 // (version, origin) strictly supersedes it, reporting whether an entry
 // was dropped.
 func (c *Cache) InvalidateUnder(key id.ID, version, origin uint64) bool {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
+	el, ok := c.items[key]
 	if !ok {
 		return false
 	}
@@ -276,87 +212,58 @@ func (c *Cache) InvalidateUnder(key id.ID, version, origin uint64) bool {
 	if !Newer(version, origin, s.entry.Version, s.entry.Origin) {
 		return false
 	}
-	sh.remove(el)
-	sh.invalidations++
+	c.remove(el)
+	c.invalidations++
 	return true
 }
 
 // Delete unconditionally removes key's entry.
 func (c *Cache) Delete(key id.ID) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		sh.remove(el)
+	if el, ok := c.items[key]; ok {
+		c.remove(el)
 	}
 }
 
-func (sh *shard) remove(el *list.Element) {
+func (c *Cache) remove(el *list.Element) {
 	s := el.Value.(*slot)
 	if s.protected {
-		sh.protected.Remove(el)
+		c.protected.Remove(el)
 	} else {
-		sh.probation.Remove(el)
+		c.probation.Remove(el)
 	}
-	delete(sh.items, s.entry.Key)
+	delete(c.items, s.entry.Key)
 }
 
 // PurgeOlderThan drops every entry stored before cutoff and returns the
 // number purged. This is the anti-entropy backstop: run once per sweep
 // interval, no cached entry can outlive one interval.
 func (c *Cache) PurgeOlderThan(cutoff time.Duration) int {
-	total := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		var stale []*list.Element
-		for _, el := range sh.items {
-			if el.Value.(*slot).entry.StoredAt < cutoff {
-				stale = append(stale, el)
-			}
-		}
-		for _, el := range stale {
-			sh.remove(el)
-		}
-		sh.purged += uint64(len(stale))
-		total += len(stale)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
 	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
+	for _, el := range c.items {
+		if el.Value.(*slot).entry.StoredAt < cutoff {
+			c.remove(el)
+			n++
+		}
 	}
+	c.purged += uint64(n)
 	return n
 }
 
-// Stats aggregates counters across shards.
+// Len returns the current entry count.
+func (c *Cache) Len() int { return len(c.items) }
+
+// Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	st := Stats{Capacity: c.capacity}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Admitted += sh.admitted
-		st.Rejected += sh.rejected
-		st.Evictions += sh.evictions
-		st.Invalidations += sh.invalidations
-		st.Purged += sh.purged
-		st.Entries += len(sh.items)
-		sh.mu.Unlock()
+	st := Stats{
+		Hits: c.hits, Misses: c.misses, Admitted: c.admitted, Rejected: c.rejected,
+		Evictions: c.evictions, Invalidations: c.invalidations, Purged: c.purged,
+		Entries: len(c.items), Capacity: c.cap,
 	}
 	if st.Hits+st.Misses > 0 {
 		st.HitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
 	}
 	if c.sketch != nil {
-		c.mu.Lock()
 		st.SketchOccupancy = c.sketch.Occupancy()
-		c.mu.Unlock()
 	}
 	return st
 }

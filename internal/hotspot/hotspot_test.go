@@ -52,7 +52,7 @@ func TestSketchDeterministic(t *testing.T) {
 }
 
 func TestCacheSegmentedLRU(t *testing.T) {
-	c := New(Config{Capacity: 3, Shards: 1})
+	c := New(Config{Capacity: 3})
 	for i := uint64(0); i < 3; i++ {
 		c.Put(Entry{Key: key(i), Version: 1})
 	}
@@ -77,7 +77,7 @@ func TestCacheSegmentedLRU(t *testing.T) {
 }
 
 func TestCacheAdmissionFiltersOneHitWonders(t *testing.T) {
-	c := New(Config{Capacity: 4, Shards: 1, Admission: true})
+	c := New(Config{Capacity: 4, Admission: true})
 	hot := key(1)
 	for i := 0; i < 10; i++ {
 		c.Touch(hot)
@@ -98,7 +98,7 @@ func TestCacheAdmissionFiltersOneHitWonders(t *testing.T) {
 }
 
 func TestCacheVersionSupersession(t *testing.T) {
-	c := New(Config{Capacity: 8, Shards: 1})
+	c := New(Config{Capacity: 8})
 	k := key(7)
 	c.Put(Entry{Key: k, Version: 3, Origin: 9, Value: []byte("v3")})
 
@@ -128,7 +128,7 @@ func TestCacheVersionSupersession(t *testing.T) {
 }
 
 func TestCachePurgeOlderThan(t *testing.T) {
-	c := New(Config{Capacity: 8, Shards: 2})
+	c := New(Config{Capacity: 8})
 	for i := uint64(0); i < 6; i++ {
 		c.Put(Entry{Key: key(i), Version: 1, StoredAt: time.Duration(i) * time.Second})
 	}

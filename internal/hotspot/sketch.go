@@ -1,7 +1,6 @@
 // Package hotspot provides popularity-aware read caching for hot keys:
-// a count-min sketch popularity estimator and a sharded size-bounded
-// cache with TinyLFU-style frequency admission and segmented-LRU
-// eviction. The dht's path caching and squirrel's proxy caches share it;
+// a count-min sketch popularity estimator and a size-bounded cache with
+// TinyLFU-style frequency admission and segmented-LRU eviction. The dht's path caching and squirrel's proxy caches share it;
 // the path-caching messages are the dht's, with a cached Entry as the
 // body of its deposit.
 //

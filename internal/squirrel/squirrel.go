@@ -267,8 +267,8 @@ func decode(buf []byte, m any) bool {
 }
 
 // newBodyCache builds a proxy body cache on the shared hotspot cache:
-// single shard, segmented-LRU eviction, no frequency admission (the
-// Squirrel model is a plain bounded cache).
+// segmented-LRU eviction, no frequency admission (the Squirrel model is
+// a plain bounded cache).
 func newBodyCache(max int) *hotspot.Cache {
-	return hotspot.New(hotspot.Config{Capacity: max, Shards: 1})
+	return hotspot.New(hotspot.Config{Capacity: max})
 }

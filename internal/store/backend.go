@@ -67,11 +67,23 @@ func (m *Memory) Get(key id.ID) (Object, bool) {
 
 // Apply implements Backend.
 func (m *Memory) Apply(o Object) (bool, error) {
-	cur, ok := m.objects[o.Key]
-	if ok && !o.Supersedes(cur) {
+	if !m.admits(o) {
 		return false, nil
 	}
-	if ok && cur.Tombstone {
+	m.set(o)
+	return true, nil
+}
+
+// admits reports whether o supersedes the object under its key, or the
+// key is absent: the one version rule both backends apply.
+func (m *Memory) admits(o Object) bool {
+	cur, ok := m.objects[o.Key]
+	return !ok || o.Supersedes(cur)
+}
+
+// set installs a copy of o unconditionally, keeping the tombstone count.
+func (m *Memory) set(o Object) {
+	if cur, ok := m.objects[o.Key]; ok && cur.Tombstone {
 		m.tombstones--
 	}
 	if o.Tombstone {
@@ -79,7 +91,6 @@ func (m *Memory) Apply(o Object) (bool, error) {
 	}
 	o.Value = append([]byte(nil), o.Value...) // own the bytes
 	m.objects[o.Key] = o
-	return true, nil
 }
 
 // Drop implements Backend.

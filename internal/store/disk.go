@@ -12,12 +12,13 @@ import (
 	"mspastry/internal/id"
 )
 
-// Disk is the durable Backend: the full object set lives in memory (the
-// DHT working set is bounded by the node's replica responsibility), every
-// mutation is appended to a CRC-framed write-ahead log first, and when the
-// log outgrows DiskOptions.compactBytes the state is snapshotted and the
-// log truncated. Open replays snapshot + log, discarding a torn tail, so
-// a crash at any byte boundary recovers every fully-written record.
+// Disk is the durable Backend: a Memory plus its log. The full object set
+// lives in that Memory (the DHT working set is bounded by the node's
+// replica responsibility), every mutation is appended to a CRC-framed
+// write-ahead log before it is applied there, and when the log outgrows
+// DiskOptions.compactBytes the state is snapshotted and the log
+// truncated. Open replays snapshot + log, discarding a torn tail, so a
+// crash at any byte boundary recovers every fully-written record.
 //
 // Directory layout:
 //
@@ -33,9 +34,7 @@ import (
 type Disk struct {
 	dir  string
 	opts DiskOptions
-
-	objects    map[id.ID]Object
-	tombstones int
+	mem  *Memory
 
 	wal      *os.File
 	walBytes int64
@@ -78,7 +77,7 @@ func Open(dir string, opts DiskOptions) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Disk{dir: dir, opts: opts, objects: make(map[id.ID]Object)}
+	d := &Disk{dir: dir, opts: opts, mem: NewMemory()}
 
 	// Snapshot first, then the log on top: the log always post-dates the
 	// snapshot it accompanies.
@@ -172,7 +171,9 @@ func nextRecord(buf []byte, off int64) (body []byte, next int64, ok bool) {
 	return body, off + recHeader + int64(length), true
 }
 
-// applyRecord replays one record body into the in-memory state.
+// applyRecord replays one record body into the memory, unconditionally:
+// replay order is authoritative, and Apply checked the version before
+// logging.
 func (d *Disk) applyRecord(body []byte) bool {
 	if len(body) < 1 {
 		return false
@@ -183,43 +184,21 @@ func (d *Disk) applyRecord(body []byte) bool {
 		if !ok {
 			return false
 		}
-		o.Value = append([]byte(nil), o.Value...) // buf is transient
-		d.setObject(o)
+		d.mem.set(o) // copies the value out of the transient buf
 		return true
 	case recDrop:
 		if len(body) != 17 {
 			return false
 		}
-		d.dropObject(id.FromBytes(body[1:17]))
+		d.mem.Drop(id.FromBytes(body[1:17]))
 		return true
 	default:
 		return false
 	}
 }
 
-// setObject installs o unconditionally (replay order is authoritative;
-// Apply does the Supersedes check before logging).
-func (d *Disk) setObject(o Object) {
-	if cur, ok := d.objects[o.Key]; ok && cur.Tombstone {
-		d.tombstones--
-	}
-	if o.Tombstone {
-		d.tombstones++
-	}
-	d.objects[o.Key] = o
-}
-
-func (d *Disk) dropObject(key id.ID) {
-	if cur, ok := d.objects[key]; ok {
-		if cur.Tombstone {
-			d.tombstones--
-		}
-		delete(d.objects, key)
-	}
-}
-
 // append frames and writes one record to the WAL. The caller updates the
-// in-memory state and then calls maybeCompact — in that order, so a
+// memory and then calls maybeCompact — in that order, so a
 // threshold-triggered snapshot always includes the record it is about to
 // truncate away.
 func (d *Disk) append(body []byte) error {
@@ -262,7 +241,7 @@ func (d *Disk) compact() error {
 	var size int64
 	var hdr [recHeader]byte
 	body := make([]byte, 0, 4096)
-	for _, o := range d.objects {
+	for _, o := range d.mem.objects {
 		body = append(body[:0], recPut)
 		body = EncodeObject(body, o)
 		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
@@ -303,14 +282,11 @@ func (d *Disk) compact() error {
 }
 
 // Get implements Backend.
-func (d *Disk) Get(key id.ID) (Object, bool) {
-	o, ok := d.objects[key]
-	return o, ok
-}
+func (d *Disk) Get(key id.ID) (Object, bool) { return d.mem.Get(key) }
 
 // Apply implements Backend: WAL first, then memory.
 func (d *Disk) Apply(o Object) (bool, error) {
-	if cur, ok := d.objects[o.Key]; ok && !o.Supersedes(cur) {
+	if !d.mem.admits(o) {
 		return false, nil
 	}
 	body := make([]byte, 0, 40+len(o.Value))
@@ -319,14 +295,13 @@ func (d *Disk) Apply(o Object) (bool, error) {
 	if err := d.append(body); err != nil {
 		return false, err
 	}
-	o.Value = append([]byte(nil), o.Value...)
-	d.setObject(o)
+	d.mem.set(o)
 	return true, d.maybeCompact()
 }
 
 // Drop implements Backend.
 func (d *Disk) Drop(key id.ID) error {
-	if _, ok := d.objects[key]; !ok {
+	if _, ok := d.mem.Get(key); !ok {
 		return nil
 	}
 	body := make([]byte, 0, 17)
@@ -335,32 +310,24 @@ func (d *Disk) Drop(key id.ID) error {
 	if err := d.append(body); err != nil {
 		return err
 	}
-	d.dropObject(key)
+	d.mem.Drop(key)
 	return d.maybeCompact()
 }
 
 // Range implements Backend.
-func (d *Disk) Range(fn func(Object) bool) {
-	for _, o := range d.objects {
-		if !fn(o) {
-			return
-		}
-	}
-}
+func (d *Disk) Range(fn func(Object) bool) { d.mem.Range(fn) }
 
 // Len implements Backend.
-func (d *Disk) Len() int { return len(d.objects) - d.tombstones }
+func (d *Disk) Len() int { return d.mem.Len() }
 
-// Stats implements Backend.
+// Stats implements Backend: the memory's counts plus the log's.
 func (d *Disk) Stats() Stats {
-	return Stats{
-		Objects:       d.Len(),
-		Tombstones:    d.tombstones,
-		WALBytes:      d.walBytes,
-		SnapshotBytes: d.snapshotBytes,
-		Compactions:   d.compactions,
-		Replayed:      d.replayed,
-	}
+	st := d.mem.Stats()
+	st.WALBytes = d.walBytes
+	st.SnapshotBytes = d.snapshotBytes
+	st.Compactions = d.compactions
+	st.Replayed = d.replayed
+	return st
 }
 
 // Close flushes and closes the WAL.

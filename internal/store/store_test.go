@@ -68,47 +68,60 @@ func TestSupersedesTotalOrder(t *testing.T) {
 	}
 }
 
+// TestMemoryApplyMerge runs one sequence of writes through both backends,
+// which must apply the same version rule.
 func TestMemoryApplyMerge(t *testing.T) {
-	m := NewMemory()
-	v1 := obj(1, 1, 1, 5, "one")
-	if applied, _ := m.Apply(v1); !applied {
-		t.Fatal("first write not applied")
-	}
-	// Stale write ignored.
-	if applied, _ := m.Apply(obj(1, 1, 1, 4, "stale")); applied {
-		t.Fatal("stale write applied")
-	}
-	if got, _ := m.Get(id.New(1, 1)); string(got.Value) != "one" {
-		t.Fatalf("value = %q", got.Value)
-	}
-	// Newer write replaces.
-	if applied, _ := m.Apply(obj(1, 1, 2, 5, "two")); !applied {
-		t.Fatal("newer write not applied")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	// Tombstone hides the key from Len but stays retrievable.
-	tomb := Object{Key: id.New(1, 1), Version: 3, Origin: 5, Tombstone: true}
-	if applied, _ := m.Apply(tomb); !applied {
-		t.Fatal("tombstone not applied")
-	}
-	if m.Len() != 0 || m.Stats().Tombstones != 1 {
-		t.Fatalf("after tombstone: len=%d stats=%+v", m.Len(), m.Stats())
-	}
-	if got, ok := m.Get(id.New(1, 1)); !ok || !got.Tombstone {
-		t.Fatal("tombstone not retrievable")
-	}
-	// A stale value cannot resurrect the deleted key.
-	if applied, _ := m.Apply(obj(1, 1, 2, 9, "zombie")); applied {
-		t.Fatal("stale write resurrected a tombstone")
-	}
-	// Drop removes entirely.
-	if err := m.Drop(id.New(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Get(id.New(1, 1)); ok || m.Stats().Tombstones != 0 {
-		t.Fatal("drop left state behind")
+	for _, backend := range []struct {
+		name string
+		open func(t *testing.T) Backend
+	}{
+		{"memory", func(*testing.T) Backend { return NewMemory() }},
+		{"disk", func(t *testing.T) Backend { return mustOpen(t, t.TempDir(), DiskOptions{}) }},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			m := backend.open(t)
+			defer m.Close()
+			v1 := obj(1, 1, 1, 5, "one")
+			if applied, _ := m.Apply(v1); !applied {
+				t.Fatal("first write not applied")
+			}
+			// Stale write ignored.
+			if applied, _ := m.Apply(obj(1, 1, 1, 4, "stale")); applied {
+				t.Fatal("stale write applied")
+			}
+			if got, _ := m.Get(id.New(1, 1)); string(got.Value) != "one" {
+				t.Fatalf("value = %q", got.Value)
+			}
+			// Newer write replaces.
+			if applied, _ := m.Apply(obj(1, 1, 2, 5, "two")); !applied {
+				t.Fatal("newer write not applied")
+			}
+			if m.Len() != 1 {
+				t.Fatalf("len = %d", m.Len())
+			}
+			// Tombstone hides the key from Len but stays retrievable.
+			tomb := Object{Key: id.New(1, 1), Version: 3, Origin: 5, Tombstone: true}
+			if applied, _ := m.Apply(tomb); !applied {
+				t.Fatal("tombstone not applied")
+			}
+			if m.Len() != 0 || m.Stats().Tombstones != 1 {
+				t.Fatalf("after tombstone: len=%d stats=%+v", m.Len(), m.Stats())
+			}
+			if got, ok := m.Get(id.New(1, 1)); !ok || !got.Tombstone {
+				t.Fatal("tombstone not retrievable")
+			}
+			// A stale value cannot resurrect the deleted key.
+			if applied, _ := m.Apply(obj(1, 1, 2, 9, "zombie")); applied {
+				t.Fatal("stale write resurrected a tombstone")
+			}
+			// Drop removes entirely.
+			if err := m.Drop(id.New(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.Get(id.New(1, 1)); ok || m.Len() != 0 || m.Stats().Tombstones != 0 {
+				t.Fatal("drop left state behind")
+			}
+		})
 	}
 }
 
