@@ -716,3 +716,58 @@ func TestOnlySharedStateImportsSync(t *testing.T) {
 		}
 	}
 }
+
+// ownOverlay names the functions in internal/experiments that may build an
+// overlay of their own, with the reason each cannot run through
+// harness.Run.
+var ownOverlay = map[string]string{
+	"squirrelValidation": "the simulator half is the shape twin of a live UDP run that counts every message from the first join; harness.Run's measured window leaves the join ramp out",
+	"massFailureRun":     "through harness.Run's join ramp, TestMassFailureRecovery's pinned seeds miss the 2-minute bound (3 of 16), a protocol defect the NewCluster overlay hits at other seeds (CHANGES.md)",
+}
+
+// TestExperimentsBuildNoOverlay fails for non-test code in
+// internal/experiments that builds a simulated overlay of its own, by
+// eventsim.New or NewCluster, outside the functions ownOverlay lists: an
+// experiment runs through harness.Run, which gives it the ring oracle,
+// fault scripts, telemetry names and the accounting check, and mounts
+// its application layer with a harness.App.
+func TestExperimentsBuildNoOverlay(t *testing.T) {
+	builds := make(map[string]bool) // ownOverlay entries that do build one
+	for _, f := range sourceFiles(t) {
+		if path.Dir(f.path) != "internal/experiments" {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, _ := sel.X.(*ast.Ident)
+				if sel.Sel.Name != "NewCluster" && (pkg == nil || pkg.Name != "eventsim" || sel.Sel.Name != "New") {
+					return true
+				}
+				if _, ok := ownOverlay[fn.Name.Name]; ok {
+					builds[fn.Name.Name] = true
+					t.Logf("%s: %s calls %s", f.path, fn.Name.Name, types.ExprString(sel))
+				} else {
+					t.Errorf("%s: %s calls %s; run it through harness.Run with a harness.App", f.path, fn.Name.Name, types.ExprString(sel))
+				}
+				return true
+			})
+		}
+	}
+	for name := range ownOverlay {
+		if !builds[name] {
+			t.Errorf("ownOverlay lists %s, which builds no overlay; drop it", name)
+		}
+	}
+}

@@ -156,7 +156,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr := trace.Generate(tcfg)
 
 	cfg := harness.DefaultConfig(topo, tr)
-	cfg.SecureRouting = *secRoute
+	if *secRoute {
+		cfg.App = new(harness.SecureRouting)
+	}
 	cfg.NetworkLoss = *loss
 	if *svcQueue > 0 {
 		cfg.Service = netmodel.ServiceModel{QueueLimit: *svcQueue, Rate: *svcRate}

@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"mspastry/internal/dht"
 	"mspastry/internal/eventsim"
+	"mspastry/internal/harness"
 	"mspastry/internal/id"
-	"mspastry/internal/netmodel"
-	"mspastry/internal/pastry"
 	"mspastry/internal/store"
-	"mspastry/internal/topology"
 )
 
 // The anti-entropy experiment quantifies the tentpole claim of the
@@ -19,12 +16,12 @@ import (
 // with Merkle digest reconciliation cuts steady-state maintenance
 // bandwidth by an order of magnitude, because in the common case (the
 // replicas agree) a sweep costs one root-digest exchange per replica
-// pair instead of one value push per object. The experiment builds a
-// seeded cluster, stores a corpus, crashes a tenth of the nodes and
-// measures the maintenance bytes the sweeps send over that window. The
-// full-push side is not run — the store no longer has that mode — but
-// computed: every sweep, every object's root would send the encoded
-// object to its k-1 replicas, whatever their state.
+// pair instead of one value push per object. The experiment runs a
+// seeded overlay of dht stores, stores a corpus, crashes a tenth of the
+// nodes and measures the maintenance bytes the sweeps send over that
+// window. The full-push side is not run — the store no longer has that
+// mode — but computed: every sweep, every object's root would send the
+// encoded object to its k-1 replicas, whatever their state.
 //
 // The crash schedule matters: anti-entropy must still move the values a
 // new replica is missing, so churn is where the two are closest. The
@@ -40,8 +37,8 @@ const antiEntropySweep = 20 * time.Second
 // measurement window, next to what full pushes would have.
 type antiEntropyResult struct {
 	window time.Duration
-	// sent is the counter delta over the window: MaintBytes is all sweep
-	// maintenance traffic (control + values), DigestBytes its
+	// sent is what the stores counted over the window: MaintBytes is all
+	// sweep maintenance traffic (control + values), DigestBytes its
 	// digest/summary/pull control portion.
 	sent dht.Counters
 	// fullPushBytes and fullPushes are the closed-form baseline: corpus
@@ -56,87 +53,58 @@ func (r antiEntropyResult) reduction() float64 {
 	return ratio(float64(r.fullPushBytes), float64(r.sent.MaintBytes))
 }
 
-// antiEntropyRun builds a seeded cluster, stores the objects, then
-// measures the maintenance-byte delta over a churn window. It drives its
-// own cluster because the harness has no application layer.
+// antiEntropyRun stores the objects on a stable overlay of dht stores,
+// then measures the maintenance-byte delta over a window in which a tenth
+// of the nodes crash, one sweep interval apart, followed by three quiet
+// sweeps so repair traffic lands inside the window.
 func antiEntropyRun(seed int64, nodes, objects int) antiEntropyResult {
-	sim := eventsim.New(seed)
-	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30}, rand.New(rand.NewSource(seed)))
-	nw := netmodel.New(sim, topo, 0)
-
-	pcfg := pastry.DefaultConfig()
-	pcfg.L = 8
-	pcfg.PNS = false
 	dcfg := dht.DefaultConfig()
 	dcfg.SweepInterval = antiEntropySweep
-
-	stores := make([]*dht.Store, 0, nodes)
-	eps := nw.NewCluster(nodes, pcfg, 2*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
-		stores = append(stores, dht.New(node, ep, dcfg))
-	}).Eps
-	sim.RunUntil(sim.Now() + time.Minute)
-
-	// Store the corpus from rotating writers; the 64-byte payload is the
-	// PAST-style document body whose repeated re-push a full-push sweep
-	// pays for. Batched puts with short settles keep simulated time (and
-	// therefore sweep count) independent of the store's internals.
-	payload := make([]byte, 64)
-	for i := 0; i < objects; i++ {
-		key := id.FromKey(fmt.Sprintf("ae-object-%d", i))
-		copy(payload, fmt.Sprintf("object %d body", i))
-		stores[i%nodes].Put(key, append([]byte(nil), payload...), func(error) {})
-		if i%8 == 7 {
-			sim.RunUntil(sim.Now() + time.Second)
-		}
-	}
-	// Drain retries and replication, then let two sweeps run so handoffs
-	// settle before measurement starts.
-	sim.RunUntil(sim.Now() + time.Minute + 2*antiEntropySweep)
-
-	before := sumCounters(stores)
-	corpusBytes := replicateBytes(stores)
-	start := sim.Now()
-
-	// Churn: crash 10% of the population (at least one node), spread one
-	// sweep interval apart, then leave three quiet sweeps at the end so
-	// repair traffic lands inside the window.
+	app := &antiEntropyApp{dhtMount: newDHTMount(nodes, dcfg), objects: objects}
+	// The window opens once the corpus is stored (objects/8 seconds of
+	// batched puts), retries and replication have drained (a minute) and
+	// two sweeps have let handoffs settle.
+	app.start = dhtSettle + time.Duration(objects/8)*time.Second + time.Minute + 2*antiEntropySweep
 	crashes := max(1, nodes/10)
-	victim := 1 // never the seed node; deterministic stride across the ring
-	for i := 0; i < crashes; i++ {
-		victim = (victim + 7) % nodes
-		if victim == 0 {
-			victim = 1
-		}
-		eps[victim].Fail()
-		sim.RunUntil(sim.Now() + antiEntropySweep)
-	}
-	sim.RunUntil(sim.Now() + 3*antiEntropySweep)
+	window := time.Duration(crashes+3) * antiEntropySweep
+	tr := withCrashes(stableTrace("antientropy", nodes, app.start+window), app.start, antiEntropySweep)
+	harness.Run(dhtRunConfig(seed, tr, app))
 
-	after := sumCounters(stores)
-	res := antiEntropyResult{window: sim.Now() - start}
-	res.sent.MaintBytes = after.MaintBytes - before.MaintBytes
-	res.sent.DigestBytes = after.DigestBytes - before.DigestBytes
-	res.sent.SyncRounds = after.SyncRounds - before.SyncRounds
-	res.sent.SyncClean = after.SyncClean - before.SyncClean
-	res.sent.SyncKeysRepaired = after.SyncKeysRepaired - before.SyncKeysRepaired
-	res.sent.ReplicasPushed = after.ReplicasPushed - before.ReplicasPushed
+	res := antiEntropyResult{window: window, sent: app.window()}
 	pushesPerObject := uint64(dht.ReplicationFactor-1) * uint64(res.window/antiEntropySweep)
 	res.fullPushes = uint64(objects) * pushesPerObject
-	res.fullPushBytes = corpusBytes * pushesPerObject
+	res.fullPushBytes = app.corpusBytes * pushesPerObject
 	return res
 }
 
-// sumCounters totals the counters of all stores. Crashed nodes are
-// included: their counters freeze at the crash (the sweep checks Alive
-// and the network stops delivery), so the frozen value cancels out of any
-// before/after delta. Skipping them would make the delta underflow
-// instead.
-func sumCounters(stores []*dht.Store) dht.Counters {
-	var sum dht.Counters
-	for _, s := range stores {
-		sum.Add(s.Counters())
+// antiEntropyApp stores the corpus and snapshots the stores when the
+// window opens.
+type antiEntropyApp struct {
+	*dhtMount
+	objects int
+	// start is when the window opens, in measured time.
+	start       time.Duration
+	corpusBytes uint64
+}
+
+// Start implements harness.App. Writers rotate over the slots; the
+// 64-byte payload is the PAST-style document body whose repeated re-push
+// a full-push sweep pays for. Batches of eight puts a second keep
+// simulated time (and therefore sweep count) independent of the store's
+// internals.
+func (a *antiEntropyApp) Start(sim *eventsim.Simulator) {
+	t0 := sim.Now()
+	for i := 0; i < a.objects; i++ {
+		key := id.FromKey(fmt.Sprintf("ae-object-%d", i))
+		payload := make([]byte, 64)
+		copy(payload, fmt.Sprintf("object %d body", i))
+		s := a.bySlot[i%len(a.bySlot)]
+		sim.At(t0+dhtSettle+time.Duration(i/8)*time.Second, func() { s.Put(key, payload, func(error) {}) })
 	}
-	return sum
+	sim.At(t0+a.start, func() {
+		a.openWindow()
+		a.corpusBytes = replicateBytes(a.stores)
+	})
 }
 
 // replicateBytes is the wire size of one replica push of every distinct

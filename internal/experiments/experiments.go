@@ -2,9 +2,9 @@
 // of the dependability experiments added since: All has one entry per
 // table or figure, and every entry is the same move — one seeded
 // configuration, one parameter varied, one row per run. An entry's Run
-// builds its workload (through the harness, or on its own cluster when
-// it needs an application layer), and returns a Report: the tables the
-// paper plots plus the headline numbers its text quotes.
+// builds its workload through the harness, mounting an application layer
+// with a harness.App when it needs one, and returns a Report: the tables
+// the paper plots plus the headline numbers its text quotes.
 //
 // The mspastry-bench command and the root BenchmarkExperiments both loop
 // over All; adding an experiment is one entry here, its run function and

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mspastry/internal/eventsim"
+	"mspastry/internal/harness"
 	"mspastry/internal/id"
 	"mspastry/internal/netmodel"
 	"mspastry/internal/pastry"
@@ -72,16 +73,10 @@ func fig8(s Scale) (Report, error) {
 
 // squirrelReplay replays a synthetic Squirrel workload — web requests with
 // a strong daily pattern and quieter weekends, machines leaving at night —
-// through the simulator and reports total traffic per node per window.
-// The overlay churns, so it starts and stops nodes itself rather than
-// through NewCluster. As in the harness, the machines first up join over
-// a setup ramp, and one stats.Collector counts on measured time, which
-// starts when the ramp ends.
+// through harness.Run and reports total traffic per node per window. The
+// machines' availability is the run's churn trace; the first ones up join
+// over a 15-minute setup ramp before measurement starts.
 func squirrelReplay(seed int64, machines, days int) fig8Result {
-	sim := eventsim.New(seed)
-	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
-	nw := netmodel.New(sim, topo, 0)
-
 	duration := time.Duration(days) * 24 * time.Hour
 	// Machine availability: office machines stay up ~20h at a time and
 	// are mostly on (the Squirrel deployment machines were desktops).
@@ -91,128 +86,69 @@ func squirrelReplay(seed int64, machines, days int) fig8Result {
 		MeanSession: 20 * time.Hour, Diurnal: 0.3, Weekly: 0.3,
 		Seed: seed,
 	})
+	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
+	cfg := harness.DefaultConfig(topo, churn)
+	cfg.Pastry.L = 16
+	cfg.LookupRate = 0
+	cfg.Window = fig8WindowLen
+	cfg.SetupRamp = 15 * time.Minute
+	cfg.Seed = seed
+	app := &squirrelApp{proxies: make([]*squirrel.Proxy, machines), duration: duration}
+	app.res.winRequests = make([]int, duration/fig8WindowLen)
+	cfg.App = app
+	app.res.windows = harness.Run(cfg).Windows
+	return app.res
+}
 
-	pcfg := pastry.DefaultConfig()
-	pcfg.L = 16
+// squirrelApp mounts a Squirrel proxy on every machine the run starts and
+// drives the web workload: per-tick Poisson arrivals at each active
+// machine, thinned by the diurnal/weekly curve, for URLs drawn zipf from
+// the catalog.
+type squirrelApp struct {
+	proxies  []*squirrel.Proxy // each slot's current proxy
+	duration time.Duration
+	res      fig8Result
+}
 
-	const ramp = 15 * time.Minute
-	measured := func() time.Duration { return sim.Now() - ramp }
-	col := stats.NewCollector(duration, fig8WindowLen)
-	nw.OnSend(func(from *netmodel.Endpoint, to pastry.NodeRef, m pastry.Message, singleBytes int) {
-		col.MsgSent(measured(), m.Category(), singleBytes)
-	})
-
-	res := fig8Result{winRequests: make([]int, duration/fig8WindowLen)}
-	origin := squirrel.OriginFunc(func(url string) ([]byte, error) {
-		res.originFetches++
+// Mount implements harness.App.
+func (a *squirrelApp) Mount(slot int, node *pastry.Node, _ *netmodel.Endpoint) harness.Issuer {
+	a.proxies[slot] = squirrel.New(node, squirrel.OriginFunc(func(url string) ([]byte, error) {
+		a.res.originFetches++
 		return []byte("obj:" + url), nil
-	})
+	}))
+	return nil
+}
 
-	eps := make([]*netmodel.Endpoint, machines)
-	proxies := make([]*squirrel.Proxy, machines)
-	first := topo.Attach(machines, sim.Rand())
-	for i := range eps {
-		eps[i] = nw.NewEndpoint(first + i)
-	}
-	alive := make([]int, 0, machines)
-	// seedFor finds a running, active machine other than slot to join
-	// through.
-	seedFor := func(slot int) (pastry.NodeRef, bool) {
-		for _, s := range alive {
-			if s != slot && proxies[s].Node().Active() {
-				return proxies[s].Node().Ref(), true
-			}
-		}
-		return pastry.NodeRef{}, false
-	}
-	start := func(slot int) {
-		ep := eps[slot]
-		ref := pastry.NodeRef{ID: id.Random(sim.Rand()), Addr: ep.Addr()}
-		node, err := pastry.NewNode(ref, pcfg, ep, nil)
-		if err != nil {
-			panic(err)
-		}
-		ep.Bind(node)
-		proxies[slot] = squirrel.New(node, origin)
-		node.SetSeedSource(func() (pastry.NodeRef, bool) { return seedFor(slot) })
-		// The first machine up, or one that finds everybody else down,
-		// starts an overlay of its own.
-		if seed, ok := seedFor(slot); ok {
-			node.Join(seed)
-		} else {
-			node.Bootstrap()
-		}
-		alive = append(alive, slot)
-		col.ActiveChanged(measured(), +1)
-	}
-	stop := func(slot int) {
-		eps[slot].Fail()
-		col.ActiveChanged(measured(), -1)
-		for i, s := range alive {
-			if s == slot {
-				alive = append(alive[:i], alive[i+1:]...)
-				break
-			}
-		}
-	}
-
-	// Warm start.
-	for _, slot := range churn.Initial {
-		slot := slot
-		sim.At(time.Duration(sim.Rand().Int63n(int64(10*time.Minute))), func() { start(slot) })
-	}
-	for _, ev := range churn.Events {
-		ev := ev
-		at := ramp + ev.At
-		switch ev.Kind {
-		case trace.Join:
-			sim.At(at, func() {
-				if !eps[ev.Node].Up() {
-					start(ev.Node)
-				}
-			})
-		case trace.Leave:
-			sim.At(at, func() {
-				if eps[ev.Node].Up() {
-					stop(ev.Node)
-				}
-			})
-		}
-	}
-
-	// Web workload: per-tick Poisson thinned by the diurnal/weekly curve.
+// Start implements harness.App.
+func (a *squirrelApp) Start(sim *eventsim.Simulator) {
 	catalog := make([]string, fig8Catalog)
 	for i := range catalog {
 		catalog[i] = fmt.Sprintf("http://corp.example/doc-%04d", i)
 	}
 	zipf := rand.NewZipf(sim.Rand(), 1.1, 2.0, uint64(fig8Catalog-1))
-	var tick func()
+	start := sim.Now()
 	const step = 30 * time.Second
+	var tick func()
 	tick = func() {
-		now := measured()
-		if now >= duration {
+		now := sim.Now() - start
+		if now >= a.duration {
 			return
 		}
 		mean := fig8PeakRate * workdayIntensity(now) * step.Seconds()
-		for _, slot := range alive {
-			p := proxies[slot]
+		for _, p := range a.proxies {
 			if p == nil || !p.Node().Alive() || !p.Node().Active() {
 				continue
 			}
 			n := poissonDraw(sim.Rand(), mean)
-			res.winRequests[now/fig8WindowLen] += n
-			res.requests += n
+			a.res.winRequests[now/fig8WindowLen] += n
+			a.res.requests += n
 			for k := 0; k < n; k++ {
 				p.Get(catalog[int(zipf.Uint64())], func([]byte, squirrel.Outcome) {})
 			}
 		}
 		sim.After(step, tick)
 	}
-	sim.At(ramp, tick)
-
-	sim.RunUntil(ramp + duration)
-	res.windows = col.Finalize()
-	return res
+	tick()
 }
 
 // workdayIntensity models office web browsing: strong daytime peak on

@@ -10,9 +10,6 @@ import (
 	"mspastry/internal/dht"
 	"mspastry/internal/eventsim"
 	"mspastry/internal/harness"
-	"mspastry/internal/netmodel"
-	"mspastry/internal/pastry"
-	"mspastry/internal/topology"
 )
 
 // The hotspot experiment quantifies the path-caching tentpole: under a
@@ -22,7 +19,7 @@ import (
 // first and penultimate hops and subsequent lookups short-circuit
 // there, so the hot root's load factor and the cluster's shed count
 // drop while lookup success holds. The experiment runs the same seeded
-// cluster four times — caching off/on, each with and without churn —
+// overlay four times — caching off/on, each with and without churn —
 // with identical workload schedules, and additionally audits every
 // completed read against the subsystem's staleness bound (no read may
 // return a write superseded more than one sweep interval plus delivery
@@ -55,8 +52,7 @@ type hotspotConfig struct {
 type hotspotRun struct {
 	gets, getOK, getNotFound, getFail uint64
 
-	// cache is the stores' counter delta over the window (Retries and
-	// the Cache* fields).
+	// cache is what the stores counted from the window's start.
 	cache               dht.Counters
 	shed                uint64
 	staleBeyondBound    uint64 // reads older than sweep+grace: must be 0
@@ -163,48 +159,76 @@ func hotspotCounter(v []byte) (uint32, bool) {
 	return binary.BigEndian.Uint32(v[4:8]), true
 }
 
-// hotspotOne builds a seeded cluster under the bounded service-capacity
-// model and drives the zipf read workload plus a staggered rewrite
-// schedule over it. All randomness (zipf ranks, requester selection)
-// comes from dedicated streams scheduled at deterministic times, so
-// every mode sees the identical workload.
+// hotspotOne runs the zipf read workload plus a staggered rewrite
+// schedule on a stable overlay of cfg.nodes dht stores under the bounded
+// service-capacity model, with a tenth of them crashing mid-window when
+// churn is set. All randomness (zipf ranks, requester selection) comes
+// from dedicated streams scheduled at deterministic times, so every mode
+// sees the identical workload.
 func hotspotOne(cfg hotspotConfig, caching, churn bool) hotspotRun {
-	sim := eventsim.New(cfg.seed)
-	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 6, EdgeRouters: 30},
-		rand.New(rand.NewSource(cfg.seed)))
-	nw := netmodel.New(sim, topo, 0)
-	// The same bounded capacity the overload experiment saturates: the
-	// hot root's relief must show up as a load-factor drop, not vanish
-	// into an infinite queue.
-	nw.SetServiceModel(netmodel.ServiceModel{QueueLimit: 32, Rate: 50})
-
-	pcfg := pastry.DefaultConfig()
-	pcfg.L = 8
-	pcfg.PNS = false
-	// Under queueing delay the default MinRTO misreads backlog as loss
-	// and the retransmit storm collapses the run (see overload.go): a
-	// full queue adds up to QueueLimit/Rate = 640ms each way.
-	pcfg.MinRTO = 1500 * time.Millisecond
-	pcfg.RetryBudgetRate = 0.2
-	pcfg.RetryBudgetBurst = 2
-
 	dcfg := dht.DefaultConfig()
 	dcfg.SweepInterval = hotspotSweep
 	if caching {
 		dcfg.CacheEntries = cfg.cacheSize
 	}
+	app := &hotspotApp{dhtMount: newDHTMount(cfg.nodes, dcfg), cfg: cfg}
+	// Reads start once every key is written and replicated (keys/8
+	// seconds of batched puts, then a settle of two sweeps), and run for
+	// cfg.duration; 30 seconds more let in-flight reads finish, so success
+	// accounting is not truncated at the window's edge.
+	app.start = dhtSettle + time.Duration(cfg.keys/8)*time.Second + 30*time.Second + 2*hotspotSweep
+	end := app.start + cfg.duration
+	tr := stableTrace("hotspot", cfg.nodes, end+30*time.Second)
+	if churn {
+		withCrashes(tr, app.start+cfg.duration/3, hotspotSweep)
+	}
+	hcfg := dhtRunConfig(cfg.seed, tr, app)
+	// The same bounded capacity the overload experiment saturates: the
+	// hot root's relief must show up as a load-factor drop, not vanish
+	// into an infinite queue.
+	hcfg.Service = overloadService
+	// Under queueing delay the default MinRTO misreads backlog as loss
+	// and the retransmit storm collapses the run (see overload.go): a
+	// full queue adds up to QueueLimit/Rate = 640ms each way.
+	hcfg.Pastry.MinRTO = 1500 * time.Millisecond
+	hcfg.Pastry.RetryBudgetRate = 0.2
+	hcfg.Pastry.RetryBudgetBurst = 2
+	res := harness.Run(hcfg)
 
-	stores := make([]*dht.Store, 0, cfg.nodes)
-	eps := nw.NewCluster(cfg.nodes, pcfg, 2*time.Second, func(_ int, node *pastry.Node, ep *netmodel.Endpoint) {
-		stores = append(stores, dht.New(node, ep, dcfg))
-	}).Eps
-	sim.RunUntil(sim.Now() + time.Minute)
+	run := app.run
+	run.cache = app.window()
+	for _, n := range res.ShedByLane {
+		run.shed += n
+	}
+	for i := range run.loads {
+		if app.samples > 0 {
+			run.loads[i] /= float64(app.samples)
+		}
+	}
+	return run
+}
+
+// hotspotApp is the hotspot experiment's workload over its dht stores.
+type hotspotApp struct {
+	*dhtMount
+	cfg hotspotConfig
+	// start is when reads begin, in measured time.
+	start   time.Duration
+	run     hotspotRun
+	samples int // load samples taken
+}
+
+// Start implements harness.App: prefill every key (counter 1), then at
+// a.start the reads, rewrites, load sampling and the staleness and
+// monotonicity audits.
+func (a *hotspotApp) Start(sim *eventsim.Simulator) {
+	cfg, stores := a.cfg, a.bySlot
+	t0 := sim.Now()
+	start, end := t0+a.start, t0+a.start+cfg.duration
 
 	// The popular key set and its zipf(s) ranks come from the harness's
 	// sampler: its own key stream, so the set matches across modes.
 	zipf := harness.NewZipf(cfg.seed, cfg.keys, cfg.zipfS)
-
-	// Prefill every key (counter 1) and let replication settle.
 	counters := make([]uint32, cfg.keys)
 	type ackRec struct {
 		counter uint32
@@ -218,176 +242,122 @@ func hotspotOne(cfg hotspotConfig, caching, churn bool) hotspotRun {
 		}
 		counters[k]++
 		c := counters[k]
-		kk := k
 		stores[writer(k)].Put(zipf.Key(k), hotspotValue(uint32(k), c), func(err error) {
 			if err == nil {
-				ackLog[kk] = append(ackLog[kk], ackRec{counter: c, at: sim.Now()})
+				ackLog[k] = append(ackLog[k], ackRec{counter: c, at: sim.Now()})
 			}
 		})
 	}
+	// Prefill in batches of eight a second.
 	for k := 0; k < cfg.keys; k++ {
-		putKey(k)
-		if k%8 == 7 {
-			sim.RunUntil(sim.Now() + time.Second)
-		}
-	}
-	sim.RunUntil(sim.Now() + 30*time.Second + 2*hotspotSweep)
-
-	var run hotspotRun
-	start := sim.Now()
-	end := start + cfg.duration
-
-	// Staggered rewrites: each key every PutInterval, spread evenly.
-	var rewrite func(k int)
-	rewrite = func(k int) {
-		if sim.Now() >= end {
-			return
-		}
-		putKey(k)
-		sim.After(cfg.putInterval, func() { rewrite(k) })
-	}
-	for k := 0; k < cfg.keys; k++ {
-		kk := k
-		sim.After(time.Duration(k+1)*cfg.putInterval/time.Duration(cfg.keys),
-			func() { rewrite(kk) })
+		sim.At(t0+dhtSettle+time.Duration(k/8)*time.Second, func() { putKey(k) })
 	}
 
-	// The zipf read workload: one global arrival process at the
-	// aggregate rate, requester and rank drawn from a dedicated stream.
-	// lastRead tracks each reader's floor per key for the monotonic
-	// audit; ackLog gives the staleness bound.
-	wl := rand.New(rand.NewSource(cfg.seed ^ 0x40753a9))
-	// Monotonic reads are a session guarantee over *sequential* reads:
-	// two overlapping in-flight reads may legitimately complete out of
-	// order. A completed read only raises the reader's floor, and only a
-	// read issued after the floor-setting read completed can violate it.
-	type readFloor struct {
-		counter     uint32
-		completedAt time.Duration
-	}
-	lastRead := make([]map[int]readFloor, cfg.nodes)
-	for i := range lastRead {
-		lastRead[i] = make(map[int]readFloor)
-	}
-	boundAt := func(k int, issued time.Duration) uint32 {
-		bound := uint32(0)
-		for _, a := range ackLog[k] {
-			if a.at+hotspotSweep+hotspotGrace <= issued {
-				bound = a.counter
-			} else {
-				break
+	run := &a.run
+	sim.At(start, func() {
+		a.openWindow()
+
+		// Staggered rewrites: each key every PutInterval, spread evenly.
+		var rewrite func(k int)
+		rewrite = func(k int) {
+			if sim.Now() >= end {
+				return
 			}
+			putKey(k)
+			sim.After(cfg.putInterval, func() { rewrite(k) })
 		}
-		return bound
-	}
-	gap := time.Duration(float64(time.Second) / (cfg.getRate * float64(cfg.nodes)))
-	var readLoop func()
-	readLoop = func() {
-		if sim.Now() >= end {
-			return
+		for k := 0; k < cfg.keys; k++ {
+			sim.After(time.Duration(k+1)*cfg.putInterval/time.Duration(cfg.keys), func() { rewrite(k) })
 		}
-		n := wl.Intn(cfg.nodes)
-		k := zipf.Rank(wl)
-		if stores[n].Node().Alive() {
-			run.gets++
-			issued := sim.Now()
-			stores[n].Get(zipf.Key(k), func(v []byte, err error) {
-				switch {
-				case err == nil:
-					run.getOK++
-					c, ok := hotspotCounter(v)
-					if !ok {
-						return
-					}
-					if c < boundAt(k, issued) {
-						run.staleBeyondBound++
-					}
-					fl := lastRead[n][k]
-					if c < fl.counter && issued > fl.completedAt {
-						run.monotonicViolations++
-					}
-					if c >= fl.counter {
-						lastRead[n][k] = readFloor{counter: c, completedAt: sim.Now()}
-					}
-				case errors.Is(err, dht.ErrNotFound):
-					run.getNotFound++
-				default:
-					run.getFail++
+
+		// The zipf read workload: one global arrival process at the
+		// aggregate rate, requester and rank drawn from a dedicated
+		// stream. lastRead tracks each reader's floor per key for the
+		// monotonic audit; ackLog gives the staleness bound.
+		wl := rand.New(rand.NewSource(cfg.seed ^ 0x40753a9))
+		// Monotonic reads are a session guarantee over *sequential*
+		// reads: two overlapping in-flight reads may legitimately
+		// complete out of order. A completed read only raises the
+		// reader's floor, and only a read issued after the floor-setting
+		// read completed can violate it.
+		type readFloor struct {
+			counter     uint32
+			completedAt time.Duration
+		}
+		lastRead := make([]map[int]readFloor, cfg.nodes)
+		for i := range lastRead {
+			lastRead[i] = make(map[int]readFloor)
+		}
+		boundAt := func(k int, issued time.Duration) uint32 {
+			bound := uint32(0)
+			for _, rec := range ackLog[k] {
+				if rec.at+hotspotSweep+hotspotGrace <= issued {
+					bound = rec.counter
+				} else {
+					break
 				}
-			})
+			}
+			return bound
+		}
+		gap := time.Duration(float64(time.Second) / (cfg.getRate * float64(cfg.nodes)))
+		var readLoop func()
+		readLoop = func() {
+			if sim.Now() >= end {
+				return
+			}
+			n := wl.Intn(cfg.nodes)
+			k := zipf.Rank(wl)
+			if stores[n].Node().Alive() {
+				run.gets++
+				issued := sim.Now()
+				stores[n].Get(zipf.Key(k), func(v []byte, err error) {
+					switch {
+					case err == nil:
+						run.getOK++
+						c, ok := hotspotCounter(v)
+						if !ok {
+							return
+						}
+						if c < boundAt(k, issued) {
+							run.staleBeyondBound++
+						}
+						fl := lastRead[n][k]
+						if c < fl.counter && issued > fl.completedAt {
+							run.monotonicViolations++
+						}
+						if c >= fl.counter {
+							lastRead[n][k] = readFloor{counter: c, completedAt: sim.Now()}
+						}
+					case errors.Is(err, dht.ErrNotFound):
+						run.getNotFound++
+					default:
+						run.getFail++
+					}
+				})
+			}
+			sim.After(gap, readLoop)
 		}
 		sim.After(gap, readLoop)
-	}
-	sim.After(gap, readLoop)
 
-	// Load sampling at a fixed cadence (no randomness: identical event
-	// schedule in every mode).
-	run.loads = make([]float64, cfg.nodes)
-	run.peaks = make([]float64, cfg.nodes)
-	samples := 0
-	var sample func()
-	sample = func() {
-		if sim.Now() >= end {
-			return
-		}
-		samples++
-		for i, ep := range eps {
-			lf := ep.LoadFactor()
-			run.loads[i] += lf
-			if lf > run.peaks[i] {
-				run.peaks[i] = lf
+		// Load sampling at a fixed cadence (no randomness: identical
+		// event schedule in every mode).
+		run.loads = make([]float64, cfg.nodes)
+		run.peaks = make([]float64, cfg.nodes)
+		var sample func()
+		sample = func() {
+			if sim.Now() >= end {
+				return
 			}
+			a.samples++
+			for i, ep := range a.eps {
+				lf := ep.LoadFactor()
+				run.loads[i] += lf
+				if lf > run.peaks[i] {
+					run.peaks[i] = lf
+				}
+			}
+			sim.After(500*time.Millisecond, sample)
 		}
 		sim.After(500*time.Millisecond, sample)
-	}
-	sim.After(500*time.Millisecond, sample)
-
-	// Churn: crash 10% of the population mid-run, one sweep apart,
-	// never the seed node and with the same victims in every mode.
-	if churn {
-		crashes := max(1, cfg.nodes/10)
-		victim := 1
-		at := start + cfg.duration/3
-		for i := 0; i < crashes; i++ {
-			victim = (victim + 7) % cfg.nodes
-			if victim == 0 {
-				victim = 1
-			}
-			v := victim
-			sim.After(at-sim.Now()+time.Duration(i)*hotspotSweep, func() { eps[v].Fail() })
-		}
-	}
-
-	before := sumCounters(stores)
-	shedBefore := sumShed(nw)
-	sim.RunUntil(end)
-	// Let in-flight reads finish so success accounting is not truncated
-	// at the window edge (no new reads are issued past end).
-	sim.RunUntil(end + 30*time.Second)
-
-	after := sumCounters(stores)
-	run.cache = dht.Counters{
-		Retries:            after.Retries - before.Retries,
-		CacheHitsLocal:     after.CacheHitsLocal - before.CacheHitsLocal,
-		CacheHitsRemote:    after.CacheHitsRemote - before.CacheHitsRemote,
-		CacheServes:        after.CacheServes - before.CacheServes,
-		CacheDeposits:      after.CacheDeposits - before.CacheDeposits,
-		CacheInvalidations: after.CacheInvalidations - before.CacheInvalidations,
-		CacheStaleRejected: after.CacheStaleRejected - before.CacheStaleRejected,
-	}
-	run.shed = sumShed(nw) - shedBefore
-	for i := range run.loads {
-		if samples > 0 {
-			run.loads[i] /= float64(samples)
-		}
-	}
-	return run
-}
-
-func sumShed(nw *netmodel.Network) uint64 {
-	var total uint64
-	for _, n := range nw.ShedByLane {
-		total += n
-	}
-	return total
+	})
 }

@@ -49,7 +49,10 @@ func massFailure(s Scale) (Report, error) {
 
 // massFailureRun builds a stable overlay of n nodes, kills a fraction of
 // it in one instant, and measures how long the survivors take to restore
-// a globally consistent ring.
+// a globally consistent ring. It builds its own overlay with NewCluster:
+// through harness.Run's join ramp, 3 of TestMassFailureRecovery's 16
+// runs miss its 2-minute bound, a recovery defect both overlays hit at
+// some seeds (CHANGES.md).
 func massFailureRun(seed int64, n int, killFraction float64, deadline time.Duration) massFailureResult {
 	sim := eventsim.New(seed)
 	topo := topology.CorpNet(topology.DefaultCorpNet(), rand.New(rand.NewSource(seed)))
@@ -70,19 +73,12 @@ func massFailureRun(seed int64, n int, killFraction float64, deadline time.Durat
 	c := nw.NewCluster(n, pcfg, 2*time.Second, nil)
 	sim.RunUntil(sim.Now() + 5*time.Minute) // settle
 
-	// Kill a random fraction in one instant.
-	perm := rand.New(rand.NewSource(seed + 1)).Perm(n)
+	// Kill ⌊n·killFraction⌋ nodes, drawn over every slot, in one instant.
 	kill := int(float64(n) * killFraction)
 	dead := make(map[int]bool, kill)
-	for _, idx := range perm[:kill] {
-		if idx == 0 && kill < n {
-			continue // keep at least the bootstrap node deterministic
-		}
+	for _, idx := range rand.New(rand.NewSource(seed + 1)).Perm(n)[:kill] {
 		c.Eps[idx].Fail()
 		dead[idx] = true
-		if len(dead) >= kill {
-			break
-		}
 	}
 	counting = true
 	failAt := sim.Now()

@@ -18,6 +18,9 @@ func TestMassFailureRecovery(t *testing.T) {
 					r := massFailureRun(seed, nodes, 0.5, 20*time.Minute)
 					t.Logf("killed %d/%d; recovered=%v in %v with %d leaf msgs",
 						r.killed, r.nodes, r.recovered, r.recoveryTime, r.leafMsgs)
+					if r.killed != nodes/2 {
+						t.Errorf("killed %d of %d, want %d", r.killed, r.nodes, nodes/2)
+					}
 					if !r.recovered {
 						t.Fatal("overlay did not heal from a 50% correlated failure")
 					}

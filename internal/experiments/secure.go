@@ -26,7 +26,9 @@ func secureRuns(s Scale, nodes int, dur time.Duration, fracs []float64) []harnes
 	tr := stableTrace("secure-static", nodes, dur)
 	return sweep(2*len(fracs), s.base("gatech", tr), func(i int, cfg *harness.Config) {
 		cfg.Pastry.L = 16
-		cfg.SecureRouting = i%2 == 1
+		if i%2 == 1 {
+			cfg.App = new(harness.SecureRouting)
+		}
 		cfg.LookupRate = secureLookupRate
 		cfg.MaliciousFraction = fracs[i/2]
 	})

@@ -64,9 +64,10 @@ type Config struct {
 	// behaviour of netmodel.Adversary. Zero disables the adversary
 	// entirely and reproduces pre-adversary runs bit-for-bit.
 	MaliciousFraction float64
-	// SecureRouting mounts the secure-routing layer (internal/secure) on
-	// every node and issues every generated lookup through it.
-	SecureRouting bool
+	// App, when non-nil, is mounted on every node the run starts and its
+	// workload started when measurement begins (see App). One value serves
+	// one run: it keeps what it mounted.
+	App App
 	// Zipf, when non-nil, draws lookup keys from its popular key set (see
 	// NewZipf); nil draws them uniformly from the id space, the paper's
 	// model.
@@ -101,7 +102,8 @@ type Result struct {
 	Totals  stats.Totals
 	JoinCDF []stats.CDFPoint
 	// Aggregated protocol counters over all node instances, and secure
-	// layer counters over all layers (zero without Config.SecureRouting).
+	// layer counters over all layers (zero unless Config.App is a
+	// SecureRouting).
 	Counters pastry.Counters
 	Secure   secure.Counters
 	// NetworkDrops counts messages lost to injected faults (uniform loss,
@@ -158,7 +160,6 @@ type run struct {
 	outstanding map[lookupKey]outstandingLookup
 
 	counters    pastry.Counters
-	secure      secure.Counters
 	dropReasons map[pastry.DropReason]int
 	timeoutLost int
 	recovery    []stats.RecoveryStat
@@ -175,9 +176,9 @@ type run struct {
 }
 
 type slot struct {
-	ep   *netmodel.Endpoint
-	node *pastry.Node
-	sec  *secure.Layer // nil without Config.SecureRouting
+	ep     *netmodel.Endpoint
+	node   *pastry.Node
+	issuer Issuer // what Config.App's mount issues lookups with; nil for the node
 }
 
 type lookupKey struct {
@@ -289,6 +290,10 @@ func (r *run) execute() Result {
 		}
 	}
 
+	if cfg.App != nil {
+		r.sim.At(r.setup, func() { cfg.App.Start(r.sim) })
+	}
+
 	// Loss sweeper.
 	var sweep func()
 	sweep = func() {
@@ -324,7 +329,6 @@ func (r *run) execute() Result {
 	for _, s := range r.slots {
 		if s.node != nil && s.node.Alive() {
 			r.counters.Add(s.node.Stats())
-			r.secure.Add(s.sec.Stats())
 			if s.node.Active() {
 				trts = append(trts, s.node.Trt())
 			}
@@ -334,12 +338,15 @@ func (r *run) execute() Result {
 	if len(trts) > 0 {
 		res.TrtMedian = trts[len(trts)/2]
 	}
-	res.Counters, res.Secure = r.counters, r.secure
+	res.Counters = r.counters
+	if sec, ok := cfg.App.(*SecureRouting); ok {
+		res.Secure = sec.stats()
+	}
 	if r.cfg.Telemetry != nil {
 		// Mirror the run-aggregated node counters into the registry so a
 		// metrics dump carries the same names a live node serves.
 		r.cfg.Telemetry.SetGauges(r.counters)
-		r.cfg.Telemetry.SetGauges(r.secure)
+		r.cfg.Telemetry.SetGauges(res.Secure)
 		r.cfg.Telemetry.SetGauges(telemetry.Trt{Seconds: res.TrtMedian.Seconds()})
 	}
 	return res
@@ -358,10 +365,10 @@ func (r *run) startNode(slotIdx int, bootstrap bool) {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	node.SetSeedSource(func() (pastry.NodeRef, bool) { return r.randomActiveRef() })
-	s.node, s.sec = node, nil
+	s.node, s.issuer = node, nil
 	s.ep.Bind(node)
-	if r.cfg.SecureRouting {
-		s.sec = secure.New(node, s.ep, nil)
+	if r.cfg.App != nil {
+		s.issuer = r.cfg.App.Mount(slotIdx, node, s.ep)
 	}
 	if bootstrap || r.active.len() == 0 {
 		node.Bootstrap()
@@ -382,7 +389,6 @@ func (r *run) failNode(slotIdx int) {
 	}
 	wasActive := s.node.Active()
 	r.counters.Add(s.node.Stats())
-	r.secure.Add(s.sec.Stats())
 	s.ep.Fail()
 	if wasActive {
 		r.active.remove(s.node.Ref().ID)
@@ -411,11 +417,11 @@ func (r *run) nextKey() id.ID {
 }
 
 // scheduleLookups starts the Poisson lookup generator for a node.
-func (r *run) scheduleLookups(n *pastry.Node, sec *secure.Layer) {
+func (r *run) scheduleLookups(n *pastry.Node, issuer Issuer) {
 	if r.cfg.LookupRate <= 0 {
 		return
 	}
-	g := &lookupGen{r: r, n: n, sec: sec, origin: mustAtoi(n.Ref().Addr)}
+	g := &lookupGen{r: r, n: n, issuer: issuer, origin: mustAtoi(n.Ref().Addr)}
 	r.sim.Schedule(r.sim.Now()+g.gap(), g)
 }
 
@@ -425,8 +431,8 @@ func (r *run) scheduleLookups(n *pastry.Node, sec *secure.Layer) {
 type lookupGen struct {
 	r      *run
 	n      *pastry.Node
-	sec    *secure.Layer // issues the lookups when set
-	origin int           // the node's endpoint index
+	issuer Issuer // issues the lookups when set
+	origin int    // the node's endpoint index
 }
 
 func (g *lookupGen) gap() time.Duration {
@@ -442,8 +448,8 @@ func (g *lookupGen) Fire() {
 	key := r.nextKey()
 	var seq uint64
 	var ok bool
-	if g.sec != nil {
-		seq, ok = g.sec.Lookup(key)
+	if g.issuer != nil {
+		seq, ok = g.issuer.Lookup(key)
 	} else {
 		seq, ok = n.Lookup(key, nil)
 	}
@@ -501,7 +507,7 @@ func (o *runObserver) Activated(n *pastry.Node, joinLatency time.Duration) {
 	if r.measured() >= 0 {
 		r.col.JoinLatency(joinLatency)
 	}
-	r.scheduleLookups(n, r.slots[slotIdx].sec)
+	r.scheduleLookups(n, r.slots[slotIdx].issuer)
 }
 
 // Delivered implements pastry.Observer: judge the delivery against the
